@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the full verification gate, run before every merge:
 #
+#   0. gofmt         every Go file is gofmt-formatted (gofmt -l lists none)
 #   1. go vet        standard suspicious-construct checks
 #   2. go build      every package compiles
 #   3. go test -race full test suite (includes TestVetABR and the
@@ -40,6 +41,15 @@
 # Exits non-zero on the first failing step.
 set -eu
 cd "$(dirname "$0")"
+
+echo "== gofmt -l (every .go file outside build output)"
+# .bench_build holds the benchmark's Go caches, which are not ours to format.
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "check.sh: the files above are not gofmt-formatted — run gofmt -w on them" >&2
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...

@@ -11,8 +11,9 @@
 package estimator
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"demuxabr/internal/media"
@@ -126,6 +127,12 @@ type SlidingPercentile struct {
 
 	samples     []weightedSample
 	totalWeight float64
+
+	// sorted is samples ordered by value, rebuilt in place by the first
+	// Estimate after an Add. The scan over it reads Percentile on every
+	// call, so changing Percentile needs no invalidation.
+	sorted      []weightedSample
+	sortedFresh bool
 }
 
 type weightedSample struct {
@@ -145,6 +152,7 @@ func (p *SlidingPercentile) Add(weight, value float64) {
 		return
 	}
 	p.samples = append(p.samples, weightedSample{value: value, weight: weight})
+	p.sortedFresh = false
 	p.totalWeight += weight
 	for p.totalWeight > p.MaxWeight && len(p.samples) > 1 {
 		p.totalWeight -= p.samples[0].weight
@@ -153,22 +161,26 @@ func (p *SlidingPercentile) Add(weight, value float64) {
 }
 
 // Estimate returns the weighted percentile; ok is false with no samples.
+// The sort is reused until the next Add, so repeated estimates allocate
+// nothing.
 func (p *SlidingPercentile) Estimate() (float64, bool) {
 	if len(p.samples) == 0 {
 		return 0, false
 	}
-	sorted := make([]weightedSample, len(p.samples))
-	copy(sorted, p.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].value < sorted[j].value })
+	if !p.sortedFresh {
+		p.sorted = append(p.sorted[:0], p.samples...)
+		slices.SortFunc(p.sorted, func(a, b weightedSample) int { return cmp.Compare(a.value, b.value) })
+		p.sortedFresh = true
+	}
 	target := p.Percentile * p.totalWeight
 	var acc float64
-	for _, s := range sorted {
+	for _, s := range p.sorted {
 		acc += s.weight
 		if acc >= target {
 			return s.value, true
 		}
 	}
-	return sorted[len(sorted)-1].value, true
+	return p.sorted[len(p.sorted)-1].value, true
 }
 
 // GlobalMeter models ExoPlayer's DefaultBandwidthMeter (§3.2): it measures

@@ -2,6 +2,8 @@ package estimator
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -162,6 +164,65 @@ func TestSlidingPercentileWeighted(t *testing.T) {
 	got, _ := p.Estimate()
 	if got != 100 {
 		t.Errorf("weighted median = %v, want 100 (heavy sample dominates)", got)
+	}
+}
+
+// referencePercentile is the weighted percentile without the cached sort:
+// a fresh copy of the samples sorted with sort.Slice, then the scan.
+func referencePercentile(p *SlidingPercentile) float64 {
+	sorted := make([]weightedSample, len(p.samples))
+	copy(sorted, p.samples)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].value < sorted[j].value })
+	target := p.Percentile * p.totalWeight
+	var acc float64
+	for _, s := range sorted {
+		acc += s.weight
+		if acc >= target {
+			return s.value
+		}
+	}
+	return sorted[len(sorted)-1].value
+}
+
+// TestSlidingPercentileCachedSortMatchesReference interleaves Adds (with
+// many tied values and evictions), Percentile changes and repeated
+// Estimates, and requires each estimate to equal a fresh sort-and-scan bit
+// for bit.
+func TestSlidingPercentileCachedSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := &SlidingPercentile{MaxWeight: 40, Percentile: 0.5}
+	for i := 0; i < 5000; i++ {
+		switch r := rng.Intn(10); {
+		case r < 5:
+			// Few distinct values so ties are common.
+			p.Add(rng.Float64()*3, float64(100*(1+rng.Intn(6))))
+		case r < 6:
+			p.Percentile = []float64{0.25, 0.5, 0.9}[rng.Intn(3)]
+		}
+		got, ok := p.Estimate()
+		if !ok {
+			if len(p.samples) != 0 {
+				t.Fatalf("step %d: estimate not ok with %d samples", i, len(p.samples))
+			}
+			continue
+		}
+		if want := referencePercentile(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: estimate %v, reference %v", i, got, want)
+		}
+	}
+}
+
+// TestSlidingPercentileEstimateAllocFree pins the cached sort: an Estimate
+// with no Add since the last one allocates nothing.
+func TestSlidingPercentileEstimateAllocFree(t *testing.T) {
+	p := NewSlidingPercentile()
+	for _, v := range []float64{300, 100, 500, 200, 400} {
+		p.Add(1, v)
+	}
+	p.Estimate()
+	allocs := testing.AllocsPerRun(1000, func() { p.Estimate() })
+	if allocs != 0 {
+		t.Fatalf("repeated Estimate allocates %.2f objects per call, want 0", allocs)
 	}
 }
 

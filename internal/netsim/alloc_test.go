@@ -3,6 +3,9 @@ package netsim
 import (
 	"testing"
 	"time"
+
+	"demuxabr/internal/media"
+	"demuxabr/internal/trace"
 )
 
 // TestScheduleStepAllocFree pins the event freelist: once warm, a
@@ -62,6 +65,33 @@ func TestPoolReuseKeepsOrdering(t *testing.T) {
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("firing order broke at position %d: got %d (full order %v...)", i, v, got[:i+1])
+		}
+	}
+}
+
+// TestSampleTickAllocFree pins the δ-sampler: once warm, a sample tick —
+// integrate (through the cached allocation behind an uplink), report,
+// re-arm — allocates nothing, on a standalone link and on an uplink leaf.
+func TestSampleTickAllocFree(t *testing.T) {
+	onSample := func(*Transfer, float64, time.Duration) {}
+	for _, tc := range []struct {
+		name string
+		link func(*Engine) *Link
+	}{
+		{"solo", func(eng *Engine) *Link { return NewLink(eng, trace.Fixed(media.Kbps(6_000))) }},
+		{"leaf", func(eng *Engine) *Link {
+			return NewUplink(eng, trace.Fixed(media.Kbps(20_000))).NewLeaf(trace.Fixed(media.Kbps(6_000)))
+		}},
+	} {
+		eng := NewEngine()
+		link := tc.link(eng)
+		for i := 0; i < 2; i++ {
+			link.Start(1<<40, StartOptions{SampleEvery: 125 * time.Millisecond, OnSample: onSample})
+		}
+		eng.RunUntil(time.Second) // activate, bind the ticks, warm the freelist
+		allocs := testing.AllocsPerRun(1000, func() { eng.Step() })
+		if allocs != 0 {
+			t.Errorf("%s: warm sample tick allocates %.2f objects, want 0", tc.name, allocs)
 		}
 	}
 }

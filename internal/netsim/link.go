@@ -77,6 +77,16 @@ func (l *Link) AddOutage(start, stop time.Duration) {
 		return
 	}
 	l.outages = append(l.outages, outageWindow{start: start, stop: stop})
+	l.changed()
+}
+
+// changed records a mutation of the active set or the outage windows. A
+// leaf behind a shared uplink bumps the group's version so the cached
+// max-min allocation is recomputed; standalone links keep no cache.
+func (l *Link) changed() {
+	if l.up != nil {
+		l.up.version++
+	}
 }
 
 // rateAt is the effective capacity: the profile's rate, masked by outages.
@@ -141,6 +151,7 @@ type Transfer struct {
 	sampleMark   float64       // bytes at last sample boundary
 	lastSampleAt time.Duration // time of last sample boundary
 	sampleEv     *Event
+	sampleTick   func() // sample, bound on first use
 }
 
 // Size returns the transfer's total size in bytes.
@@ -308,6 +319,7 @@ func (l *Link) Cancel(tr *Transfer) {
 	for i, a := range l.active {
 		if a == tr {
 			l.active = append(l.active[:i], l.active[i+1:]...)
+			l.changed()
 			break
 		}
 	}
@@ -347,6 +359,7 @@ func (l *Link) Suspend(tr *Transfer) bool {
 		return false // still waiting out its pre-byte delay
 	}
 	tr.suspended = true
+	l.changed()
 	l.reschedule()
 	return true
 }
@@ -360,6 +373,7 @@ func (l *Link) Resume(tr *Transfer) {
 	l.advance()
 	tr.suspended = false
 	l.active = append(l.active, tr)
+	l.changed()
 	l.reschedule()
 }
 
@@ -381,6 +395,7 @@ func (l *Link) activate(tr *Transfer) {
 		return
 	}
 	l.active = append(l.active, tr)
+	l.changed()
 	tr.lastSampleAt = tr.started
 	if tr.sampleEvery > 0 && tr.onSample != nil {
 		tr.scheduleSample()
@@ -388,18 +403,26 @@ func (l *Link) activate(tr *Transfer) {
 	l.reschedule()
 }
 
+// scheduleSample arms the next δ-sample tick. The tick func is bound once
+// per transfer, so a warm tick allocates nothing.
 func (tr *Transfer) scheduleSample() {
-	tr.sampleEv = tr.link.eng.After(tr.sampleEvery, func() {
-		tr.link.advance()
-		if tr.completed || tr.cancelled {
-			return
-		}
-		bytes := tr.done - tr.sampleMark
-		tr.sampleMark = tr.done
-		tr.lastSampleAt = tr.link.eng.Now()
-		tr.onSample(tr, bytes, tr.sampleEvery)
-		tr.scheduleSample()
-	})
+	if tr.sampleTick == nil {
+		tr.sampleTick = tr.sample
+	}
+	tr.sampleEv = tr.link.eng.After(tr.sampleEvery, tr.sampleTick)
+}
+
+// sample reports the bytes moved since the last tick and re-arms.
+func (tr *Transfer) sample() {
+	tr.link.advance()
+	if tr.completed || tr.cancelled {
+		return
+	}
+	bytes := tr.done - tr.sampleMark
+	tr.sampleMark = tr.done
+	tr.lastSampleAt = tr.link.eng.Now()
+	tr.onSample(tr, bytes, tr.sampleEvery)
+	tr.scheduleSample()
 }
 
 // advance integrates all active transfers from lastUpdate to now at the
@@ -444,9 +467,21 @@ func (l *Link) advanceSolo() {
 // finishCompleted removes and notifies transfers that have reached their
 // full size.
 func (l *Link) finishCompleted() {
+	// Most calls (every sample tick) find nothing finished; leave the active
+	// slice untouched then rather than rewriting it in place.
+	first := -1
+	for i, tr := range l.active {
+		if float64(tr.size)-tr.done < completionSlack {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		return
+	}
 	var finished []*Transfer
-	remaining := l.active[:0]
-	for _, tr := range l.active {
+	remaining := l.active[:first]
+	for _, tr := range l.active[first:] {
 		if float64(tr.size)-tr.done < completionSlack {
 			tr.done = float64(tr.size)
 			tr.completed = true
@@ -461,6 +496,9 @@ func (l *Link) finishCompleted() {
 		}
 	}
 	l.active = remaining
+	if len(finished) > 0 {
+		l.changed()
+	}
 	for _, tr := range finished {
 		// Report the final partial sampling interval so byte-flow observers
 		// account for every byte.

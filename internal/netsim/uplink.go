@@ -26,6 +26,17 @@ type Uplink struct {
 	lastUpdate time.Duration
 	wake       *Event
 
+	// version counts active-set and outage mutations across the members
+	// (see Link.changed); the cached allocation is stale once it moves.
+	version uint64
+	// rates holds the last allocation, computed at ratesAt under version
+	// ratesVersion. It stays exact for every t in [ratesAt, ratesUntil):
+	// ratesUntil is the earliest capacity breakpoint of the uplink or any
+	// loaded leaf after ratesAt, so no input of the fill changes before it.
+	// The zero value (an empty span) is a miss.
+	ratesVersion        uint64
+	ratesAt, ratesUntil time.Duration
+
 	// Allocator scratch, reused across recomputes so steady-state event
 	// handling allocates nothing.
 	rates  []float64
@@ -76,8 +87,11 @@ func (u *Uplink) activeTotal() int {
 	return n
 }
 
-// alloc computes the weighted max-min rate (bits/s) of every active
-// transfer at time t, flattened in member order. Constraint 0 is the
+// alloc returns the weighted max-min rate (bits/s) of every active
+// transfer at time t, flattened in member order. While no member's active
+// set has changed and t lies before the next capacity breakpoint, the
+// inputs of the fill are those of the last call, so the cached vector is
+// returned as is; otherwise it is recomputed. Constraint 0 is the
 // uplink; constraint 1+i is member i. Progressive filling: raise every
 // unfrozen transfer's per-weight rate in lockstep until some constraint
 // saturates, freeze that constraint's transfers at the fill level, and
@@ -85,6 +99,10 @@ func (u *Uplink) activeTotal() int {
 // constraint, so the fill level is always finite, and each round freezes
 // at least one transfer — the loop runs at most len(members)+1 rounds.
 func (u *Uplink) alloc(t time.Duration, total int) []float64 {
+	if u.ratesVersion == u.version && u.ratesAt <= t && t < u.ratesUntil {
+		return u.rates
+	}
+	u.ratesVersion, u.ratesAt, u.ratesUntil = u.version, t, u.nextChange(t)
 	nc := len(u.members) + 1
 	u.rates = growF(u.rates, total)
 	u.frozen = growB(u.frozen, total)
@@ -158,10 +176,26 @@ func (u *Uplink) alloc(t time.Duration, total int) []float64 {
 	}
 }
 
-// advance integrates every member's transfers from lastUpdate to now at
-// the allocation that applied over the span (group wake events at every
-// completion and breakpoint guarantee the allocation was constant), then
-// completes finished transfers member by member.
+// nextChange returns the first capacity breakpoint after t that can move
+// the allocation: the uplink profile's, or a loaded leaf's profile or
+// outage edge. Idle leaves carry no weight, so their capacity is not an
+// input. math.MaxInt64 means no breakpoint.
+func (u *Uplink) nextChange(t time.Duration) time.Duration {
+	next := time.Duration(math.MaxInt64)
+	if bp, ok := u.profile.NextChange(t); ok {
+		next = bp
+	}
+	for _, l := range u.members {
+		if len(l.active) == 0 {
+			continue
+		}
+		if bp, ok := l.nextChange(t); ok && bp < next {
+			next = bp
+		}
+	}
+	return next
+}
+
 // SetRecorder attaches a flight recorder: the uplink emits a LinkRate
 // event (labelled typ, e.g. "uplink") whenever its observed capacity
 // changes during integration. Pass nil to detach.
@@ -195,6 +229,10 @@ func (u *Uplink) observeRate(now time.Duration) {
 	}
 }
 
+// advance integrates every member's transfers from lastUpdate to now at
+// the allocation that applied over the span (group wake events at every
+// completion and breakpoint guarantee the allocation was constant), then
+// completes finished transfers member by member.
 func (u *Uplink) advance() {
 	now := u.eng.Now()
 	u.observeRate(now)
@@ -243,19 +281,13 @@ func (u *Uplink) reschedule() {
 		return
 	}
 	now := u.eng.Now()
-	next := time.Duration(math.MaxInt64)
-	if bp, ok := u.profile.NextChange(now); ok && bp < next {
-		next = bp
-	}
 	rates := u.alloc(now, total)
+	// The allocation holds until ratesUntil, the first breakpoint after
+	// ratesAt ≤ now; with no breakpoint in between it is also the first
+	// after now.
+	next := u.ratesUntil
 	k := 0
 	for _, l := range u.members {
-		if len(l.active) == 0 {
-			continue
-		}
-		if bp, ok := l.nextChange(now); ok && bp < next {
-			next = bp
-		}
 		for _, tr := range l.active {
 			if r := rates[k]; r > 0 {
 				remaining := float64(tr.size) - tr.done

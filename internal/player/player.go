@@ -245,6 +245,10 @@ type Session struct {
 	// guarded on it, so VOD behaviour is bit-identical to pre-live code).
 	live *liveState
 
+	// logTick is the timeline-logging tick, bound once in Start so the
+	// periodic re-arm allocates no closure.
+	logTick func()
+
 	res Result
 }
 
@@ -411,6 +415,7 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 		s.eng.Schedule(s.eng.Now(), func() { s.fetchIndependent(media.Video) })
 		s.eng.Schedule(s.eng.Now(), func() { s.fetchIndependent(media.Audio) })
 	}
+	s.logTick = s.logTimeline
 	s.scheduleLog()
 	for _, at := range cfg.AudioResets {
 		at := at
@@ -637,21 +642,23 @@ func (s *Session) collectTransport() {
 
 // --- Timeline logging --------------------------------------------------
 
-func (s *Session) scheduleLog() {
-	s.eng.After(s.cfg.LogInterval, func() {
-		if s.ended {
-			return
-		}
-		now := s.eng.Now()
-		if s.rel(now) >= s.cfg.Deadline {
-			// Session is not making it to the end; abort without marking
-			// playback complete.
-			s.abort(fmt.Sprintf("deadline %v reached before playback finished", s.cfg.Deadline))
-			return
-		}
-		s.logSample(now)
-		s.scheduleLog()
-	})
+func (s *Session) scheduleLog() { s.eng.After(s.cfg.LogInterval, s.logTick) }
+
+// logTimeline is the periodic logging tick: it enforces the deadline,
+// records one timeline sample and re-arms.
+func (s *Session) logTimeline() {
+	if s.ended {
+		return
+	}
+	now := s.eng.Now()
+	if s.rel(now) >= s.cfg.Deadline {
+		// Session is not making it to the end; abort without marking
+		// playback complete.
+		s.abort(fmt.Sprintf("deadline %v reached before playback finished", s.cfg.Deadline))
+		return
+	}
+	s.logSample(now)
+	s.scheduleLog()
 }
 
 func (s *Session) logSample(now time.Duration) {

@@ -75,15 +75,15 @@ func WriteJSONL(w io.Writer, recs []*Recorder) error {
 // label via a metadata event; requests render as spans on per-type threads,
 // buffers and rates as counter tracks, everything else as instants.
 type traceEvent struct {
-	Name string `json:"name"`
-	Ph   string `json:"ph"`
-	TsUS int64  `json:"ts"`
-	DurUS int64 `json:"dur,omitempty"`
-	Pid  int    `json:"pid"`
-	Tid  int    `json:"tid"`
-	Cat  string `json:"cat,omitempty"`
-	S    string `json:"s,omitempty"`
-	Args any    `json:"args,omitempty"`
+	Name  string `json:"name"`
+	Ph    string `json:"ph"`
+	TsUS  int64  `json:"ts"`
+	DurUS int64  `json:"dur,omitempty"`
+	Pid   int    `json:"pid"`
+	Tid   int    `json:"tid"`
+	Cat   string `json:"cat,omitempty"`
+	S     string `json:"s,omitempty"`
+	Args  any    `json:"args,omitempty"`
 }
 
 // traceDoc is the top-level Chrome trace document.
