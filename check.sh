@@ -37,6 +37,9 @@
 #                    (uniform zero-cost, pinned by the golden manifests)
 #  12. benchmem      fleet benchmarks compile and run once, so the
 #                    allocs/op trajectory is always measurable
+#  13. examples      the fast examples (cdncache, dramashow, languages,
+#                    musicshow, quickstart) run to a zero exit; httpdemo
+#                    is left out (about 40 s of real loopback HTTP)
 #
 # Exits non-zero on the first failing step.
 set -eu
@@ -104,5 +107,13 @@ go test -race -count=1 \
 echo "== benchmem smoke (1 iteration per fleet benchmark)"
 go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCDNCacheSweep|BenchmarkFleet|BenchmarkLiveSession' \
 	-benchtime=1x -benchmem .
+
+echo "== examples (the fast examples run and exit 0)"
+for ex in cdncache dramashow languages musicshow quickstart; do
+	if ! go run "./examples/$ex" >/dev/null; then
+		echo "check.sh: examples/$ex exited non-zero" >&2
+		exit 1
+	fi
+done
 
 echo "check.sh: all gates passed"

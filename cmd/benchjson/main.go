@@ -65,15 +65,15 @@ type workload struct {
 func fleetWorkloads() []workload {
 	return []workload{
 		{"bandwidth-sweep", func(p int) error {
-			_, err := experiments.BandwidthSweepParallel(experiments.DefaultSweepKbps(), p)
+			_, err := experiments.BandwidthSweep(experiments.DefaultSweepKbps(), p)
 			return err
 		}},
 		{"seed-sweep-5", func(p int) error {
-			_, err := experiments.SeedSweepParallel(5, p)
+			_, err := experiments.SeedSweep(5, p)
 			return err
 		}},
 		{"compare-fig3", func(p int) error {
-			_, err := experiments.CompareParallel(experiments.Scenarios()[1], p)
+			_, err := experiments.Compare(experiments.Scenarios()[1], p)
 			return err
 		}},
 		// One full shaping pipeline (scene model, per-type boundary DPs,
@@ -85,7 +85,7 @@ func fleetWorkloads() []workload {
 		{"cdn-cache-sweep", func(p int) error {
 			content := media.DramaShow()
 			pop := cdnsim.Population{Viewers: 60, VideoZipf: 1.2, AudioSpread: 3, Seed: 11}
-			cdnsim.CacheSweepParallel(content, pop, []int64{32 << 20, 128 << 20, 512 << 20}, p)
+			cdnsim.CacheSweep(content, pop, []int64{32 << 20, 128 << 20, 512 << 20}, p)
 			return nil
 		}},
 		// The recorder-off/on pair exposes the flight recorder's overhead:

@@ -18,7 +18,7 @@ import (
 
 func main() {
 	for _, s := range experiments.Scenarios() {
-		outcomes, err := experiments.Compare(s)
+		outcomes, err := experiments.Compare(s, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -66,8 +66,8 @@ func TestCacheSweepParallelMatchesSerial(t *testing.T) {
 	content := media.DramaShow()
 	pop := Population{Viewers: 24, VideoZipf: 1.2, AudioSpread: 3, Seed: 11}
 	sizes := []int64{16 << 20, 64 << 20}
-	serial := CacheSweepParallel(content, pop, sizes, 1)
-	parallel := CacheSweepParallel(content, pop, sizes, 0)
+	serial := CacheSweep(content, pop, sizes, 1)
+	parallel := CacheSweep(content, pop, sizes, 0)
 	if len(serial) != len(parallel) {
 		t.Fatalf("serial %d points, parallel %d", len(serial), len(parallel))
 	}

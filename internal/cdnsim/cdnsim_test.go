@@ -222,7 +222,7 @@ func TestCacheSweepDemuxedDominates(t *testing.T) {
 	c := media.DramaShow()
 	pop := Population{Viewers: 30, VideoZipf: 1.2, AudioSpread: 3, Seed: 3}
 	sizes := []int64{64 << 20, 256 << 20, 1 << 30}
-	points := CacheSweep(c, pop, sizes)
+	points := CacheSweep(c, pop, sizes, 0)
 	if len(points) != len(sizes)*2 {
 		t.Fatalf("points = %d", len(points))
 	}

@@ -112,17 +112,11 @@ type CacheSweepPoint struct {
 // CacheSweep replays the same staggered population through caches of
 // increasing size in both packaging modes — the capacity dimension of the
 // §1 cache-hit argument: demuxed objects reach a given hit ratio with far
-// less cache.
-func CacheSweep(c *media.Content, pop Population, sizes []int64) []CacheSweepPoint {
-	return CacheSweepParallel(c, pop, sizes, 0)
-}
-
-// CacheSweepParallel is CacheSweep with an explicit worker count (0 =
-// GOMAXPROCS, 1 = serial). Every (size, mode) cell replays its own cache
-// and its own session draw from the population seed, so the cells are
-// independent jobs; collection keeps the serial order (sizes outer, modes
-// inner).
-func CacheSweepParallel(c *media.Content, pop Population, sizes []int64, parallel int) []CacheSweepPoint {
+// less cache. parallel is the worker count (0 = GOMAXPROCS, 1 = serial).
+// Every (size, mode) cell replays its own cache and its own session draw
+// from the population seed, so the cells are independent jobs; collection
+// keeps the serial order (sizes outer, modes inner).
+func CacheSweep(c *media.Content, pop Population, sizes []int64, parallel int) []CacheSweepPoint {
 	modes := []Mode{Demuxed, Muxed}
 	return runpool.Collect(parallel, len(sizes)*len(modes), func(i int) CacheSweepPoint {
 		size, mode := sizes[i/len(modes)], modes[i%len(modes)]

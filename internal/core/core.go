@@ -109,7 +109,7 @@ func BuildModel(kind PlayerKind, c *media.Content, mo ManifestOptions) (abr.Algo
 	}
 	switch kind {
 	case ExoPlayerDASH, DashJS:
-		video, audio, err := roundTripMPD(c)
+		video, audio, err := RoundTripMPD(c)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -118,7 +118,7 @@ func BuildModel(kind PlayerKind, c *media.Content, mo ManifestOptions) (abr.Algo
 		}
 		return dashjs.New(video, audio), nil, nil
 	case ExoPlayerHLS, Shaka, BestPractice, BestPracticeIndependent, BestPracticeAbandon, BolaJoint, MPCJoint, VBRJoint, DynamicJoint, LLDefault, LLL2A, LLLoLP:
-		combos, order, err := roundTripMaster(c, mo.Combos, mo.AudioOrder)
+		combos, order, err := RoundTripMaster(c, mo.Combos, mo.AudioOrder)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -185,7 +185,9 @@ func chunkSizerFromPlaylists(c *media.Content) (jointabr.ChunkSizer, error) {
 	}, nil
 }
 
-func roundTripMPD(c *media.Content) (media.Ladder, media.Ladder, error) {
+// RoundTripMPD generates the content's MPD, parses it back and returns the
+// video and audio ladders a real DASH client would reconstruct from it.
+func RoundTripMPD(c *media.Content) (media.Ladder, media.Ladder, error) {
 	var buf bytes.Buffer
 	if err := dash.Generate(c).Encode(&buf); err != nil {
 		return nil, nil, err
@@ -197,7 +199,11 @@ func roundTripMPD(c *media.Content) (media.Ladder, media.Ladder, error) {
 	return dash.Ladders(mpd)
 }
 
-func roundTripMaster(c *media.Content, combos []media.Combo, order []*media.Track) ([]media.Combo, []*media.Track, error) {
+// RoundTripMaster generates a master playlist declaring combos with the
+// audio renditions in order (nil: ladder order), parses it back and
+// returns the combination list and rendition order a real HLS client
+// would read from it.
+func RoundTripMaster(c *media.Content, combos []media.Combo, order []*media.Track) ([]media.Combo, []*media.Track, error) {
 	var buf bytes.Buffer
 	if err := hls.GenerateMaster(c, combos, order).Encode(&buf); err != nil {
 		return nil, nil, err

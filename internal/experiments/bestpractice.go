@@ -7,11 +7,11 @@ import (
 	"demuxabr/internal/abr"
 	"demuxabr/internal/abr/exoplayer"
 	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/manifest/hls"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/trace"
 )
 
@@ -94,11 +94,13 @@ func RecoveredLadders(c *media.Content) (video, audio media.Ladder, maxRelErr fl
 func Fig3Repaired() (RepairResult, error) {
 	content := media.DramaShow()
 	order := []*media.Track{content.AudioTracks[2], content.AudioTracks[1], content.AudioTracks[0]}
-	combos, parsedOrder, err := hlsMaster(content, media.HSub(content), order)
+	combos, parsedOrder, err := core.RoundTripMaster(content, media.HSub(content), order)
 	if err != nil {
 		return RepairResult{}, err
 	}
-	broken, err := Run(content, trace.Fig3VaryingAvg600(), exoplayer.NewHLS(combos, parsedOrder), combos)
+	fig3 := core.Spec{Content: content, Profile: trace.Fig3VaryingAvg600(), Manifest: core.ManifestOptions{Combos: combos}}
+	fig3.Model = exoplayer.NewHLS(combos, parsedOrder)
+	broken, err := playToEnd(fig3)
 	if err != nil {
 		return RepairResult{}, err
 	}
@@ -114,7 +116,8 @@ func Fig3Repaired() (RepairResult, error) {
 			return RepairResult{}, fmt.Errorf("experiments: variant %s not recoverable", cb)
 		}
 	}
-	repaired, err := Run(content, trace.Fig3VaryingAvg600(), exoplayer.NewHLSRepaired(variants), combos)
+	fig3.Model = exoplayer.NewHLSRepaired(variants)
+	repaired, err := playToEnd(fig3)
 	if err != nil {
 		return RepairResult{}, err
 	}
@@ -144,7 +147,7 @@ type SplitPathResult struct {
 // audio and video are fetched over different network paths".
 func SplitPath() (SplitPathResult, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
+	combos, _, err := core.RoundTripMaster(content, media.HSub(content), nil)
 	if err != nil {
 		return SplitPathResult{}, err
 	}
@@ -157,14 +160,7 @@ func SplitPath() (SplitPathResult, error) {
 		if err != nil {
 			return Outcome{}, err
 		}
-		if !res.Ended {
-			return Outcome{}, fmt.Errorf("experiments: %s did not finish on split paths", model.Name())
-		}
-		return Outcome{
-			Model:   model.Name(),
-			Result:  res,
-			Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-		}, nil
+		return scoreFinished(res, model.Name(), content, combos)
 	}
 	if r.Shared, err = run(jointabr.New(combos)); err != nil {
 		return SplitPathResult{}, err
@@ -190,7 +186,7 @@ type SyncGranularityPoint struct {
 // cheap.
 func SyncGranularity(windows []int) ([]SyncGranularityPoint, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
+	combos, _, err := core.RoundTripMaster(content, media.HSub(content), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -203,17 +199,11 @@ func SyncGranularity(windows []int) ([]SyncGranularityPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !res.Ended {
-			return nil, fmt.Errorf("experiments: sync window %d did not finish", w)
+		o, err := scoreFinished(res, model.Name(), content, combos)
+		if err != nil {
+			return nil, fmt.Errorf("sync window %d: %w", w, err)
 		}
-		out = append(out, SyncGranularityPoint{
-			Window: w,
-			Outcome: Outcome{
-				Model:   model.Name(),
-				Result:  res,
-				Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-			},
-		})
+		out = append(out, SyncGranularityPoint{Window: w, Outcome: o})
 	}
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"demuxabr/internal/abr/exoplayer"
 	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/abr/shaka"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
@@ -50,12 +51,12 @@ type modelSpec struct {
 // constructor per player model, in the fixed comparison order, plus the
 // allowed combination list (H_sub as parsed from the master playlist).
 func modelSpecs(c *media.Content) (specs []modelSpec, allowed []media.Combo, err error) {
-	video, audio, err := dashLadders(c)
+	video, audio, err := core.RoundTripMPD(c)
 	if err != nil {
 		return nil, nil, err
 	}
 	order := []*media.Track{c.AudioTracks[2], c.AudioTracks[1], c.AudioTracks[0]}
-	combos, parsedOrder, err := hlsMaster(c, media.HSub(c), order)
+	combos, parsedOrder, err := core.RoundTripMaster(c, media.HSub(c), order)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -89,19 +90,16 @@ func buildModels(c *media.Content) (models []abr.Algorithm, allowed []media.Comb
 }
 
 // Compare runs every player model (the three studied players plus the
-// best-practice design) under one scenario.
-func Compare(s Scenario) ([]Outcome, error) { return CompareParallel(s, 0) }
-
-// CompareParallel is Compare with an explicit worker count (0 =
-// GOMAXPROCS, 1 = serial). Each model plays its session on its own
+// best-practice design) under one scenario with the given worker count
+// (0 = GOMAXPROCS, 1 = serial). Each model plays its session on its own
 // engine; outcomes keep the fixed comparison order.
-func CompareParallel(s Scenario, parallel int) ([]Outcome, error) {
+func Compare(s Scenario, parallel int) ([]Outcome, error) {
 	specs, allowed, err := modelSpecs(s.Content)
 	if err != nil {
 		return nil, err
 	}
 	return runpool.Map(parallel, len(specs), func(i int) (Outcome, error) {
-		out, err := Run(s.Content, s.Profile, specs[i].build(), allowed)
+		out, err := playToEnd(core.Spec{Content: s.Content, Profile: s.Profile, Model: specs[i].build(), Manifest: core.ManifestOptions{Combos: allowed}})
 		if err != nil {
 			return Outcome{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
@@ -148,16 +146,13 @@ func AblationVariants(c *media.Content) []AblationVariant {
 	return out
 }
 
-// Ablate runs the best-practice player and all ablations under a scenario.
-func Ablate(s Scenario) (map[string]Outcome, error) { return AblateParallel(s, 0) }
-
-// AblateParallel is Ablate with an explicit worker count (0 = GOMAXPROCS,
-// 1 = serial).
-func AblateParallel(s Scenario, parallel int) (map[string]Outcome, error) {
+// Ablate runs the best-practice player and all ablations under a scenario
+// with the given worker count (0 = GOMAXPROCS, 1 = serial).
+func Ablate(s Scenario, parallel int) (map[string]Outcome, error) {
 	allowed := media.HSub(s.Content)
 	specs := ablationSpecs(s.Content)
 	outs, err := runpool.Map(parallel, len(specs), func(i int) (Outcome, error) {
-		o, err := Run(s.Content, s.Profile, specs[i].build(), allowed)
+		o, err := playToEnd(core.Spec{Content: s.Content, Profile: s.Profile, Model: specs[i].build(), Manifest: core.ManifestOptions{Combos: allowed}})
 		if err != nil {
 			return Outcome{}, fmt.Errorf("ablation %s: %w", specs[i].name, err)
 		}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
-	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
 	"demuxabr/internal/trace"
 )
@@ -92,26 +90,15 @@ func weightedAudio(w float64) qoe.Weights {
 	return weights
 }
 
-func runCuration(c *media.Content, profile trace.Profile, rawCombos []media.Combo, weights qoe.Weights) (Outcome, error) {
-	combos, _, err := hlsMaster(c, rawCombos, nil)
+// runCuration streams the best-practice player over the server-declared
+// combination list and scores the session with the content's weights.
+func runCuration(c *media.Content, profile trace.Profile, combos []media.Combo, weights qoe.Weights) (Outcome, error) {
+	out, err := playToEnd(core.Spec{Content: c, Profile: profile, Player: core.BestPractice, Manifest: core.ManifestOptions{Combos: combos}})
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, fmt.Errorf("curation run on %s: %w", c.Name, err)
 	}
-	eng := netsim.NewEngine()
-	link := netsim.NewLink(eng, profile)
-	model := jointabr.New(combos)
-	res, err := player.Run(link, player.Config{Content: c, Model: model})
-	if err != nil {
-		return Outcome{}, err
-	}
-	if !res.Ended {
-		return Outcome{}, fmt.Errorf("experiments: curation run on %s did not finish", c.Name)
-	}
-	return Outcome{
-		Model:   model.Name(),
-		Result:  res,
-		Metrics: qoe.Compute(res, c, combos, weights),
-	}, nil
+	out.Metrics = qoe.Compute(out.Result, c, out.Allowed, weights)
+	return out, nil
 }
 
 // ChunkDurationPoint is one cell of the chunking sweep.
@@ -140,29 +127,16 @@ func ChunkDurationSweep(chunkSecs []float64) ([]ChunkDurationPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		combos, _, err := hlsMaster(content, media.HSub(content), nil)
-		if err != nil {
-			return nil, err
-		}
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(900)))
-		link.RTT = 100 * time.Millisecond
-		model := jointabr.New(combos)
-		res, err := player.Run(link, player.Config{Content: content, Model: model})
-		if err != nil {
-			return nil, err
-		}
-		if !res.Ended {
-			return nil, fmt.Errorf("experiments: %g s chunks did not finish", cs)
-		}
-		out = append(out, ChunkDurationPoint{
-			ChunkSeconds: cs,
-			Outcome: Outcome{
-				Model:   model.Name(),
-				Result:  res,
-				Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-			},
+		o, err := playToEnd(core.Spec{
+			Content: content,
+			Profile: trace.Fixed(media.Kbps(900)),
+			Player:  core.BestPractice,
+			RTT:     100 * time.Millisecond,
 		})
+		if err != nil {
+			return nil, fmt.Errorf("%g s chunks: %w", cs, err)
+		}
+		out = append(out, ChunkDurationPoint{ChunkSeconds: cs, Outcome: o})
 	}
 	return out, nil
 }

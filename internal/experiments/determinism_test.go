@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/report"
 	"demuxabr/internal/trace"
@@ -27,7 +28,7 @@ func TestDeterministicReport(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		for _, m := range models {
-			out, err := Run(content, profile, m, allowed)
+			out, err := playToEnd(core.Spec{Content: content, Profile: profile, Model: m, Manifest: core.ManifestOptions{Combos: allowed}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func TestDeterministicReport(t *testing.T) {
 func TestParallelEquivalenceBandwidthSweep(t *testing.T) {
 	kbps := []float64{600, 2000}
 	render := func(parallel int) []byte {
-		points, err := BandwidthSweepParallel(kbps, parallel)
+		points, err := BandwidthSweep(kbps, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestParallelEquivalenceBandwidthSweep(t *testing.T) {
 // order-sensitive collection in the repo.
 func TestParallelEquivalenceSeedSweep(t *testing.T) {
 	render := func(parallel int) []byte {
-		summaries, err := SeedSweepParallel(3, parallel)
+		summaries, err := SeedSweep(3, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +97,11 @@ func TestParallelEquivalenceSeedSweep(t *testing.T) {
 // runners at a cheap scenario.
 func TestParallelEquivalenceCompareAndAblate(t *testing.T) {
 	s := Scenarios()[0]
-	serialOut, err := CompareParallel(s, 1)
+	serialOut, err := Compare(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelOut, err := CompareParallel(s, 0)
+	parallelOut, err := Compare(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +111,11 @@ func TestParallelEquivalenceCompareAndAblate(t *testing.T) {
 	if !bytes.Equal(serialBuf.Bytes(), parallelBuf.Bytes()) {
 		t.Fatalf("parallel Compare diverges from serial:\n%s\nvs\n%s", serialBuf.Bytes(), parallelBuf.Bytes())
 	}
-	serialAb, err := AblateParallel(s, 1)
+	serialAb, err := Ablate(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelAb, err := AblateParallel(s, 0)
+	parallelAb, err := Ablate(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,53 +8,46 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
-	"demuxabr/internal/abr"
-	"demuxabr/internal/manifest/dash"
-	"demuxabr/internal/manifest/hls"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
-	"demuxabr/internal/timeline"
-	"demuxabr/internal/trace"
 )
 
-// Outcome bundles a session result with its computed metrics.
-type Outcome struct {
-	Model   string
-	Result  *player.Result
-	Metrics qoe.Metrics
-}
+// Outcome is one finished experiment session: the model name, the raw
+// result, its QoE metrics and the server-declared combination list. It is
+// core.Session, the type every session pipeline run returns.
+type Outcome = core.Session
 
-// Run executes one streaming session. allowed (may be nil) is used for
-// off-manifest accounting in the metrics.
-func Run(content *media.Content, profile trace.Profile, model abr.Algorithm, allowed []media.Combo) (Outcome, error) {
-	return RunRecorded(content, profile, model, allowed, nil)
-}
-
-// RunRecorded is Run with a flight recorder attached to the session and
-// its link (nil rec behaves exactly like Run).
-func RunRecorded(content *media.Content, profile trace.Profile, model abr.Algorithm, allowed []media.Combo, rec *timeline.Recorder) (Outcome, error) {
-	eng := netsim.NewEngine()
-	link := netsim.NewLink(eng, profile)
-	if rec != nil {
-		link.SetRecorder(rec, "link")
-	}
-	res, err := player.Run(link, player.Config{Content: content, Model: model, Recorder: rec})
+// playToEnd runs one session through core.Play and insists that it
+// finished: outside the fault experiments, a session cut short is a broken
+// run, not a measurement.
+func playToEnd(spec core.Spec) (Outcome, error) {
+	s, err := core.Play(spec)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("experiments: %s: %w", model.Name(), err)
+		return Outcome{}, fmt.Errorf("experiments: %w", err)
 	}
+	if !s.Result.Ended {
+		return Outcome{}, fmt.Errorf("experiments: %s: session did not finish", s.Model)
+	}
+	return *s, nil
+}
+
+// scoreFinished is playToEnd's tail for the few sessions wired by hand
+// because they need player or link features core.Spec does not carry: it
+// insists the session finished and scores it against allowed.
+func scoreFinished(res *player.Result, model string, c *media.Content, allowed []media.Combo) (Outcome, error) {
 	if !res.Ended {
-		return Outcome{}, fmt.Errorf("experiments: %s: session did not finish", model.Name())
+		return Outcome{}, fmt.Errorf("experiments: %s: session did not finish", model)
 	}
 	return Outcome{
-		Model:   model.Name(),
+		Model:   model,
 		Result:  res,
-		Metrics: qoe.Compute(res, content, allowed, qoe.DefaultWeights()),
+		Metrics: qoe.Compute(res, c, allowed, qoe.DefaultWeights()),
+		Allowed: allowed,
 	}, nil
 }
 
@@ -94,42 +87,6 @@ func DominantCombo(res *player.Result) media.Combo {
 		}
 	}
 	return best
-}
-
-// dashLadders round-trips the content through a generated-and-parsed MPD,
-// returning the ladders a real DASH client would reconstruct.
-func dashLadders(c *media.Content) (video, audio media.Ladder, err error) {
-	var buf bytes.Buffer
-	if err := dash.Generate(c).Encode(&buf); err != nil {
-		return nil, nil, err
-	}
-	mpd, err := dash.Parse(&buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dash.Ladders(mpd)
-}
-
-// hlsMaster round-trips a master playlist, returning the combination list
-// and rendition order a real HLS client would parse.
-func hlsMaster(c *media.Content, combos []media.Combo, audioOrder []*media.Track) ([]media.Combo, []*media.Track, error) {
-	var buf bytes.Buffer
-	if err := hls.GenerateMaster(c, combos, audioOrder).Encode(&buf); err != nil {
-		return nil, nil, err
-	}
-	m, err := hls.ParseMaster(&buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	parsedCombos, err := hls.CombosFromMaster(m, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	order, err := hls.AudioOrderFromMaster(m, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return parsedCombos, order, nil
 }
 
 // TimelinePoint is one figure sample: time, selected tracks, buffers,

@@ -7,6 +7,7 @@ import (
 	"demuxabr/internal/abr/dashjs"
 	"demuxabr/internal/abr/exoplayer"
 	"demuxabr/internal/abr/shaka"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
@@ -32,12 +33,12 @@ type Fig2Result struct {
 }
 
 func fig2(content *media.Content, betterVideo, betterAudio string) (Fig2Result, error) {
-	video, audio, err := dashLadders(content)
+	video, audio, err := core.RoundTripMPD(content)
 	if err != nil {
 		return Fig2Result{}, err
 	}
 	model := exoplayer.NewDASH(video, audio)
-	out, err := Run(content, trace.Fig2Bandwidth(), model, nil)
+	out, err := playToEnd(core.Spec{Content: content, Profile: trace.Fig2Bandwidth(), Model: model})
 	if err != nil {
 		return Fig2Result{}, err
 	}
@@ -103,22 +104,7 @@ func Fig3() (Fig3Result, error) {
 func Fig3Traced(rec *timeline.Recorder) (Fig3Result, error) {
 	content := media.DramaShow()
 	order := []*media.Track{content.AudioTracks[2], content.AudioTracks[1], content.AudioTracks[0]}
-	combos, parsedOrder, err := hlsMaster(content, media.HSub(content), order)
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	model := exoplayer.NewHLS(combos, parsedOrder)
-	out, err := RunRecorded(content, trace.Fig3VaryingAvg600(), model, combos, rec)
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	return Fig3Result{
-		Outcome:           out,
-		FixedAudio:        model.FixedAudio().ID,
-		AudioTrackChanges: out.Metrics.AudioSwitches,
-		OffManifestChunks: out.Metrics.OffManifest,
-		Timeline:          Timeline(out.Result),
-	}, nil
+	return exoHLS(content, order, trace.Fig3VaryingAvg600(), rec)
 }
 
 // ExoHLSLowFirst runs the second ExoPlayer HLS experiment (§3.2, figures
@@ -126,13 +112,24 @@ func Fig3Traced(rec *timeline.Recorder) (Fig3Result, error) {
 // streams the lowest-quality audio for the whole session despite the
 // ample bandwidth.
 func ExoHLSLowFirst() (Fig3Result, error) {
-	content := media.DramaShow()
-	combos, parsedOrder, err := hlsMaster(content, media.HSub(content), nil) // ladder order: A1 first
+	return exoHLS(media.DramaShow(), nil, trace.ExoHLSFixedBandwidth(), nil) // ladder order: A1 first
+}
+
+// exoHLS streams ExoPlayer-HLS over the H_sub master playlist with the
+// audio renditions listed in order (nil: ladder order).
+func exoHLS(content *media.Content, order []*media.Track, profile trace.Profile, rec *timeline.Recorder) (Fig3Result, error) {
+	combos, parsedOrder, err := core.RoundTripMaster(content, media.HSub(content), order)
 	if err != nil {
 		return Fig3Result{}, err
 	}
 	model := exoplayer.NewHLS(combos, parsedOrder)
-	out, err := Run(content, trace.ExoHLSFixedBandwidth(), model, combos)
+	out, err := playToEnd(core.Spec{
+		Content:  content,
+		Profile:  profile,
+		Model:    model,
+		Manifest: core.ManifestOptions{Combos: combos},
+		Recorder: rec,
+	})
 	if err != nil {
 		return Fig3Result{}, err
 	}
@@ -177,12 +174,12 @@ func Fig4b() (Fig4Result, error) {
 
 func runFig4(profile trace.Profile) (Fig4Result, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HAll(content), nil)
+	combos, _, err := core.RoundTripMaster(content, media.HAll(content), nil)
 	if err != nil {
 		return Fig4Result{}, err
 	}
 	model := shaka.NewHLS(combos)
-	out, err := Run(content, profile, model, combos)
+	out, err := playToEnd(core.Spec{Content: content, Profile: profile, Model: model, Manifest: core.ManifestOptions{Combos: combos}})
 	if err != nil {
 		return Fig4Result{}, err
 	}
@@ -219,12 +216,12 @@ type Fig5Result struct {
 // buffers diverge.
 func Fig5() (Fig5Result, error) {
 	content := media.DramaShow()
-	video, audio, err := dashLadders(content)
+	video, audio, err := core.RoundTripMPD(content)
 	if err != nil {
 		return Fig5Result{}, err
 	}
 	model := dashjs.New(video, audio)
-	out, err := Run(content, trace.Fig5Bandwidth(), model, nil)
+	out, err := playToEnd(core.Spec{Content: content, Profile: trace.Fig5Bandwidth(), Model: model})
 	if err != nil {
 		return Fig5Result{}, err
 	}

@@ -58,19 +58,14 @@ type FleetScalePoint struct {
 	Completed int
 }
 
-// FleetScale runs the scale sweep serially-equivalent at GOMAXPROCS
-// workers.
-func FleetScale(ns []int) ([]FleetScalePoint, error) {
-	return FleetScaleParallel(ns, 0)
-}
-
-// FleetScaleParallel runs every fleet size under both packaging modes —
-// the packaging-at-scale comparison: demuxed packaging's shared-cache
+// FleetScale runs every fleet size under both packaging modes — the
+// packaging-at-scale comparison: demuxed packaging's shared-cache
 // amplification grows with N while muxed combination objects fragment the
-// cache. Each (N, mode) job is one independent co-simulation on its own
-// engine; collection is in job-submission order, so output is
-// byte-identical at any worker count.
-func FleetScaleParallel(ns []int, parallel int) ([]FleetScalePoint, error) {
+// cache. parallel is the worker count (0 = GOMAXPROCS, 1 = serial). Each
+// (N, mode) job is one independent co-simulation on its own engine;
+// collection is in job-submission order, so output is byte-identical at
+// any worker count.
+func FleetScale(ns []int, parallel int) ([]FleetScalePoint, error) {
 	modes := []cdnsim.Mode{cdnsim.Demuxed, cdnsim.Muxed}
 	return runpool.Map(parallel, len(ns)*len(modes), func(i int) (FleetScalePoint, error) {
 		ni, mi := i/len(modes), i%len(modes)

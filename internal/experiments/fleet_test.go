@@ -13,7 +13,7 @@ import (
 func TestFleetScaleParallelEquivalence(t *testing.T) {
 	ns := []int{1, 2, 4}
 	render := func(parallel int) []byte {
-		points, err := FleetScaleParallel(ns, parallel)
+		points, err := FleetScale(ns, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestFleetDeterministic(t *testing.T) {
 // amplifies relative to muxed packaging (sessions share track objects but
 // not combination objects), and it does not shrink with N.
 func TestFleetScaleCacheAmplification(t *testing.T) {
-	points, err := FleetScaleParallel([]int{1, 4, 8}, 0)
+	points, err := FleetScale([]int{1, 4, 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,8 @@ import (
 	"demuxabr/internal/abr"
 	"demuxabr/internal/abr/dashjs"
 	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
-	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/shaping"
 	"demuxabr/internal/trace"
@@ -139,11 +137,11 @@ func newLadderVariant(name string, spec media.ContentSpec) (LadderVariant, error
 	if err != nil {
 		return LadderVariant{}, err
 	}
-	video, audio, err := dashLadders(c)
+	video, audio, err := core.RoundTripMPD(c)
 	if err != nil {
 		return LadderVariant{}, err
 	}
-	combos, _, err := hlsMaster(c, media.HSub(c), nil)
+	combos, _, err := core.RoundTripMaster(c, media.HSub(c), nil)
 	if err != nil {
 		return LadderVariant{}, err
 	}
@@ -158,8 +156,9 @@ func newLadderVariant(name string, spec media.ContentSpec) (LadderVariant, error
 	}, nil
 }
 
-// LadderCross runs the full cross-product. Cells keep variant-major order;
-// output is identical at any worker count.
+// LadderCross runs the full cross-product, each session over the family's
+// constrained link with the per-request RTT applied. Cells keep
+// variant-major order; output is identical at any worker count.
 func LadderCross(parallel int) ([]LadderCell, *shaping.Plan, error) {
 	variants, plan, err := LadderVariants()
 	if err != nil {
@@ -175,7 +174,13 @@ func LadderCross(parallel int) ([]LadderCell, *shaping.Plan, error) {
 	cells, err := runpool.Map(parallel, len(jobs), func(k int) (LadderCell, error) {
 		v := variants[jobs[k].v]
 		sp := v.specs[jobs[k].m]
-		out, err := ladderSession(v.Content, sp.build(), v.Allowed)
+		out, err := playToEnd(core.Spec{
+			Content:  v.Content,
+			Profile:  trace.Fixed(media.Kbps(LadderKbps)),
+			Model:    sp.build(),
+			Manifest: core.ManifestOptions{Combos: v.Allowed},
+			RTT:      LadderRTT,
+		})
 		if err != nil {
 			return LadderCell{}, fmt.Errorf("experiments: ladder %s/%s: %w", v.Name, sp.name, err)
 		}
@@ -191,26 +196,6 @@ func LadderCross(parallel int) ([]LadderCell, *shaping.Plan, error) {
 		return nil, nil, err
 	}
 	return cells, plan, nil
-}
-
-// ladderSession streams one preparation over the family's constrained link
-// with the per-request RTT applied.
-func ladderSession(c *media.Content, model abr.Algorithm, allowed []media.Combo) (Outcome, error) {
-	eng := netsim.NewEngine()
-	link := netsim.NewLink(eng, trace.Fixed(media.Kbps(LadderKbps)))
-	link.RTT = LadderRTT
-	res, err := player.Run(link, player.Config{Content: c, Model: model})
-	if err != nil {
-		return Outcome{}, err
-	}
-	if !res.Ended {
-		return Outcome{}, fmt.Errorf("%s: session did not finish", model.Name())
-	}
-	return Outcome{
-		Model:   model.Name(),
-		Result:  res,
-		Metrics: qoe.Compute(res, c, allowed, qoe.DefaultWeights()),
-	}, nil
 }
 
 // PrintLadder renders the cross-product table plus the plan summary.

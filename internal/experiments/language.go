@@ -8,7 +8,6 @@ import (
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/trace"
 )
 
@@ -32,10 +31,8 @@ func LanguageSwitch() (LanguageSwitchResult, error) {
 	const switchAt = 120 * time.Second
 
 	run := func(muxed bool) (Outcome, int64, error) {
-		en := media.CombosForLanguage(media.AllCombos(content.VideoTracks, media.LanguageLadder(content.AudioTracks, "en")), "en")
 		es := media.CombosForLanguage(media.AllCombos(content.VideoTracks, media.LanguageLadder(content.AudioTracks, "es")), "es")
 		model := jointabr.New(media.PairCombos(content.VideoTracks, media.LanguageLadder(content.AudioTracks, "en")))
-		_ = en
 		eng := netsim.NewEngine()
 		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(2000)))
 		// The viewer picks Spanish at switchAt: the model's allowed list
@@ -58,18 +55,15 @@ func LanguageSwitch() (LanguageSwitchResult, error) {
 		if err != nil {
 			return Outcome{}, 0, err
 		}
-		if !res.Ended {
-			return Outcome{}, 0, fmt.Errorf("experiments: language switch (muxed=%v) did not finish", muxed)
+		o, err := scoreFinished(res, model.Name(), content, nil)
+		if err != nil {
+			return Outcome{}, 0, fmt.Errorf("language switch (muxed=%v): %w", muxed, err)
 		}
 		var discarded int64
 		for _, r := range res.AudioResets {
 			discarded += r.DiscardedBytes
 		}
-		return Outcome{
-			Model:   model.Name(),
-			Result:  res,
-			Metrics: qoe.Compute(res, content, nil, qoe.DefaultWeights()),
-		}, discarded, nil
+		return o, discarded, nil
 	}
 
 	var out LanguageSwitchResult

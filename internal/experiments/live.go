@@ -6,15 +6,12 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"demuxabr/internal/abr"
-	"demuxabr/internal/abr/lowlat"
 	"demuxabr/internal/cdnsim"
 	"demuxabr/internal/core"
 	"demuxabr/internal/fleet"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
 )
@@ -110,40 +107,24 @@ func (c LiveCell) LatencyError() time.Duration {
 // LiveComparison runs the low-latency trio under the latency-target player:
 // the dash.js-default control (no latency feedback), L2A (hard reaction,
 // lowest latency, more stalls), and LoL+ (conservative, fewest stalls,
-// closest to target).
-func LiveComparison() ([]LiveCell, error) {
-	return LiveComparisonParallel(0)
-}
-
-// LiveComparisonParallel is LiveComparison with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial). Each cell runs its traces serially on
-// private engines, so cells are byte-identical at any worker count and come
-// back in LiveModels order.
-func LiveComparisonParallel(parallel int) ([]LiveCell, error) {
+// closest to target). parallel is the worker count (0 = GOMAXPROCS, 1 =
+// serial). Each cell runs its traces serially on private engines, so cells
+// are byte-identical at any worker count and come back in LiveModels order.
+func LiveComparison(parallel int) ([]LiveCell, error) {
 	content := media.DramaShow()
 	models := LiveModels()
 	return runpool.Map(parallel, len(models), func(i int) (LiveCell, error) {
 		cell := LiveCell{Model: models[i], Seeds: LiveTraceSeeds}
 		for s := 0; s < LiveTraceSeeds; s++ {
-			model, combos, err := core.BuildModel(models[i], content, core.ManifestOptions{})
-			if err != nil {
-				return LiveCell{}, fmt.Errorf("live %s: %w", models[i], err)
-			}
-			eng := netsim.NewEngine()
-			link := netsim.NewLink(eng, liveWalk(s))
-			res, err := player.Run(link, player.Config{
-				Content: content,
-				Model:   model,
-				Live:    LiveConfig(),
-			})
+			out, err := core.Play(core.Spec{Content: content, Profile: liveWalk(s), Player: models[i], Live: LiveConfig()})
 			if err != nil {
 				return LiveCell{}, fmt.Errorf("live %s seed %d: %w", models[i], s, err)
 			}
+			res, m := out.Result, out.Metrics
 			l := res.Live
 			if l == nil {
 				return LiveCell{}, fmt.Errorf("live %s seed %d: session carried no live stats", models[i], s)
 			}
-			m := qoe.Compute(res, content, combos, qoe.DefaultWeights())
 			cell.MeanLatency += l.MeanLatency
 			cell.FinalLatency += l.FinalLatency
 			if l.MaxLatency > cell.MaxLatency {
@@ -198,55 +179,41 @@ func (c LiveTransportCell) DeadAir() time.Duration { return c.Startup + c.Rebuff
 // three HTTP generations, live. Scenarios and pinning follow the transport
 // experiment (see transportCombo): the question is what the transport costs
 // each packaging mode when the session must also hold a latency target.
-func LiveTransport() ([]LiveTransportCell, error) {
-	return LiveTransportParallel(0)
-}
-
-// LiveTransportParallel is LiveTransport with an explicit worker count.
-// Cells come back in the fixed order: scenarios outer, protocols inner.
-func LiveTransportParallel(parallel int) ([]LiveTransportCell, error) {
+// parallel is the worker count; cells come back in the fixed order:
+// scenarios outer, protocols inner.
+func LiveTransport(parallel int) ([]LiveTransportCell, error) {
 	content := media.DramaShow()
-	combo := transportCombo(content)
-	scens := []struct {
-		name  string
-		muxed bool
-		build func() abr.Algorithm
-	}{
-		{"muxed", true, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
-		{"demux-synced", false, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
-		{"demux-independent", false, func() abr.Algorithm { return &pinnedPerType{combo: combo} }},
-	}
+	scens := pinnedScenarios(transportCombo(content))
 	protos := TransportProtocols()
 	return runpool.Map(parallel, len(scens)*len(protos), func(i int) (LiveTransportCell, error) {
 		si, pi := i/len(protos), i%len(protos)
 		cell := LiveTransportCell{Scenario: scens[si].name, Protocol: protos[pi], Seeds: LiveTraceSeeds}
 		for s := 0; s < LiveTraceSeeds; s++ {
 			tc := transportConfig(protos[pi], s)
-			eng := netsim.NewEngine()
-			link := netsim.NewLink(eng, transportWalk(s))
-			link.RTT = TransportRTT
-			res, err := player.Run(link, player.Config{
+			out, err := core.Play(core.Spec{
 				Content:   content,
+				Profile:   transportWalk(s),
 				Model:     scens[si].build(),
 				Muxed:     scens[si].muxed,
+				RTT:       TransportRTT,
 				Transport: &tc,
 				Live:      LiveConfig(),
 			})
 			if err != nil {
 				return LiveTransportCell{}, fmt.Errorf("live transport %s/%s seed %d: %w", scens[si].name, protos[pi], s, err)
 			}
-			l := res.Live
+			l := out.Result.Live
 			if l == nil {
 				return LiveTransportCell{}, fmt.Errorf("live transport %s/%s seed %d: session carried no live stats", scens[si].name, protos[pi], s)
 			}
-			m := qoe.Compute(res, content, nil, qoe.DefaultWeights())
+			m := out.Metrics
 			cell.Startup += m.StartupDelay
 			cell.Rebuffer += m.RebufferTime
 			cell.MeanLatency += l.MeanLatency
 			cell.FinalLatency += l.FinalLatency
 			cell.Resyncs += l.Resyncs
 			cell.Skipped += l.SkippedTime
-			if t := res.Transport; t != nil {
+			if t := out.Result.Transport; t != nil {
 				cell.ConnStall += t.HandshakeWait + t.HoLWait
 			}
 		}
@@ -358,7 +325,3 @@ func FleetAtScaleLive(n, shards int) (*fleet.Result, error) {
 	cfg.MaxRetained = -1
 	return fleet.Run(cfg)
 }
-
-// Silence an unused-import error if lowlat stops being referenced directly;
-// the trio is normally constructed through core.BuildModel.
-var _ = lowlat.LiveWindow

@@ -12,33 +12,33 @@ import (
 // live families: neither the worker count nor the repetition may change a
 // single byte of the rendered report.
 func TestLiveComparisonDeterminism(t *testing.T) {
-	serial, err := LiveComparisonParallel(1)
+	serial, err := LiveComparison(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := LiveComparisonParallel(0)
+	parallel, err := LiveComparison(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("live comparison differs between serial and parallel runs")
 	}
-	tserial, err := LiveTransportParallel(1)
+	tserial, err := LiveTransport(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tparallel, err := LiveTransportParallel(0)
+	tparallel, err := LiveTransport(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tserial, tparallel) {
 		t.Fatal("live transport comparison differs between serial and parallel runs")
 	}
-	again, err := LiveComparisonParallel(0)
+	again, err := LiveComparison(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagain, err := LiveTransportParallel(0)
+	tagain, err := LiveTransport(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestLiveComparisonDeterminism(t *testing.T) {
 // stalls), and the latency-blind default drifts furthest while keeping the
 // most video quality.
 func TestLiveModelOrdering(t *testing.T) {
-	cells, err := LiveComparison()
+	cells, err := LiveComparison(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLiveModelOrdering(t *testing.T) {
 // narrow under HTTP/3 when the session holds a latency target. The
 // connection-stall component separates all three generations strictly.
 func TestLiveDeltaOrdering(t *testing.T) {
-	cells, err := LiveTransport()
+	cells, err := LiveTransport(0)
 	if err != nil {
 		t.Fatal(err)
 	}

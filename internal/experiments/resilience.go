@@ -5,12 +5,9 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"demuxabr/internal/abr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
-	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
 )
@@ -18,28 +15,6 @@ import (
 // ResilienceSeed keys every resilience experiment's fault plan, so the
 // sweep and the policy comparison face the identical failure sequence.
 const ResilienceSeed = 1009
-
-// RunResilient executes one streaming session under a fault plan. Unlike
-// Run it tolerates sessions that do not finish — an abandoned or aborted
-// session IS the measurement when faults are in play.
-func RunResilient(content *media.Content, profile trace.Profile, model abr.Algorithm, allowed []media.Combo, plan *faults.Plan, pol *faults.Policy) (Outcome, error) {
-	eng := netsim.NewEngine()
-	link := netsim.NewLink(eng, profile)
-	res, err := player.Run(link, player.Config{
-		Content:    content,
-		Model:      model,
-		FaultPlan:  plan,
-		Robustness: pol,
-	})
-	if err != nil {
-		return Outcome{}, fmt.Errorf("experiments: %s: %w", model.Name(), err)
-	}
-	return Outcome{
-		Model:   model.Name(),
-		Result:  res,
-		Metrics: qoe.Compute(res, content, allowed, qoe.DefaultWeights()),
-	}, nil
-}
 
 // ResiliencePoint is one (fault rate, player) cell of the resilience sweep.
 type ResiliencePoint struct {
@@ -57,16 +32,13 @@ func DefaultFaultRates() []float64 {
 
 // ResilienceSweep runs every player model under each per-segment fault
 // rate on the varying-600 trace, all with the default robustness policy —
-// who degrades how, under identical failure sequences.
-func ResilienceSweep(rates []float64) ([]ResiliencePoint, error) {
-	return ResilienceSweepParallel(rates, 0)
-}
-
-// ResilienceSweepParallel is ResilienceSweep with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial). Fault plans are hash-seeded per (track,
-// chunk), so the points are byte-identical at any worker count; they come
-// back in the serial order: rates outer, models inner.
-func ResilienceSweepParallel(rates []float64, parallel int) ([]ResiliencePoint, error) {
+// who degrades how, under identical failure sequences. parallel is the
+// worker count (0 = GOMAXPROCS, 1 = serial). Fault plans are hash-seeded
+// per (track, chunk), so the points are byte-identical at any worker
+// count; they come back in the serial order: rates outer, models inner.
+// Sessions that do not finish are kept: an abandoned or aborted session IS
+// the measurement when faults are in play.
+func ResilienceSweep(rates []float64, parallel int) ([]ResiliencePoint, error) {
 	content := media.DramaShow()
 	specs, allowed, err := modelSpecs(content)
 	if err != nil {
@@ -75,12 +47,18 @@ func ResilienceSweepParallel(rates []float64, parallel int) ([]ResiliencePoint, 
 	pol := faults.DefaultPolicy()
 	return runpool.Map(parallel, len(rates)*len(specs), func(i int) (ResiliencePoint, error) {
 		ri, mi := i/len(specs), i%len(specs)
-		plan := &faults.Plan{Seed: ResilienceSeed, Rate: rates[ri]}
-		out, err := RunResilient(content, trace.Fig3VaryingAvg600(), specs[mi].build(), allowed, plan, &pol)
+		s, err := core.Play(core.Spec{
+			Content:    content,
+			Profile:    trace.Fig3VaryingAvg600(),
+			Model:      specs[mi].build(),
+			Manifest:   core.ManifestOptions{Combos: allowed},
+			Faults:     &faults.Plan{Seed: ResilienceSeed, Rate: rates[ri]},
+			Robustness: &pol,
+		})
 		if err != nil {
 			return ResiliencePoint{}, fmt.Errorf("resilience rate %v: %w", rates[ri], err)
 		}
-		return ResiliencePoint{Rate: rates[ri], RateIndex: ri, Outcome: out}, nil
+		return ResiliencePoint{Rate: rates[ri], RateIndex: ri, Outcome: *s}, nil
 	})
 }
 
@@ -145,25 +123,24 @@ func PrintResilience(w io.Writer, points []ResiliencePoint) {
 // player under the same failure sequence either finishes or dies,
 // depending only on its download-error handling.
 func PolicyResilience() (on, off Outcome, err error) {
-	content := media.DramaShow()
-	specs, allowed, err := modelSpecs(content)
-	if err != nil {
-		return Outcome{}, Outcome{}, err
-	}
-	var build func() abr.Algorithm
-	for _, sp := range specs {
-		if sp.name == "bestpractice" {
-			build = sp.build
-		}
-	}
-	plan := &faults.Plan{Seed: ResilienceSeed, Rate: 0.01}
 	pol := faults.DefaultPolicy()
-	on, err = RunResilient(content, trace.Fig3VaryingAvg600(), build(), allowed, plan, &pol)
-	if err != nil {
+	run := func(robustness *faults.Policy) (Outcome, error) {
+		s, err := core.Play(core.Spec{
+			Content:    media.DramaShow(),
+			Profile:    trace.Fig3VaryingAvg600(),
+			Player:     core.BestPractice,
+			Faults:     &faults.Plan{Seed: ResilienceSeed, Rate: 0.01},
+			Robustness: robustness,
+		})
+		if err != nil {
+			return Outcome{}, err
+		}
+		return *s, nil
+	}
+	if on, err = run(&pol); err != nil {
 		return Outcome{}, Outcome{}, err
 	}
-	off, err = RunResilient(content, trace.Fig3VaryingAvg600(), build(), allowed, plan, nil)
-	if err != nil {
+	if off, err = run(nil); err != nil {
 		return Outcome{}, Outcome{}, err
 	}
 	return on, off, nil

@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
-	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/stats"
@@ -24,16 +23,13 @@ type SeedSummary struct {
 }
 
 // SeedSweep runs every player model over n seeded random-walk traces
-// (400–2500 Kbps, 4 s re-draws) and summarizes the distributions. Each
-// (model, seed) run is deterministic, so the whole sweep is reproducible.
-func SeedSweep(n int) ([]SeedSummary, error) { return SeedSweepParallel(n, 0) }
-
-// SeedSweepParallel is SeedSweep with an explicit worker count (0 =
-// GOMAXPROCS, 1 = serial). Every (seed, model) pair is one job with its
-// own engine and its own trace rebuilt from the seed; the per-model
-// sample vectors are then accumulated in submission order (seeds outer,
-// models inner), so the summaries match the serial sweep exactly.
-func SeedSweepParallel(n, parallel int) ([]SeedSummary, error) {
+// (400–2500 Kbps, 4 s re-draws) and summarizes the distributions, with the
+// given worker count (0 = GOMAXPROCS, 1 = serial). Every (seed, model) pair
+// is one deterministic job with its own engine and its own trace rebuilt
+// from the seed; the per-model sample vectors are then accumulated in
+// submission order (seeds outer, models inner), so the summaries are the
+// same at any worker count.
+func SeedSweep(n, parallel int) ([]SeedSummary, error) {
 	if n <= 0 {
 		n = 10
 	}
@@ -47,17 +43,11 @@ func SeedSweepParallel(n, parallel int) ([]SeedSummary, error) {
 		// The random walk is a pure function of the seed, so rebuilding it
 		// per job reproduces the shared-profile serial sweep bit-for-bit.
 		profile := trace.RandomWalk(int64(seed)+1, media.Kbps(400), media.Kbps(2500), 4*time.Second, time.Minute)
-		m := specs[mi].build()
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, profile)
-		res, err := player.Run(link, player.Config{Content: content, Model: m})
+		out, err := playToEnd(core.Spec{Content: content, Profile: profile, Model: specs[mi].build(), Manifest: core.ManifestOptions{Combos: allowed}})
 		if err != nil {
-			return qoe.Metrics{}, fmt.Errorf("seed %d %s: %w", seed, m.Name(), err)
+			return qoe.Metrics{}, fmt.Errorf("seed %d: %w", seed, err)
 		}
-		if !res.Ended {
-			return qoe.Metrics{}, fmt.Errorf("seed %d %s: did not finish", seed, m.Name())
-		}
-		return qoe.Compute(res, content, allowed, qoe.DefaultWeights()), nil
+		return out.Metrics, nil
 	})
 	if err != nil {
 		return nil, err
@@ -89,33 +79,22 @@ type StartupPoint struct {
 }
 
 // StartupDelays measures time-to-first-frame for every player model at the
-// given link rate. Startup is dominated by the initial selection: models
-// that start conservative (lowest combination) begin fastest; ExoPlayer's
-// 1 Mbps initial estimate starts mid-ladder and pays for it on slow links.
-func StartupDelays(kbps float64) ([]StartupPoint, error) {
-	return StartupDelaysParallel(kbps, 0)
-}
-
-// StartupDelaysParallel is StartupDelays with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial).
-func StartupDelaysParallel(kbps float64, parallel int) ([]StartupPoint, error) {
+// given link rate, with the given worker count (0 = GOMAXPROCS, 1 =
+// serial). Startup is dominated by the initial selection: models that
+// start conservative (lowest combination) begin fastest; ExoPlayer's 1 Mbps
+// initial estimate starts mid-ladder and pays for it on slow links.
+func StartupDelays(kbps float64, parallel int) ([]StartupPoint, error) {
 	content := media.DramaShow()
 	specs, _, err := modelSpecs(content)
 	if err != nil {
 		return nil, err
 	}
 	return runpool.Map(parallel, len(specs), func(i int) (StartupPoint, error) {
-		m := specs[i].build()
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(kbps)))
-		res, err := player.Run(link, player.Config{Content: content, Model: m})
+		out, err := playToEnd(core.Spec{Content: content, Profile: trace.Fixed(media.Kbps(kbps)), Model: specs[i].build()})
 		if err != nil {
 			return StartupPoint{}, err
 		}
-		if !res.Ended {
-			return StartupPoint{}, fmt.Errorf("experiments: %s did not finish", m.Name())
-		}
-		return StartupPoint{Model: m.Name(), StartupDelay: res.StartupDelay}, nil
+		return StartupPoint{Model: out.Model, StartupDelay: out.Result.StartupDelay}, nil
 	})
 }
 
@@ -127,39 +106,27 @@ type ParetoPoint struct {
 }
 
 // SafetyFactorSweep runs the best-practice player across safety factors on
-// the Fig 3 link — the frontier an operator picks an operating point from.
-func SafetyFactorSweep(factors []float64) ([]ParetoPoint, error) {
-	return SafetyFactorSweepParallel(factors, 0)
-}
-
-// SafetyFactorSweepParallel is SafetyFactorSweep with an explicit worker
-// count (0 = GOMAXPROCS, 1 = serial). The master playlist round-trip is
-// factor-independent and done once; each factor's session is one job.
-func SafetyFactorSweepParallel(factors []float64, parallel int) ([]ParetoPoint, error) {
+// the Fig 3 link — the frontier an operator picks an operating point from —
+// with the given worker count (0 = GOMAXPROCS, 1 = serial). The master
+// playlist round-trip is factor-independent and done once; each factor's
+// session is one job.
+func SafetyFactorSweep(factors []float64, parallel int) ([]ParetoPoint, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
+	combos, _, err := core.RoundTripMaster(content, media.HSub(content), nil)
 	if err != nil {
 		return nil, err
 	}
 	return runpool.Map(parallel, len(factors), func(i int) (ParetoPoint, error) {
 		f := factors[i]
-		model := jointabr.New(combos, jointabr.WithSafetyFactor(f))
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fig3VaryingAvg600())
-		res, err := player.Run(link, player.Config{Content: content, Model: model})
+		out, err := playToEnd(core.Spec{
+			Content:  content,
+			Profile:  trace.Fig3VaryingAvg600(),
+			Model:    jointabr.New(combos, jointabr.WithSafetyFactor(f)),
+			Manifest: core.ManifestOptions{Combos: combos},
+		})
 		if err != nil {
-			return ParetoPoint{}, err
+			return ParetoPoint{}, fmt.Errorf("safety factor %v: %w", f, err)
 		}
-		if !res.Ended {
-			return ParetoPoint{}, fmt.Errorf("experiments: safety factor %v did not finish", f)
-		}
-		return ParetoPoint{
-			SafetyFactor: f,
-			Outcome: Outcome{
-				Model:   model.Name(),
-				Result:  res,
-				Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-			},
-		}, nil
+		return ParetoPoint{SafetyFactor: f, Outcome: out}, nil
 	})
 }

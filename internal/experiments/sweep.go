@@ -5,6 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
@@ -30,17 +31,12 @@ func DefaultSweepKbps() []float64 {
 }
 
 // BandwidthSweep runs every player model at each fixed bandwidth — the
-// crossover analysis: who wins where across the operating range.
-func BandwidthSweep(kbps []float64) ([]SweepPoint, error) {
-	return BandwidthSweepParallel(kbps, 0)
-}
-
-// BandwidthSweepParallel is BandwidthSweep with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial). The manifests are parsed once for the
-// whole sweep; each (bandwidth, model) job builds only its own model and
-// engine, and the points come back in the serial order: bandwidths outer,
-// models inner.
-func BandwidthSweepParallel(kbps []float64, parallel int) ([]SweepPoint, error) {
+// crossover analysis: who wins where across the operating range — with the
+// given worker count (0 = GOMAXPROCS, 1 = serial). The manifests are parsed
+// once for the whole sweep; each (bandwidth, model) job builds only its own
+// model and engine, and the points come back in the serial order:
+// bandwidths outer, models inner.
+func BandwidthSweep(kbps []float64, parallel int) ([]SweepPoint, error) {
 	content := media.DramaShow()
 	specs, allowed, err := modelSpecs(content)
 	if err != nil {
@@ -49,7 +45,7 @@ func BandwidthSweepParallel(kbps []float64, parallel int) ([]SweepPoint, error) 
 	return runpool.Map(parallel, len(kbps)*len(specs), func(i int) (SweepPoint, error) {
 		ki, mi := i/len(specs), i%len(specs)
 		k := kbps[ki]
-		out, err := Run(content, trace.Fixed(media.Kbps(k)), specs[mi].build(), allowed)
+		out, err := playToEnd(core.Spec{Content: content, Profile: trace.Fixed(media.Kbps(k)), Model: specs[mi].build(), Manifest: core.ManifestOptions{Combos: allowed}})
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("sweep %v Kbps: %w", k, err)
 		}

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/cdnsim"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/trace"
 )
 
@@ -53,14 +52,11 @@ func CrossTraffic() (map[string]CrossTrafficResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !res.Ended {
-			return nil, fmt.Errorf("experiments: %s did not finish under cross traffic", model.Name())
+		o, err := scoreFinished(res, model.Name(), content, allowed)
+		if err != nil {
+			return nil, fmt.Errorf("cross traffic: %w", err)
 		}
-		r := CrossTrafficResult{Outcome: Outcome{
-			Model:   model.Name(),
-			Result:  res,
-			Metrics: qoe.Compute(res, content, allowed, qoe.DefaultWeights()),
-		}}
+		r := CrossTrafficResult{Outcome: o}
 		// Skip the startup ramp in the clean window and the transition in
 		// the contended one.
 		r.BeforeKbps = windowedVideoKbps(res, content, 40*time.Second, crossStart)
@@ -103,32 +99,14 @@ type MuxedBaselineResult struct {
 // packagings.
 func MuxedBaseline() (MuxedBaselineResult, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
-	if err != nil {
-		return MuxedBaselineResult{}, err
-	}
-	run := func(muxed bool) (Outcome, error) {
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fig3VaryingAvg600())
-		model := jointabr.New(combos)
-		res, err := player.Run(link, player.Config{Content: content, Model: model, Muxed: muxed})
-		if err != nil {
-			return Outcome{}, err
-		}
-		if !res.Ended {
-			return Outcome{}, fmt.Errorf("experiments: muxed=%v did not finish", muxed)
-		}
-		return Outcome{
-			Model:   model.Name(),
-			Result:  res,
-			Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-		}, nil
-	}
+	spec := core.Spec{Content: content, Profile: trace.Fig3VaryingAvg600(), Player: core.BestPractice}
 	var r MuxedBaselineResult
-	if r.Demuxed, err = run(false); err != nil {
+	var err error
+	if r.Demuxed, err = playToEnd(spec); err != nil {
 		return r, err
 	}
-	if r.Muxed, err = run(true); err != nil {
+	spec.Muxed = true
+	if r.Muxed, err = playToEnd(spec); err != nil {
 		return r, err
 	}
 	demuxedBytes := cdnsim.OriginStorage(content, cdnsim.Demuxed, nil)

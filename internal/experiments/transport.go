@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"demuxabr/internal/abr"
-	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/cdnsim"
+	"demuxabr/internal/core"
 	"demuxabr/internal/faults"
 	"demuxabr/internal/fleet"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
 )
@@ -97,6 +96,26 @@ func (p *pinnedPerType) SelectTrack(typ media.Type, _ abr.State) *media.Track {
 	return p.combo.Audio
 }
 
+// pinnedScenario is one packaging/scheduling row of the pinned transport
+// comparisons.
+type pinnedScenario struct {
+	name  string
+	muxed bool
+	build func() abr.Algorithm
+}
+
+// pinnedScenarios is the scenario axis of TransportComparison and
+// LiveTransport, in TransportScenarios order: the muxed baseline, the
+// chunk-synced demuxed player and its free-running ablation, all pinned to
+// combo.
+func pinnedScenarios(combo media.Combo) []pinnedScenario {
+	return []pinnedScenario{
+		{"muxed", true, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
+		{"demux-synced", false, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
+		{"demux-independent", false, func() abr.Algorithm { return &pinnedPerType{combo: combo} }},
+	}
+}
+
 // transportConfig is the per-protocol preset dressed with the experiment
 // constants. Trace seed s gets its own loss-draw seed so the seeds are
 // independent replicas, still pure functions of (s, protocol).
@@ -159,56 +178,38 @@ func (c TransportCell) StalledTime() time.Duration { return c.DeadAir() + c.Conn
 // transport's fixed costs — handshakes after keep-alive lapses,
 // head-of-line freezes under loss — hit the packagings differently per
 // protocol.
-func TransportComparison() ([]TransportCell, error) {
-	return TransportComparisonParallel(0)
-}
-
-// TransportComparisonParallel is TransportComparison with an explicit
-// worker count (0 = GOMAXPROCS, 1 = serial). Each cell runs its traces
-// serially on private engines; loss draws are pure functions of (seed,
-// connection label, request ordinal), so cells are byte-identical at any
-// worker count and come back in the fixed order: scenarios outer,
-// protocols inner.
-func TransportComparisonParallel(parallel int) ([]TransportCell, error) {
+//
+// parallel is the worker count (0 = GOMAXPROCS, 1 = serial). Each cell
+// runs its traces serially on private engines; loss draws are pure
+// functions of (seed, connection label, request ordinal), so cells are
+// byte-identical at any worker count and come back in the fixed order:
+// scenarios outer, protocols inner.
+func TransportComparison(parallel int) ([]TransportCell, error) {
 	content := media.DramaShow()
-	combo := transportCombo(content)
-	scens := []struct {
-		name  string
-		muxed bool
-		build func() abr.Algorithm
-	}{
-		{"muxed", true, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
-		{"demux-synced", false, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
-		{"demux-independent", false, func() abr.Algorithm { return &pinnedPerType{combo: combo} }},
-	}
+	scens := pinnedScenarios(transportCombo(content))
 	protos := TransportProtocols()
 	return runpool.Map(parallel, len(scens)*len(protos), func(i int) (TransportCell, error) {
 		si, pi := i/len(protos), i%len(protos)
 		cell := TransportCell{Scenario: scens[si].name, Protocol: protos[pi], Seeds: TransportTraceSeeds}
 		for s := 0; s < TransportTraceSeeds; s++ {
 			tc := transportConfig(protos[pi], s)
-			eng := netsim.NewEngine()
-			link := netsim.NewLink(eng, transportWalk(s))
-			link.RTT = TransportRTT
-			model := scens[si].build()
-			res, err := player.Run(link, player.Config{
+			out, err := playToEnd(core.Spec{
 				Content:   content,
-				Model:     model,
+				Profile:   transportWalk(s),
+				Model:     scens[si].build(),
 				Muxed:     scens[si].muxed,
 				MaxBuffer: TransportMaxBuffer,
+				RTT:       TransportRTT,
 				Transport: &tc,
 			})
 			if err != nil {
 				return TransportCell{}, fmt.Errorf("transport %s/%s seed %d: %w", scens[si].name, protos[pi], s, err)
 			}
-			if !res.Ended {
-				return TransportCell{}, fmt.Errorf("transport %s/%s seed %d: session did not finish", scens[si].name, protos[pi], s)
-			}
-			m := qoe.Compute(res, content, nil, qoe.DefaultWeights())
+			m := out.Metrics
 			cell.Startup += m.StartupDelay
 			cell.Rebuffer += m.RebufferTime
 			cell.Score += m.Score
-			if t := res.Transport; t != nil {
+			if t := out.Result.Transport; t != nil {
 				cell.ConnStall += t.HandshakeWait + t.HoLWait
 				cell.Stats.Handshakes += t.Handshakes
 				cell.Stats.Resumes += t.Resumes
@@ -304,54 +305,35 @@ type TransportResiliencePoint struct {
 
 // TransportResilience runs the best-practice player under a fault plan
 // that mixes the classic request faults with the transport kinds
-// (handshake failures, path migrations), once per protocol. The faults
-// are identical across protocols — the same draws, the same chunks — so
-// the spread is purely the protocols' recovery pricing: TCP-family
-// connections die on migration and pay resume round trips on every
-// reconnect, QUIC revalidates in one round trip and resumes for free.
-func TransportResilience() ([]TransportResiliencePoint, error) {
-	return TransportResilienceParallel(0)
-}
-
-// TransportResilienceParallel is TransportResilience with an explicit
-// worker count.
-func TransportResilienceParallel(parallel int) ([]TransportResiliencePoint, error) {
+// (handshake failures, path migrations), once per protocol, with the given
+// worker count. The faults are identical across protocols — the same
+// draws, the same chunks — so the spread is purely the protocols' recovery
+// pricing: TCP-family connections die on migration and pay resume round
+// trips on every reconnect, QUIC revalidates in one round trip and resumes
+// for free.
+func TransportResilience(parallel int) ([]TransportResiliencePoint, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
-	if err != nil {
-		return nil, err
-	}
 	protos := TransportProtocols()
 	pol := faults.DefaultPolicy()
 	return runpool.Map(parallel, len(protos), func(i int) (TransportResiliencePoint, error) {
 		tc := transportConfig(protos[i], 0)
-		plan := &faults.Plan{
-			Seed:  ResilienceSeed,
-			Rate:  0.05,
-			Kinds: append(faults.AllKinds(), faults.TransportKinds()...),
-		}
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fig3VaryingAvg600())
-		link.RTT = TransportRTT
-		model := jointabr.New(combos)
-		res, err := player.Run(link, player.Config{
-			Content:    content,
-			Model:      model,
-			FaultPlan:  plan,
+		s, err := core.Play(core.Spec{
+			Content: content,
+			Profile: trace.Fig3VaryingAvg600(),
+			Player:  core.BestPractice,
+			Faults: &faults.Plan{
+				Seed:  ResilienceSeed,
+				Rate:  0.05,
+				Kinds: append(faults.AllKinds(), faults.TransportKinds()...),
+			},
 			Robustness: &pol,
+			RTT:        TransportRTT,
 			Transport:  &tc,
 		})
 		if err != nil {
 			return TransportResiliencePoint{}, fmt.Errorf("transport resilience %s: %w", protos[i], err)
 		}
-		return TransportResiliencePoint{
-			Protocol: protos[i],
-			Outcome: Outcome{
-				Model:   model.Name(),
-				Result:  res,
-				Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-			},
-		}, nil
+		return TransportResiliencePoint{Protocol: protos[i], Outcome: *s}, nil
 	})
 }
 
