@@ -49,13 +49,7 @@ func NewBolaJoint(allowed []media.Combo, bufferTarget time.Duration) *BolaJoint 
 	if bufferTarget <= 0 {
 		bufferTarget = 20 * time.Second
 	}
-	sorted := make([]media.Combo, len(allowed))
-	copy(sorted, allowed)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j-1].DeclaredBitrate() > sorted[j].DeclaredBitrate(); j-- {
-			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
-		}
-	}
+	sorted := sortByDeclared(allowed)
 	b := &BolaJoint{
 		BufferTarget: bufferTarget,
 		allowed:      sorted,

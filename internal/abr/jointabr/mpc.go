@@ -10,9 +10,11 @@ import (
 
 // MPC is a model-predictive joint audio/video adapter in the style of
 // Yin et al. [25 in the paper], lifted to the server-allowed combination
-// list: at every chunk position it enumerates combination sequences over a
+// list: at every chunk position it searches combination sequences over a
 // lookahead horizon, simulates the buffer trajectory under the current
 // bandwidth estimate, and commits the first step of the best sequence.
+// The search is an exact branch and bound: it returns what enumerating
+// every sequence would, while visiting a small fraction of them.
 //
 // The objective mirrors the QoE model: log-bitrate utility, minus a switch
 // penalty on utility changes (both components move together in a
@@ -37,6 +39,18 @@ type MPC struct {
 	utilities []float64
 	meter     *estimator.GlobalMeter
 	lastIdx   int
+
+	// bound[d*n+p] is the best d-step sum of utility minus switch penalty
+	// after combination p, for n allowed combinations and d < boundHorizon.
+	// Rebuffer and drain penalties are non-negative, so it bounds the
+	// objective of every d-step continuation from above. It depends only on
+	// the utilities and on SwitchPenalty, whose bits are boundSwitch.
+	bound        []float64
+	boundHorizon int
+	boundSwitch  uint64
+	// prune is whether the bound holds for the current search: it does not
+	// when a rebuffer or drain penalty is negative.
+	prune bool
 }
 
 // NewMPC creates the adapter over the allowed combinations.
@@ -47,13 +61,7 @@ func NewMPC(allowed []media.Combo, horizon int) *MPC {
 	if horizon <= 0 {
 		horizon = 5
 	}
-	sorted := make([]media.Combo, len(allowed))
-	copy(sorted, allowed)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j-1].DeclaredBitrate() > sorted[j].DeclaredBitrate(); j-- {
-			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
-		}
-	}
+	sorted := sortByDeclared(allowed)
 	m := &MPC{
 		Horizon:         horizon,
 		SwitchPenalty:   2,
@@ -100,17 +108,57 @@ func (m *MPC) SelectCombo(st abr.State) media.Combo {
 	if chunkSecs <= 0 {
 		chunkSecs = 5
 	}
-	bestIdx, _ := m.search(st.MinBuffer().Seconds(), m.lastIdx, m.Horizon, float64(est), chunkSecs)
+	bestIdx, _ := m.plan(st.MinBuffer().Seconds(), m.lastIdx, float64(est), chunkSecs)
 	m.lastIdx = bestIdx
 	return m.allowed[bestIdx]
 }
 
-// search enumerates combination sequences of the given depth and returns
-// the best first step and its objective value.
+// plan returns the best first step over the full horizon from the given
+// buffer level and previous combination, with the objective value of the
+// best sequence that starts with it.
+func (m *MPC) plan(buffer float64, prevIdx int, est, chunkSecs float64) (int, float64) {
+	m.refreshBound()
+	return m.search(buffer, prevIdx, m.Horizon, est, chunkSecs)
+}
+
+// refreshBound rebuilds the bound table when Horizon or SwitchPenalty
+// changed since it was built, and decides whether the search may prune.
+func (m *MPC) refreshBound() {
+	m.prune = m.RebufferPenalty >= 0 && m.DrainPenalty >= 0
+	h := max(m.Horizon, 1)
+	switchBits := math.Float64bits(m.SwitchPenalty)
+	if h == m.boundHorizon && switchBits == m.boundSwitch {
+		return
+	}
+	n := len(m.allowed)
+	m.bound = make([]float64, h*n) // row 0: nothing follows, bound 0
+	for d := 1; d < h; d++ {
+		next, row := m.bound[(d-1)*n:d*n], m.bound[d*n:(d+1)*n]
+		for p := range row {
+			best := math.Inf(-1)
+			for i, u := range m.utilities {
+				// search's step value and future sum with the rebuffer and
+				// drain penalties left out, in the same operation order:
+				// rounding is monotone, so the bound stays an upper bound.
+				best = max(best, u-m.SwitchPenalty*math.Abs(u-m.utilities[p])+next[i])
+			}
+			row[p] = best
+		}
+	}
+	m.boundHorizon, m.boundSwitch = h, switchBits
+}
+
+// search returns the best first step over sequences of the given depth and
+// its objective value, exactly as enumerating every sequence would, ties
+// going to the lowest index. It visits combinations from the richest down
+// and skips one whose step value plus the bound on its continuation falls
+// short of the best value so far by more than a rounding margin: such a
+// combination could not have won.
 func (m *MPC) search(buffer float64, prevIdx, depth int, est, chunkSecs float64) (int, float64) {
+	n := len(m.allowed)
 	bestIdx, bestVal := 0, math.Inf(-1)
-	for i, cb := range m.allowed {
-		downloadSecs := float64(cb.DeclaredBitrate()) * chunkSecs / est
+	for i := n - 1; i >= 0; i-- {
+		downloadSecs := float64(m.allowed[i].DeclaredBitrate()) * chunkSecs / est
 		b := buffer - downloadSecs
 		rebuffer := 0.0
 		if b < 0 {
@@ -133,13 +181,21 @@ func (m *MPC) search(buffer float64, prevIdx, depth int, est, chunkSecs float64)
 			val -= m.SwitchPenalty * math.Abs(m.utilities[i]-m.utilities[prevIdx])
 		}
 		if depth > 1 {
+			slack := 1e-9 * math.Max(1, math.Abs(bestVal))
+			if m.prune && val+m.bound[(depth-1)*n+i]+slack < bestVal {
+				continue
+			}
 			_, future := m.search(b, i, depth-1, est, chunkSecs)
 			val += future
 		}
-		if val > bestVal {
+		if val >= bestVal {
 			bestVal = val
 			bestIdx = i
 		}
+	}
+	if math.IsInf(bestVal, -1) {
+		// Enumeration keeps index 0 when no value beats -Inf.
+		bestIdx = 0
 	}
 	return bestIdx, bestVal
 }

@@ -1,6 +1,8 @@
 package jointabr
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -130,4 +132,236 @@ func TestMPCDefaults(t *testing.T) {
 		}
 	}()
 	NewMPC(nil, 5)
+}
+
+// fullSearch is the plain recursion MPC.search replaced: it enumerates every
+// combination sequence of the given depth. It is the oracle the branch and
+// bound must match bit for bit.
+func fullSearch(m *MPC, buffer float64, prevIdx, depth int, est, chunkSecs float64) (int, float64) {
+	bestIdx, bestVal := 0, math.Inf(-1)
+	for i, cb := range m.allowed {
+		downloadSecs := float64(cb.DeclaredBitrate()) * chunkSecs / est
+		b := buffer - downloadSecs
+		rebuffer := 0.0
+		if b < 0 {
+			rebuffer = -b
+			b = 0
+		}
+		b += chunkSecs
+		val := m.utilities[i] - m.RebufferPenalty*rebuffer
+		if drain := downloadSecs - chunkSecs; drain > 0 {
+			// Sustainability matters in proportion to how close the
+			// projected buffer is to empty: with a deep buffer a transient
+			// drain is exactly what the buffer is for.
+			const comfort = 20.0 // seconds
+			urgency := (comfort - b) / comfort
+			if urgency > 0 {
+				val -= m.DrainPenalty * drain * urgency
+			}
+		}
+		if prevIdx >= 0 {
+			val -= m.SwitchPenalty * math.Abs(m.utilities[i]-m.utilities[prevIdx])
+		}
+		if depth > 1 {
+			_, future := fullSearch(m, b, i, depth-1, est, chunkSecs)
+			val += future
+		}
+		if val > bestVal {
+			bestVal = val
+			bestIdx = i
+		}
+	}
+	return bestIdx, bestVal
+}
+
+// mpcState is one decision's input: the minimum buffer, the bandwidth
+// estimate and the chunk duration in seconds, and the previous combination.
+type mpcState struct {
+	buffer, est, chunkSecs float64
+	prev                   int
+}
+
+// recordingMPC records the input of every decision its MPC searches.
+type recordingMPC struct {
+	*MPC
+	states []mpcState
+}
+
+func (r *recordingMPC) SelectCombo(st abr.State) media.Combo {
+	if est, ok := r.meter.Estimate(); ok && est > 0 {
+		chunkSecs := st.ChunkDuration.Seconds()
+		if chunkSecs <= 0 {
+			chunkSecs = 5
+		}
+		r.states = append(r.states, mpcState{st.MinBuffer().Seconds(), float64(est), chunkSecs, r.lastIdx})
+	}
+	return r.MPC.SelectCombo(st)
+}
+
+// recordedMPCStates plays DramaShow's H_sub through MPC over seeded
+// random-walk traces (400–2500 Kbps, 4 s steps, one minute) and returns the
+// input of every searched decision.
+func recordedMPCStates(t testing.TB, sessions int) []mpcState {
+	t.Helper()
+	c := media.DramaShow()
+	var states []mpcState
+	for s := 0; s < sessions; s++ {
+		rec := &recordingMPC{MPC: NewMPC(media.HSub(c), 5)}
+		eng := netsim.NewEngine()
+		link := netsim.NewLink(eng, trace.RandomWalk(int64(s+1), media.Kbps(400), media.Kbps(2500), 4*time.Second, time.Minute))
+		if _, err := player.Run(link, player.Config{Content: c, Model: rec}); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, rec.states...)
+	}
+	return states
+}
+
+func TestMPCSearchMatchesFullEnumeration(t *testing.T) {
+	c := media.DramaShow()
+	check := func(t *testing.T, m *MPC, s mpcState) {
+		t.Helper()
+		gotIdx, gotVal := m.plan(s.buffer, s.prev, s.est, s.chunkSecs)
+		wantIdx, wantVal := fullSearch(m, s.buffer, s.prev, m.Horizon, s.est, s.chunkSecs)
+		if gotIdx != wantIdx || math.Float64bits(gotVal) != math.Float64bits(wantVal) {
+			t.Fatalf("horizon %d, %+v: search (%d, %v), full enumeration (%d, %v)",
+				m.Horizon, s, gotIdx, gotVal, wantIdx, wantVal)
+		}
+	}
+	// randomStates draws states over the whole input range the player can
+	// produce, an empty buffer included.
+	randomStates := func(seed int64, count, n int) []mpcState {
+		rng := rand.New(rand.NewSource(seed))
+		chunks := []float64{1, 2, 4, 5, 6.006}
+		states := make([]mpcState, count)
+		for k := range states {
+			buffer := rng.Float64() * 40
+			if k%10 == 0 {
+				buffer = 0
+			}
+			states[k] = mpcState{
+				buffer:    buffer,
+				est:       float64(media.Kbps(100 + rng.Float64()*8900)),
+				chunkSecs: chunks[rng.Intn(len(chunks))],
+				prev:      rng.Intn(n+1) - 1,
+			}
+		}
+		return states
+	}
+
+	t.Run("recorded", func(t *testing.T) {
+		states := recordedMPCStates(t, 14)
+		if len(states) < 500 {
+			t.Fatalf("recorded %d decisions, want a few hundred", len(states))
+		}
+		m := NewMPC(media.HSub(c), 5)
+		for _, s := range states {
+			check(t, m, s)
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		for _, ladder := range []struct {
+			name       string
+			allowed    []media.Combo
+			maxHorizon int
+		}{{"hsub", media.HSub(c), 6}, {"hall", media.HAll(c), 4}} {
+			m := NewMPC(ladder.allowed, 1)
+			for k, s := range randomStates(42, 3000, len(ladder.allowed)) {
+				m.Horizon = 1 + k%ladder.maxHorizon
+				check(t, m, s)
+			}
+		}
+	})
+	t.Run("retuned", func(t *testing.T) {
+		// The bound table is built for the first decision's Horizon and
+		// SwitchPenalty; later decisions under other values must rebuild it.
+		m := NewMPC(media.HSub(c), 5)
+		states := randomStates(7, 400, len(m.allowed))
+		for k, s := range states {
+			switch k {
+			case 100:
+				m.SwitchPenalty = 0.5
+			case 200:
+				m.Horizon = 3
+			case 300:
+				m.Horizon, m.SwitchPenalty = 6, 4
+			}
+			check(t, m, s)
+		}
+	})
+	t.Run("infinite-rebuffer-penalty", func(t *testing.T) {
+		// Inf·0 makes every value NaN or -Inf; enumeration then keeps
+		// index 0, and so must the search.
+		m := NewMPC(media.HSub(c), 3)
+		m.RebufferPenalty = math.Inf(1)
+		for _, s := range randomStates(13, 100, len(m.allowed)) {
+			check(t, m, s)
+		}
+	})
+	t.Run("negative-drain-penalty", func(t *testing.T) {
+		// A drain reward breaks the bound, so the search must not prune.
+		m := NewMPC(media.HSub(c), 5)
+		m.DrainPenalty = -3
+		for _, s := range randomStates(11, 300, len(m.allowed)) {
+			check(t, m, s)
+			if m.prune {
+				t.Fatal("pruning on with a negative drain penalty")
+			}
+		}
+	})
+}
+
+// warmMPCs returns one MPC per recorded state, each with a meter whose
+// estimate is that state's, its previous combination set, and one
+// SelectCombo made so the bound table and the meter's sort are built.
+func warmMPCs(t testing.TB, states []mpcState) ([]*MPC, []abr.State) {
+	t.Helper()
+	c := media.DramaShow()
+	models := make([]*MPC, len(states))
+	inputs := make([]abr.State, len(states))
+	for k, s := range states {
+		m := NewMPC(media.HSub(c), 5)
+		m.OnStart(abr.TransferInfo{})
+		m.OnProgress(abr.TransferInfo{Bytes: s.est / 8})
+		m.OnComplete(abr.TransferInfo{At: time.Second})
+		if est, _ := m.BandwidthEstimate(); float64(est) != s.est {
+			t.Fatalf("meter estimate %v, want %v", est, s.est)
+		}
+		buf := time.Duration(s.buffer * float64(time.Second))
+		inputs[k] = abr.State{VideoBuffer: buf, AudioBuffer: buf, ChunkDuration: time.Duration(s.chunkSecs * float64(time.Second))}
+		m.SelectCombo(inputs[k])
+		m.lastIdx = s.prev
+		models[k] = m
+	}
+	return models, inputs
+}
+
+func TestMPCSelectComboAllocFree(t *testing.T) {
+	models, inputs := warmMPCs(t, recordedMPCStates(t, 2))
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		models[k%len(models)].SelectCombo(inputs[k%len(inputs)])
+		k++
+	})
+	if allocs != 0 {
+		t.Errorf("warm SelectCombo makes %v allocations, want 0", allocs)
+	}
+}
+
+// BenchmarkMPCSelectCombo times one decision over the states recorded from
+// fourteen random-walk sessions, cycling through them.
+func BenchmarkMPCSelectCombo(b *testing.B) {
+	states := recordedMPCStates(b, 14)
+	models, inputs := warmMPCs(b, states)
+	prev := make([]int, len(states))
+	for k, s := range states {
+		prev[k] = s.prev
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(models)
+		models[k].lastIdx = prev[k]
+		models[k].SelectCombo(inputs[k])
+	}
 }

@@ -41,18 +41,11 @@ func NewVBRAware(allowed []media.Combo, sizes ChunkSizer) *VBRAware {
 	if sizes == nil {
 		panic("jointabr: nil chunk sizer")
 	}
-	sorted := make([]media.Combo, len(allowed))
-	copy(sorted, allowed)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j-1].DeclaredBitrate() > sorted[j].DeclaredBitrate(); j-- {
-			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
-		}
-	}
 	return &VBRAware{
 		SafetyFactor:     DefaultSafetyFactor,
 		UpSwitchBuffer:   DefaultUpSwitchBuffer,
 		DownSwitchBuffer: DefaultDownSwitchBuffer,
-		allowed:          sorted,
+		allowed:          sortByDeclared(allowed),
 		sizes:            sizes,
 		meter:            estimator.NewGlobalMeter(),
 	}

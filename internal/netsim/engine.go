@@ -30,7 +30,8 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero. Events are held in a
 // calendar queue (see queue.go); newEngineWithQueue is the test seam that
-// swaps in the reference heap to prove the orderings identical.
+// swaps in the reference heap (heapqueue_test.go) to prove the orderings
+// identical.
 func NewEngine() *Engine { return newEngineWithQueue(newCalendarQueue()) }
 
 func newEngineWithQueue(q eventQueue) *Engine { return &Engine{q: q} }
@@ -139,20 +140,3 @@ func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending returns the number of scheduled events.
 func (e *Engine) Pending() int { return e.q.len() }
-
-// eventHeap orders events by time, then by scheduling order for stability.
-// See queue.go for the sift operations (pushEvent/popMin/removeAt).
-type eventHeap []*Event
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}

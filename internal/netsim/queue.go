@@ -5,10 +5,10 @@ import "time"
 // eventQueue is the engine's pending-event set. Every implementation must
 // yield events in exactly (at, seq) order — at ascending, seq breaking ties
 // in scheduling order — so the engine's event ordering (and therefore every
-// simulation output) is independent of the queue chosen. heapQueue is the
-// reference implementation; calendarQueue is the default. The two are proven
-// byte-identical on randomized schedule/cancel workloads by
-// TestCalendarMatchesHeapOrder.
+// simulation output) is independent of the queue chosen. calendarQueue is
+// the implementation; a binary heap, kept in heapqueue_test.go as the
+// reference ordering oracle, proves it byte-identical on randomized
+// schedule/cancel workloads (TestCalendarMatchesHeapOrder).
 type eventQueue interface {
 	push(*Event)
 	// peek returns the minimum-(at, seq) event without removing it, or nil
@@ -21,35 +21,6 @@ type eventQueue interface {
 	remove(*Event)
 	len() int
 }
-
-// heapQueue wraps the original container/heap implementation. It is kept as
-// the reference ordering oracle for the calendar queue's differential tests.
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(ev *Event) { q.h.pushEvent(ev) }
-
-func (q *heapQueue) peek() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
-func (q *heapQueue) pop() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	ev := q.h.popMin()
-	ev.idx = -1
-	return ev
-}
-
-func (q *heapQueue) remove(ev *Event) {
-	q.h.removeAt(ev.idx)
-	ev.idx = -1
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
 
 // calendarQueue is a calendar (bucket) priority queue (Brown 1988): events
 // hash into nbuckets time buckets of fixed width by (at / width) % nbuckets,
@@ -250,69 +221,4 @@ func eventLess(a, b *Event) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-// pushEvent, popMin, and removeAt expose the heap operations without the
-// container/heap interface boxing (heap.Pop's `any` return would allocate).
-func (h *eventHeap) pushEvent(ev *Event) {
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-	h.up(ev.idx)
-}
-
-func (h *eventHeap) popMin() *Event {
-	old := *h
-	n := len(old) - 1
-	old.Swap(0, n)
-	ev := old[n]
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	return ev
-}
-
-func (h *eventHeap) removeAt(i int) {
-	old := *h
-	n := len(old) - 1
-	if i != n {
-		old.Swap(i, n)
-	}
-	old[n] = nil
-	*h = old[:n]
-	if i < n {
-		h.down(i)
-		h.up(i)
-	}
-}
-
-func (h eventHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.Less(i, parent) {
-			return
-		}
-		h.Swap(i, parent)
-		i = parent
-	}
-}
-
-func (h eventHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		min := l
-		if r := l + 1; r < n && h.Less(r, l) {
-			min = r
-		}
-		if !h.Less(min, i) {
-			return
-		}
-		h.Swap(i, min)
-		i = min
-	}
 }

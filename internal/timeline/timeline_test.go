@@ -3,6 +3,8 @@ package timeline
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -161,5 +163,43 @@ func TestWriteChromeTraceShape(t *testing.T) {
 	}
 	if phases["M"] == 0 || phases["X"] != 1 || phases["C"] != 2 || phases["i"] != 1 {
 		t.Errorf("phase histogram = %v", phases)
+	}
+}
+
+// TestVocabularyDocMatchesKinds parses the kind column of the event
+// vocabulary table in docs/OBSERVABILITY.md and requires it to list every
+// Kind, in declaration order, by its exported name.
+func TestVocabularyDocMatchesKinds(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Event vocabulary\n")
+	if !ok {
+		t.Fatal("OBSERVABILITY.md has no \"Event vocabulary\" section")
+	}
+	var documented []string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			continue
+		}
+		// A kind cell holds one or more backquoted names joined by " / ".
+		for _, name := range strings.Split(cells[1], "/") {
+			name = strings.TrimSpace(name)
+			if strings.HasPrefix(name, "`") && strings.HasSuffix(name, "`") {
+				documented = append(documented, strings.Trim(name, "`"))
+			}
+		}
+	}
+	var want []string
+	for k := Kind(0); k < numKinds; k++ {
+		want = append(want, k.String())
+	}
+	if !slices.Equal(documented, want) {
+		t.Errorf("OBSERVABILITY.md kind column:\n  %v\nKind registry:\n  %v", documented, want)
 	}
 }
