@@ -599,8 +599,8 @@ func BenchmarkFleetScale(b *testing.B) {
 }
 
 // BenchmarkFleetStream measures the sharded streaming path that takes the
-// co-simulation to N=100k: 16-session contention cells, calendar-queue
-// engines, sketch aggregation (memory O(shards + sketch), no per-session
+// co-simulation to N=100k: 16-session contention cells, one engine per
+// cell, sketch aggregation (memory O(shards + sketch), no per-session
 // retention). N here is kept small enough for the benchmem smoke; the
 // fleet-1e3/1e4/1e5 wall-clock rows live in BENCH_*.json via benchjson.
 func BenchmarkFleetStream(b *testing.B) {

@@ -35,9 +35,9 @@
 #                    (shaping-determinism), and content without shaping
 #                    keeps byte-identical manifests and chunk sizes
 #                    (uniform zero-cost, pinned by the golden manifests)
-#  12. benchmem      fleet benchmarks and the MPC decision benchmark
-#                    compile and run once, so the allocs/op trajectory is
-#                    always measurable
+#  12. benchmem      fleet benchmarks, the MPC decision benchmark and the
+#                    engine and uplink-tick benchmarks compile and run
+#                    once, so the allocs/op trajectory is always measurable
 #  13. examples      the fast examples (cdncache, dramashow, languages,
 #                    musicshow, quickstart) run to a zero exit; httpdemo
 #                    is left out (about 40 s of real loopback HTTP)
@@ -105,10 +105,11 @@ go test -race -count=1 \
 	-run 'TestShapingDeterminism|TestLadderParallelDeterminism|TestFixedSpecKeepsUniformContract|TestGoldenMPD|TestGoldenMaster|TestGoldenMediaPlaylist' \
 	./internal/shaping ./internal/experiments ./internal/manifest/dash ./internal/manifest/hls
 
-echo "== benchmem smoke (1 iteration per fleet benchmark and the MPC decision benchmark)"
+echo "== benchmem smoke (1 iteration per fleet benchmark, the MPC decision benchmark and the netsim layer benchmarks)"
 go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCDNCacheSweep|BenchmarkFleet|BenchmarkLiveSession' \
 	-benchtime=1x -benchmem .
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
+go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
 echo "== examples (the fast examples run and exit 0)"
 for ex in cdncache dramashow languages musicshow quickstart; do

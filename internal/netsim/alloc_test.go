@@ -95,3 +95,22 @@ func TestSampleTickAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineFleetMixAllocFree pins BenchmarkEngineFleetMix at 0 allocs/op:
+// a warm engine holding a fleet cell's pending mix fires and re-arms
+// events without allocating.
+func TestEngineFleetMixAllocFree(t *testing.T) {
+	eng := fleetMixEngine()
+	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
+		t.Fatalf("warm fleet-mix event allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestUplinkTickAllocFree pins BenchmarkUplinkTick at 0 allocs/op: a warm
+// sample tick on a 16-leaf, 32-transfer tree allocates nothing.
+func TestUplinkTickAllocFree(t *testing.T) {
+	eng := uplinkTickTree()
+	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
+		t.Fatalf("warm uplink tick allocates %.2f objects, want 0", allocs)
+	}
+}

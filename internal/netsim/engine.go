@@ -29,10 +29,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero. Events are held in a
-// calendar queue (see queue.go); newEngineWithQueue is the test seam that
-// swaps in the reference heap (heapqueue_test.go) to prove the orderings
+// 4-ary heap (see queue.go); newEngineWithQueue is the test seam that swaps
+// in the reference binary heap (heapqueue_test.go) to prove the orderings
 // identical.
-func NewEngine() *Engine { return newEngineWithQueue(newCalendarQueue()) }
+func NewEngine() *Engine { return newEngineWithQueue(&quadHeap{}) }
 
 func newEngineWithQueue(q eventQueue) *Engine { return &Engine{q: q} }
 
@@ -41,11 +41,10 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Event is a scheduled callback; it can be cancelled before it fires.
 type Event struct {
-	at     time.Duration
-	seq    uint64
-	fn     func()
-	idx    int // index within the heap or bucket; -1 once fired or cancelled
-	bucket int // owning calendar bucket (unused by the heap queue)
+	at  time.Duration
+	seq uint64
+	fn  func()
+	idx int // slot in the queue; -1 once fired or cancelled
 }
 
 // At returns the time the event is scheduled for.

@@ -1,7 +1,7 @@
 package netsim
 
 // heapQueue is a binary-heap event queue: the engine's original queue, kept
-// as the reference ordering oracle for the calendar queue's differential
+// as the reference ordering oracle for the engine queue's differential
 // tests.
 type heapQueue struct{ h eventHeap }
 

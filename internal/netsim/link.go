@@ -272,6 +272,13 @@ func (l *Link) scheduleActivation(tr *Transfer) {
 // (labelled typ, e.g. "link" or "uplink") whenever its observed effective
 // capacity changes during integration. Pass nil to detach.
 func (l *Link) SetRecorder(rec *timeline.Recorder, typ string) {
+	if l.up != nil && (rec == nil) != (l.rec == nil) {
+		if rec != nil {
+			l.up.recordedLeaves++
+		} else {
+			l.up.recordedLeaves--
+		}
+	}
 	l.rec = rec
 	l.recLabel = typ
 	l.rateSeen = false

@@ -1,12 +1,15 @@
 package netsim
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // eventQueue is the engine's pending-event set. Every implementation must
 // yield events in exactly (at, seq) order — at ascending, seq breaking ties
 // in scheduling order — so the engine's event ordering (and therefore every
-// simulation output) is independent of the queue chosen. calendarQueue is
-// the implementation; a binary heap, kept in heapqueue_test.go as the
+// simulation output) is independent of the queue chosen. quadHeap is the
+// implementation; a binary heap, kept in heapqueue_test.go as the
 // reference ordering oracle, proves it byte-identical on randomized
 // schedule/cancel workloads (TestCalendarMatchesHeapOrder).
 type eventQueue interface {
@@ -22,203 +25,128 @@ type eventQueue interface {
 	len() int
 }
 
-// calendarQueue is a calendar (bucket) priority queue (Brown 1988): events
-// hash into nbuckets time buckets of fixed width by (at / width) % nbuckets,
-// and the queue scans forward from the bucket holding the current window,
-// taking the (at, seq) minimum among events inside that window. The queue
-// maintains the invariant that no pending event precedes the cursor's
-// window: peek only advances the cursor to the window of the global minimum,
-// and push rewinds it when a new event lands earlier (possible after a
-// peek-without-pop, e.g. RunUntil probing a far-future event). Because
-// equal-at events always share a bucket, the within-bucket (at, seq) scan
-// reproduces the heap's global tie-break exactly.
-//
-// Push, pop, and remove are O(1) amortized when the bucket width tracks the
-// mean event spacing; resize() re-derives the width from the live event span
-// whenever the count crosses the grow/shrink thresholds. A full cycle of
-// empty windows (a sparse queue whose next event is far away) falls back to
-// a direct O(n) minimum search that also re-anchors the cursor.
-type calendarQueue struct {
-	buckets [][]*Event
-	width   time.Duration
-	// cur is the bucket whose window [curTop-width, curTop) the cursor is
-	// scanning; floor is the last popped time, the lower bound on every
-	// pending event.
-	cur    int
-	curTop time.Duration
-	floor  time.Duration
-	count  int
-	// peeked caches the last peek so that a peek-then-pop pair (the Step
-	// fast path) scans buckets once, not twice. Any mutation clears it.
-	peeked *Event
-	// spare recycles bucket slices dropped by resize so that steady-state
-	// operation allocates nothing (the engine's freelist guarantee).
-	spare [][]*Event
+// heapEntry is one quadHeap slot. The (at, seq) key is copied inline so
+// that sifting compares keys without dereferencing the events.
+type heapEntry struct {
+	at  time.Duration
+	seq uint64
+	ev  *Event
 }
 
-const (
-	calMinBuckets = 8
-	calInitWidth  = time.Millisecond
-	calMaxBuckets = 1 << 20
-)
+// quadHeap is a 4-ary min-heap on (at, seq). Keys are unique (seq is), so
+// any correct priority queue pops the same total order; four children per
+// node halve the depth of a binary heap, and a sift-down's four compares
+// read one contiguous run of slots. Each event's idx tracks its slot so
+// Cancel removes it in O(log n).
+type quadHeap struct{ h []heapEntry }
 
-func newCalendarQueue() *calendarQueue {
-	q := &calendarQueue{width: calInitWidth}
-	q.buckets = make([][]*Event, calMinBuckets)
-	q.curTop = q.width
-	return q
-}
+func (q *quadHeap) len() int { return len(q.h) }
 
-func (q *calendarQueue) len() int { return q.count }
-
-func (q *calendarQueue) bucketFor(at time.Duration) int {
-	return int((at / q.width) % time.Duration(len(q.buckets)))
-}
-
-func (q *calendarQueue) push(ev *Event) {
-	q.peeked = nil
-	// peek advances the cursor to the window of the minimum it found, even
-	// when nothing is popped (RunUntil probes the queue this way). The engine
-	// may then legally schedule an event earlier than that window — RunUntil
-	// moves the clock forward without moving floor — so a push that precedes
-	// the current window must rewind the cursor, or the event sits behind it
-	// and fires a full calendar cycle late, after later-timestamped events.
-	if ev.at < q.curTop-q.width {
-		q.cur = q.bucketFor(ev.at)
-		q.curTop = (ev.at/q.width + 1) * q.width
+func (q *quadHeap) peek() *Event {
+	if len(q.h) == 0 {
+		return nil
 	}
-	b := q.bucketFor(ev.at)
-	ev.bucket = b
-	ev.idx = len(q.buckets[b])
-	q.buckets[b] = append(q.buckets[b], ev)
-	q.count++
-	if n := len(q.buckets); q.count > 2*n && n < calMaxBuckets {
-		q.resize(2 * n)
-	}
+	return q.h[0].ev
 }
 
-func (q *calendarQueue) remove(ev *Event) {
-	q.peeked = nil
-	b := q.buckets[ev.bucket]
-	last := len(b) - 1
-	moved := b[last]
-	b[ev.idx] = moved
-	moved.idx = ev.idx
-	b[last] = nil
-	q.buckets[ev.bucket] = b[:last]
+func (q *quadHeap) push(ev *Event) {
+	q.h = append(q.h, heapEntry{at: ev.at, seq: ev.seq, ev: ev})
+	q.up(len(q.h) - 1)
+}
+
+func (q *quadHeap) pop() *Event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	ev := q.h[0].ev
+	q.removeAt(0)
 	ev.idx = -1
-	q.count--
-	if n := len(q.buckets); n > calMinBuckets && q.count < n/2 {
-		q.resize(n / 2)
-	}
-}
-
-func (q *calendarQueue) peek() *Event {
-	if q.count == 0 {
-		return nil
-	}
-	if q.peeked != nil {
-		return q.peeked
-	}
-	cur, top := q.cur, q.curTop
-	for range q.buckets {
-		var best *Event
-		for _, ev := range q.buckets[cur] {
-			if ev.at < top && (best == nil || eventLess(ev, best)) {
-				best = ev
-			}
-		}
-		if best != nil {
-			q.cur, q.curTop = cur, top
-			q.peeked = best
-			return best
-		}
-		cur++
-		if cur == len(q.buckets) {
-			cur = 0
-		}
-		top += q.width
-	}
-	// A full cycle of empty windows: the next event is over a calendar year
-	// away. Find it directly and re-anchor the cursor on its window.
-	var best *Event
-	for _, b := range q.buckets {
-		for _, ev := range b {
-			if best == nil || eventLess(ev, best) {
-				best = ev
-			}
-		}
-	}
-	q.cur = best.bucket
-	q.curTop = (best.at/q.width + 1) * q.width
-	q.peeked = best
-	return best
-}
-
-func (q *calendarQueue) pop() *Event {
-	ev := q.peek()
-	if ev == nil {
-		return nil
-	}
-	q.floor = ev.at
-	q.remove(ev)
 	return ev
 }
 
-// resize rebuilds the calendar with nb buckets and a width re-derived from
-// the live event span (roughly three mean gaps per bucket, the classic
-// heuristic that keeps a handful of events per scanned window).
-func (q *calendarQueue) resize(nb int) {
-	var lo, hi time.Duration
-	first := true
-	for _, b := range q.buckets {
-		for _, ev := range b {
-			if first {
-				lo, hi = ev.at, ev.at
-				first = false
-				continue
-			}
-			if ev.at < lo {
-				lo = ev.at
-			}
-			if ev.at > hi {
-				hi = ev.at
-			}
-		}
-	}
-	if span := hi - lo; span > 0 && q.count > 1 {
-		w := span * 3 / time.Duration(q.count)
-		if w < 1 {
-			w = 1
-		}
-		q.width = w
-	}
-	old := q.buckets
-	if cap(q.spare) >= nb {
-		q.buckets = q.spare[:nb]
-		q.spare = nil
-	} else {
-		q.buckets = make([][]*Event, nb)
-	}
-	for i, b := range old {
-		for _, ev := range b {
-			nbk := q.bucketFor(ev.at)
-			ev.bucket = nbk
-			ev.idx = len(q.buckets[nbk])
-			q.buckets[nbk] = append(q.buckets[nbk], ev)
-		}
-		old[i] = b[:0]
-	}
-	if cap(old) > cap(q.spare) {
-		q.spare = old[:0]
-	}
-	q.cur = q.bucketFor(q.floor)
-	q.curTop = (q.floor/q.width + 1) * q.width
+func (q *quadHeap) remove(ev *Event) {
+	q.removeAt(ev.idx)
+	ev.idx = -1
 }
 
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// removeAt fills slot i with the last entry and restores the heap order
+// around it.
+func (q *quadHeap) removeAt(i int) {
+	last := len(q.h) - 1
+	moved := q.h[last]
+	q.h[last] = heapEntry{} // drop the event pointer for the GC
+	q.h = q.h[:last]
+	if i == last {
+		return
 	}
-	return a.seq < b.seq
+	q.h[i] = moved
+	if i > 0 && heapLess(moved, q.h[(i-1)/4]) == 1 {
+		q.up(i)
+	} else {
+		q.down(i)
+	}
+}
+
+// up moves the entry at slot i toward the root until its parent is
+// smaller, updating the idx of every event it passes.
+func (q *quadHeap) up(i int) {
+	h := q.h
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if heapLess(x, h[p]) == 0 {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.idx = i
+		i = p
+	}
+	h[i] = x
+	x.ev.idx = i
+}
+
+// down moves the entry at slot i toward the leaves until no child is
+// smaller, updating the idx of every event it passes. A full set of four
+// children is reduced as a branch-free tournament: which child is
+// smallest is unpredictable, so branching on it stalls more than it saves.
+func (q *quadHeap) down(i int) {
+	h := q.h
+	n := len(h)
+	x := h[i]
+	for {
+		c := 4*i + 1
+		var m int
+		switch {
+		case c+3 < n:
+			m = c + heapLess(h[c+1], h[c])
+			m2 := c + 2 + heapLess(h[c+3], h[c+2])
+			m += heapLess(h[m2], h[m]) * (m2 - m)
+		case c < n:
+			m = c
+			for j := c + 1; j < n; j++ {
+				m += heapLess(h[j], h[m]) * (j - m)
+			}
+		default:
+			h[i] = x
+			x.ev.idx = i
+			return
+		}
+		if heapLess(h[m], x) == 0 {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.idx = i
+		i = m
+	}
+	h[i] = x
+	x.ev.idx = i
+}
+
+// heapLess reports 1 if a precedes b in (at, seq) order, else 0. It
+// compares the pair as one 128-bit number (at is never negative, so its
+// bits order it as unsigned), a subtract-with-borrow with no branch.
+func heapLess(a, b heapEntry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
 }

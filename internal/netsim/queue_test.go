@@ -12,7 +12,30 @@ import (
 type queueOp struct {
 	kind  int // 0 schedule, 1 cancel, 2 step, 3 run-until
 	delay time.Duration
-	pick  int // which live event to cancel
+	pick  int  // which live event to cancel
+	far   bool // cancel only among events scheduled farDelay or more ahead
+}
+
+// farDelay separates the far events of fleetDelay's mix from the near ones.
+const farDelay = 10 * time.Second
+
+// fleetDelay draws a scheduling delay from the pending mix measured in a
+// 16-session fleet cell: about 65% of pending events are due within 1 s
+// (sample ticks, group wakes, activations), 5% within 1–10 s, and 30% are
+// 10–100 s away, nearly all of them the players' buffer-underrun timers.
+// Delays are quantized to the millisecond so equal timestamps still occur.
+func fleetDelay(rng *rand.Rand) time.Duration {
+	switch r := rng.Intn(100); {
+	case r < 65:
+		if rng.Intn(5) == 0 {
+			return 0
+		}
+		return ms(rng.Intn(1000))
+	case r < 70:
+		return ms(1000 + rng.Intn(9000))
+	default:
+		return farDelay + ms(rng.Intn(90_000))
+	}
 }
 
 // randomOps builds a workload with heavy same-timestamp collisions (delay 0
@@ -43,12 +66,52 @@ func randomOps(rng *rand.Rand, n int) []queueOp {
 	return ops
 }
 
+// fleetOps builds a workload shaped like a fleet cell's traffic: it fills
+// the queue to about 50 pending events with fleetDelay's mix and holds it
+// there, interleaving steps, short RunUntil probes, and cancels of far
+// events (a chunk arrival re-arming its session's underrun timer) that
+// keep the far share near 30%. The near/far counts are the generator's estimate; a
+// RunUntil probe pops about half a near event on average.
+func fleetOps(rng *rand.Rand, n int) []queueOp {
+	ops := make([]queueOp, n)
+	near, far := 0, 0
+	for i := range ops {
+		switch {
+		case rng.Intn(20) == 0:
+			ops[i] = queueOp{kind: 3, delay: ms(rng.Intn(20))}
+			if near > 0 && rng.Intn(2) == 0 {
+				near--
+			}
+		case near+far < 50:
+			d := fleetDelay(rng)
+			ops[i] = queueOp{kind: 0, delay: d}
+			if d >= farDelay {
+				far++
+			} else {
+				near++
+			}
+		case far > 15:
+			ops[i] = queueOp{kind: 1, pick: rng.Int(), far: true}
+			far--
+		default:
+			ops[i] = queueOp{kind: 2}
+			if near > 0 {
+				near--
+			} else {
+				far--
+			}
+		}
+	}
+	return ops
+}
+
 // replay runs ops against an engine and returns the (time, tag) firing
 // sequence. Tags are assigned in schedule order, so identical sequences mean
 // identical event ordering, including tie-breaks.
 func replay(e *Engine, ops []queueOp) []string {
 	var fired []string
 	live := map[int]*Event{}
+	far := map[int]bool{}
 	tag := 0
 	for _, op := range ops {
 		switch op.kind {
@@ -61,24 +124,28 @@ func replay(e *Engine, ops []queueOp) []string {
 				fired = append(fired, fmt.Sprintf("%d@%v", id, e.Now()))
 			})
 			live[id] = ev
+			far[id] = op.delay >= farDelay
 		case 1:
-			if len(live) == 0 {
-				continue
-			}
-			// Deterministic pick: lowest live id >= pick mod (tag+1).
+			// Deterministic pick: lowest eligible live id >= pick mod
+			// (tag+1), else the lowest eligible one.
 			want := op.pick % (tag + 1)
-			best := -1
+			best, lowest := -1, -1
 			for id := range live {
+				if op.far && !far[id] {
+					continue
+				}
+				if lowest == -1 || id < lowest {
+					lowest = id
+				}
 				if id >= want && (best == -1 || id < best) {
 					best = id
 				}
 			}
 			if best == -1 {
-				for id := range live {
-					if best == -1 || id < best {
-						best = id
-					}
-				}
+				best = lowest
+			}
+			if best == -1 {
+				continue
 			}
 			e.Cancel(live[best])
 			delete(live, best)
@@ -93,29 +160,34 @@ func replay(e *Engine, ops []queueOp) []string {
 	return fired
 }
 
-// TestCalendarMatchesHeapOrder is the equivalence proof for the calendar
-// queue: on randomized schedule/cancel/step workloads with dense timestamp
-// collisions, the calendar-backed engine fires exactly the same events at
-// exactly the same times in exactly the same order as the reference heap.
+// TestCalendarMatchesHeapOrder is the equivalence proof for the engine's
+// queue: on randomized schedule/cancel/step workloads — one with dense
+// timestamp collisions, one with a fleet cell's pending mix — the engine
+// fires exactly the same events at exactly the same times in exactly the
+// same order as with the reference binary heap.
 func TestCalendarMatchesHeapOrder(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		ops := randomOps(rand.New(rand.NewSource(seed)), 2000)
-		gotHeap := replay(newEngineWithQueue(&heapQueue{}), ops)
-		gotCal := replay(newEngineWithQueue(newCalendarQueue()), ops)
-		if len(gotHeap) != len(gotCal) {
-			t.Fatalf("seed %d: heap fired %d events, calendar %d", seed, len(gotHeap), len(gotCal))
-		}
-		for i := range gotHeap {
-			if gotHeap[i] != gotCal[i] {
-				t.Fatalf("seed %d: firing %d differs: heap %s calendar %s", seed, i, gotHeap[i], gotCal[i])
+	for _, mix := range []struct {
+		name string
+		ops  func(*rand.Rand, int) []queueOp
+	}{{"collisions", randomOps}, {"fleet", fleetOps}} {
+		for seed := int64(0); seed < 20; seed++ {
+			ops := mix.ops(rand.New(rand.NewSource(seed)), 2000)
+			want := replay(newEngineWithQueue(&heapQueue{}), ops)
+			got := replay(NewEngine(), ops)
+			if len(want) != len(got) {
+				t.Fatalf("%s seed %d: oracle fired %d events, engine %d", mix.name, seed, len(want), len(got))
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%s seed %d: firing %d differs: oracle %s engine %s", mix.name, seed, i, want[i], got[i])
+				}
 			}
 		}
 	}
 }
 
-// TestCalendarSparseAndBurst covers the two calendar pathologies: a long
-// empty gap (the direct-search fallback) and a burst of equal timestamps
-// (everything in one bucket, ordered purely by seq).
+// TestCalendarSparseAndBurst covers a long empty gap and a burst of equal
+// timestamps, which must fire purely in scheduling order.
 func TestCalendarSparseAndBurst(t *testing.T) {
 	e := NewEngine()
 	var fired []int
@@ -141,8 +213,8 @@ func TestCalendarSparseAndBurst(t *testing.T) {
 	}
 }
 
-// TestCalendarResizeKeepsOrder grows the queue past several resize
-// thresholds, then drains and checks global (at, seq) order.
+// TestCalendarResizeKeepsOrder grows the queue to 5000 events, several
+// heap levels deep, then drains and checks global (at, seq) order.
 func TestCalendarResizeKeepsOrder(t *testing.T) {
 	e := NewEngine()
 	rng := rand.New(rand.NewSource(7))
@@ -169,8 +241,8 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestCalendarRunUntilPeek pins RunUntil's peek path on the calendar queue:
-// events at exactly t fire, events after t stay pending.
+// TestCalendarRunUntilPeek pins RunUntil's peek path: events at exactly t
+// fire, events after t stay pending.
 func TestCalendarRunUntilPeek(t *testing.T) {
 	e := NewEngine()
 	var fired []int
@@ -186,10 +258,9 @@ func TestCalendarRunUntilPeek(t *testing.T) {
 	}
 }
 
-// TestCalendarScheduleAfterRunUntilPeek is the regression test for the
-// stranded-cursor bug: RunUntil's final peek advances the cursor to the
-// window of a far-future event without popping it, and a subsequent Schedule
-// at an earlier time must rewind the cursor or it fires out of order.
+// TestCalendarScheduleAfterRunUntilPeek pins a peek without a pop:
+// RunUntil's final peek sees a far event and leaves it pending, and a later
+// Schedule at an earlier time must still fire first.
 func TestCalendarScheduleAfterRunUntilPeek(t *testing.T) {
 	e := NewEngine()
 	var fired []time.Duration
@@ -232,10 +303,59 @@ func BenchmarkQueueHeap(b *testing.B) {
 	}
 }
 
-func BenchmarkQueueCalendar(b *testing.B) {
+func BenchmarkQueueQuadHeap(b *testing.B) {
 	for _, p := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("pending-%d", p), func(b *testing.B) {
-			benchQueue(b, func() eventQueue { return newCalendarQueue() }, p)
+			benchQueue(b, func() eventQueue { return &quadHeap{} }, p)
 		})
+	}
+}
+
+// fleetMixEngine returns a warm engine holding 52 self-rearming events in
+// fleetDelay's proportions (34 near, 2 mid, 16 far), first scheduled in a
+// shuffled order as a cell's sessions interleave them. Each firing re-arms
+// its event with the next delay of its own class, so the pending mix stays
+// fixed while the clock runs.
+func fleetMixEngine() *Engine {
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(1))
+	type class struct{ min, max int } // delay range in ms
+	var slots []class
+	for _, c := range []struct {
+		n int
+		class
+	}{{34, class{0, 1000}}, {2, class{1000, 10_000}}, {16, class{10_000, 100_000}}} {
+		for i := 0; i < c.n; i++ {
+			slots = append(slots, c.class)
+		}
+	}
+	rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
+	for _, c := range slots {
+		delays := make([]time.Duration, 64)
+		for j := range delays {
+			delays[j] = ms(c.min + rng.Intn(c.max-c.min))
+		}
+		k := 0
+		var rearm func()
+		rearm = func() {
+			k = (k + 1) % len(delays)
+			e.After(delays[k], rearm)
+		}
+		e.After(delays[0], rearm)
+	}
+	for i := 0; i < 1000; i++ { // warm the freelist
+		e.Step()
+	}
+	return e
+}
+
+// BenchmarkEngineFleetMix times one warm event firing — pop, callback,
+// re-arm — with a fleet cell's pending mix in the queue.
+func BenchmarkEngineFleetMix(b *testing.B) {
+	e := fleetMixEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }

@@ -27,8 +27,13 @@ type Uplink struct {
 	wake       *Event
 
 	// version counts active-set and outage mutations across the members
-	// (see Link.changed); the cached allocation is stale once it moves.
+	// (see Link.changed); the cached allocation and transfer count are
+	// stale once it moves.
 	version uint64
+	// total is the in-flight transfer count across the members, valid
+	// while totalVersion equals version.
+	total        int
+	totalVersion uint64
 	// rates holds the last allocation, computed at ratesAt under version
 	// ratesVersion. It stays exact for every t in [ratesAt, ratesUntil):
 	// ratesUntil is the earliest capacity breakpoint of the uplink or any
@@ -51,6 +56,9 @@ type Uplink struct {
 	recLabel string
 	lastRate float64
 	rateSeen bool
+	// recordedLeaves counts members with a recorder attached (maintained
+	// by Link.SetRecorder); at zero, observeRate skips the member walk.
+	recordedLeaves int
 }
 
 // NewUplink creates the shared uplink constraint with the given capacity
@@ -78,12 +86,18 @@ func (u *Uplink) NewLeaf(profile trace.Profile) *Link {
 	return l
 }
 
-// activeTotal counts in-flight transfers across all members.
+// activeTotal counts in-flight transfers across all members. Every change
+// of a member's active set bumps version, so the count is recounted only
+// after one.
 func (u *Uplink) activeTotal() int {
+	if u.totalVersion == u.version {
+		return u.total
+	}
 	n := 0
 	for _, l := range u.members {
 		n += len(l.active)
 	}
+	u.total, u.totalVersion = n, u.version
 	return n
 }
 
@@ -207,7 +221,8 @@ func (u *Uplink) SetRecorder(rec *timeline.Recorder, typ string) {
 
 // observeRate emits a LinkRate event when the uplink capacity at now
 // differs from the last observed value, then lets every member leaf do the
-// same for its own access capacity.
+// same for its own access capacity. Leaves without a recorder emit
+// nothing, so the walk is skipped while none has one.
 func (u *Uplink) observeRate(now time.Duration) {
 	if u.rec != nil {
 		rate := float64(u.profile.RateAt(now)) / 1000 // bits/s → Kbps
@@ -224,6 +239,9 @@ func (u *Uplink) observeRate(now time.Duration) {
 			})
 		}
 	}
+	if u.recordedLeaves == 0 {
+		return
+	}
 	for _, l := range u.members {
 		l.observeRate(now)
 	}
@@ -233,13 +251,23 @@ func (u *Uplink) observeRate(now time.Duration) {
 // the allocation that applied over the span (group wake events at every
 // completion and breakpoint guarantee the allocation was constant), then
 // completes finished transfers member by member.
+//
+// Most calls are δ-sample ticks that finish nothing, so the completion
+// pass runs only when the integration left some transfer within
+// completionSlack. Skipping it otherwise is exact. A transfer joins the
+// active set at least one byte short of its size: activate completes
+// zero-size transfers on the spot, and Resume re-admits only a transfer
+// that Suspend found unfinished. Only this loop moves done, and each
+// completion pass removes every transfer inside the slack. So when no
+// transfer is inside it after the loop, every member's finishCompleted
+// would find nothing, fire no callback and mutate nothing.
 func (u *Uplink) advance() {
 	now := u.eng.Now()
 	u.observeRate(now)
 	if now <= u.lastUpdate {
-		u.touch(now)
 		return
 	}
+	finishing := false
 	if total := u.activeTotal(); total > 0 {
 		rates := u.alloc(u.lastUpdate, total)
 		elapsed := (now - u.lastUpdate).Seconds()
@@ -250,21 +278,21 @@ func (u *Uplink) advance() {
 				if tr.done > float64(tr.size) {
 					tr.done = float64(tr.size)
 				}
+				if float64(tr.size)-tr.done < completionSlack {
+					finishing = true
+				}
 				k++
 			}
 		}
 	}
-	u.touch(now)
+	// Only the group's mark is kept: a leaf's own lastUpdate is read by
+	// advanceSolo alone, which a leaf never runs.
+	u.lastUpdate = now
+	if !finishing {
+		return
+	}
 	for _, l := range u.members {
 		l.finishCompleted()
-	}
-}
-
-// touch marks the whole tree as integrated up to now.
-func (u *Uplink) touch(now time.Duration) {
-	u.lastUpdate = now
-	for _, l := range u.members {
-		l.lastUpdate = now
 	}
 }
 

@@ -1,15 +1,23 @@
 package netsim
 
 import (
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"demuxabr/internal/media"
+	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden uplink scenario hashes in testdata/")
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
@@ -72,8 +80,10 @@ func checkCache(t *testing.T, u *Uplink, step int) int {
 // returns a log of every observable: samples, completions and the final
 // state of each transfer, with float values as exact bits. With force set
 // the cache is invalidated before every event, so each event recomputes
-// the allocation; otherwise every event is followed by checkCache.
-func runCacheScenario(t *testing.T, seed int64, force bool) (log []string, checked int) {
+// the allocation; otherwise every event is followed by checkCache. A
+// non-nil rec is attached to the uplink and to leaf 0 for the whole run,
+// and to leaf 1 from 5 s to 15 s; recording observes and changes nothing.
+func runCacheScenario(t *testing.T, seed int64, force bool, rec *timeline.Recorder) (log []string, checked int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	eng := NewEngine()
@@ -134,6 +144,12 @@ func runCacheScenario(t *testing.T, seed int64, force bool) (log []string, check
 			}
 		})
 	}
+	if rec != nil {
+		up.SetRecorder(rec, "uplink")
+		leaves[0].SetRecorder(rec, "link")
+		eng.Schedule(5*time.Second, func() { leaves[1].SetRecorder(rec, "link1") })
+		eng.Schedule(15*time.Second, func() { leaves[1].SetRecorder(nil, "") })
+	}
 	for step := 0; ; step++ {
 		if force {
 			up.ratesUntil = 0
@@ -161,8 +177,8 @@ func runCacheScenario(t *testing.T, seed int64, force bool) (log []string, check
 // at every event produces the identical log of samples and completions.
 func TestUplinkAllocCacheDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		cached, checked := runCacheScenario(t, seed, false)
-		forced, _ := runCacheScenario(t, seed, true)
+		cached, checked := runCacheScenario(t, seed, false, nil)
+		forced, _ := runCacheScenario(t, seed, true, nil)
 		if checked == 0 {
 			t.Fatalf("seed %d: the cache was never reused", seed)
 		}
@@ -174,5 +190,48 @@ func TestUplinkAllocCacheDifferential(t *testing.T) {
 				t.Fatalf("seed %d line %d:\ncached: %s\nforced: %s", seed, i, cached[i], forced[i])
 			}
 		}
+	}
+}
+
+// TestUplinkScenarioGolden pins the uplink tree bit for bit: the sha256 of
+// every seeded scenario's log, and of the LinkRate events a recorded run
+// emits, must match testdata/uplink_scenario.golden. The recorded run must
+// also log exactly what the unrecorded one does. Regenerate with
+// `go test ./internal/netsim -run TestUplinkScenarioGolden -update` only
+// for an intended change of the uplink's output.
+func TestUplinkScenarioGolden(t *testing.T) {
+	var got strings.Builder
+	for seed := int64(1); seed <= 25; seed++ {
+		plain, _ := runCacheScenario(t, seed, false, nil)
+		rec := timeline.New(0, "uplink")
+		recorded, _ := runCacheScenario(t, seed, false, rec)
+		if strings.Join(plain, "\n") != strings.Join(recorded, "\n") {
+			t.Fatalf("seed %d: attaching recorders changed the scenario log", seed)
+		}
+		var rates []string
+		for _, ev := range rec.Events() {
+			if ev.Kind != timeline.LinkRate {
+				t.Fatalf("seed %d: unexpected %v event from a link", seed, ev.Kind)
+			}
+			rates = append(rates, fmt.Sprintf("%v %s %x", ev.At, ev.Type, math.Float64bits(ev.Rate)))
+		}
+		fmt.Fprintf(&got, "log %d %x\n", seed, sha256.Sum256([]byte(strings.Join(plain, "\n"))))
+		fmt.Fprintf(&got, "rates %d %d %x\n", seed, len(rates), sha256.Sum256([]byte(strings.Join(rates, "\n"))))
+	}
+	path := filepath.Join("testdata", "uplink_scenario.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("uplink scenario hashes differ from %s:\ngot:\n%swant:\n%s", path, got.String(), want)
 	}
 }

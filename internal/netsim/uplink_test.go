@@ -329,3 +329,34 @@ func TestUplinkExtraDelay(t *testing.T) {
 		t.Fatalf("finished at %v, want %v (RTT+extra+1s transfer)", finished, want)
 	}
 }
+
+// uplinkTickTree returns a warm engine driving a 16-leaf uplink tree with
+// two endless δ-sampled transfers per leaf, activated at staggered instants
+// so that each sample tick integrates the whole tree. Nearly every pending
+// event is a sample tick; the group wake is at the far completion.
+func uplinkTickTree() *Engine {
+	eng := NewEngine()
+	up := NewUplink(eng, trace.Fixed(media.Kbps(24_000)))
+	onSample := func(*Transfer, float64, time.Duration) {}
+	for i := 0; i < 16; i++ {
+		leaf := up.NewLeaf(trace.Fixed(media.Kbps(6_000)))
+		for j := 0; j < 2; j++ {
+			eng.Schedule(time.Duration(2*i+j)*3*time.Millisecond, func() {
+				leaf.Start(1<<40, StartOptions{SampleEvery: 125 * time.Millisecond, OnSample: onSample})
+			})
+		}
+	}
+	eng.RunUntil(time.Second) // activate, bind the ticks, warm the freelist
+	return eng
+}
+
+// BenchmarkUplinkTick times one warm δ-sample tick on a 16-leaf,
+// 32-transfer uplink tree: integrate the tree, report, re-arm.
+func BenchmarkUplinkTick(b *testing.B) {
+	eng := uplinkTickTree()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
