@@ -601,8 +601,8 @@ func BenchmarkFleetScale(b *testing.B) {
 // BenchmarkFleetStream measures the sharded streaming path that takes the
 // co-simulation to N=100k: 16-session contention cells, one engine per
 // cell, sketch aggregation (memory O(shards + sketch), no per-session
-// retention). N here is kept small enough for the benchmem smoke; the
-// fleet-1e3/1e4/1e5 wall-clock rows live in BENCH_*.json via benchjson.
+// retention). N here is kept small enough for the benchmem smoke; time
+// the large fleets with `paperfigs -only fleetscale -fleet-n N`.
 func BenchmarkFleetStream(b *testing.B) {
 	const n = 96
 	var res *fleet.Result
@@ -623,8 +623,7 @@ func BenchmarkFleetStream(b *testing.B) {
 // bookkeeping on the same streaming fleet as BenchmarkFleetStream: every
 // session runs its requests through H1 connections (the most stateful
 // protocol — two conns per session, keep-alive clocks, resume pricing).
-// Compare against BenchmarkFleetStream for the overhead; the
-// transport-h1/h2/h3 N=1e3 wall-clock rows live in BENCH_*.json.
+// Compare against BenchmarkFleetStream for the overhead.
 func BenchmarkFleetTransport(b *testing.B) {
 	const n = 96
 	var res *fleet.Result
@@ -641,9 +640,8 @@ func BenchmarkFleetTransport(b *testing.B) {
 
 // BenchmarkLiveSession prices the live machinery on one latency-target
 // session: availability gating, the 500 ms controller cadence, and the
-// LoL+ low-latency rule, on the varying-600 link. Compare against the
-// session-recorder-off row in BENCH_*.json for the live overhead; the
-// live-1e3 fleet wall-clock row lives there too via benchjson.
+// LoL+ low-latency rule, on the varying-600 link. The fleet-scale live
+// path is timed by `bash bench/run.sh --workload fleet-live`.
 func BenchmarkLiveSession(b *testing.B) {
 	var sess *core.Session
 	for i := 0; i < b.N; i++ {
