@@ -192,3 +192,36 @@ func TestDeadlineAbortSetsAborted(t *testing.T) {
 		t.Fatalf("dead link session: Ended=%v Aborted=%v reason=%q", res.Ended, res.Aborted, res.AbortReason)
 	}
 }
+
+// An audio reset that lands while the audio stream waits out a retry
+// backoff voids the pending retry; the reset must then restart the stream,
+// not leave it marked busy with nothing left to finish it. Frequent resets
+// against a 404-heavy plan put several of them inside a backoff, for both
+// stream-loop schedulers (per-type, and joint with a skew bound).
+func TestAudioResetDuringBackoffRestartsStream(t *testing.T) {
+	c := media.DramaShow()
+	var resets []time.Duration
+	for at := 7 * time.Second; at < c.Duration; at += 7 * time.Second {
+		resets = append(resets, at)
+	}
+	pol := faults.DefaultPolicy()
+	for name, cfg := range map[string]Config{
+		"per-type":    {Model: &fixedPerType{video: c.VideoTracks[0], audio: c.AudioTracks[0]}},
+		"sync-window": {Model: &fixedJoint{combo: lowestCombo(c)}, SyncWindow: 1},
+	} {
+		cfg.Content = c
+		cfg.AudioResets = resets
+		cfg.FaultPlan = &faults.Plan{Seed: 3, Rate: 0.3, Kinds: []faults.Kind{faults.HTTP404}}
+		cfg.Robustness = &pol
+		eng := netsim.NewEngine()
+		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(5000)))
+		link.RTT = 100 * time.Millisecond
+		res, err := Run(link, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Ended || res.Aborted {
+			t.Errorf("%s: session did not finish (aborted=%v: %s)", name, res.Aborted, res.AbortReason)
+		}
+	}
+}
