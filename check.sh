@@ -41,6 +41,9 @@
 #  12. benchmem      fleet benchmarks, the MPC decision benchmark and the
 #                    engine and uplink-tick benchmarks compile and run
 #                    once, so the allocs/op trajectory is always measurable
+#  13. allocs        the fleet allocation ratchet (TestFleetAllocsPerSession)
+#                    without the race detector, which skips it in step 3
+#                    because it changes allocation counts
 #
 # Exits non-zero on the first failing step.
 set -eu
@@ -110,5 +113,8 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 	-benchtime=1x -benchmem .
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
+
+echo "== fleet allocation ratchet (allocs per session, no race detector)"
+go test -count=1 -run 'TestFleetAllocsPerSession' ./internal/fleet
 
 echo "check.sh: all gates passed"

@@ -103,57 +103,92 @@ type ManifestOptions struct {
 // manifest information through the real encoders and parsers. It returns
 // the model and the combination list the server declared (nil for pure
 // DASH models, which get no combination restriction — the §2.3 gap).
+// It is ParseManifest followed by NewModel.
 func BuildModel(kind PlayerKind, c *media.Content, mo ManifestOptions) (abr.Algorithm, []media.Combo, error) {
+	m, err := ParseManifest(kind, c, mo)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.NewModel(), m.Allowed(), nil
+}
+
+// ParsedManifest is what one player kind reads from the server's
+// manifest: the DASH ladders, or the HLS combinations and rendition order
+// (plus, for VBRJoint, the per-chunk sizes of the media playlists). It
+// depends only on the kind, the content and the manifest options, and it
+// is never written after ParseManifest returns, so sessions on any number
+// of goroutines can share one and build their models from it.
+type ParsedManifest struct {
+	kind         PlayerKind
+	video, audio media.Ladder // DASH kinds
+	combos       []media.Combo
+	order        []*media.Track
+	sizer        jointabr.ChunkSizer // VBRJoint only
+}
+
+// ParseManifest generates the manifest player kind reads for the content
+// and parses it back, the round trip BuildModel makes.
+func ParseManifest(kind PlayerKind, c *media.Content, mo ManifestOptions) (*ParsedManifest, error) {
 	if mo.Combos == nil {
 		mo.Combos = media.HSub(c)
 	}
+	m := &ParsedManifest{kind: kind}
+	var err error
 	switch kind {
 	case ExoPlayerDASH, DashJS:
-		video, audio, err := RoundTripMPD(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		if kind == ExoPlayerDASH {
-			return exoplayer.NewDASH(video, audio), nil, nil
-		}
-		return dashjs.New(video, audio), nil, nil
+		m.video, m.audio, err = RoundTripMPD(c)
 	case ExoPlayerHLS, Shaka, BestPractice, BestPracticeIndependent, BestPracticeAbandon, BolaJoint, MPCJoint, VBRJoint, DynamicJoint, LLDefault, LLL2A, LLLoLP:
-		combos, order, err := RoundTripMaster(c, mo.Combos, mo.AudioOrder)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch kind {
-		case ExoPlayerHLS:
-			return exoplayer.NewHLS(combos, order), combos, nil
-		case Shaka:
-			return shaka.NewHLS(combos), combos, nil
-		case BestPractice:
-			return jointabr.New(combos), combos, nil
-		case BestPracticeAbandon:
-			return jointabr.New(combos, jointabr.WithAbandonment()), combos, nil
-		case BolaJoint:
-			return jointabr.NewBolaJoint(combos, 0), combos, nil
-		case MPCJoint:
-			return jointabr.NewMPC(combos, 0), combos, nil
-		case VBRJoint:
-			sizer, err := chunkSizerFromPlaylists(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return jointabr.NewVBRAware(combos, sizer), combos, nil
-		case DynamicJoint:
-			return jointabr.NewDynamicJoint(combos), combos, nil
-		case LLDefault:
-			return lowlat.NewDefault(combos), combos, nil
-		case LLL2A:
-			return lowlat.NewL2A(combos), combos, nil
-		case LLLoLP:
-			return lowlat.NewLoLP(combos), combos, nil
-		default:
-			return jointabr.NewIndependent(combos), combos, nil
+		m.combos, m.order, err = RoundTripMaster(c, mo.Combos, mo.AudioOrder)
+		if err == nil && kind == VBRJoint {
+			m.sizer, err = chunkSizerFromPlaylists(c)
 		}
 	default:
-		return nil, nil, fmt.Errorf("core: unknown player kind %q", kind)
+		return nil, fmt.Errorf("core: unknown player kind %q", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Allowed returns the combination list the server declared; nil for pure
+// DASH kinds. Callers must not modify it.
+func (m *ParsedManifest) Allowed() []media.Combo { return m.combos }
+
+// NewModel constructs a fresh model of the manifest's player kind. Every
+// constructor copies what it keeps mutable, so models never write to the
+// shared parse.
+func (m *ParsedManifest) NewModel() abr.Algorithm {
+	combos := m.combos
+	switch m.kind {
+	case ExoPlayerDASH:
+		return exoplayer.NewDASH(m.video, m.audio)
+	case DashJS:
+		return dashjs.New(m.video, m.audio)
+	case ExoPlayerHLS:
+		return exoplayer.NewHLS(combos, m.order)
+	case Shaka:
+		return shaka.NewHLS(combos)
+	case BestPractice:
+		return jointabr.New(combos)
+	case BestPracticeAbandon:
+		return jointabr.New(combos, jointabr.WithAbandonment())
+	case BolaJoint:
+		return jointabr.NewBolaJoint(combos, 0)
+	case MPCJoint:
+		return jointabr.NewMPC(combos, 0)
+	case VBRJoint:
+		return jointabr.NewVBRAware(combos, m.sizer)
+	case DynamicJoint:
+		return jointabr.NewDynamicJoint(combos)
+	case LLDefault:
+		return lowlat.NewDefault(combos)
+	case LLL2A:
+		return lowlat.NewL2A(combos)
+	case LLLoLP:
+		return lowlat.NewLoLP(combos)
+	default:
+		return jointabr.NewIndependent(combos)
 	}
 }
 

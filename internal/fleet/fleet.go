@@ -328,6 +328,30 @@ func (c *Config) sessionTransport(i int) *netsim.TransportConfig {
 	return &tc
 }
 
+// parseManifests parses each player kind's manifest once for the whole
+// run, indexed like Mix (repeated kinds share one parse). Only the models
+// are built per session: the parse is read-only and shared by every
+// shard. A kind no session runs is not parsed.
+func (c *Config) parseManifests() ([]*core.ParsedManifest, error) {
+	out := make([]*core.ParsedManifest, len(c.Mix))
+	byKind := make(map[core.PlayerKind]*core.ParsedManifest)
+	for i, kind := range c.Mix {
+		if i >= c.Sessions {
+			break
+		}
+		m, ok := byKind[kind]
+		if !ok {
+			var err error
+			if m, err = core.ParseManifest(kind, c.Content, c.Manifest); err != nil {
+				return nil, fmt.Errorf("fleet: session %d (%s): %w", i, kind, err)
+			}
+			byKind[kind] = m
+		}
+		out[i] = m
+	}
+	return out, nil
+}
+
 // Run executes the co-simulation: sessions are partitioned into contention
 // cells (each cell an engine, a two-tier bottleneck, and an edge cache —
 // one cell covering the whole fleet by default), cells are dealt
@@ -337,6 +361,10 @@ func (c *Config) sessionTransport(i int) *netsim.TransportConfig {
 // cell it is byte-identical to the original single-engine implementation.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
+	manifests, err := cfg.parseManifests()
+	if err != nil {
 		return nil, err
 	}
 	arrive := cfg.arrivals()
@@ -354,7 +382,7 @@ func Run(cfg Config) (*Result, error) {
 	aggs, err := runpool.Map(shards, shards, func(sh int) (*shardAgg, error) {
 		agg := newShardAgg(&cfg, stream)
 		for ci := sh; ci < len(cells); ci += shards {
-			if err := runCell(&cfg, ci, len(cells), cells[ci], arrive, agg); err != nil {
+			if err := runCell(&cfg, manifests, ci, len(cells), cells[ci], arrive, agg); err != nil {
 				return nil, err
 			}
 		}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func TestScheduleStepAllocFree(t *testing.T) {
 func TestCancelInOwnCallbackAfterPooling(t *testing.T) {
 	eng := NewEngine()
 	fired := 0
-	var self *Event
+	var self Handle
 	self = eng.Schedule(time.Millisecond, func() {
 		// Schedule first, then cancel our own (already-fired) handle: with
 		// eager recycling the new event would be cancelled instead.
@@ -112,5 +113,127 @@ func TestUplinkTickAllocFree(t *testing.T) {
 	eng := uplinkTickTree()
 	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
 		t.Fatalf("warm uplink tick allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestCancelStaleHandleAfterRecycle pins the handle generation: a cancelled
+// event goes straight back to the freelist, the next Schedule reuses it,
+// and a Cancel through the old handle must then leave the new occupant
+// alone.
+func TestCancelStaleHandleAfterRecycle(t *testing.T) {
+	eng := NewEngine()
+	oldFired, newFired := false, false
+	old := eng.Schedule(time.Millisecond, func() { oldFired = true })
+	eng.Cancel(old)
+	cur := eng.Schedule(2*time.Millisecond, func() { newFired = true })
+	if cur.ev != old.ev {
+		t.Fatal("the cancelled event was not recycled by the next Schedule")
+	}
+	if old.Pending() || !cur.Pending() {
+		t.Fatalf("old handle pending %v, new handle pending %v; want false, true", old.Pending(), cur.Pending())
+	}
+	eng.Cancel(old) // stale: names the event's previous occupancy
+	if err := eng.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if oldFired || !newFired {
+		t.Fatalf("old callback fired %v, new callback fired %v; want false, true", oldFired, newFired)
+	}
+}
+
+// TestScheduleCancelAllocFree pins cancelled-event recycling: a warm
+// schedule-then-cancel cycle (an uplink wake or underrun alarm re-armed
+// before it fires) allocates nothing.
+func TestScheduleCancelAllocFree(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	eng.Cancel(eng.Schedule(time.Millisecond, fn)) // warm the freelist and the heap
+	allocs := testing.AllocsPerRun(1000, func() {
+		eng.Cancel(eng.Schedule(eng.Now()+time.Millisecond, fn))
+	})
+	if allocs != 0 {
+		t.Fatalf("schedule+cancel allocates %.2f objects per cycle, want 0 (cancelled events are not recycled)", allocs)
+	}
+}
+
+// TestCompletionReentrancy drives finishCompleted re-entrantly: two
+// transfers finish on one link at one instant, and the first one's
+// OnComplete releases itself, cancels an active sibling, starts two new
+// ones and advances the engine until they finish too, so the link
+// delivers a nested batch of completions while the outer batch is half
+// walked.
+// Every completion must fire exactly once, in order, and the released
+// transfer must not be reused before its own notifications are done.
+func TestCompletionReentrancy(t *testing.T) {
+	eng := NewEngine()
+	link := NewLink(eng, trace.Fixed(media.Kbps(8000))) // 1 MB/s
+	var order []string
+	var a, b, long, d, e *Transfer
+	note := func(name string) func(*Transfer) {
+		return func(*Transfer) { order = append(order, name) }
+	}
+	// A first batch leaves the link's scratch list with room for two, so
+	// a nested batch that reused it would overwrite the outer one.
+	link.Start(100, StartOptions{})
+	link.Start(100, StartOptions{})
+	eng.RunUntil(time.Millisecond)
+	a = link.Start(1000, StartOptions{OnComplete: func(tr *Transfer) {
+		order = append(order, "a")
+		tr.Release()
+		link.Cancel(long)
+		d = link.Start(500, StartOptions{OnComplete: note("d")})
+		e = link.Start(500, StartOptions{OnComplete: note("e")})
+		if d == a || e == a {
+			t.Error("a transfer released from its own OnComplete was reused before its notifications finished")
+		}
+		eng.RunUntil(eng.Now() + 10*time.Millisecond)
+	}})
+	b = link.Start(1000, StartOptions{OnComplete: note("b")})
+	long = link.Start(1_000_000, StartOptions{OnComplete: note("long")})
+	if err := eng.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a", "d", "e", "b"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("completions fired %v, want %v", order, want)
+	}
+	if !b.Completed() || !d.Completed() || !e.Completed() || !long.Cancelled() {
+		t.Fatalf("b, d, e completed %v %v %v, long cancelled %v", b.Completed(), d.Completed(), e.Completed(), long.Cancelled())
+	}
+	if next := link.Start(1, StartOptions{}); next != a {
+		t.Fatal("the released transfer did not go back to the link's freelist once finished with")
+	}
+}
+
+// TestStrikeTimerHoldsReleasedTransfer covers the transport timer that
+// reaches a transfer without a handle: an H1 loss strike armed for a
+// request that is cancelled and released before its first byte. The
+// transfer must stay out of the freelist until the strike has fired (and
+// found it cancelled), so the strike never lands on a request that reused
+// it.
+func TestStrikeTimerHoldsReleasedTransfer(t *testing.T) {
+	eng := NewEngine()
+	link := NewLink(eng, trace.Fixed(media.Kbps(8000)))
+	link.RTT = 100 * time.Millisecond
+	tc := DefaultTransport(H1)
+	tc.HandshakeRTTs, tc.LossRate = 0, 1 // every request is struck when its first byte lands
+	conn := NewConn(link, tc, "conn")
+	first := conn.Start(50_000, StartOptions{})
+	eng.RunUntil(50 * time.Millisecond)
+	link.Cancel(first)
+	first.Release()
+	second := conn.Start(50_000, StartOptions{})
+	if second == first {
+		t.Fatal("a transfer held by a pending strike timer was reused")
+	}
+	eng.RunUntil(120 * time.Millisecond) // the first strike fires on the cancelled transfer
+	if third := conn.Start(1, StartOptions{}); third != first {
+		t.Fatal("the released transfer was not recycled after its strike fired")
+	}
+	if err := eng.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	// Only the live requests' strikes stall anything.
+	if got := conn.Stats().HoLStalls; got != 2 {
+		t.Fatalf("HoL stalls = %d, want 2 (second and third requests)", got)
 	}
 }

@@ -22,9 +22,10 @@ type Engine struct {
 	q       eventQueue
 	seq     uint64
 	stopped bool
-	// free recycles fired events: a long session schedules hundreds of
-	// thousands of events but holds only a handful pending at once, so the
-	// freelist caps Event allocations at the pending high-water mark.
+	// free recycles fired and cancelled events: a long session schedules
+	// hundreds of thousands of events but holds only a handful pending at
+	// once, so the freelist caps Event allocations at the pending
+	// high-water mark.
 	free []*Event
 }
 
@@ -39,27 +40,36 @@ func newEngineWithQueue(q eventQueue) *Engine { return &Engine{q: q} }
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Event is a scheduled callback; it can be cancelled before it fires.
+// Event is one pooled slot of the engine's queue. Callers never hold an
+// Event directly: Schedule hands out a Handle naming one occupancy of it.
 type Event struct {
 	at  time.Duration
-	seq uint64
+	seq uint64 // unique per Schedule; doubles as the occupancy's generation
 	fn  func()
-	idx int // slot in the queue; -1 once fired or cancelled
+	idx int   // slot in the queue; -1 once fired or cancelled
+	ref int32 // the queue's own name for the event; 0 until first pushed
 }
 
-// At returns the time the event is scheduled for.
-func (ev *Event) At() time.Duration { return ev.at }
+// Handle names one scheduled callback. The engine recycles an Event as
+// soon as it fires or is cancelled, so a handle carries the occupancy's
+// sequence number: once the event has fired, been cancelled or been
+// reused, the handle no longer matches and every operation on it is a
+// no-op. The zero Handle names nothing.
+type Handle struct {
+	ev  *Event
+	seq uint64
+}
+
+// Pending reports whether the handle's callback is still scheduled.
+func (h Handle) Pending() bool { return h.ev != nil && h.ev.seq == h.seq && h.ev.idx >= 0 }
 
 // Schedule runs fn at virtual time at. Scheduling in the past panics: it
 // indicates a simulator bug, not a recoverable condition.
 //
-// The returned *Event is valid for Cancel until it fires. Once its
-// callback has run, the Event object may be recycled by a later Schedule,
-// so holders must drop their reference no later than the callback itself
-// (every in-tree holder nils its field at the top of the callback).
-// Cancelling during the event's own callback is still safe: recycling
-// happens only after the callback returns.
-func (e *Engine) Schedule(at time.Duration, fn func()) *Event {
+// The returned Handle cancels the callback until it fires. Holders may
+// keep it as long as they like: a stale handle (fired, cancelled, or its
+// Event reused by a later Schedule) never reaches another callback.
+func (e *Engine) Schedule(at time.Duration, fn func()) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", at, e.now))
 	}
@@ -67,32 +77,43 @@ func (e *Engine) Schedule(at time.Duration, fn func()) *Event {
 	var ev *Event
 	if k := len(e.free); k > 0 {
 		ev = e.free[k-1]
-		e.free[k-1] = nil
 		e.free = e.free[:k-1]
 		ev.at, ev.seq, ev.fn = at, e.seq, fn
 	} else {
 		ev = &Event{at: at, seq: e.seq, fn: fn}
 	}
 	e.q.push(ev)
-	return ev
+	return Handle{ev: ev, seq: ev.seq}
 }
 
 // After runs fn d after the current virtual time.
-func (e *Engine) After(d time.Duration, fn func()) *Event {
+func (e *Engine) After(d time.Duration, fn func()) Handle {
 	return e.Schedule(e.now+d, fn)
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.idx < 0 {
+// Cancel removes a pending callback and recycles its Event at once.
+// Cancelling through a handle that has fired, was cancelled already, or
+// whose Event now holds another callback is a no-op.
+func (e *Engine) Cancel(h Handle) {
+	if !h.Pending() {
 		return
 	}
-	e.q.remove(ev)
+	e.q.remove(h.ev)
+	e.recycle(h.ev)
+}
+
+// recycle returns an event that left the queue to the freelist, releasing
+// its closure for the GC while it sits pooled.
+func (e *Engine) recycle(ev *Event) {
+	ev.fn = nil
+	e.free = append(e.free, ev)
 }
 
 // Step fires the next event. It reports false when no events remain or the
-// engine is stopped.
+// engine is stopped. The event is recycled before its callback runs: the
+// popped occupancy's handles are already stale, so a Cancel from inside
+// the callback is a no-op even if the callback's own Schedule reuses the
+// Event.
 func (e *Engine) Step() bool {
 	if e.stopped || e.q.len() == 0 {
 		return false
@@ -100,13 +121,8 @@ func (e *Engine) Step() bool {
 	ev := e.q.pop()
 	e.now = ev.at
 	fn := ev.fn
-	ev.fn = nil // release the closure for GC while the Event sits pooled
+	e.recycle(ev)
 	fn()
-	// Recycle only after the callback: a Cancel on this event from within
-	// its own callback must still be a no-op, not hit a reused event.
-	// Cancelled events are never recycled — stale handles to them may
-	// legitimately be double-cancelled later.
-	e.free = append(e.free, ev)
 	return true
 }
 

@@ -24,7 +24,14 @@ type Link struct {
 
 	active     []*Transfer
 	lastUpdate time.Duration
-	wake       *Event // pending recompute (completion or profile breakpoint)
+	wake       Handle // pending recompute (completion or profile breakpoint)
+	// wakeTick is the standalone link's recompute callback, bound on first
+	// use so a re-armed wake allocates nothing.
+	wakeTick func()
+	// finished is finishCompleted's scratch list of transfers to notify.
+	finished []*Transfer
+	// free holds released transfers for reuse by prepare (see Release).
+	free []*Transfer
 
 	// outages are blackout windows during which capacity is zero
 	// regardless of the profile (fault-injection link failures).
@@ -144,14 +151,25 @@ type Transfer struct {
 	// would otherwise linger in the queue until its due time — at fleet
 	// scale (teardown cancels two transfers per session) that is tens of
 	// thousands of ghost events kept alive for up to RTT+ExtraDelay each.
-	activateEv *Event
+	activateEv   Handle
+	activateTick func() // activation wake, bound once per Transfer
 
 	sampleEvery  time.Duration
 	onSample     func(tr *Transfer, bytes float64, interval time.Duration)
 	sampleMark   float64       // bytes at last sample boundary
 	lastSampleAt time.Duration // time of last sample boundary
-	sampleEv     *Event
+	sampleEv     Handle
 	sampleTick   func() // sample, bound on first use
+	strikeTick   func() // transport loss strike, bound on first use
+
+	// released marks that the owner let go of the transfer (Release).
+	// holds counts the link-side references that can still reach it
+	// without an event handle: a completion being delivered, a sample
+	// callback running, a transport strike or recovery timer. The link
+	// recycles a released transfer once it is off the wire and holds is
+	// zero (see tryRecycle).
+	released bool
+	holds    int
 }
 
 // Size returns the transfer's total size in bytes.
@@ -233,7 +251,9 @@ func (l *Link) Start(size int64, opts StartOptions) *Transfer {
 // prepare builds a transfer without scheduling its activation; transport
 // connections use it to hold a request while a handshake or stream slot
 // is pending. The pre-byte delay (RTT + ExtraDelay) is captured now and
-// applied relative to whenever the transfer is actually dispatched.
+// applied relative to whenever the transfer is actually dispatched. A
+// released transfer is reused when one is free; its bound callbacks carry
+// over, everything else starts from zero.
 func (l *Link) prepare(size int64, opts StartOptions) *Transfer {
 	if size < 0 {
 		panic("netsim: negative transfer size")
@@ -246,26 +266,68 @@ func (l *Link) prepare(size int64, opts StartOptions) *Transfer {
 	if delay < 0 {
 		delay = 0
 	}
-	return &Transfer{
-		link:        l,
-		Label:       opts.Label,
-		UserData:    opts.UserData,
-		weight:      weight,
-		size:        size,
-		onComplete:  opts.OnComplete,
-		sampleEvery: opts.SampleEvery,
-		onSample:    opts.OnSample,
-		preDelay:    delay,
+	var tr *Transfer
+	if k := len(l.free); k > 0 {
+		tr = l.free[k-1]
+		l.free[k-1] = nil
+		l.free = l.free[:k-1]
+	} else {
+		tr = &Transfer{}
+		tr.activateTick = tr.activateNow
 	}
+	*tr = Transfer{
+		link:         l,
+		Label:        opts.Label,
+		UserData:     opts.UserData,
+		weight:       weight,
+		size:         size,
+		onComplete:   opts.OnComplete,
+		sampleEvery:  opts.SampleEvery,
+		onSample:     opts.OnSample,
+		preDelay:     delay,
+		activateTick: tr.activateTick,
+		sampleTick:   tr.sampleTick,
+		strikeTick:   tr.strikeTick,
+	}
+	return tr
+}
+
+// Release hands a transfer back to the link for reuse by a later Start:
+// the owner declares it will not touch tr, nor receive its callbacks,
+// again. A transfer still on the wire, or still reachable from a pending
+// callback or timer, stays as it is until it is finished with; only then
+// does the link recycle it. Transfers that are never released are simply
+// garbage collected.
+func (tr *Transfer) Release() {
+	tr.released = true
+	tr.tryRecycle()
+}
+
+// tryRecycle puts a released transfer on its link's freelist once nothing
+// can reach it any more: it is off the wire (completed or cancelled), no
+// completion or sample callback is running on it, no transport timer
+// holds it, and neither its activation nor its sample tick is pending.
+func (tr *Transfer) tryRecycle() {
+	if !tr.released || tr.holds > 0 || !(tr.completed || tr.cancelled) ||
+		tr.activateEv.Pending() || tr.sampleEv.Pending() {
+		return
+	}
+	tr.released = false // recycle once
+	// Drop the owner's callbacks and context while the transfer is pooled.
+	tr.onComplete, tr.onSample, tr.UserData, tr.conn = nil, nil, nil, nil
+	tr.link.free = append(tr.link.free, tr)
 }
 
 // scheduleActivation arms the transfer's first-byte wake, preDelay from
 // now. The event handle is retained so Cancel can reclaim it.
 func (l *Link) scheduleActivation(tr *Transfer) {
-	tr.activateEv = l.eng.After(tr.preDelay, func() {
-		tr.activateEv = nil
-		l.activate(tr)
-	})
+	tr.activateEv = l.eng.After(tr.preDelay, tr.activateTick)
+}
+
+// activateNow is the activation wake.
+func (tr *Transfer) activateNow() {
+	tr.activateEv = Handle{}
+	tr.link.activate(tr)
 }
 
 // SetRecorder attaches a flight recorder: the link emits a LinkRate event
@@ -319,10 +381,8 @@ func (l *Link) Cancel(tr *Transfer) {
 	}
 	tr.cancelled = true
 	tr.suspended = false
-	if tr.activateEv != nil {
-		l.eng.Cancel(tr.activateEv)
-		tr.activateEv = nil
-	}
+	l.eng.Cancel(tr.activateEv)
+	tr.activateEv = Handle{}
 	for i, a := range l.active {
 		if a == tr {
 			l.active = append(l.active[:i], l.active[i+1:]...)
@@ -330,14 +390,13 @@ func (l *Link) Cancel(tr *Transfer) {
 			break
 		}
 	}
-	if tr.sampleEv != nil {
-		l.eng.Cancel(tr.sampleEv)
-		tr.sampleEv = nil
-	}
+	l.eng.Cancel(tr.sampleEv)
+	tr.sampleEv = Handle{}
 	l.reschedule()
 	if tr.conn != nil {
 		tr.conn.onDone(tr)
 	}
+	tr.tryRecycle()
 }
 
 // Suspend pauses an in-flight transfer: it is removed from the active set
@@ -393,12 +452,15 @@ func (l *Link) activate(tr *Transfer) {
 	if tr.size == 0 {
 		tr.completed = true
 		tr.finished = l.eng.Now()
+		tr.holds++ // the owner may Release it from inside OnComplete
 		if tr.onComplete != nil {
 			tr.onComplete(tr)
 		}
 		if tr.conn != nil {
 			tr.conn.onDone(tr)
 		}
+		tr.holds--
+		tr.tryRecycle()
 		return
 	}
 	l.active = append(l.active, tr)
@@ -419,17 +481,22 @@ func (tr *Transfer) scheduleSample() {
 	tr.sampleEv = tr.link.eng.After(tr.sampleEvery, tr.sampleTick)
 }
 
-// sample reports the bytes moved since the last tick and re-arms.
+// sample reports the bytes moved since the last tick and re-arms. The
+// tick holds the transfer: a completion that advance delivers, or the
+// callback itself, may lead the owner to Release it, and the tick still
+// reads it afterwards.
 func (tr *Transfer) sample() {
+	tr.holds++
 	tr.link.advance()
-	if tr.completed || tr.cancelled {
-		return
+	if !tr.completed && !tr.cancelled {
+		bytes := tr.done - tr.sampleMark
+		tr.sampleMark = tr.done
+		tr.lastSampleAt = tr.link.eng.Now()
+		tr.onSample(tr, bytes, tr.sampleEvery)
+		tr.scheduleSample()
 	}
-	bytes := tr.done - tr.sampleMark
-	tr.sampleMark = tr.done
-	tr.lastSampleAt = tr.link.eng.Now()
-	tr.onSample(tr, bytes, tr.sampleEvery)
-	tr.scheduleSample()
+	tr.holds--
+	tr.tryRecycle()
 }
 
 // advance integrates all active transfers from lastUpdate to now at the
@@ -472,7 +539,12 @@ func (l *Link) advanceSolo() {
 }
 
 // finishCompleted removes and notifies transfers that have reached their
-// full size.
+// full size. The notify list is the link's scratch slice, detached while
+// it is walked: a callback may re-enter finishCompleted on this link (a
+// completion that starts or cancels a sibling transfer), and the nested
+// call must not overwrite the outer list. Each finished transfer is held
+// until its notifications are done, so an owner that releases it from
+// OnComplete cannot have it recycled under the walk.
 func (l *Link) finishCompleted() {
 	// Most calls (every sample tick) find nothing finished; leave the active
 	// slice untouched then rather than rewriting it in place.
@@ -486,17 +558,17 @@ func (l *Link) finishCompleted() {
 	if first < 0 {
 		return
 	}
-	var finished []*Transfer
+	finished := l.finished[:0]
+	l.finished = nil
 	remaining := l.active[:first]
 	for _, tr := range l.active[first:] {
 		if float64(tr.size)-tr.done < completionSlack {
 			tr.done = float64(tr.size)
 			tr.completed = true
 			tr.finished = l.eng.Now()
-			if tr.sampleEv != nil {
-				l.eng.Cancel(tr.sampleEv)
-				tr.sampleEv = nil
-			}
+			l.eng.Cancel(tr.sampleEv)
+			tr.sampleEv = Handle{}
+			tr.holds++
 			finished = append(finished, tr)
 		} else {
 			remaining = append(remaining, tr)
@@ -506,7 +578,8 @@ func (l *Link) finishCompleted() {
 	if len(finished) > 0 {
 		l.changed()
 	}
-	for _, tr := range finished {
+	for i, tr := range finished {
+		finished[i] = nil
 		// Report the final partial sampling interval so byte-flow observers
 		// account for every byte.
 		if tr.onSample != nil && tr.sampleEvery > 0 {
@@ -521,7 +594,10 @@ func (l *Link) finishCompleted() {
 		if tr.conn != nil {
 			tr.conn.onDone(tr)
 		}
+		tr.holds--
+		tr.tryRecycle()
 	}
+	l.finished = finished[:0]
 }
 
 // reschedule computes the next interesting instant (first completion or
@@ -536,10 +612,8 @@ func (l *Link) reschedule() {
 }
 
 func (l *Link) rescheduleSolo() {
-	if l.wake != nil {
-		l.eng.Cancel(l.wake)
-		l.wake = nil
-	}
+	l.eng.Cancel(l.wake)
+	l.wake = Handle{}
 	// With no active transfers there is nothing to integrate; the next
 	// activation re-arms the wake. (Arming breakpoint wakes while idle would
 	// keep cyclic profiles generating events forever.)
@@ -574,11 +648,17 @@ func (l *Link) rescheduleSolo() {
 	if next == time.Duration(math.MaxInt64) {
 		return
 	}
-	l.wake = l.eng.Schedule(next, func() {
-		l.wake = nil
-		l.advance()
-		l.reschedule()
-	})
+	if l.wakeTick == nil {
+		l.wakeTick = l.onWake
+	}
+	l.wake = l.eng.Schedule(next, l.wakeTick)
+}
+
+// onWake is the standalone link's recompute at a completion or breakpoint.
+func (l *Link) onWake() {
+	l.wake = Handle{}
+	l.advance()
+	l.reschedule()
 }
 
 // StartCrossTraffic occupies the link with a persistent competing flow of

@@ -26,11 +26,14 @@ type eventQueue interface {
 }
 
 // heapEntry is one quadHeap slot. The (at, seq) key is copied inline so
-// that sifting compares keys without dereferencing the events.
+// that sifting compares keys without dereferencing the events, and the
+// event is named by its index in the heap's event table rather than by a
+// pointer: the entries hold no pointers, so sifting them costs no GC write
+// barriers and the GC never scans the heap array.
 type heapEntry struct {
 	at  time.Duration
 	seq uint64
-	ev  *Event
+	ev  int32 // index into quadHeap.events
 }
 
 // quadHeap is a 4-ary min-heap on (at, seq). Keys are unique (seq is), so
@@ -38,7 +41,13 @@ type heapEntry struct {
 // node halve the depth of a binary heap, and a sift-down's four compares
 // read one contiguous run of slots. Each event's idx tracks its slot so
 // Cancel removes it in O(log n).
-type quadHeap struct{ h []heapEntry }
+type quadHeap struct {
+	h []heapEntry
+	// events lists every Event ever pushed, at index Event.ref-1; the
+	// engine pools its events, so the table stays at the engine's
+	// high-water mark of live events.
+	events []*Event
+}
 
 func (q *quadHeap) len() int { return len(q.h) }
 
@@ -46,11 +55,15 @@ func (q *quadHeap) peek() *Event {
 	if len(q.h) == 0 {
 		return nil
 	}
-	return q.h[0].ev
+	return q.events[q.h[0].ev]
 }
 
 func (q *quadHeap) push(ev *Event) {
-	q.h = append(q.h, heapEntry{at: ev.at, seq: ev.seq, ev: ev})
+	if ev.ref == 0 {
+		q.events = append(q.events, ev)
+		ev.ref = int32(len(q.events))
+	}
+	q.h = append(q.h, heapEntry{at: ev.at, seq: ev.seq, ev: ev.ref - 1})
 	q.up(len(q.h) - 1)
 }
 
@@ -58,7 +71,7 @@ func (q *quadHeap) pop() *Event {
 	if len(q.h) == 0 {
 		return nil
 	}
-	ev := q.h[0].ev
+	ev := q.events[q.h[0].ev]
 	q.removeAt(0)
 	ev.idx = -1
 	return ev
@@ -74,7 +87,6 @@ func (q *quadHeap) remove(ev *Event) {
 func (q *quadHeap) removeAt(i int) {
 	last := len(q.h) - 1
 	moved := q.h[last]
-	q.h[last] = heapEntry{} // drop the event pointer for the GC
 	q.h = q.h[:last]
 	if i == last {
 		return
@@ -98,11 +110,11 @@ func (q *quadHeap) up(i int) {
 			break
 		}
 		h[i] = h[p]
-		h[i].ev.idx = i
+		q.events[h[i].ev].idx = i
 		i = p
 	}
 	h[i] = x
-	x.ev.idx = i
+	q.events[x.ev].idx = i
 }
 
 // down moves the entry at slot i toward the leaves until no child is
@@ -128,18 +140,18 @@ func (q *quadHeap) down(i int) {
 			}
 		default:
 			h[i] = x
-			x.ev.idx = i
+			q.events[x.ev].idx = i
 			return
 		}
 		if heapLess(h[m], x) == 0 {
 			break
 		}
 		h[i] = h[m]
-		h[i].ev.idx = i
+		q.events[h[i].ev].idx = i
 		i = m
 	}
 	h[i] = x
-	x.ev.idx = i
+	q.events[x.ev].idx = i
 }
 
 // heapLess reports 1 if a precedes b in (at, seq) order, else 0. It

@@ -110,7 +110,7 @@ func fleetOps(rng *rand.Rand, n int) []queueOp {
 // identical event ordering, including tie-breaks.
 func replay(e *Engine, ops []queueOp) []string {
 	var fired []string
-	live := map[int]*Event{}
+	live := map[int]Handle{}
 	far := map[int]bool{}
 	tag := 0
 	for _, op := range ops {
@@ -118,7 +118,7 @@ func replay(e *Engine, ops []queueOp) []string {
 		case 0:
 			id := tag
 			tag++
-			var ev *Event
+			var ev Handle
 			ev = e.After(op.delay, func() {
 				delete(live, id)
 				fired = append(fired, fmt.Sprintf("%d@%v", id, e.Now()))

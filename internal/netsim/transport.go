@@ -156,7 +156,7 @@ type Conn struct {
 	handshaking   bool
 	everConnected bool
 	lastUsed      time.Duration
-	hsEv          *Event
+	hsEv          Handle
 
 	inflight int
 	live     []*Transfer // dispatched and not yet off the wire
@@ -244,7 +244,7 @@ func (c *Conn) connect() {
 	cost := c.connectCost()
 	resumed := c.everConnected
 	finish := func() {
-		c.hsEv = nil
+		c.hsEv = Handle{}
 		c.handshaking = false
 		c.established = true
 		c.everConnected = true
@@ -286,8 +286,19 @@ func (c *Conn) dispatch(tr *Transfer) {
 	c.lastUsed = c.link.eng.Now()
 	c.link.scheduleActivation(tr)
 	if c.cfg.LossRate > 0 && c.lossDraw() {
-		c.link.eng.After(tr.preDelay, func() { c.strike(tr) })
+		if tr.strikeTick == nil {
+			tr.strikeTick = tr.strike
+		}
+		tr.holds++ // the strike timer reaches tr without a handle
+		c.link.eng.After(tr.preDelay, tr.strikeTick)
 	}
+}
+
+// strike is the loss timer set by dispatch.
+func (tr *Transfer) strike() {
+	tr.conn.strike(tr)
+	tr.holds--
+	tr.tryRecycle()
 }
 
 // lossDraw is the per-request loss coin: a pure function of the config
@@ -321,6 +332,11 @@ func (c *Conn) strike(tr *Transfer) {
 	} else if !tr.suspended {
 		hit = append(hit, tr)
 	}
+	// Suspend advances the link, and a completion it delivers may lead an
+	// owner to release a transfer still listed in hit: hold them all.
+	for _, a := range hit {
+		a.holds++
+	}
 	var stalled []*Transfer
 	for _, a := range hit {
 		if c.link.Suspend(a) {
@@ -338,12 +354,23 @@ func (c *Conn) strike(tr *Transfer) {
 			})
 		}
 	}
+	for _, a := range stalled {
+		a.holds++ // released by the recovery timer
+	}
+	for _, a := range hit {
+		a.holds--
+		a.tryRecycle()
+	}
 	if len(stalled) == 0 {
 		return
 	}
 	c.link.eng.After(recovery, func() {
 		for _, a := range stalled {
 			c.link.Resume(a)
+		}
+		for _, a := range stalled {
+			a.holds--
+			a.tryRecycle()
 		}
 	})
 }
@@ -378,9 +405,9 @@ func (c *Conn) onDone(tr *Transfer) {
 // connection on behalf of the request that observed the failure.
 func (c *Conn) Reset() {
 	c.established = false
-	if c.hsEv != nil {
+	if c.hsEv.Pending() {
 		c.link.eng.Cancel(c.hsEv)
-		c.hsEv = nil
+		c.hsEv = Handle{}
 		c.handshaking = false
 	}
 	if len(c.queue) > 0 && !c.handshaking {

@@ -24,7 +24,8 @@ type Uplink struct {
 	members []*Link
 
 	lastUpdate time.Duration
-	wake       *Event
+	wake       Handle
+	wakeTick   func() // onWake, bound once in NewUplink
 
 	// version counts active-set and outage mutations across the members
 	// (see Link.changed); the cached allocation and transfer count are
@@ -67,7 +68,9 @@ func NewUplink(eng *Engine, profile trace.Profile) *Uplink {
 	if profile == nil {
 		panic("netsim: nil uplink profile")
 	}
-	return &Uplink{eng: eng, profile: profile}
+	u := &Uplink{eng: eng, profile: profile}
+	u.wakeTick = u.onWake
+	return u
 }
 
 // Engine returns the engine driving this uplink.
@@ -300,10 +303,8 @@ func (u *Uplink) advance() {
 // completion at current allocation rates, or the next capacity breakpoint
 // (uplink profile, or any loaded leaf's profile/outage edge).
 func (u *Uplink) reschedule() {
-	if u.wake != nil {
-		u.eng.Cancel(u.wake)
-		u.wake = nil
-	}
+	u.eng.Cancel(u.wake)
+	u.wake = Handle{}
 	total := u.activeTotal()
 	if total == 0 {
 		return
@@ -333,11 +334,14 @@ func (u *Uplink) reschedule() {
 	if next == time.Duration(math.MaxInt64) {
 		return
 	}
-	u.wake = u.eng.Schedule(next, func() {
-		u.wake = nil
-		u.advance()
-		u.reschedule()
-	})
+	u.wake = u.eng.Schedule(next, u.wakeTick)
+}
+
+// onWake is the group's recompute at a completion or breakpoint.
+func (u *Uplink) onWake() {
+	u.wake = Handle{}
+	u.advance()
+	u.reschedule()
 }
 
 // growF returns s resized to n, reallocating only on capacity growth.

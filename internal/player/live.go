@@ -146,6 +146,8 @@ type liveState struct {
 	// rateSeconds and playSeconds accumulate rate*dt and dt while playing.
 	rateSeconds float64
 	playSeconds float64
+	// tick is the controller tick, Session.onLiveTick bound once.
+	tick func()
 
 	stats LiveStats
 }
@@ -191,6 +193,7 @@ func (s *Session) initLive() error {
 	ls.stats.LatencyTarget = cfg.LatencyTarget
 	ls.stats.JoinLatency = ls.edge0 - joinPos
 	ls.lastTickAt = s.eng.Now()
+	ls.tick = s.onLiveTick
 	s.live = ls
 	s.scheduleLiveTick()
 	return nil
@@ -261,17 +264,19 @@ func (s *Session) liveWakeAt(t media.Type, at time.Duration) {
 	s.eng.Schedule(at, s.loop[t])
 }
 
-// scheduleLiveTick runs the latency-target controller at its cadence.
-func (s *Session) scheduleLiveTick() {
-	s.eng.After(s.live.cfg.SampleInterval, func() {
-		if s.ended {
-			return
-		}
-		s.liveTick()
-		if !s.ended {
-			s.scheduleLiveTick()
-		}
-	})
+// scheduleLiveTick arms the latency-target controller's next tick.
+func (s *Session) scheduleLiveTick() { s.eng.After(s.live.cfg.SampleInterval, s.live.tick) }
+
+// onLiveTick runs the controller at its cadence; bound once as
+// liveState.tick in initLive so the re-arm allocates no closure.
+func (s *Session) onLiveTick() {
+	if s.ended {
+		return
+	}
+	s.liveTick()
+	if !s.ended {
+		s.scheduleLiveTick()
+	}
 }
 
 // liveTick samples latency, accounts rate time, and runs the catch-up

@@ -224,8 +224,13 @@ type Session struct {
 	jointPending int                 // paired: transfers in flight for the current chunk
 	comboFor     map[int]media.Combo // windowed mode: joint decision per position
 	inflight     [2]bool             // stream loops: a request chain is running for the type
-	transfers    [2]*netsim.Transfer // most recent in-flight transfer per type
 	conns        [2]*netsim.Conn     // transport connections; both entries equal when multiplexed
+	// current is, per type, the request that put the most recent transfer
+	// on the wire; cancelStream cancels that transfer and a timeout only
+	// acts on the current request's. It holds a reference (see request).
+	current [2]*request
+	// freeReqs recycles request records with their callbacks bound.
+	freeReqs []*request
 
 	// Robustness state.
 	pol       *faults.Policy // normalized policy; nil = fail fast
@@ -244,7 +249,7 @@ type Session struct {
 	ended    bool
 	playPos  time.Duration
 	lastTick time.Duration
-	underrun *netsim.Event
+	underrun netsim.Handle
 	stallAt  time.Duration
 
 	// live is the latency-target controller state; nil for VOD sessions
@@ -252,9 +257,10 @@ type Session struct {
 	// guarded on it, so VOD behaviour is bit-identical to pre-live code).
 	live *liveState
 
-	// logTick is the timeline-logging tick, bound once in Start so the
-	// periodic re-arm allocates no closure.
-	logTick func()
+	// logTick is the timeline-logging tick and underrunTick the underrun
+	// alarm, both bound once in Start so re-arming allocates no closure.
+	logTick      func()
+	underrunTick func()
 
 	res Result
 }
@@ -422,6 +428,12 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 			return nil, err
 		}
 	}
+	// Size the chunk log and the timeline for a session that plays the
+	// rest of the content with little stalling, so that a warm chunk
+	// request and logging tick append without growing them.
+	s.res.Chunks = make([]ChunkDecision, 0, s.numChunks[media.Video]-s.next[media.Video]+s.numChunks[media.Audio]-s.next[media.Audio])
+	samples := int((s.content.Duration - s.playPos) / cfg.LogInterval)
+	s.res.Timeline = make([]Sample, 0, samples+samples/32+2)
 
 	// Kick off downloading and timeline logging.
 	s.eng.Schedule(s.eng.Now(), s.loop[media.Video])
@@ -429,6 +441,7 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 		s.eng.Schedule(s.eng.Now(), s.loop[media.Audio])
 	}
 	s.logTick = s.logTimeline
+	s.underrunTick = s.onUnderrun
 	s.scheduleLog()
 	for _, at := range cfg.AudioResets {
 		at := at
@@ -536,10 +549,8 @@ func (s *Session) onFrontierAdvance() {
 // rescheduleUnderrun arms the alarm for the instant playback catches up with
 // the downloaded frontier (a stall) or reaches the end of the content.
 func (s *Session) rescheduleUnderrun() {
-	if s.underrun != nil {
-		s.eng.Cancel(s.underrun)
-		s.underrun = nil
-	}
+	s.eng.Cancel(s.underrun)
+	s.underrun = netsim.Handle{}
 	if !s.playing || s.ended {
 		return
 	}
@@ -557,11 +568,11 @@ func (s *Session) rescheduleUnderrun() {
 	if at < now {
 		at = now
 	}
-	s.underrun = s.eng.Schedule(at, s.onUnderrun)
+	s.underrun = s.eng.Schedule(at, s.underrunTick)
 }
 
 func (s *Session) onUnderrun() {
-	s.underrun = nil
+	s.underrun = netsim.Handle{}
 	now := s.eng.Now()
 	s.syncPlay(now)
 	if s.live != nil && s.content.Duration-s.playPos < time.Microsecond {
@@ -603,13 +614,11 @@ func (s *Session) finish(now time.Duration) {
 // generation counters, and the underrun alarm is disarmed. After teardown
 // the session schedules nothing further.
 func (s *Session) teardown() {
-	for t := range s.transfers {
+	for t := range s.current {
 		s.cancelStream(media.Type(t))
 	}
-	if s.underrun != nil {
-		s.eng.Cancel(s.underrun)
-		s.underrun = nil
-	}
+	s.eng.Cancel(s.underrun)
+	s.underrun = netsim.Handle{}
 	s.collectTransport()
 	s.collectLive()
 }
@@ -894,11 +903,13 @@ func (s *Session) cancelStream(t media.Type) float64 {
 	s.gen[t]++
 	s.inflight[t] = false
 	var moved float64
-	if tr := s.transfers[t]; tr != nil && !tr.Completed() {
-		moved = tr.Done()
-		s.links[t].Cancel(tr)
+	if r := s.current[t]; r != nil && !r.tr.Completed() {
+		r.refs++ // the cancel may deliver a completion that lets go of r
+		moved = r.tr.Done()
+		r.cancelWire()
+		r.unref()
 	}
-	s.transfers[t] = nil
+	s.setCurrent(t, nil)
 	return moved
 }
 
@@ -978,6 +989,17 @@ func (s *Session) resetAudio(at time.Duration) {
 // request is one wire attempt at one chunk: every chunk request, demuxed
 // or muxed, first try or retry, goes through it. Its methods are the
 // transfer's callbacks and the request's timers.
+//
+// Records are recycled through the session's freelist with their
+// callbacks bound once, so they are reference counted: each holder below
+// owns one reference, and the record (with its transfer, see
+// netsim.Transfer.Release) goes back to the freelist when the last is
+// dropped. The holders are the code that created it until that code
+// returns (startRequest) or hands it to a timer (retryAfter); each
+// pending timer bound to it (retry start, fail-fast, timeout); its
+// transfer while that can still call back (wire); and the session while
+// it is the type's current request. A timer's reference, and the wire
+// reference in onComplete, hold the record until its callback returns.
 type request struct {
 	s     *Session
 	t     media.Type
@@ -996,21 +1018,104 @@ type request struct {
 	gen       int
 	decidedAt time.Duration
 	tr        *netsim.Transfer
-	timeout   *netsim.Event
+	timeout   netsim.Handle
 	// then is the loop's continuation, run once the chunk is downloaded.
 	then func()
+
+	refs int
+	wire bool // tr may still call onComplete or onSample
+	cb   requestCallbacks
+}
+
+// requestCallbacks are a record's method values, bound when the record is
+// first made and kept across reuse.
+type requestCallbacks struct {
+	retry, failFast, onTimeout func()
+	onComplete                 func(*netsim.Transfer)
+	onSample                   func(*netsim.Transfer, float64, time.Duration)
+}
+
+// newRequest takes a record from the freelist, or makes one, for an
+// attempt at chunk idx of stream t. The caller owns its first reference.
+func (s *Session) newRequest(t media.Type, idx int, track, muxedWith *media.Track, attempt int, then func()) *request {
+	var r *request
+	if k := len(s.freeReqs); k > 0 {
+		r = s.freeReqs[k-1]
+		s.freeReqs[k-1] = nil
+		s.freeReqs = s.freeReqs[:k-1]
+	} else {
+		r = &request{s: s}
+		r.cb = requestCallbacks{
+			retry: r.retry, failFast: r.failFast, onTimeout: r.onTimeout,
+			onComplete: r.onComplete, onSample: r.onSample,
+		}
+	}
+	r.t, r.idx, r.track, r.muxedWith, r.attempt, r.gen, r.then = t, idx, track, muxedWith, attempt, s.gen[t], then
+	r.refs = 1
+	return r
+}
+
+// recycleRequests is a test seam: false leaves unreferenced records and
+// their transfers to the GC instead of reusing them, so differential tests
+// can check that recycling never changes a session.
+var recycleRequests = true
+
+// unref drops one reference; the last one recycles the record and
+// releases its transfer to the link.
+func (r *request) unref() {
+	r.refs--
+	if r.refs > 0 || !recycleRequests {
+		return
+	}
+	s := r.s
+	if r.tr != nil {
+		r.tr.Release()
+	}
+	*r = request{s: s, cb: r.cb}
+	s.freeReqs = append(s.freeReqs, r)
+}
+
+// setCurrent makes r (nil for none) stream t's current request.
+func (s *Session) setCurrent(t media.Type, r *request) {
+	old := s.current[t]
+	if r != nil {
+		r.refs++
+	}
+	s.current[t] = r
+	if old != nil {
+		old.unref()
+	}
+}
+
+// cancelWire cancels r's transfer. Once it is off the wire it calls r
+// back no more, so the wire reference goes; a cancel that completes the
+// transfer at this very instant has run onComplete, which dropped it.
+func (r *request) cancelWire() {
+	r.s.links[r.t].Cancel(r.tr)
+	if r.wire && r.tr.Cancelled() {
+		r.wire = false
+		r.unref()
+	}
 }
 
 // startRequest makes the first attempt at a chunk.
 func (s *Session) startRequest(t media.Type, idx int, track, muxedWith *media.Track, attempt int, then func()) {
-	r := &request{s: s, t: t, idx: idx, track: track, muxedWith: muxedWith, attempt: attempt, gen: s.gen[t], then: then}
+	r := s.newRequest(t, idx, track, muxedWith, attempt, then)
 	r.start()
+	r.unref()
 }
 
 // retryAfter schedules another attempt at r's chunk, on track, after d.
+// The new record's first reference passes to the timer.
 func (r *request) retryAfter(d time.Duration, track *media.Track, attempt int) {
-	next := &request{s: r.s, t: r.t, idx: r.idx, track: track, attempt: attempt, gen: r.s.gen[r.t], then: r.then}
-	r.s.eng.After(d, next.start)
+	next := r.s.newRequest(r.t, r.idx, track, nil, attempt, r.then)
+	r.s.eng.After(d, next.cb.retry)
+}
+
+// retry is the backoff timer set by retryAfter.
+func (r *request) retry() {
+	r.start()
+	r.unref()
 }
 
 // stale reports that the session ended or the stream's generation moved
@@ -1074,7 +1179,8 @@ func (r *request) start() {
 		case faults.HTTP404, faults.HTTP503:
 			// Fail fast after the request round trip; no bytes move, so
 			// the model's estimator sees nothing.
-			s.eng.After(s.links[t].RTT, r.failFast)
+			r.refs++
+			s.eng.After(s.links[t].RTT, r.cb.failFast)
 			return
 		case faults.Timeout:
 			// The response never arrives. With no timeout policy the
@@ -1084,7 +1190,8 @@ func (r *request) start() {
 				r.recordFault(r.fault.Kind, 0)
 				return
 			}
-			s.eng.After(s.pol.RequestTimeout, r.failFast)
+			r.refs++
+			s.eng.After(s.pol.RequestTimeout, r.cb.failFast)
 			return
 		case faults.HandshakeFail:
 			// The connection attempt dies in setup: its round trips are
@@ -1095,7 +1202,8 @@ func (r *request) start() {
 			if c := s.conns[t]; c != nil {
 				d = c.FailHandshake()
 			}
-			s.eng.After(d, r.failFast)
+			r.refs++
+			s.eng.After(d, r.cb.failFast)
 			return
 		case faults.Migration:
 			// Not a failure: the network path changed under the client.
@@ -1122,13 +1230,13 @@ func (r *request) start() {
 		At:         s.rel(now),
 		Concurrent: s.links[t].ActiveTransfers() + 1,
 	})
-	opts := netsim.StartOptions{Label: t.String(), OnComplete: r.onComplete}
+	opts := netsim.StartOptions{Label: t.String(), OnComplete: r.cb.onComplete}
 	if r.muxedWith != nil {
 		opts.Label = "muxed"
 	}
 	if s.cfg.SampleInterval > 0 {
 		opts.SampleEvery = s.cfg.SampleInterval
-		opts.OnSample = r.onSample
+		opts.OnSample = r.cb.onSample
 	}
 	if s.cfg.OnRequest != nil {
 		opts.ExtraDelay = s.cfg.OnRequest(ChunkRequest{
@@ -1144,24 +1252,35 @@ func (r *request) start() {
 	}
 	opts.ExtraDelay += transportDelay
 	r.tr = s.startWire(t, wireSize, opts)
-	s.transfers[t] = r.tr
+	r.wire = true
+	r.refs++
+	s.setCurrent(t, r)
 	// Per-request timeout: a transfer stuck behind an outage (or just too
 	// slow) is cancelled and handed to the failure path.
 	if s.pol != nil && s.pol.RequestTimeout > 0 {
-		r.timeout = s.eng.After(s.pol.RequestTimeout, r.onTimeout)
+		r.refs++
+		r.timeout = s.eng.After(s.pol.RequestTimeout, r.cb.onTimeout)
 	}
 }
 
 // onComplete is the transfer's completion: a faulted body fails the
-// attempt, a whole one advances the stream.
+// attempt, a whole one advances the stream. The transfer calls back no
+// more, and its wire reference holds r until the callback returns.
 func (r *request) onComplete(tr *netsim.Transfer) {
+	r.wire = false
+	r.complete(tr)
+	r.unref()
+}
+
+func (r *request) complete(tr *netsim.Transfer) {
 	s := r.s
 	if s.ended {
 		return // teardown raced this completion on a shared engine
 	}
-	if r.timeout != nil {
+	if r.timeout.Pending() {
 		s.eng.Cancel(r.timeout)
-		r.timeout = nil
+		r.timeout = netsim.Handle{}
+		r.unref()
 	}
 	t := r.t
 	done := s.eng.Now()
@@ -1237,25 +1356,31 @@ func (r *request) onSample(tr *netsim.Transfer, bytes float64, interval time.Dur
 	}
 }
 
-// onTimeout is the per-request timeout firing.
+// onTimeout is the per-request timeout firing; the timer's reference
+// holds r until it returns.
 func (r *request) onTimeout() {
+	r.timeout = netsim.Handle{}
+	r.timedOut()
+	r.unref()
+}
+
+func (r *request) timedOut() {
 	s := r.s
-	r.timeout = nil
 	tr := r.tr
 	// Drop if the session ended, a reset discarded the stream, the
 	// transfer was abandoned-and-replaced (it is no longer the type's
 	// current transfer), it completed, or it was cancelled. The Cancelled
 	// check is load-bearing: an abandoned transfer's replacement request
 	// can fail fast (404/503/hung response) without starting a transfer,
-	// which leaves s.transfers[t] still pointing at the abandoned one —
+	// which leaves s.current[t] still pointing at the abandoned one —
 	// without the check this stale timer would time out the abandoned
 	// attempt and fork a second retry chain for the same chunk,
 	// double-counting the retry and eventually calling the chunk's
 	// completion continuation twice.
-	if r.stale() || s.transfers[r.t] != tr || tr.Completed() || tr.Cancelled() {
+	if r.stale() || s.current[r.t] != r || tr.Completed() || tr.Cancelled() {
 		return
 	}
-	s.links[r.t].Cancel(tr)
+	r.cancelWire()
 	if tr.Completed() {
 		return // the last byte arrived at this very instant
 	}
@@ -1271,11 +1396,12 @@ func (r *request) onTimeout() {
 
 // failFast fails an attempt that put no transfer on the wire (an error
 // response, a hung response under a timeout policy, a failed handshake).
+// The timer's reference holds r until it returns.
 func (r *request) failFast() {
-	if r.stale() {
-		return
+	if !r.stale() {
+		r.s.failChunk(r, r.fault.Kind, 0)
 	}
-	r.s.failChunk(r, r.fault.Kind, 0)
+	r.unref()
 }
 
 // closePartial closes the model's view of a transfer that ended early (a
@@ -1315,7 +1441,7 @@ func (r *request) maybeAbandon(tr *netsim.Transfer) {
 	if repl.Type != t {
 		panic(fmt.Sprintf("player: model %q abandoned to a %s track for a %s download", s.cfg.Model.Name(), repl.Type, t))
 	}
-	s.links[t].Cancel(tr)
+	r.cancelWire()
 	s.closePartial(t, tr, now)
 	s.res.Abandonments = append(s.res.Abandonments, Abandonment{
 		Index: r.idx, Type: t, From: r.track, To: repl, At: s.rel(now),
@@ -1328,6 +1454,8 @@ func (r *request) maybeAbandon(tr *netsim.Transfer) {
 		})
 	}
 	s.lastSel[t] = repl
+	// The replacement displaces r as the stream's current request, which
+	// can recycle r: this is the last use of it.
 	s.startRequest(t, r.idx, repl, nil, r.attempt+1, r.then)
 }
 
