@@ -39,8 +39,9 @@
 #                    keeps byte-identical manifests and chunk sizes
 #                    (uniform zero-cost, pinned by the golden manifests)
 #  12. benchmem      fleet benchmarks, the MPC decision benchmark and the
-#                    engine and uplink-tick benchmarks compile and run
-#                    once, so the allocs/op trajectory is always measurable
+#                    engine fleet-mix, engine lane-mix and uplink-tick
+#                    benchmarks compile and run once, so the allocs/op
+#                    trajectory is always measurable
 #  13. allocs        the fleet allocation ratchet (TestFleetAllocsPerSession)
 #                    without the race detector, which skips it in step 3
 #                    because it changes allocation counts
@@ -112,7 +113,7 @@ echo "== benchmem smoke (1 iteration per fleet benchmark, the MPC decision bench
 go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCDNCacheSweep|BenchmarkFleet|BenchmarkLiveSession' \
 	-benchtime=1x -benchmem .
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
-go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
+go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
 echo "== fleet allocation ratchet (allocs per session, no race detector)"
 go test -count=1 -run 'TestFleetAllocsPerSession' ./internal/fleet

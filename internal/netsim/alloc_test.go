@@ -107,6 +107,15 @@ func TestEngineFleetMixAllocFree(t *testing.T) {
 	}
 }
 
+// TestEngineLaneMixAllocFree pins BenchmarkEngineLaneMix at 0 allocs/op:
+// a warm engine firing from its lanes and its heap allocates nothing.
+func TestEngineLaneMixAllocFree(t *testing.T) {
+	eng := laneMixEngine()
+	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
+		t.Fatalf("warm lane-mix event allocates %.2f objects, want 0", allocs)
+	}
+}
+
 // TestUplinkTickAllocFree pins BenchmarkUplinkTick at 0 allocs/op: a warm
 // sample tick on a 16-leaf, 32-transfer tree allocates nothing.
 func TestUplinkTickAllocFree(t *testing.T) {

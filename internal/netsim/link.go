@@ -32,6 +32,9 @@ type Link struct {
 	finished []*Transfer
 	// free holds released transfers for reuse by prepare (see Release).
 	free []*Transfer
+	// sampleLane is the engine's lane for the last sampling interval a
+	// transfer asked for (see scheduleSample).
+	sampleLane *Lane
 
 	// outages are blackout windows during which capacity is zero
 	// regardless of the profile (fault-injection link failures).
@@ -472,13 +475,18 @@ func (l *Link) activate(tr *Transfer) {
 	l.reschedule()
 }
 
-// scheduleSample arms the next δ-sample tick. The tick func is bound once
-// per transfer, so a warm tick allocates nothing.
+// scheduleSample arms the next δ-sample tick on the engine's lane for the
+// interval, which the link caches. The tick func is bound once per
+// transfer, so a warm tick allocates nothing.
 func (tr *Transfer) scheduleSample() {
 	if tr.sampleTick == nil {
 		tr.sampleTick = tr.sample
 	}
-	tr.sampleEv = tr.link.eng.After(tr.sampleEvery, tr.sampleTick)
+	l := tr.link
+	if l.sampleLane == nil || l.sampleLane.d != tr.sampleEvery {
+		l.sampleLane = l.eng.Lane(tr.sampleEvery)
+	}
+	tr.sampleEv = l.sampleLane.Add(tr.sampleTick)
 }
 
 // sample reports the bytes moved since the last tick and re-arms. The

@@ -11,7 +11,8 @@ import (
 // simulation output) is independent of the queue chosen. quadHeap is the
 // implementation; a binary heap, kept in heapqueue_test.go as the
 // reference ordering oracle, proves it byte-identical on randomized
-// schedule/cancel workloads (TestCalendarMatchesHeapOrder).
+// schedule/cancel workloads (TestQueueMatchesHeapOrder), with the engine's
+// lanes merged in.
 type eventQueue interface {
 	push(*Event)
 	// peek returns the minimum-(at, seq) event without removing it, or nil
@@ -25,15 +26,15 @@ type eventQueue interface {
 	len() int
 }
 
-// heapEntry is one quadHeap slot. The (at, seq) key is copied inline so
-// that sifting compares keys without dereferencing the events, and the
-// event is named by its index in the heap's event table rather than by a
-// pointer: the entries hold no pointers, so sifting them costs no GC write
-// barriers and the GC never scans the heap array.
+// heapEntry is one quadHeap or Lane slot. The (at, seq) key is copied
+// inline so that sifting compares keys without dereferencing the events,
+// and the event is named by its index in the engine's event table rather
+// than by a pointer: the entries hold no pointers, so moving them costs no
+// GC write barriers and the GC never scans the arrays.
 type heapEntry struct {
 	at  time.Duration
 	seq uint64
-	ev  int32 // index into quadHeap.events
+	ev  int32 // index into Engine.events
 }
 
 // quadHeap is a 4-ary min-heap on (at, seq). Keys are unique (seq is), so
@@ -43,10 +44,9 @@ type heapEntry struct {
 // Cancel removes it in O(log n).
 type quadHeap struct {
 	h []heapEntry
-	// events lists every Event ever pushed, at index Event.ref-1; the
-	// engine pools its events, so the table stays at the engine's
-	// high-water mark of live events.
-	events []*Event
+	// events is the engine's event table; the engine pools its events, so
+	// it stays at the high-water mark of live events.
+	events *[]*Event
 }
 
 func (q *quadHeap) len() int { return len(q.h) }
@@ -55,15 +55,11 @@ func (q *quadHeap) peek() *Event {
 	if len(q.h) == 0 {
 		return nil
 	}
-	return q.events[q.h[0].ev]
+	return (*q.events)[q.h[0].ev]
 }
 
 func (q *quadHeap) push(ev *Event) {
-	if ev.ref == 0 {
-		q.events = append(q.events, ev)
-		ev.ref = int32(len(q.events))
-	}
-	q.h = append(q.h, heapEntry{at: ev.at, seq: ev.seq, ev: ev.ref - 1})
+	q.h = append(q.h, heapEntry{at: ev.at, seq: ev.seq, ev: ev.ref})
 	q.up(len(q.h) - 1)
 }
 
@@ -71,7 +67,7 @@ func (q *quadHeap) pop() *Event {
 	if len(q.h) == 0 {
 		return nil
 	}
-	ev := q.events[q.h[0].ev]
+	ev := (*q.events)[q.h[0].ev]
 	q.removeAt(0)
 	ev.idx = -1
 	return ev
@@ -102,7 +98,7 @@ func (q *quadHeap) removeAt(i int) {
 // up moves the entry at slot i toward the root until its parent is
 // smaller, updating the idx of every event it passes.
 func (q *quadHeap) up(i int) {
-	h := q.h
+	h, events := q.h, *q.events
 	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
@@ -110,11 +106,11 @@ func (q *quadHeap) up(i int) {
 			break
 		}
 		h[i] = h[p]
-		q.events[h[i].ev].idx = i
+		events[h[i].ev].idx = i
 		i = p
 	}
 	h[i] = x
-	q.events[x.ev].idx = i
+	events[x.ev].idx = i
 }
 
 // down moves the entry at slot i toward the leaves until no child is
@@ -122,7 +118,7 @@ func (q *quadHeap) up(i int) {
 // children is reduced as a branch-free tournament: which child is
 // smallest is unpredictable, so branching on it stalls more than it saves.
 func (q *quadHeap) down(i int) {
-	h := q.h
+	h, events := q.h, *q.events
 	n := len(h)
 	x := h[i]
 	for {
@@ -140,18 +136,18 @@ func (q *quadHeap) down(i int) {
 			}
 		default:
 			h[i] = x
-			q.events[x.ev].idx = i
+			events[x.ev].idx = i
 			return
 		}
 		if heapLess(h[m], x) == 0 {
 			break
 		}
 		h[i] = h[m]
-		q.events[h[i].ev].idx = i
+		events[h[i].ev].idx = i
 		i = m
 	}
 	h[i] = x
-	q.events[x.ev].idx = i
+	events[x.ev].idx = i
 }
 
 // heapLess reports 1 if a precedes b in (at, seq) order, else 0. It

@@ -3,21 +3,32 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
 
-// queueOp is one step of a randomized workload: schedule, cancel, step, or
-// run-until.
+// queueOp is one step of a randomized workload: schedule, cancel, step,
+// run-until, or lane add.
 type queueOp struct {
-	kind  int // 0 schedule, 1 cancel, 2 step, 3 run-until
+	kind  int // 0 schedule, 1 cancel, 2 step, 3 run-until, 4 lane add
 	delay time.Duration
 	pick  int  // which live event to cancel
 	far   bool // cancel only among events scheduled farDelay or more ahead
+	lane  bool // cancel only among lane events
 }
 
 // farDelay separates the far events of fleetDelay's mix from the near ones.
 const farDelay = 10 * time.Second
+
+// laneDelays are the lane delays the workloads add through: a zero delay,
+// the δ-sample tick and the logging tick.
+var laneDelays = [...]time.Duration{0, 125 * time.Millisecond, 500 * time.Millisecond}
+
+// laneAdd draws a lane add.
+func laneAdd(rng *rand.Rand) queueOp {
+	return queueOp{kind: 4, delay: laneDelays[rng.Intn(len(laneDelays))]}
+}
 
 // fleetDelay draws a scheduling delay from the pending mix measured in a
 // 16-session fleet cell: about 65% of pending events are due within 1 s
@@ -42,11 +53,15 @@ func fleetDelay(rng *rand.Rand) time.Duration {
 // and small quantized delays) so the seq tie-break is exercised constantly.
 // RunUntil ops (often targeting a time before the next pending event, so the
 // probe peeks without popping) interleave with later schedules to cover the
-// persisted-peek cursor states.
+// persisted-peek cursor states. Lane adds land on the same instants as
+// heap schedules (both draw multiples of 25 ms often), and cancels hit
+// both.
 func randomOps(rng *rand.Rand, n int) []queueOp {
 	ops := make([]queueOp, n)
 	for i := range ops {
-		switch r := rng.Intn(10); {
+		switch r := rng.Intn(12); {
+		case r >= 10:
+			ops[i] = laneAdd(rng)
 		case r < 5:
 			d := time.Duration(rng.Intn(50)) * time.Millisecond
 			if rng.Intn(4) == 0 {
@@ -70,8 +85,10 @@ func randomOps(rng *rand.Rand, n int) []queueOp {
 // the queue to about 50 pending events with fleetDelay's mix and holds it
 // there, interleaving steps, short RunUntil probes, and cancels of far
 // events (a chunk arrival re-arming its session's underrun timer) that
-// keep the far share near 30%. The near/far counts are the generator's estimate; a
-// RunUntil probe pops about half a near event on average.
+// keep the far share near 30%. A third of the near events are lane adds
+// (sample and logging ticks), and some cancels hit lane events (a
+// completed request's timeout). The near/far counts are the generator's
+// estimate; a RunUntil probe pops about half a near event on average.
 func fleetOps(rng *rand.Rand, n int) []queueOp {
 	ops := make([]queueOp, n)
 	near, far := 0, 0
@@ -82,6 +99,9 @@ func fleetOps(rng *rand.Rand, n int) []queueOp {
 			if near > 0 && rng.Intn(2) == 0 {
 				near--
 			}
+		case near > 0 && rng.Intn(25) == 0:
+			ops[i] = queueOp{kind: 1, pick: rng.Int(), lane: true}
+			near--
 		case near+far < 50:
 			d := fleetDelay(rng)
 			ops[i] = queueOp{kind: 0, delay: d}
@@ -89,6 +109,9 @@ func fleetOps(rng *rand.Rand, n int) []queueOp {
 				far++
 			} else {
 				near++
+				if rng.Intn(3) == 0 {
+					ops[i] = laneAdd(rng)
+				}
 			}
 		case far > 15:
 			ops[i] = queueOp{kind: 1, pick: rng.Int(), far: true}
@@ -107,31 +130,38 @@ func fleetOps(rng *rand.Rand, n int) []queueOp {
 
 // replay runs ops against an engine and returns the (time, tag) firing
 // sequence. Tags are assigned in schedule order, so identical sequences mean
-// identical event ordering, including tie-breaks.
-func replay(e *Engine, ops []queueOp) []string {
+// identical event ordering, including tie-breaks. With lanes set, lane adds
+// go through the engine's lanes; otherwise they are scheduled with After,
+// as the reference engine does.
+func replay(e *Engine, ops []queueOp, lanes bool) []string {
 	var fired []string
 	live := map[int]Handle{}
 	far := map[int]bool{}
+	onLane := map[int]bool{}
 	tag := 0
 	for _, op := range ops {
 		switch op.kind {
-		case 0:
+		case 0, 4:
 			id := tag
 			tag++
-			var ev Handle
-			ev = e.After(op.delay, func() {
+			fn := func() {
 				delete(live, id)
 				fired = append(fired, fmt.Sprintf("%d@%v", id, e.Now()))
-			})
-			live[id] = ev
+			}
+			if op.kind == 4 && lanes {
+				live[id] = e.Lane(op.delay).Add(fn)
+			} else {
+				live[id] = e.After(op.delay, fn)
+			}
 			far[id] = op.delay >= farDelay
+			onLane[id] = op.kind == 4
 		case 1:
 			// Deterministic pick: lowest eligible live id >= pick mod
 			// (tag+1), else the lowest eligible one.
 			want := op.pick % (tag + 1)
 			best, lowest := -1, -1
 			for id := range live {
-				if op.far && !far[id] {
+				if op.far && !far[id] || op.lane && !onLane[id] {
 					continue
 				}
 				if lowest == -1 || id < lowest {
@@ -160,20 +190,21 @@ func replay(e *Engine, ops []queueOp) []string {
 	return fired
 }
 
-// TestCalendarMatchesHeapOrder is the equivalence proof for the engine's
-// queue: on randomized schedule/cancel/step workloads — one with dense
-// timestamp collisions, one with a fleet cell's pending mix — the engine
-// fires exactly the same events at exactly the same times in exactly the
-// same order as with the reference binary heap.
-func TestCalendarMatchesHeapOrder(t *testing.T) {
+// TestQueueMatchesHeapOrder is the equivalence proof for the engine's
+// queue and lanes: on randomized schedule/lane-add/cancel/step workloads —
+// one with dense timestamp collisions, one with a fleet cell's pending
+// mix — the engine fires exactly the same events at exactly the same times
+// in exactly the same order as the reference binary heap given every
+// event through After.
+func TestQueueMatchesHeapOrder(t *testing.T) {
 	for _, mix := range []struct {
 		name string
 		ops  func(*rand.Rand, int) []queueOp
 	}{{"collisions", randomOps}, {"fleet", fleetOps}} {
 		for seed := int64(0); seed < 20; seed++ {
 			ops := mix.ops(rand.New(rand.NewSource(seed)), 2000)
-			want := replay(newEngineWithQueue(&heapQueue{}), ops)
-			got := replay(NewEngine(), ops)
+			want := replay(newEngineWithQueue(&heapQueue{}), ops, false)
+			got := replay(NewEngine(), ops, true)
 			if len(want) != len(got) {
 				t.Fatalf("%s seed %d: oracle fired %d events, engine %d", mix.name, seed, len(want), len(got))
 			}
@@ -186,9 +217,9 @@ func TestCalendarMatchesHeapOrder(t *testing.T) {
 	}
 }
 
-// TestCalendarSparseAndBurst covers a long empty gap and a burst of equal
+// TestQueueSparseAndBurst covers a long empty gap and a burst of equal
 // timestamps, which must fire purely in scheduling order.
-func TestCalendarSparseAndBurst(t *testing.T) {
+func TestQueueSparseAndBurst(t *testing.T) {
 	e := NewEngine()
 	var fired []int
 	// Burst: 100 events at the same instant.
@@ -213,9 +244,9 @@ func TestCalendarSparseAndBurst(t *testing.T) {
 	}
 }
 
-// TestCalendarResizeKeepsOrder grows the queue to 5000 events, several
+// TestQueueResizeKeepsOrder grows the queue to 5000 events, several
 // heap levels deep, then drains and checks global (at, seq) order.
-func TestCalendarResizeKeepsOrder(t *testing.T) {
+func TestQueueResizeKeepsOrder(t *testing.T) {
 	e := NewEngine()
 	rng := rand.New(rand.NewSource(7))
 	type key struct {
@@ -241,9 +272,9 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestCalendarRunUntilPeek pins RunUntil's peek path: events at exactly t
+// TestQueueRunUntilPeek pins RunUntil's peek path: events at exactly t
 // fire, events after t stay pending.
-func TestCalendarRunUntilPeek(t *testing.T) {
+func TestQueueRunUntilPeek(t *testing.T) {
 	e := NewEngine()
 	var fired []int
 	e.Schedule(10*time.Millisecond, func() { fired = append(fired, 0) })
@@ -258,10 +289,10 @@ func TestCalendarRunUntilPeek(t *testing.T) {
 	}
 }
 
-// TestCalendarScheduleAfterRunUntilPeek pins a peek without a pop:
+// TestQueueScheduleAfterRunUntilPeek pins a peek without a pop:
 // RunUntil's final peek sees a far event and leaves it pending, and a later
 // Schedule at an earlier time must still fire first.
-func TestCalendarScheduleAfterRunUntilPeek(t *testing.T) {
+func TestQueueScheduleAfterRunUntilPeek(t *testing.T) {
 	e := NewEngine()
 	var fired []time.Duration
 	record := func() { fired = append(fired, e.Now()) }
@@ -281,8 +312,74 @@ func TestCalendarScheduleAfterRunUntilPeek(t *testing.T) {
 	}
 }
 
-func benchQueue(b *testing.B, mk func() eventQueue, pending int) {
-	e := newEngineWithQueue(mk())
+// TestLaneStaleHandleAfterHeapReuse pins the lane entry's generation: a
+// cancelled lane event goes straight back to the freelist while its entry
+// stays in the ring, a heap Schedule reuses the Event, and a Cancel
+// through the old handle must then leave the new occupant alone. The dead
+// entry must not fire, and the heap event must fire at its own time.
+func TestLaneStaleHandleAfterHeapReuse(t *testing.T) {
+	e := NewEngine()
+	lane := e.Lane(125 * time.Millisecond)
+	var fired []string
+	old := lane.Add(func() { fired = append(fired, "old") })
+	lane.Add(func() { fired = append(fired, "lane@"+e.Now().String()) })
+	e.Cancel(old)
+	cur := e.Schedule(200*time.Millisecond, func() { fired = append(fired, "heap@"+e.Now().String()) })
+	if cur.ev != old.ev {
+		t.Fatal("the cancelled lane event was not recycled by the next Schedule")
+	}
+	if old.Pending() || !cur.Pending() || e.Pending() != 2 {
+		t.Fatalf("old pending %v, new pending %v, engine pending %d; want false, true, 2", old.Pending(), cur.Pending(), e.Pending())
+	}
+	e.Cancel(old) // stale: names the event's previous occupancy, on the lane
+	if !cur.Pending() || e.Pending() != 2 {
+		t.Fatalf("a stale lane handle cancelled the heap event that reused its Event (pending %d)", e.Pending())
+	}
+	if err := e.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"lane@125ms", "heap@200ms"}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending %d after the run, want 0", e.Pending())
+	}
+}
+
+// TestLaneRunUntilPeek pins RunUntil's peek at a lane head: a lane event
+// after t stays pending while the clock moves to t, a heap event scheduled
+// afterwards at an earlier time fires first, and events at exactly t fire
+// from both the heap and the lane in scheduling order, past a dead lane
+// head.
+func TestLaneRunUntilPeek(t *testing.T) {
+	e := NewEngine()
+	lane := e.Lane(50 * time.Millisecond)
+	var fired []string
+	record := func(name string) func() {
+		return func() { fired = append(fired, fmt.Sprintf("%s@%v", name, e.Now())) }
+	}
+	lane.Add(record("a"))
+	e.RunUntil(10 * time.Millisecond) // peeks the lane head at 50ms
+	if len(fired) != 0 || e.Pending() != 1 || e.Now() != 10*time.Millisecond {
+		t.Fatalf("RunUntil(10ms): fired %v, pending %d, clock %v; want none, 1, 10ms", fired, e.Pending(), e.Now())
+	}
+	e.Schedule(15*time.Millisecond, record("b"))
+	e.Schedule(60*time.Millisecond, record("c"))
+	dead := lane.Add(record("dead")) // due at 60ms, cancelled before it reaches the head
+	lane.Add(record("d"))            // due at 60ms, after c in scheduling order
+	e.Cancel(dead)
+	e.RunUntil(60 * time.Millisecond)
+	want := []string{"b@15ms", "a@50ms", "c@60ms", "d@60ms"}
+	if !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	if e.Pending() != 0 || e.Now() != 60*time.Millisecond {
+		t.Fatalf("pending %d, clock %v; want 0, 60ms", e.Pending(), e.Now())
+	}
+}
+
+func benchQueue(b *testing.B, mk func() *Engine, pending int) {
+	e := mk()
 	for i := 0; i < pending; i++ {
 		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
@@ -298,7 +395,7 @@ func benchQueue(b *testing.B, mk func() eventQueue, pending int) {
 func BenchmarkQueueHeap(b *testing.B) {
 	for _, p := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("pending-%d", p), func(b *testing.B) {
-			benchQueue(b, func() eventQueue { return &heapQueue{} }, p)
+			benchQueue(b, func() *Engine { return newEngineWithQueue(&heapQueue{}) }, p)
 		})
 	}
 }
@@ -306,7 +403,7 @@ func BenchmarkQueueHeap(b *testing.B) {
 func BenchmarkQueueQuadHeap(b *testing.B) {
 	for _, p := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("pending-%d", p), func(b *testing.B) {
-			benchQueue(b, func() eventQueue { return &quadHeap{} }, p)
+			benchQueue(b, NewEngine, p)
 		})
 	}
 }
@@ -353,6 +450,58 @@ func fleetMixEngine() *Engine {
 // re-arm — with a fleet cell's pending mix in the queue.
 func BenchmarkEngineFleetMix(b *testing.B) {
 	e := fleetMixEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// laneMixEngine returns a warm engine shaped like a fleet cell after its
+// fixed cadences moved to lanes: 16 δ-tickers re-arming on the 125 ms
+// lane (eight sessions' audio and video transfers), the sessions' eight
+// logging ticks on the 500 ms lane, and a heap mix of 18 self-rearming
+// variable-delay events (2 near, 2 mid, 14 far) in fleetDelay's classes.
+func laneMixEngine() *Engine {
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct{ n, min, max int }{{2, 0, 1000}, {2, 1000, 10_000}, {14, 10_000, 100_000}} {
+		for i := 0; i < c.n; i++ {
+			delays := make([]time.Duration, 64)
+			for j := range delays {
+				delays[j] = ms(c.min + rng.Intn(c.max-c.min))
+			}
+			k := 0
+			var rearm func()
+			rearm = func() {
+				k = (k + 1) % len(delays)
+				e.After(delays[k], rearm)
+			}
+			e.After(delays[0], rearm)
+		}
+	}
+	for _, c := range []struct {
+		n int
+		d time.Duration
+	}{{16, 125 * time.Millisecond}, {8, 500 * time.Millisecond}} {
+		lane := e.Lane(c.d)
+		for i := 0; i < c.n; i++ {
+			var tick func()
+			tick = func() { lane.Add(tick) }
+			e.After(ms(rng.Intn(int(c.d/time.Millisecond))), tick) // stagger the phases
+		}
+	}
+	for i := 0; i < 1000; i++ { // warm the freelist and the rings
+		e.Step()
+	}
+	return e
+}
+
+// BenchmarkEngineLaneMix times one warm event firing — pick the earliest
+// of the heap top and the lane heads, pop, callback, re-arm — with a
+// fleet cell's cadences in lanes and its other events in the heap.
+func BenchmarkEngineLaneMix(b *testing.B) {
+	e := laneMixEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

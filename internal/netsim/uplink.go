@@ -28,13 +28,15 @@ type Uplink struct {
 	wakeTick   func() // onWake, bound once in NewUplink
 
 	// version counts active-set and outage mutations across the members
-	// (see Link.changed); the cached allocation and transfer count are
-	// stale once it moves.
+	// (see Link.changed); the cached allocation, transfer count and legs
+	// are stale once it moves.
 	version uint64
-	// total is the in-flight transfer count across the members, valid
-	// while totalVersion equals version.
+	// total is the in-flight transfer count across the members and legs
+	// lists the loaded members in member order, both valid while
+	// totalVersion equals version.
 	total        int
 	totalVersion uint64
+	legs         []leg
 	// rates holds the last allocation, computed at ratesAt under version
 	// ratesVersion. It stays exact for every t in [ratesAt, ratesUntil):
 	// ratesUntil is the earliest capacity breakpoint of the uplink or any
@@ -43,13 +45,14 @@ type Uplink struct {
 	ratesVersion        uint64
 	ratesAt, ratesUntil time.Duration
 
-	// Allocator scratch, reused across recomputes so steady-state event
-	// handling allocates nothing.
-	rates  []float64
-	frozen []bool
-	weight []float64
-	remain []float64
-	sat    []bool
+	// rates is the allocation, one rate per in-flight transfer in member
+	// order, reused across recomputes so steady-state event handling
+	// allocates nothing.
+	rates []float64
+	// filled, when non-nil, is called after every recompute of rates with
+	// the instant it was computed for; tests check each fill against a
+	// reference.
+	filled func(t time.Duration)
 
 	// rec, when non-nil, receives a LinkRate event each time the observed
 	// uplink capacity changes while the group is being integrated.
@@ -89,15 +92,37 @@ func (u *Uplink) NewLeaf(profile trace.Profile) *Link {
 	return l
 }
 
-// activeTotal counts in-flight transfers across all members. Every change
-// of a member's active set bumps version, so the count is recounted only
-// after one.
+// leg is one loaded member of the tree: a leaf with transfers in flight.
+// It holds no pointers, so rebuilding the list costs no write barriers.
+type leg struct {
+	member int32 // index in Uplink.members
+	off    int32 // index in rates of the member's first transfer
+	// weight is the member's transfer weights summed in transfer order —
+	// the per-weight divisor of its access constraint.
+	weight float64
+	// remain and frozen are the fill's state of the leg's constraint.
+	remain float64
+	frozen bool
+}
+
+// activeTotal counts in-flight transfers across all members and lists the
+// loaded ones as legs. Every change of a member's active set bumps
+// version, so both are rebuilt only after one.
 func (u *Uplink) activeTotal() int {
 	if u.totalVersion == u.version {
 		return u.total
 	}
+	u.legs = u.legs[:0]
 	n := 0
-	for _, l := range u.members {
+	for i, l := range u.members {
+		if len(l.active) == 0 {
+			continue
+		}
+		w := 0.0
+		for _, tr := range l.active {
+			w += tr.weight
+		}
+		u.legs = append(u.legs, leg{member: int32(i), off: int32(n), weight: w})
 		n += len(l.active)
 	}
 	u.total, u.totalVersion = n, u.version
@@ -108,57 +133,60 @@ func (u *Uplink) activeTotal() int {
 // transfer at time t, flattened in member order. While no member's active
 // set has changed and t lies before the next capacity breakpoint, the
 // inputs of the fill are those of the last call, so the cached vector is
-// returned as is; otherwise it is recomputed. Constraint 0 is the
-// uplink; constraint 1+i is member i. Progressive filling: raise every
-// unfrozen transfer's per-weight rate in lockstep until some constraint
-// saturates, freeze that constraint's transfers at the fill level, and
-// repeat with the remaining capacity. Every transfer loads the uplink
-// constraint, so the fill level is always finite, and each round freezes
-// at least one transfer — the loop runs at most len(members)+1 rounds.
+// returned as is; otherwise it is recomputed.
+//
+// Progressive filling: raise every unfrozen transfer's per-weight rate in
+// lockstep until some constraint — the uplink, or a loaded leg's access
+// link — saturates, freeze the transfers behind it at the fill level, and
+// repeat with the remaining capacity. A saturated constraint freezes every
+// unfrozen transfer it carries, and a leg's transfers share both of their
+// constraints, so they always freeze together: the fill tracks one frozen
+// flag and one remaining capacity per leg, not per transfer. The uplink
+// carries every unfrozen transfer, so the fill level is always finite, and
+// each round freezes at least one leg — the loop runs at most len(legs)+1
+// rounds.
+//
+// Two sums keep the order of a per-transfer fill, so the rates are the
+// same to the bit: the uplink's weight is summed transfer by transfer
+// over the unfrozen legs (adding the legs' totals would round
+// differently), and the uplink's remaining capacity is drawn down
+// transfer by transfer.
 func (u *Uplink) alloc(t time.Duration, total int) []float64 {
 	if u.ratesVersion == u.version && u.ratesAt <= t && t < u.ratesUntil {
 		return u.rates
 	}
 	u.ratesVersion, u.ratesAt, u.ratesUntil = u.version, t, u.nextChange(t)
-	nc := len(u.members) + 1
 	u.rates = growF(u.rates, total)
-	u.frozen = growB(u.frozen, total)
-	u.weight = growF(u.weight, nc)
-	u.remain = growF(u.remain, nc)
-	u.sat = growB(u.sat, nc)
-	for i := range u.rates {
-		u.rates[i] = 0
-		u.frozen[i] = false
+	legs := u.legs
+	for i := range legs {
+		legs[i].remain = u.members[legs[i].member].rateAt(t)
+		legs[i].frozen = false
 	}
-	u.remain[0] = float64(u.profile.RateAt(t))
-	for i, l := range u.members {
-		u.remain[1+i] = l.rateAt(t)
-	}
+	remain := float64(u.profile.RateAt(t))
 	for {
-		for c := range u.weight {
-			u.weight[c] = 0
-		}
-		k, unfrozen := 0, 0
-		for i, l := range u.members {
-			for _, tr := range l.active {
-				if !u.frozen[k] {
-					unfrozen++
-					u.weight[0] += tr.weight
-					u.weight[1+i] += tr.weight
-				}
-				k++
+		weight, unfrozen := 0.0, false
+		for _, g := range legs {
+			if g.frozen {
+				continue
+			}
+			unfrozen = true
+			for _, tr := range u.members[g.member].active {
+				weight += tr.weight
 			}
 		}
-		if unfrozen == 0 {
+		if !unfrozen {
+			if u.filled != nil {
+				u.filled(t)
+			}
 			return u.rates
 		}
 		// Fill level: the tightest per-weight capacity among loaded
 		// constraints. The uplink carries every unfrozen transfer, so the
 		// minimum exists.
-		fill := math.Inf(1)
-		for c := range u.remain {
-			if u.weight[c] > 0 {
-				if r := u.remain[c] / u.weight[c]; r < fill {
+		fill := remain / weight
+		for _, g := range legs {
+			if !g.frozen {
+				if r := g.remain / g.weight; r < fill {
 					fill = r
 				}
 			}
@@ -166,28 +194,30 @@ func (u *Uplink) alloc(t time.Duration, total int) []float64 {
 		if fill < 0 {
 			fill = 0
 		}
-		// Snapshot which constraints saturate at this fill level before
-		// mutating remaining capacity. The ratio comparison is exact for the
-		// arg-min (same division that produced fill) and catches ties.
-		for c := range u.remain {
-			u.sat[c] = u.weight[c] > 0 && u.remain[c]/u.weight[c] <= fill
-		}
-		k = 0
-		for i, l := range u.members {
-			for _, tr := range l.active {
-				if !u.frozen[k] && (u.sat[0] || u.sat[1+i]) {
-					r := fill * tr.weight
-					u.rates[k] = r
-					u.frozen[k] = true
-					u.remain[0] -= r
-					u.remain[1+i] -= r
-				}
+		// Whether the uplink saturates at this fill level is decided before
+		// its remaining capacity moves. The ratio comparison is exact for
+		// the arg-min (same division that produced fill) and catches ties.
+		upSat := remain/weight <= fill
+		for i := range legs {
+			g := &legs[i]
+			if g.frozen || !(upSat || g.remain/g.weight <= fill) {
+				continue
+			}
+			g.frozen = true
+			k := int(g.off)
+			for _, tr := range u.members[g.member].active {
+				r := fill * tr.weight
+				u.rates[k] = r
+				remain -= r
 				k++
 			}
 		}
-		for c := range u.remain {
-			if u.remain[c] < 0 {
-				u.remain[c] = 0
+		if remain < 0 {
+			remain = 0
+		}
+		for i := range legs {
+			if g := &legs[i]; !g.frozen && g.remain < 0 {
+				g.remain = 0
 			}
 		}
 	}
@@ -202,11 +232,8 @@ func (u *Uplink) nextChange(t time.Duration) time.Duration {
 	if bp, ok := u.profile.NextChange(t); ok {
 		next = bp
 	}
-	for _, l := range u.members {
-		if len(l.active) == 0 {
-			continue
-		}
-		if bp, ok := l.nextChange(t); ok && bp < next {
+	for _, g := range u.legs {
+		if bp, ok := u.members[g.member].nextChange(t); ok && bp < next {
 			next = bp
 		}
 	}
@@ -275,8 +302,8 @@ func (u *Uplink) advance() {
 		rates := u.alloc(u.lastUpdate, total)
 		elapsed := (now - u.lastUpdate).Seconds()
 		k := 0
-		for _, l := range u.members {
-			for _, tr := range l.active {
+		for _, g := range u.legs {
+			for _, tr := range u.members[g.member].active {
 				tr.done += rates[k] * elapsed / 8
 				if tr.done > float64(tr.size) {
 					tr.done = float64(tr.size)
@@ -316,8 +343,8 @@ func (u *Uplink) reschedule() {
 	// after now.
 	next := u.ratesUntil
 	k := 0
-	for _, l := range u.members {
-		for _, tr := range l.active {
+	for _, g := range u.legs {
+		for _, tr := range u.members[g.member].active {
 			if r := rates[k]; r > 0 {
 				remaining := float64(tr.size) - tr.done
 				eta := now + time.Duration(remaining*8/r*float64(time.Second))
@@ -348,14 +375,6 @@ func (u *Uplink) onWake() {
 func growF(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growB returns s resized to n, reallocating only on capacity growth.
-func growB(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
 	}
 	return s[:n]
 }

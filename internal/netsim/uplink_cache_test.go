@@ -74,6 +74,94 @@ func checkCache(t *testing.T, u *Uplink, step int) int {
 	return checked
 }
 
+// allocReference is the per-transfer progressive fill the leg fill
+// replaced, kept as its oracle: it recomputes the weighted max-min rates of
+// u's transfers at t from scratch, with a frozen flag per transfer and a
+// weight, remaining capacity and saturation flag per constraint
+// (constraint 0 the uplink, 1+i member i), rezeroed every round.
+func allocReference(u *Uplink, t time.Duration) []float64 {
+	total := 0
+	for _, l := range u.members {
+		total += len(l.active)
+	}
+	nc := len(u.members) + 1
+	rates := make([]float64, total)
+	frozen := make([]bool, total)
+	weight := make([]float64, nc)
+	remain := make([]float64, nc)
+	sat := make([]bool, nc)
+	remain[0] = float64(u.profile.RateAt(t))
+	for i, l := range u.members {
+		remain[1+i] = l.rateAt(t)
+	}
+	for {
+		for c := range weight {
+			weight[c] = 0
+		}
+		k, unfrozen := 0, 0
+		for i, l := range u.members {
+			for _, tr := range l.active {
+				if !frozen[k] {
+					unfrozen++
+					weight[0] += tr.weight
+					weight[1+i] += tr.weight
+				}
+				k++
+			}
+		}
+		if unfrozen == 0 {
+			return rates
+		}
+		fill := math.Inf(1)
+		for c := range remain {
+			if weight[c] > 0 {
+				if r := remain[c] / weight[c]; r < fill {
+					fill = r
+				}
+			}
+		}
+		if fill < 0 {
+			fill = 0
+		}
+		for c := range remain {
+			sat[c] = weight[c] > 0 && remain[c]/weight[c] <= fill
+		}
+		k = 0
+		for i, l := range u.members {
+			for _, tr := range l.active {
+				if !frozen[k] && (sat[0] || sat[1+i]) {
+					r := fill * tr.weight
+					rates[k] = r
+					frozen[k] = true
+					remain[0] -= r
+					remain[1+i] -= r
+				}
+				k++
+			}
+		}
+		for c := range remain {
+			if remain[c] < 0 {
+				remain[c] = 0
+			}
+		}
+	}
+}
+
+// checkFill asserts that the uplink's freshly computed rates equal
+// allocReference's bit for bit.
+func checkFill(t *testing.T, u *Uplink, at time.Duration) {
+	t.Helper()
+	want := allocReference(u, at)
+	if len(u.rates) != len(want) {
+		t.Fatalf("fill at %v: %d rates, reference %d", at, len(u.rates), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(u.rates[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("fill at %v: transfer %d rate %v, reference %v", at, i, u.rates[i], want[i])
+		}
+	}
+}
+
 // runCacheScenario drives a seeded random uplink tree — step profiles on
 // the uplink and every leaf, mixed weights and sizes, δ-samplers on half
 // the transfers, and outages, suspends, resumes and cancels mid-run — and
@@ -83,11 +171,13 @@ func checkCache(t *testing.T, u *Uplink, step int) int {
 // the allocation; otherwise every event is followed by checkCache. A
 // non-nil rec is attached to the uplink and to leaf 0 for the whole run,
 // and to leaf 1 from 5 s to 15 s; recording observes and changes nothing.
+// Every recompute of the allocation is checked against allocReference.
 func runCacheScenario(t *testing.T, seed int64, force bool, rec *timeline.Recorder) (log []string, checked int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	eng := NewEngine()
 	up := NewUplink(eng, randomSteps(rng, 2000, 20000))
+	up.filled = func(at time.Duration) { checkFill(t, up, at) }
 	leaves := make([]*Link, 2+rng.Intn(5))
 	for i := range leaves {
 		leaves[i] = up.NewLeaf(randomSteps(rng, 300, 9000))
@@ -233,5 +323,44 @@ func TestUplinkScenarioGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("uplink scenario hashes differ from %s:\ngot:\n%swant:\n%s", path, got.String(), want)
+	}
+}
+
+// TestUplinkFillKeepsTransferOrder pins the two sums the leg fill must
+// take in transfer order, on a tree whose weights round differently when
+// summed per leg. Leaf a saturates first, and the uplink's remaining
+// capacity must drop by a's two rates one at a time, not by their sum.
+// The uplink saturates in the second round, over legs b and c, and its
+// weight must be 0.3+0.2+0.1, not 0.3+(0.2+0.1). The rates must equal
+// allocReference's bit for bit at every fill.
+func TestUplinkFillKeepsTransferOrder(t *testing.T) {
+	w := []float64{0.3, 0.2, 0.1}
+	//lint:ignore floateq the tree is chosen for the two roundings to differ
+	if (w[0]+w[1])+w[2] == w[0]+(w[1]+w[2]) {
+		t.Fatal("the weights no longer round differently per leg")
+	}
+	eng := NewEngine()
+	up := NewUplink(eng, trace.Fixed(media.Kbps(5_000)))
+	for _, leaf := range []struct {
+		kbps    float64
+		weights []float64
+	}{
+		{1_000, []float64{0.1, 0.2}},
+		{100_000, []float64{0.3}},
+		{100_000, []float64{0.2, 0.1}},
+	} {
+		l := up.NewLeaf(trace.Fixed(media.Kbps(leaf.kbps)))
+		for _, w := range leaf.weights {
+			l.Start(1<<40, StartOptions{Weight: w})
+		}
+	}
+	fills := 0
+	up.filled = func(at time.Duration) {
+		checkFill(t, up, at)
+		fills++
+	}
+	eng.RunUntil(time.Millisecond)
+	if fills == 0 || up.activeTotal() != 5 {
+		t.Fatalf("%d fills over %d transfers; want at least one over 5", fills, up.activeTotal())
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"demuxabr/internal/media"
+	"demuxabr/internal/netsim"
 	"demuxabr/internal/timeline"
 )
 
@@ -146,8 +147,10 @@ type liveState struct {
 	// rateSeconds and playSeconds accumulate rate*dt and dt while playing.
 	rateSeconds float64
 	playSeconds float64
-	// tick is the controller tick, Session.onLiveTick bound once.
+	// tick is the controller tick, Session.onLiveTick bound once, and
+	// lane the engine's lane for its cadence.
 	tick func()
+	lane *netsim.Lane
 
 	stats LiveStats
 }
@@ -194,6 +197,7 @@ func (s *Session) initLive() error {
 	ls.stats.JoinLatency = ls.edge0 - joinPos
 	ls.lastTickAt = s.eng.Now()
 	ls.tick = s.onLiveTick
+	ls.lane = s.eng.Lane(cfg.SampleInterval)
 	s.live = ls
 	s.scheduleLiveTick()
 	return nil
@@ -265,7 +269,7 @@ func (s *Session) liveWakeAt(t media.Type, at time.Duration) {
 }
 
 // scheduleLiveTick arms the latency-target controller's next tick.
-func (s *Session) scheduleLiveTick() { s.eng.After(s.live.cfg.SampleInterval, s.live.tick) }
+func (s *Session) scheduleLiveTick() { s.live.lane.Add(s.live.tick) }
 
 // onLiveTick runs the controller at its cadence; bound once as
 // liveState.tick in initLive so the re-arm allocates no closure.

@@ -233,9 +233,12 @@ type Session struct {
 	freeReqs []*request
 
 	// Robustness state.
-	pol       *faults.Policy // normalized policy; nil = fail fast
-	blacklist *faults.Blacklist
-	gen       [2]int // per-type generation; bumped on reset to void stale retry timers
+	pol *faults.Policy // normalized policy; nil = fail fast
+	// timeoutLane carries the fixed per-request timeouts; nil without a
+	// positive RequestTimeout.
+	timeoutLane *netsim.Lane
+	blacklist   *faults.Blacklist
+	gen         [2]int // per-type generation; bumped on reset to void stale retry timers
 
 	// plan is the effective fault plan: cfg.FaultPlan, or (when recording)
 	// a copy of it with the flight recorder's Observe hook attached.
@@ -259,8 +262,10 @@ type Session struct {
 
 	// logTick is the timeline-logging tick and underrunTick the underrun
 	// alarm, both bound once in Start so re-arming allocates no closure.
+	// logLane is the engine's lane for LogInterval.
 	logTick      func()
 	underrunTick func()
+	logLane      *netsim.Lane
 
 	res Result
 }
@@ -335,6 +340,9 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 		pol := cfg.Robustness.WithDefaults()
 		s.pol = &pol
 		s.blacklist = faults.NewBlacklist()
+		if pol.RequestTimeout > 0 {
+			s.timeoutLane = s.eng.Lane(pol.RequestTimeout)
+		}
 	}
 	s.rec = cfg.Recorder
 	s.plan = cfg.FaultPlan
@@ -442,6 +450,7 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 	}
 	s.logTick = s.logTimeline
 	s.underrunTick = s.onUnderrun
+	s.logLane = s.eng.Lane(cfg.LogInterval)
 	s.scheduleLog()
 	for _, at := range cfg.AudioResets {
 		at := at
@@ -660,7 +669,7 @@ func (s *Session) collectTransport() {
 
 // --- Timeline logging --------------------------------------------------
 
-func (s *Session) scheduleLog() { s.eng.After(s.cfg.LogInterval, s.logTick) }
+func (s *Session) scheduleLog() { s.logLane.Add(s.logTick) }
 
 // logTimeline is the periodic logging tick: it enforces the deadline,
 // records one timeline sample and re-arms.
@@ -1257,9 +1266,9 @@ func (r *request) start() {
 	s.setCurrent(t, r)
 	// Per-request timeout: a transfer stuck behind an outage (or just too
 	// slow) is cancelled and handed to the failure path.
-	if s.pol != nil && s.pol.RequestTimeout > 0 {
+	if s.timeoutLane != nil {
 		r.refs++
-		r.timeout = s.eng.After(s.pol.RequestTimeout, r.cb.onTimeout)
+		r.timeout = s.timeoutLane.Add(r.cb.onTimeout)
 	}
 }
 
