@@ -45,6 +45,9 @@
 #  13. allocs        the fleet allocation ratchet (TestFleetAllocsPerSession)
 #                    without the race detector, which skips it in step 3
 #                    because it changes allocation counts
+#  14. bench module  the benchmark's separate Go module (bench/) vets and
+#                    passes its tests against the current tree; the root
+#                    go build ./... does not compile it
 #
 # Exits non-zero on the first failing step.
 set -eu
@@ -117,5 +120,8 @@ go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|Benchma
 
 echo "== fleet allocation ratchet (allocs per session, no race detector)"
 go test -count=1 -run 'TestFleetAllocsPerSession' ./internal/fleet
+
+echo "== bench module (go vet + go test in bench/, a separate module)"
+(cd bench && go vet . && go test -count=1 ./...)
 
 echo "check.sh: all gates passed"

@@ -47,7 +47,7 @@ import (
 )
 
 func main() {
-	playerName := flag.String("player", "bestpractice", "player model: exoplayer-dash, exoplayer-hls, shaka, dashjs, bestpractice, bestpractice-independent, ll-default, ll-l2a, ll-lolp")
+	playerName := flag.String("player", "bestpractice", playerUsage())
 	kbps := flag.Float64("kbps", 0, "fixed link bandwidth in Kbps")
 	traceFile := flag.String("trace", "", "bandwidth trace CSV (seconds,kbps rows; overrides -kbps)")
 	profileName := flag.String("profile", "", "named bandwidth profile (fig2, fig3, fig4a, fig4b, fig5, exohls-5m, lte); overrides -kbps")
@@ -105,6 +105,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "abrsim:", err)
 		os.Exit(1)
 	}
+}
+
+// playerUsage is the -player flag's help text: every player kind core
+// knows, in its order.
+func playerUsage() string {
+	kinds := core.PlayerKinds()
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = string(k)
+	}
+	return "player model: " + strings.Join(names, ", ")
 }
 
 // startProfiles arms the pprof outputs; the returned stop function flushes
@@ -171,10 +182,6 @@ func (fo faultOpts) policy() *faults.Policy {
 	return &pol
 }
 
-// runCompare runs every player kind under the same conditions. Sessions
-// fan out across parallel workers (each on its own simulation engine);
-// collection is in PlayerKinds order, so the table is identical at any
-// worker count.
 // transportOpts carries the -transport/-rtt flags. An empty protocol
 // means the transport layer is off: requests ride the bare link and rtt
 // is ignored, keeping default runs byte-identical to transport-less
@@ -230,6 +237,11 @@ func (lo liveOpts) config() *player.LiveConfig {
 	}
 }
 
+// runCompare runs every player kind under the same conditions. The flags
+// are resolved once and every session shares the result, including the
+// fault plan. Sessions fan out across parallel workers (each on its own
+// simulation engine); collection is in PlayerKinds order, so the table is
+// identical at any worker count.
 func runCompare(kbps float64, traceFile, profileName, contentName, manifest, audioFirst string, parallel int, timelineDir string, fo faultOpts, to transportOpts, lo liveOpts, so shapingOpts) error {
 	kinds := core.PlayerKinds()
 	// Recorders are pre-created in kind order: each worker appends only to
@@ -241,8 +253,15 @@ func runCompare(kbps float64, traceFile, profileName, contentName, manifest, aud
 			recs[i] = timeline.New(i, string(kinds[i]))
 		}
 	}
+	spec, err := sessionSpec(kbps, traceFile, profileName, contentName, manifest, audioFirst, fo, to, lo, so)
+	if err != nil {
+		return err
+	}
 	sessions, err := runpool.Map(parallel, len(kinds), func(i int) (*core.Session, error) {
-		sess, err := playOnce(string(kinds[i]), kbps, traceFile, profileName, contentName, manifest, audioFirst, recFor(recs, i), fo, to, lo, so)
+		spec := spec
+		spec.Player = kinds[i]
+		spec.Recorder = recFor(recs, i)
+		sess, err := core.Play(spec)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", kinds[i], err)
 		}
@@ -393,41 +412,52 @@ func recFor(recs []*timeline.Recorder, i int) *timeline.Recorder {
 	return recs[i]
 }
 
-// playOnce builds content, profile and manifest options from the CLI flags
-// and runs one session, attaching rec (may be nil) as its flight recorder.
+// playOnce resolves the CLI flags and runs one session of the named
+// player, attaching rec (may be nil) as its flight recorder.
 func playOnce(playerName string, kbps float64, traceFile, profileName, contentName, manifest, audioFirst string, rec *timeline.Recorder, fo faultOpts, to transportOpts, lo liveOpts, so shapingOpts) (*core.Session, error) {
 	kind, err := core.ParsePlayerKind(playerName)
 	if err != nil {
 		return nil, err
 	}
-	content, err := so.content(contentName)
+	spec, err := sessionSpec(kbps, traceFile, profileName, contentName, manifest, audioFirst, fo, to, lo, so)
 	if err != nil {
 		return nil, err
+	}
+	spec.Player = kind
+	spec.Recorder = rec
+	return core.Play(spec)
+}
+
+// sessionSpec resolves the flags every session of a run shares (content,
+// profile, manifest options, faults, transport and live mode) into a spec
+// with no player or recorder set.
+func sessionSpec(kbps float64, traceFile, profileName, contentName, manifest, audioFirst string, fo faultOpts, to transportOpts, lo liveOpts, so shapingOpts) (core.Spec, error) {
+	content, err := so.content(contentName)
+	if err != nil {
+		return core.Spec{}, err
 	}
 	profile, err := parseProfile(kbps, traceFile, profileName)
 	if err != nil {
-		return nil, err
+		return core.Spec{}, err
 	}
 	mo, err := parseManifest(content, manifest, audioFirst)
 	if err != nil {
-		return nil, err
+		return core.Spec{}, err
 	}
 	tc, err := to.config()
 	if err != nil {
-		return nil, err
+		return core.Spec{}, err
 	}
-	return core.Play(core.Spec{
+	return core.Spec{
 		Content:    content,
 		Profile:    profile,
-		Player:     kind,
 		Manifest:   mo,
 		Faults:     fo.plan(),
 		Robustness: fo.policy(),
-		Recorder:   rec,
 		RTT:        to.linkRTT(),
 		Transport:  tc,
 		Live:       lo.config(),
-	})
+	}, nil
 }
 
 // parseMix resolves -mix (comma-separated kinds, round-robin) falling back
@@ -453,15 +483,7 @@ func parseMix(mixStr, playerName string) ([]core.PlayerKind, error) {
 // and all sessions hit one shared edge cache. Output is a per-session table
 // plus the fleet aggregates; -json writes the full fleet report.
 func runFleet(n int, spread time.Duration, mixStr, playerName string, kbps float64, traceFile, profileName, contentName, manifest, audioFirst, jsonOut, timelineDir string, seed int64, cell, shards, sampleTimelines int, fo faultOpts, to transportOpts, lo liveOpts, so shapingOpts) error {
-	content, err := so.content(contentName)
-	if err != nil {
-		return err
-	}
-	profile, err := parseProfile(kbps, traceFile, profileName)
-	if err != nil {
-		return err
-	}
-	mo, err := parseManifest(content, manifest, audioFirst)
+	spec, err := sessionSpec(kbps, traceFile, profileName, contentName, manifest, audioFirst, fo, to, lo, so)
 	if err != nil {
 		return err
 	}
@@ -469,28 +491,24 @@ func runFleet(n int, spread time.Duration, mixStr, playerName string, kbps float
 	if err != nil {
 		return err
 	}
-	tc, err := to.config()
-	if err != nil {
-		return err
-	}
 	res, err := fleet.Run(fleet.Config{
-		Content:         content,
+		Content:         spec.Content,
 		Sessions:        n,
 		Mix:             kinds,
-		Manifest:        mo,
-		UplinkProfile:   profile,
+		Manifest:        spec.Manifest,
+		UplinkProfile:   spec.Profile,
 		ArrivalSpread:   spread,
 		MissPenalty:     60 * time.Millisecond,
 		Seed:            seed,
-		FaultPlan:       fo.plan(),
-		Robustness:      fo.policy(),
+		FaultPlan:       spec.Faults,
+		Robustness:      spec.Robustness,
 		Timeline:        timelineDir != "",
 		CellSessions:    cell,
 		Shards:          shards,
 		SampleTimelines: sampleTimelines,
-		Transport:       tc,
-		AccessRTT:       to.linkRTT(),
-		Live:            lo.config(),
+		Transport:       spec.Transport,
+		AccessRTT:       spec.RTT,
+		Live:            spec.Live,
 	})
 	if err != nil {
 		return err

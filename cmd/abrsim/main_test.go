@@ -7,7 +7,25 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"demuxabr/internal/core"
 )
+
+// TestPlayerUsageListsEveryKind: the -player help text names exactly the
+// kinds ParsePlayerKind accepts, in their order.
+func TestPlayerUsageListsEveryKind(t *testing.T) {
+	listed, ok := strings.CutPrefix(playerUsage(), "player model: ")
+	if !ok {
+		t.Fatalf("usage %q lacks its prefix", playerUsage())
+	}
+	var want []string
+	for _, k := range core.PlayerKinds() {
+		want = append(want, string(k))
+	}
+	if got := strings.Split(listed, ", "); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("-player usage lists %v, want %v", got, want)
+	}
+}
 
 func TestRunFixedBandwidth(t *testing.T) {
 	tl := filepath.Join(t.TempDir(), "tl.csv")

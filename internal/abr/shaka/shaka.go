@@ -21,9 +21,9 @@ import (
 // selectable while its BANDWIDTH is at most 95% of the estimate.
 const DefaultDowngradeTarget = 0.95
 
-// Player is the Shaka model. Run it with player.Config.SampleInterval set
-// to estimator.ShakaSampleInterval so the interval sampler sees transfers
-// the way Shaka's does.
+// Player is the Shaka model. The player delivers progress samples every
+// estimator.ShakaSampleInterval, so the interval sampler sees transfers the
+// way Shaka's does.
 type Player struct {
 	// DowngradeTarget scales the estimate before comparing against variant
 	// bandwidths. Defaults to DefaultDowngradeTarget.

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"demuxabr/internal/abr"
-	"demuxabr/internal/abr/dashjs"
-	"demuxabr/internal/abr/exoplayer"
 	"demuxabr/internal/abr/jointabr"
-	"demuxabr/internal/abr/shaka"
 	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/runpool"
@@ -47,30 +44,30 @@ type modelSpec struct {
 	build func() abr.Algorithm
 }
 
-// modelSpecs parses the manifests for a content asset once and returns one
-// constructor per player model, in the fixed comparison order, plus the
-// allowed combination list (H_sub as parsed from the master playlist).
+// modelSpecs parses the manifests for a content asset once per player
+// model and returns one constructor per model, in the fixed comparison
+// order, plus the allowed combination list (H_sub as parsed from the master
+// playlist, which lists A3 first as in Fig. 3).
 func modelSpecs(c *media.Content) (specs []modelSpec, allowed []media.Combo, err error) {
-	video, audio, err := core.RoundTripMPD(c)
-	if err != nil {
-		return nil, nil, err
+	mo := core.ManifestOptions{AudioOrder: []*media.Track{c.AudioTracks[2], c.AudioTracks[1], c.AudioTracks[0]}}
+	return kindSpecs(c, mo, core.ExoPlayerDASH, core.ExoPlayerHLS, core.Shaka, core.DashJS, core.BestPractice, core.BolaJoint, core.MPCJoint, core.DynamicJoint)
+}
+
+// kindSpecs parses the manifest each player kind reads and returns one
+// constructor per kind, named after it, plus the combination list of the
+// first HLS parse.
+func kindSpecs(c *media.Content, mo core.ManifestOptions, kinds ...core.PlayerKind) (specs []modelSpec, allowed []media.Combo, err error) {
+	for _, kind := range kinds {
+		m, err := core.ParseManifest(kind, c, mo)
+		if err != nil {
+			return nil, nil, err
+		}
+		if allowed == nil {
+			allowed = m.Allowed()
+		}
+		specs = append(specs, modelSpec{string(kind), m.NewModel})
 	}
-	order := []*media.Track{c.AudioTracks[2], c.AudioTracks[1], c.AudioTracks[0]}
-	combos, parsedOrder, err := core.RoundTripMaster(c, media.HSub(c), order)
-	if err != nil {
-		return nil, nil, err
-	}
-	specs = []modelSpec{
-		{"exoplayer-dash", func() abr.Algorithm { return exoplayer.NewDASH(video, audio) }},
-		{"exoplayer-hls", func() abr.Algorithm { return exoplayer.NewHLS(combos, parsedOrder) }},
-		{"shaka", func() abr.Algorithm { return shaka.NewHLS(combos) }},
-		{"dashjs", func() abr.Algorithm { return dashjs.New(video, audio) }},
-		{"bestpractice", func() abr.Algorithm { return jointabr.New(combos) }},
-		{"bola-joint", func() abr.Algorithm { return jointabr.NewBolaJoint(combos, 0) }},
-		{"mpc-joint", func() abr.Algorithm { return jointabr.NewMPC(combos, 0) }},
-		{"dynamic-joint", func() abr.Algorithm { return jointabr.NewDynamicJoint(combos) }},
-	}
-	return specs, combos, nil
+	return specs, allowed, nil
 }
 
 // buildModels constructs every player model for a content asset, each from

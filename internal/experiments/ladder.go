@@ -6,9 +6,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"demuxabr/internal/abr"
-	"demuxabr/internal/abr/dashjs"
-	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/runpool"
@@ -137,23 +134,11 @@ func newLadderVariant(name string, spec media.ContentSpec) (LadderVariant, error
 	if err != nil {
 		return LadderVariant{}, err
 	}
-	video, audio, err := core.RoundTripMPD(c)
+	specs, combos, err := kindSpecs(c, core.ManifestOptions{}, core.DashJS, core.BestPracticeIndependent)
 	if err != nil {
 		return LadderVariant{}, err
 	}
-	combos, _, err := core.RoundTripMaster(c, media.HSub(c), nil)
-	if err != nil {
-		return LadderVariant{}, err
-	}
-	return LadderVariant{
-		Name:    name,
-		Content: c,
-		Allowed: combos,
-		specs: []modelSpec{
-			{"dashjs", func() abr.Algorithm { return dashjs.New(video, audio) }},
-			{"bestpractice-independent", func() abr.Algorithm { return jointabr.NewIndependent(combos) }},
-		},
-	}, nil
+	return LadderVariant{Name: name, Content: c, Allowed: combos, specs: specs}, nil
 }
 
 // LadderCross runs the full cross-product, each session over the family's

@@ -136,18 +136,12 @@ type Plan struct {
 	// Blackouts are link outage windows; the network layer (netsim
 	// Link.AddOutage, or the origin's shaper) applies them.
 	Blackouts []Window
-
-	// Observe, when non-nil, is called on every positive SegmentFault
-	// decision — the flight recorder's injection point. It does not affect
-	// the decision, so an observed plan and its unobserved copy agree on
-	// every draw.
-	Observe func(trackID string, idx, attempt int, f Fault)
 }
 
 // SegmentFault decides whether the given attempt at downloading segment
 // idx of the track fails, and how. The decision is a pure function: any
-// caller, in any order, on any goroutine, gets the same answer (Observe
-// only watches positive decisions, it cannot change them).
+// caller, in any order, on any goroutine, gets the same answer, so one
+// Plan may be shared by concurrent sessions.
 func (p *Plan) SegmentFault(trackID string, idx, attempt int) (Fault, bool) {
 	if p == nil || p.Rate <= 0 {
 		return Fault{}, false
@@ -187,9 +181,6 @@ func (p *Plan) SegmentFault(trackID string, idx, attempt int) (Fault, bool) {
 	}
 	if f.Kind == Reset || f.Kind == Truncate {
 		f.Fraction = 0.1 + 0.8*unit(mix(h^0x3c3c3c3c))
-	}
-	if p.Observe != nil {
-		p.Observe(trackID, idx, attempt, f)
 	}
 	return f, true
 }

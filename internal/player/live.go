@@ -45,22 +45,22 @@ type LiveConfig struct {
 	// starts; the session joins LatencyTarget behind that edge. Clamped
 	// to the content duration. Default 60 s.
 	EdgeAtJoin time.Duration
-	// MinRate and MaxRate bound the catch-up controller's playback rate.
-	// Defaults 0.92 and 1.08 (the conservative dash.js-style envelope).
-	MinRate float64
-	// MaxRate is documented with MinRate.
-	MaxRate float64
-	// RateGain is the proportional controller gain: rate deviates from
-	// 1.0 by RateGain per second of latency error. Default 0.05.
-	RateGain float64
 	// ResyncThreshold is the latency beyond which the player stops
 	// trickling and jumps forward to LatencyTarget behind the edge.
 	// Default 4x LatencyTarget.
 	ResyncThreshold time.Duration
-	// SampleInterval is the latency-sampling and rate-control cadence.
-	// Default 500 ms.
-	SampleInterval time.Duration
 }
+
+// The catch-up controller samples latency every liveSampleInterval and
+// sets the playback rate to 1 + liveRateGain per second of latency error,
+// clamped to [liveMinRate, liveMaxRate] (the conservative dash.js-style
+// envelope).
+const (
+	liveSampleInterval = 500 * time.Millisecond
+	liveRateGain       = 0.05
+	liveMinRate        = 0.92
+	liveMaxRate        = 1.08
+)
 
 // withDefaults returns the config with zero fields resolved.
 func (lc LiveConfig) withDefaults() LiveConfig {
@@ -70,23 +70,8 @@ func (lc LiveConfig) withDefaults() LiveConfig {
 	if lc.EdgeAtJoin == 0 {
 		lc.EdgeAtJoin = 60 * time.Second
 	}
-	//lint:ignore floateq exact zero detects the unset zero value, not a computed quantity
-	if lc.MinRate == 0 {
-		lc.MinRate = 0.92
-	}
-	//lint:ignore floateq exact zero detects the unset zero value, not a computed quantity
-	if lc.MaxRate == 0 {
-		lc.MaxRate = 1.08
-	}
-	//lint:ignore floateq exact zero detects the unset zero value, not a computed quantity
-	if lc.RateGain == 0 {
-		lc.RateGain = 0.05
-	}
 	if lc.ResyncThreshold == 0 {
 		lc.ResyncThreshold = 4 * lc.LatencyTarget
-	}
-	if lc.SampleInterval == 0 {
-		lc.SampleInterval = 500 * time.Millisecond
 	}
 	return lc
 }
@@ -168,9 +153,6 @@ func (s *Session) initLive() error {
 	if cfg.PartTarget < 0 || cfg.PartTarget > s.content.ChunkDuration {
 		return fmt.Errorf("player: live part target %v outside (0, chunk duration %v]", cfg.PartTarget, s.content.ChunkDuration)
 	}
-	if cfg.MinRate <= 0 || cfg.MaxRate < cfg.MinRate || cfg.MinRate > 1 || cfg.MaxRate < 1 {
-		return fmt.Errorf("player: live rate bounds [%v, %v] must straddle 1.0", cfg.MinRate, cfg.MaxRate)
-	}
 	ls := &liveState{cfg: cfg, rate: 100}
 	ls.edge0 = cfg.EdgeAtJoin
 	if ls.edge0 > s.content.Duration {
@@ -197,7 +179,7 @@ func (s *Session) initLive() error {
 	ls.stats.JoinLatency = ls.edge0 - joinPos
 	ls.lastTickAt = s.eng.Now()
 	ls.tick = s.onLiveTick
-	ls.lane = s.eng.Lane(cfg.SampleInterval)
+	ls.lane = s.eng.Lane(liveSampleInterval)
 	s.live = ls
 	s.scheduleLiveTick()
 	return nil
@@ -328,12 +310,12 @@ func (s *Session) liveTick() {
 		return
 	}
 	err := (lat - ls.cfg.LatencyTarget).Seconds()
-	r := 1 + ls.cfg.RateGain*err
-	if r < ls.cfg.MinRate {
-		r = ls.cfg.MinRate
+	r := 1 + liveRateGain*err
+	if r < liveMinRate {
+		r = liveMinRate
 	}
-	if r > ls.cfg.MaxRate {
-		r = ls.cfg.MaxRate
+	if r > liveMaxRate {
+		r = liveMaxRate
 	}
 	// Quantize to centirate steps so the controller settles instead of
 	// chattering on nanosecond latency noise.

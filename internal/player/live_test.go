@@ -175,12 +175,9 @@ func TestLiveDeterministic(t *testing.T) {
 func TestLiveConfigValidation(t *testing.T) {
 	c := media.DramaShow()
 	for name, lc := range map[string]*LiveConfig{
-		"negative target":       {LatencyTarget: -time.Second},
-		"part exceeds chunk":    {PartTarget: c.ChunkDuration + time.Second},
-		"negative part":         {PartTarget: -time.Second},
-		"rate bounds above one": {MinRate: 1.5, MaxRate: 2},
-		"rate bounds inverted":  {MinRate: 1, MaxRate: 0.9},
-		"max rate below one":    {MinRate: 0.9, MaxRate: 0.95},
+		"negative target":    {LatencyTarget: -time.Second},
+		"part exceeds chunk": {PartTarget: c.ChunkDuration + time.Second},
+		"negative part":      {PartTarget: -time.Second},
 	} {
 		eng := netsim.NewEngine()
 		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(5000)))

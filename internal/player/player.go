@@ -23,11 +23,15 @@ import (
 	"time"
 
 	"demuxabr/internal/abr"
+	"demuxabr/internal/abr/estimator"
 	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/timeline"
 )
+
+// logInterval is the timeline sampling period.
+const logInterval = 500 * time.Millisecond
 
 // Config parameterizes a streaming session.
 type Config struct {
@@ -65,13 +69,6 @@ type Config struct {
 	// ResumeBuffer is the buffered duration required to resume after a
 	// stall. Default: one chunk.
 	ResumeBuffer time.Duration
-	// SampleInterval is the δ-interval of progress events to the algorithm.
-	// Byte-flow meters (ExoPlayer's, the best-practice shared meter) and
-	// Shaka's sampler both consume these. Zero selects the default 125 ms;
-	// negative disables progress events.
-	SampleInterval time.Duration
-	// LogInterval is the timeline sampling period. Default 500 ms.
-	LogInterval time.Duration
 	// Deadline aborts the session (Ended == false) if playback has not
 	// finished by this virtual time — e.g. a link too slow to ever drain
 	// the content. Default: 5× content duration + 5 minutes.
@@ -154,15 +151,6 @@ func (c *Config) setDefaults() error {
 	if c.ResumeBuffer == 0 {
 		c.ResumeBuffer = c.Content.ChunkDuration
 	}
-	if c.LogInterval == 0 {
-		c.LogInterval = 500 * time.Millisecond
-	}
-	switch {
-	case c.SampleInterval == 0:
-		c.SampleInterval = 125 * time.Millisecond
-	case c.SampleInterval < 0:
-		c.SampleInterval = 0
-	}
 	if c.MaxEvents == 0 {
 		c.MaxEvents = 20_000_000
 	}
@@ -240,9 +228,6 @@ type Session struct {
 	blacklist   *faults.Blacklist
 	gen         [2]int // per-type generation; bumped on reset to void stale retry timers
 
-	// plan is the effective fault plan: cfg.FaultPlan, or (when recording)
-	// a copy of it with the flight recorder's Observe hook attached.
-	plan *faults.Plan
 	// rec is the flight recorder; nil when disabled.
 	rec *timeline.Recorder
 
@@ -262,7 +247,7 @@ type Session struct {
 
 	// logTick is the timeline-logging tick and underrunTick the underrun
 	// alarm, both bound once in Start so re-arming allocates no closure.
-	// logLane is the engine's lane for LogInterval.
+	// logLane is the engine's lane for logInterval.
 	logTick      func()
 	underrunTick func()
 	logLane      *netsim.Lane
@@ -345,23 +330,6 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 		}
 	}
 	s.rec = cfg.Recorder
-	s.plan = cfg.FaultPlan
-	if s.rec.Enabled() && cfg.FaultPlan != nil {
-		// Observe positive fault decisions through a session-local copy so
-		// shared plans stay untouched; the copy draws identically.
-		plan := *cfg.FaultPlan
-		plan.Observe = func(trackID string, idx, attempt int, f faults.Fault) {
-			s.rec.Emit(timeline.Event{
-				At:      s.eng.Now(),
-				Kind:    timeline.FaultInjected,
-				Track:   trackID,
-				Index:   idx,
-				Attempt: attempt,
-				Detail:  f.Kind.String(),
-			})
-		}
-		s.plan = &plan
-	}
 	if cfg.FaultPlan != nil {
 		for _, w := range cfg.FaultPlan.Blackouts {
 			videoLink.AddOutage(s.t0+w.Start, s.t0+w.End)
@@ -440,7 +408,7 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 	// rest of the content with little stalling, so that a warm chunk
 	// request and logging tick append without growing them.
 	s.res.Chunks = make([]ChunkDecision, 0, s.numChunks[media.Video]-s.next[media.Video]+s.numChunks[media.Audio]-s.next[media.Audio])
-	samples := int((s.content.Duration - s.playPos) / cfg.LogInterval)
+	samples := int((s.content.Duration - s.playPos) / logInterval)
 	s.res.Timeline = make([]Sample, 0, samples+samples/32+2)
 
 	// Kick off downloading and timeline logging.
@@ -450,7 +418,7 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 	}
 	s.logTick = s.logTimeline
 	s.underrunTick = s.onUnderrun
-	s.logLane = s.eng.Lane(cfg.LogInterval)
+	s.logLane = s.eng.Lane(logInterval)
 	s.scheduleLog()
 	for _, at := range cfg.AudioResets {
 		at := at
@@ -1177,8 +1145,16 @@ func (r *request) start() {
 		ev.Bytes = size
 		s.rec.Emit(ev)
 	}
-	if s.plan != nil {
-		r.fault, r.faulted = s.plan.SegmentFault(r.track.ID, r.idx, r.attempt)
+	r.fault, r.faulted = s.cfg.FaultPlan.SegmentFault(r.track.ID, r.idx, r.attempt)
+	if r.faulted && s.rec.Enabled() {
+		s.rec.Emit(timeline.Event{
+			At:      now,
+			Kind:    timeline.FaultInjected,
+			Track:   r.track.ID,
+			Index:   r.idx,
+			Attempt: r.attempt,
+			Detail:  r.fault.Kind.String(),
+		})
 	}
 	// transportDelay is extra pre-byte latency charged by the transport
 	// (currently only QUIC path validation after a migration fault).
@@ -1239,13 +1215,17 @@ func (r *request) start() {
 		At:         s.rel(now),
 		Concurrent: s.links[t].ActiveTransfers() + 1,
 	})
-	opts := netsim.StartOptions{Label: t.String(), OnComplete: r.cb.onComplete}
+	// Progress samples arrive every δ (§3.3): byte-flow meters
+	// (ExoPlayer's, the best-practice shared meter) and Shaka's sampler
+	// both consume them.
+	opts := netsim.StartOptions{
+		Label:       t.String(),
+		SampleEvery: estimator.ShakaSampleInterval,
+		OnSample:    r.cb.onSample,
+		OnComplete:  r.cb.onComplete,
+	}
 	if r.muxedWith != nil {
 		opts.Label = "muxed"
-	}
-	if s.cfg.SampleInterval > 0 {
-		opts.SampleEvery = s.cfg.SampleInterval
-		opts.OnSample = r.cb.onSample
 	}
 	if s.cfg.OnRequest != nil {
 		opts.ExtraDelay = s.cfg.OnRequest(ChunkRequest{
@@ -1590,8 +1570,8 @@ func (s *Session) failoverTrack(t media.Type, failed *media.Track) *media.Track 
 // retrySeed keys the backoff jitter; sharing the fault plan's seed keeps
 // one knob controlling all injected randomness.
 func (s *Session) retrySeed() int64 {
-	if s.plan != nil {
-		return s.plan.Seed
+	if p := s.cfg.FaultPlan; p != nil {
+		return p.Seed
 	}
 	return 1
 }

@@ -237,11 +237,7 @@ func TestObserverSeesTransfers(t *testing.T) {
 	obs := &countingModel{combo: lowestCombo(c)}
 	eng := netsim.NewEngine()
 	link := netsim.NewLink(eng, trace.Fixed(media.Kbps(2000)))
-	res, err := Run(link, Config{
-		Content:        c,
-		Model:          obs,
-		SampleInterval: 125 * time.Millisecond,
-	})
+	res, err := Run(link, Config{Content: c, Model: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +249,7 @@ func TestObserverSeesTransfers(t *testing.T) {
 		t.Errorf("OnStart count = %d, want %d", obs.starts, wantCompletes)
 	}
 	if obs.progress == 0 {
-		t.Error("expected progress samples with SampleInterval set")
+		t.Error("expected progress samples")
 	}
 }
 

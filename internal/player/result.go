@@ -7,7 +7,7 @@ import (
 	"demuxabr/internal/media"
 )
 
-// Sample is one row of the session timeline, logged every LogInterval — the
+// Sample is one row of the session timeline, logged every 500 ms — the
 // raw material of the paper's figures (track selections, buffer levels and
 // bandwidth estimates over time).
 type Sample struct {

@@ -2,12 +2,15 @@ package player
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
+	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
 )
 
@@ -224,4 +227,70 @@ func TestAudioResetDuringBackoffRestartsStream(t *testing.T) {
 			t.Errorf("%s: session did not finish (aborted=%v: %s)", name, res.Aborted, res.AbortReason)
 		}
 	}
+}
+
+// TestSharedPlanAcrossConcurrentSessions: recorded sessions on separate
+// goroutines may share one *faults.Plan (abrsim -compare does), and each
+// records exactly the events it records when the sessions run serially.
+func TestSharedPlanAcrossConcurrentSessions(t *testing.T) {
+	c := media.DramaShow()
+	plan := &faults.Plan{Seed: 7, Rate: 0.2}
+	pol := faults.DefaultPolicy()
+	combos := []media.Combo{
+		lowestCombo(c),
+		{Video: c.VideoTracks[len(c.VideoTracks)-1], Audio: c.AudioTracks[len(c.AudioTracks)-1]},
+	}
+	run := func(i int) ([]timeline.Event, error) {
+		rec := timeline.New(i, "shared-plan")
+		eng := netsim.NewEngine()
+		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(10000)))
+		_, err := Run(link, Config{
+			Content:    c,
+			Model:      &fixedJoint{combo: combos[i]},
+			FaultPlan:  plan,
+			Robustness: &pol,
+			Recorder:   rec,
+		})
+		return rec.Events(), err
+	}
+	serial := make([][]timeline.Event, len(combos))
+	for i := range combos {
+		events, err := run(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if countKind(events, timeline.FaultInjected) == 0 {
+			t.Fatalf("session %d recorded no fault-injected events", i)
+		}
+		serial[i] = events
+	}
+	concurrent := make([][]timeline.Event, len(combos))
+	errs := make([]error, len(combos))
+	var wg sync.WaitGroup
+	for i := range combos {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			concurrent[i], errs[i] = run(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range combos {
+		if errs[i] != nil {
+			t.Fatalf("session %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(concurrent[i], serial[i]) {
+			t.Errorf("session %d: events differ between concurrent and serial runs", i)
+		}
+	}
+}
+
+func countKind(events []timeline.Event, kind timeline.Kind) int {
+	n := 0
+	for _, ev := range events {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	return n
 }

@@ -6,6 +6,43 @@ import (
 	"time"
 )
 
+// boundaryParams is the per-type boundary-search objective. Each chunk
+// [a,b) costs
+//
+//	requestCost + varianceCost·∫(c(t)−mean)²dt + lengthCost·(b−a)²
+//
+// and the DP minimizes the total: requestCost pushes toward fewer, longer
+// chunks (the per-request RTT tax demuxing doubles), varianceCost cuts
+// chunks at scene changes, lengthCost caps runaway chunk growth between
+// them.
+type boundaryParams struct {
+	minChunk, maxChunk time.Duration
+	requestCost        float64
+	varianceCost       float64
+	lengthCost         float64
+}
+
+// videoBoundary and audioBoundary bound the boundary search per track
+// type. Audio gets longer chunks than video: its complexity is flat, so its
+// optimum is pure request-overhead amortization, near
+// sqrt(requestCost/lengthCost) ≈ 6s — longer than video chunks and
+// misaligned with them.
+var (
+	videoBoundary = boundaryParams{
+		minChunk:     2 * time.Second,
+		maxChunk:     8 * time.Second,
+		requestCost:  0.30,
+		varianceCost: 2.0,
+		lengthCost:   0.004,
+	}
+	audioBoundary = boundaryParams{
+		minChunk:    3 * time.Second,
+		maxChunk:    9 * time.Second,
+		requestCost: 0.36,
+		lengthCost:  0.01,
+	}
+)
+
 // optimizeBoundaries runs the boundary DP for one track type: cells holds
 // the per-grid-cell mean complexity (last cell may be short), and the
 // returned durations are grid-aligned, strictly positive, and sum exactly
@@ -14,16 +51,13 @@ import (
 // Dynamic program over grid positions p_0=0 < p_1 < … < p_N=total:
 // best[i] is the cheapest chunking of [0, p_i) ending with a boundary at
 // p_i, built from every feasible predecessor j with
-// params.MinChunk ≤ p_i−p_j ≤ params.MaxChunk (the final boundary also
+// params.minChunk ≤ p_i−p_j ≤ params.maxChunk (the final boundary also
 // accepts a shorter remainder chunk, so any total is feasible).
-func optimizeBoundaries(cells []float64, total, grid time.Duration, params BoundaryParams) ([]time.Duration, float64, error) {
-	if params.MinChunk <= 0 || params.MaxChunk < params.MinChunk {
-		return nil, 0, fmt.Errorf("invalid chunk bounds [%v, %v]", params.MinChunk, params.MaxChunk)
-	}
-	if total <= params.MaxChunk {
+func optimizeBoundaries(cells []float64, total time.Duration, params boundaryParams) ([]time.Duration, float64, error) {
+	if total <= params.maxChunk {
 		// Degenerate short title: one chunk.
 		secs := total.Seconds()
-		return []time.Duration{total}, params.RequestCost + params.LengthCost*secs*secs, nil
+		return []time.Duration{total}, params.requestCost + params.lengthCost*secs*secs, nil
 	}
 
 	// Grid positions and integral prefix sums of c and c² (cell widths are
@@ -53,15 +87,15 @@ func optimizeBoundaries(cells []float64, total, grid time.Duration, params Bound
 		from[i] = -1
 	}
 	for i := 1; i <= n; i++ {
-		minLen := params.MinChunk
+		minLen := params.minChunk
 		if i == n {
-			// The remainder chunk may be shorter than MinChunk (but never
+			// The remainder chunk may be shorter than minChunk (but never
 			// shorter than one grid cell).
 			minLen = grid
 		}
 		for j := i - 1; j >= 0; j-- {
 			d := pos[i] - pos[j]
-			if d > params.MaxChunk {
+			if d > params.maxChunk {
 				break
 			}
 			if d < minLen || math.IsInf(best[j], 1) {
@@ -73,7 +107,7 @@ func optimizeBoundaries(cells []float64, total, grid time.Duration, params Bound
 			if varInt < 0 {
 				varInt = 0 // float noise on constant signals
 			}
-			c := best[j] + params.RequestCost + params.VarianceCost*varInt + params.LengthCost*secs*secs
+			c := best[j] + params.requestCost + params.varianceCost*varInt + params.lengthCost*secs*secs
 			if c < best[i] {
 				best[i] = c
 				from[i] = j
@@ -81,7 +115,7 @@ func optimizeBoundaries(cells []float64, total, grid time.Duration, params Bound
 		}
 	}
 	if math.IsInf(best[n], 1) {
-		return nil, 0, fmt.Errorf("no feasible chunking of %v with bounds [%v, %v]", total, params.MinChunk, params.MaxChunk)
+		return nil, 0, fmt.Errorf("no feasible chunking of %v with bounds [%v, %v]", total, params.minChunk, params.maxChunk)
 	}
 
 	var bounds []int

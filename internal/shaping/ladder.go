@@ -13,7 +13,11 @@ import (
 // Ladder-objective constants: a rung is usable at bandwidth w when its
 // bitrate fits under w with headroom to spare; a sample no rung fits pays a
 // rebuffer-style penalty proportional to the overshoot of the lowest rung.
+// The rungs are chosen from ladderCandidates candidate bitrates and scored
+// over ladderSamples seeded bandwidth draws.
 const (
+	ladderCandidates    = 24
+	ladderSamples       = 48
 	ladderHeadroom      = 1.1
 	ladderRebufPenalty  = 4.0
 	ladderMedianKbps    = 1200.0
@@ -22,20 +26,18 @@ const (
 	ladderMaxSampleKbps = 9000.0
 )
 
-// searchLadder picks cfg.Rungs video bitrates from a geometric candidate
-// grid spanning [0.6·lowest, 1.15·highest] of the authored ladder,
+// searchLadder re-places the authored ladder's rungs on a geometric
+// candidate grid spanning [0.6·lowest, 1.15·highest] of the ladder,
 // maximizing expected log-utility over seeded bandwidth samples. One greedy
 // build per candidate starting rung, fanned out via runpool and reduced in
 // submission order, so the result is byte-identical for any worker count.
 func searchLadder(orig media.Ladder, cfg Config) (media.Ladder, float64, error) {
-	if cfg.Rungs > cfg.Candidates {
-		return nil, 0, fmt.Errorf("%d rungs from %d candidates", cfg.Rungs, cfg.Candidates)
+	rungs := len(orig)
+	cands := candidateGrid(orig, ladderCandidates)
+	if len(cands) < rungs {
+		return nil, 0, fmt.Errorf("%d rungs from a grid of %d candidates", rungs, len(cands))
 	}
-	cands := candidateGrid(orig, cfg.Candidates)
-	if len(cands) < cfg.Rungs {
-		return nil, 0, fmt.Errorf("candidate grid collapsed to %d < %d rungs", len(cands), cfg.Rungs)
-	}
-	samples := bandwidthSamples(cfg.Seed, cfg.BandwidthSamples)
+	samples := bandwidthSamples(cfg.Seed, ladderSamples)
 	ref := float64(cands[0])
 
 	type attempt struct {
@@ -43,8 +45,8 @@ func searchLadder(orig media.Ladder, cfg Config) (media.Ladder, float64, error) 
 		rungs []media.Bps
 	}
 	attempts, err := runpool.Map(cfg.Workers, len(cands), func(s int) (attempt, error) {
-		rungs := greedyFrom(cands, s, cfg.Rungs, samples, ref)
-		return attempt{score: ladderScore(rungs, samples, ref), rungs: rungs}, nil
+		set := greedyFrom(cands, s, rungs, samples, ref)
+		return attempt{score: ladderScore(set, samples, ref), rungs: set}, nil
 	})
 	if err != nil {
 		return nil, 0, err
@@ -59,10 +61,7 @@ func searchLadder(orig media.Ladder, cfg Config) (media.Ladder, float64, error) 
 
 	out := make(media.Ladder, len(best.rungs))
 	for i, v := range best.rungs {
-		tmpl := orig[len(orig)-1]
-		if i < len(orig) {
-			tmpl = orig[i]
-		}
+		tmpl := orig[i]
 		tr := *tmpl
 		ratioPeak := float64(tmpl.PeakBitrate) / float64(tmpl.AvgBitrate)
 		ratioDecl := float64(tmpl.DeclaredBitrate) / float64(tmpl.AvgBitrate)

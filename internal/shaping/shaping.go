@@ -35,89 +35,21 @@ import (
 	"demuxabr/internal/media"
 )
 
-// Config parameterizes one shaping run. The zero value of any field falls
-// back to the default noted on it; Seed 0 is a valid seed.
+// Config parameterizes one shaping run; Seed 0 is a valid seed.
 type Config struct {
 	// Seed drives the scene model and the bandwidth samples of the ladder
-	// objective. Same seed, same spec, same config ⇒ same Plan, bit for bit.
+	// objective. Same seed, same spec ⇒ same Plan, bit for bit.
 	Seed int64
-
-	// Grid is the candidate-boundary spacing (default 500ms). Scene
-	// durations and every chunk boundary are multiples of Grid, so chunk
-	// durations survive millisecond manifest serialization exactly.
-	Grid time.Duration
-
-	// Video / Audio bound the boundary search per track type. Audio
-	// defaults to longer chunks than video: audio complexity is flat, so
-	// its optimum is pure request-overhead amortization.
-	Video BoundaryParams
-	Audio BoundaryParams
-
-	// Rungs is the size of the searched video ladder (default: the size of
-	// the spec's ladder). Candidates is the size of the candidate bitrate
-	// grid the rungs are chosen from (default 24). BandwidthSamples is how
-	// many seeded bandwidth draws score a ladder (default 48).
-	Rungs            int
-	Candidates       int
-	BandwidthSamples int
 
 	// Workers fans the ladder search's greedy restarts out via runpool
 	// (0 ⇒ GOMAXPROCS, 1 ⇒ serial). Output is identical for any value.
 	Workers int
 }
 
-// BoundaryParams is the per-type boundary-search objective. Each chunk
-// [a,b) costs
-//
-//	RequestCost + VarianceCost·∫(c(t)−mean)²dt + LengthCost·(b−a)²
-//
-// and the DP minimizes the total: RequestCost pushes toward fewer, longer
-// chunks (the per-request RTT tax demuxing doubles), VarianceCost cuts
-// chunks at scene changes, LengthCost caps runaway chunk growth between
-// them.
-type BoundaryParams struct {
-	MinChunk, MaxChunk time.Duration
-	RequestCost        float64
-	VarianceCost       float64
-	LengthCost         float64
-}
-
-const defaultGrid = 500 * time.Millisecond
-
-func (c Config) withDefaults(spec media.ContentSpec) Config {
-	if c.Grid <= 0 {
-		c.Grid = defaultGrid
-	}
-	if c.Video == (BoundaryParams{}) {
-		c.Video = BoundaryParams{
-			MinChunk:     2 * time.Second,
-			MaxChunk:     8 * time.Second,
-			RequestCost:  0.30,
-			VarianceCost: 2.0,
-			LengthCost:   0.004,
-		}
-	}
-	if c.Audio == (BoundaryParams{}) {
-		// Flat complexity: the optimum is near sqrt(RequestCost/LengthCost)
-		// ≈ 6s — longer than video chunks and misaligned with them.
-		c.Audio = BoundaryParams{
-			MinChunk:    3 * time.Second,
-			MaxChunk:    9 * time.Second,
-			RequestCost: 0.36,
-			LengthCost:  0.01,
-		}
-	}
-	if c.Rungs <= 0 {
-		c.Rungs = len(spec.VideoTracks)
-	}
-	if c.Candidates <= 0 {
-		c.Candidates = 24
-	}
-	if c.BandwidthSamples <= 0 {
-		c.BandwidthSamples = 48
-	}
-	return c
-}
+// grid is the candidate-boundary spacing. Scene durations and every chunk
+// boundary are multiples of it, so chunk durations survive millisecond
+// manifest serialization exactly.
+const grid = 500 * time.Millisecond
 
 // Plan is the output of one shaping run: the complete offline decision for
 // one title. Apply it to the title's spec with Spec, or serialize it with
@@ -151,26 +83,25 @@ type Plan struct {
 
 // Optimize runs the full pipeline for one title.
 func Optimize(spec media.ContentSpec, cfg Config) (*Plan, error) {
-	cfg = cfg.withDefaults(spec)
 	if spec.Duration <= 0 {
 		return nil, fmt.Errorf("shaping: spec %q has no duration", spec.Name)
 	}
 	if len(spec.VideoTracks) == 0 {
 		return nil, fmt.Errorf("shaping: spec %q has no video ladder", spec.Name)
 	}
-	scenes := GenerateScenes(cfg.Seed, spec.Duration, cfg.Grid)
-	cells := cellComplexities(scenes, spec.Duration, cfg.Grid)
+	scenes := GenerateScenes(cfg.Seed, spec.Duration)
+	cells := cellComplexities(scenes, spec.Duration)
 
 	p := &Plan{Title: spec.Name, Seed: cfg.Seed, Scenes: scenes}
 	var err error
-	if p.VideoChunks, p.VideoCost, err = optimizeBoundaries(cells, spec.Duration, cfg.Grid, cfg.Video); err != nil {
+	if p.VideoChunks, p.VideoCost, err = optimizeBoundaries(cells, spec.Duration, videoBoundary); err != nil {
 		return nil, fmt.Errorf("shaping: video boundaries: %w", err)
 	}
 	flat := make([]float64, len(cells))
 	for i := range flat {
 		flat[i] = 1
 	}
-	if p.AudioChunks, p.AudioCost, err = optimizeBoundaries(flat, spec.Duration, cfg.Grid, cfg.Audio); err != nil {
+	if p.AudioChunks, p.AudioCost, err = optimizeBoundaries(flat, spec.Duration, audioBoundary); err != nil {
 		return nil, fmt.Errorf("shaping: audio boundaries: %w", err)
 	}
 	if p.VideoLadder, p.LadderScore, err = searchLadder(spec.VideoTracks, cfg); err != nil {
@@ -214,13 +145,10 @@ func (p *Plan) Fingerprint() []byte {
 }
 
 // GenerateScenes draws the seeded piecewise-constant complexity signal:
-// scene durations uniform in [2s, 12s] (quantized to grid), complexities
-// log-normal around 1, clamped to [0.4, 2.2]. The final scene is truncated
-// to land exactly on total.
-func GenerateScenes(seed int64, total, grid time.Duration) []media.Scene {
-	if grid <= 0 {
-		grid = defaultGrid
-	}
+// scene durations uniform in [2s, 12s] (quantized to the 500 ms boundary
+// grid), complexities log-normal around 1, clamped to [0.4, 2.2]. The final
+// scene is truncated to land exactly on total.
+func GenerateScenes(seed int64, total time.Duration) []media.Scene {
 	rng := rand.New(rand.NewSource(seed ^ 0x5ce7e5))
 	var out []media.Scene
 	var at time.Duration
@@ -243,7 +171,7 @@ func GenerateScenes(seed int64, total, grid time.Duration) []media.Scene {
 
 // cellComplexities samples the scene signal onto the boundary grid: one
 // mean complexity per grid cell (the last cell may be shorter than grid).
-func cellComplexities(scenes []media.Scene, total, grid time.Duration) []float64 {
+func cellComplexities(scenes []media.Scene, total time.Duration) []float64 {
 	n := int((total + grid - 1) / grid)
 	out := make([]float64, n)
 	for i := range out {

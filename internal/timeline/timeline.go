@@ -44,7 +44,7 @@ const (
 	// failed away from.
 	Failover
 	// FaultInjected is the fault plan deciding a request fails (emitted by
-	// internal/faults at the decision point).
+	// the player when it draws the request's fault).
 	FaultInjected
 	// Abandon is an in-flight download cancelled by the model's
 	// abandonment rule; Detail names the abandoned track.
