@@ -47,35 +47,36 @@ import (
 )
 
 func main() {
-	playerName := flag.String("player", "bestpractice", playerUsage())
-	kbps := flag.Float64("kbps", 0, "fixed link bandwidth in Kbps")
-	traceFile := flag.String("trace", "", "bandwidth trace CSV (seconds,kbps rows; overrides -kbps)")
-	profileName := flag.String("profile", "", "named bandwidth profile (fig2, fig3, fig4a, fig4b, fig5, exohls-5m, lte); overrides -kbps")
-	contentName := flag.String("content", "drama", "content: drama, drama-low-audio, drama-high-audio, music-show, action-movie")
-	shapingSeed := flag.Int64("shaping-seed", 21, "seed for -shaping (scene model and ladder search)")
-	shapingMode := flag.String("shaping", "", "offline content preparation: chunks (shaped per-type boundaries, authored ladder), full (boundaries + searched per-title ladder), or fixed (uniform chunks but the same scene signal); drama content only")
-	manifest := flag.String("manifest", "hsub", "HLS manifest combinations: hsub (curated) or hall (all)")
-	audioFirst := flag.String("audio-first", "", "audio track listed first in the HLS manifest (e.g. A3)")
-	timelineCSV := flag.String("timeline-csv", "", "write the session timeline as CSV to this file")
-	timelineDir := flag.String("timeline", "", "write flight-recorder timelines (JSONL + Chrome trace) into this directory")
-	jsonOut := flag.String("json", "", "write the full session (or fleet) report as JSON to this file")
-	compare := flag.Bool("compare", false, "run every player model and print a comparison table (ignores -player)")
-	parallel := flag.Int("parallel", 0, "worker count for -compare (0 = GOMAXPROCS, 1 = serial)")
-	faultRate := flag.Float64("fault-rate", 0, "per-segment-request fault injection probability in [0,1]")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault plan (same seed = same failure sequence)")
-	noRetry := flag.Bool("no-retry", false, "disable the download robustness policy (fail fast on the first fault)")
-	transport := flag.String("transport", "", "transport connection model: h1, h2, or h3 (default: off — requests ride the bare link)")
-	rtt := flag.Duration("rtt", 80*time.Millisecond, "access round-trip time that prices -transport handshakes (ignored without -transport)")
-	live := flag.Bool("live", false, "live mode: availability-gated chunks, join-at-edge, latency-target playback-rate control")
-	latencyTarget := flag.Duration("latency-target", 4*time.Second, "live-edge latency the catch-up controller holds (ignored without -live)")
-	partTarget := flag.Duration("part-target", time.Second, "CMAF part duration advertised by the live origin; 0 = whole-segment availability (ignored without -live)")
-	sessions := flag.Int("sessions", 1, "fleet size; >1 co-simulates N sessions sharing the bandwidth as an edge uplink behind one shared cache")
-	arrivalSpread := flag.Duration("arrival-spread", 30*time.Second, "fleet arrival window: session starts are staggered (seeded) over [0, spread)")
-	mix := flag.String("mix", "", "comma-separated player kinds assigned round-robin across fleet sessions (default: -player for every session)")
-	seed := flag.Int64("seed", 17, "fleet seed: drives arrival draws and per-session fault plan derivation")
-	cell := flag.Int("cell", 0, "fleet contention-cell size: sessions per shared uplink+cache (0 = one cell for the whole fleet)")
-	shards := flag.Int("shards", 0, "fleet worker engines; cells are distributed round-robin, output is identical for any value (0 = GOMAXPROCS)")
-	sampleTimelines := flag.Int("sample-timelines", 0, "with -timeline, record every k-th session only (0 or 1 = all sessions)")
+	var o options
+	flag.StringVar(&o.player, "player", "bestpractice", playerUsage())
+	flag.Float64Var(&o.kbps, "kbps", 0, "fixed link bandwidth in Kbps")
+	flag.StringVar(&o.traceFile, "trace", "", "bandwidth trace CSV (seconds,kbps rows; overrides -kbps)")
+	flag.StringVar(&o.profile, "profile", "", "named bandwidth profile (fig2, fig3, fig4a, fig4b, fig5, exohls-5m, lte); overrides -kbps")
+	flag.StringVar(&o.content, "content", "drama", "content: drama, drama-low-audio, drama-high-audio, music-show, action-movie")
+	flag.Int64Var(&o.shapingSeed, "shaping-seed", 21, "seed for -shaping (scene model and ladder search)")
+	flag.StringVar(&o.shaping, "shaping", "", "offline content preparation: chunks (shaped per-type boundaries, authored ladder), full (boundaries + searched per-title ladder), or fixed (uniform chunks but the same scene signal); drama content only")
+	flag.StringVar(&o.manifest, "manifest", "hsub", "HLS manifest combinations: hsub (curated) or hall (all)")
+	flag.StringVar(&o.audioFirst, "audio-first", "", "audio track listed first in the HLS manifest (e.g. A3)")
+	flag.StringVar(&o.timelineCSV, "timeline-csv", "", "write the session timeline as CSV to this file")
+	flag.StringVar(&o.timelineDir, "timeline", "", "write flight-recorder timelines (JSONL + Chrome trace) into this directory")
+	flag.StringVar(&o.jsonOut, "json", "", "write the full session (or fleet) report as JSON to this file")
+	flag.BoolVar(&o.compare, "compare", false, "run every player model and print a comparison table (ignores -player)")
+	flag.IntVar(&o.parallel, "parallel", 0, "worker count for -compare (0 = GOMAXPROCS, 1 = serial)")
+	flag.Float64Var(&o.faultRate, "fault-rate", 0, "per-segment-request fault injection probability in [0,1]")
+	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the fault plan (same seed = same failure sequence)")
+	flag.BoolVar(&o.noRetry, "no-retry", false, "disable the download robustness policy (fail fast on the first fault)")
+	flag.StringVar(&o.transport, "transport", "", "transport connection model: h1, h2, or h3 (default: off — requests ride the bare link)")
+	flag.DurationVar(&o.rtt, "rtt", 80*time.Millisecond, "access round-trip time that prices -transport handshakes (ignored without -transport)")
+	flag.BoolVar(&o.live, "live", false, "live mode: availability-gated chunks, join-at-edge, latency-target playback-rate control")
+	flag.DurationVar(&o.latencyTarget, "latency-target", 4*time.Second, "live-edge latency the catch-up controller holds (ignored without -live)")
+	flag.DurationVar(&o.partTarget, "part-target", time.Second, "CMAF part duration advertised by the live origin; 0 = whole-segment availability (ignored without -live)")
+	flag.IntVar(&o.sessions, "sessions", 1, "fleet size; >1 co-simulates N sessions sharing the bandwidth as an edge uplink behind one shared cache")
+	flag.DurationVar(&o.arrivalSpread, "arrival-spread", 30*time.Second, "fleet arrival window: session starts are staggered (seeded) over [0, spread)")
+	flag.StringVar(&o.mix, "mix", "", "comma-separated player kinds assigned round-robin across fleet sessions (default: -player for every session)")
+	flag.Int64Var(&o.seed, "seed", 17, "fleet seed: drives arrival draws and per-session fault plan derivation")
+	flag.IntVar(&o.cell, "cell", 0, "fleet contention-cell size: sessions per shared uplink+cache (0 = one cell for the whole fleet)")
+	flag.IntVar(&o.shards, "shards", 0, "fleet worker engines; cells are distributed round-robin, output is identical for any value (0 = GOMAXPROCS)")
+	flag.IntVar(&o.sampleTimelines, "sample-timelines", 0, "with -timeline, record every k-th session only (0 or 1 = all sessions)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -86,17 +87,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	fo := faultOpts{rate: *faultRate, seed: *faultSeed, noRetry: *noRetry}
-	to := transportOpts{proto: *transport, rtt: *rtt, seed: *faultSeed}
-	lo := liveOpts{enabled: *live, latencyTarget: *latencyTarget, partTarget: *partTarget}
-	so := shapingOpts{mode: *shapingMode, seed: *shapingSeed}
 	switch {
-	case *compare:
-		err = runCompare(*kbps, *traceFile, *profileName, *contentName, *manifest, *audioFirst, *parallel, *timelineDir, fo, to, lo, so)
-	case *sessions > 1:
-		err = runFleet(*sessions, *arrivalSpread, *mix, *playerName, *kbps, *traceFile, *profileName, *contentName, *manifest, *audioFirst, *jsonOut, *timelineDir, *seed, *cell, *shards, *sampleTimelines, fo, to, lo, so)
+	case o.compare:
+		err = runCompare(o)
+	case o.sessions > 1:
+		err = runFleet(o)
 	default:
-		err = run(*playerName, *kbps, *traceFile, *profileName, *contentName, *manifest, *audioFirst, *timelineCSV, *timelineDir, *jsonOut, fo, to, lo, so)
+		err = run(o)
 	}
 	if perr := stopProfiles(); err == nil {
 		err = perr
@@ -156,84 +153,101 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 	}, nil
 }
 
-// faultOpts carries the fault-injection CLI flags into core.Spec. A zero
-// rate means no plan at all; -no-retry reverts to the legacy fail-fast
-// error handling.
-type faultOpts struct {
-	rate    float64
-	seed    int64
-	noRetry bool
+// options is the command line: main registers every field as a flag, and
+// the run modes read their settings from here alone (the profiling flags
+// are main's own).
+type options struct {
+	player, content, manifest, audioFirst string
+
+	// Bandwidth: -profile beats -trace beats -kbps.
+	kbps               float64
+	traceFile, profile string
+
+	// Offline content preparation; off when shaping is empty.
+	shaping     string
+	shapingSeed int64
+
+	timelineCSV, timelineDir, jsonOut string
+
+	compare  bool
+	parallel int
+
+	// Fault injection; faultSeed also seeds the transport.
+	faultRate float64
+	faultSeed int64
+	noRetry   bool
+
+	// Transport; off when transport is empty.
+	transport string
+	rtt       time.Duration
+
+	live                      bool
+	latencyTarget, partTarget time.Duration
+
+	// Fleet mode (sessions > 1).
+	sessions                      int
+	arrivalSpread                 time.Duration
+	mix                           string
+	seed                          int64
+	cell, shards, sampleTimelines int
 }
 
-func (fo faultOpts) plan() *faults.Plan {
-	if fo.rate <= 0 {
+// faultPlan is the injected-fault plan. A zero rate means no plan at all.
+func (o options) faultPlan() *faults.Plan {
+	if o.faultRate <= 0 {
 		return nil
 	}
-	return &faults.Plan{Seed: fo.seed, Rate: fo.rate}
+	return &faults.Plan{Seed: o.faultSeed, Rate: o.faultRate}
 }
 
-// policy is the default robustness policy whenever faults are injected;
-// -no-retry (or a clean run) keeps the legacy fail-fast behaviour.
-func (fo faultOpts) policy() *faults.Policy {
-	if fo.noRetry || fo.rate <= 0 {
+// faultPolicy is the default robustness policy whenever faults are
+// injected; -no-retry (or a clean run) keeps the legacy fail-fast
+// behaviour.
+func (o options) faultPolicy() *faults.Policy {
+	if o.noRetry || o.faultRate <= 0 {
 		return nil
 	}
 	pol := faults.DefaultPolicy()
 	return &pol
 }
 
-// transportOpts carries the -transport/-rtt flags. An empty protocol
-// means the transport layer is off: requests ride the bare link and rtt
-// is ignored, keeping default runs byte-identical to transport-less
-// builds.
-type transportOpts struct {
-	proto string
-	rtt   time.Duration
-	seed  int64
-}
-
-// config resolves the flags into a transport config (nil when off). The
+// transportConfig resolves -transport into a transport config. An empty
+// protocol means the transport layer is off (nil): requests ride the bare
+// link, keeping default runs byte-identical to transport-less builds. The
 // keep-alive window matches the transport experiment family (700 ms, a
 // mobile radio/NAT idle teardown); the loss axis stays on the -fault-rate
 // machinery rather than transport loss draws.
-func (to transportOpts) config() (*netsim.TransportConfig, error) {
-	if to.proto == "" {
+func (o options) transportConfig() (*netsim.TransportConfig, error) {
+	if o.transport == "" {
 		return nil, nil
 	}
-	p, err := netsim.ParseProtocol(to.proto)
+	p, err := netsim.ParseProtocol(o.transport)
 	if err != nil {
 		return nil, err
 	}
 	tc := netsim.DefaultTransport(p)
 	tc.IdleTimeout = 700 * time.Millisecond
-	tc.Seed = to.seed
+	tc.Seed = o.faultSeed
 	return &tc, nil
 }
 
 // linkRTT is the access RTT to apply — only meaningful with a transport.
-func (to transportOpts) linkRTT() time.Duration {
-	if to.proto == "" {
+func (o options) linkRTT() time.Duration {
+	if o.transport == "" {
 		return 0
 	}
-	return to.rtt
+	return o.rtt
 }
 
-// liveOpts carries the -live/-latency-target/-part-target flags. Disabled
-// live mode resolves to a nil config, keeping VOD runs byte-identical to
-// pre-live builds.
-type liveOpts struct {
-	enabled       bool
-	latencyTarget time.Duration
-	partTarget    time.Duration
-}
-
-func (lo liveOpts) config() *player.LiveConfig {
-	if !lo.enabled {
+// liveConfig resolves the live flags. Disabled live mode resolves to a nil
+// config, keeping VOD runs byte-identical to pre-live builds.
+func (o options) liveConfig() *player.LiveConfig {
+	if !o.live {
 		return nil
 	}
 	return &player.LiveConfig{
-		LatencyTarget: lo.latencyTarget,
-		PartTarget:    lo.partTarget,
+		LatencyTarget: o.latencyTarget,
+		PartTarget:    o.partTarget,
 	}
 }
 
@@ -242,22 +256,22 @@ func (lo liveOpts) config() *player.LiveConfig {
 // fault plan. Sessions fan out across parallel workers (each on its own
 // simulation engine); collection is in PlayerKinds order, so the table is
 // identical at any worker count.
-func runCompare(kbps float64, traceFile, profileName, contentName, manifest, audioFirst string, parallel int, timelineDir string, fo faultOpts, to transportOpts, lo liveOpts, so shapingOpts) error {
+func runCompare(o options) error {
 	kinds := core.PlayerKinds()
 	// Recorders are pre-created in kind order: each worker appends only to
 	// its own, so the exported timeline is byte-identical at any -parallel.
 	var recs []*timeline.Recorder
-	if timelineDir != "" {
+	if o.timelineDir != "" {
 		recs = make([]*timeline.Recorder, len(kinds))
 		for i := range recs {
 			recs[i] = timeline.New(i, string(kinds[i]))
 		}
 	}
-	spec, err := sessionSpec(kbps, traceFile, profileName, contentName, manifest, audioFirst, fo, to, lo, so)
+	spec, err := o.sessionSpec()
 	if err != nil {
 		return err
 	}
-	sessions, err := runpool.Map(parallel, len(kinds), func(i int) (*core.Session, error) {
+	sessions, err := runpool.Map(o.parallel, len(kinds), func(i int) (*core.Session, error) {
 		spec := spec
 		spec.Player = kinds[i]
 		spec.Recorder = recFor(recs, i)
@@ -270,8 +284,8 @@ func runCompare(kbps float64, traceFile, profileName, contentName, manifest, aud
 	if err != nil {
 		return err
 	}
-	if timelineDir != "" {
-		if err := timeline.WriteFiles(timelineDir, "compare", recs); err != nil {
+	if o.timelineDir != "" {
+		if err := timeline.WriteFiles(o.timelineDir, "compare", recs); err != nil {
 			return err
 		}
 	}
@@ -291,25 +305,19 @@ func runCompare(kbps float64, traceFile, profileName, contentName, manifest, aud
 	return tw.Flush()
 }
 
-// shapingOpts carries the -shaping/-shaping-seed flags. An empty mode
-// means no offline preparation: content comes straight from the preset,
-// byte-identical to pre-shaping builds.
-type shapingOpts struct {
-	mode string
-	seed int64
-}
-
-// content resolves -content, applying the offline shaping stage when
-// requested. Shaping re-synthesizes the drama title from a seeded scene
-// signal, so it is restricted to the drama content whose encoding spec it
-// reconstructs; the shaped modes misalign the A/V timelines on purpose, so
-// joint and muxed players will refuse them.
-func (so shapingOpts) content(contentName string) (*media.Content, error) {
-	if so.mode == "" {
-		return parseContent(contentName)
+// loadContent resolves -content, applying the offline shaping stage when
+// requested. Without -shaping, content comes straight from the preset,
+// byte-identical to pre-shaping builds. Shaping re-synthesizes the drama
+// title from a seeded scene signal, so it is restricted to the drama
+// content whose encoding spec it reconstructs; the shaped modes misalign
+// the A/V timelines on purpose, so joint and muxed players will refuse
+// them.
+func (o options) loadContent() (*media.Content, error) {
+	if o.shaping == "" {
+		return parseContent(o.content)
 	}
-	if contentName != "drama" {
-		return nil, fmt.Errorf("-shaping supports only -content drama, not %q", contentName)
+	if o.content != "drama" {
+		return nil, fmt.Errorf("-shaping supports only -content drama, not %q", o.content)
 	}
 	base := media.ContentSpec{
 		Name:          "drama-show",
@@ -319,12 +327,12 @@ func (so shapingOpts) content(contentName string) (*media.Content, error) {
 		AudioTracks:   media.DramaAudioLadder(),
 		Model:         media.DefaultChunkModel(),
 	}
-	plan, err := shaping.Optimize(base, shaping.Config{Seed: so.seed, Workers: 1})
+	plan, err := shaping.Optimize(base, shaping.Config{Seed: o.shapingSeed, Workers: 1})
 	if err != nil {
 		return nil, err
 	}
 	var spec media.ContentSpec
-	switch so.mode {
+	switch o.shaping {
 	case "fixed":
 		spec = plan.FixedSpec(base)
 	case "chunks":
@@ -334,7 +342,7 @@ func (so shapingOpts) content(contentName string) (*media.Content, error) {
 	case "full":
 		spec = plan.Spec(base)
 	default:
-		return nil, fmt.Errorf("unknown -shaping mode %q (chunks, full, or fixed)", so.mode)
+		return nil, fmt.Errorf("unknown -shaping mode %q (chunks, full, or fixed)", o.shaping)
 	}
 	return media.NewContent(spec)
 }
@@ -412,14 +420,14 @@ func recFor(recs []*timeline.Recorder, i int) *timeline.Recorder {
 	return recs[i]
 }
 
-// playOnce resolves the CLI flags and runs one session of the named
-// player, attaching rec (may be nil) as its flight recorder.
-func playOnce(playerName string, kbps float64, traceFile, profileName, contentName, manifest, audioFirst string, rec *timeline.Recorder, fo faultOpts, to transportOpts, lo liveOpts, so shapingOpts) (*core.Session, error) {
-	kind, err := core.ParsePlayerKind(playerName)
+// playOnce resolves the CLI flags and runs one session of the -player
+// model, attaching rec (may be nil) as its flight recorder.
+func playOnce(o options, rec *timeline.Recorder) (*core.Session, error) {
+	kind, err := core.ParsePlayerKind(o.player)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := sessionSpec(kbps, traceFile, profileName, contentName, manifest, audioFirst, fo, to, lo, so)
+	spec, err := o.sessionSpec()
 	if err != nil {
 		return nil, err
 	}
@@ -431,20 +439,20 @@ func playOnce(playerName string, kbps float64, traceFile, profileName, contentNa
 // sessionSpec resolves the flags every session of a run shares (content,
 // profile, manifest options, faults, transport and live mode) into a spec
 // with no player or recorder set.
-func sessionSpec(kbps float64, traceFile, profileName, contentName, manifest, audioFirst string, fo faultOpts, to transportOpts, lo liveOpts, so shapingOpts) (core.Spec, error) {
-	content, err := so.content(contentName)
+func (o options) sessionSpec() (core.Spec, error) {
+	content, err := o.loadContent()
 	if err != nil {
 		return core.Spec{}, err
 	}
-	profile, err := parseProfile(kbps, traceFile, profileName)
+	profile, err := parseProfile(o.kbps, o.traceFile, o.profile)
 	if err != nil {
 		return core.Spec{}, err
 	}
-	mo, err := parseManifest(content, manifest, audioFirst)
+	mo, err := parseManifest(content, o.manifest, o.audioFirst)
 	if err != nil {
 		return core.Spec{}, err
 	}
-	tc, err := to.config()
+	tc, err := o.transportConfig()
 	if err != nil {
 		return core.Spec{}, err
 	}
@@ -452,11 +460,11 @@ func sessionSpec(kbps float64, traceFile, profileName, contentName, manifest, au
 		Content:    content,
 		Profile:    profile,
 		Manifest:   mo,
-		Faults:     fo.plan(),
-		Robustness: fo.policy(),
-		RTT:        to.linkRTT(),
+		Faults:     o.faultPlan(),
+		Robustness: o.faultPolicy(),
+		RTT:        o.linkRTT(),
 		Transport:  tc,
-		Live:       lo.config(),
+		Live:       o.liveConfig(),
 	}, nil
 }
 
@@ -482,30 +490,30 @@ func parseMix(mixStr, playerName string) ([]core.PlayerKind, error) {
 // shared edge uplink, every client gets a generous access link behind it,
 // and all sessions hit one shared edge cache. Output is a per-session table
 // plus the fleet aggregates; -json writes the full fleet report.
-func runFleet(n int, spread time.Duration, mixStr, playerName string, kbps float64, traceFile, profileName, contentName, manifest, audioFirst, jsonOut, timelineDir string, seed int64, cell, shards, sampleTimelines int, fo faultOpts, to transportOpts, lo liveOpts, so shapingOpts) error {
-	spec, err := sessionSpec(kbps, traceFile, profileName, contentName, manifest, audioFirst, fo, to, lo, so)
+func runFleet(o options) error {
+	spec, err := o.sessionSpec()
 	if err != nil {
 		return err
 	}
-	kinds, err := parseMix(mixStr, playerName)
+	kinds, err := parseMix(o.mix, o.player)
 	if err != nil {
 		return err
 	}
 	res, err := fleet.Run(fleet.Config{
 		Content:         spec.Content,
-		Sessions:        n,
+		Sessions:        o.sessions,
 		Mix:             kinds,
 		Manifest:        spec.Manifest,
 		UplinkProfile:   spec.Profile,
-		ArrivalSpread:   spread,
+		ArrivalSpread:   o.arrivalSpread,
 		MissPenalty:     60 * time.Millisecond,
-		Seed:            seed,
+		Seed:            o.seed,
 		FaultPlan:       spec.Faults,
 		Robustness:      spec.Robustness,
-		Timeline:        timelineDir != "",
-		CellSessions:    cell,
-		Shards:          shards,
-		SampleTimelines: sampleTimelines,
+		Timeline:        o.timelineDir != "",
+		CellSessions:    o.cell,
+		Shards:          o.shards,
+		SampleTimelines: o.sampleTimelines,
 		Transport:       spec.Transport,
 		AccessRTT:       spec.RTT,
 		Live:            spec.Live,
@@ -513,8 +521,8 @@ func runFleet(n int, spread time.Duration, mixStr, playerName string, kbps float
 	if err != nil {
 		return err
 	}
-	if timelineDir != "" {
-		if err := timeline.WriteFiles(timelineDir, "fleet", res.Recorders); err != nil {
+	if o.timelineDir != "" {
+		if err := timeline.WriteFiles(o.timelineDir, "fleet", res.Recorders); err != nil {
 			return err
 		}
 	}
@@ -549,12 +557,12 @@ func runFleet(n int, spread time.Duration, mixStr, playerName string, kbps float
 	fmt.Printf("cache:  %d requests, hit ratio %.3f, byte hit ratio %.3f (origin offload)\n",
 		res.Cache.Requests, res.Cache.HitRatio(), res.Cache.ByteHitRatio())
 
-	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
+	if o.jsonOut != "" {
+		f, err := os.Create(o.jsonOut)
 		if err != nil {
 			return err
 		}
-		if err := res.Report(contentName).WriteJSON(f); err != nil {
+		if err := res.Report(o.content).WriteJSON(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -563,12 +571,12 @@ func runFleet(n int, spread time.Duration, mixStr, playerName string, kbps float
 	return nil
 }
 
-func run(playerName string, kbps float64, traceFile, profileName, contentName, manifest, audioFirst, timelineCSV, timelineDir, jsonOut string, fo faultOpts, to transportOpts, lo liveOpts, so shapingOpts) error {
+func run(o options) error {
 	var rec *timeline.Recorder
-	if timelineDir != "" {
-		rec = timeline.New(0, playerName)
+	if o.timelineDir != "" {
+		rec = timeline.New(0, o.player)
 	}
-	sess, err := playOnce(playerName, kbps, traceFile, profileName, contentName, manifest, audioFirst, rec, fo, to, lo, so)
+	sess, err := playOnce(o, rec)
 	if err != nil {
 		return err
 	}
@@ -581,7 +589,7 @@ func run(playerName string, kbps float64, traceFile, profileName, contentName, m
 	fmt.Printf("combos used:     %v (off-manifest chunks: %d)\n", sess.Result.CombosSelected(), m.OffManifest)
 	fmt.Printf("buffer imbalance: max %.1f s, mean %.1f s\n", m.MaxImbalance.Seconds(), m.MeanImbalance.Seconds())
 	fmt.Printf("QoE score:       %.2f\n", m.Score)
-	if fo.rate > 0 || len(sess.Result.Faults) > 0 {
+	if o.faultRate > 0 || len(sess.Result.Faults) > 0 {
 		fmt.Printf("faults:          %d (%d retries, %d failovers, %.1f KB wasted)\n",
 			len(sess.Result.Faults), sess.Result.Retries, len(sess.Result.Failovers),
 			float64(sess.Result.WastedFaultBytes())/1000)
@@ -606,17 +614,17 @@ func run(playerName string, kbps float64, traceFile, profileName, contentName, m
 		c := rec.Counters()
 		fmt.Printf("timeline:        %d events (%d decisions, %d requests, %d retries, %d stalls)\n",
 			c.Events, c.Decisions, c.Requests, c.Retries, c.Stalls)
-		if err := timeline.WriteFiles(timelineDir, "session", []*timeline.Recorder{rec}); err != nil {
+		if err := timeline.WriteFiles(o.timelineDir, "session", []*timeline.Recorder{rec}); err != nil {
 			return err
 		}
 	}
 
-	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
+	if o.jsonOut != "" {
+		f, err := os.Create(o.jsonOut)
 		if err != nil {
 			return err
 		}
-		doc := report.FromResult(contentName, sess.Result, sess.Metrics)
+		doc := report.FromResult(o.content, sess.Result, sess.Metrics)
 		if rec != nil {
 			doc.TimelineCounters = report.CountersFrom(rec.Counters())
 		}
@@ -629,38 +637,46 @@ func run(playerName string, kbps float64, traceFile, profileName, contentName, m
 		}
 	}
 
-	if timelineCSV != "" {
-		f, err := os.Create(timelineCSV)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := csv.NewWriter(f)
-		defer w.Flush()
-		if err := w.Write([]string{"t_s", "playpos_s", "video", "audio", "vbuf_s", "abuf_s", "est_kbps", "stalled"}); err != nil {
-			return err
-		}
-		for _, s := range sess.Result.Timeline {
-			video, audio := "", ""
-			if s.Video != nil {
-				video = s.Video.ID
-			}
-			if s.Audio != nil {
-				audio = s.Audio.ID
-			}
-			rec := []string{
-				fmt.Sprintf("%.3f", s.At.Seconds()),
-				fmt.Sprintf("%.3f", s.PlayPos.Seconds()),
-				video, audio,
-				fmt.Sprintf("%.3f", s.VideoBuffer.Seconds()),
-				fmt.Sprintf("%.3f", s.AudioBuffer.Seconds()),
-				fmt.Sprintf("%.1f", s.Estimate.Kbps()),
-				fmt.Sprintf("%v", s.Stalled),
-			}
-			if err := w.Write(rec); err != nil {
-				return err
-			}
-		}
+	if o.timelineCSV != "" {
+		return writeTimelineCSV(o.timelineCSV, sess.Result.Timeline)
 	}
 	return nil
+}
+
+// writeTimelineCSV writes the session's periodic samples as CSV to path.
+// A failed write, flush or close is an error, so a truncated file never
+// passes for a complete one.
+func writeTimelineCSV(path string, samples []player.Sample) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	// csv.Writer errors are sticky: w.Error reports any failed Write after
+	// the final Flush.
+	w := csv.NewWriter(f)
+	w.Write([]string{"t_s", "playpos_s", "video", "audio", "vbuf_s", "abuf_s", "est_kbps", "stalled"})
+	for _, s := range samples {
+		video, audio := "", ""
+		if s.Video != nil {
+			video = s.Video.ID
+		}
+		if s.Audio != nil {
+			audio = s.Audio.ID
+		}
+		w.Write([]string{
+			fmt.Sprintf("%.3f", s.At.Seconds()),
+			fmt.Sprintf("%.3f", s.PlayPos.Seconds()),
+			video, audio,
+			fmt.Sprintf("%.3f", s.VideoBuffer.Seconds()),
+			fmt.Sprintf("%.3f", s.AudioBuffer.Seconds()),
+			fmt.Sprintf("%.1f", s.Estimate.Kbps()),
+			fmt.Sprintf("%v", s.Stalled),
+		})
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"demuxabr/internal/core"
+	"demuxabr/internal/player"
 )
 
 // TestPlayerUsageListsEveryKind: the -player help text names exactly the
@@ -29,7 +30,7 @@ func TestPlayerUsageListsEveryKind(t *testing.T) {
 
 func TestRunFixedBandwidth(t *testing.T) {
 	tl := filepath.Join(t.TempDir(), "tl.csv")
-	if err := run("bestpractice", 900, "", "", "drama", "hsub", "", tl, "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+	if err := run(options{player: "bestpractice", kbps: 900, content: "drama", manifest: "hsub", timelineCSV: tl}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(tl)
@@ -49,20 +50,20 @@ func TestRunTraceFile(t *testing.T) {
 	if err := os.WriteFile(traceFile, []byte("0,900\n30,300\n#cycle,60\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("shaka", 0, traceFile, "", "drama", "hall", "", "", "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+	if err := run(options{player: "shaka", traceFile: traceFile, content: "drama", manifest: "hall"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunAudioFirst(t *testing.T) {
-	if err := run("exoplayer-hls", 2000, "", "", "drama", "hsub", "A3", "", "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+	if err := run(options{player: "exoplayer-hls", kbps: 2000, content: "drama", manifest: "hsub", audioFirst: "A3"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunContentVariants(t *testing.T) {
 	for _, c := range []string{"drama-low-audio", "drama-high-audio"} {
-		if err := run("exoplayer-dash", 900, "", "", c, "hsub", "", "", "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+		if err := run(options{player: "exoplayer-dash", kbps: 900, content: c, manifest: "hsub"}); err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
 	}
@@ -70,19 +71,18 @@ func TestRunContentVariants(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := []struct {
-		name                                                    string
-		player, content, manifest, audioFirst, traceF, timeline string
-		kbps                                                    float64
+		name string
+		o    options
 	}{
-		{name: "bad player", player: "vlc", content: "drama", manifest: "hsub", kbps: 100},
-		{name: "bad content", player: "shaka", content: "nope", manifest: "hsub", kbps: 100},
-		{name: "bad manifest", player: "shaka", content: "drama", manifest: "x", kbps: 100},
-		{name: "bad audio", player: "shaka", content: "drama", manifest: "hsub", audioFirst: "Z9", kbps: 100},
-		{name: "no bandwidth", player: "shaka", content: "drama", manifest: "hsub"},
-		{name: "missing trace", player: "shaka", content: "drama", manifest: "hsub", traceF: "/nonexistent.csv"},
+		{"bad player", options{player: "vlc", content: "drama", manifest: "hsub", kbps: 100}},
+		{"bad content", options{player: "shaka", content: "nope", manifest: "hsub", kbps: 100}},
+		{"bad manifest", options{player: "shaka", content: "drama", manifest: "x", kbps: 100}},
+		{"bad audio", options{player: "shaka", content: "drama", manifest: "hsub", audioFirst: "Z9", kbps: 100}},
+		{"no bandwidth", options{player: "shaka", content: "drama", manifest: "hsub"}},
+		{"missing trace", options{player: "shaka", content: "drama", manifest: "hsub", traceFile: "/nonexistent.csv"}},
 	}
 	for _, tc := range cases {
-		if err := run(tc.player, tc.kbps, tc.traceF, "", tc.content, tc.manifest, tc.audioFirst, tc.timeline, "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err == nil {
+		if err := run(tc.o); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
@@ -90,7 +90,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunJSONExport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "session.json")
-	if err := run("mpc-joint", 1300, "", "", "drama", "hsub", "", "", "", out, faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+	if err := run(options{player: "mpc-joint", kbps: 1300, content: "drama", manifest: "hsub", jsonOut: out}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -106,17 +106,17 @@ func TestRunJSONExport(t *testing.T) {
 }
 
 func TestRunNamedProfile(t *testing.T) {
-	if err := run("shaka", 0, "", "fig4a", "drama", "hall", "", "", "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+	if err := run(options{player: "shaka", profile: "fig4a", content: "drama", manifest: "hall"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("shaka", 0, "", "bogus", "drama", "hall", "", "", "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err == nil {
+	if err := run(options{player: "shaka", profile: "bogus", content: "drama", manifest: "hall"}); err == nil {
 		t.Error("unknown profile should fail")
 	}
 }
 
 func TestPlayOnceFaultFlags(t *testing.T) {
-	fo := faultOpts{rate: 0.01, seed: 1009}
-	on, err := playOnce("bestpractice", 0, "", "fig3", "drama", "hsub", "", nil, fo, transportOpts{}, liveOpts{}, shapingOpts{})
+	o := options{player: "bestpractice", profile: "fig3", content: "drama", manifest: "hsub", faultRate: 0.01, faultSeed: 1009}
+	on, err := playOnce(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,8 @@ func TestPlayOnceFaultFlags(t *testing.T) {
 	if len(on.Result.Faults) == 0 {
 		t.Fatal("fault injection flags had no effect: no faults recorded")
 	}
-	fo.noRetry = true
-	off, err := playOnce("bestpractice", 0, "", "fig3", "drama", "hsub", "", nil, fo, transportOpts{}, liveOpts{}, shapingOpts{})
+	o.noRetry = true
+	off, err := playOnce(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func TestPlayOnceFaultFlags(t *testing.T) {
 func TestRunFleetDeterministicJSON(t *testing.T) {
 	render := func() []byte {
 		out := filepath.Join(t.TempDir(), "fleet.json")
-		if err := runFleet(4, 10*time.Second, "bestpractice,bola-joint", "bestpractice",
-			12000, "", "", "drama", "hsub", "", out, "", 17, 0, 0, 0, faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+		if err := runFleet(options{sessions: 4, arrivalSpread: 10 * time.Second, mix: "bestpractice,bola-joint", player: "bestpractice",
+			kbps: 12000, content: "drama", manifest: "hsub", jsonOut: out, seed: 17}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(out)
@@ -165,29 +165,29 @@ func TestRunFleetDeterministicJSON(t *testing.T) {
 }
 
 func TestRunFleetErrors(t *testing.T) {
-	if err := runFleet(4, 0, "bestpractice,vlc", "bestpractice",
-		12000, "", "", "drama", "hsub", "", "", "", 17, 0, 0, 0, faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err == nil {
+	if err := runFleet(options{sessions: 4, mix: "bestpractice,vlc", player: "bestpractice",
+		kbps: 12000, content: "drama", manifest: "hsub", seed: 17}); err == nil {
 		t.Error("bad mix entry: expected error")
 	}
-	if err := runFleet(4, 0, "", "bestpractice",
-		0, "", "", "drama", "hsub", "", "", "", 17, 0, 0, 0, faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err == nil {
+	if err := runFleet(options{sessions: 4, player: "bestpractice",
+		content: "drama", manifest: "hsub", seed: 17}); err == nil {
 		t.Error("no bandwidth: expected error")
 	}
 }
 
 func TestRunCompare(t *testing.T) {
-	if err := runCompare(900, "", "", "drama", "hsub", "", 0, "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+	if err := runCompare(options{kbps: 900, content: "drama", manifest: "hsub"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCompare(0, "", "", "drama", "hsub", "", 1, "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{}); err == nil {
+	if err := runCompare(options{content: "drama", manifest: "hsub", parallel: 1}); err == nil {
 		t.Error("compare without bandwidth should fail")
 	}
 }
 
 func TestRunTimelineDir(t *testing.T) {
 	dir := t.TempDir()
-	fo := faultOpts{rate: 0.01, seed: 1009}
-	if err := run("bestpractice", 0, "", "fig3", "drama", "hsub", "", "", dir, "", fo, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+	if err := run(options{player: "bestpractice", profile: "fig3", content: "drama", manifest: "hsub",
+		timelineDir: dir, faultRate: 0.01, faultSeed: 1009}); err != nil {
 		t.Fatal(err)
 	}
 	jsonl, err := os.ReadFile(filepath.Join(dir, "session.jsonl"))
@@ -214,8 +214,8 @@ func TestRunTimelineDir(t *testing.T) {
 func TestTimelineCompareParallelEquivalence(t *testing.T) {
 	render := func(parallel int) (jsonl, traceJSON []byte) {
 		dir := t.TempDir()
-		fo := faultOpts{rate: 0.01, seed: 1009}
-		if err := runCompare(0, "", "fig3", "drama", "hsub", "", parallel, dir, fo, transportOpts{}, liveOpts{}, shapingOpts{}); err != nil {
+		if err := runCompare(options{profile: "fig3", content: "drama", manifest: "hsub", parallel: parallel,
+			timelineDir: dir, faultRate: 0.01, faultSeed: 1009}); err != nil {
 			t.Fatal(err)
 		}
 		jsonl, err := os.ReadFile(filepath.Join(dir, "compare.jsonl"))
@@ -245,18 +245,29 @@ func TestTimelineCompareParallelEquivalence(t *testing.T) {
 // the shaped (misaligned) title, joint players refuse it, and the flag is
 // validated.
 func TestRunShaped(t *testing.T) {
-	if err := run("dashjs", 900, "", "", "drama", "hsub", "", "", "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{mode: "chunks", seed: 21}); err != nil {
+	if err := run(options{player: "dashjs", kbps: 900, content: "drama", manifest: "hsub", shaping: "chunks", shapingSeed: 21}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("bestpractice", 900, "", "", "drama", "hsub", "", "", "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{mode: "chunks", seed: 21}); err == nil {
+	if err := run(options{player: "bestpractice", kbps: 900, content: "drama", manifest: "hsub", shaping: "chunks", shapingSeed: 21}); err == nil {
 		t.Error("joint player on misaligned shaped content: expected error")
 	} else if !strings.Contains(err.Error(), "aligned") {
 		t.Errorf("joint-player error %q does not explain the alignment requirement", err)
 	}
-	if err := run("dashjs", 900, "", "", "music-show", "hsub", "", "", "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{mode: "chunks", seed: 21}); err == nil {
+	if err := run(options{player: "dashjs", kbps: 900, content: "music-show", manifest: "hsub", shaping: "chunks", shapingSeed: 21}); err == nil {
 		t.Error("-shaping with non-drama content: expected error")
 	}
-	if err := run("dashjs", 900, "", "", "drama", "hsub", "", "", "", "", faultOpts{}, transportOpts{}, liveOpts{}, shapingOpts{mode: "bogus", seed: 21}); err == nil {
+	if err := run(options{player: "dashjs", kbps: 900, content: "drama", manifest: "hsub", shaping: "bogus", shapingSeed: 21}); err == nil {
 		t.Error("unknown -shaping mode: expected error")
+	}
+}
+
+// TestWriteTimelineCSVReportsWriteErrors: a write that fails at the final
+// flush is an error, not a silently truncated timeline.
+func TestWriteTimelineCSVReportsWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if err := writeTimelineCSV("/dev/full", []player.Sample{{At: time.Second}}); err == nil {
+		t.Error("writing to /dev/full returned nil, want an error")
 	}
 }

@@ -155,26 +155,26 @@ func writeTimeline(dir, name string, tl []experiments.TimelinePoint) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	// csv.Writer errors are sticky: w.Error reports any failed Write after
+	// the final Flush, so a truncated series never passes for a complete one.
 	w := csv.NewWriter(f)
-	defer w.Flush()
-	if err := w.Write([]string{"t_s", "video", "audio", "video_buffer_s", "audio_buffer_s", "estimate_kbps", "stalled"}); err != nil {
-		return err
-	}
+	w.Write([]string{"t_s", "video", "audio", "video_buffer_s", "audio_buffer_s", "estimate_kbps", "stalled"})
 	for _, p := range tl {
-		rec := []string{
+		w.Write([]string{
 			fmt.Sprintf("%.3f", p.At.Seconds()),
 			p.Video, p.Audio,
 			fmt.Sprintf("%.3f", p.VideoBuffer.Seconds()),
 			fmt.Sprintf("%.3f", p.AudioBuffer.Seconds()),
 			fmt.Sprintf("%.1f", p.Estimate.Kbps()),
 			fmt.Sprintf("%v", p.Stalled),
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	w.Flush()
+	if err := w.Error(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fig2a(string) error {

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"demuxabr/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden paperfigs output in testdata/")
@@ -134,5 +137,17 @@ func TestCSVTimelinesWritten(t *testing.T) {
 	// The Fig 4(a) signature visible in the CSV: estimate pinned at 500.
 	if !strings.Contains(lines[len(lines)-1], ",500.0,") {
 		t.Errorf("final row lacks the 500 Kbps estimate: %q", lines[len(lines)-1])
+	}
+}
+
+// TestWriteTimelineReportsWriteErrors: a write that fails at the final
+// flush is an error, not a silently truncated figure series.
+func TestWriteTimelineReportsWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	tl := []experiments.TimelinePoint{{At: time.Second, Video: "V1", Audio: "A1"}}
+	if err := writeTimeline("/dev", "full", tl); err == nil {
+		t.Error("writing to /dev/full returned nil, want an error")
 	}
 }

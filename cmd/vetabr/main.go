@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	vetabr [-json] [-fix] [-sarif file] [-baseline file [-write-baseline]] [dir ...]
+//	vetabr [-json] [-fix] [dir ...]
 //
 // Each dir is a module root or package tree ("./..." suffixes are
 // accepted and stripped; the walk always recurses). With no argument the
@@ -14,14 +14,9 @@
 //
 // -fix applies the mechanical rewrites attached to findings (inserting
 // the missing sort after a map range, substituting a constant seed for a
-// wall-clock one) and re-analyzes; -sarif writes a SARIF 2.1.0 log for
-// CI annotation surfaces; -baseline tolerates (but still reports)
-// findings grandfathered in the given file, failing on stale entries so
-// the baseline only ever burns down; -write-baseline regenerates that
-// file from the current findings instead of gating on it.
+// wall-clock one) and re-analyzes.
 //
-// Exit status 1 when any unsuppressed, unbaselined warning fires (or a
-// baseline entry is stale), 2 on load errors.
+// Exit status 1 when any unsuppressed warning fires, 2 on load errors.
 package main
 
 import (
@@ -40,11 +35,8 @@ func main() {
 	var opts options
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit findings as JSON")
 	flag.BoolVar(&opts.fix, "fix", false, "apply mechanical fixes to the source tree, then re-analyze")
-	flag.StringVar(&opts.sarifPath, "sarif", "", "write findings as SARIF 2.1.0 to `file`")
-	flag.StringVar(&opts.baselinePath, "baseline", "", "tolerate findings grandfathered in `file`; fail on stale entries")
-	flag.BoolVar(&opts.writeBaseline, "write-baseline", false, "regenerate the -baseline file from current findings and exit")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: vetabr [-json] [-fix] [-sarif file] [-baseline file [-write-baseline]] [dir ...]")
+		fmt.Fprintln(os.Stderr, "usage: vetabr [-json] [-fix] [dir ...]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -59,23 +51,19 @@ func main() {
 
 // options collects the command line.
 type options struct {
-	roots         []string
-	jsonOut       bool
-	fix           bool
-	sarifPath     string
-	baselinePath  string
-	writeBaseline bool
+	roots   []string
+	jsonOut bool
+	fix     bool
 }
 
 // jsonFinding is the machine-readable finding schema (-json), shared in
 // shape with cmd/lintmanifest.
 type jsonFinding struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Severity  string `json:"severity"`
-	Rule      string `json:"rule"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Severity string `json:"severity"`
+	Rule     string `json:"rule"`
+	Message  string `json:"message"`
 }
 
 // run analyzes each root and renders findings; it returns the exit code.
@@ -83,9 +71,6 @@ func run(opts options, out io.Writer) (int, error) {
 	roots := opts.roots
 	if len(roots) == 0 {
 		roots = []string{"."}
-	}
-	if opts.writeBaseline && opts.baselinePath == "" {
-		return 2, fmt.Errorf("-write-baseline needs -baseline to name the file")
 	}
 	var all []analysis.Finding
 	for _, root := range roots {
@@ -113,65 +98,24 @@ func run(opts options, out io.Writer) (int, error) {
 		analysis.RelFindings(root, findings)
 		all = append(all, findings...)
 	}
-
-	if opts.writeBaseline {
-		var warn []analysis.Finding
-		for _, f := range all {
-			if f.Severity == analysis.Warning {
-				warn = append(warn, f)
-			}
-		}
-		if err := os.WriteFile(opts.baselinePath, analysis.FormatBaseline(warn), 0o644); err != nil {
-			return 2, err
-		}
-		fmt.Fprintf(out, "vetabr: wrote %d finding(s) to %s\n", len(warn), opts.baselinePath)
-		return 0, nil
-	}
-
-	baselined := map[int]bool{}
-	var stale []string
-	if opts.baselinePath != "" {
-		base, err := analysis.LoadBaseline(opts.baselinePath)
-		if err != nil {
-			return 2, err
-		}
-		for i, f := range all {
-			if f.Severity == analysis.Warning && base.Take(f) {
-				baselined[i] = true
-			}
-		}
-		stale = base.Stale()
-	}
 	warnings := 0
-	for i, f := range all {
-		if f.Severity == analysis.Warning && !baselined[i] {
+	for _, f := range all {
+		if f.Severity == analysis.Warning {
 			warnings++
-		}
-	}
-
-	if opts.sarifPath != "" {
-		doc, err := analysis.SARIF(all, analysis.DefaultAnalyzers())
-		if err != nil {
-			return 2, err
-		}
-		if err := os.WriteFile(opts.sarifPath, append(doc, '\n'), 0o644); err != nil {
-			return 2, err
 		}
 	}
 
 	if opts.jsonOut {
 		doc := struct {
 			Findings []jsonFinding `json:"findings"`
-			Stale    []string      `json:"stale_baseline,omitempty"`
-		}{Findings: []jsonFinding{}, Stale: stale}
-		for i, f := range all {
+		}{Findings: []jsonFinding{}}
+		for _, f := range all {
 			doc.Findings = append(doc.Findings, jsonFinding{
-				File:      f.Pos.Filename,
-				Line:      f.Pos.Line,
-				Severity:  f.Severity.String(),
-				Rule:      f.Rule,
-				Message:   f.Message,
-				Baselined: baselined[i],
+				File:     f.Pos.Filename,
+				Line:     f.Pos.Line,
+				Severity: f.Severity.String(),
+				Rule:     f.Rule,
+				Message:  f.Message,
 			})
 		}
 		enc := json.NewEncoder(out)
@@ -180,21 +124,14 @@ func run(opts options, out io.Writer) (int, error) {
 			return 2, err
 		}
 	} else {
-		for i, f := range all {
-			if baselined[i] {
-				fmt.Fprintf(out, "%s (baselined)\n", f)
-			} else {
-				fmt.Fprintln(out, f)
-			}
+		for _, f := range all {
+			fmt.Fprintln(out, f)
 		}
-		for _, key := range stale {
-			fmt.Fprintf(out, "stale baseline entry (finding fixed — delete the line): %s\n", strings.ReplaceAll(key, "\t", " "))
-		}
-		if len(all) == 0 && len(stale) == 0 {
+		if len(all) == 0 {
 			fmt.Fprintln(out, "vetabr: ok")
 		}
 	}
-	if warnings > 0 || len(stale) > 0 {
+	if warnings > 0 {
 		return 1, nil
 	}
 	return 0, nil

@@ -117,136 +117,6 @@ func TestRunMissingModule(t *testing.T) {
 	}
 }
 
-// TestBaselineGate pins the burn-down cycle: -write-baseline grandfathers
-// the current findings, a gated rerun passes, and fixing the finding
-// without deleting its baseline line fails as stale.
-func TestBaselineGate(t *testing.T) {
-	dir := writeModule(t, violatingSrc)
-	basePath := filepath.Join(dir, "vetabr.baseline")
-
-	var out bytes.Buffer
-	code, err := run(options{roots: []string{dir}, baselinePath: basePath, writeBaseline: true}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("write-baseline exit = %d, want 0:\n%s", code, out.String())
-	}
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "internal/netsim/clock.go\tsimclock\t") {
-		t.Fatalf("baseline missing root-relative entry:\n%s", data)
-	}
-
-	out.Reset()
-	code, err = run(options{roots: []string{dir}, baselinePath: basePath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Errorf("baselined run exit = %d, want 0:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "(baselined)") {
-		t.Errorf("baselined finding should still be reported:\n%s", out.String())
-	}
-
-	// Fix the finding; the stale baseline entry must now fail the run.
-	if err := os.WriteFile(filepath.Join(dir, "internal", "netsim", "clock.go"), []byte(cleanSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	code, err = run(options{roots: []string{dir}, baselinePath: basePath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 1 {
-		t.Errorf("stale baseline exit = %d, want 1:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "stale baseline entry") {
-		t.Errorf("missing stale-entry report:\n%s", out.String())
-	}
-}
-
-// TestMissingBaselineIsEmpty: gating against a nonexistent file behaves
-// like an empty baseline rather than erroring, so clean repos need no
-// baseline file at all.
-func TestMissingBaselineIsEmpty(t *testing.T) {
-	dir := writeModule(t, cleanSrc)
-	var out bytes.Buffer
-	code, err := run(options{roots: []string{dir}, baselinePath: filepath.Join(dir, "no-such-baseline")}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Errorf("exit = %d, want 0:\n%s", code, out.String())
-	}
-}
-
-func TestSARIFOutput(t *testing.T) {
-	dir := writeModule(t, violatingSrc)
-	sarifPath := filepath.Join(dir, "vetabr.sarif")
-	var out bytes.Buffer
-	code, err := run(options{roots: []string{dir}, sarifPath: sarifPath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 1 {
-		t.Errorf("exit = %d, want 1", code)
-	}
-	data, err := os.ReadFile(sarifPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("bad SARIF: %v\n%s", err, data)
-	}
-	if doc.Version != "2.1.0" || len(doc.Runs) != 1 {
-		t.Fatalf("doc = %+v", doc)
-	}
-	run0 := doc.Runs[0]
-	if run0.Tool.Driver.Name != "vetabr" || len(run0.Tool.Driver.Rules) < 8 {
-		t.Errorf("driver = %+v, want vetabr with the full rule set", run0.Tool.Driver)
-	}
-	if len(run0.Results) != 1 {
-		t.Fatalf("results = %+v, want 1", run0.Results)
-	}
-	res := run0.Results[0]
-	loc := res.Locations[0].PhysicalLocation
-	if res.RuleID != "simclock" || res.Level != "warning" ||
-		loc.ArtifactLocation.URI != "internal/netsim/clock.go" || loc.Region.StartLine != 5 {
-		t.Errorf("result = %+v", res)
-	}
-}
-
 // TestFixRewritesTree pins the -fix acceptance criterion end to end: the
 // wall-clock seed is rewritten, the orphaned time import removed, the
 // result is gofmt-clean, and a re-run passes.

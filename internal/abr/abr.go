@@ -57,14 +57,6 @@ func (s State) MinBuffer() time.Duration {
 	return s.AudioBuffer
 }
 
-// LastTrack returns the previous selection for one type.
-func (s State) LastTrack(t media.Type) *media.Track {
-	if t == media.Video {
-		return s.LastVideo
-	}
-	return s.LastAudio
-}
-
 // TransferInfo describes a download event delivered to observers.
 type TransferInfo struct {
 	// Type is the media type of the transfer.

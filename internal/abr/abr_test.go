@@ -29,9 +29,6 @@ func TestStateHelpers(t *testing.T) {
 	if st.MinBuffer() != 4*time.Second {
 		t.Errorf("MinBuffer after swap = %v", st.MinBuffer())
 	}
-	if st.LastTrack(media.Video) != v || st.LastTrack(media.Audio) != a {
-		t.Error("LastTrack() wrong")
-	}
 }
 
 func TestTransferInfoThroughput(t *testing.T) {

@@ -98,9 +98,6 @@ type Finding struct {
 	// make the finding go away without changing observable behaviour
 	// beyond restoring determinism.
 	Fixes []TextEdit
-	// End, when valid, closes the source range the finding covers (SARIF
-	// regions); findings reported with Reportf leave it unset.
-	End token.Position
 }
 
 // String renders "file:line: [rule] message".
@@ -151,9 +148,8 @@ func (p *Pass) Reportf(pos token.Pos, sev Severity, format string, args ...any) 
 	})
 }
 
-// ReportFixf records a finding carrying mechanical rewrites for -fix. The
-// end position bounds the flagged construct for SARIF regions.
-func (p *Pass) ReportFixf(pos, end token.Pos, sev Severity, fixes []Edit, format string, args ...any) {
+// ReportFixf records a finding carrying mechanical rewrites for -fix.
+func (p *Pass) ReportFixf(pos token.Pos, sev Severity, fixes []Edit, format string, args ...any) {
 	resolved := make([]TextEdit, 0, len(fixes))
 	for _, e := range fixes {
 		start := p.Fset.Position(e.Pos)
@@ -167,7 +163,6 @@ func (p *Pass) ReportFixf(pos, end token.Pos, sev Severity, fixes []Edit, format
 	}
 	*p.findings = append(*p.findings, Finding{
 		Pos:      p.Fset.Position(pos),
-		End:      p.Fset.Position(end),
 		Severity: sev,
 		Rule:     p.rule,
 		Message:  fmt.Sprintf(format, args...),
@@ -320,6 +315,24 @@ func RunDir(root string, analyzers []*Analyzer) ([]Finding, error) {
 		return nil, err
 	}
 	return runOrder(fset, order, analyzers), nil
+}
+
+// RelFindings rewrites finding positions to slash-separated paths
+// relative to root, so vetabr's output and CI logs read the same from any
+// invocation directory. Paths outside root are left untouched.
+func RelFindings(root string, findings []Finding) {
+	for i := range findings {
+		findings[i].Pos.Filename = relPath(root, findings[i].Pos.Filename)
+	}
+}
+
+// relPath makes one path root-relative when it lies under root.
+func relPath(root, path string) string {
+	rel, err := filepath.Rel(root, path)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(path)
+	}
+	return filepath.ToSlash(rel)
 }
 
 // runOrder type-checks packages in topological order over one shared type

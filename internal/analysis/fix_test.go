@@ -2,15 +2,9 @@ package analysis
 
 import (
 	"go/format"
-	"go/token"
 	"strings"
 	"testing"
 )
-
-// mkPos builds a position for baseline tests.
-func mkPos(file string, line int) token.Position {
-	return token.Position{Filename: file, Line: line, Column: 1, Offset: 1}
-}
 
 // applyAndRecheck runs analyzers over one synthetic package, applies
 // every attached fix, asserts the output is gofmt-clean, re-analyzes it,
@@ -161,44 +155,5 @@ func TestApplyFixesRejectsOverlap(t *testing.T) {
 	}
 	if _, _, err := ApplyFixes(findings, map[string][]byte{"fix.go": []byte(src)}); err == nil {
 		t.Error("overlapping fixes should error")
-	}
-}
-
-// TestBaselineRoundTrip: format → parse → Take covers each finding
-// exactly once and reports the leftover as stale.
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := []Finding{
-		{Pos: mkPos("a.go", 3), Severity: Warning, Rule: "maporder", Message: "m1"},
-		{Pos: mkPos("b.go", 9), Severity: Warning, Rule: "units", Message: "m2"},
-	}
-	b := ParseBaseline(FormatBaseline(findings))
-	if !b.Take(findings[0]) || !b.Take(findings[1]) {
-		t.Fatal("baseline should cover both findings")
-	}
-	if b.Take(findings[0]) {
-		t.Error("second Take of the same finding should miss")
-	}
-	if len(b.Stale()) != 0 {
-		t.Errorf("stale = %v, want none", b.Stale())
-	}
-
-	b = ParseBaseline(FormatBaseline(findings))
-	if !b.Take(findings[0]) {
-		t.Fatal("Take")
-	}
-	stale := b.Stale()
-	if len(stale) != 1 || !strings.HasPrefix(stale[0], "b.go\tunits\t") {
-		t.Errorf("stale = %v, want the unconsumed b.go entry", stale)
-	}
-}
-
-// TestBaselineLineDrift: entries key by file/rule/message, not line, so
-// findings that merely moved stay grandfathered.
-func TestBaselineLineDrift(t *testing.T) {
-	old := Finding{Pos: mkPos("a.go", 3), Severity: Warning, Rule: "maporder", Message: "m"}
-	moved := Finding{Pos: mkPos("a.go", 42), Severity: Warning, Rule: "maporder", Message: "m"}
-	b := ParseBaseline(FormatBaseline([]Finding{old}))
-	if !b.Take(moved) {
-		t.Error("line drift should not break baseline matching")
 	}
 }

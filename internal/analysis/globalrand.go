@@ -74,7 +74,7 @@ func runGlobalRand(pass *Pass, file *ast.File) {
 						}
 					}
 					if pos, call := timeDerived(pass, file, arg); pos != token.NoPos {
-						pass.ReportFixf(arg.Pos(), arg.End(), Warning,
+						pass.ReportFixf(arg.Pos(), Warning,
 							[]Edit{{Pos: arg.Pos(), End: arg.End(), NewText: "1"}},
 							"rand source seeded from the wall clock (%s): a time-derived seed makes every run unique and unreproducible; thread the scenario seed from configuration", call)
 					}

@@ -59,7 +59,7 @@ func checkFuncMapRanges(pass *Pass, file *ast.File, body *ast.BlockStmt) {
 			name := target.Name
 			if !sortedAfter(body, rng, name) {
 				fixes := sortInsertFix(pass, file, rng, target)
-				pass.ReportFixf(rng.Pos(), rng.End(), Warning, fixes,
+				pass.ReportFixf(rng.Pos(), Warning, fixes,
 					"map range appends to %q with no subsequent sort: iteration order is randomized per run, making output non-reproducible", name)
 			}
 		}

@@ -42,20 +42,6 @@ func (g *TypeGraph) Package(path string) *types.Package {
 	return g.pkgs[path]
 }
 
-// LookupType resolves pkgPath.name to its type, or nil when the package
-// or the name is unknown.
-func (g *TypeGraph) LookupType(pkgPath, name string) types.Type {
-	pkg := g.Package(pkgPath)
-	if pkg == nil {
-		return nil
-	}
-	obj := pkg.Scope().Lookup(name)
-	if obj == nil {
-		return nil
-	}
-	return obj.Type()
-}
-
 // IsNamedType reports whether t is (a pointer to) the named type
 // pkgPath.name. It answers by object identity when the graph knows the
 // package and by qualified name otherwise, so it works both over the real
@@ -92,16 +78,6 @@ func (p *Pass) CalleePkgFunc(file *ast.File, call *ast.CallExpr) (pkgPath, fn st
 		return "", ""
 	}
 	return path, sel.Sel.Name
-}
-
-// FileOf returns the parsed file containing pos, or nil.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // DeclaredOutside reports whether the identifier's declaration lies

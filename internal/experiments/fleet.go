@@ -188,10 +188,6 @@ func PrintFleetMixes(w io.Writer, points []FleetMixPoint) {
 // N=16 — replicated across the fleet by the seeded cell permutation.
 const FleetCellSessions = 16
 
-// DefaultFleetScaleNs are the large-fleet sizes benchmarked as the
-// fleet-1e3/1e4/1e5 rows in BENCH_*.json.
-func DefaultFleetScaleNs() []int { return []int{1_000, 10_000, 100_000} }
-
 // FleetAtScale runs one large demuxed fleet partitioned into
 // FleetCellSessions-sized cells across the given number of shard workers
 // (0 = one per core), always on the streaming sketch path so memory stays

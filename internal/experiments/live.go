@@ -6,9 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"demuxabr/internal/cdnsim"
 	"demuxabr/internal/core"
-	"demuxabr/internal/fleet"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
@@ -312,16 +310,4 @@ func PrintLive(w io.Writer, cells []LiveCell, tcells []LiveTransportCell) {
 	tw.Flush()
 	fmt.Fprintf(w, "The live demuxed penalty widens under h1 (every per-connection re-handshake\n")
 	fmt.Fprintf(w, "lands inside the %v latency budget) and narrows under h3.\n", LiveLatencyTarget)
-}
-
-// FleetAtScaleLive is FleetAtScale with every session running the
-// low-latency trio round-robin in latency-target live mode.
-func FleetAtScaleLive(n, shards int) (*fleet.Result, error) {
-	cfg := defaultFleetConfig(n, cdnsim.Demuxed)
-	cfg.Mix = LiveModels()
-	cfg.Live = LiveConfig()
-	cfg.CellSessions = FleetCellSessions
-	cfg.Shards = shards
-	cfg.MaxRetained = -1
-	return fleet.Run(cfg)
 }

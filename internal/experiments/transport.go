@@ -105,9 +105,8 @@ type pinnedScenario struct {
 }
 
 // pinnedScenarios is the scenario axis of TransportComparison and
-// LiveTransport, in TransportScenarios order: the muxed baseline, the
-// chunk-synced demuxed player and its free-running ablation, all pinned to
-// combo.
+// LiveTransport, in print order: the muxed baseline, the chunk-synced
+// demuxed player and its free-running ablation, all pinned to combo.
 func pinnedScenarios(combo media.Combo) []pinnedScenario {
 	return []pinnedScenario{
 		{"muxed", true, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
@@ -131,13 +130,6 @@ func transportConfig(p netsim.Protocol, s int) netsim.TransportConfig {
 // order.
 func TransportProtocols() []netsim.Protocol {
 	return []netsim.Protocol{netsim.H1, netsim.H2, netsim.H3}
-}
-
-// TransportScenarios names the packaging/scheduling rows of the
-// comparison, in print order: the muxed baseline, the best-practice
-// demuxed player (chunk-synced scheduling), and its free-running ablation.
-func TransportScenarios() []string {
-	return []string{"muxed", "demux-synced", "demux-independent"}
 }
 
 // TransportCell is one (scenario, protocol) cell of the comparison,

@@ -2,7 +2,6 @@ package hls
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -61,13 +60,3 @@ func (w *attrWriter) addInt(key string, v int64) {
 }
 
 func (w *attrWriter) String() string { return strings.Join(w.parts, ",") }
-
-// sortedKeys helps tests compare attribute maps deterministically.
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -3,12 +3,23 @@ package hls
 import (
 	"bytes"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"demuxabr/internal/media"
 )
+
+// sortedKeys lets tests compare attribute maps deterministically.
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
 func TestAttrListRoundTrip(t *testing.T) {
 	in := `BANDWIDTH=2773000,AVERAGE-BANDWIDTH=1805000,RESOLUTION=1280x720,CODECS="avc1.4d401f,mp4a.40.2",AUDIO="audio-A3"`

@@ -194,10 +194,6 @@ func (tr *Transfer) Completed() bool { return tr.completed }
 // cancelled transfer never completes and its OnComplete never fires.
 func (tr *Transfer) Cancelled() bool { return tr.cancelled }
 
-// Suspended reports whether the transfer is currently paused by a
-// transport-level stall (see Link.Suspend).
-func (tr *Transfer) Suspended() bool { return tr.suspended }
-
 // Duration returns the transfer time (first byte to completion).
 func (tr *Transfer) Duration() time.Duration {
 	if !tr.completed {

@@ -79,9 +79,6 @@ func NewUplink(eng *Engine, profile trace.Profile) *Uplink {
 // Engine returns the engine driving this uplink.
 func (u *Uplink) Engine() *Engine { return u.eng }
 
-// Members returns the number of attached access leaves.
-func (u *Uplink) Members() int { return len(u.members) }
-
 // NewLeaf creates an access link behind this uplink: transfers started on
 // it obey the leaf profile, the shared uplink, and weighted fairness
 // against every other transfer in the tree.

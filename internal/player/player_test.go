@@ -226,10 +226,6 @@ func TestResultHelpers(t *testing.T) {
 	if math.Abs(avg.Kbps()-734) > 1 {
 		t.Errorf("avg selected video bitrate = %v, want 734 Kbps", avg)
 	}
-	tt := res.TrackTime(media.Audio, c.ChunkDurationAt)
-	if tt["A2"] != c.Duration {
-		t.Errorf("A2 play time = %v, want %v", tt["A2"], c.Duration)
-	}
 }
 
 func TestObserverSeesTransfers(t *testing.T) {

@@ -199,16 +199,6 @@ func (r *Result) ChunksOf(t media.Type) []ChunkDecision {
 	return out
 }
 
-// TrackTime returns, per track ID, the played duration attributed to each
-// selected track of the given type (chunk durations summed by selection).
-func (r *Result) TrackTime(t media.Type, chunkDur func(int) time.Duration) map[string]time.Duration {
-	out := make(map[string]time.Duration)
-	for _, c := range r.ChunksOf(t) {
-		out[c.Track.ID] += chunkDur(c.Index)
-	}
-	return out
-}
-
 // Switches counts selection changes of the given type across consecutive
 // chunk indexes.
 func (r *Result) Switches(t media.Type) int {

@@ -2,7 +2,6 @@ package report
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"demuxabr/internal/qoe"
@@ -170,16 +169,4 @@ func (f *Fleet) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(f)
-}
-
-// ReadFleetJSON loads a fleet report document.
-func ReadFleetJSON(r io.Reader) (*Fleet, error) {
-	var f Fleet
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	if f.Sessions == 0 {
-		return nil, fmt.Errorf("report: fleet document has no sessions")
-	}
-	return &f, nil
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 
-	"demuxabr/internal/media"
 	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
 	"demuxabr/internal/timeline"
@@ -298,31 +297,4 @@ func ReadJSON(r io.Reader) (*Session, error) {
 		return nil, fmt.Errorf("report: document has no model field")
 	}
 	return &s, nil
-}
-
-// ComboTimeline reduces the chunk log to the per-position combination names
-// — the series the paper's track-selection figures plot.
-func (s *Session) ComboTimeline() []string {
-	video := map[int]string{}
-	audio := map[int]string{}
-	maxIdx := -1
-	for _, c := range s.Chunks {
-		if c.Type == media.Video.String() {
-			video[c.Index] = c.Track
-		} else {
-			audio[c.Index] = c.Track
-		}
-		if c.Index > maxIdx {
-			maxIdx = c.Index
-		}
-	}
-	out := make([]string, 0, maxIdx+1)
-	for i := 0; i <= maxIdx; i++ {
-		if video[i] == "" || audio[i] == "" {
-			out = append(out, "")
-			continue
-		}
-		out = append(out, video[i]+"+"+audio[i])
-	}
-	return out
 }

@@ -62,20 +62,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestComboTimeline(t *testing.T) {
-	res, c, m := runSession(t)
-	s := FromResult(c.Name, res, m)
-	tl := s.ComboTimeline()
-	if len(tl) != c.NumChunks() {
-		t.Fatalf("timeline = %d entries, want %d", len(tl), c.NumChunks())
-	}
-	for i, combo := range tl {
-		if combo != "V3+A2" {
-			t.Fatalf("position %d = %q, want V3+A2", i, combo)
-		}
-	}
-}
-
 func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
 		t.Error("invalid JSON should fail")

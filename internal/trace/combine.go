@@ -62,16 +62,6 @@ func MustSequence(cycle bool, parts ...Part) *Steps {
 	return s
 }
 
-// Flatten renders any profile over [0, horizon) as an explicit Steps
-// profile (cycling with period horizon when cycle is true) — useful for
-// exporting presets to CSV.
-func Flatten(p Profile, horizon time.Duration, cycle bool) (*Steps, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("trace: non-positive horizon")
-	}
-	return Sequence(cycle, Part{Profile: p, For: horizon})
-}
-
 // LTEProfile approximates a mobile link: a seeded random walk between 400
 // Kbps and 3 Mbps re-drawn every 2 s, with an outage ("tunnel") of the
 // given length inserted once per cycle. Horizon is the cycle length.

@@ -83,22 +83,6 @@ func TestSequenceErrors(t *testing.T) {
 	}
 }
 
-func TestFlattenMatchesOriginal(t *testing.T) {
-	orig := Fig4bBimodal600()
-	flat, err := Flatten(orig, 12*time.Second, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for at := time.Duration(0); at < time.Minute; at += 250 * time.Millisecond {
-		if flat.RateAt(at) != orig.RateAt(at) {
-			t.Fatalf("flattened mismatch at %v: %v vs %v", at, flat.RateAt(at), orig.RateAt(at))
-		}
-	}
-	if _, err := Flatten(orig, 0, false); err == nil {
-		t.Error("zero horizon should fail")
-	}
-}
-
 func TestLTEProfile(t *testing.T) {
 	p := LTEProfile(3, 4*time.Second, time.Minute)
 	sawZero, sawHigh := false, false

@@ -55,25 +55,9 @@ func Fig5Bandwidth() Profile { return Fixed(media.Kbps(700)) }
 // experiment (audio pinned to lowest-quality A1 despite ample bandwidth).
 func ExoHLSFixedBandwidth() Profile { return Fixed(media.Kbps(5000)) }
 
-// WriteCSV serializes a Steps profile as "seconds,kbps" rows. A trailing
-// "#cycle,<seconds>" comment records the cycle period.
-func WriteCSV(w io.Writer, s *Steps) error {
-	bw := bufio.NewWriter(w)
-	for _, st := range s.Seq {
-		if _, err := fmt.Fprintf(bw, "%.6f,%.3f\n", st.At.Seconds(), st.Rate.Kbps()); err != nil {
-			return err
-		}
-	}
-	if s.Cycle > 0 {
-		if _, err := fmt.Fprintf(bw, "#cycle,%.6f\n", s.Cycle.Seconds()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV parses a profile written by WriteCSV (or hand-authored rows of
-// "seconds,kbps"). Blank lines are skipped.
+// ReadCSV parses a profile of "seconds,kbps" rows, with an optional
+// trailing "#cycle,<seconds>" comment recording the cycle period. Blank
+// lines are skipped.
 func ReadCSV(r io.Reader) (*Steps, error) {
 	sc := bufio.NewScanner(r)
 	var seq []Step

@@ -165,17 +165,3 @@ func Average(p Profile, horizon time.Duration) media.Bps {
 	}
 	return media.Bps(bits / horizon.Seconds())
 }
-
-// Scale wraps a profile, multiplying every rate by factor.
-func Scale(p Profile, factor float64) Profile { return scaled{p, factor} }
-
-type scaled struct {
-	p Profile
-	f float64
-}
-
-func (s scaled) RateAt(t time.Duration) media.Bps {
-	return media.Bps(float64(s.p.RateAt(t)) * s.f)
-}
-
-func (s scaled) NextChange(t time.Duration) (time.Duration, bool) { return s.p.NextChange(t) }

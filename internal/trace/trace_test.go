@@ -156,23 +156,9 @@ func TestRandomWalkSwappedBounds(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	p := Scale(Fixed(media.Kbps(1000)), 0.5)
-	if got := p.RateAt(0); got != media.Kbps(500) {
-		t.Errorf("scaled rate = %v", got)
-	}
-	if _, ok := p.NextChange(0); ok {
-		t.Error("scaled fixed profile should not change")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	orig := SquareWave(media.Kbps(1500), media.Kbps(150), 4*time.Second, 8*time.Second)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
+	got, err := ReadCSV(bytes.NewBufferString("0.000000,1500.000\n4.000000,150.000\n#cycle,12.000000\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
