@@ -272,7 +272,6 @@ func BenchmarkCDNCacheSweep(b *testing.B) {
 // paper scenario and reports the best-practice QoE advantage.
 func BenchmarkBestPracticeVsPlayers(b *testing.B) {
 	for _, s := range experiments.Scenarios() {
-		s := s
 		b.Run(s.Name, func(b *testing.B) {
 			var outcomes []experiments.Outcome
 			var err error

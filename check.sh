@@ -48,9 +48,30 @@
 #                    passes its tests against the current tree; the root
 #                    go build ./... does not compile it
 #
+# Steps 6-11 run named tests through gate, which first fails the step if
+# any listed name matches no test in the step's packages: go test -run with
+# a name that matches nothing passes silently, so a renamed test would
+# otherwise empty its gate without notice.
+#
 # Exits non-zero on the first failing step.
 set -eu
 cd "$(dirname "$0")"
+
+# gate NAMES PACKAGES... runs the tests NAMES (a -run pattern of
+# '|'-separated names, each matched as go test -run matches it) under the
+# race detector, after checking that every name matches at least one test.
+gate() {
+	names=$1
+	shift
+	listed=$(go test -race -list "$names" "$@")
+	for name in $(echo "$names" | tr '|' ' '); do
+		if ! printf '%s\n' "$listed" | grep -E '^(Test|Example|Fuzz)' | grep -q -- "$name"; then
+			echo "check.sh: gate name $name matches no test in $*" >&2
+			exit 1
+		fi
+	done
+	go test -race -count=1 -run "$names" "$@"
+}
 
 echo "== gofmt -l (every .go file outside build output)"
 # .bench_build holds the benchmark's Go caches, which are not ours to format.
@@ -84,30 +105,26 @@ if grep -rn --include='*.go' -E '//lint:ignore([[:space:]]+all([[:space:]]|$)|[[
 fi
 
 echo "== parallel-vs-serial equivalence (incl. fault-injection and fleet determinism)"
-go test -race -count=1 \
-	-run 'TestParallelEquivalence|TestCacheSweepParallelMatchesSerial|TestMapCollectsInSubmissionOrder|TestResilienceSweepDeterministic|TestResilienceSweepParallelEquivalence|TestFleetScaleParallelEquivalence|TestFleetDeterministic' \
+gate 'TestParallelEquivalence|TestCacheSweepParallelMatchesSerial|TestMapCollectsInSubmissionOrder|TestResilienceSweepDeterministic|TestResilienceSweepParallelEquivalence|TestFleetScaleParallelEquivalence|TestFleetDeterministic' \
 	./internal/experiments ./internal/cdnsim ./internal/runpool ./internal/fleet
 
 echo "== shard equivalence (-shards 1 vs -shards 4 byte-identical fleet JSON at N=32)"
-go test -race -count=1 -run 'TestFleetShardEquivalence' ./internal/fleet
+gate 'TestFleetShardEquivalence' ./internal/fleet
 
 echo "== timeline determinism (flight-recorder exports byte-identical across runs and worker counts)"
-go test -race -count=1 -run 'TestTimeline' \
+gate 'TestTimeline' \
 	./internal/timeline ./internal/fleet ./cmd/abrsim
 
 echo "== transport gates (zero-cost off-equivalence + deterministic delta ordering)"
-go test -race -count=1 \
-	-run 'TestZeroCostTransport|TestConnZeroCostTransport|TestTimelineZeroCostTransport|TestFleetZeroCostTransport|TestFleetShardEquivalenceWithTransport|TestTransportComparisonDeterminism|TestTransportDeltaOrdering' \
+gate 'TestZeroCostTransport|TestConnZeroCostTransport|TestTimelineZeroCostTransport|TestFleetZeroCostTransport|TestFleetShardEquivalenceWithTransport|TestTransportComparisonDeterminism|TestTransportDeltaOrdering' \
 	./internal/netsim ./internal/player ./internal/timeline ./internal/fleet ./internal/experiments
 
 echo "== live gates (zero-cost off-equivalence + deterministic LL orderings)"
-go test -race -count=1 \
-	-run 'TestLiveOffLeavesNoStats|TestFleetZeroCostLive|TestFleetShardEquivalenceLive|TestFleetLiveAggregates|TestLiveComparisonDeterminism|TestLiveModelOrdering|TestLiveDeltaOrdering|TestTimelineGoldenLive' \
+gate 'TestLiveOffLeavesNoStats|TestFleetZeroCostLive|TestFleetShardEquivalenceLive|TestFleetLiveAggregates|TestLiveComparisonDeterminism|TestLiveModelOrdering|TestLiveDeltaOrdering|TestTimelineGoldenLive' \
 	./internal/player ./internal/fleet ./internal/experiments ./internal/timeline
 
 echo "== shaping gates (seeded plan determinism + uniform zero-cost contract)"
-go test -race -count=1 \
-	-run 'TestShapingDeterminism|TestLadderParallelDeterminism|TestFixedSpecKeepsUniformContract|TestGoldenMPD|TestGoldenMaster|TestGoldenMediaPlaylist' \
+gate 'TestShapingDeterminism|TestLadderParallelDeterminism|TestFixedSpecKeepsUniformContract|TestGoldenMPD|TestGoldenMaster|TestGoldenMediaPlaylist' \
 	./internal/shaping ./internal/experiments ./internal/manifest/dash ./internal/manifest/hls
 
 echo "== benchmem smoke (1 iteration per fleet benchmark, the MPC decision benchmark and the netsim layer benchmarks)"

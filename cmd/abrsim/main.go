@@ -52,7 +52,7 @@ func main() {
 	flag.Float64Var(&o.kbps, "kbps", 0, "fixed link bandwidth in Kbps")
 	flag.StringVar(&o.traceFile, "trace", "", "bandwidth trace CSV (seconds,kbps rows; overrides -kbps)")
 	flag.StringVar(&o.profile, "profile", "", "named bandwidth profile (fig2, fig3, fig4a, fig4b, fig5, exohls-5m, lte); overrides -kbps")
-	flag.StringVar(&o.content, "content", "drama", "content: drama, drama-low-audio, drama-high-audio, music-show, action-movie")
+	flag.StringVar(&o.content, "content", "drama", "content: "+strings.Join(media.Names(), ", "))
 	flag.Int64Var(&o.shapingSeed, "shaping-seed", 21, "seed for -shaping (scene model and ladder search)")
 	flag.StringVar(&o.shaping, "shaping", "", "offline content preparation: chunks (shaped per-type boundaries, authored ladder), full (boundaries + searched per-title ladder), or fixed (uniform chunks but the same scene signal); drama content only")
 	flag.StringVar(&o.manifest, "manifest", "hsub", "HLS manifest combinations: hsub (curated) or hall (all)")
@@ -314,7 +314,7 @@ func runCompare(o options) error {
 // them.
 func (o options) loadContent() (*media.Content, error) {
 	if o.shaping == "" {
-		return parseContent(o.content)
+		return media.Named(o.content)
 	}
 	if o.content != "drama" {
 		return nil, fmt.Errorf("-shaping supports only -content drama, not %q", o.content)
@@ -345,24 +345,6 @@ func (o options) loadContent() (*media.Content, error) {
 		return nil, fmt.Errorf("unknown -shaping mode %q (chunks, full, or fixed)", o.shaping)
 	}
 	return media.NewContent(spec)
-}
-
-// parseContent resolves the -content flag.
-func parseContent(contentName string) (*media.Content, error) {
-	switch contentName {
-	case "drama":
-		return media.DramaShow(), nil
-	case "drama-low-audio":
-		return media.DramaShowLowAudio(), nil
-	case "drama-high-audio":
-		return media.DramaShowHighAudio(), nil
-	case "music-show":
-		return media.MusicShow(), nil
-	case "action-movie":
-		return media.ActionMovie(), nil
-	default:
-		return nil, fmt.Errorf("unknown content %q", contentName)
-	}
 }
 
 // parseProfile resolves the bandwidth flags (-profile beats -trace beats

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"demuxabr/internal/manifest/dash"
 	"demuxabr/internal/manifest/hls"
@@ -21,7 +22,7 @@ import (
 
 func main() {
 	out := flag.String("out", "manifests", "output directory")
-	contentName := flag.String("content", "drama", "content: drama, drama-low-audio, drama-high-audio, music-show, action-movie")
+	contentName := flag.String("content", "drama", "content: "+strings.Join(media.Names(), ", "))
 	flag.Parse()
 	if err := run(*out, *contentName); err != nil {
 		fmt.Fprintln(os.Stderr, "mkmanifest:", err)
@@ -30,20 +31,9 @@ func main() {
 }
 
 func run(out, contentName string) error {
-	var content *media.Content
-	switch contentName {
-	case "drama":
-		content = media.DramaShow()
-	case "drama-low-audio":
-		content = media.DramaShowLowAudio()
-	case "drama-high-audio":
-		content = media.DramaShowHighAudio()
-	case "music-show":
-		content = media.MusicShow()
-	case "action-movie":
-		content = media.ActionMovie()
-	default:
-		return fmt.Errorf("unknown content %q", contentName)
+	content, err := media.Named(contentName)
+	if err != nil {
+		return err
 	}
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
@@ -81,7 +71,6 @@ func run(out, contentName string) error {
 		return err
 	}
 	for _, tr := range content.Tracks() {
-		tr := tr
 		name := fmt.Sprintf("%s/%s.m3u8", tr.Type, tr.ID)
 		if err := write(name, func(f *os.File) error {
 			return hls.GenerateMedia(content, tr, hls.SingleFile, true).Encode(f)

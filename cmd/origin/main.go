@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"demuxabr/internal/media"
@@ -30,7 +31,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	kbps := flag.Float64("kbps", 0, "egress shaping in Kbps (0 = unlimited)")
-	contentName := flag.String("content", "drama", "content: drama, drama-low-audio, drama-high-audio, music-show, action-movie")
+	contentName := flag.String("content", "drama", "content: "+strings.Join(media.Names(), ", "))
 	manifest := flag.String("manifest", "hsub", "HLS master variants: hsub or hall")
 	flag.Parse()
 	if err := run(*addr, *kbps, *contentName, *manifest); err != nil {
@@ -42,20 +43,9 @@ func main() {
 // newServer builds the configured HTTP server (separated from run for
 // testability).
 func newServer(addr string, kbps float64, contentName, manifest string) (*http.Server, *media.Content, error) {
-	var content *media.Content
-	switch contentName {
-	case "drama":
-		content = media.DramaShow()
-	case "drama-low-audio":
-		content = media.DramaShowLowAudio()
-	case "drama-high-audio":
-		content = media.DramaShowHighAudio()
-	case "music-show":
-		content = media.MusicShow()
-	case "action-movie":
-		content = media.ActionMovie()
-	default:
-		return nil, nil, fmt.Errorf("unknown content %q", contentName)
+	content, err := media.Named(contentName)
+	if err != nil {
+		return nil, nil, err
 	}
 	opts := originserver.Options{}
 	switch manifest {

@@ -156,7 +156,6 @@ func fanOut(n int, job func(int)) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		i := i
 		go func() {
 			defer wg.Done()
 			job(i)

@@ -16,7 +16,6 @@ import (
 	"container/list"
 	"strconv"
 
-	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
 )
 
@@ -34,11 +33,6 @@ type Stats struct {
 	BytesServed int64 // to clients
 	BytesOrigin int64 // fetched from origin (miss traffic)
 	Evictions   int64
-	// OriginErrors counts failed origin fetches (each faulted attempt).
-	OriginErrors int64
-	// FailedRequests counts client requests the edge could not serve
-	// because the origin kept failing past the edge's retry budget.
-	FailedRequests int64
 }
 
 // HitRatio returns hits over requests.
@@ -53,14 +47,12 @@ func (s Stats) HitRatio() float64 {
 // disjoint edges (integer addition, so the fold order never matters).
 func (s Stats) Plus(o Stats) Stats {
 	return Stats{
-		Requests:       s.Requests + o.Requests,
-		Hits:           s.Hits + o.Hits,
-		Misses:         s.Misses + o.Misses,
-		BytesServed:    s.BytesServed + o.BytesServed,
-		BytesOrigin:    s.BytesOrigin + o.BytesOrigin,
-		Evictions:      s.Evictions + o.Evictions,
-		OriginErrors:   s.OriginErrors + o.OriginErrors,
-		FailedRequests: s.FailedRequests + o.FailedRequests,
+		Requests:    s.Requests + o.Requests,
+		Hits:        s.Hits + o.Hits,
+		Misses:      s.Misses + o.Misses,
+		BytesServed: s.BytesServed + o.BytesServed,
+		BytesOrigin: s.BytesOrigin + o.BytesOrigin,
+		Evictions:   s.Evictions + o.Evictions,
 	}
 }
 
@@ -79,11 +71,6 @@ type Cache struct {
 	lru      *list.List // front = most recent
 	entries  map[string]*list.Element
 	stats    Stats
-
-	// originAttempts tracks, per object key, how many origin fetches have
-	// been issued — the attempt number a fault plan's persistence is
-	// evaluated against, so transient origin faults clear on retry.
-	originAttempts map[string]int
 }
 
 type entry struct {
@@ -147,41 +134,6 @@ func (c *Cache) Request(obj Object) (hit bool) {
 	return false
 }
 
-// RequestFaulty serves an object through the cache in front of a fallible
-// origin. Hits are served normally — cached bytes do not depend on the
-// origin. On a miss the edge fetches from the origin, which fails per the
-// fault plan; the edge retries a failed fetch once before giving up and
-// failing the client request (no insertion, no bytes served). served
-// reports whether the client got the object. A nil plan behaves exactly
-// like Request.
-func (c *Cache) RequestFaulty(obj Object, trackID string, idx int, plan *faults.Plan) (hit, served bool) {
-	if c.Contains(obj.Key) {
-		return c.Request(obj), true
-	}
-	if c.originAttempts == nil {
-		c.originAttempts = make(map[string]int)
-	}
-	attempt := c.originAttempts[obj.Key]
-	faulted := 0
-	for try := 0; try < 2; try++ {
-		_, bad := plan.SegmentFault(trackID, idx, attempt)
-		attempt++
-		if !bad {
-			break
-		}
-		c.stats.OriginErrors++
-		faulted++
-	}
-	c.originAttempts[obj.Key] = attempt
-	if faulted == 2 {
-		c.stats.Requests++
-		c.stats.Misses++
-		c.stats.FailedRequests++
-		return false, false
-	}
-	return c.Request(obj), true
-}
-
 // Mode selects muxed or demuxed packaging at the origin.
 type Mode int
 
@@ -240,7 +192,6 @@ func RequestChunk(c *Cache, mode Mode, content *media.Content, combo media.Combo
 // previously every request Sprintf'd its keys, dominating the allocation
 // profile of the cache sweeps.
 type objectStream struct {
-	id    string // track (or combination) identity, for fault plans
 	keys  []string
 	sizes []int64
 }
@@ -280,7 +231,6 @@ func planSessions(mode Mode, c *media.Content, sessions []Session) []sessionPlan
 			st, ok := streams[pair]
 			if !ok {
 				st = &objectStream{
-					id:    s.Combo.Video.ID + "+" + s.Combo.Audio.ID,
 					keys:  make([]string, n),
 					sizes: make([]int64, n),
 				}
@@ -299,7 +249,7 @@ func planSessions(mode Mode, c *media.Content, sessions []Session) []sessionPlan
 	stream := func(tr *media.Track) *objectStream {
 		st, ok := streams[tr]
 		if !ok {
-			st = &objectStream{id: tr.ID, keys: make([]string, n), sizes: c.TrackSizes(tr)}
+			st = &objectStream{keys: make([]string, n), sizes: c.TrackSizes(tr)}
 			for idx := 0; idx < n; idx++ {
 				st.keys[idx] = trackKey(tr, idx)
 			}
@@ -346,27 +296,6 @@ func Workload(c *Cache, mode Mode, content *media.Content, sessions []Session) S
 	for idx := 0; idx < n; idx++ {
 		for _, p := range plans {
 			p.request(c, idx)
-		}
-	}
-	return c.Stats()
-}
-
-// WorkloadFaulty replays the same interleaved workload against an edge
-// whose origin fails per the fault plan (keyed by track identity, so the
-// same plan drives the origin server and the edge model identically). It
-// quantifies a second demuxing benefit under origin instability: a track
-// object cached once shields every later session from origin faults on
-// that track, while muxed combination objects multiply the exposed
-// origin-fetch surface.
-func WorkloadFaulty(c *Cache, mode Mode, content *media.Content, sessions []Session, plan *faults.Plan) Stats {
-	plans := planSessions(mode, content, sessions)
-	n := content.NumChunks()
-	for idx := 0; idx < n; idx++ {
-		for _, p := range plans {
-			c.RequestFaulty(Object{Key: p.video.keys[idx], Size: p.video.sizes[idx]}, p.video.id, idx, plan)
-			if p.audio != nil {
-				c.RequestFaulty(Object{Key: p.audio.keys[idx], Size: p.audio.sizes[idx]}, p.audio.id, idx, plan)
-			}
 		}
 	}
 	return c.Stats()

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
 )
 
@@ -263,95 +262,5 @@ func TestContains(t *testing.T) {
 	}
 	if got := c.Stats(); got != before {
 		t.Errorf("Contains mutated stats: %+v vs %+v", got, before)
-	}
-}
-
-func TestRequestFaultyNilPlanMatchesRequest(t *testing.T) {
-	plain, faulty := NewCache(200), NewCache(200)
-	for i := 0; i < 10; i++ {
-		key := fmt.Sprintf("k%d", i%4)
-		plain.Request(Object{Key: key, Size: 30})
-		hit, served := faulty.RequestFaulty(Object{Key: key, Size: 30}, key, i, nil)
-		if !served {
-			t.Fatalf("nil plan failed request %d", i)
-		}
-		_ = hit
-	}
-	if plain.Stats() != faulty.Stats() {
-		t.Errorf("nil-plan RequestFaulty diverged from Request:\n%+v\n%+v", plain.Stats(), faulty.Stats())
-	}
-}
-
-func TestRequestFaultyTransientRetriesAndHitsShield(t *testing.T) {
-	// Rate 1 with persistence 1: every first origin fetch fails, every
-	// retry succeeds — so the edge serves everything, at the cost of one
-	// origin error per distinct object.
-	plan := &faults.Plan{Seed: 9, Rate: 1, Kinds: []faults.Kind{faults.HTTP503}, MaxPersistence: 1}
-	c := NewCache(1 << 20)
-	for round := 0; round < 3; round++ {
-		hit, served := c.RequestFaulty(Object{Key: "v/0", Size: 100}, "V1", 0, plan)
-		if !served {
-			t.Fatalf("round %d: transient fault not absorbed by retry", round)
-		}
-		if round > 0 && !hit {
-			t.Fatalf("round %d: cached object should hit without touching the origin", round)
-		}
-	}
-	st := c.Stats()
-	if st.OriginErrors != 1 {
-		t.Errorf("OriginErrors = %d, want 1 (one failed first fetch, then cached)", st.OriginErrors)
-	}
-	if st.FailedRequests != 0 {
-		t.Errorf("FailedRequests = %d, want 0", st.FailedRequests)
-	}
-}
-
-func TestRequestFaultyPermanentFaultFailsRequest(t *testing.T) {
-	plan := &faults.Plan{Seed: 9, Rate: 1, Kinds: []faults.Kind{faults.HTTP503}, MaxPersistence: -1}
-	c := NewCache(1 << 20)
-	hit, served := c.RequestFaulty(Object{Key: "v/0", Size: 100}, "V1", 0, plan)
-	if hit || served {
-		t.Fatalf("permanent origin fault served the object: hit=%v served=%v", hit, served)
-	}
-	st := c.Stats()
-	if st.FailedRequests != 1 {
-		t.Errorf("FailedRequests = %d, want 1", st.FailedRequests)
-	}
-	if st.OriginErrors != 2 {
-		t.Errorf("OriginErrors = %d, want 2 (fetch + one retry)", st.OriginErrors)
-	}
-	if c.Contains("v/0") {
-		t.Error("unserved object must not be cached")
-	}
-	if st.BytesServed != 0 {
-		t.Errorf("BytesServed = %d for an unserved request", st.BytesServed)
-	}
-}
-
-func TestWorkloadFaultyDemuxedSharesFaultExposure(t *testing.T) {
-	content := media.DramaShow()
-	combos := media.HSub(content)
-	sessions := []Session{}
-	for i := 0; i < 6; i++ {
-		sessions = append(sessions, Session{Combo: combos[i%len(combos)]})
-	}
-	plan := &faults.Plan{Seed: 21, Rate: 0.3, Kinds: []faults.Kind{faults.HTTP503}, MaxPersistence: 1}
-
-	run := func(mode Mode) Stats {
-		return WorkloadFaulty(NewCache(1<<30), mode, content, sessions, plan)
-	}
-	demuxed, muxed := run(Demuxed), run(Muxed)
-	if demuxed.FailedRequests != 0 {
-		t.Errorf("transient faults (persistence 1 < 2 tries) failed %d demuxed requests", demuxed.FailedRequests)
-	}
-	if muxed.FailedRequests != 0 {
-		t.Errorf("transient faults failed %d muxed requests", muxed.FailedRequests)
-	}
-	if demuxed.OriginErrors == 0 {
-		t.Fatal("30% fault rate produced no origin errors")
-	}
-	// Determinism: a second identical run must be byte-identical.
-	if again := run(Demuxed); again != demuxed {
-		t.Errorf("faulty workload not deterministic:\n%+v\n%+v", again, demuxed)
 	}
 }

@@ -93,7 +93,7 @@ func (e *Edge) trackStream(tr *media.Track) *objectStream {
 	st, ok := e.trackStreams[tr]
 	if !ok {
 		n := e.content.NumChunksOf(tr.Type)
-		st = &objectStream{id: tr.ID, keys: make([]string, n), sizes: e.content.TrackSizes(tr)}
+		st = &objectStream{keys: make([]string, n), sizes: e.content.TrackSizes(tr)}
 		for idx := 0; idx < n; idx++ {
 			st.keys[idx] = trackKey(tr, idx)
 		}
@@ -108,7 +108,6 @@ func (e *Edge) muxedStream(video, audio *media.Track) *objectStream {
 	if !ok {
 		n := e.content.NumChunks()
 		st = &objectStream{
-			id:    video.ID + "+" + audio.ID,
 			keys:  make([]string, n),
 			sizes: make([]int64, n),
 		}

@@ -35,7 +35,6 @@ func TestPlayRequiresProfile(t *testing.T) {
 
 func TestEveryPlayerKindRuns(t *testing.T) {
 	for _, kind := range PlayerKinds() {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			s, err := Play(Spec{
 				Profile: trace.Fixed(media.Kbps(1500)),
@@ -118,7 +117,6 @@ func TestIntegrationMatrix(t *testing.T) {
 	content := media.DramaShow()
 	for _, kind := range PlayerKinds() {
 		for pname, profile := range profiles {
-			kind, pname, profile := kind, pname, profile
 			t.Run(string(kind)+"/"+pname, func(t *testing.T) {
 				t.Parallel()
 				s, err := Play(Spec{Content: content, Profile: profile, Player: kind})

@@ -156,7 +156,6 @@ func TestFig5Reproduces(t *testing.T) {
 
 func TestBestPracticeWinsOnPaperScenarios(t *testing.T) {
 	for _, s := range Scenarios() {
-		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			outcomes, err := Compare(s, 0)
 			if err != nil {

@@ -150,7 +150,6 @@ func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells in
 	errs := make([]error, len(ids))
 
 	for li, id := range ids {
-		li, id := li, id
 		kind := cfg.Mix[id%len(cfg.Mix)]
 		manifest := manifests[id%len(cfg.Mix)]
 		model, combos := manifest.NewModel(), manifest.Allowed()

@@ -400,7 +400,6 @@ func (s *streamer) fetchPair(ctx context.Context, combo media.Combo, idx int) (i
 	var firstErr error
 	fetched := combo
 	for _, tr := range []*media.Track{combo.Video, combo.Audio} {
-		tr := tr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

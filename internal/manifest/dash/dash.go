@@ -31,12 +31,7 @@ type MPD struct {
 	Type                      string   `xml:"type,attr"`
 	MediaPresentationDuration string   `xml:"mediaPresentationDuration,attr,omitempty"`
 	MinBufferTime             string   `xml:"minBufferTime,attr"`
-	// Live (type="dynamic") attributes; all absent on static MPDs.
-	AvailabilityStartTime      string   `xml:"availabilityStartTime,attr,omitempty"`
-	MinimumUpdatePeriod        string   `xml:"minimumUpdatePeriod,attr,omitempty"`
-	TimeShiftBufferDepth       string   `xml:"timeShiftBufferDepth,attr,omitempty"`
-	SuggestedPresentationDelay string   `xml:"suggestedPresentationDelay,attr,omitempty"`
-	Periods                    []Period `xml:"Period"`
+	Periods                   []Period `xml:"Period"`
 }
 
 // Period is a content period.
@@ -65,10 +60,6 @@ type SegmentTemplate struct {
 	Duration    int64 `xml:"duration,attr,omitempty"`
 	Timescale   int64 `xml:"timescale,attr"`
 	StartNumber int64 `xml:"startNumber,attr"`
-	// AvailabilityTimeOffset is the low-latency DASH offset in seconds: a
-	// segment may be requested that long before its nominal availability
-	// instant (the origin serves it chunked-transfer while still encoding).
-	AvailabilityTimeOffset float64 `xml:"availabilityTimeOffset,attr,omitempty"`
 	// Timeline, when present, carries the authoritative per-segment
 	// durations (irregular chunking, e.g. a short final chunk).
 	Timeline *SegmentTimeline `xml:"SegmentTimeline,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -63,9 +64,10 @@ func (m ChunkModel) trackSeed(id string) int64 {
 	return m.Seed ^ int64(h&math.MaxInt64)
 }
 
-// meanComplexity returns the time-weighted mean complexity of scenes over
-// [from, to).
-func meanComplexity(scenes []Scene, from, to time.Duration) float64 {
+// MeanComplexity returns the time-weighted mean complexity of scenes over
+// [from, to): the signal a chunk's size multiplier integrates, and the one
+// the offline shaping stage optimizes chunk edges against.
+func MeanComplexity(scenes []Scene, from, to time.Duration) float64 {
 	if to <= from {
 		return 1
 	}
@@ -111,7 +113,7 @@ func (m ChunkModel) sizes(tr *Track, n int, chunkDur func(int) time.Duration) []
 			// Time-anchored complexity: integrate the scene signal over the
 			// chunk's interval (noise above still adds encoder-level texture).
 			d := chunkDur(i)
-			f += meanComplexity(m.Scenes, start, start+d) - 1
+			f += MeanComplexity(m.Scenes, start, start+d) - 1
 			start += d
 		}
 		// Keep chunks within a plausible envelope before normalization.
@@ -150,10 +152,10 @@ type ContentSpec struct {
 
 	// VideoChunks / AudioChunks, when non-nil, give explicit per-chunk
 	// durations for the type's timeline (they must sum exactly to Duration).
-	// nil keeps the type on uniform ChunkDuration tiling — the default, and
-	// the path whose output is byte-identical to content built before
-	// variable-duration chunking existed. Offline shaping (internal/shaping)
-	// is the intended producer of these tables.
+	// nil tiles the type's timeline with ChunkDuration — the default, whose
+	// output is byte-identical to content built before variable-duration
+	// chunking existed. Offline shaping (internal/shaping) is the intended
+	// producer of these tables.
 	VideoChunks []time.Duration
 	AudioChunks []time.Duration
 }
@@ -172,6 +174,17 @@ func boundaryTable(durs []time.Duration, total time.Duration) ([]time.Duration, 
 		return nil, fmt.Errorf("media: chunk durations sum to %v, want %v", got, total)
 	}
 	return starts, nil
+}
+
+// uniformTable tiles total with chunk-long chunks, the last one short when
+// chunk does not divide total: entry i is exactly i·chunk, and the final
+// entry is total.
+func uniformTable(chunk, total time.Duration) []time.Duration {
+	starts := make([]time.Duration, 0, int((total+chunk-1)/chunk)+1)
+	for at := time.Duration(0); at < total; at += chunk {
+		starts = append(starts, at)
+	}
+	return append(starts, total)
 }
 
 // NewContent synthesizes a Content from the spec, generating deterministic
@@ -196,6 +209,7 @@ func NewContent(spec ContentSpec) (*Content, error) {
 		durs []time.Duration
 	}{{Video, spec.VideoChunks}, {Audio, spec.AudioChunks}} {
 		if e.durs == nil {
+			c.starts[e.typ] = uniformTable(spec.ChunkDuration, spec.Duration)
 			continue
 		}
 		starts, err := boundaryTable(e.durs, spec.Duration)
@@ -203,7 +217,9 @@ func NewContent(spec ContentSpec) (*Content, error) {
 			return nil, fmt.Errorf("%s: %w", e.typ, err)
 		}
 		c.starts[e.typ] = starts
+		c.irregular[e.typ] = true
 	}
+	c.aligned = slices.Equal(c.starts[Video], c.starts[Audio])
 	for _, tr := range c.Tracks() {
 		model := spec.Model
 		if tr.Type == Audio {

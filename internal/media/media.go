@@ -211,34 +211,35 @@ func PairCombos(video, audio Ladder) []Combo {
 // Content is a complete demuxed media asset: its ladders, chunking, and
 // deterministic per-chunk sizes.
 //
-// Chunking comes in two regimes. Uniform content tiles Duration with
-// ChunkDuration-long chunks (the final chunk may be short) and carries no
-// boundary tables — every index↔time conversion is pure arithmetic, exactly
-// as before boundary tables existed. Shaped content (built from a spec with
-// explicit per-chunk durations, e.g. by internal/shaping) carries one
-// boundary table per track type, so audio and video timelines may disagree
-// in both chunk count and chunk edges.
+// Every content carries one chunk boundary table per track type. A content
+// built without explicit chunk durations tiles Duration with
+// ChunkDuration-long chunks (the final chunk may be short), so its two
+// tables are equal and every lookup returns what the nominal arithmetic
+// would. Shaped content (built from a spec with explicit per-chunk
+// durations, e.g. by internal/shaping) may give audio and video timelines
+// that disagree in both chunk count and chunk edges.
 type Content struct {
 	// Name identifies the asset (e.g. "drama-show").
 	Name string
 	// Duration is the total playback duration.
 	Duration time.Duration
-	// ChunkDuration is the nominal chunk duration. For uniform content it is
-	// the duration of every chunk (last chunk may be short); for shaped
-	// content it remains the nominal value buffers and part targets are
-	// derived from, while actual chunk edges come from the boundary tables.
+	// ChunkDuration is the nominal chunk duration: the duration of every
+	// chunk of a uniform timeline (the last may be short), and the value
+	// buffers and part targets are derived from for shaped content, whose
+	// actual chunk edges come from its boundary tables.
 	ChunkDuration time.Duration
 	// VideoTracks and AudioTracks are the ladders, lowest bitrate first.
 	VideoTracks Ladder
 	AudioTracks Ladder
 
-	// starts holds the per-type chunk boundary tables: starts[t] is the
-	// cumulative start offset of each chunk plus a final entry equal to
-	// Duration (len = chunks+1). nil means the type's timeline is uniform —
-	// derived from ChunkDuration with arithmetic identical to the
-	// pre-boundary-table code, which is what keeps unshaped content
-	// byte-identical everywhere.
-	starts [2][]time.Duration
+	// starts holds the per-type chunk boundary tables: starts[t][i] is the
+	// start offset of chunk i, plus a final entry equal to Duration
+	// (len = chunks+1). A uniform table's entry i is exactly
+	// i·ChunkDuration; durations are integer nanoseconds, so no rounding
+	// separates it from the nominal arithmetic.
+	starts    [2][]time.Duration
+	irregular [2]bool // starts[t] came from explicit spec durations
+	aligned   bool    // starts[Video] and starts[Audio] are equal
 
 	sizes map[string][]int64 // track ID -> per-chunk sizes in bytes
 
@@ -251,35 +252,15 @@ type Content struct {
 	hsub     []Combo
 }
 
-// NumChunks returns the number of chunks in the video timeline (for content
-// without per-type boundary tables, the chunk count of every track). Shaped
+// NumChunks returns the number of chunks in the video timeline. Shaped
 // content can have a different audio chunk count; use NumChunksOf.
-func (c *Content) NumChunks() int {
-	if s := c.starts[Video]; s != nil {
-		return len(s) - 1
-	}
-	n := int(c.Duration / c.ChunkDuration)
-	if c.Duration%c.ChunkDuration != 0 {
-		n++
-	}
-	return n
-}
+func (c *Content) NumChunks() int { return c.NumChunksOf(Video) }
 
 // NumChunksOf returns the number of chunks in the given type's timeline.
-func (c *Content) NumChunksOf(t Type) int {
-	if s := c.starts[t]; s != nil {
-		return len(s) - 1
-	}
-	n := int(c.Duration / c.ChunkDuration)
-	if c.Duration%c.ChunkDuration != 0 {
-		n++
-	}
-	return n
-}
+func (c *Content) NumChunksOf(t Type) int { return len(c.starts[t]) - 1 }
 
-// ChunkDurationAt returns the duration of chunk i of the video timeline
-// (the final chunk may be shorter than ChunkDuration). Shaped content can
-// have a different audio timeline; use ChunkDurationOf.
+// ChunkDurationAt returns the duration of chunk i of the video timeline.
+// Shaped content can have a different audio timeline; use ChunkDurationOf.
 func (c *Content) ChunkDurationAt(i int) time.Duration {
 	return c.ChunkDurationOf(Video, i)
 }
@@ -287,63 +268,37 @@ func (c *Content) ChunkDurationAt(i int) time.Duration {
 // ChunkDurationOf returns the duration of chunk i of the given type's
 // timeline, or 0 when i is out of range.
 func (c *Content) ChunkDurationOf(t Type, i int) time.Duration {
-	if s := c.starts[t]; s != nil {
-		if i < 0 || i >= len(s)-1 {
-			return 0
-		}
-		return s[i+1] - s[i]
-	}
-	n := c.NumChunksOf(t)
-	if i < 0 || i >= n {
+	s := c.starts[t]
+	if i < 0 || i >= len(s)-1 {
 		return 0
 	}
-	if i == n-1 {
-		if rem := c.Duration % c.ChunkDuration; rem != 0 {
-			return rem
-		}
-	}
-	return c.ChunkDuration
+	return s[i+1] - s[i]
 }
 
 // ChunkStartOf returns the playback offset at which chunk i of the given
 // type's timeline begins. i may equal the chunk count, in which case the
 // result is Duration (the exclusive end of the last chunk).
 func (c *Content) ChunkStartOf(t Type, i int) time.Duration {
-	if s := c.starts[t]; s != nil {
-		if i < 0 {
-			return 0
-		}
-		if i >= len(s) {
-			return c.Duration
-		}
-		return s[i]
-	}
+	s := c.starts[t]
 	if i < 0 {
 		return 0
 	}
-	if start := time.Duration(i) * c.ChunkDuration; start < c.Duration {
-		return start
+	if i >= len(s) {
+		return c.Duration
 	}
-	return c.Duration
+	return s[i]
 }
 
 // ChunkIndexAt returns the index of the chunk of the given type's timeline
-// that covers playback position pos (clamped into [0, Duration)). Uniform
-// timelines use division; boundary tables use binary search.
+// that covers playback position pos (clamped into [0, Duration)).
 func (c *Content) ChunkIndexAt(t Type, pos time.Duration) int {
-	n := c.NumChunksOf(t)
-	if pos <= 0 || n == 0 {
+	s := c.starts[t]
+	n := len(s) - 1
+	if pos <= 0 || n <= 0 {
 		return 0
 	}
-	if s := c.starts[t]; s != nil {
-		// First chunk whose end lies beyond pos.
-		idx := sort.Search(n, func(i int) bool { return s[i+1] > pos })
-		if idx >= n {
-			idx = n - 1
-		}
-		return idx
-	}
-	idx := int(pos / c.ChunkDuration)
+	// First chunk whose end lies beyond pos.
+	idx := sort.Search(n, func(i int) bool { return s[i+1] > pos })
 	if idx >= n {
 		idx = n - 1
 	}
@@ -352,52 +307,26 @@ func (c *Content) ChunkIndexAt(t Type, pos time.Duration) int {
 
 // ChunkTimeline returns the cumulative boundary table of the given type's
 // timeline: entry i is the start of chunk i, with a final entry equal to
-// Duration (len = chunks+1). For shaped content this is the content's own
-// table — callers must treat it as read-only.
-func (c *Content) ChunkTimeline(t Type) []time.Duration {
-	if s := c.starts[t]; s != nil {
-		return s
-	}
-	n := c.NumChunksOf(t)
-	out := make([]time.Duration, n+1)
-	for i := 0; i < n; i++ {
-		out[i+1] = out[i] + c.ChunkDurationOf(t, i)
-	}
-	return out
-}
+// Duration (len = chunks+1). It is the content's own table — callers must
+// treat it as read-only.
+func (c *Content) ChunkTimeline(t Type) []time.Duration { return c.starts[t] }
 
-// Irregular reports whether the given type's timeline carries an explicit
-// boundary table (shaped content) rather than uniform nominal chunking.
-func (c *Content) Irregular(t Type) bool { return c.starts[t] != nil }
+// Irregular reports whether the given type's timeline came from explicit
+// per-chunk durations (shaped content) rather than uniform nominal
+// chunking.
+func (c *Content) Irregular(t Type) bool { return c.irregular[t] }
 
 // Aligned reports whether the audio and video timelines share identical
 // chunk boundaries — the regime every shared-chunk-index consumer (joint
 // scheduling, muxed packaging, index-paired combination accounting)
 // requires. Uniform content is trivially aligned.
-func (c *Content) Aligned() bool {
-	if c.starts[Video] == nil && c.starts[Audio] == nil {
-		return true
-	}
-	n := c.NumChunksOf(Video)
-	if c.NumChunksOf(Audio) != n {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if c.ChunkDurationOf(Video, i) != c.ChunkDurationOf(Audio, i) {
-			return false
-		}
-	}
-	return true
-}
+func (c *Content) Aligned() bool { return c.aligned }
 
 // MaxChunkDurationOf returns the longest chunk duration in the given type's
 // timeline — what RFC 8216 requires EXT-X-TARGETDURATION to cover. Uniform
 // timelines return the nominal ChunkDuration.
 func (c *Content) MaxChunkDurationOf(t Type) time.Duration {
 	s := c.starts[t]
-	if s == nil {
-		return c.ChunkDuration
-	}
 	var max time.Duration
 	for i := 0; i+1 < len(s); i++ {
 		if d := s[i+1] - s[i]; d > max {
@@ -465,18 +394,17 @@ func (c *Content) Validate() error {
 		return fmt.Errorf("media: non-positive duration")
 	}
 	for _, typ := range []Type{Video, Audio} {
-		if s := c.starts[typ]; s != nil {
-			if len(s) < 2 || s[0] != 0 {
-				return fmt.Errorf("media: %s boundary table must start at 0 with at least one chunk", typ)
+		s := c.starts[typ]
+		if len(s) < 2 || s[0] != 0 {
+			return fmt.Errorf("media: %s boundary table must start at 0 with at least one chunk", typ)
+		}
+		for i := 1; i < len(s); i++ {
+			if s[i] <= s[i-1] {
+				return fmt.Errorf("media: %s boundary table not strictly increasing at entry %d", typ, i)
 			}
-			for i := 1; i < len(s); i++ {
-				if s[i] <= s[i-1] {
-					return fmt.Errorf("media: %s boundary table not strictly increasing at entry %d", typ, i)
-				}
-			}
-			if last := s[len(s)-1]; last != c.Duration {
-				return fmt.Errorf("media: %s boundary table ends at %v, want %v", typ, last, c.Duration)
-			}
+		}
+		if last := s[len(s)-1]; last != c.Duration {
+			return fmt.Errorf("media: %s boundary table ends at %v, want %v", typ, last, c.Duration)
 		}
 	}
 	for _, t := range c.Tracks() {

@@ -342,3 +342,14 @@ func TestActionMovieSpikier(t *testing.T) {
 			variance(action, "V4"), variance(drama, "V4"))
 	}
 }
+
+func TestNamedResolvesEveryName(t *testing.T) {
+	for _, name := range Names() {
+		if c, err := Named(name); err != nil || c == nil {
+			t.Errorf("Named(%q) = %v, %v", name, c, err)
+		}
+	}
+	if _, err := Named("bogus"); err == nil {
+		t.Error("Named(bogus) should fail")
+	}
+}

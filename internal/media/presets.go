@@ -1,6 +1,7 @@
 package media
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -112,6 +113,29 @@ func newDramaShowHighAudio() *Content {
 		AudioTracks:   HighAudioLadder(),
 		Model:         DefaultChunkModel(),
 	})
+}
+
+// Named returns the preset content the commands' -content flag names.
+func Named(name string) (*Content, error) {
+	switch name {
+	case "drama":
+		return DramaShow(), nil
+	case "drama-low-audio":
+		return DramaShowLowAudio(), nil
+	case "drama-high-audio":
+		return DramaShowHighAudio(), nil
+	case "music-show":
+		return MusicShow(), nil
+	case "action-movie":
+		return ActionMovie(), nil
+	default:
+		return nil, fmt.Errorf("unknown content %q (have %v)", name, Names())
+	}
+}
+
+// Names lists the preset content names Named accepts.
+func Names() []string {
+	return []string{"drama", "drama-low-audio", "drama-high-audio", "music-show", "action-movie"}
 }
 
 // HSub returns the curated subset of 6 combinations of manifest H_sub

@@ -450,7 +450,6 @@ func TestConcurrentSamplersSeeShares(t *testing.T) {
 	link := NewLink(eng, trace.Fixed(media.Kbps(2000)))
 	var samples [][]float64 = make([][]float64, 2)
 	for i := 0; i < 2; i++ {
-		i := i
 		link.Start(250000, StartOptions{
 			SampleEvery: 125 * time.Millisecond,
 			OnSample: func(_ *Transfer, b float64, d time.Duration) {

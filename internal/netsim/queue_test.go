@@ -224,7 +224,6 @@ func TestQueueSparseAndBurst(t *testing.T) {
 	var fired []int
 	// Burst: 100 events at the same instant.
 	for i := 0; i < 100; i++ {
-		i := i
 		e.Schedule(5*time.Millisecond, func() { fired = append(fired, i) })
 	}
 	// Sparse: one event a simulated hour away.
@@ -255,7 +254,6 @@ func TestQueueResizeKeepsOrder(t *testing.T) {
 	}
 	var fired []key
 	for i := 0; i < 5000; i++ {
-		i := i
 		at := time.Duration(rng.Intn(10_000)) * time.Microsecond
 		e.Schedule(at, func() { fired = append(fired, key{e.Now(), i}) })
 	}

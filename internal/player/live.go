@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"demuxabr/internal/media"
@@ -169,11 +168,11 @@ func (s *Session) initLive() error {
 	if joinPos < 0 {
 		joinPos = 0
 	}
-	joinIdx := s.chunkIndexAt(media.Video, joinPos)
+	joinIdx := s.content.ChunkIndexAt(media.Video, joinPos)
 	joinPos = s.chunkStarts[media.Video][joinIdx]
 	s.playPos = joinPos
 	s.next[media.Video] = joinIdx
-	s.next[media.Audio] = s.chunkIndexAt(media.Audio, joinPos)
+	s.next[media.Audio] = s.content.ChunkIndexAt(media.Audio, joinPos)
 	s.frontier[media.Video], s.frontier[media.Audio] = joinPos, joinPos
 	ls.stats.LatencyTarget = cfg.LatencyTarget
 	ls.stats.JoinLatency = ls.edge0 - joinPos
@@ -203,17 +202,6 @@ func (s *Session) liveLatency(now time.Duration) time.Duration {
 		lat = 0
 	}
 	return lat
-}
-
-// chunkIndexAt returns the index of the chunk of t's timeline covering
-// position pos (clamped to the last chunk).
-func (s *Session) chunkIndexAt(t media.Type, pos time.Duration) int {
-	starts := s.chunkStarts[t]
-	idx := sort.Search(s.numChunks[t], func(i int) bool { return starts[i+1] > pos })
-	if idx >= s.numChunks[t] {
-		idx = s.numChunks[t] - 1
-	}
-	return idx
 }
 
 // chunkAvailableAt returns the absolute engine time chunk idx of t's
@@ -357,7 +345,7 @@ func (s *Session) liveResync(now time.Duration) {
 	// The jump lands on a video chunk boundary; each type resolves its own
 	// refetch index on its own timeline (misaligned audio rejoins at the
 	// chunk covering the target position).
-	idx := s.chunkIndexAt(media.Video, target)
+	idx := s.content.ChunkIndexAt(media.Video, target)
 	targetPos := s.chunkStarts[media.Video][idx]
 	if targetPos <= s.playPos {
 		return
@@ -376,7 +364,7 @@ func (s *Session) liveResync(now time.Duration) {
 		s.frontier[t] = targetPos
 	}
 	discard(media.Video, idx)
-	discard(media.Audio, s.chunkIndexAt(media.Audio, targetPos))
+	discard(media.Audio, s.content.ChunkIndexAt(media.Audio, targetPos))
 	if s.paired {
 		s.jointPending = 0
 	}

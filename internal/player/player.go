@@ -189,10 +189,11 @@ type Session struct {
 	perType   abr.PerTypeAlgorithm
 	abandoner abr.Abandoner
 
-	// Per-type chunk timelines, indexed by media.Type. For content without
-	// boundary tables both entries are identical; shaped content can give
-	// audio and video different chunk counts and edges (the misalignment
-	// regime of §4), which is why every index computation below is typed.
+	// Per-type chunk timelines, indexed by media.Type: the content's own
+	// read-only boundary tables. Uniform content gives both types equal
+	// tables; shaped content can give audio and video different chunk
+	// counts and edges (the misalignment regime of §4), which is why every
+	// index computation below is typed.
 	numChunks   [2]int
 	chunkStarts [2][]time.Duration // start offset of each chunk; [n] = duration
 
@@ -375,11 +376,8 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 		return nil, errors.New("player: joint scheduling and muxed mode require aligned audio/video chunk timelines")
 	}
 	for _, t := range []media.Type{media.Video, media.Audio} {
-		s.numChunks[t] = s.content.NumChunksOf(t)
-		s.chunkStarts[t] = make([]time.Duration, s.numChunks[t]+1)
-		for i := 0; i < s.numChunks[t]; i++ {
-			s.chunkStarts[t][i+1] = s.chunkStarts[t][i] + s.content.ChunkDurationOf(t, i)
-		}
+		s.chunkStarts[t] = s.content.ChunkTimeline(t)
+		s.numChunks[t] = len(s.chunkStarts[t]) - 1
 	}
 	s.res = Result{
 		ModelName:       cfg.Model.Name(),
@@ -421,7 +419,6 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 	s.logLane = s.eng.Lane(logInterval)
 	s.scheduleLog()
 	for _, at := range cfg.AudioResets {
-		at := at
 		s.eng.Schedule(s.t0+at, func() { s.resetAudio(at) })
 	}
 	return s, nil

@@ -180,35 +180,7 @@ func cellComplexities(scenes []media.Scene, total time.Duration) []float64 {
 		if to > total {
 			to = total
 		}
-		out[i] = meanSceneComplexity(scenes, from, to)
+		out[i] = media.MeanComplexity(scenes, from, to)
 	}
 	return out
-}
-
-// meanSceneComplexity mirrors media's time-weighted scene integration for
-// the optimizer's view of the signal.
-func meanSceneComplexity(scenes []media.Scene, from, to time.Duration) float64 {
-	if to <= from {
-		return 1
-	}
-	var weighted float64
-	var at time.Duration
-	for _, sc := range scenes {
-		end := at + sc.Duration
-		lo, hi := from, to
-		if at > lo {
-			lo = at
-		}
-		if end < hi {
-			hi = end
-		}
-		if hi > lo {
-			weighted += sc.Complexity * (hi - lo).Seconds()
-		}
-		at = end
-		if at >= to {
-			break
-		}
-	}
-	return weighted / (to - from).Seconds()
 }
