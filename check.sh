@@ -108,7 +108,7 @@ echo "== parallel-vs-serial equivalence (incl. fault-injection and fleet determi
 gate 'TestParallelEquivalence|TestCacheSweepParallelMatchesSerial|TestMapCollectsInSubmissionOrder|TestResilienceSweepDeterministic|TestResilienceSweepParallelEquivalence|TestFleetScaleParallelEquivalence|TestFleetDeterministic' \
 	./internal/experiments ./internal/cdnsim ./internal/runpool ./internal/fleet
 
-echo "== shard equivalence (-shards 1 vs -shards 4 byte-identical fleet JSON at N=32)"
+echo "== shard equivalence (-shards 1 vs 2/4/32 byte-identical fleet JSON at N=32)"
 gate 'TestFleetShardEquivalence' ./internal/fleet
 
 echo "== timeline determinism (flight-recorder exports byte-identical across runs and worker counts)"

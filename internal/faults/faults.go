@@ -12,15 +12,17 @@
 //
 // A Policy describes how a robust client reacts: per-request timeout,
 // bounded exponential backoff with seeded jitter, per-track failure
-// blacklisting, and failover to the next candidate track — ExoPlayer-style
-// load-error handling. The same Policy drives the player simulation (in
-// virtual time) and httpclient (in wall time); only the sleep primitive
-// differs.
+// blacklisting, and failover to the next candidate track
+// (Blacklist.Failover) — ExoPlayer-style load-error handling. The same
+// Policy drives the player simulation (in virtual time) and httpclient
+// (in wall time); only the sleep primitive differs.
 package faults
 
 import (
 	"fmt"
 	"time"
+
+	"demuxabr/internal/media"
 )
 
 // Kind is one failure mode a segment request can suffer.
@@ -195,7 +197,8 @@ func Key(seed int64, trackID string, idx int) uint64 {
 	return mix(h ^ uint64(uint32(idx)))
 }
 
-// mix is the splitmix64 finalizer: a bijective avalanche over 64 bits.
+// mix is MurmurHash3's fmix64 finalizer: a bijective avalanche over 64
+// bits.
 func mix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -336,4 +339,27 @@ func (b *Blacklist) Clear(trackID string) {
 func (b *Blacklist) Blocked(trackID string, now time.Duration) bool {
 	until, ok := b.until[trackID]
 	return ok && now < until
+}
+
+// Failover picks the substitute for a failing track from its ladder: the
+// highest non-blacklisted track at or below the failed bitrate, else the
+// cheapest non-blacklisted one. It returns nil when every candidate other
+// than the failed track is exiled.
+func (b *Blacklist) Failover(ladder []*media.Track, failed *media.Track, now time.Duration) *media.Track {
+	var lower, lowest *media.Track
+	for _, tr := range ladder {
+		if tr == failed || b.Blocked(tr.ID, now) {
+			continue
+		}
+		if lowest == nil || tr.AvgBitrate < lowest.AvgBitrate {
+			lowest = tr
+		}
+		if tr.AvgBitrate <= failed.AvgBitrate && (lower == nil || tr.AvgBitrate > lower.AvgBitrate) {
+			lower = tr
+		}
+	}
+	if lower != nil {
+		return lower
+	}
+	return lowest
 }

@@ -3,6 +3,8 @@ package faults
 import (
 	"testing"
 	"time"
+
+	"demuxabr/internal/media"
 )
 
 // Two plans with the same seed must agree on every decision, in any call
@@ -177,6 +179,46 @@ func TestBlacklist(t *testing.T) {
 	b.Clear("A1")
 	if b.Strike("A1", now, p) {
 		t.Fatal("cleared streak still counted toward blacklisting")
+	}
+}
+
+// TestBlacklistFailover pins the failover rule both clients share: the
+// highest open track at or below the failed bitrate, else the cheapest
+// open one, else nil.
+func TestBlacklistFailover(t *testing.T) {
+	track := func(id string, kbps float64) *media.Track {
+		return &media.Track{ID: id, Type: media.Video, AvgBitrate: media.Kbps(kbps)}
+	}
+	v1, v2, v3, v4 := track("V1", 200), track("V2", 400), track("V3", 800), track("V4", 1600)
+	ladder := []*media.Track{v3, v1, v4, v2} // the rule must not depend on ladder order
+	for _, tc := range []struct {
+		name    string
+		ladder  []*media.Track
+		failed  *media.Track
+		blocked []string
+		want    *media.Track
+	}{
+		{"highest below", ladder, v3, nil, v2},
+		{"highest below an exiled one", ladder, v3, []string{"V2"}, v1},
+		{"only tracks above", ladder, v1, nil, v2},
+		{"only tracks above, cheapest open", ladder, v2, []string{"V1", "V3"}, v4},
+		{"every candidate blocked", ladder, v2, []string{"V1", "V3", "V4"}, nil},
+		{"single-track ladder", []*media.Track{v1}, v1, nil, nil},
+	} {
+		now := 10 * time.Second
+		b := NewBlacklist()
+		for _, id := range tc.blocked {
+			if !b.Strike(id, now, Policy{BlacklistAfter: 1, BlacklistFor: time.Minute}) {
+				t.Fatalf("%s: %s not blacklisted", tc.name, id)
+			}
+		}
+		if got := b.Failover(tc.ladder, tc.failed, now); got != tc.want {
+			t.Errorf("%s: failover from %s = %v, want %v", tc.name, tc.failed.ID, got, tc.want)
+		}
+		// Once the exile windows end every track but the failed one is open.
+		if got := b.Failover(tc.ladder, tc.failed, now+time.Minute); got == nil && len(tc.ladder) > 1 {
+			t.Errorf("%s: no candidate after the exile windows ended", tc.name)
+		}
 	}
 }
 

@@ -503,29 +503,12 @@ func (s *streamer) blocked(trackID string) bool {
 	return s.bl.Blocked(trackID, time.Since(s.begin))
 }
 
-// failover picks the substitute for a failing track: the highest
-// non-blacklisted candidate at or below the failed bitrate, else the
-// cheapest non-blacklisted one, else nil.
+// failover picks the substitute for a failing track by the shared rule
+// (faults.Blacklist.Failover); nil when every candidate is exiled.
 func (s *streamer) failover(failed *media.Track) *media.Track {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := time.Since(s.begin)
-	var lower, lowest *media.Track
-	for _, tr := range s.src.Tracks(failed.Type) {
-		if tr == failed || s.bl.Blocked(tr.ID, now) {
-			continue
-		}
-		if lowest == nil || tr.AvgBitrate < lowest.AvgBitrate {
-			lowest = tr
-		}
-		if tr.AvgBitrate <= failed.AvgBitrate && (lower == nil || tr.AvgBitrate > lower.AvgBitrate) {
-			lower = tr
-		}
-	}
-	if lower != nil {
-		return lower
-	}
-	return lowest
+	return s.bl.Failover(s.src.Tracks(failed.Type), failed, time.Since(s.begin))
 }
 
 // sleepCtx waits d or until the context dies.

@@ -15,6 +15,10 @@ const completionSlack = 0.5
 // Link is a single shared bottleneck with a time-varying capacity profile.
 // Concurrent transfers receive weight-proportional shares of the
 // instantaneous capacity (equal shares by default).
+//
+// Every link is an access leaf of an Uplink, which integrates its
+// transfers and schedules its wakes. A standalone link (NewLink) is the
+// only leaf of an unbounded uplink, so its own profile always binds.
 type Link struct {
 	eng     *Engine
 	profile trace.Profile
@@ -22,12 +26,7 @@ type Link struct {
 	// default; the paper's single-server testbed had negligible RTT.
 	RTT time.Duration
 
-	active     []*Transfer
-	lastUpdate time.Duration
-	wake       Handle // pending recompute (completion or profile breakpoint)
-	// wakeTick is the standalone link's recompute callback, bound on first
-	// use so a re-armed wake allocates nothing.
-	wakeTick func()
+	active []*Transfer
 	// finished is finishCompleted's scratch list of transfers to notify.
 	finished []*Transfer
 	// free holds released transfers for reuse by prepare (see Release).
@@ -40,10 +39,9 @@ type Link struct {
 	// regardless of the profile (fault-injection link failures).
 	outages []outageWindow
 
-	// up, when non-nil, makes this link an access leaf behind a shared
-	// Uplink: rate integration and wake scheduling are delegated to the
-	// group, which allocates weighted max-min rates across the whole
-	// two-tier tree (see uplink.go).
+	// up is the uplink this link is a leaf of: it allocates weighted
+	// max-min rates across its whole two-tier tree, integrates them and
+	// arms the tree's one wake (see uplink.go).
 	up *Uplink
 
 	// rec, when non-nil, receives a LinkRate event each time the observed
@@ -59,13 +57,10 @@ type outageWindow struct {
 	start, stop time.Duration
 }
 
-// NewLink creates a link driven by the engine with the given capacity
-// profile.
+// NewLink creates a standalone link driven by the engine with the given
+// capacity profile: the only leaf of an uplink whose capacity never binds.
 func NewLink(eng *Engine, profile trace.Profile) *Link {
-	if profile == nil {
-		panic("netsim: nil profile")
-	}
-	return &Link{eng: eng, profile: profile}
+	return NewUplink(eng, trace.Fixed(math.MaxInt64)).NewLeaf(profile)
 }
 
 // Engine returns the engine that drives this link.
@@ -90,13 +85,11 @@ func (l *Link) AddOutage(start, stop time.Duration) {
 	l.changed()
 }
 
-// changed records a mutation of the active set or the outage windows. A
-// leaf behind a shared uplink bumps the group's version so the cached
-// max-min allocation is recomputed; standalone links keep no cache.
+// changed records a mutation of the active set or the outage windows: it
+// bumps the uplink's version so the cached max-min allocation is
+// recomputed.
 func (l *Link) changed() {
-	if l.up != nil {
-		l.up.version++
-	}
+	l.up.version++
 }
 
 // rateAt is the effective capacity: the profile's rate, masked by outages.
@@ -131,8 +124,6 @@ type Transfer struct {
 	conn *Conn
 	// Label tags the transfer (e.g. "video"/"audio") for observers.
 	Label string
-	// UserData carries caller context (e.g. chunk identity).
-	UserData any
 	// weight is the transfer's share weight (default 1).
 	weight float64
 
@@ -202,22 +193,10 @@ func (tr *Transfer) Duration() time.Duration {
 	return tr.finished - tr.started
 }
 
-// Throughput returns the achieved goodput in bits/s; zero if not complete or
-// instantaneous.
-func (tr *Transfer) Throughput() float64 {
-	d := tr.Duration()
-	if d <= 0 {
-		return 0
-	}
-	return float64(tr.size) * 8 / d.Seconds()
-}
-
 // StartOptions configures a transfer.
 type StartOptions struct {
 	// Label tags the transfer for observers ("video", "audio", ...).
 	Label string
-	// UserData carries caller context through to callbacks.
-	UserData any
 	// OnComplete fires when the last byte arrives.
 	OnComplete func(*Transfer)
 	// Weight scales this transfer's share of the bottleneck relative to
@@ -277,7 +256,6 @@ func (l *Link) prepare(size int64, opts StartOptions) *Transfer {
 	*tr = Transfer{
 		link:         l,
 		Label:        opts.Label,
-		UserData:     opts.UserData,
 		weight:       weight,
 		size:         size,
 		onComplete:   opts.OnComplete,
@@ -312,8 +290,8 @@ func (tr *Transfer) tryRecycle() {
 		return
 	}
 	tr.released = false // recycle once
-	// Drop the owner's callbacks and context while the transfer is pooled.
-	tr.onComplete, tr.onSample, tr.UserData, tr.conn = nil, nil, nil, nil
+	// Drop the owner's callbacks and connection while the transfer is pooled.
+	tr.onComplete, tr.onSample, tr.conn = nil, nil, nil
 	tr.link.free = append(tr.link.free, tr)
 }
 
@@ -333,7 +311,7 @@ func (tr *Transfer) activateNow() {
 // (labelled typ, e.g. "link" or "uplink") whenever its observed effective
 // capacity changes during integration. Pass nil to detach.
 func (l *Link) SetRecorder(rec *timeline.Recorder, typ string) {
-	if l.up != nil && (rec == nil) != (l.rec == nil) {
+	if (rec == nil) != (l.rec == nil) {
 		if rec != nil {
 			l.up.recordedLeaves++
 		} else {
@@ -374,7 +352,7 @@ func (l *Link) Cancel(tr *Transfer) {
 	if tr.completed || tr.cancelled {
 		return
 	}
-	l.advance() // may complete the transfer at this very instant
+	l.up.advance() // may complete the transfer at this very instant
 	if tr.completed {
 		return
 	}
@@ -391,7 +369,7 @@ func (l *Link) Cancel(tr *Transfer) {
 	}
 	l.eng.Cancel(tr.sampleEv)
 	tr.sampleEv = Handle{}
-	l.reschedule()
+	l.up.reschedule()
 	if tr.conn != nil {
 		tr.conn.onDone(tr)
 	}
@@ -408,7 +386,7 @@ func (l *Link) Suspend(tr *Transfer) bool {
 	if tr.completed || tr.cancelled || tr.suspended {
 		return false
 	}
-	l.advance() // may complete the transfer at this very instant
+	l.up.advance() // may complete the transfer at this very instant
 	if tr.completed {
 		return false
 	}
@@ -425,7 +403,7 @@ func (l *Link) Suspend(tr *Transfer) bool {
 	}
 	tr.suspended = true
 	l.changed()
-	l.reschedule()
+	l.up.reschedule()
 	return true
 }
 
@@ -435,18 +413,18 @@ func (l *Link) Resume(tr *Transfer) {
 	if tr.completed || tr.cancelled || !tr.suspended {
 		return
 	}
-	l.advance()
+	l.up.advance()
 	tr.suspended = false
 	l.active = append(l.active, tr)
 	l.changed()
-	l.reschedule()
+	l.up.reschedule()
 }
 
 func (l *Link) activate(tr *Transfer) {
 	if tr.cancelled {
 		return
 	}
-	l.advance()
+	l.up.advance()
 	tr.started = l.eng.Now()
 	if tr.size == 0 {
 		tr.completed = true
@@ -468,7 +446,7 @@ func (l *Link) activate(tr *Transfer) {
 	if tr.sampleEvery > 0 && tr.onSample != nil {
 		tr.scheduleSample()
 	}
-	l.reschedule()
+	l.up.reschedule()
 }
 
 // scheduleSample arms the next δ-sample tick on the engine's lane for the
@@ -491,7 +469,7 @@ func (tr *Transfer) scheduleSample() {
 // reads it afterwards.
 func (tr *Transfer) sample() {
 	tr.holds++
-	tr.link.advance()
+	tr.link.up.advance()
 	if !tr.completed && !tr.cancelled {
 		bytes := tr.done - tr.sampleMark
 		tr.sampleMark = tr.done
@@ -501,45 +479,6 @@ func (tr *Transfer) sample() {
 	}
 	tr.holds--
 	tr.tryRecycle()
-}
-
-// advance integrates all active transfers from lastUpdate to now at the
-// capacity that applied over that span. The link guarantees (via wake
-// events at profile breakpoints) that capacity is constant over the span.
-// Leaves behind a shared uplink delegate to the group, whose allocation
-// couples every member's transfers.
-func (l *Link) advance() {
-	if l.up != nil {
-		l.up.advance()
-		return
-	}
-	l.advanceSolo()
-}
-
-func (l *Link) advanceSolo() {
-	now := l.eng.Now()
-	l.observeRate(now)
-	if now <= l.lastUpdate {
-		l.lastUpdate = now
-		return
-	}
-	if len(l.active) > 0 {
-		rate := l.rateAt(l.lastUpdate)
-		totalWeight := 0.0
-		for _, tr := range l.active {
-			totalWeight += tr.weight
-		}
-		elapsed := (now - l.lastUpdate).Seconds()
-		for _, tr := range l.active {
-			share := rate * tr.weight / totalWeight
-			tr.done += share * elapsed / 8
-			if tr.done > float64(tr.size) {
-				tr.done = float64(tr.size)
-			}
-		}
-	}
-	l.lastUpdate = now
-	l.finishCompleted()
 }
 
 // finishCompleted removes and notifies transfers that have reached their
@@ -602,67 +541,6 @@ func (l *Link) finishCompleted() {
 		tr.tryRecycle()
 	}
 	l.finished = finished[:0]
-}
-
-// reschedule computes the next interesting instant (first completion or
-// profile breakpoint) and arms a wake event for it. Uplink leaves share
-// one group wake instead of per-link wakes.
-func (l *Link) reschedule() {
-	if l.up != nil {
-		l.up.reschedule()
-		return
-	}
-	l.rescheduleSolo()
-}
-
-func (l *Link) rescheduleSolo() {
-	l.eng.Cancel(l.wake)
-	l.wake = Handle{}
-	// With no active transfers there is nothing to integrate; the next
-	// activation re-arms the wake. (Arming breakpoint wakes while idle would
-	// keep cyclic profiles generating events forever.)
-	if len(l.active) == 0 {
-		return
-	}
-	now := l.eng.Now()
-	next := time.Duration(math.MaxInt64)
-	if bp, ok := l.nextChange(now); ok && bp < next {
-		next = bp
-	}
-	{
-		rate := l.rateAt(now)
-		if rate > 0 {
-			totalWeight := 0.0
-			for _, tr := range l.active {
-				totalWeight += tr.weight
-			}
-			for _, tr := range l.active {
-				share := rate * tr.weight / totalWeight
-				remaining := float64(tr.size) - tr.done
-				eta := now + time.Duration(remaining*8/share*float64(time.Second))
-				if eta <= now {
-					eta = now + 1 // guarantee progress
-				}
-				if eta < next {
-					next = eta
-				}
-			}
-		}
-	}
-	if next == time.Duration(math.MaxInt64) {
-		return
-	}
-	if l.wakeTick == nil {
-		l.wakeTick = l.onWake
-	}
-	l.wake = l.eng.Schedule(next, l.wakeTick)
-}
-
-// onWake is the standalone link's recompute at a completion or breakpoint.
-func (l *Link) onWake() {
-	l.wake = Handle{}
-	l.advance()
-	l.reschedule()
 }
 
 // StartCrossTraffic occupies the link with a persistent competing flow of

@@ -193,9 +193,6 @@ func TestProfileBreakpointMidTransfer(t *testing.T) {
 	if math.Abs(tr.Finished().Seconds()-5.0) > 1e-6 {
 		t.Errorf("finished at %v, want 5s", tr.Finished())
 	}
-	if math.Abs(tr.Throughput()-800e3) > 1 {
-		t.Errorf("throughput = %v, want 800 Kbps", tr.Throughput())
-	}
 }
 
 func TestCyclicProfileTransfer(t *testing.T) {

@@ -180,12 +180,6 @@ func NewConn(l *Link, cfg TransportConfig, label string) *Conn {
 // events. Pass nil to detach.
 func (c *Conn) SetRecorder(rec *timeline.Recorder) { c.rec = rec }
 
-// Link returns the link this connection rides.
-func (c *Conn) Link() *Link { return c.link }
-
-// Label returns the connection's tag.
-func (c *Conn) Label() string { return c.label }
-
 // Established reports whether the connection is currently usable without
 // a new setup.
 func (c *Conn) Established() bool { return c.established }
@@ -465,9 +459,10 @@ func (c *Conn) emitHandshake(d time.Duration, resumed bool) {
 	})
 }
 
-// transportMix is splitmix64's finalizer: the same mixer the faults
-// package uses, duplicated here because netsim sits below faults in the
-// dependency order.
+// transportMix is one splitmix64 output step: add the golden-ratio
+// increment, then apply splitmix64's finalizer. It is not the faults
+// package's mixer (MurmurHash3's fmix64, other shifts and constants);
+// changing either would move every loss or fault draw.
 func transportMix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

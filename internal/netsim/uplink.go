@@ -76,15 +76,14 @@ func NewUplink(eng *Engine, profile trace.Profile) *Uplink {
 	return u
 }
 
-// Engine returns the engine driving this uplink.
-func (u *Uplink) Engine() *Engine { return u.eng }
-
 // NewLeaf creates an access link behind this uplink: transfers started on
 // it obey the leaf profile, the shared uplink, and weighted fairness
 // against every other transfer in the tree.
 func (u *Uplink) NewLeaf(profile trace.Profile) *Link {
-	l := NewLink(u.eng, profile)
-	l.up = u
+	if profile == nil {
+		panic("netsim: nil profile")
+	}
+	l := &Link{eng: u.eng, profile: profile, up: u}
 	u.members = append(u.members, l)
 	return l
 }
@@ -312,8 +311,6 @@ func (u *Uplink) advance() {
 			}
 		}
 	}
-	// Only the group's mark is kept: a leaf's own lastUpdate is read by
-	// advanceSolo alone, which a leaf never runs.
 	u.lastUpdate = now
 	if !finishing {
 		return

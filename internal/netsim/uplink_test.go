@@ -47,7 +47,7 @@ func TestLinkConservationAndWeightShares(t *testing.T) {
 		trs[i] = link.Start(huge, StartOptions{Weight: w})
 	}
 	eng.RunUntil(horizon)
-	link.advance()
+	link.up.advance()
 
 	want := integrate(profile, horizon)
 	got := 0.0
@@ -85,7 +85,7 @@ func TestLinkConservationWithCompletions(t *testing.T) {
 	}
 	const horizon = 40 * time.Second
 	eng.RunUntil(horizon)
-	link.advance()
+	link.up.advance()
 
 	want := integrate(profile, horizon)
 	got := 0.0
@@ -101,8 +101,13 @@ func TestLinkConservationWithCompletions(t *testing.T) {
 	}
 }
 
-// TestUplinkSoloEquivalence: a single leaf behind a generous uplink must
-// behave exactly like a standalone link — completion times included.
+// TestUplinkSoloEquivalence pins a lone unit-weight transfer to the closed
+// form of its profile. 4,000,000 B over 3000/1000/5000 Kbps steps at
+// 0/5/10 s moves 1,875,000 B by 5 s and 2,500,000 B by 10 s; the last
+// 1,500,000 B at 625,000 B/s take 2.4 s more. A standalone link, a leaf
+// behind a 1 Gbps uplink, and that leaf beside a weight-6 cross-traffic
+// flow on a sibling leaf must all finish at 12.4 s: an uplink that never
+// binds leaves the leaf's own profile as the only constraint.
 func TestUplinkSoloEquivalence(t *testing.T) {
 	profile := trace.MustSteps([]trace.Step{
 		{At: 0, Rate: media.Kbps(3000)},
@@ -110,29 +115,29 @@ func TestUplinkSoloEquivalence(t *testing.T) {
 		{At: 10 * time.Second, Rate: media.Kbps(5000)},
 	}, 0)
 	const size = 4_000_000
-
-	soloEng := NewEngine()
-	solo := NewLink(soloEng, profile)
-	var soloDone time.Duration
-	solo.Start(size, StartOptions{OnComplete: func(tr *Transfer) { soloDone = tr.Finished() }})
-	if err := soloEng.Run(1_000_000); err != nil {
-		t.Fatal(err)
-	}
-
-	upEng := NewEngine()
-	up := NewUplink(upEng, trace.Fixed(media.Kbps(1_000_000))) // 1 Gbps: never binds
-	leaf := up.NewLeaf(profile)
-	var leafDone time.Duration
-	leaf.Start(size, StartOptions{OnComplete: func(tr *Transfer) { leafDone = tr.Finished() }})
-	if err := upEng.Run(1_000_000); err != nil {
-		t.Fatal(err)
-	}
-
-	if soloDone == 0 || leafDone == 0 {
-		t.Fatalf("transfers did not complete: solo=%v leaf=%v", soloDone, leafDone)
-	}
-	if soloDone != leafDone {
-		t.Fatalf("leaf behind generous uplink diverged from solo link: %v vs %v", leafDone, soloDone)
+	const want = 12400 * time.Millisecond
+	gbps := func(eng *Engine) *Uplink { return NewUplink(eng, trace.Fixed(media.Kbps(1_000_000))) }
+	for _, tc := range []struct {
+		name string
+		link func(*Engine) *Link
+	}{
+		{"standalone", func(eng *Engine) *Link { return NewLink(eng, profile) }},
+		{"leaf", func(eng *Engine) *Link { return gbps(eng).NewLeaf(profile) }},
+		{"leaf beside cross-traffic", func(eng *Engine) *Link {
+			up := gbps(eng)
+			up.NewLeaf(trace.Fixed(media.Kbps(100_000))).StartCrossTraffic(6, 0, 20*time.Second)
+			return up.NewLeaf(profile)
+		}},
+	} {
+		eng := NewEngine()
+		var done time.Duration
+		tc.link(eng).Start(size, StartOptions{OnComplete: func(tr *Transfer) { done = tr.Finished() }})
+		if err := eng.Run(1_000_000); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := done - want; d < -time.Nanosecond || d > time.Nanosecond {
+			t.Errorf("%s: finished at %v, want %v within 1ns", tc.name, done, want)
+		}
 	}
 }
 
@@ -258,7 +263,7 @@ func TestCrossTrafficRestartsBlocks(t *testing.T) {
 
 	probe := link.Start(1<<62, StartOptions{})
 	eng.RunUntil(window)
-	link.advance()
+	link.up.advance()
 
 	// With the competing flow alive throughout, the probe gets half the
 	// capacity. Without the restart fix the cross flow dies after one block
@@ -284,7 +289,7 @@ func TestCrossTrafficSlowLinkUnchanged(t *testing.T) {
 	link.StartCrossTraffic(2, 10*time.Second, 110*time.Second)
 	probe := link.Start(1<<40, StartOptions{})
 	eng.RunUntil(200 * time.Second)
-	link.advance()
+	link.up.advance()
 	// 10 s alone + 100 s at 1/3 share + 90 s alone, at 312500 B/s.
 	want := 312_500.0 * (10 + 100.0/3 + 90)
 	if math.Abs(probe.Done()-want) > 2 {

@@ -1529,39 +1529,24 @@ func (s *Session) failChunk(r *request, kind faults.Kind, wasted int64) {
 	r.retryAfter(s.pol.Backoff(r.attempt, key), repl, 0)
 }
 
-// failoverTrack picks the substitute for a failing track: the highest
-// non-blacklisted track at or below the failed bitrate, else the cheapest
-// non-blacklisted track, else (everything exiled) the cheapest track of
-// the type — a robust client keeps trying rather than giving up.
+// failoverTrack picks the substitute for a failing track by the shared
+// rule (faults.Blacklist.Failover), else (everything exiled) the cheapest
+// track of the type — a robust client keeps trying rather than giving up.
 func (s *Session) failoverTrack(t media.Type, failed *media.Track) *media.Track {
 	ladder := s.content.VideoTracks
 	if t == media.Audio {
 		ladder = s.content.AudioTracks
 	}
-	now := s.eng.Now()
-	var lower, lowest, cheapest *media.Track
-	for _, tr := range ladder {
-		if cheapest == nil || tr.AvgBitrate < cheapest.AvgBitrate {
+	if repl := s.blacklist.Failover(ladder, failed, s.eng.Now()); repl != nil {
+		return repl
+	}
+	cheapest := ladder[0]
+	for _, tr := range ladder[1:] {
+		if tr.AvgBitrate < cheapest.AvgBitrate {
 			cheapest = tr
 		}
-		if tr == failed || s.blacklist.Blocked(tr.ID, now) {
-			continue
-		}
-		if lowest == nil || tr.AvgBitrate < lowest.AvgBitrate {
-			lowest = tr
-		}
-		if tr.AvgBitrate <= failed.AvgBitrate && (lower == nil || tr.AvgBitrate > lower.AvgBitrate) {
-			lower = tr
-		}
 	}
-	switch {
-	case lower != nil:
-		return lower
-	case lowest != nil:
-		return lowest
-	default:
-		return cheapest
-	}
+	return cheapest
 }
 
 // retrySeed keys the backoff jitter; sharing the fault plan's seed keeps
