@@ -31,6 +31,7 @@ import (
 	"demuxabr/internal/cdnsim"
 	"demuxabr/internal/experiments"
 	"demuxabr/internal/media"
+	"demuxabr/internal/player"
 	"demuxabr/internal/plot"
 	"demuxabr/internal/timeline"
 )
@@ -144,7 +145,7 @@ func table3(string) error {
 	return nil
 }
 
-func writeTimeline(dir, name string, tl []experiments.TimelinePoint) error {
+func writeTimeline(dir, name string, tl []player.Sample) error {
 	if dir == "" {
 		return nil
 	}
@@ -162,10 +163,10 @@ func writeTimeline(dir, name string, tl []experiments.TimelinePoint) error {
 	for _, p := range tl {
 		w.Write([]string{
 			fmt.Sprintf("%.3f", p.At.Seconds()),
-			p.Video, p.Audio,
+			trackID(p.Video), trackID(p.Audio),
 			fmt.Sprintf("%.3f", p.VideoBuffer.Seconds()),
 			fmt.Sprintf("%.3f", p.AudioBuffer.Seconds()),
-			fmt.Sprintf("%.1f", p.Estimate.Kbps()),
+			fmt.Sprintf("%.1f", estimate(p).Kbps()),
 			fmt.Sprintf("%v", p.Stalled),
 		})
 	}
@@ -202,8 +203,25 @@ func fig2b(string) error {
 	return nil
 }
 
+// trackID is a sample's track column: empty before the first decision.
+func trackID(t *media.Track) string {
+	if t == nil {
+		return ""
+	}
+	return t.ID
+}
+
+// estimate is a sample's bandwidth estimate, 0 for an algorithm that
+// exposes none.
+func estimate(p player.Sample) media.Bps {
+	if !p.EstimateOK {
+		return 0
+	}
+	return p.Estimate
+}
+
 // chartTimeline renders a figure's buffer/estimate series as ASCII charts.
-func chartTimeline(tl []experiments.TimelinePoint, withEstimate bool) {
+func chartTimeline(tl []player.Sample, withEstimate bool) {
 	if len(tl) == 0 {
 		return
 	}
@@ -214,8 +232,8 @@ func chartTimeline(tl []experiments.TimelinePoint, withEstimate bool) {
 	for i, p := range tl {
 		vbuf[i] = p.VideoBuffer.Seconds()
 		abuf[i] = p.AudioBuffer.Seconds()
-		if p.Estimate > 0 {
-			est = append(est, p.Estimate.Kbps())
+		if e := estimate(p); e > 0 {
+			est = append(est, e.Kbps())
 		}
 	}
 	_ = plot.Chart(os.Stdout, "  buffer levels (s)", 72, 8, xMax,
@@ -252,8 +270,8 @@ func fig3(csvDir string) error {
 	}
 	fmt.Printf("  companion (A1 first, 5 Mbps): audio pinned at %s, avg audio %.0f Kbps despite ample bandwidth\n",
 		lf.FixedAudio, lf.Outcome.Metrics.AvgAudioBitrate.Kbps())
-	chartTimeline(r.Timeline, false)
-	return writeTimeline(csvDir, "fig3.csv", r.Timeline)
+	chartTimeline(r.Outcome.Result.Timeline, false)
+	return writeTimeline(csvDir, "fig3.csv", r.Outcome.Result.Timeline)
 }
 
 func fig4a(csvDir string) error {
@@ -265,8 +283,8 @@ func fig4a(csvDir string) error {
 	fmt.Printf("  paper:    estimate stuck at the 500 Kbps default (no interval reaches 16 KB); selects V2+A2\n")
 	fmt.Printf("  measured: estimate %v -> %v, valid samples=%v; selects %s\n",
 		r.EstimateStart, r.EstimateEnd, r.AnyValidSample, r.Dominant)
-	chartTimeline(r.Timeline, true)
-	return writeTimeline(csvDir, "fig4a.csv", r.Timeline)
+	chartTimeline(r.Outcome.Result.Timeline, true)
+	return writeTimeline(csvDir, "fig4a.csv", r.Outcome.Result.Timeline)
 }
 
 func fig4b(csvDir string) error {
@@ -279,8 +297,8 @@ func fig4b(csvDir string) error {
 	fmt.Printf("  paper:    under- then over-estimates; V2+A2 then V3+A3; ~39 s rebuffering\n")
 	fmt.Printf("  measured: estimate %v -> %v; combos %v; %.1f s rebuffering\n",
 		r.EstimateStart, r.EstimateEnd, r.Outcome.Result.CombosSelected(), m.RebufferTime.Seconds())
-	chartTimeline(r.Timeline, true)
-	return writeTimeline(csvDir, "fig4b.csv", r.Timeline)
+	chartTimeline(r.Outcome.Result.Timeline, true)
+	return writeTimeline(csvDir, "fig4b.csv", r.Outcome.Result.Timeline)
 }
 
 func fig5(csvDir string) error {
@@ -292,8 +310,8 @@ func fig5(csvDir string) error {
 	fmt.Printf("  paper:    fluctuates across combos incl. undesirable V2+A3; unbalanced A/V buffers\n")
 	fmt.Printf("  measured: combos %v; undesirable %v; max buffer imbalance %.1f s\n",
 		r.Combos, r.UndesirablePairings, r.MaxImbalance.Seconds())
-	chartTimeline(r.Timeline, false)
-	return writeTimeline(csvDir, "fig5.csv", r.Timeline)
+	chartTimeline(r.Outcome.Result.Timeline, false)
+	return writeTimeline(csvDir, "fig5.csv", r.Outcome.Result.Timeline)
 }
 
 func compare(string) error {

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"demuxabr/internal/experiments"
+	"demuxabr/internal/player"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden paperfigs output in testdata/")
@@ -146,7 +146,7 @@ func TestWriteTimelineReportsWriteErrors(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	tl := []experiments.TimelinePoint{{At: time.Second, Video: "V1", Audio: "A1"}}
+	tl := []player.Sample{{At: time.Second}}
 	if err := writeTimeline("/dev", "full", tl); err == nil {
 		t.Error("writing to /dev/full returned nil, want an error")
 	}

@@ -9,7 +9,7 @@ package experiments
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"demuxabr/internal/core"
 	"demuxabr/internal/media"
@@ -52,75 +52,30 @@ func scoreFinished(res *player.Result, model string, c *media.Content, allowed [
 }
 
 // DominantCombo returns the combination selected for the most chunk
-// positions.
+// positions; ties go to the lower name.
 func DominantCombo(res *player.Result) media.Combo {
-	count := map[string]int{}
-	rep := map[string]media.Combo{}
-	video := map[int]*media.Track{}
-	audio := map[int]*media.Track{}
-	for _, ch := range res.Chunks {
-		if ch.Type == media.Video {
-			video[ch.Index] = ch.Track
-		} else {
-			audio[ch.Index] = ch.Track
-		}
-	}
-	for i, v := range video {
-		a := audio[i]
-		if a == nil {
+	sel := res.ByIndex()
+	var combos []media.Combo
+	var counts []int
+	for i := range min(len(sel[media.Video]), len(sel[media.Audio])) {
+		cb := media.Combo{Video: sel[media.Video][i], Audio: sel[media.Audio][i]}
+		if cb.Video == nil || cb.Audio == nil {
 			continue
 		}
-		cb := media.Combo{Video: v, Audio: a}
-		count[cb.String()]++
-		rep[cb.String()] = cb
+		k := slices.IndexFunc(combos, cb.SameTracks)
+		if k < 0 {
+			k = len(combos)
+			combos = append(combos, cb)
+			counts = append(counts, 0)
+		}
+		counts[k]++
 	}
-	// Ties broken by name so the answer never depends on map iteration
-	// order.
 	var best media.Combo
 	bestN := -1
-	bestKey := ""
-	for k, n := range count {
-		if n > bestN || (n == bestN && k < bestKey) {
-			bestN = n
-			bestKey = k
-			best = rep[k]
+	for k, cb := range combos {
+		if counts[k] > bestN || (counts[k] == bestN && cb.String() < best.String()) {
+			best, bestN = cb, counts[k]
 		}
 	}
 	return best
-}
-
-// TimelinePoint is one figure sample: time, selected tracks, buffers,
-// estimate — the series the paper's plots show.
-type TimelinePoint struct {
-	At          time.Duration
-	Video       string
-	Audio       string
-	VideoBuffer time.Duration
-	AudioBuffer time.Duration
-	Estimate    media.Bps
-	Stalled     bool
-}
-
-// Timeline converts a result's samples into figure points.
-func Timeline(res *player.Result) []TimelinePoint {
-	out := make([]TimelinePoint, 0, len(res.Timeline))
-	for _, s := range res.Timeline {
-		p := TimelinePoint{
-			At:          s.At,
-			VideoBuffer: s.VideoBuffer,
-			AudioBuffer: s.AudioBuffer,
-			Stalled:     s.Stalled,
-		}
-		if s.Video != nil {
-			p.Video = s.Video.ID
-		}
-		if s.Audio != nil {
-			p.Audio = s.Audio.ID
-		}
-		if s.EstimateOK {
-			p.Estimate = s.Estimate
-		}
-		out = append(out, p)
-	}
-	return out
 }

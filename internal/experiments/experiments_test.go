@@ -592,7 +592,7 @@ func TestFig4aEstimateSeriesIsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range r.Timeline {
+	for i, p := range r.Outcome.Result.Timeline {
 		if p.Estimate != media.Kbps(500) {
 			t.Fatalf("estimate at sample %d (%v) = %v, want a flat 500 Kbps line",
 				i, p.At, p.Estimate)
@@ -627,7 +627,7 @@ func TestFig4bEstimateRisesMonotonicallyAfterWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	seenAboveDefault := false
-	for _, p := range r.Timeline {
+	for _, p := range r.Outcome.Result.Timeline {
 		if p.Estimate > media.Kbps(500) {
 			seenAboveDefault = true
 		}

@@ -87,8 +87,6 @@ type Fig3Result struct {
 	// OffManifestChunks counts chunk positions streamed as combinations
 	// outside H_sub.
 	OffManifestChunks int
-	// Timeline carries the Fig. 3 series (tracks, buffers, stall shading).
-	Timeline []TimelinePoint
 }
 
 // Fig3 runs the first ExoPlayer HLS experiment: manifest H_sub with A3
@@ -138,7 +136,6 @@ func exoHLS(content *media.Content, order []*media.Track, profile trace.Profile,
 		FixedAudio:        model.FixedAudio().ID,
 		AudioTrackChanges: out.Metrics.AudioSwitches,
 		OffManifestChunks: out.Metrics.OffManifest,
-		Timeline:          Timeline(out.Result),
 	}, nil
 }
 
@@ -152,8 +149,6 @@ type Fig4Result struct {
 	AnyValidSample bool
 	// Dominant is the most-streamed combination.
 	Dominant media.Combo
-	// Timeline carries the Fig. 4 series.
-	Timeline []TimelinePoint
 }
 
 // Fig4a runs the first Shaka experiment: H_all over a constant 1 Mbps link.
@@ -187,7 +182,6 @@ func runFig4(profile trace.Profile) (Fig4Result, error) {
 		Outcome:        out,
 		AnyValidSample: model.HasValidSample(),
 		Dominant:       DominantCombo(out.Result),
-		Timeline:       Timeline(out.Result),
 	}
 	if n := len(out.Result.Timeline); n > 0 {
 		r.EstimateStart = out.Result.Timeline[0].Estimate
@@ -206,8 +200,6 @@ type Fig5Result struct {
 	UndesirablePairings []media.Combo
 	// MaxImbalance is the Fig. 5(b) buffer divergence.
 	MaxImbalance time.Duration
-	// Timeline carries the Fig. 5 series.
-	Timeline []TimelinePoint
 }
 
 // Fig5 runs the dash.js experiment: DASH manifest, fixed 700 Kbps link,
@@ -229,7 +221,6 @@ func Fig5() (Fig5Result, error) {
 		Outcome:      out,
 		Combos:       out.Result.CombosSelected(),
 		MaxImbalance: out.Result.MaxBufferImbalance(),
-		Timeline:     Timeline(out.Result),
 	}
 	topAudio := audio[len(audio)-1]
 	for _, cb := range r.Combos {

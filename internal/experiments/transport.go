@@ -203,13 +203,7 @@ func TransportComparison(parallel int) ([]TransportCell, error) {
 			cell.Score += m.Score
 			if t := out.Result.Transport; t != nil {
 				cell.ConnStall += t.HandshakeWait + t.HoLWait
-				cell.Stats.Handshakes += t.Handshakes
-				cell.Stats.Resumes += t.Resumes
-				cell.Stats.FailedHandshakes += t.FailedHandshakes
-				cell.Stats.Migrations += t.Migrations
-				cell.Stats.HoLStalls += t.HoLStalls
-				cell.Stats.HandshakeWait += t.HandshakeWait
-				cell.Stats.HoLWait += t.HoLWait
+				cell.Stats.Add(t.ConnStats)
 			}
 		}
 		n := time.Duration(TransportTraceSeeds)

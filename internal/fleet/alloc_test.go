@@ -16,7 +16,7 @@ import (
 // allocations of one session of its fleet, request lifecycle included.
 // Lower it when a change cuts allocations; never raise it to make a
 // regression pass.
-const allocsPerSessionPin = 309
+const allocsPerSessionPin = 252
 
 // TestFleetAllocsPerSession pins the allocations per session of a small
 // streaming fleet shaped like the benchmark's fleet-vod: the four joint

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"demuxabr/internal/manifest/hls"
@@ -186,22 +187,13 @@ func FetchHLS(ctx context.Context, client *http.Client, baseURL string) (*HLSMan
 // videoIDFromURI recovers the track name from "video/V3.m3u8".
 func videoIDFromURI(uri string) string {
 	base := uri
-	if i := lastIndexByte(base, '/'); i >= 0 {
+	if i := strings.LastIndexByte(base, '/'); i >= 0 {
 		base = base[i+1:]
 	}
-	if i := lastIndexByte(base, '.'); i >= 0 {
+	if i := strings.LastIndexByte(base, '.'); i >= 0 {
 		base = base[:i]
 	}
 	return base
-}
-
-func lastIndexByte(s string, b byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // get issues a GET and returns the body for a 200 response.

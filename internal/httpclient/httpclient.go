@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -92,19 +93,6 @@ type Source interface {
 	Tracks(t media.Type) []*media.Track
 }
 
-// equalDurations reports element-wise equality of two duration slices.
-func equalDurations(a, b []time.Duration) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // drainAndClose consumes up to 64 KiB of a response body before closing so
 // the keep-alive connection can be reused — exactly the error-heavy paths
 // where reconnecting hurts most.
@@ -174,7 +162,7 @@ func FetchManifest(ctx context.Context, client *http.Client, baseURL string) (*M
 		// timelines need an index-independent client (the simulator's
 		// per-type models); refusing here beats silently pairing chunk i of
 		// one timeline with an overlapping-but-different chunk i of the other.
-		if m.segments != nil && !equalDurations(m.segments, segs) {
+		if m.segments != nil && !slices.Equal(m.segments, segs) {
 			return nil, fmt.Errorf("httpclient: audio and video segment timelines disagree; this joint-index client requires aligned timelines")
 		}
 		m.segments = segs
@@ -532,23 +520,26 @@ func (s *streamer) fetchOne(ctx context.Context, tr *media.Track, idx int) (int6
 	if err != nil {
 		return 0, err
 	}
+	// TransferInfo.At is session time, the clock abr.State.Now reads;
+	// begin times this request's Duration.
 	begin := time.Now()
 	observe := func(fn func()) {
 		s.obs.Lock()
 		defer s.obs.Unlock()
 		fn()
 	}
-	observe(func() { s.cfg.Model.OnStart(abr.TransferInfo{Type: tr.Type, At: time.Since(begin)}) })
+	observe(func() { s.cfg.Model.OnStart(abr.TransferInfo{Type: tr.Type, At: begin.Sub(s.begin)}) })
 	// closeOut balances the OnStart for every exit path so observers that
 	// pair start/complete events stay consistent; failed requests report
 	// the bytes that did arrive.
 	closeOut := func(total int64) {
+		now := time.Now()
 		observe(func() {
 			s.cfg.Model.OnComplete(abr.TransferInfo{
 				Type:     tr.Type,
 				Bytes:    float64(total),
-				Duration: time.Since(begin),
-				At:       time.Since(begin),
+				Duration: now.Sub(begin),
+				At:       now.Sub(s.begin),
 			})
 		})
 	}
@@ -576,7 +567,7 @@ func (s *streamer) fetchOne(ctx context.Context, tr *media.Track, idx int) (int6
 					Type:     tr.Type,
 					Bytes:    float64(nr),
 					Duration: now.Sub(lastReport),
-					At:       now.Sub(begin),
+					At:       now.Sub(s.begin),
 				})
 			})
 			lastReport = now

@@ -371,3 +371,79 @@ func TestHLSNumChunksIsMinAcrossTracks(t *testing.T) {
 		t.Fatalf("empty manifest NumChunks = %d", got)
 	}
 }
+
+// recording is a pinned model that logs every transfer event it observes,
+// in call order (the streamer serializes observer calls).
+type recording struct {
+	pinned
+	events []recordedEvent
+}
+
+type recordedEvent struct {
+	kind string // "start", "progress" or "complete"
+	info abr.TransferInfo
+}
+
+func (r *recording) OnStart(ti abr.TransferInfo) {
+	r.events = append(r.events, recordedEvent{"start", ti})
+}
+func (r *recording) OnProgress(ti abr.TransferInfo) {
+	r.events = append(r.events, recordedEvent{"progress", ti})
+}
+func (r *recording) OnComplete(ti abr.TransferInfo) {
+	r.events = append(r.events, recordedEvent{"complete", ti})
+}
+
+// TestTransferEventsUseTheSessionClock: TransferInfo.At is session time,
+// like abr.State.Now, so the events of one type never run backwards — a
+// chunk's request starts no earlier than the previous one (or a failed try
+// of the same chunk) completed, retries included.
+func TestTransferEventsUseTheSessionClock(t *testing.T) {
+	content := tinyContent()
+	flaky := newFlakyOrigin(originserver.New(content, originserver.Options{}).Handler(),
+		map[string][]string{"/video/V1/seg-2.m4s": {"503"}})
+	srv := httptest.NewServer(flaky)
+	defer srv.Close()
+	m, err := FetchManifest(context.Background(), srv.Client(), srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &recording{pinned: pinned{combo: lowCombo(m)}}
+	rep, err := Stream(context.Background(), m, Config{
+		BaseURL:      srv.URL,
+		Model:        model,
+		HTTPClient:   srv.Client(),
+		TargetBuffer: 30 * time.Second,
+		MaxChunks:    6,
+		Robustness:   fastPolicy(),
+	})
+	if err != nil {
+		t.Fatalf("session failed: %v", err)
+	}
+	if rep.Retries != 1 {
+		t.Fatalf("retries = %d, want the 1 scripted", rep.Retries)
+	}
+	for _, typ := range []media.Type{media.Video, media.Audio} {
+		var last time.Duration
+		starts := 0
+		for _, ev := range model.events {
+			if ev.info.Type != typ {
+				continue
+			}
+			if ev.info.At < last {
+				t.Fatalf("%s %s event at %v, after an event at %v", typ, ev.kind, ev.info.At, last)
+			}
+			last = ev.info.At
+			if ev.kind == "start" {
+				starts++
+			}
+		}
+		want := 6
+		if typ == media.Video {
+			want++ // the retried segment
+		}
+		if starts != want {
+			t.Errorf("%s: %d requests started, want %d", typ, starts, want)
+		}
+	}
+}

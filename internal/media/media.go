@@ -162,6 +162,14 @@ func (c Combo) PeakBitrate() Bps { return c.Video.PeakBitrate + c.Audio.PeakBitr
 // requirement a DASH client computes for the pair).
 func (c Combo) DeclaredBitrate() Bps { return c.Video.DeclaredBitrate + c.Audio.DeclaredBitrate }
 
+// SameTracks reports whether o pairs the same video and audio tracks as c.
+// It compares by ID: clients that reconstruct tracks from manifests (§4.1
+// media-playlist recovery) hold distinct Track values for the same
+// underlying track.
+func (c Combo) SameTracks(o Combo) bool {
+	return c.Video.ID == o.Video.ID && c.Audio.ID == o.Audio.ID
+}
+
 // String renders the combination as in the paper, e.g. "V3+A2".
 func (c Combo) String() string {
 	v, a := "?", "?"

@@ -620,16 +620,7 @@ func (s *Session) collectTransport() {
 	if st == (netsim.ConnStats{}) {
 		return
 	}
-	s.res.Transport = &TransportStats{
-		Protocol:         proto.String(),
-		Handshakes:       st.Handshakes,
-		Resumes:          st.Resumes,
-		FailedHandshakes: st.FailedHandshakes,
-		Migrations:       st.Migrations,
-		HoLStalls:        st.HoLStalls,
-		HandshakeWait:    st.HandshakeWait,
-		HoLWait:          st.HoLWait,
-	}
+	s.res.Transport = &TransportStats{Protocol: proto.String(), ConnStats: st}
 }
 
 // --- Timeline logging --------------------------------------------------

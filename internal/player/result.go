@@ -1,10 +1,12 @@
 package player
 
 import (
+	"slices"
 	"time"
 
 	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
+	"demuxabr/internal/netsim"
 )
 
 // Sample is one row of the session timeline, logged every 500 ms — the
@@ -153,20 +155,7 @@ type Result struct {
 type TransportStats struct {
 	// Protocol is the configured transport ("h1", "h2", "h3").
 	Protocol string
-	// Handshakes counts full connection setups; Resumes counts
-	// reconnections priced at the resume cost (0-RTT for H3).
-	Handshakes int
-	Resumes    int
-	// FailedHandshakes counts fault-injected setup failures.
-	FailedHandshakes int
-	// Migrations counts network path changes observed.
-	Migrations int
-	// HoLStalls counts stream stalls charged by transport loss; HoLWait
-	// is the stream-seconds they froze.
-	HoLStalls int
-	// HandshakeWait is total time requests spent waiting on setups.
-	HandshakeWait time.Duration
-	HoLWait       time.Duration
+	netsim.ConnStats
 }
 
 // WastedFaultBytes sums the bytes downloaded by requests that then failed
@@ -188,7 +177,8 @@ func (r *Result) RebufferTime() time.Duration {
 	return total
 }
 
-// ChunksOf returns the chunk decisions of one media type, in index order.
+// ChunksOf returns the chunk decisions of one media type, in completion
+// order.
 func (r *Result) ChunksOf(t media.Type) []ChunkDecision {
 	var out []ChunkDecision
 	for _, c := range r.Chunks {
@@ -199,15 +189,39 @@ func (r *Result) ChunksOf(t media.Type) []ChunkDecision {
 	return out
 }
 
+// ByIndex returns, for each media type, the track of the last completed
+// download of each chunk index, nil where none completed. The audio and
+// video decisions of one chunk position meet at equal index: every
+// pairing of the session (the combinations selected, off-manifest
+// positions) reads it.
+func (r *Result) ByIndex() [2][]*media.Track {
+	var n [2]int
+	for _, c := range r.Chunks {
+		n[c.Type] = max(n[c.Type], c.Index+1)
+	}
+	all := make([]*media.Track, n[media.Video]+n[media.Audio])
+	var sel [2][]*media.Track
+	sel[media.Video] = all[:n[media.Video]:n[media.Video]]
+	sel[media.Audio] = all[n[media.Video]:]
+	for _, c := range r.Chunks {
+		sel[c.Type][c.Index] = c.Track
+	}
+	return sel
+}
+
 // Switches counts selection changes of the given type across consecutive
-// chunk indexes.
+// chunk decisions, in completion order.
 func (r *Result) Switches(t media.Type) int {
-	chunks := r.ChunksOf(t)
 	n := 0
-	for i := 1; i < len(chunks); i++ {
-		if chunks[i].Track != chunks[i-1].Track {
+	var prev *media.Track
+	for _, c := range r.Chunks {
+		if c.Type != t {
+			continue
+		}
+		if prev != nil && c.Track != prev {
 			n++
 		}
+		prev = c.Track
 	}
 	return n
 }
@@ -216,29 +230,11 @@ func (r *Result) Switches(t media.Type) int {
 // across chunk positions, in first-use order. It pairs the video and audio
 // decisions of equal chunk index.
 func (r *Result) CombosSelected() []media.Combo {
-	video := map[int]*media.Track{}
-	audio := map[int]*media.Track{}
-	maxIdx := -1
-	for _, c := range r.Chunks {
-		if c.Type == media.Video {
-			video[c.Index] = c.Track
-		} else {
-			audio[c.Index] = c.Track
-		}
-		if c.Index > maxIdx {
-			maxIdx = c.Index
-		}
-	}
+	sel := r.ByIndex()
 	var out []media.Combo
-	seen := map[string]bool{}
-	for i := 0; i <= maxIdx; i++ {
-		v, a := video[i], audio[i]
-		if v == nil || a == nil {
-			continue
-		}
-		cb := media.Combo{Video: v, Audio: a}
-		if !seen[cb.String()] {
-			seen[cb.String()] = true
+	for i := range min(len(sel[media.Video]), len(sel[media.Audio])) {
+		cb := media.Combo{Video: sel[media.Video][i], Audio: sel[media.Audio][i]}
+		if cb.Video != nil && cb.Audio != nil && !slices.ContainsFunc(out, cb.SameTracks) {
 			out = append(out, cb)
 		}
 	}
@@ -249,7 +245,10 @@ func (r *Result) CombosSelected() []media.Combo {
 // of a type, weighted by chunk duration — the y-axis of Fig. 2.
 func (r *Result) AvgSelectedBitrate(t media.Type, chunkDur func(int) time.Duration) media.Bps {
 	var bitSeconds, seconds float64
-	for _, c := range r.ChunksOf(t) {
+	for _, c := range r.Chunks {
+		if c.Type != t {
+			continue
+		}
 		d := chunkDur(c.Index).Seconds()
 		bitSeconds += float64(c.Track.AvgBitrate) * d
 		seconds += d

@@ -7,6 +7,7 @@ package qoe
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"demuxabr/internal/media"
@@ -69,36 +70,9 @@ type Metrics struct {
 	BufferHealth stats.Summary
 	// Score is the composite QoE (higher is better).
 	Score float64
-	// Live carries latency-target metrics for live sessions; nil for VOD
-	// (the live-off equivalence contract).
-	Live *LiveMetrics
-}
-
-// LiveMetrics summarizes a live session's latency-target controller: how
-// close the session held to its target, and what catch-up cost (rate
-// changes, resync jumps, skipped media) it paid to do so.
-type LiveMetrics struct {
-	// LatencyTarget echoes the configured target; JoinLatency is the
-	// latency at join.
-	LatencyTarget time.Duration
-	JoinLatency   time.Duration
-	// MeanLatency, MaxLatency and FinalLatency summarize the sampled
-	// live-edge latency (FinalLatency: the last sample while the stream was
-	// still producing — steady-state drift).
-	MeanLatency  time.Duration
-	MaxLatency   time.Duration
-	FinalLatency time.Duration
-	// RateChanges counts catch-up controller adjustments; CatchupTime and
-	// SlowdownTime the played time above and below 1.0x; MeanRate the
-	// time-weighted mean playback rate.
-	RateChanges  int
-	CatchupTime  time.Duration
-	SlowdownTime time.Duration
-	MeanRate     float64
-	// Resyncs counts live-edge resync jumps; SkippedTime the media they
-	// discarded.
-	Resyncs     int
-	SkippedTime time.Duration
+	// Live is the session's latency-target accounting (player.Result.Live);
+	// nil for VOD (the live-off equivalence contract).
+	Live *player.LiveStats
 }
 
 // utility returns the log-relative quality of a track within its ladder.
@@ -129,21 +103,7 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 	}
 	m.StartupDelay = res.StartupDelay
 	m.MaxImbalance = res.MaxBufferImbalance()
-	if ls := res.Live; ls != nil {
-		m.Live = &LiveMetrics{
-			LatencyTarget: ls.LatencyTarget,
-			JoinLatency:   ls.JoinLatency,
-			MeanLatency:   ls.MeanLatency,
-			MaxLatency:    ls.MaxLatency,
-			FinalLatency:  ls.FinalLatency,
-			RateChanges:   ls.RateChanges,
-			CatchupTime:   ls.CatchupTime,
-			SlowdownTime:  ls.SlowdownTime,
-			MeanRate:      ls.MeanRate,
-			Resyncs:       ls.Resyncs,
-			SkippedTime:   ls.SkippedTime,
-		}
-	}
+	m.Live = res.Live
 
 	var imbSum time.Duration
 	minBuffers := make([]float64, 0, len(res.Timeline))
@@ -170,23 +130,13 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 	// per-type timelines take the typed branch below, where each type is
 	// weighted by its own chunk durations and pairing goes through time
 	// overlap instead of a shared index.
+	sel := res.ByIndex()
 	var seconds, switchMag float64
 	if content.Aligned() {
 		var vQual, aQual float64
-		var prev [2]*media.Track
-		byIdx := map[int][2]*media.Track{}
-		maxIdx := -1
-		for _, ch := range res.Chunks {
-			e := byIdx[ch.Index]
-			e[ch.Type] = ch.Track
-			byIdx[ch.Index] = e
-			if ch.Index > maxIdx {
-				maxIdx = ch.Index
-			}
-		}
-		for i := 0; i <= maxIdx; i++ {
-			pair := byIdx[i]
-			v, a := pair[media.Video], pair[media.Audio]
+		var prevV, prevA *media.Track
+		for i := range min(len(sel[media.Video]), len(sel[media.Audio])) {
+			v, a := sel[media.Video][i], sel[media.Audio][i]
 			if v == nil || a == nil {
 				continue
 			}
@@ -194,11 +144,11 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 			vQual += utility(content.VideoTracks, v) * d
 			aQual += utility(content.AudioTracks, a) * d
 			seconds += d
-			if prev[media.Video] != nil {
-				switchMag += math.Abs(utility(content.VideoTracks, v) - utility(content.VideoTracks, prev[media.Video]))
-				switchMag += math.Abs(utility(content.AudioTracks, a) - utility(content.AudioTracks, prev[media.Audio]))
+			if prevV != nil {
+				switchMag += math.Abs(utility(content.VideoTracks, v) - utility(content.VideoTracks, prevV))
+				switchMag += math.Abs(utility(content.AudioTracks, a) - utility(content.AudioTracks, prevA))
 			}
-			prev = pair
+			prevV, prevA = v, a
 			if len(allowed) > 0 && !comboAllowed(allowed, v, a) {
 				m.OffManifest++
 			}
@@ -208,14 +158,6 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 			m.AvgAudioQuality = aQual / seconds
 		}
 	} else {
-		sel := [2]map[int]*media.Track{{}, {}}
-		maxIdx := [2]int{-1, -1}
-		for _, ch := range res.Chunks {
-			sel[ch.Type][ch.Index] = ch.Track
-			if ch.Index > maxIdx[ch.Type] {
-				maxIdx[ch.Type] = ch.Index
-			}
-		}
 		for _, t := range []media.Type{media.Video, media.Audio} {
 			ladder := content.VideoTracks
 			if t == media.Audio {
@@ -223,8 +165,7 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 			}
 			var qual, secs float64
 			var prev *media.Track
-			for i := 0; i <= maxIdx[t]; i++ {
-				tr := sel[t][i]
+			for i, tr := range sel[t] {
 				if tr == nil {
 					continue
 				}
@@ -248,16 +189,16 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 			}
 		}
 		// Off-manifest pairings: the audio actually playing during a video
-		// chunk is the one covering its midpoint.
+		// chunk is the one covering its midpoint. An aborted session may
+		// not have downloaded that audio index at all.
 		if len(allowed) > 0 {
-			for i := 0; i <= maxIdx[media.Video]; i++ {
-				v := sel[media.Video][i]
+			for i, v := range sel[media.Video] {
 				if v == nil {
 					continue
 				}
 				mid := content.ChunkStartOf(media.Video, i) + content.ChunkDurationOf(media.Video, i)/2
-				a := sel[media.Audio][content.ChunkIndexAt(media.Audio, mid)]
-				if a != nil && !comboAllowed(allowed, v, a) {
+				j := content.ChunkIndexAt(media.Audio, mid)
+				if j < len(sel[media.Audio]) && sel[media.Audio][j] != nil && !comboAllowed(allowed, v, sel[media.Audio][j]) {
 					m.OffManifest++
 				}
 			}
@@ -272,13 +213,5 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 }
 
 func comboAllowed(allowed []media.Combo, v, a *media.Track) bool {
-	for _, c := range allowed {
-		// Compare by ID: clients that reconstruct tracks from manifests
-		// (§4.1 media-playlist recovery) hold distinct Track values for the
-		// same underlying track.
-		if c.Video.ID == v.ID && c.Audio.ID == a.ID {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(allowed, media.Combo{Video: v, Audio: a}.SameTracks)
 }
