@@ -42,9 +42,9 @@
 #                    benchmarks compile and run once, so the allocs/op
 #                    trajectory is always measurable
 #  13. allocs        the allocation ratchets (TestFleetAllocsPerSession,
-#                    TestComputeAllocs) without the race detector, which
-#                    skips them in step 3 because it changes allocation
-#                    counts
+#                    TestComputeAllocs, TestPlayAllocs) without the race
+#                    detector, which skips them in step 3 because it
+#                    changes allocation counts
 #  14. bench module  the benchmark's separate Go module (bench/) vets and
 #                    passes its tests against the current tree; the root
 #                    go build ./... does not compile it
@@ -134,8 +134,8 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs per session and per Compute, no race detector)"
-go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs' ./internal/fleet ./internal/qoe
+echo "== allocation ratchets (allocs per fleet session, per Compute and per Play, no race detector)"
+go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs' ./internal/fleet ./internal/qoe ./internal/core
 
 echo "== bench module (go vet + go test in bench/, a separate module)"
 (cd bench && go vet . && go test -count=1 ./...)

@@ -373,7 +373,7 @@ func parseManifest(content *media.Content, manifest, audioFirst string) (core.Ma
 	mo := core.ManifestOptions{}
 	switch manifest {
 	case "hsub":
-		mo.Combos = media.HSub(content)
+		// Nil Combos is H_sub, and zero options share the memoized parse.
 	case "hall":
 		mo.Combos = media.HAll(content)
 	default:

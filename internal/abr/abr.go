@@ -69,9 +69,6 @@ type TransferInfo struct {
 	Duration time.Duration
 	// At is the virtual time of the event.
 	At time.Duration
-	// Concurrent is the number of transfers active on the link at the event
-	// (including this one).
-	Concurrent int
 }
 
 // Throughput returns the event's bits/s, or 0 if Duration is zero.

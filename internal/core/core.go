@@ -5,12 +5,15 @@
 // It wires the full stack the way a deployment would: the chosen protocol's
 // manifest is generated and re-parsed, and the player model is constructed
 // from the parsed manifest — never from ground truth the real player could
-// not see.
+// not see. The round trip for the default manifest runs once per content
+// and player kind per process (see ParseManifest); every session still
+// gets a fresh model built from it.
 package core
 
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"time"
 
 	"demuxabr/internal/abr"
@@ -103,7 +106,9 @@ type ManifestOptions struct {
 // manifest information through the real encoders and parsers. It returns
 // the model and the combination list the server declared (nil for pure
 // DASH models, which get no combination restriction — the §2.3 gap).
-// It is ParseManifest followed by NewModel.
+// It is ParseManifest followed by NewModel: with zero options the parse
+// is the shared memoized one, so the returned list must not be modified,
+// and the model is always new.
 func BuildModel(kind PlayerKind, c *media.Content, mo ManifestOptions) (abr.Algorithm, []media.Combo, error) {
 	m, err := ParseManifest(kind, c, mo)
 	if err != nil {
@@ -128,7 +133,44 @@ type ParsedManifest struct {
 
 // ParseManifest generates the manifest player kind reads for the content
 // and parses it back, the round trip BuildModel makes.
+//
+// With zero options the result is memoized per (kind, content): the first
+// call parses, and every later call, on any goroutine, returns the same
+// read-only *ParsedManifest. Entries live for the life of the process, one
+// per content and kind; contents are immutable after construction and the
+// program builds a bounded number of them. Non-zero options always parse
+// afresh: their Combos and AudioOrder slices belong to the caller, who may
+// change them after the call, so neither their identity nor their value
+// at the call is a safe key.
 func ParseManifest(kind PlayerKind, c *media.Content, mo ManifestOptions) (*ParsedManifest, error) {
+	if mo.Combos != nil || mo.AudioOrder != nil {
+		return parseManifest(kind, c, mo)
+	}
+	key := parsedKey{kind, c}
+	if m, ok := parsed.Load(key); ok {
+		return m.(*ParsedManifest), nil
+	}
+	m, err := parseManifest(kind, c, mo)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := parsed.LoadOrStore(key, m)
+	return shared.(*ParsedManifest), nil
+}
+
+// parsed memoizes ParseManifest's zero-option parses: parsedKey →
+// *ParsedManifest. Concurrent first calls may each parse, but LoadOrStore
+// hands all of them the one stored result.
+var parsed sync.Map
+
+// parsedKey identifies one memoized parse.
+type parsedKey struct {
+	kind    PlayerKind
+	content *media.Content
+}
+
+// parseManifest is ParseManifest's round trip, without the memo.
+func parseManifest(kind PlayerKind, c *media.Content, mo ManifestOptions) (*ParsedManifest, error) {
 	if mo.Combos == nil {
 		mo.Combos = media.HSub(c)
 	}
@@ -313,7 +355,8 @@ type Session struct {
 	Result *player.Result
 	// Metrics are the QoE numbers (off-manifest counted against Allowed).
 	Metrics qoe.Metrics
-	// Allowed is the server-declared combination list (may be nil).
+	// Allowed is the server-declared combination list (may be nil). It
+	// may be shared with other sessions: do not modify it.
 	Allowed []media.Combo
 }
 

@@ -328,24 +328,17 @@ func (c *Config) sessionTransport(i int) *netsim.TransportConfig {
 	return &tc
 }
 
-// parseManifests parses each player kind's manifest once for the whole
-// run, indexed like Mix (repeated kinds share one parse). Only the models
-// are built per session: the parse is read-only and shared by every
-// shard. A kind no session runs is not parsed.
+// parseManifests returns each Mix entry's parsed manifest, indexed like
+// Mix. Only the models are built per session: the parse is read-only and
+// shared by every shard, and with zero Manifest options core.ParseManifest
+// hands repeated kinds the same memoized parse. A kind no session runs is
+// not parsed.
 func (c *Config) parseManifests() ([]*core.ParsedManifest, error) {
 	out := make([]*core.ParsedManifest, len(c.Mix))
-	byKind := make(map[core.PlayerKind]*core.ParsedManifest)
-	for i, kind := range c.Mix {
-		if i >= c.Sessions {
-			break
-		}
-		m, ok := byKind[kind]
-		if !ok {
-			var err error
-			if m, err = core.ParseManifest(kind, c.Content, c.Manifest); err != nil {
-				return nil, fmt.Errorf("fleet: session %d (%s): %w", i, kind, err)
-			}
-			byKind[kind] = m
+	for i, kind := range c.Mix[:min(len(c.Mix), c.Sessions)] {
+		m, err := core.ParseManifest(kind, c.Content, c.Manifest)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: session %d (%s): %w", i, kind, err)
 		}
 		out[i] = m
 	}

@@ -96,8 +96,8 @@ func (a *shardAgg) addSession(s SessionResult) {
 
 // runCell simulates one contention cell: its own engine, shared uplink, and
 // edge cache, populated by the cell's sessions starting at their global
-// arrival times. Each session's model is built from its kind's parse in
-// manifests (see Config.parseManifests). For the default single cell
+// arrival times. Each session's model is built from its Mix entry's parse
+// in manifests (see Config.parseManifests). For the default single cell
 // this is, step for step, the original whole-fleet loop — the
 // equivalence the shard tests pin.
 func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int, arrive []time.Duration, agg *shardAgg) error {

@@ -1199,9 +1199,8 @@ func (r *request) start() {
 	}
 	r.decidedAt = now
 	s.cfg.Model.OnStart(abr.TransferInfo{
-		Type:       t,
-		At:         s.rel(now),
-		Concurrent: s.links[t].ActiveTransfers() + 1,
+		Type: t,
+		At:   s.rel(now),
 	})
 	// Progress samples arrive every δ (§3.3): byte-flow meters
 	// (ExoPlayer's, the best-practice shared meter) and Shaka's sampler
@@ -1304,11 +1303,10 @@ func (r *request) complete(tr *netsim.Transfer) {
 		s.res.Chunks = append(s.res.Chunks, chunk, audio)
 	}
 	s.cfg.Model.OnComplete(abr.TransferInfo{
-		Type:       t,
-		Bytes:      float64(tr.Size()),
-		Duration:   tr.Duration(),
-		At:         s.rel(done),
-		Concurrent: s.links[t].ActiveTransfers() + 1,
+		Type:     t,
+		Bytes:    float64(tr.Size()),
+		Duration: tr.Duration(),
+		At:       s.rel(done),
 	})
 	s.onFrontierAdvance()
 	r.then()
@@ -1322,11 +1320,10 @@ func (r *request) onSample(tr *netsim.Transfer, bytes float64, interval time.Dur
 		return
 	}
 	s.cfg.Model.OnProgress(abr.TransferInfo{
-		Type:       r.t,
-		Bytes:      bytes,
-		Duration:   interval,
-		At:         s.rel(s.eng.Now()),
-		Concurrent: s.links[r.t].ActiveTransfers(),
+		Type:     r.t,
+		Bytes:    bytes,
+		Duration: interval,
+		At:       s.rel(s.eng.Now()),
 	})
 	if !r.faulted && r.muxedWith == nil {
 		r.maybeAbandon(tr)
@@ -1385,11 +1382,10 @@ func (r *request) failFast() {
 // faulted body, a timeout, an abandonment) with what actually moved.
 func (s *Session) closePartial(t media.Type, tr *netsim.Transfer, now time.Duration) {
 	s.cfg.Model.OnComplete(abr.TransferInfo{
-		Type:       t,
-		Bytes:      tr.Done(),
-		Duration:   now - tr.Started(),
-		At:         s.rel(now),
-		Concurrent: s.links[t].ActiveTransfers() + 1,
+		Type:     t,
+		Bytes:    tr.Done(),
+		Duration: now - tr.Started(),
+		At:       s.rel(now),
 	})
 }
 
