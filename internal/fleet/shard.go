@@ -167,6 +167,8 @@ func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells in
 			Transport:  cfg.sessionTransport(id),
 			Live:       cfg.Live,
 			Recorder:   recFor(recs, li),
+			// The streaming path reads only the session's metrics.
+			DropTimeline: agg.stream,
 			OnRequest: func(req player.ChunkRequest) time.Duration {
 				var hit bool
 				if req.MuxedWith != nil {

@@ -111,6 +111,12 @@ type Config struct {
 	// demux request-doubling pathology at the transport layer. Nil keeps
 	// requests directly on the links.
 	Transport *netsim.TransportConfig
+	// DropTimeline keeps Result.Timeline empty: the session logs no
+	// per-sample rows, only the buffer metrics folded from them, and the
+	// Recorder still receives every buffer sample. For a caller that
+	// reads only metrics, such as a streaming fleet aggregate. The zero
+	// value keeps the timeline.
+	DropTimeline bool
 	// Live, when non-nil, runs the session in latency-target live mode:
 	// the content plays the role of a live stream whose edge advances in
 	// real time, the session joins near the edge, chunk availability is
@@ -402,12 +408,16 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 			return nil, err
 		}
 	}
-	// Size the chunk log and the timeline for a session that plays the
-	// rest of the content with little stalling, so that a warm chunk
-	// request and logging tick append without growing them.
+	// Size the chunk log, the buffer fold and the timeline for a session
+	// that plays the rest of the content with little stalling, so that a
+	// warm chunk request and logging tick append without growing them.
 	s.res.Chunks = make([]ChunkDecision, 0, s.numChunks[media.Video]-s.next[media.Video]+s.numChunks[media.Audio]-s.next[media.Audio])
 	samples := int((s.content.Duration - s.playPos) / logInterval)
-	s.res.Timeline = make([]Sample, 0, samples+samples/32+2)
+	samples += samples/32 + 2
+	s.res.buffers.mins = make([]float64, 0, samples)
+	if !cfg.DropTimeline {
+		s.res.Timeline = make([]Sample, 0, samples)
+	}
 
 	// Kick off downloading and timeline logging.
 	s.eng.Schedule(s.eng.Now(), s.loop[media.Video])
@@ -585,8 +595,9 @@ func (s *Session) finish(now time.Duration) {
 // teardown releases everything the session holds on the shared engine and
 // links: in-flight transfers are cancelled (freeing bottleneck capacity
 // for other sessions), pending per-type timers are voided via the
-// generation counters, and the underrun alarm is disarmed. After teardown
-// the session schedules nothing further.
+// generation counters, and the underrun alarm is disarmed. The buffer
+// fold is sealed behind the last sample. After teardown the session
+// schedules nothing further.
 func (s *Session) teardown() {
 	for t := range s.current {
 		s.cancelStream(media.Type(t))
@@ -595,6 +606,7 @@ func (s *Session) teardown() {
 	s.underrun = netsim.Handle{}
 	s.collectTransport()
 	s.collectLive()
+	s.res.buffers.seal()
 }
 
 // collectTransport folds the connections' accounting into the result. An
@@ -657,7 +669,10 @@ func (s *Session) logSample(now time.Duration) {
 	if br, ok := s.cfg.Model.(abr.BandwidthReporter); ok {
 		sample.Estimate, sample.EstimateOK = br.BandwidthEstimate()
 	}
-	s.res.Timeline = append(s.res.Timeline, sample)
+	s.res.buffers.add(sample.VideoBuffer, sample.AudioBuffer)
+	if !s.cfg.DropTimeline {
+		s.res.Timeline = append(s.res.Timeline, sample)
+	}
 	if s.rec.Enabled() {
 		ev := timeline.Event{
 			At: now, Kind: timeline.Buffer, Index: -1,

@@ -19,6 +19,7 @@ import (
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
+	"demuxabr/internal/qoe"
 	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
 )
@@ -46,51 +47,58 @@ func requestPathContent() *media.Content {
 	})
 }
 
-// requestPathRow is one pinned scenario: it returns the recorders to export
-// and the value whose JSON encoding pins the session outcome.
+// requestPathRow is one pinned scenario: one player session, or a fleet
+// that returns the recorders to export and the value whose JSON encoding
+// pins the outcome.
 type requestPathRow struct {
 	name string
 	// want lists event kinds the row exists to exercise; a row whose
 	// recording lacks one of them no longer covers its path.
-	want []timeline.Kind
-	run  func(t *testing.T) ([]*timeline.Recorder, any)
+	want    []timeline.Kind
+	session *playerSession
+	fleet   func(t *testing.T) ([]*timeline.Recorder, any)
 }
 
-// playSpec runs one core.Play session with a recorder attached.
-func playSpec(spec core.Spec) func(t *testing.T) ([]*timeline.Recorder, any) {
-	return func(t *testing.T) ([]*timeline.Recorder, any) {
-		t.Helper()
-		spec.Content = requestPathContent()
-		spec.Recorder = timeline.New(0, "session")
-		sess, err := core.Play(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*timeline.Recorder{spec.Recorder}, sess.Result
+// record runs the row for the golden: a session keeps its timeline.
+func (row requestPathRow) record(t *testing.T) ([]*timeline.Recorder, any) {
+	t.Helper()
+	if row.session == nil {
+		return row.fleet(t)
 	}
+	rec, res, _ := row.session.play(t, false)
+	return []*timeline.Recorder{rec}, res
 }
 
-// runPlayer runs one session through player.Run for the knobs core.Spec does
-// not carry (SyncWindow, AudioResets).
-func runPlayer(kind core.PlayerKind, profile trace.Profile, cfg player.Config) func(t *testing.T) ([]*timeline.Recorder, any) {
-	return func(t *testing.T) ([]*timeline.Recorder, any) {
-		t.Helper()
-		c := requestPathContent()
-		model, _, err := core.BuildModel(kind, c, core.ManifestOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, profile)
-		rec := timeline.New(0, "session")
-		link.SetRecorder(rec, "link")
-		cfg.Content, cfg.Model, cfg.Recorder = c, model, rec
-		res, err := player.Run(link, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*timeline.Recorder{rec}, res
+// playerSession is one session on a fresh engine and link, run through
+// player.Run with a recorder on the link and the session.
+type playerSession struct {
+	kind    core.PlayerKind
+	profile trace.Profile
+	rtt     time.Duration
+	cfg     player.Config
+}
+
+// play runs the session, dropping its timeline if asked, and scores it
+// against the manifest's combinations.
+func (p playerSession) play(t *testing.T, dropTimeline bool) (*timeline.Recorder, *player.Result, qoe.Metrics) {
+	t.Helper()
+	c := requestPathContent()
+	model, allowed, err := core.BuildModel(p.kind, c, core.ManifestOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	eng := netsim.NewEngine()
+	link := netsim.NewLink(eng, p.profile)
+	link.RTT = p.rtt
+	rec := timeline.New(0, "session")
+	link.SetRecorder(rec, "link")
+	cfg := p.cfg
+	cfg.Content, cfg.Model, cfg.Recorder, cfg.DropTimeline = c, model, rec, dropTimeline
+	res, err := player.Run(link, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec, res, qoe.Compute(res, c, allowed, qoe.DefaultWeights())
 }
 
 func requestPathRows() []requestPathRow {
@@ -104,7 +112,7 @@ func requestPathRows() []requestPathRow {
 			// edge hook records lands before the muxed Request event.
 			name: "muxed-fleet-cell",
 			want: []timeline.Kind{timeline.Request, timeline.RequestDone, timeline.CacheHit, timeline.CacheMiss},
-			run: func(t *testing.T) ([]*timeline.Recorder, any) {
+			fleet: func(t *testing.T) ([]*timeline.Recorder, any) {
 				t.Helper()
 				res, err := fleet.Run(fleet.Config{
 					Content:       requestPathContent(),
@@ -131,51 +139,53 @@ func requestPathRows() []requestPathRow {
 			},
 		},
 		{
-			name: "dashjs-per-type",
-			want: []timeline.Kind{timeline.Request, timeline.RequestDone, timeline.Decision},
-			run:  playSpec(core.Spec{Profile: trace.Fig3VaryingAvg600(), Player: core.DashJS}),
+			name:    "dashjs-per-type",
+			want:    []timeline.Kind{timeline.Request, timeline.RequestDone, timeline.Decision},
+			session: &playerSession{kind: core.DashJS, profile: trace.Fig3VaryingAvg600()},
 		},
 		{
 			// Per-type loops through faults, retries and an HTTP/1.1
 			// connection per stream.
 			name: "dashjs-faults-h1",
 			want: []timeline.Kind{timeline.RequestFailed, timeline.Retry},
-			run: playSpec(core.Spec{
-				Profile:    trace.Fig3VaryingAvg600(),
-				Player:     core.DashJS,
-				Faults:     &faults.Plan{Seed: 5, Rate: 0.15},
-				Robustness: &pol,
-				Transport:  &h1,
-				RTT:        30 * time.Millisecond,
-			}),
+			session: &playerSession{
+				kind:    core.DashJS,
+				profile: trace.Fig3VaryingAvg600(),
+				rtt:     30 * time.Millisecond,
+				cfg: player.Config{
+					FaultPlan:  &faults.Plan{Seed: 5, Rate: 0.15},
+					Robustness: &pol,
+					Transport:  &h1,
+				},
+			},
 		},
 		{
 			name: "syncwindow-audio-resets",
 			want: []timeline.Kind{timeline.AudioReset, timeline.Request, timeline.RequestDone},
-			run: runPlayer(core.BestPractice, trace.Fig3VaryingAvg600(), player.Config{
+			session: &playerSession{kind: core.BestPractice, profile: trace.Fig3VaryingAvg600(), cfg: player.Config{
 				SyncWindow:  1,
 				AudioResets: []time.Duration{25 * time.Second, 70 * time.Second},
-			}),
+			}},
 		},
 		{
 			name: "dashjs-audio-resets",
 			want: []timeline.Kind{timeline.AudioReset, timeline.Request, timeline.RequestDone},
-			run: runPlayer(core.DashJS, trace.Fig3VaryingAvg600(), player.Config{
+			session: &playerSession{kind: core.DashJS, profile: trace.Fig3VaryingAvg600(), cfg: player.Config{
 				AudioResets: []time.Duration{25 * time.Second, 70 * time.Second},
-			}),
+			}},
 		},
 		{
 			name: "muxed-audio-resets",
 			want: []timeline.Kind{timeline.AudioReset, timeline.Request, timeline.RequestDone},
-			run: runPlayer(core.BestPractice, trace.Fig3VaryingAvg600(), player.Config{
+			session: &playerSession{kind: core.BestPractice, profile: trace.Fig3VaryingAvg600(), cfg: player.Config{
 				Muxed:       true,
 				AudioResets: []time.Duration{25 * time.Second, 70 * time.Second},
-			}),
+			}},
 		},
 		{
-			name: "abandon-dipping",
-			want: []timeline.Kind{timeline.Abandon},
-			run:  playSpec(core.Spec{Profile: dip, Player: core.BestPracticeAbandon}),
+			name:    "abandon-dipping",
+			want:    []timeline.Kind{timeline.Abandon},
+			session: &playerSession{kind: core.BestPracticeAbandon, profile: dip},
 		},
 		{
 			// Faults that persist up to four attempts, plus a blackout long
@@ -183,22 +193,24 @@ func requestPathRows() []requestPathRow {
 			// and force failover.
 			name: "faults-blacklist-failover",
 			want: []timeline.Kind{timeline.FaultInjected, timeline.RequestTimeout, timeline.Blacklist, timeline.Failover, timeline.Retry},
-			run: playSpec(core.Spec{
-				Profile: trace.Fixed(media.Kbps(2500)),
-				Player:  core.BestPractice,
-				Faults: &faults.Plan{
-					Seed: 9, Rate: 0.1, MaxPersistence: 4,
-					Blackouts: []faults.Window{{Start: 40 * time.Second, End: 70 * time.Second}},
+			session: &playerSession{
+				kind:    core.BestPractice,
+				profile: trace.Fixed(media.Kbps(2500)),
+				rtt:     30 * time.Millisecond,
+				cfg: player.Config{
+					FaultPlan: &faults.Plan{
+						Seed: 9, Rate: 0.1, MaxPersistence: 4,
+						Blackouts: []faults.Window{{Start: 40 * time.Second, End: 70 * time.Second}},
+					},
+					Robustness: &pol,
+					Transport:  &h2,
 				},
-				Robustness: &pol,
-				Transport:  &h2,
-				RTT:        30 * time.Millisecond,
-			}),
+			},
 		},
 		{
 			name: "live-syncwindow-resync",
 			want: []timeline.Kind{timeline.LiveResync},
-			run: runPlayer(core.BestPractice, trace.SquareWave(media.Kbps(3000), media.Kbps(50), 30*time.Second, 20*time.Second), player.Config{
+			session: &playerSession{kind: core.BestPractice, profile: trace.SquareWave(media.Kbps(3000), media.Kbps(50), 30*time.Second, 20*time.Second), cfg: player.Config{
 				SyncWindow: 1,
 				Live: &player.LiveConfig{
 					LatencyTarget:   3 * time.Second,
@@ -206,7 +218,7 @@ func requestPathRows() []requestPathRow {
 					EdgeAtJoin:      30 * time.Second,
 					ResyncThreshold: 8 * time.Second,
 				},
-			}),
+			}},
 		},
 	}
 }
@@ -222,7 +234,7 @@ func requestPathRows() []requestPathRow {
 func TestRequestPathGolden(t *testing.T) {
 	var got strings.Builder
 	for _, row := range requestPathRows() {
-		recs, results := row.run(t)
+		recs, results := row.record(t)
 		seen := map[timeline.Kind]bool{}
 		events := 0
 		for _, rec := range recs {

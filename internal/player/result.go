@@ -7,6 +7,7 @@ import (
 	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
+	"demuxabr/internal/stats"
 )
 
 // Sample is one row of the session timeline, logged every 500 ms — the
@@ -119,7 +120,9 @@ type Result struct {
 	EndedAt time.Duration
 	// Stalls lists every rebuffering event.
 	Stalls []Stall
-	// Timeline holds periodic samples.
+	// Timeline holds periodic samples; empty when Config.DropTimeline is
+	// set. The buffer metrics (MaxBufferImbalance, MeanBufferImbalance,
+	// BufferHealth) do not read it: they fold each sample as it is logged.
 	Timeline []Sample
 	// Chunks holds one entry per downloaded chunk per type, in completion
 	// order.
@@ -147,6 +150,44 @@ type Result struct {
 	// retry policy, or the Deadline. AbortReason says why.
 	Aborted     bool
 	AbortReason string
+
+	// buffers is the timeline's buffer metrics, folded sample by sample.
+	// It is unexported, so the JSON encoding carries only Timeline.
+	buffers bufferFold
+}
+
+// bufferFold accumulates the buffer metrics of the timeline one sample at
+// a time, in sample order, so a session that keeps no Timeline still has
+// them: the sample count, the sum and maximum of |audio − video|, and the
+// min(audio, video) levels that seal summarizes.
+type bufferFold struct {
+	n              int
+	imbSum, imbMax time.Duration
+	// mins holds min(audio, video) in seconds, in sample order, until seal
+	// summarizes it into health.
+	mins   []float64
+	health stats.Summary
+}
+
+// add folds one sample's buffer levels.
+func (f *bufferFold) add(video, audio time.Duration) {
+	d := audio - video
+	if d < 0 {
+		d = -d
+	}
+	f.n++
+	f.imbSum += d
+	f.imbMax = max(f.imbMax, d)
+	f.mins = append(f.mins, min(video, audio).Seconds())
+}
+
+// seal summarizes the min-buffer levels after the last sample. The summary
+// sorts mins in place, so mins is dropped with it.
+func (f *bufferFold) seal() {
+	if f.n > 0 {
+		f.health = stats.SummarizeInPlace(f.mins)
+	}
+	f.mins = nil
 }
 
 // TransportStats is the session-level rollup of its connections'
@@ -266,16 +307,18 @@ func (r *Result) AvgSelectedBitrate(t media.Type, chunkDur func(int) time.Durati
 
 // MaxBufferImbalance returns the largest |audio buffer − video buffer|
 // observed on the timeline — the Fig. 5(b) quantity.
-func (r *Result) MaxBufferImbalance() time.Duration {
-	var max time.Duration
-	for _, s := range r.Timeline {
-		d := s.AudioBuffer - s.VideoBuffer
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
+func (r *Result) MaxBufferImbalance() time.Duration { return r.buffers.imbMax }
+
+// MeanBufferImbalance returns the mean |audio buffer − video buffer| over
+// the timeline's samples; zero when none was logged.
+func (r *Result) MeanBufferImbalance() time.Duration {
+	if r.buffers.n == 0 {
+		return 0
 	}
-	return max
+	return r.buffers.imbSum / time.Duration(r.buffers.n)
 }
+
+// BufferHealth summarizes the min(audio, video) buffer level in seconds
+// over the timeline's samples, once the session is done; the zero Summary
+// when no sample was logged.
+func (r *Result) BufferHealth() stats.Summary { return r.buffers.health }

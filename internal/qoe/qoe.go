@@ -105,26 +105,9 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 	}
 	m.StartupDelay = res.StartupDelay
 	m.MaxImbalance = res.MaxBufferImbalance()
+	m.MeanImbalance = res.MeanBufferImbalance()
+	m.BufferHealth = res.BufferHealth()
 	m.Live = res.Live
-
-	var imbSum time.Duration
-	minBuffers := make([]float64, 0, len(res.Timeline))
-	for _, s := range res.Timeline {
-		d := s.AudioBuffer - s.VideoBuffer
-		if d < 0 {
-			d = -d
-		}
-		imbSum += d
-		lo := s.VideoBuffer
-		if s.AudioBuffer < lo {
-			lo = s.AudioBuffer
-		}
-		minBuffers = append(minBuffers, lo.Seconds())
-	}
-	if n := len(res.Timeline); n > 0 {
-		m.MeanImbalance = imbSum / time.Duration(n)
-		m.BufferHealth = stats.Summarize(minBuffers)
-	}
 
 	// Duration-weighted utilities and switch magnitudes. The aligned branch
 	// is the pre-shaping computation, kept verbatim so uniform (and
@@ -135,21 +118,25 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 	var seconds, switchMag float64
 	if content.Aligned() {
 		var vQual, aQual float64
-		var prevV, prevA *media.Track
+		// Each paired index's utilities are computed once and carried to
+		// the next paired index for its switch term.
+		var prevUV, prevUA float64
+		paired := false
 		for i := range min(len(sel[media.Video]), len(sel[media.Audio])) {
 			v, a := sel[media.Video][i], sel[media.Audio][i]
 			if v == nil || a == nil {
 				continue
 			}
 			d := content.ChunkDurationAt(i).Seconds()
-			vQual += utility(content.VideoTracks, v) * d
-			aQual += utility(content.AudioTracks, a) * d
+			uv, ua := utility(content.VideoTracks, v), utility(content.AudioTracks, a)
+			vQual += uv * d
+			aQual += ua * d
 			seconds += d
-			if prevV != nil {
-				switchMag += math.Abs(utility(content.VideoTracks, v) - utility(content.VideoTracks, prevV))
-				switchMag += math.Abs(utility(content.AudioTracks, a) - utility(content.AudioTracks, prevA))
+			if paired {
+				switchMag += math.Abs(uv - prevUV)
+				switchMag += math.Abs(ua - prevUA)
 			}
-			prevV, prevA = v, a
+			prevUV, prevUA, paired = uv, ua, true
 			if len(allowed) > 0 && !comboAllowed(allowed, v, a) {
 				m.OffManifest++
 			}
@@ -164,19 +151,20 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 			if t == media.Audio {
 				ladder = content.AudioTracks
 			}
-			var qual, secs float64
-			var prev *media.Track
+			var qual, secs, prevU float64
+			seen := false
 			for i, tr := range sel[t] {
 				if tr == nil {
 					continue
 				}
 				d := content.ChunkDurationOf(t, i).Seconds()
-				qual += utility(ladder, tr) * d
+				u := utility(ladder, tr)
+				qual += u * d
 				secs += d
-				if prev != nil {
-					switchMag += math.Abs(utility(ladder, tr) - utility(ladder, prev))
+				if seen {
+					switchMag += math.Abs(u - prevU)
 				}
-				prev = tr
+				prevU, seen = u, true
 			}
 			if secs > 0 {
 				if t == media.Video {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -247,6 +248,30 @@ func TestSummarizeMatchesPercentile(t *testing.T) {
 		if s != want {
 			t.Fatalf("n=%d: Summarize %+v != component-wise %+v", n, s, want)
 		}
+	}
+}
+
+// TestSummarizeInPlace pins that summarizing in place reads Summarize's
+// statistics bit for bit, leaves its argument sorted, and allocates
+// nothing.
+func TestSummarizeInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 17, 100} {
+		xs := randomSamples(rng, n, 50, true)
+		want := Summarize(xs)
+		if got := SummarizeInPlace(xs); got != want {
+			t.Fatalf("n=%d: SummarizeInPlace %+v != Summarize %+v", n, got, want)
+		}
+		if !sort.Float64sAreSorted(xs) {
+			t.Fatalf("n=%d: argument not left sorted", n)
+		}
+	}
+	if s := SummarizeInPlace(nil); s.N != 0 || !math.IsNaN(s.Median) {
+		t.Fatalf("empty summary = %+v", s)
+	}
+	xs := randomSamples(rng, 1024, 50, false)
+	if allocs := testing.AllocsPerRun(5, func() { SummarizeInPlace(xs) }); allocs != 0 {
+		t.Fatalf("SummarizeInPlace allocated %.0f times per run, want 0", allocs)
 	}
 }
 

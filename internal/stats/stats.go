@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -88,33 +89,37 @@ type Summary struct {
 	N                          int
 }
 
-// Summarize computes a Summary over the samples. It copies and sorts the
-// samples exactly once (one allocation), then reads every order statistic
-// off the sorted copy — TestSummarizeAllocs pins the allocation count so
-// the per-Percentile re-sorts this replaced cannot creep back.
-func Summarize(xs []float64) Summary {
+// Summarize computes a Summary over the samples, leaving xs as it was: it
+// is SummarizeInPlace on a copy (one allocation) — TestSummarizeAllocs
+// pins the allocation count so the per-Percentile re-sorts this replaced
+// cannot creep back.
+func Summarize(xs []float64) Summary { return SummarizeInPlace(slices.Clone(xs)) }
+
+// SummarizeInPlace computes a Summary over the samples without copying
+// them: it sums xs in the caller's order, then sorts xs itself and reads
+// every order statistic off it. A caller that owns a sample slice it no
+// longer needs in its original order saves Summarize's copy.
+func SummarizeInPlace(xs []float64) Summary {
 	if len(xs) == 0 {
 		nan := math.NaN()
 		return Summary{Min: nan, P10: nan, Median: nan, P90: nan, Max: nan, Mean: nan}
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	// Sum in the caller's order, not sorted order: float addition is not
+	// Sum in the caller's order, before sorting: float addition is not
 	// associative, and the mean must stay bit-identical to what Mean(xs)
 	// returned before the single-sort rewrite (golden JSON pins it).
 	var sum float64
 	for _, x := range xs {
 		sum += x
 	}
+	sort.Float64s(xs)
 	return Summary{
-		Min:    sorted[0],
-		P10:    sortedPercentile(sorted, 10),
-		Median: sortedPercentile(sorted, 50),
-		P90:    sortedPercentile(sorted, 90),
-		Max:    sorted[len(sorted)-1],
-		Mean:   sum / float64(len(sorted)),
-		N:      len(sorted),
+		Min:    xs[0],
+		P10:    sortedPercentile(xs, 10),
+		Median: sortedPercentile(xs, 50),
+		P90:    sortedPercentile(xs, 90),
+		Max:    xs[len(xs)-1],
+		Mean:   sum / float64(len(xs)),
+		N:      len(xs),
 	}
 }
 
