@@ -154,9 +154,16 @@ func (p *SlidingPercentile) Add(weight, value float64) {
 	p.samples = append(p.samples, weightedSample{value: value, weight: weight})
 	p.sortedFresh = false
 	p.totalWeight += weight
-	for p.totalWeight > p.MaxWeight && len(p.samples) > 1 {
-		p.totalWeight -= p.samples[0].weight
-		p.samples = p.samples[1:]
+	// Evict oldest first, then move the survivors to the front of the
+	// backing array: re-slicing past the evicted samples instead would
+	// walk off its end and make every later append reallocate.
+	k := 0
+	for p.totalWeight > p.MaxWeight && len(p.samples)-k > 1 {
+		p.totalWeight -= p.samples[k].weight
+		k++
+	}
+	if k > 0 {
+		p.samples = append(p.samples[:0], p.samples[k:]...)
 	}
 }
 
@@ -255,8 +262,9 @@ func NewSlidingMean() *SlidingMean { return &SlidingMean{Window: 4} }
 // Add records one per-segment throughput sample in bits/s.
 func (s *SlidingMean) Add(bps float64) {
 	s.samples = append(s.samples, bps)
-	if len(s.samples) > s.Window {
-		s.samples = s.samples[len(s.samples)-s.Window:]
+	if k := len(s.samples) - s.Window; k > 0 {
+		// In place, so the backing array is reused (see SlidingPercentile.Add).
+		s.samples = append(s.samples[:0], s.samples[k:]...)
 	}
 }
 

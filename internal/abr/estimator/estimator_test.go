@@ -3,6 +3,7 @@ package estimator
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -223,6 +224,58 @@ func TestSlidingPercentileEstimateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() { p.Estimate() })
 	if allocs != 0 {
 		t.Fatalf("repeated Estimate allocates %.2f objects per call, want 0", allocs)
+	}
+}
+
+// TestSlidingPercentileEvictionMatchesReslice replays random Adds into
+// the in-place window and into the re-slicing eviction it replaced, and
+// requires the same samples and the same total weight, bit for bit.
+func TestSlidingPercentileEvictionMatchesReslice(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	p := &SlidingPercentile{MaxWeight: 40, Percentile: 0.5}
+	var ref []weightedSample
+	var refTotal float64
+	for i := 0; i < 5000; i++ {
+		w, v := rng.Float64()*15, rng.Float64()*1000
+		p.Add(w, v)
+		ref = append(ref, weightedSample{value: v, weight: w})
+		refTotal += w
+		for refTotal > p.MaxWeight && len(ref) > 1 {
+			refTotal -= ref[0].weight
+			ref = ref[1:]
+		}
+		if math.Float64bits(p.totalWeight) != math.Float64bits(refTotal) || !slices.Equal(p.samples, ref) {
+			t.Fatalf("step %d: window %v (total %v), reference %v (total %v)", i, p.samples, p.totalWeight, ref, refTotal)
+		}
+	}
+}
+
+// TestWindowAddAllocFree pins the in-place eviction: once a window is
+// full, an Add that evicts reuses the backing array and allocates
+// nothing.
+func TestWindowAddAllocFree(t *testing.T) {
+	p := NewSlidingPercentile()
+	m := NewSlidingMean()
+	for i := 0; i < 100; i++ {
+		p.Add(100, float64(i))
+		m.Add(float64(i))
+	}
+	// A re-slicing window reallocates once per few dozen Adds, so each run
+	// makes many: AllocsPerRun rounds a per-run average down.
+	const adds = 1000
+	if allocs := testing.AllocsPerRun(10, func() {
+		for range adds {
+			p.Add(100, 7)
+		}
+	}); allocs != 0 {
+		t.Errorf("%d warm SlidingPercentile.Adds allocate %.0f objects, want 0", adds, allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for range adds {
+			m.Add(7)
+		}
+	}); allocs != 0 {
+		t.Errorf("%d warm SlidingMean.Adds allocate %.0f objects, want 0", adds, allocs)
 	}
 }
 
