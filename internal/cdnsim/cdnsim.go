@@ -15,6 +15,7 @@ package cdnsim
 import (
 	"container/list"
 	"strconv"
+	"sync"
 
 	"demuxabr/internal/media"
 )
@@ -188,12 +189,60 @@ func RequestChunk(c *Cache, mode Mode, content *media.Content, combo media.Combo
 
 // objectStream is the precomputed request sequence for one cacheable
 // object family: key and size per chunk position. Building the keys once
-// per workload keeps the per-request loop free of string formatting —
-// previously every request Sprintf'd its keys, dominating the allocation
-// profile of the cache sweeps.
+// keeps the per-request path free of string formatting, which would
+// otherwise dominate the allocation profile of the cache sweeps.
 type objectStream struct {
 	keys  []string
 	sizes []int64
+}
+
+// streams memoizes the object streams: streamKey → *objectStream. A table
+// is read-only once built, so every workload and every edge, on any
+// goroutine, shares one per content and track or combination: the key
+// strings cost O(distinct objects × chunks) per process, not per cell.
+// Concurrent first requests may each build a table, but LoadOrStore hands
+// all of them the one stored. Entries live for the life of the process,
+// as core.ParseManifest's parses do; contents are immutable after
+// construction and the program builds a bounded number of them.
+var streams sync.Map
+
+// streamKey identifies one memoized stream: a demuxed track's (muxedWith
+// nil), or a muxed combination's (track is the video component).
+type streamKey struct {
+	content          *media.Content
+	track, muxedWith *media.Track
+}
+
+// trackStream returns the stream of one demuxed track's chunks.
+func trackStream(c *media.Content, tr *media.Track) *objectStream {
+	key := streamKey{content: c, track: tr}
+	if st, ok := streams.Load(key); ok {
+		return st.(*objectStream)
+	}
+	n := c.NumChunksOf(tr.Type)
+	st := &objectStream{keys: make([]string, n), sizes: c.TrackSizes(tr)}
+	for idx := range n {
+		st.keys[idx] = trackKey(tr, idx)
+	}
+	shared, _ := streams.LoadOrStore(key, st)
+	return shared.(*objectStream)
+}
+
+// muxedStream returns the stream of one muxed combination's chunks.
+func muxedStream(c *media.Content, video, audio *media.Track) *objectStream {
+	key := streamKey{content: c, track: video, muxedWith: audio}
+	if st, ok := streams.Load(key); ok {
+		return st.(*objectStream)
+	}
+	n := c.NumChunks()
+	st := &objectStream{keys: make([]string, n), sizes: make([]int64, n)}
+	vs, as := c.TrackSizes(video), c.TrackSizes(audio)
+	for idx := range n {
+		st.keys[idx] = muxedKey(video, audio, idx)
+		st.sizes[idx] = vs[idx] + as[idx]
+	}
+	shared, _ := streams.LoadOrStore(key, st)
+	return shared.(*objectStream)
 }
 
 // sessionPlan resolves one session to its object streams (audio is nil in
@@ -215,50 +264,18 @@ func (p sessionPlan) request(c *Cache, idx int) int {
 	return hits
 }
 
-// planSessions precomputes the object streams for a workload. Streams are
-// shared between sessions selecting the same track or combination, so the
-// key tables cost O(distinct objects × chunks), not O(sessions × chunks).
+// planSessions resolves a workload's sessions to their object streams.
 // The workloads interleave audio and video by shared chunk index, which —
 // like muxed packaging itself — assumes aligned A/V timelines; shaped
 // per-type timelines are a player-path concern, not a CDN-object one.
 func planSessions(mode Mode, c *media.Content, sessions []Session) []sessionPlan {
-	n := c.NumChunks()
 	plans := make([]sessionPlan, len(sessions))
-	if mode == Muxed {
-		streams := map[[2]*media.Track]*objectStream{}
-		for i, s := range sessions {
-			pair := [2]*media.Track{s.Combo.Video, s.Combo.Audio}
-			st, ok := streams[pair]
-			if !ok {
-				st = &objectStream{
-					keys:  make([]string, n),
-					sizes: make([]int64, n),
-				}
-				vs, as := c.TrackSizes(s.Combo.Video), c.TrackSizes(s.Combo.Audio)
-				for idx := 0; idx < n; idx++ {
-					st.keys[idx] = muxedKey(s.Combo.Video, s.Combo.Audio, idx)
-					st.sizes[idx] = vs[idx] + as[idx]
-				}
-				streams[pair] = st
-			}
-			plans[i] = sessionPlan{video: st}
-		}
-		return plans
-	}
-	streams := map[*media.Track]*objectStream{}
-	stream := func(tr *media.Track) *objectStream {
-		st, ok := streams[tr]
-		if !ok {
-			st = &objectStream{keys: make([]string, n), sizes: c.TrackSizes(tr)}
-			for idx := 0; idx < n; idx++ {
-				st.keys[idx] = trackKey(tr, idx)
-			}
-			streams[tr] = st
-		}
-		return st
-	}
 	for i, s := range sessions {
-		plans[i] = sessionPlan{video: stream(s.Combo.Video), audio: stream(s.Combo.Audio)}
+		if mode == Muxed {
+			plans[i] = sessionPlan{video: muxedStream(c, s.Combo.Video, s.Combo.Audio)}
+		} else {
+			plans[i] = sessionPlan{video: trackStream(c, s.Combo.Video), audio: trackStream(c, s.Combo.Audio)}
+		}
 	}
 	return plans
 }

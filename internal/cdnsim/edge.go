@@ -22,12 +22,6 @@ type Edge struct {
 	// per-session accounting — the flight recorder's hook for cache
 	// hit/miss events. It must not issue further requests.
 	Observer func(session int, key string, size int64, hit bool)
-
-	// Lazily built key/size tables, shared across sessions requesting the
-	// same track or combination — the per-request path does no string
-	// formatting (see objectStream).
-	trackStreams map[*media.Track]*objectStream
-	muxedStreams map[[2]*media.Track]*objectStream
 }
 
 // NewEdge wraps a cache as a shared edge for the given number of
@@ -37,12 +31,10 @@ func NewEdge(cache *Cache, mode Mode, content *media.Content, sessions int) *Edg
 		panic("cdnsim: negative session count")
 	}
 	return &Edge{
-		cache:        cache,
-		mode:         mode,
-		content:      content,
-		per:          make([]Stats, sessions),
-		trackStreams: make(map[*media.Track]*objectStream),
-		muxedStreams: make(map[[2]*media.Track]*objectStream),
+		cache:   cache,
+		mode:    mode,
+		content: content,
+		per:     make([]Stats, sessions),
 	}
 }
 
@@ -61,14 +53,14 @@ func (e *Edge) SessionStats(i int) Stats { return e.per[i] }
 // RequestTrack serves one demuxed track chunk for a session and reports
 // whether it hit the cache.
 func (e *Edge) RequestTrack(session int, tr *media.Track, idx int) bool {
-	st := e.trackStream(tr)
+	st := trackStream(e.content, tr)
 	return e.request(session, Object{Key: st.keys[idx], Size: st.sizes[idx]})
 }
 
 // RequestMuxed serves one muxed combination chunk for a session and reports
 // whether it hit the cache.
 func (e *Edge) RequestMuxed(session int, video, audio *media.Track, idx int) bool {
-	st := e.muxedStream(video, audio)
+	st := muxedStream(e.content, video, audio)
 	return e.request(session, Object{Key: st.keys[idx], Size: st.sizes[idx]})
 }
 
@@ -87,36 +79,4 @@ func (e *Edge) request(session int, obj Object) bool {
 		e.Observer(session, obj.Key, obj.Size, hit)
 	}
 	return hit
-}
-
-func (e *Edge) trackStream(tr *media.Track) *objectStream {
-	st, ok := e.trackStreams[tr]
-	if !ok {
-		n := e.content.NumChunksOf(tr.Type)
-		st = &objectStream{keys: make([]string, n), sizes: e.content.TrackSizes(tr)}
-		for idx := 0; idx < n; idx++ {
-			st.keys[idx] = trackKey(tr, idx)
-		}
-		e.trackStreams[tr] = st
-	}
-	return st
-}
-
-func (e *Edge) muxedStream(video, audio *media.Track) *objectStream {
-	pair := [2]*media.Track{video, audio}
-	st, ok := e.muxedStreams[pair]
-	if !ok {
-		n := e.content.NumChunks()
-		st = &objectStream{
-			keys:  make([]string, n),
-			sizes: make([]int64, n),
-		}
-		vs, as := e.content.TrackSizes(video), e.content.TrackSizes(audio)
-		for idx := 0; idx < n; idx++ {
-			st.keys[idx] = muxedKey(video, audio, idx)
-			st.sizes[idx] = vs[idx] + as[idx]
-		}
-		e.muxedStreams[pair] = st
-	}
-	return st
 }

@@ -1,6 +1,8 @@
 package cdnsim
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"demuxabr/internal/media"
@@ -108,6 +110,59 @@ func TestEdgeKeysMatchWorkload(t *testing.T) {
 		}
 		if got := e.Aggregate(); got != w {
 			t.Errorf("%v: edge aggregate %+v != workload %+v", mode, got, w)
+		}
+	}
+}
+
+// TestObjectStreamMemoShared drives edges on one content from several
+// goroutines at once, as concurrent fleet shards do, and requires every
+// request to see the keys and sizes a fresh build gives and every edge to
+// share one table per track and per combination.
+func TestObjectStreamMemoShared(t *testing.T) {
+	content := media.DramaShow()
+	combos := media.HSub(content)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seen []string
+			edge := NewEdge(NewCache(1<<20), Demuxed, content, 1)
+			edge.Observer = func(_ int, key string, _ int64, _ bool) { seen = append(seen, key) }
+			muxed := NewEdge(NewCache(1<<20), Muxed, content, 1)
+			for i := range combos {
+				cb := combos[(i+g)%len(combos)]
+				for idx := range content.NumChunks() {
+					edge.RequestTrack(0, cb.Video, idx)
+					edge.RequestTrack(0, cb.Audio, idx)
+					muxed.RequestMuxed(0, cb.Video, cb.Audio, idx)
+				}
+			}
+			for i := range combos {
+				cb := combos[(i+g)%len(combos)]
+				for idx := range content.NumChunks() {
+					k := (i*content.NumChunks() + idx) * 2
+					if seen[k] != trackKey(cb.Video, idx) || seen[k+1] != trackKey(cb.Audio, idx) {
+						t.Errorf("goroutine %d: keys %q, %q at %s/%s chunk %d", g, seen[k], seen[k+1], cb.Video.ID, cb.Audio.ID, idx)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, cb := range combos {
+		st := trackStream(content, cb.Video)
+		if st != trackStream(content, cb.Video) || !slices.Equal(st.sizes, content.TrackSizes(cb.Video)) {
+			t.Errorf("%s: track stream not shared or sizes differ", cb.Video.ID)
+		}
+		mx := muxedStream(content, cb.Video, cb.Audio)
+		for idx := range content.NumChunks() {
+			want := content.ChunkSize(cb.Video, idx) + content.ChunkSize(cb.Audio, idx)
+			if mx.keys[idx] != muxedKey(cb.Video, cb.Audio, idx) || mx.sizes[idx] != want {
+				t.Fatalf("%s+%s chunk %d: muxed %q %d, want %q %d", cb.Video.ID, cb.Audio.ID, idx,
+					mx.keys[idx], mx.sizes[idx], muxedKey(cb.Video, cb.Audio, idx), want)
+			}
 		}
 	}
 }
