@@ -16,9 +16,9 @@ var playAllocsPin = []struct {
 	kind PlayerKind
 	pin  float64
 }{
-	{DashJS, 143},
-	{BestPractice, 164},
-	{VBRJoint, 130},
+	{DashJS, 109},
+	{BestPractice, 112},
+	{VBRJoint, 101},
 }
 
 // TestPlayAllocs pins the allocations of one warm Play session on the

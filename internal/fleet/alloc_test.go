@@ -3,6 +3,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,20 +13,24 @@ import (
 	"demuxabr/internal/trace"
 )
 
-// allocsPerSessionPin is the ratchet for TestFleetAllocsPerSession: the
-// allocations of one session of its fleet, request lifecycle included.
-// Lower it when a change cuts allocations; never raise it to make a
-// regression pass.
-const allocsPerSessionPin = 220
+// allocsPerSessionPin and bytesPerSessionPin are the ratchets for
+// TestFleetAllocsPerSession: the allocations and the bytes allocated per
+// session of its fleet, request lifecycle included. Lower them when a
+// change cuts allocations; never raise them to make a regression pass.
+const (
+	allocsPerSessionPin = 121
+	bytesPerSessionPin  = 46_600
+)
 
 // TestFleetAllocsPerSession pins the allocations per session of a small
 // streaming fleet shaped like the benchmark's fleet-vod: the four joint
 // models behind one uplink and edge, in 16-session cells, aggregated by
 // the streaming path. allocs/op is deterministic, so any regression in
 // the request lifecycle or the aggregation shows here (the manifests are
-// parsed once per process, in the warm-up run). The race detector changes
-// allocation counts, so the test is built only without it (check.sh runs
-// it in a step of its own).
+// parsed once per process, in the warm-up run). Bytes per session are
+// read from runtime.MemStats.TotalAlloc over one warm run. The race
+// detector changes allocation counts, so the test is built only without
+// it (check.sh runs it in a step of its own).
 func TestFleetAllocsPerSession(t *testing.T) {
 	cfg := Config{
 		Content:       media.DramaShow(),
@@ -50,6 +55,21 @@ func TestFleetAllocsPerSession(t *testing.T) {
 	perSession := allocs / float64(cfg.Sessions)
 	t.Logf("%.1f allocs per session", perSession)
 	if perSession > allocsPerSessionPin {
-		t.Fatalf("%.1f allocs per session, pinned at %d", perSession, allocsPerSessionPin)
+		t.Errorf("%.1f allocs per session, pinned at %d", perSession, allocsPerSessionPin)
+	}
+
+	// AllocsPerRun has warmed the process (manifests parsed, key tables
+	// built), so this run allocates only what every session does.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Sessions)
+	t.Logf("%.0f bytes allocated per session", bytes)
+	if bytes > bytesPerSessionPin {
+		t.Errorf("%.0f bytes allocated per session, pinned at %d", bytes, bytesPerSessionPin)
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // computeAllocsPin is the ratchet for TestComputeAllocs. Lower it when a
 // change cuts allocations; never raise it to make a regression pass.
-const computeAllocsPin = 3
+const computeAllocsPin = 1
 
 // TestComputeAllocs pins the allocations of scoring one finished session:
 // the paper's best-practice joint model over the Fig. 3 trace, scored
