@@ -43,9 +43,9 @@
 #                    trajectory is always measurable
 #  13. allocs        the allocation ratchets (TestFleetAllocsPerSession's
 #                    allocs and bytes per session, TestComputeAllocs,
-#                    TestPlayAllocs) without the race
-#                    detector, which skips them in step 3 because it
-#                    changes allocation counts
+#                    TestPlayAllocs' allocs and bytes per Play) without
+#                    the race detector, which skips them in step 3
+#                    because it changes allocation counts
 #  14. bench module  the benchmark's separate Go module (bench/) vets and
 #                    passes its tests against the current tree; the root
 #                    go build ./... does not compile it
@@ -135,7 +135,7 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute and per Play, no race detector)"
+echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, no race detector)"
 go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs' ./internal/fleet ./internal/qoe ./internal/core
 
 echo "== bench module (go vet + go test in bench/, a separate module)"

@@ -415,6 +415,8 @@ func playOnce(o options, rec *timeline.Recorder) (*core.Session, error) {
 	}
 	spec.Player = kind
 	spec.Recorder = rec
+	// The JSON report and the timeline CSV carry the per-sample log.
+	spec.KeepTimeline = o.jsonOut != "" || o.timelineCSV != ""
 	return core.Play(spec)
 }
 

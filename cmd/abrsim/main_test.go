@@ -10,6 +10,7 @@ import (
 
 	"demuxabr/internal/core"
 	"demuxabr/internal/player"
+	"demuxabr/internal/report"
 )
 
 // TestPlayerUsageListsEveryKind: the -player help text names exactly the
@@ -102,6 +103,50 @@ func TestRunJSONExport(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"qoe_score"`) {
 		t.Errorf("JSON export missing metrics")
+	}
+}
+
+// TestTimelineKeptOnlyForItsReaders: a session keeps its per-sample log
+// when -json or -timeline-csv will print it, and only then.
+func TestTimelineKeptOnlyForItsReaders(t *testing.T) {
+	base := options{player: "shaka", profile: "fig4b", content: "drama", manifest: "hall"}
+	sess, err := playOnce(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sess.Result.Timeline); n != 0 {
+		t.Errorf("a run that prints no timeline kept %d samples", n)
+	}
+
+	o := base
+	o.jsonOut = filepath.Join(t.TempDir(), "session.json")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(o.jsonOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	doc, err := report.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Timeline) == 0 {
+		t.Error("-json report has an empty timeline")
+	}
+
+	o = base
+	o.timelineCSV = filepath.Join(t.TempDir(), "tl.csv")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(o.timelineCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Count(string(data), "\n") - 1; rows < 1 {
+		t.Errorf("-timeline-csv wrote %d data rows", rows)
 	}
 }
 

@@ -21,7 +21,7 @@ func TestRenderSession(t *testing.T) {
 	eng := netsim.NewEngine()
 	link := netsim.NewLink(eng, trace.Fig4bBimodal600())
 	model := shaka.NewHLS(media.HAll(c))
-	res, err := player.Run(link, player.Config{Content: c, Model: model})
+	res, err := player.Run(link, player.Config{Content: c, Model: model, KeepTimeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"demuxabr/internal/trace"
@@ -10,24 +11,28 @@ import (
 
 // playAllocsPin is the ratchet for TestPlayAllocs, per player kind: the
 // measured allocations plus 2, since the runtime now and then adds one or
-// two of its own to a run's count. Lower an entry when a change cuts
-// allocations; never raise one to make a regression pass.
+// two of its own to a run's count, and the measured bytes plus about 1.3%.
+// Lower an entry when a change cuts allocations; never raise one to make a
+// regression pass.
 var playAllocsPin = []struct {
-	kind PlayerKind
-	pin  float64
+	kind   PlayerKind
+	allocs float64
+	bytes  uint64
 }{
-	{DashJS, 109},
-	{BestPractice, 112},
-	{VBRJoint, 101},
+	{DashJS, 107, 30_100},
+	{BestPractice, 110, 28_200},
+	{VBRJoint, 99, 27_600},
 }
 
-// TestPlayAllocs pins the allocations of one warm Play session on the
-// Fig. 3 trace for a DASH kind, an HLS kind and the HLS kind that also
-// reads the media playlists: the three manifest parse paths. A warm
-// session takes its manifest from the memoized parse, so any per-session
-// round trip shows here. The race detector changes allocation counts, so
-// the test is built only without it (check.sh runs it in a step of its
-// own).
+// TestPlayAllocs pins the allocations and the bytes allocated by one warm
+// Play session on the Fig. 3 trace for a DASH kind, an HLS kind and the
+// HLS kind that also reads the media playlists: the three manifest parse
+// paths. A warm session takes its manifest from the memoized parse, so any
+// per-session round trip shows here, and a session that keeps a timeline
+// nothing reads shows in its bytes. Bytes are read from
+// runtime.MemStats.TotalAlloc over one run after AllocsPerRun has warmed
+// the process. The race detector changes allocation counts, so the test
+// is built only without it (check.sh runs it in a step of its own).
 func TestPlayAllocs(t *testing.T) {
 	for _, p := range playAllocsPin {
 		spec := Spec{Profile: trace.Fig3VaryingAvg600(), Player: p.kind}
@@ -37,8 +42,21 @@ func TestPlayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("%s: %.0f allocs per Play", p.kind, allocs)
-		if allocs > p.pin {
-			t.Errorf("%s: %.0f allocs per Play, pinned at %.0f", p.kind, allocs, p.pin)
+		if allocs > p.allocs {
+			t.Errorf("%s: %.0f allocs per Play, pinned at %.0f", p.kind, allocs, p.allocs)
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Play(spec)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes per Play", p.kind, bytes)
+		if bytes > p.bytes {
+			t.Errorf("%s: %d bytes per Play, pinned at %d", p.kind, bytes, p.bytes)
 		}
 	}
 }

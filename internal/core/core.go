@@ -345,13 +345,17 @@ type Spec struct {
 	// (availability gating, catch-up rate control, live-edge resync; see
 	// player.LiveConfig). Nil keeps the exact VOD behaviour.
 	Live *player.LiveConfig
+	// KeepTimeline keeps the per-sample log in Result.Timeline (see
+	// player.Config.KeepTimeline). Set it only where the log is read.
+	KeepTimeline bool
 }
 
 // Session is a finished run: the raw result plus derived metrics.
 type Session struct {
 	// Model names the algorithm that ran.
 	Model string
-	// Result is the full timeline, stall and chunk log.
+	// Result is the stall and chunk log, plus the per-sample timeline
+	// when Spec.KeepTimeline was set.
 	Result *player.Result
 	// Metrics are the QoE numbers (off-manifest counted against Allowed).
 	Metrics qoe.Metrics
@@ -400,6 +404,7 @@ func Play(spec Spec) (*Session, error) {
 		Recorder:      spec.Recorder,
 		Transport:     spec.Transport,
 		Live:          spec.Live,
+		KeepTimeline:  spec.KeepTimeline,
 	})
 	if err != nil {
 		return nil, err

@@ -88,12 +88,16 @@ func TestManifestOptionsRespected(t *testing.T) {
 
 func TestBufferOverrides(t *testing.T) {
 	s, err := Play(Spec{
-		Profile:   trace.Fixed(media.Kbps(5000)),
-		Player:    BestPractice,
-		MaxBuffer: 12 * time.Second,
+		Profile:      trace.Fixed(media.Kbps(5000)),
+		Player:       BestPractice,
+		MaxBuffer:    12 * time.Second,
+		KeepTimeline: true,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(s.Result.Timeline) == 0 {
+		t.Fatal("no timeline samples to check")
 	}
 	limit := 12*time.Second + media.DramaChunkDuration + time.Second
 	for _, sm := range s.Result.Timeline {
@@ -119,7 +123,7 @@ func TestIntegrationMatrix(t *testing.T) {
 		for pname, profile := range profiles {
 			t.Run(string(kind)+"/"+pname, func(t *testing.T) {
 				t.Parallel()
-				s, err := Play(Spec{Content: content, Profile: profile, Player: kind})
+				s, err := Play(Spec{Content: content, Profile: profile, Player: kind, KeepTimeline: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,6 +143,9 @@ func TestIntegrationMatrix(t *testing.T) {
 					if len(m) != content.NumChunks() {
 						t.Errorf("%s: %d distinct positions, want %d", typ, len(m), content.NumChunks())
 					}
+				}
+				if len(res.Timeline) == 0 {
+					t.Fatal("no timeline samples to check")
 				}
 				limit := 30*time.Second + content.ChunkDuration + time.Second
 				for _, sm := range res.Timeline {

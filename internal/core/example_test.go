@@ -32,12 +32,14 @@ func ExamplePlay() {
 
 // ExamplePlay_shakaPathology reproduces the Fig 4(a) pathology in four
 // lines: on a constant 1 Mbps link no throughput interval reaches Shaka's
-// 16 KB filter, so the 500 Kbps default sticks and V2+A2 streams.
+// 16 KB filter, so the 500 Kbps default sticks and V2+A2 streams. The
+// session keeps its per-sample timeline to read the last sample.
 func ExamplePlay_shakaPathology() {
 	sess, err := core.Play(core.Spec{
-		Profile:  trace.Fixed(media.Kbps(1000)),
-		Player:   core.Shaka,
-		Manifest: core.ManifestOptions{Combos: media.HAll(media.DramaShow())},
+		Profile:      trace.Fixed(media.Kbps(1000)),
+		Player:       core.Shaka,
+		Manifest:     core.ManifestOptions{Combos: media.HAll(media.DramaShow())},
+		KeepTimeline: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -154,6 +154,34 @@ func TestFig5Reproduces(t *testing.T) {
 	}
 }
 
+// TestFigureTimelinesKept: the figure experiments keep the per-sample log
+// that their charts, CSVs and estimate series read.
+func TestFigureTimelinesKept(t *testing.T) {
+	fig3, err := Fig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig3.Outcome.Result.Timeline) == 0 {
+		t.Error("Fig. 3 kept no timeline")
+	}
+	fig5, err := Fig5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig5.Outcome.Result.Timeline) == 0 {
+		t.Error("Fig. 5 kept no timeline")
+	}
+	for i, fig := range []func() (Fig4Result, error){Fig4a, Fig4b} {
+		r, err := fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.EstimateStart == 0 || r.EstimateEnd == 0 {
+			t.Errorf("Fig. 4(%c) estimate series start %v end %v: want both non-zero", 'a'+i, r.EstimateStart, r.EstimateEnd)
+		}
+	}
+}
+
 func TestBestPracticeWinsOnPaperScenarios(t *testing.T) {
 	for _, s := range Scenarios() {
 		t.Run(s.Name, func(t *testing.T) {
@@ -592,6 +620,9 @@ func TestFig4aEstimateSeriesIsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(r.Outcome.Result.Timeline) == 0 {
+		t.Fatal("no timeline samples to check")
+	}
 	for i, p := range r.Outcome.Result.Timeline {
 		if p.Estimate != media.Kbps(500) {
 			t.Fatalf("estimate at sample %d (%v) = %v, want a flat 500 Kbps line",
@@ -625,6 +656,9 @@ func TestFig4bEstimateRisesMonotonicallyAfterWarmup(t *testing.T) {
 	r, err := Fig4b()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(r.Outcome.Result.Timeline) == 0 {
+		t.Fatal("no timeline samples to check")
 	}
 	seenAboveDefault := false
 	for _, p := range r.Outcome.Result.Timeline {

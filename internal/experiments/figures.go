@@ -127,6 +127,8 @@ func exoHLS(content *media.Content, order []*media.Track, profile trace.Profile,
 		Model:    model,
 		Manifest: core.ManifestOptions{Combos: combos},
 		Recorder: rec,
+		// Fig. 3 plots the per-sample log.
+		KeepTimeline: true,
 	})
 	if err != nil {
 		return Fig3Result{}, err
@@ -174,7 +176,8 @@ func runFig4(profile trace.Profile) (Fig4Result, error) {
 		return Fig4Result{}, err
 	}
 	model := shaka.NewHLS(combos)
-	out, err := playToEnd(core.Spec{Content: content, Profile: profile, Model: model, Manifest: core.ManifestOptions{Combos: combos}})
+	// The estimate series is read from the per-sample log.
+	out, err := playToEnd(core.Spec{Content: content, Profile: profile, Model: model, Manifest: core.ManifestOptions{Combos: combos}, KeepTimeline: true})
 	if err != nil {
 		return Fig4Result{}, err
 	}
@@ -213,7 +216,8 @@ func Fig5() (Fig5Result, error) {
 		return Fig5Result{}, err
 	}
 	model := dashjs.New(video, audio)
-	out, err := playToEnd(core.Spec{Content: content, Profile: trace.Fig5Bandwidth(), Model: model})
+	// Fig. 5 plots the per-sample log.
+	out, err := playToEnd(core.Spec{Content: content, Profile: trace.Fig5Bandwidth(), Model: model, KeepTimeline: true})
 	if err != nil {
 		return Fig5Result{}, err
 	}

@@ -174,9 +174,13 @@ func TestFleetArrivalsSortedAndRebased(t *testing.T) {
 			t.Fatalf("session %d arrival %v outside [0, %v)", s.ID, s.Arrival, cfg.ArrivalSpread)
 		}
 		prev = s.Arrival
-		// Session-relative timelines start near zero even for late arrivals.
-		if len(s.Result.Timeline) > 0 && s.Result.Timeline[0].At > 2*time.Second {
-			t.Errorf("session %d timeline starts at %v: not rebased", s.ID, s.Result.Timeline[0].At)
+		// Session-relative chunk logs start near zero even for late
+		// arrivals.
+		if len(s.Result.Chunks) == 0 {
+			t.Fatalf("session %d downloaded no chunk", s.ID)
+		}
+		if at := s.Result.Chunks[0].DecidedAt; at > 2*time.Second {
+			t.Errorf("session %d first chunk decided at %v: not rebased", s.ID, at)
 		}
 	}
 }

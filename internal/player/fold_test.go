@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"demuxabr/internal/core"
+	"demuxabr/internal/experiments"
 	"demuxabr/internal/media"
 	"demuxabr/internal/player"
+	"demuxabr/internal/qoe"
 	"demuxabr/internal/stats"
 	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
@@ -62,13 +66,17 @@ func sameSummary(a, b stats.Summary) bool {
 	return a.N == b.N
 }
 
-// TestBufferFoldMatchesTimeline runs every request-path session, and one
-// the deadline aborts, twice: keeping its timeline and with
-// Config.DropTimeline.
+// TestBufferFoldMatchesTimeline runs every request-path session, one the
+// deadline aborts and one of every player kind three ways: keeping its
+// timeline under a recorder, under the recorder alone, and bare, with
+// neither.
 //   - The kept run's buffer metrics are, bit for bit, what the timeline
 //     loop they replaced computes from its samples.
-//   - The dropped run keeps no sample, yet scores the same Metrics, records
-//     the same events and, timeline aside, encodes the same Result.
+//   - The recorded run keeps no sample, yet scores the same Metrics,
+//     records the same events and, timeline aside, encodes the same Result.
+//   - The bare run never reads the model's bandwidth estimate, yet scores
+//     the same Metrics, downloads the same Chunks, stalls the same Stalls
+//     and, timeline aside, encodes the same Result.
 func TestBufferFoldMatchesTimeline(t *testing.T) {
 	type namedSession struct {
 		name string
@@ -86,10 +94,18 @@ func TestBufferFoldMatchesTimeline(t *testing.T) {
 		kind: core.BestPractice, profile: trace.Fixed(media.Kbps(100)),
 		cfg: player.Config{Deadline: 40 * time.Second},
 	}})
+	for _, k := range core.PlayerKinds() {
+		p := playerSession{kind: k, profile: trace.RandomWalk(5, media.Kbps(400), media.Kbps(2500), 4*time.Second, time.Minute)}
+		if slices.Contains(experiments.LiveModels(), k) {
+			p.cfg.Live = experiments.LiveConfig()
+		}
+		sessions = append(sessions, namedSession{"kind-" + string(k), p})
+	}
 
 	for _, s := range sessions {
-		keptRec, kept, keptM := s.p.play(t, false)
-		droppedRec, dropped, droppedM := s.p.play(t, true)
+		keptRec, kept, keptM := s.p.play(t, true)
+		recordedRec, recorded, recordedM := s.p.play(t, false)
+		bare, bareM := s.p.run(t, false, nil)
 		if s.name == "deadline-abort" && (!kept.Aborted || !strings.Contains(kept.AbortReason, "deadline")) {
 			t.Fatalf("%s: session was not aborted by its deadline (aborted %v: %q)", s.name, kept.Aborted, kept.AbortReason)
 		}
@@ -106,38 +122,55 @@ func TestBufferFoldMatchesTimeline(t *testing.T) {
 			t.Errorf("%s: fold buffer health %+v, timeline %+v", s.name, keptM.BufferHealth, health)
 		}
 
-		if len(dropped.Timeline) != 0 {
-			t.Errorf("%s: dropped run kept %d samples", s.name, len(dropped.Timeline))
-		}
-		if (keptM.Live == nil) != (droppedM.Live == nil) || keptM.Live != nil && *keptM.Live != *droppedM.Live {
-			t.Errorf("%s: live stats differ: %+v vs %+v", s.name, keptM.Live, droppedM.Live)
-		}
-		keptM.Live, droppedM.Live = nil, nil
-		if keptM != droppedM {
-			t.Errorf("%s: metrics differ:\nkept    %+v\ndropped %+v", s.name, keptM, droppedM)
+		for _, run := range []struct {
+			label string
+			res   *player.Result
+			m     qoe.Metrics
+		}{{"recorded", recorded, recordedM}, {"bare", bare, bareM}} {
+			if len(run.res.Timeline) != 0 {
+				t.Errorf("%s: %s run kept %d samples", s.name, run.label, len(run.res.Timeline))
+			}
+			if !sameMetrics(keptM, run.m) {
+				t.Errorf("%s: %s metrics differ:\nkept %+v\ngot  %+v", s.name, run.label, keptM, run.m)
+			}
+			if !reflect.DeepEqual(kept.Chunks, run.res.Chunks) || !reflect.DeepEqual(kept.Stalls, run.res.Stalls) {
+				t.Errorf("%s: %s run downloads or stalls differently", s.name, run.label)
+			}
+			if !bytes.Equal(resultJSON(t, kept), resultJSON(t, run.res)) {
+				t.Errorf("%s: %s results differ beyond the timeline", s.name, run.label)
+			}
 		}
 
-		var keptEvents, droppedEvents bytes.Buffer
+		var keptEvents, recordedEvents bytes.Buffer
 		if err := timeline.WriteJSONL(&keptEvents, []*timeline.Recorder{keptRec}); err != nil {
 			t.Fatal(err)
 		}
-		if err := timeline.WriteJSONL(&droppedEvents, []*timeline.Recorder{droppedRec}); err != nil {
+		if err := timeline.WriteJSONL(&recordedEvents, []*timeline.Recorder{recordedRec}); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(keptEvents.Bytes(), droppedEvents.Bytes()) {
+		if !bytes.Equal(keptEvents.Bytes(), recordedEvents.Bytes()) {
 			t.Errorf("%s: recorded events differ", s.name)
 		}
-		dropped.Timeline = kept.Timeline
-		keptJSON, err := json.Marshal(kept)
-		if err != nil {
-			t.Fatal(err)
-		}
-		droppedJSON, err := json.Marshal(dropped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(keptJSON, droppedJSON) {
-			t.Errorf("%s: results differ beyond the timeline", s.name)
-		}
 	}
+}
+
+// sameMetrics compares two sessions' metrics, live stats by value.
+func sameMetrics(a, b qoe.Metrics) bool {
+	if (a.Live == nil) != (b.Live == nil) || a.Live != nil && *a.Live != *b.Live {
+		return false
+	}
+	a.Live, b.Live = nil, nil
+	return a == b
+}
+
+// resultJSON encodes res without its timeline.
+func resultJSON(t *testing.T, res *player.Result) []byte {
+	t.Helper()
+	r := *res
+	r.Timeline = nil
+	b, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -111,12 +111,12 @@ type Config struct {
 	// demux request-doubling pathology at the transport layer. Nil keeps
 	// requests directly on the links.
 	Transport *netsim.TransportConfig
-	// DropTimeline keeps Result.Timeline empty: the session logs no
-	// per-sample rows, only the buffer metrics folded from them, and the
-	// Recorder still receives every buffer sample. For a caller that
-	// reads only metrics, such as a streaming fleet aggregate. The zero
-	// value keeps the timeline.
-	DropTimeline bool
+	// KeepTimeline fills Result.Timeline with one Sample per logging
+	// tick, for a caller that plots or exports the per-sample log. The
+	// zero value keeps no log: the buffer metrics are folded from each
+	// tick either way, and the Recorder still receives every buffer
+	// sample.
+	KeepTimeline bool
 	// Live, when non-nil, runs the session in latency-target live mode:
 	// the content plays the role of a live stream whose edge advances in
 	// real time, the session joins near the edge, chunk availability is
@@ -415,7 +415,7 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 	samples := int((s.content.Duration - s.playPos) / logInterval)
 	samples += samples/32 + 2
 	s.res.buffers.mins = make([]float64, 0, samples)
-	if !cfg.DropTimeline {
+	if cfg.KeepTimeline {
 		s.res.Timeline = make([]Sample, 0, samples)
 	}
 
@@ -640,7 +640,7 @@ func (s *Session) collectTransport() {
 func (s *Session) scheduleLog() { s.logLane.Add(s.logTick) }
 
 // logTimeline is the periodic logging tick: it enforces the deadline,
-// records one timeline sample and re-arms.
+// logs one sample and re-arms.
 func (s *Session) logTimeline() {
 	if s.ended {
 		return
@@ -656,12 +656,20 @@ func (s *Session) logTimeline() {
 	s.scheduleLog()
 }
 
+// logSample folds the tick's buffer levels into the buffer metrics. Only
+// when a log is kept or a recorder listens does it read the rest of the
+// sample, the bandwidth estimate included, and hand that one value to both.
 func (s *Session) logSample(now time.Duration) {
+	video, audio := s.bufferOf(media.Video, now), s.bufferOf(media.Audio, now)
+	s.res.buffers.add(video, audio)
+	if !s.cfg.KeepTimeline && !s.rec.Enabled() {
+		return
+	}
 	sample := Sample{
 		At:          s.rel(now),
 		PlayPos:     s.playPosAt(now),
-		VideoBuffer: s.bufferOf(media.Video, now),
-		AudioBuffer: s.bufferOf(media.Audio, now),
+		VideoBuffer: video,
+		AudioBuffer: audio,
 		Video:       s.lastSel[media.Video],
 		Audio:       s.lastSel[media.Audio],
 		Stalled:     s.started && !s.playing && !s.ended,
@@ -669,8 +677,7 @@ func (s *Session) logSample(now time.Duration) {
 	if br, ok := s.cfg.Model.(abr.BandwidthReporter); ok {
 		sample.Estimate, sample.EstimateOK = br.BandwidthEstimate()
 	}
-	s.res.buffers.add(sample.VideoBuffer, sample.AudioBuffer)
-	if !s.cfg.DropTimeline {
+	if s.cfg.KeepTimeline {
 		s.res.Timeline = append(s.res.Timeline, sample)
 	}
 	if s.rec.Enabled() {

@@ -126,9 +126,12 @@ func TestBufferCapRespected(t *testing.T) {
 	eng := netsim.NewEngine()
 	link := netsim.NewLink(eng, trace.Fixed(media.Kbps(50000)))
 	maxBuf := 20 * time.Second
-	res, err := Run(link, Config{Content: c, Model: &fixedJoint{combo: lowestCombo(c)}, MaxBuffer: maxBuf})
+	res, err := Run(link, Config{Content: c, Model: &fixedJoint{combo: lowestCombo(c)}, MaxBuffer: maxBuf, KeepTimeline: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Timeline) == 0 {
+		t.Fatal("no timeline samples to check")
 	}
 	cap := maxBuf + c.ChunkDuration + time.Second
 	for _, s := range res.Timeline {
@@ -270,8 +273,8 @@ func TestSessionInvariantsProperty(t *testing.T) {
 		eng := netsim.NewEngine()
 		link := netsim.NewLink(eng, profile)
 		combo := media.Combo{Video: c.VideoTracks[1], Audio: c.AudioTracks[0]}
-		res, err := Run(link, Config{Content: c, Model: &fixedJoint{combo: combo}})
-		if err != nil || !res.Ended {
+		res, err := Run(link, Config{Content: c, Model: &fixedJoint{combo: combo}, KeepTimeline: true})
+		if err != nil || !res.Ended || len(res.Timeline) == 0 {
 			return false
 		}
 		want := res.StartupDelay + res.ContentDuration + res.RebufferTime()

@@ -27,7 +27,7 @@ func runSession(t *testing.T) (*player.Result, *media.Content, qoe.Metrics) {
 	eng := netsim.NewEngine()
 	link := netsim.NewLink(eng, trace.Fixed(media.Kbps(2000)))
 	combo := media.Combo{Video: c.VideoTracks[2], Audio: c.AudioTracks[1]}
-	res, err := player.Run(link, player.Config{Content: c, Model: &fixedJoint{combo: combo}})
+	res, err := player.Run(link, player.Config{Content: c, Model: &fixedJoint{combo: combo}, KeepTimeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +47,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got.Model != "fixed" || got.Content != "drama-show" || !got.Ended {
 		t.Errorf("header fields wrong: %+v", got)
+	}
+	if len(res.Timeline) == 0 {
+		t.Fatal("session kept no timeline")
 	}
 	if len(got.Timeline) != len(res.Timeline) {
 		t.Errorf("timeline %d vs %d", len(got.Timeline), len(res.Timeline))
