@@ -28,11 +28,16 @@ func TestDeterministicReport(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		for _, m := range models {
-			out, err := playToEnd(core.Spec{Content: content, Profile: profile, Model: m, Manifest: core.ManifestOptions{Combos: allowed}})
+			out, err := playToEnd(core.Spec{Content: content, Profile: profile, Model: m, Manifest: core.ManifestOptions{Combos: allowed}, KeepTimeline: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			doc := report.FromResult(content.Name, out.Result, out.Metrics)
+			// The per-sample log carries the buffers and estimates the
+			// comparison must cover.
+			if len(doc.Timeline) == 0 {
+				t.Fatalf("%s: report has no timeline", m.Name())
+			}
 			if err := doc.WriteJSON(&buf); err != nil {
 				t.Fatal(err)
 			}
