@@ -46,7 +46,12 @@
 #                    TestPlayAllocs' allocs and bytes per Play) without
 #                    the race detector, which skips them in step 3
 #                    because it changes allocation counts
-#  14. bench module  the benchmark's separate Go module (bench/) vets and
+#  14. fma off       the golden-bearing packages pass again with
+#                    GODEBUG=cpu.fma=off, without the race detector: on
+#                    amd64 math.Exp (and Pow through it) takes an FMA
+#                    assembly path when the CPU has AVX and FMA, so the
+#                    goldens must not depend on which path ran
+#  15. bench module  the benchmark's separate Go module (bench/) vets and
 #                    passes its tests against the current tree; the root
 #                    go build ./... does not compile it
 #
@@ -137,6 +142,10 @@ go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|Benchma
 
 echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, no race detector)"
 go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs' ./internal/fleet ./internal/qoe ./internal/core
+
+echo "== golden tests with FMA off (GODEBUG=cpu.fma=off, no race detector)"
+GODEBUG=cpu.fma=off go test -count=1 ./cmd/paperfigs ./internal/manifest/... ./internal/timeline \
+	./internal/fleet ./internal/player ./internal/netsim ./internal/core ./examples/...
 
 echo "== bench module (go vet + go test in bench/, a separate module)"
 (cd bench && go vet . && go test -count=1 ./...)

@@ -46,7 +46,7 @@ func main() {
 	}
 	dashRep, err := httpclient.Stream(ctx, mpd, httpclient.Config{
 		BaseURL:    srv.URL,
-		Model:      exoplayer.NewDASH(mpd.Video, mpd.Audio),
+		Model:      exoplayer.NewDASH(mpd.Content.VideoTracks, mpd.Content.AudioTracks),
 		HTTPClient: srv.Client(),
 	})
 	if err != nil {

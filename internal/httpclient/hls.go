@@ -1,11 +1,13 @@
 package httpclient
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -13,86 +15,13 @@ import (
 	"demuxabr/internal/media"
 )
 
-// HLSManifest is the client's view of an HLS deployment built the §4.1 way:
-// the master playlist provides the variant pairings and rendition order,
-// and every second-level media playlist is downloaded up front so per-track
-// bitrates are known before the first adaptation decision (the paper's
-// "avoid lazy fetching" recommendation).
-type HLSManifest struct {
-	// Variants are the master playlist's combinations with recovered
-	// per-track bitrates.
-	Variants []media.Combo
-	// AudioOrder is the rendition-list order (first = what a degraded
-	// player would pin).
-	AudioOrder []*media.Track
-	// Duration and ChunkDuration come from the media playlists.
-	Duration      time.Duration
-	ChunkDuration time.Duration
-
-	segURIs map[string][]string // track ID -> per-chunk URIs
-	// segDurs is the video timeline's per-segment durations (EXTINF is
-	// authoritative per segment; this client pairs A/V by index, so the
-	// video timeline drives its playback clock).
-	segDurs []time.Duration
-}
-
-// NumChunks implements Source. Media playlists can disagree on segment
-// count (an encoder cut one track short); only positions every track can
-// serve are playable, so the minimum across tracks governs.
-func (m *HLSManifest) NumChunks() int {
-	n := -1
-	for _, uris := range m.segURIs {
-		if n < 0 || len(uris) < n {
-			n = len(uris)
-		}
-	}
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// Tracks implements Source: the distinct tracks of one type in manifest
-// order (video from the variant list, audio from the rendition order).
-func (m *HLSManifest) Tracks(t media.Type) []*media.Track {
-	if t == media.Audio {
-		return m.AudioOrder
-	}
-	var out []*media.Track
-	seen := make(map[string]bool)
-	for _, v := range m.Variants {
-		if v.Video != nil && !seen[v.Video.ID] {
-			seen[v.Video.ID] = true
-			out = append(out, v.Video)
-		}
-	}
-	return out
-}
-
-// ChunkDur implements Source.
-func (m *HLSManifest) ChunkDur() time.Duration { return m.ChunkDuration }
-
-// SegmentDurationAt implements Source: the EXTINF duration of segment idx.
-func (m *HLSManifest) SegmentDurationAt(idx int) time.Duration {
-	if idx < 0 || idx >= len(m.segDurs) {
-		return m.ChunkDuration
-	}
-	return m.segDurs[idx]
-}
-
-// SegmentPath implements Source.
-func (m *HLSManifest) SegmentPath(tr *media.Track, idx int) string {
-	uris := m.segURIs[tr.ID]
-	if idx < 0 || idx >= len(uris) {
-		return ""
-	}
-	return uris[idx]
-}
-
 // FetchHLS downloads baseURL/master.m3u8 and every referenced media
-// playlist, reconstructing tracks with true per-track bitrates from the
-// playlists' byte ranges or EXT-X-BITRATE tags.
-func FetchHLS(ctx context.Context, client *http.Client, baseURL string) (*HLSManifest, error) {
+// playlist the §4.1 way: the master playlist provides the variant
+// pairings, and every second-level media playlist is downloaded up front
+// so per-track bitrates — recovered from the playlists' byte ranges or
+// EXT-X-BITRATE tags — are known before the first adaptation decision (the
+// paper's "avoid lazy fetching" recommendation).
+func FetchHLS(ctx context.Context, client *http.Client, baseURL string) (*Manifest, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
@@ -106,7 +35,12 @@ func FetchHLS(ctx context.Context, client *http.Client, baseURL string) (*HLSMan
 		return nil, err
 	}
 
-	out := &HLSManifest{segURIs: make(map[string][]string)}
+	var ladders [2]media.Ladder
+	// segs holds each type's EXTINF durations from its first media
+	// playlist; EXTINF is authoritative per segment.
+	var segs [2][]time.Duration
+	segURIs := make(map[string][]string)
+	fewest := -1                            // segment count of the shortest media playlist
 	tracks := make(map[string]*media.Track) // by media playlist URI
 
 	// fetchTrack loads one media playlist and synthesizes the track.
@@ -134,22 +68,19 @@ func FetchHLS(ctx context.Context, client *http.Client, baseURL string) (*HLSMan
 			PeakBitrate:     peak,
 			DeclaredBitrate: peak,
 		}
+		first := len(ladders[typ]) == 0
 		tracks[uri] = tr
-		var total time.Duration
-		for _, seg := range pl.Segments {
-			out.segURIs[tr.ID] = append(out.segURIs[tr.ID], seg.URI)
-			total += seg.Duration
-			if out.ChunkDuration == 0 || seg.Duration > out.ChunkDuration {
-				out.ChunkDuration = seg.Duration
+		ladders[typ] = append(ladders[typ], tr)
+		uris := make([]string, len(pl.Segments))
+		for i, seg := range pl.Segments {
+			uris[i] = seg.URI
+			if first {
+				segs[typ] = append(segs[typ], seg.Duration)
 			}
 		}
-		if typ == media.Video && out.segDurs == nil {
-			for _, seg := range pl.Segments {
-				out.segDurs = append(out.segDurs, seg.Duration)
-			}
-		}
-		if total > out.Duration {
-			out.Duration = total
+		segURIs[id] = uris
+		if fewest < 0 || len(uris) < fewest {
+			fewest = len(uris)
 		}
 		return tr, nil
 	}
@@ -164,11 +95,10 @@ func FetchHLS(ctx context.Context, client *http.Client, baseURL string) (*HLSMan
 			return nil, err
 		}
 		audioByGroup[r.GroupID] = tr
-		out.AudioOrder = append(out.AudioOrder, tr)
 	}
+	var variants []media.Combo
 	for i, v := range master.Variants {
-		videoID := videoIDFromURI(v.URI)
-		video, err := fetchTrack(v.URI, videoID, media.Video)
+		video, err := fetchTrack(v.URI, videoIDFromURI(v.URI), media.Video)
 		if err != nil {
 			return nil, err
 		}
@@ -176,12 +106,21 @@ func FetchHLS(ctx context.Context, client *http.Client, baseURL string) (*HLSMan
 		if audio == nil {
 			return nil, fmt.Errorf("httpclient: variant %d references unknown audio group %q", i, v.AudioGroup)
 		}
-		out.Variants = append(out.Variants, media.Combo{Video: video, Audio: audio})
+		variants = append(variants, media.Combo{Video: video, Audio: audio})
 	}
-	if len(out.Variants) == 0 {
+	if len(variants) == 0 {
 		return nil, fmt.Errorf("httpclient: master playlist lists no variants")
 	}
-	return out, nil
+	// Media playlists can disagree on segment count (an encoder cut one
+	// track short); only positions every track can serve are playable, so
+	// the shortest playlist sets both timelines' length.
+	for typ := range segs {
+		segs[typ] = segs[typ][:fewest]
+		slices.SortStableFunc(ladders[typ], func(a, b *media.Track) int {
+			return cmp.Compare(a.DeclaredBitrate, b.DeclaredBitrate)
+		})
+	}
+	return newManifest(ladders[media.Video], ladders[media.Audio], segs, segURIs, variants)
 }
 
 // videoIDFromURI recovers the track name from "video/V3.m3u8".
@@ -237,8 +176,8 @@ func FetchCombinations(ctx context.Context, client *http.Client, baseURL string,
 	}
 	combos := make([]media.Combo, len(entries))
 	for i, e := range entries {
-		video := m.Video.ByID(e.Video)
-		audio := m.Audio.ByID(e.Audio)
+		video := m.Content.VideoTracks.ByID(e.Video)
+		audio := m.Content.AudioTracks.ByID(e.Audio)
 		if video == nil || audio == nil {
 			return nil, fmt.Errorf("httpclient: combination %s+%s not in the manifest", e.Video, e.Audio)
 		}

@@ -1,12 +1,14 @@
 // Package httpclient is a real-time streaming client: it fetches a DASH
-// manifest from an origin (package originserver or any server with the
-// same layout), reconstructs the track ladders, and streams chunks over
-// real HTTP while driving one of the library's ABR models — the end-to-end
-// integration path complementing the discrete-event simulator.
+// manifest or the HLS playlists from an origin (package originserver or
+// any server with the same layout), reads them into a media.Content, and
+// streams chunks over real HTTP while driving one of the library's ABR
+// models — the end-to-end integration path complementing the
+// discrete-event simulator.
 package httpclient
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,75 +24,78 @@ import (
 	"demuxabr/internal/media"
 )
 
-// Manifest is the client's view of the stream, reconstructed from the MPD.
+// Manifest is the client's view of a fetched stream, read from a DASH MPD
+// (FetchManifest) or from an HLS master playlist and every media playlist
+// it lists (FetchHLS).
+//
+// Content holds what the manifest declares — the two ladders and each
+// type's chunk boundary table — built by media.NewContent, so the client
+// times chunks from the same tables the simulator reads. Its chunk sizes
+// are a CBR estimate from the declared bitrates; the client never reads
+// them.
 type Manifest struct {
-	Video         media.Ladder
-	Audio         media.Ladder
-	Duration      time.Duration
-	ChunkDuration time.Duration
-	// mediaTemplates holds each AdaptationSet's SegmentTemplate media
-	// pattern, indexed by media.Type — segment addressing never assumes
-	// anything about the path layout beyond the $…$ substitutions.
-	mediaTemplates [2]string
-	// segments holds the per-segment durations expanded from the MPD's
-	// SegmentTemplate (timeline when declared, nominal tiling otherwise) —
-	// the authoritative chunk count and index↔time source. The old
-	// Duration/ChunkDuration division over-counted whenever a declared
-	// timeline disagreed with the nominal duration.
-	segments []time.Duration
+	Content *media.Content
+	// Variants are the HLS master playlist's combinations, in playlist
+	// order, with per-track bitrates recovered from the media playlists;
+	// nil for DASH.
+	Variants []media.Combo
+
+	segURIs map[string][]string // track ID -> origin-relative path per chunk
 }
 
-// NumChunks returns the chunk count.
-func (m *Manifest) NumChunks() int {
-	if len(m.segments) > 0 {
-		return len(m.segments)
-	}
-	n := int(m.Duration / m.ChunkDuration)
-	if m.Duration%m.ChunkDuration != 0 {
-		n++
-	}
-	return n
-}
-
-// SegmentDurationAt implements Source: the actual duration of segment idx.
-func (m *Manifest) SegmentDurationAt(idx int) time.Duration {
-	if idx < 0 || idx >= len(m.segments) {
-		return m.ChunkDuration
-	}
-	return m.segments[idx]
-}
-
-// SegmentPath expands the track's SegmentTemplate for an index into the
-// origin-relative path.
+// SegmentPath returns the origin-relative path of chunk idx of the track,
+// or "" when the manifest lists no such segment.
 func (m *Manifest) SegmentPath(tr *media.Track, idx int) string {
-	p := strings.ReplaceAll(m.mediaTemplates[tr.Type], "$RepresentationID$", tr.ID)
-	return strings.ReplaceAll(p, "$Number$", strconv.Itoa(idx))
-}
-
-// ChunkDur implements Source.
-func (m *Manifest) ChunkDur() time.Duration { return m.ChunkDuration }
-
-// Tracks implements Source: the ladder of one type, ascending bitrate.
-func (m *Manifest) Tracks(t media.Type) []*media.Track {
-	if t == media.Video {
-		return m.Video
+	uris := m.segURIs[tr.ID]
+	if idx < 0 || idx >= len(uris) {
+		return ""
 	}
-	return m.Audio
+	return uris[idx]
 }
 
-// Source is the client's addressing view of a stream: how many chunks, how
-// long each is, where each track's segments live, and which tracks exist
-// (the robustness policy's failover candidates). Both the DASH Manifest
-// and the HLSManifest implement it.
-type Source interface {
-	NumChunks() int
-	ChunkDur() time.Duration
-	// SegmentDurationAt is the actual duration of segment idx; it equals
-	// ChunkDur on uniform content but diverges on declared-variable
-	// timelines, where playback-clock arithmetic must use it.
-	SegmentDurationAt(idx int) time.Duration
-	SegmentPath(tr *media.Track, idx int) string
-	Tracks(t media.Type) []*media.Track
+// errMisaligned refuses a stream whose audio and video chunk edges differ.
+// This client fetches audio and video at the same chunk index, so it would
+// pair chunk i of one timeline with an overlapping-but-different chunk i
+// of the other; shaped per-type timelines need an index-independent client
+// (the simulator's per-type models).
+var errMisaligned = errors.New("httpclient: audio and video segment timelines disagree; this joint-index client requires aligned timelines")
+
+// newManifest builds the client's view from the ladders, each type's
+// per-segment durations (indexed by media.Type) and each track's segment
+// paths. Segment paths, the blacklist and failover all key tracks by ID,
+// so two tracks sharing one would stream each other's segments.
+func newManifest(video, audio media.Ladder, segs [2][]time.Duration, segURIs map[string][]string, variants []media.Combo) (*Manifest, error) {
+	seen := make(map[string]bool)
+	for _, tr := range slices.Concat(video, audio) {
+		if seen[tr.ID] {
+			return nil, fmt.Errorf("httpclient: duplicate track ID %q", tr.ID)
+		}
+		seen[tr.ID] = true
+	}
+	var total [2]time.Duration
+	var longest time.Duration
+	for typ, durs := range segs {
+		for _, d := range durs {
+			total[typ] += d
+			longest = max(longest, d)
+		}
+	}
+	if total[media.Video] != total[media.Audio] {
+		return nil, errMisaligned
+	}
+	c, err := media.NewContent(media.ContentSpec{
+		Duration:      total[media.Video],
+		ChunkDuration: longest,
+		VideoTracks:   video,
+		AudioTracks:   audio,
+		Model:         media.CBRChunkModel(),
+		VideoChunks:   segs[media.Video],
+		AudioChunks:   segs[media.Audio],
+	})
+	if err != nil {
+		return nil, fmt.Errorf("httpclient: %w", err)
+	}
+	return &Manifest{Content: c, Variants: variants, segURIs: segURIs}, nil
 }
 
 // drainAndClose consumes up to 64 KiB of a response body before closing so
@@ -101,26 +106,19 @@ func drainAndClose(body io.ReadCloser) {
 	body.Close()
 }
 
-// FetchManifest downloads and parses baseURL/manifest.mpd. A nil client
-// uses http.DefaultClient.
+// FetchManifest downloads and parses baseURL/manifest.mpd, expanding each
+// AdaptationSet's SegmentTemplate into per-track segment paths. A nil
+// client uses http.DefaultClient.
 func FetchManifest(ctx context.Context, client *http.Client, baseURL string) (*Manifest, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/manifest.mpd", nil)
+	body, err := get(ctx, client, baseURL+"/manifest.mpd")
 	if err != nil {
 		return nil, err
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		drainAndClose(resp.Body)
-		return nil, fmt.Errorf("httpclient: manifest: %s", resp.Status)
-	}
-	mpd, err := dash.Parse(resp.Body)
+	mpd, err := dash.Parse(body)
+	body.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +130,8 @@ func FetchManifest(ctx context.Context, client *http.Client, baseURL string) (*M
 	if err != nil {
 		return nil, err
 	}
-	m := &Manifest{Video: video, Audio: audio, Duration: dur}
+	var segs [2][]time.Duration
+	var templates [2]string
 	// Each AdaptationSet carries its own SegmentTemplate; the set's
 	// declared content type says which ladder it addresses. No assumption
 	// is made about the template's path shape.
@@ -153,41 +152,24 @@ func FetchManifest(ctx context.Context, client *http.Client, baseURL string) (*M
 		if !strings.Contains(st.Media, "$RepresentationID$") || !strings.Contains(st.Media, "$Number$") {
 			return nil, fmt.Errorf("httpclient: cannot address segments with media template %q (need $RepresentationID$ and $Number$)", st.Media)
 		}
-		segs, err := st.SegmentDurations(dur)
-		if err != nil {
+		if segs[typ], err = st.SegmentDurations(dur); err != nil {
 			return nil, fmt.Errorf("httpclient: %s AdaptationSet: %w", as.ContentType, err)
 		}
-		// This client fetches audio and video at the same chunk index, so
-		// it can only play streams whose timelines agree. Shaped per-type
-		// timelines need an index-independent client (the simulator's
-		// per-type models); refusing here beats silently pairing chunk i of
-		// one timeline with an overlapping-but-different chunk i of the other.
-		if m.segments != nil && !slices.Equal(m.segments, segs) {
-			return nil, fmt.Errorf("httpclient: audio and video segment timelines disagree; this joint-index client requires aligned timelines")
-		}
-		m.segments = segs
-		if m.ChunkDuration == 0 {
-			// Nominal chunk duration for ABR state: the declared @duration
-			// when present, else the longest declared segment.
-			if st.Duration > 0 {
-				m.ChunkDuration = time.Duration(st.Duration) * time.Second / time.Duration(st.Timescale)
-			} else {
-				for _, d := range segs {
-					if d > m.ChunkDuration {
-						m.ChunkDuration = d
-					}
-				}
-			}
-		}
-		if m.ChunkDuration <= 0 {
-			return nil, fmt.Errorf("httpclient: non-positive chunk duration")
-		}
-		m.mediaTemplates[typ] = st.Media
+		templates[typ] = st.Media
 	}
-	if m.mediaTemplates[media.Video] == "" || m.mediaTemplates[media.Audio] == "" {
+	if templates[media.Video] == "" || templates[media.Audio] == "" {
 		return nil, fmt.Errorf("httpclient: MPD must declare one video and one audio AdaptationSet")
 	}
-	return m, nil
+	segURIs := make(map[string][]string)
+	for _, tr := range slices.Concat(video, audio) {
+		tmpl := strings.ReplaceAll(templates[tr.Type], "$RepresentationID$", tr.ID)
+		uris := make([]string, len(segs[tr.Type]))
+		for i := range uris {
+			uris[i] = strings.ReplaceAll(tmpl, "$Number$", strconv.Itoa(i))
+		}
+		segURIs[tr.ID] = uris
+	}
+	return newManifest(video, audio, segs, segURIs, nil)
 }
 
 // Config parameterizes a streaming run.
@@ -253,13 +235,19 @@ type Report struct {
 	Failovers int
 }
 
-// Stream plays the source's content from the origin in real time. On
+// Stream plays the manifest's content from the origin in real time. On
 // error it returns the partial Report accumulated so far (chunks fetched,
 // stall time, fault log) alongside the error — never nil with a non-nil
 // error once the session has started.
-func Stream(ctx context.Context, m Source, cfg Config) (*Report, error) {
+func Stream(ctx context.Context, m *Manifest, cfg Config) (*Report, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("httpclient: nil model")
+	}
+	if m.Content == nil {
+		return nil, fmt.Errorf("httpclient: manifest has no content")
+	}
+	if !m.Content.Aligned() {
+		return nil, errMisaligned
 	}
 	if cfg.TargetBuffer <= 0 {
 		cfg.TargetBuffer = 10 * time.Second
@@ -268,14 +256,16 @@ func Stream(ctx context.Context, m Source, cfg Config) (*Report, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	n := m.NumChunks()
+	// starts[i] is where chunk i begins and starts[i+1] where it ends: the
+	// download frontier after it, whatever the timeline's shape.
+	starts := m.Content.ChunkTimeline(media.Video)
+	n := len(starts) - 1
 	if cfg.MaxChunks > 0 && cfg.MaxChunks < n {
 		n = cfg.MaxChunks
 	}
-	chunkDur := m.ChunkDur()
 	rep := &Report{}
 	begin := time.Now()
-	s := &streamer{cfg: cfg, client: client, src: m, rep: rep, begin: begin}
+	s := &streamer{cfg: cfg, client: client, m: m, rep: rep, begin: begin}
 	if cfg.Robustness != nil {
 		pol := cfg.Robustness.WithDefaults()
 		s.pol = &pol
@@ -320,7 +310,7 @@ func Stream(ctx context.Context, m Source, cfg Config) (*Report, error) {
 			VideoBuffer:   buffered,
 			AudioBuffer:   buffered,
 			ChunkIndex:    idx,
-			ChunkDuration: chunkDur,
+			ChunkDuration: m.Content.ChunkDuration,
 			Startup:       playStart.IsZero(),
 		}
 		combo := cfg.Model.SelectCombo(st)
@@ -333,10 +323,7 @@ func Stream(ctx context.Context, m Source, cfg Config) (*Report, error) {
 		}
 		rep.Chunks = append(rep.Chunks, ChunkFetch{Index: idx, Combo: fetched, Bytes: bytes, Duration: dur})
 		rep.TotalBytes += bytes
-		// Advance the frontier by the segment's actual duration — on a
-		// declared-variable timeline crediting the nominal chunkDur would
-		// drift the playback clock off the downloaded media.
-		frontier += m.SegmentDurationAt(idx)
+		frontier = starts[idx+1]
 		if playStart.IsZero() {
 			playStart = time.Now()
 			rep.StartupDelay = playStart.Sub(begin)
@@ -360,7 +347,7 @@ func Stream(ctx context.Context, m Source, cfg Config) (*Report, error) {
 type streamer struct {
 	cfg    Config
 	client *http.Client
-	src    Source
+	m      *Manifest
 	pol    *faults.Policy // normalized; nil = fail fast
 	begin  time.Time
 
@@ -446,7 +433,7 @@ func (s *streamer) fetchTrack(ctx context.Context, tr *media.Track, idx int) (in
 		now := time.Since(s.begin)
 		s.count(func(r *Report) {
 			r.Faults = append(r.Faults, FaultRecord{
-				Path: s.src.SegmentPath(track, idx), Type: track.Type, Index: idx,
+				Path: s.m.SegmentPath(track, idx), Type: track.Type, Index: idx,
 				Attempt: attempt, At: now, Err: err.Error(),
 			})
 		})
@@ -496,7 +483,11 @@ func (s *streamer) blocked(trackID string) bool {
 func (s *streamer) failover(failed *media.Track) *media.Track {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bl.Failover(s.src.Tracks(failed.Type), failed, time.Since(s.begin))
+	ladder := s.m.Content.AudioTracks
+	if failed.Type == media.Video {
+		ladder = s.m.Content.VideoTracks
+	}
+	return s.bl.Failover(ladder, failed, time.Since(s.begin))
 }
 
 // sleepCtx waits d or until the context dies.
@@ -515,7 +506,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 func (s *streamer) fetchOne(ctx context.Context, tr *media.Track, idx int) (int64, error) {
-	path := s.src.SegmentPath(tr, idx)
+	path := s.m.SegmentPath(tr, idx)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.cfg.BaseURL+"/"+path, nil)
 	if err != nil {
 		return 0, err

@@ -3,6 +3,8 @@ package httpclient
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,19 +36,13 @@ func TestFetchManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Video) != 6 || len(m.Audio) != 3 {
-		t.Fatalf("ladders %d/%d, want 6/3", len(m.Video), len(m.Audio))
+	if m.Content.ChunkDuration != time.Second {
+		t.Errorf("chunk duration = %v, want 1s", m.Content.ChunkDuration)
 	}
-	if m.NumChunks() != content.NumChunks() {
-		t.Errorf("chunks = %d, want %d", m.NumChunks(), content.NumChunks())
-	}
-	if m.ChunkDuration != time.Second {
-		t.Errorf("chunk duration = %v, want 1s", m.ChunkDuration)
-	}
-	if got := m.SegmentPath(m.Video[0], 3); got != "video/V1/seg-3.m4s" {
+	if got := m.SegmentPath(m.Content.VideoTracks[0], 3); got != "video/V1/seg-3.m4s" {
 		t.Errorf("segment path = %q", got)
 	}
-	if got := m.SegmentPath(m.Audio[1], 0); got != "audio/A2/seg-0.m4s" {
+	if got := m.SegmentPath(m.Content.AudioTracks[1], 0); got != "audio/A2/seg-0.m4s" {
 		t.Errorf("audio segment path = %q", got)
 	}
 }
@@ -65,7 +61,7 @@ func TestStreamEndToEndExoPlayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := exoplayer.NewDASH(m.Video, m.Audio)
+	model := exoplayer.NewDASH(m.Content.VideoTracks, m.Content.AudioTracks)
 	rep, err := Stream(context.Background(), m, Config{
 		BaseURL:      srv.URL,
 		Model:        model,
@@ -109,7 +105,7 @@ func TestStreamEndToEndBestPractice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allowed := media.PairCombos(m.Video, m.Audio)
+	allowed := media.PairCombos(m.Content.VideoTracks, m.Content.AudioTracks)
 	model := jointabr.New(allowed)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -154,7 +150,7 @@ func TestStreamCancellation(t *testing.T) {
 	defer cancel()
 	_, err = Stream(ctx, m, Config{
 		BaseURL:    srv.URL,
-		Model:      exoplayer.NewDASH(m.Video, m.Audio),
+		Model:      exoplayer.NewDASH(m.Content.VideoTracks, m.Content.AudioTracks),
 		HTTPClient: srv.Client(),
 	})
 	if err == nil {
@@ -179,11 +175,8 @@ func TestFetchHLSRecoversTracks(t *testing.T) {
 	if len(m.Variants) != 6 {
 		t.Fatalf("variants = %d, want 6 (H_sub)", len(m.Variants))
 	}
-	if len(m.AudioOrder) != 3 || m.AudioOrder[0].ID != "A1" {
-		t.Fatalf("audio order = %v", m.AudioOrder)
-	}
-	if m.NumChunks() != content.NumChunks() || m.ChunkDur() != time.Second {
-		t.Errorf("chunks = %d/%v", m.NumChunks(), m.ChunkDur())
+	if m.Content.ChunkDuration != time.Second {
+		t.Errorf("chunk duration = %v, want 1s", m.Content.ChunkDuration)
 	}
 	// Recovered bitrates must be near the true per-track averages — the
 	// §4.1 point: the information IS available one level down.
@@ -297,5 +290,128 @@ func TestFetchCombinationsOutOfBand(t *testing.T) {
 func TestFetchCombinationsErrors(t *testing.T) {
 	if _, err := FetchCombinations(context.Background(), nil, "http://127.0.0.1:1", &Manifest{}); err == nil {
 		t.Error("unreachable origin should fail")
+	}
+}
+
+// shapedContent is a 12 s title with explicit per-type chunk tables on the
+// millisecond grid both manifests can carry exactly.
+func shapedContent(t *testing.T, video, audio []time.Duration) *media.Content {
+	t.Helper()
+	c, err := media.NewContent(media.ContentSpec{
+		Name:          "shaped",
+		Duration:      12 * time.Second,
+		ChunkDuration: 2 * time.Second,
+		VideoTracks:   media.DramaVideoLadder(),
+		AudioTracks:   media.DramaAudioLadder(),
+		Model:         media.CBRChunkModel(),
+		VideoChunks:   video,
+		AudioChunks:   audio,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// shapedChunks is an irregular table summing to 12 s.
+func shapedChunks() []time.Duration {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	return []time.Duration{ms(1500), ms(2250), ms(750), ms(3000), ms(1500), ms(2000), ms(1000)}
+}
+
+// checkContent fails unless got has want's ladders (IDs and types in
+// order, and the declared bitrates when exact) and, for both types, want's
+// chunk timeline: exactly when exact, else every chunk duration within
+// half a millisecond (EXTINF's precision).
+func checkContent(t *testing.T, got, want *media.Content, exact bool) {
+	t.Helper()
+	for _, l := range [][2]media.Ladder{{got.VideoTracks, want.VideoTracks}, {got.AudioTracks, want.AudioTracks}} {
+		if len(l[0]) != len(l[1]) {
+			t.Fatalf("ladder %v, want %v", l[0].IDs(), l[1].IDs())
+		}
+		for i, tr := range l[0] {
+			w := l[1][i]
+			if tr.ID != w.ID || tr.Type != w.Type || (exact && tr.DeclaredBitrate != w.DeclaredBitrate) {
+				t.Errorf("track %d = %s %s %v, want %s %s %v", i, tr.ID, tr.Type, tr.DeclaredBitrate, w.ID, w.Type, w.DeclaredBitrate)
+			}
+		}
+	}
+	for _, typ := range []media.Type{media.Video, media.Audio} {
+		g, w := got.ChunkTimeline(typ), want.ChunkTimeline(typ)
+		if exact {
+			if !slices.Equal(g, w) {
+				t.Errorf("%s timeline %v, want %v", typ, g, w)
+			}
+			continue
+		}
+		if len(g) != len(w) {
+			t.Fatalf("%s timeline has %d chunks, want %d", typ, len(g)-1, len(w)-1)
+		}
+		for i := 1; i < len(g); i++ {
+			if d := (g[i] - g[i-1]) - (w[i] - w[i-1]); d < -time.Millisecond/2 || d > time.Millisecond/2 {
+				t.Errorf("%s chunk %d lasts %v, want %v", typ, i-1, g[i]-g[i-1], w[i]-w[i-1])
+			}
+		}
+	}
+}
+
+// TestManifestsReadBackTheOriginContent is the structural half of the
+// sim-vs-real oracle: the content the client reads from the origin's MPD
+// is the content the origin serves, and the content it reads from the HLS
+// playlists has the same tracks and timelines.
+func TestManifestsReadBackTheOriginContent(t *testing.T) {
+	tiny := tinyContent()
+	a := tiny.AudioTracks
+	for _, tc := range []struct {
+		name    string
+		content *media.Content
+		opts    originserver.Options
+	}{
+		{"uniform", tiny, originserver.Options{}},
+		{"shaped aligned", shapedContent(t, shapedChunks(), shapedChunks()), originserver.Options{}},
+		// The client's ladders ascend by bitrate whatever order the master
+		// lists its renditions in.
+		{"renditions high to low", tiny, originserver.Options{AudioOrder: []*media.Track{a[2], a[1], a[0]}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(originserver.New(tc.content, tc.opts).Handler())
+			defer srv.Close()
+			m, err := FetchManifest(context.Background(), srv.Client(), srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkContent(t, m.Content, tc.content, true)
+			h, err := FetchHLS(context.Background(), srv.Client(), srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkContent(t, h.Content, tc.content, false)
+		})
+	}
+}
+
+func TestMisalignedTimelinesAreRefused(t *testing.T) {
+	// Irregular video chunks over uniform 2 s audio: a faithful read of the
+	// MPD, which this joint-index client then refuses to stream. The HLS
+	// playlists differ in segment count, so cutting both to the shortest
+	// leaves timelines of different lengths.
+	content := shapedContent(t, shapedChunks(), nil)
+	srv := httptest.NewServer(originserver.New(content, originserver.Options{}).Handler())
+	defer srv.Close()
+	m, err := FetchManifest(context.Background(), srv.Client(), srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkContent(t, m.Content, content, true)
+	_, err = Stream(context.Background(), m, Config{
+		BaseURL:    srv.URL,
+		Model:      &pinned{combo: lowCombo(m)},
+		HTTPClient: srv.Client(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "timelines disagree") {
+		t.Fatalf("misaligned DASH stream: %v", err)
+	}
+	if _, err := FetchHLS(context.Background(), srv.Client(), srv.URL); err == nil || !strings.Contains(err.Error(), "timelines disagree") {
+		t.Fatalf("misaligned HLS playlists: %v", err)
 	}
 }

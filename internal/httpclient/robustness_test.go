@@ -2,6 +2,7 @@ package httpclient
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"demuxabr/internal/abr"
 	"demuxabr/internal/faults"
 	"demuxabr/internal/manifest/dash"
+	"demuxabr/internal/manifest/hls"
 	"demuxabr/internal/media"
 	"demuxabr/internal/originserver"
 )
@@ -79,7 +81,7 @@ func fastPolicy() *faults.Policy {
 }
 
 func lowCombo(m *Manifest) media.Combo {
-	return media.Combo{Video: m.Video[0], Audio: m.Audio[0]}
+	return media.Combo{Video: m.Content.VideoTracks[0], Audio: m.Content.AudioTracks[0]}
 }
 
 func TestManifestFetchFailureSurfacesStatus(t *testing.T) {
@@ -333,10 +335,10 @@ func TestFetchManifestHonorsPerSetTemplates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.SegmentPath(m.Video[2], 7); got != "media/v/V3-7.m4s" {
+	if got := m.SegmentPath(m.Content.VideoTracks[2], 7); got != "media/v/V3-7.m4s" {
 		t.Errorf("video segment path = %q", got)
 	}
-	if got := m.SegmentPath(m.Audio[1], 0); got != "media/a/A2-0.m4s" {
+	if got := m.SegmentPath(m.Content.AudioTracks[1], 0); got != "media/a/A2-0.m4s" {
 		t.Errorf("audio segment path = %q", got)
 	}
 }
@@ -353,22 +355,102 @@ func TestFetchManifestRejectsUnaddressableTemplate(t *testing.T) {
 	}
 }
 
-func TestHLSNumChunksIsMinAcrossTracks(t *testing.T) {
-	// An encoder cut one track short: only positions every track can serve
-	// are playable. The old implementation returned whichever track the map
-	// range visited first.
-	m := &HLSManifest{segURIs: map[string][]string{
-		"V1": {"a", "b", "c", "d", "e"},
-		"V2": {"a", "b", "c"},
-		"A1": {"a", "b", "c", "d"},
-	}}
-	for i := 0; i < 20; i++ { // map order is randomized; exercise it
-		if got := m.NumChunks(); got != 3 {
-			t.Fatalf("NumChunks = %d, want 3 (shortest track)", got)
-		}
+func TestFetchManifestRejectsDuplicateRepresentationIDs(t *testing.T) {
+	// Segment addresses, the blacklist and failover all key tracks by ID, so
+	// two Representations sharing one would stream each other's segments.
+	content := tinyContent()
+	srv := mutatedMPDServer(t, content, func(mpd *dash.MPD) {
+		mpd.Periods[0].AdaptationSets[0].Representations[1].ID = "V1"
+	})
+	defer srv.Close()
+	_, err := FetchManifest(context.Background(), srv.Client(), srv.URL)
+	if err == nil || !strings.Contains(err.Error(), "duplicate track ID") {
+		t.Fatalf("duplicate Representation@id accepted: %v", err)
 	}
-	if got := (&HLSManifest{segURIs: map[string][]string{}}).NumChunks(); got != 0 {
-		t.Fatalf("empty manifest NumChunks = %d", got)
+}
+
+// encoder is a master or media playlist.
+type encoder interface{ Encode(io.Writer) error }
+
+// mutatedHLSServer serves each playlist in playlists at its request path,
+// and everything else (segments, untouched playlists) from the faithful
+// origin.
+func mutatedHLSServer(t *testing.T, content *media.Content, playlists map[string]encoder) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	for path, pl := range playlists {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/vnd.apple.mpegurl")
+			if err := pl.Encode(w); err != nil {
+				t.Errorf("encode %s: %v", path, err)
+			}
+		})
+	}
+	mux.Handle("/", originserver.New(content, originserver.Options{}).Handler())
+	return httptest.NewServer(mux)
+}
+
+func TestFetchHLSRejectsDuplicateTrackIDs(t *testing.T) {
+	// Track IDs come from the playlist base name (video) and the rendition
+	// NAME (audio); two playlists mapping to one ID would share a segment
+	// list, so a variant could stream another track's segments while
+	// declaring its own bitrate.
+	content := tinyContent()
+	for _, tc := range []struct {
+		name string
+		edit func(*hls.MasterPlaylist, map[string]encoder)
+	}{
+		{"same video base name", func(m *hls.MasterPlaylist, playlists map[string]encoder) {
+			m.Variants[1].URI = "alt/V1.m3u8"
+			playlists["/alt/V1.m3u8"] = hls.GenerateMedia(content, content.VideoTracks[1], hls.SegmentFiles, true)
+		}},
+		{"rendition named like a video track", func(m *hls.MasterPlaylist, _ map[string]encoder) {
+			m.Renditions[0].Name = "V1"
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			master := hls.GenerateMaster(content, media.HSub(content), nil)
+			playlists := map[string]encoder{"/master.m3u8": master}
+			tc.edit(master, playlists)
+			srv := mutatedHLSServer(t, content, playlists)
+			defer srv.Close()
+			_, err := FetchHLS(context.Background(), srv.Client(), srv.URL)
+			if err == nil || !strings.Contains(err.Error(), "duplicate track ID") {
+				t.Fatalf("duplicate track ID accepted: %v", err)
+			}
+		})
+	}
+}
+
+func TestStreamHLSPlaysOnlyWhatEveryTrackServes(t *testing.T) {
+	// An encoder cut one track short: only positions every track can serve
+	// are playable, so the shortest media playlist sets the chunk count.
+	content := tinyContent()
+	short := hls.GenerateMedia(content, content.VideoTracks[1], hls.SegmentFiles, true)
+	short.Segments = short.Segments[:20]
+	srv := mutatedHLSServer(t, content, map[string]encoder{"/video/V2.m3u8": short})
+	defer srv.Close()
+	m, err := FetchHLS(context.Background(), srv.Client(), srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Stream(context.Background(), m, Config{
+		BaseURL:      srv.URL,
+		Model:        &pinned{combo: m.Variants[5]},
+		HTTPClient:   srv.Client(),
+		TargetBuffer: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Chunks) != 20 {
+		t.Fatalf("streamed %d chunks, want 20 (the cut-short track's count)", len(rep.Chunks))
+	}
+}
+
+func TestStreamZeroValueManifestErrors(t *testing.T) {
+	if _, err := Stream(context.Background(), &Manifest{}, Config{Model: &pinned{}}); err == nil {
+		t.Fatal("a manifest with no content streamed without error")
 	}
 }
 

@@ -91,14 +91,15 @@ func (st *SegmentTemplate) SegmentDurations(total time.Duration) ([]time.Duratio
 	if st.Timeline != nil {
 		var out []time.Duration
 		for i, s := range st.Timeline.S {
-			if s.D <= 0 {
+			d := toDur(s.D)
+			if d <= 0 {
 				return nil, fmt.Errorf("dash: SegmentTimeline S[%d] has non-positive duration", i)
 			}
 			if s.R < 0 {
 				return nil, fmt.Errorf("dash: SegmentTimeline S[%d] has negative repeat", i)
 			}
 			for k := int64(0); k <= s.R; k++ {
-				out = append(out, toDur(s.D))
+				out = append(out, d)
 			}
 		}
 		if len(out) == 0 {
@@ -110,6 +111,10 @@ func (st *SegmentTemplate) SegmentDurations(total time.Duration) ([]time.Duratio
 		return nil, fmt.Errorf("dash: SegmentTemplate has neither @duration nor a SegmentTimeline")
 	}
 	seg := toDur(st.Duration)
+	if seg <= 0 {
+		// A sub-nanosecond segment would never cover the total.
+		return nil, fmt.Errorf("dash: @duration %d at timescale %d is shorter than a nanosecond", st.Duration, st.Timescale)
+	}
 	var out []time.Duration
 	for covered := time.Duration(0); covered < total; covered += seg {
 		d := seg

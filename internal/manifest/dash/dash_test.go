@@ -220,6 +220,8 @@ func TestSegmentDurationsErrors(t *testing.T) {
 		{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 0}}}},
 		{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 5, R: -2}}}},
 		{Timescale: 1000, Timeline: &SegmentTimeline{}},
+		{Duration: 1, Timescale: 2_000_000_000},
+		{Timescale: 2_000_000_000, Timeline: &SegmentTimeline{S: []S{{D: 1}}}},
 	}
 	for i, st := range cases {
 		if _, err := st.SegmentDurations(10 * time.Second); err == nil {
