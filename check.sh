@@ -43,8 +43,10 @@
 #                    trajectory is always measurable
 #  13. allocs        the allocation ratchets (TestFleetAllocsPerSession's
 #                    allocs and bytes per session, TestComputeAllocs,
-#                    TestPlayAllocs' allocs and bytes per Play) without
-#                    the race detector, which skips them in step 3
+#                    TestPlayAllocs' allocs and bytes per Play, the
+#                    transport's TestConnReconnectStrikeAllocFree and the
+#                    edge's TestMissEvictSteadyStateAllocs) without the
+#                    race detector, which skips the first three in step 3
 #                    because it changes allocation counts
 #  14. fma off       the golden-bearing packages pass again with
 #                    GODEBUG=cpu.fma=off, without the race detector: on
@@ -140,8 +142,9 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, no race detector)"
-go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs' ./internal/fleet ./internal/qoe ./internal/core
+echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, allocs per reconnect and per edge miss, no race detector)"
+go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs' \
+	./internal/fleet ./internal/qoe ./internal/core ./internal/netsim ./internal/cdnsim
 
 echo "== golden tests with FMA off (GODEBUG=cpu.fma=off, no race detector)"
 GODEBUG=cpu.fma=off go test -count=1 ./cmd/paperfigs ./internal/manifest/... ./internal/timeline \

@@ -60,6 +60,36 @@ func TestWorkloadSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestMissEvictSteadyStateAllocs pins the edge's miss path: once the
+// cache has filled, a request that misses and evicts allocates nothing.
+// Before the intrusive list every miss boxed an entry and allocated a list
+// element.
+func TestMissEvictSteadyStateAllocs(t *testing.T) {
+	content := media.DramaShow()
+	st := trackStream(content, content.VideoTracks[len(content.VideoTracks)-1])
+	// A few chunks' room: every request of the cyclic stream misses and
+	// evicts the least recent chunk.
+	cache := NewCache(4 * st.sizes[0])
+	idx := 0
+	request := func() {
+		if cache.Request(Object{Key: st.keys[idx], Size: st.sizes[idx]}) {
+			t.Fatalf("chunk %d hit; the stream must miss on every request", idx)
+		}
+		idx = (idx + 1) % len(st.keys)
+	}
+	for range st.keys {
+		request() // fill the slots, the free chain and the index
+	}
+	before := cache.Stats()
+	allocs := testing.AllocsPerRun(1000, request)
+	if ev := cache.Stats().Evictions - before.Evictions; ev < 1000 {
+		t.Fatalf("%d evictions over 1001 misses: the stream no longer evicts", ev)
+	}
+	if allocs != 0 {
+		t.Errorf("a warm miss that evicts allocates %.2f objects, want 0", allocs)
+	}
+}
+
 // TestCacheSweepParallelMatchesSerial: the fan-out must reproduce the
 // serial sweep cell-for-cell.
 func TestCacheSweepParallelMatchesSerial(t *testing.T) {

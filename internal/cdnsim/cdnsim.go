@@ -13,7 +13,6 @@
 package cdnsim
 
 import (
-	"container/list"
 	"strconv"
 	"sync"
 
@@ -66,17 +65,35 @@ func (s Stats) ByteHitRatio() float64 {
 }
 
 // Cache is an LRU byte-capacity cache — the CDN edge.
+//
+// The recency list is intrusive: cached objects live in the nodes slice
+// and are linked by slot index, most recent at head, least recent at
+// tail. An eviction puts its slot on a free chain that the next insert
+// takes, so the slice grows only to the most objects ever cached at once,
+// and a warm miss, even one that evicts, allocates nothing. index maps a
+// key to its slot; the keys are the interned strings of the per-process
+// key tables, so the map holds no copies.
 type Cache struct {
 	capacity int64
 	used     int64
-	lru      *list.List // front = most recent
-	entries  map[string]*list.Element
-	stats    Stats
+	nodes    []node
+	// head and tail are the most and least recently used slots, free the
+	// first vacated one; none is -1 when there is no such slot.
+	head, tail, free int32
+	index            map[string]int32
+	stats            Stats
 }
 
-type entry struct {
-	obj Object
+// node is one cached object. prev and next link it into the recency list
+// (next alone into the free chain once it is evicted); -1 ends a list.
+type node struct {
+	key        string
+	size       int64
+	prev, next int32
 }
+
+// none is the slot index that ends a list.
+const none = -1
 
 // NewCache creates an LRU cache holding up to capacity bytes.
 func NewCache(capacity int64) *Cache {
@@ -85,8 +102,10 @@ func NewCache(capacity int64) *Cache {
 	}
 	return &Cache{
 		capacity: capacity,
-		lru:      list.New(),
-		entries:  make(map[string]*list.Element),
+		head:     none,
+		tail:     none,
+		free:     none,
+		index:    make(map[string]int32),
 	}
 }
 
@@ -99,7 +118,7 @@ func (c *Cache) Used() int64 { return c.used }
 // Contains reports whether an object is currently cached, without touching
 // recency or counters.
 func (c *Cache) Contains(key string) bool {
-	_, ok := c.entries[key]
+	_, ok := c.index[key]
 	return ok
 }
 
@@ -109,8 +128,9 @@ func (c *Cache) Contains(key string) bool {
 func (c *Cache) Request(obj Object) (hit bool) {
 	c.stats.Requests++
 	c.stats.BytesServed += obj.Size
-	if el, ok := c.entries[obj.Key]; ok {
-		c.lru.MoveToFront(el)
+	if i, ok := c.index[obj.Key]; ok {
+		c.unlink(i)
+		c.pushFront(i)
 		c.stats.Hits++
 		return true
 	}
@@ -119,20 +139,55 @@ func (c *Cache) Request(obj Object) (hit bool) {
 	if obj.Size > c.capacity {
 		return false
 	}
-	for c.used+obj.Size > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(entry)
-		c.used -= ev.obj.Size
-		delete(c.entries, ev.obj.Key)
-		c.lru.Remove(back)
+	for c.used+obj.Size > c.capacity && c.tail != none {
+		i := c.tail
+		n := &c.nodes[i]
+		c.used -= n.size
+		delete(c.index, n.key)
+		c.unlink(i)
+		*n = node{next: c.free}
+		c.free = i
 		c.stats.Evictions++
 	}
-	c.entries[obj.Key] = c.lru.PushFront(entry{obj: obj})
+	i := c.free
+	if i != none {
+		c.free = c.nodes[i].next
+	} else {
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, node{})
+	}
+	c.nodes[i] = node{key: obj.Key, size: obj.Size}
+	c.pushFront(i)
+	c.index[obj.Key] = i
 	c.used += obj.Size
 	return false
+}
+
+// unlink takes slot i out of the recency list.
+func (c *Cache) unlink(i int32) {
+	n := &c.nodes[i]
+	if n.prev != none {
+		c.nodes[n.prev].next = n.next
+	} else {
+		c.head = n.next
+	}
+	if n.next != none {
+		c.nodes[n.next].prev = n.prev
+	} else {
+		c.tail = n.prev
+	}
+}
+
+// pushFront makes slot i the most recently used.
+func (c *Cache) pushFront(i int32) {
+	n := &c.nodes[i]
+	n.prev, n.next = none, c.head
+	if c.head != none {
+		c.nodes[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
 }
 
 // Mode selects muxed or demuxed packaging at the origin.

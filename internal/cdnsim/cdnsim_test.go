@@ -1,7 +1,10 @@
 package cdnsim
 
 import (
+	"container/list"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -262,5 +265,113 @@ func TestContains(t *testing.T) {
 	}
 	if got := c.Stats(); got != before {
 		t.Errorf("Contains mutated stats: %+v vs %+v", got, before)
+	}
+}
+
+// listCache is the reference LRU: the container/list implementation Cache
+// replaced, kept to check the intrusive list against.
+type listCache struct {
+	capacity int64
+	used     int64
+	lru      *list.List // front = most recent; values are Objects
+	entries  map[string]*list.Element
+	stats    Stats
+}
+
+func newListCache(capacity int64) *listCache {
+	return &listCache{capacity: capacity, lru: list.New(), entries: make(map[string]*list.Element)}
+}
+
+func (c *listCache) Request(obj Object) (hit bool) {
+	c.stats.Requests++
+	c.stats.BytesServed += obj.Size
+	if el, ok := c.entries[obj.Key]; ok {
+		c.lru.MoveToFront(el)
+		c.stats.Hits++
+		return true
+	}
+	c.stats.Misses++
+	c.stats.BytesOrigin += obj.Size
+	if obj.Size > c.capacity {
+		return false
+	}
+	for c.used+obj.Size > c.capacity {
+		back := c.lru.Back()
+		if back == nil {
+			break
+		}
+		ev := back.Value.(Object)
+		c.used -= ev.Size
+		delete(c.entries, ev.Key)
+		c.lru.Remove(back)
+		c.stats.Evictions++
+	}
+	c.entries[obj.Key] = c.lru.PushFront(obj)
+	c.used += obj.Size
+	return false
+}
+
+// keys lists the cached keys from most to least recently used.
+func (c *listCache) keys() []string {
+	var out []string
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(Object).Key)
+	}
+	return out
+}
+
+// recency lists the cached keys from most to least recently used, walking
+// the intrusive list both ways to check its back links.
+func (c *Cache) recency(t *testing.T) []string {
+	var out []string
+	for i := c.head; i != none; i = c.nodes[i].next {
+		out = append(out, c.nodes[i].key)
+	}
+	var back []string
+	for i := c.tail; i != none; i = c.nodes[i].prev {
+		back = append(back, c.nodes[i].key)
+	}
+	slices.Reverse(back)
+	if !slices.Equal(out, back) {
+		t.Fatalf("recency list forward %v, backward %v", out, back)
+	}
+	return out
+}
+
+// TestCacheMatchesListLRU replays seeded random request streams through
+// Cache and the reference listCache: every hit, the recency order (and so
+// the eviction order), Used and Stats must agree after every request.
+// Streams mix hot and cold keys, capacities that hold a few objects or
+// most of them, and objects larger than the whole cache.
+func TestCacheMatchesListLRU(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := int64(200 + rng.Intn(4000))
+		nkeys := 4 + rng.Intn(60)
+		sizes := make([]int64, nkeys)
+		for k := range sizes {
+			sizes[k] = 1 + rng.Int63n(capacity*5/4) // some exceed the capacity
+		}
+		got, want := NewCache(capacity), newListCache(capacity)
+		for n := 0; n < 2000; n++ {
+			k := rng.Intn(nkeys)
+			if rng.Intn(2) == 0 {
+				k = rng.Intn(1 + nkeys/4) // hot keys
+			}
+			obj := Object{Key: fmt.Sprintf("k%d", k), Size: sizes[k]}
+			if g, w := got.Request(obj), want.Request(obj); g != w {
+				t.Fatalf("seed %d, request %d (%v): hit %v, reference %v", seed, n, obj, g, w)
+			}
+			if g, w := got.recency(t), want.keys(); !slices.Equal(g, w) {
+				t.Fatalf("seed %d, request %d: recency %v, reference %v", seed, n, g, w)
+			}
+			if got.Used() != want.used || got.Stats() != want.stats {
+				t.Fatalf("seed %d, request %d: used %d stats %+v, reference used %d stats %+v",
+					seed, n, got.Used(), got.Stats(), want.used, want.stats)
+			}
+		}
+		if got.Stats().Evictions == 0 {
+			t.Fatalf("seed %d: the stream never evicted", seed)
+		}
 	}
 }

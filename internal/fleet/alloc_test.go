@@ -9,30 +9,30 @@ import (
 
 	"demuxabr/internal/cdnsim"
 	"demuxabr/internal/core"
+	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
+	"demuxabr/internal/netsim"
 	"demuxabr/internal/trace"
 )
 
-// allocsPerSessionPin and bytesPerSessionPin are the ratchets for
-// TestFleetAllocsPerSession: the allocations and the bytes allocated per
-// session of its fleet, request lifecycle included. Lower them when a
-// change cuts allocations; never raise them to make a regression pass.
-const (
-	allocsPerSessionPin = 121
-	bytesPerSessionPin  = 46_600
-)
-
-// TestFleetAllocsPerSession pins the allocations per session of a small
-// streaming fleet shaped like the benchmark's fleet-vod: the four joint
-// models behind one uplink and edge, in 16-session cells, aggregated by
-// the streaming path. allocs/op is deterministic, so any regression in
-// the request lifecycle or the aggregation shows here (the manifests are
-// parsed once per process, in the warm-up run). Bytes per session are
-// read from runtime.MemStats.TotalAlloc over one warm run. The race
-// detector changes allocation counts, so the test is built only without
-// it (check.sh runs it in a step of its own).
+// TestFleetAllocsPerSession pins the allocations and the bytes allocated
+// per session of two small streaming fleets shaped like the benchmark's
+// fleet workloads, request lifecycle included: the four joint models
+// behind one uplink and edge, in 16-session cells, aggregated by the
+// streaming path. The vod row is fleet-vod's deployment; the resilient row
+// turns on every optional request stage as fleet-resilient does (H1
+// connections that idle out and lose packets, a fault plan over every
+// kind, the default retry policy, an edge that evicts).
+//
+// allocs/op is deterministic, so any regression in the request stages or
+// the aggregation shows here (the manifests are parsed once per process,
+// in the warm-up run). Bytes per session are read from
+// runtime.MemStats.TotalAlloc over one warm run. The pins are ratchets:
+// lower them when a change cuts allocations; never raise them to make a
+// regression pass. The race detector changes allocation counts, so the
+// test is built only without it (check.sh runs it in a step of its own).
 func TestFleetAllocsPerSession(t *testing.T) {
-	cfg := Config{
+	vod := Config{
 		Content:       media.DramaShow(),
 		Sessions:      32,
 		Mix:           []core.PlayerKind{core.BestPractice, core.BolaJoint, core.MPCJoint, core.DynamicJoint},
@@ -47,29 +47,57 @@ func TestFleetAllocsPerSession(t *testing.T) {
 		Shards:        1,
 		MaxRetained:   -1,
 	}
-	var err error
-	allocs := testing.AllocsPerRun(3, func() { _, err = Run(cfg) })
-	if err != nil {
-		t.Fatal(err)
+	resilient := vod
+	resilient.CacheBytes = 8 << 20
+	tc := netsim.DefaultTransport(netsim.H1)
+	tc.IdleTimeout = 700 * time.Millisecond
+	tc.LossRate = 0.02
+	resilient.Transport = &tc
+	resilient.AccessRTT = 200 * time.Millisecond
+	resilient.FaultPlan = &faults.Plan{
+		Seed:  17,
+		Rate:  0.02,
+		Kinds: append(faults.AllKinds(), faults.TransportKinds()...),
 	}
-	perSession := allocs / float64(cfg.Sessions)
-	t.Logf("%.1f allocs per session", perSession)
-	if perSession > allocsPerSessionPin {
-		t.Errorf("%.1f allocs per session, pinned at %d", perSession, allocsPerSessionPin)
-	}
+	pol := faults.DefaultPolicy()
+	resilient.Robustness = &pol
 
-	// AllocsPerRun has warmed the process (manifests parsed, key tables
-	// built), so this run allocates only what every session does.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = Run(cfg)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Sessions)
-	t.Logf("%.0f bytes allocated per session", bytes)
-	if bytes > bytesPerSessionPin {
-		t.Errorf("%.0f bytes allocated per session, pinned at %d", bytes, bytesPerSessionPin)
+	for _, row := range []struct {
+		name              string
+		cfg               Config
+		allocPin, bytePin float64
+	}{
+		{"vod", vod, 66, 31_300},
+		{"resilient", resilient, 91, 32_100},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			var err error
+			allocs := testing.AllocsPerRun(3, func() { _, err = Run(cfg) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			perSession := allocs / float64(cfg.Sessions)
+			t.Logf("%.1f allocs per session", perSession)
+			if perSession > row.allocPin {
+				t.Errorf("%.1f allocs per session, pinned at %.0f", perSession, row.allocPin)
+			}
+
+			// AllocsPerRun has warmed the process (manifests parsed, key
+			// tables built), so this run allocates only what every
+			// session does.
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = Run(cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Sessions)
+			t.Logf("%.0f bytes allocated per session", bytes)
+			if bytes > row.bytePin {
+				t.Errorf("%.0f bytes allocated per session, pinned at %.0f", bytes, row.bytePin)
+			}
+		})
 	}
 }

@@ -374,8 +374,9 @@ func Run(cfg Config) (*Result, error) {
 
 	aggs, err := runpool.Map(shards, shards, func(sh int) (*shardAgg, error) {
 		agg := newShardAgg(&cfg, stream)
+		pool := new(player.Pool)
 		for ci := sh; ci < len(cells); ci += shards {
-			if err := runCell(&cfg, manifests, ci, len(cells), cells[ci], arrive, agg); err != nil {
+			if err := runCell(&cfg, manifests, ci, len(cells), cells[ci], arrive, agg, pool); err != nil {
 				return nil, err
 			}
 		}

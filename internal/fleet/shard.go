@@ -99,8 +99,9 @@ func (a *shardAgg) addSession(s SessionResult) {
 // arrival times. Each session's model is built from its Mix entry's parse
 // in manifests (see Config.parseManifests). For the default single cell
 // this is, step for step, the original whole-fleet loop — the
-// equivalence the shard tests pin.
-func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int, arrive []time.Duration, agg *shardAgg) error {
+// equivalence the shard tests pin. Sessions start through the shard's
+// pool, which its cells share one after another.
+func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int, arrive []time.Duration, agg *shardAgg, pool *player.Pool) error {
 	eng := netsim.NewEngine()
 	up := netsim.NewUplink(eng, cfg.UplinkProfile)
 	edge := cdnsim.NewEdge(cdnsim.NewCache(cfg.CacheBytes), cfg.Mode, cfg.Content, len(ids))
@@ -199,7 +200,7 @@ func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells in
 			},
 		}
 		eng.Schedule(arrive[id], func() {
-			if _, err := player.Start(leaf, leaf, pcfg); err != nil {
+			if _, err := pool.Start(leaf, leaf, pcfg); err != nil {
 				errs[li] = err
 			}
 		})
@@ -254,12 +255,16 @@ func mergeShards(cfg *Config, stream bool, numCells int, aggs []*shardAgg) (*Res
 	}
 
 	if stream {
-		acc := qoe.NewFleetAccumulator()
-		reservoir := stats.NewReservoir[SessionSample](sampledRows, cfg.Seed)
-		var jains []cellJain
-		for _, a := range aggs {
+		// Both merges are order-independent (integer bins, exact extremes,
+		// a bottom-k sample keyed by ID), so the first shard's accumulator
+		// and reservoir take the rest in place.
+		acc, reservoir := aggs[0].acc, aggs[0].reservoir
+		for _, a := range aggs[1:] {
 			acc.Merge(a.acc)
 			reservoir.Merge(a.reservoir)
+		}
+		var jains []cellJain
+		for _, a := range aggs {
 			jains = append(jains, a.jain...)
 		}
 		// Jain partials are float sums: fold them in cell-index order so

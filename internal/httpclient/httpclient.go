@@ -107,8 +107,8 @@ func drainAndClose(body io.ReadCloser) {
 }
 
 // FetchManifest downloads and parses baseURL/manifest.mpd, expanding each
-// AdaptationSet's SegmentTemplate into per-track segment paths. A nil
-// client uses http.DefaultClient.
+// AdaptationSet's SegmentTemplate into per-track segment paths numbered
+// from the template's FirstNumber. A nil client uses http.DefaultClient.
 func FetchManifest(ctx context.Context, client *http.Client, baseURL string) (*Manifest, error) {
 	if client == nil {
 		client = http.DefaultClient
@@ -132,6 +132,7 @@ func FetchManifest(ctx context.Context, client *http.Client, baseURL string) (*M
 	}
 	var segs [2][]time.Duration
 	var templates [2]string
+	var first [2]int64
 	// Each AdaptationSet carries its own SegmentTemplate; the set's
 	// declared content type says which ladder it addresses. No assumption
 	// is made about the template's path shape.
@@ -156,6 +157,7 @@ func FetchManifest(ctx context.Context, client *http.Client, baseURL string) (*M
 			return nil, fmt.Errorf("httpclient: %s AdaptationSet: %w", as.ContentType, err)
 		}
 		templates[typ] = st.Media
+		first[typ] = st.FirstNumber()
 	}
 	if templates[media.Video] == "" || templates[media.Audio] == "" {
 		return nil, fmt.Errorf("httpclient: MPD must declare one video and one audio AdaptationSet")
@@ -165,7 +167,7 @@ func FetchManifest(ctx context.Context, client *http.Client, baseURL string) (*M
 		tmpl := strings.ReplaceAll(templates[tr.Type], "$RepresentationID$", tr.ID)
 		uris := make([]string, len(segs[tr.Type]))
 		for i := range uris {
-			uris[i] = strings.ReplaceAll(tmpl, "$Number$", strconv.Itoa(i))
+			uris[i] = strings.ReplaceAll(tmpl, "$Number$", strconv.FormatInt(first[tr.Type]+int64(i), 10))
 		}
 		segURIs[tr.ID] = uris
 	}

@@ -1,15 +1,21 @@
 package httpclient
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"path"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"demuxabr/internal/abr/exoplayer"
 	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/manifest/dash"
 	"demuxabr/internal/media"
 	"demuxabr/internal/originserver"
 )
@@ -413,5 +419,90 @@ func TestMisalignedTimelinesAreRefused(t *testing.T) {
 	}
 	if _, err := FetchHLS(context.Background(), srv.Client(), srv.URL); err == nil || !strings.Contains(err.Error(), "timelines disagree") {
 		t.Fatalf("misaligned HLS playlists: %v", err)
+	}
+}
+
+// renumberedOrigin serves content the way an origin that numbers segments
+// from first does: its manifest declares startNumber="first" (or no
+// startNumber when absent, whose default is 1), and segment seg-N holds
+// chunk N-first; any other number is a 404.
+func renumberedOrigin(t *testing.T, content *media.Content, first int64, absent bool) *httptest.Server {
+	t.Helper()
+	var mpd bytes.Buffer
+	if err := dash.Generate(content).Encode(&mpd); err != nil {
+		t.Fatal(err)
+	}
+	attr := ` startNumber="` + strconv.FormatInt(first, 10) + `"`
+	if absent {
+		attr = ""
+	}
+	body := strings.ReplaceAll(mpd.String(), ` startNumber="0"`, attr)
+	declared := 2 // one SegmentTemplate per AdaptationSet
+	if absent {
+		declared = 0
+	}
+	if strings.Count(body, "startNumber") != declared {
+		t.Fatalf("manifest does not declare the wanted startNumber:\n%s", body)
+	}
+	origin := originserver.New(content, originserver.Options{}).Handler()
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/manifest.mpd" {
+			io.WriteString(w, body)
+			return
+		}
+		dir, seg := path.Split(r.URL.Path)
+		num, ok := strings.CutSuffix(strings.TrimPrefix(seg, "seg-"), ".m4s")
+		n, err := strconv.ParseInt(num, 10, 64)
+		if !ok || err != nil || n < first || n-first >= int64(content.NumChunks()) {
+			http.NotFound(w, r)
+			return
+		}
+		r2 := r.Clone(r.Context())
+		r2.URL.Path = dir + "seg-" + strconv.FormatInt(n-first, 10) + ".m4s"
+		origin.ServeHTTP(w, r2)
+	}))
+}
+
+// TestFetchManifestHonoursStartNumber: segment numbers start at the
+// manifest's @startNumber, and at 1 when the attribute is absent, so a
+// client streams every chunk from an origin that numbers from either.
+func TestFetchManifestHonoursStartNumber(t *testing.T) {
+	content := tinyContent()
+	for _, tc := range []struct {
+		name   string
+		first  int64
+		absent bool
+	}{
+		{"startNumber 5", 5, false},
+		{"startNumber absent", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := renumberedOrigin(t, content, tc.first, tc.absent)
+			defer srv.Close()
+			m, err := FetchManifest(context.Background(), srv.Client(), srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "video/V1/seg-" + strconv.FormatInt(tc.first+3, 10) + ".m4s"
+			if got := m.SegmentPath(m.Content.VideoTracks[0], 3); got != want {
+				t.Errorf("video segment path = %q, want %q", got, want)
+			}
+			want = "audio/A2/seg-" + strconv.FormatInt(tc.first, 10) + ".m4s"
+			if got := m.SegmentPath(m.Content.AudioTracks[1], 0); got != want {
+				t.Errorf("audio segment path = %q, want %q", got, want)
+			}
+			rep, err := Stream(context.Background(), m, Config{
+				BaseURL:      srv.URL,
+				Model:        exoplayer.NewDASH(m.Content.VideoTracks, m.Content.AudioTracks),
+				HTTPClient:   srv.Client(),
+				TargetBuffer: 30 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Chunks) != content.NumChunks() {
+				t.Fatalf("fetched %d chunks, want %d", len(rep.Chunks), content.NumChunks())
+			}
+		})
 	}
 }

@@ -57,12 +57,23 @@ type SegmentTemplate struct {
 	// Duration is the nominal segment duration in timescale units; 0 (and
 	// absent from the XML) when the timeline is declared variable — then
 	// the SegmentTimeline below is the sole, authoritative duration source.
-	Duration    int64 `xml:"duration,attr,omitempty"`
-	Timescale   int64 `xml:"timescale,attr"`
-	StartNumber int64 `xml:"startNumber,attr"`
+	Duration  int64 `xml:"duration,attr,omitempty"`
+	Timescale int64 `xml:"timescale,attr"`
+	// StartNumber is the $Number$ of the first segment; nil when the
+	// attribute is absent (see FirstNumber).
+	StartNumber *int64 `xml:"startNumber,attr"`
 	// Timeline, when present, carries the authoritative per-segment
 	// durations (irregular chunking, e.g. a short final chunk).
 	Timeline *SegmentTimeline `xml:"SegmentTimeline,omitempty"`
+}
+
+// FirstNumber returns the $Number$ of the first segment: @startNumber, or
+// 1 when the attribute is absent, the default of ISO/IEC 23009-1.
+func (st *SegmentTemplate) FirstNumber() int64 {
+	if st.StartNumber == nil {
+		return 1
+	}
+	return *st.StartNumber
 }
 
 // SegmentTimeline is the explicit duration list.
@@ -78,9 +89,19 @@ type S struct {
 	R int64 `xml:"r,attr,omitempty"`
 }
 
+// MaxSegments caps how many segments SegmentDurations expands one
+// SegmentTemplate into: about twelve days of one-second segments, and 8 MiB
+// of durations. A manifest from outside can declare any count (an
+// S@r of 1<<40, or a 1 ms @duration over a year), and the expansion
+// allocates one entry per segment, so a larger count is refused before
+// anything is allocated.
+const MaxSegments = 1 << 20
+
 // SegmentDurations expands a SegmentTemplate into per-segment durations.
 // With a Timeline the expansion is exact; otherwise every segment has the
-// nominal @duration and the caller's total bounds the count.
+// nominal @duration and the caller's total bounds the count (a total of 0,
+// as the linter passes when the MPD declares no duration, yields none).
+// Either way, more than MaxSegments segments is an error.
 func (st *SegmentTemplate) SegmentDurations(total time.Duration) ([]time.Duration, error) {
 	if st.Timescale <= 0 {
 		return nil, fmt.Errorf("dash: non-positive timescale")
@@ -89,21 +110,27 @@ func (st *SegmentTemplate) SegmentDurations(total time.Duration) ([]time.Duratio
 		return time.Duration(units) * time.Second / time.Duration(st.Timescale)
 	}
 	if st.Timeline != nil {
-		var out []time.Duration
+		n := int64(0)
 		for i, s := range st.Timeline.S {
-			d := toDur(s.D)
-			if d <= 0 {
+			if toDur(s.D) <= 0 {
 				return nil, fmt.Errorf("dash: SegmentTimeline S[%d] has non-positive duration", i)
 			}
 			if s.R < 0 {
 				return nil, fmt.Errorf("dash: SegmentTimeline S[%d] has negative repeat", i)
 			}
-			for k := int64(0); k <= s.R; k++ {
-				out = append(out, d)
+			if s.R >= MaxSegments-n {
+				return nil, fmt.Errorf("dash: SegmentTimeline declares more than %d segments", MaxSegments)
 			}
+			n += 1 + s.R
 		}
-		if len(out) == 0 {
+		if n == 0 {
 			return nil, fmt.Errorf("dash: empty SegmentTimeline")
+		}
+		out := make([]time.Duration, 0, n)
+		for _, s := range st.Timeline.S {
+			for k := int64(0); k <= s.R; k++ {
+				out = append(out, toDur(s.D))
+			}
 		}
 		return out, nil
 	}
@@ -115,7 +142,17 @@ func (st *SegmentTemplate) SegmentDurations(total time.Duration) ([]time.Duratio
 		// A sub-nanosecond segment would never cover the total.
 		return nil, fmt.Errorf("dash: @duration %d at timescale %d is shorter than a nanosecond", st.Duration, st.Timescale)
 	}
-	var out []time.Duration
+	if total <= 0 {
+		return nil, nil
+	}
+	n := total / seg
+	if total%seg != 0 {
+		n++
+	}
+	if n > MaxSegments {
+		return nil, fmt.Errorf("dash: @duration %v over %v is more than %d segments", seg, total, MaxSegments)
+	}
+	out := make([]time.Duration, 0, n)
 	for covered := time.Duration(0); covered < total; covered += seg {
 		d := seg
 		if covered+d > total {
@@ -223,6 +260,7 @@ func Generate(c *media.Content) *MPD {
 			Initialization: "video/$RepresentationID$/init.mp4",
 			Duration:       nominalDurationFor(c, media.Video),
 			Timescale:      1000,
+			StartNumber:    new(int64), // the origin numbers segments from 0
 			Timeline:       timelineFor(c, media.Video),
 		},
 	}
@@ -245,6 +283,7 @@ func Generate(c *media.Content) *MPD {
 			Initialization: "audio/$RepresentationID$/init.mp4",
 			Duration:       nominalDurationFor(c, media.Audio),
 			Timescale:      1000,
+			StartNumber:    new(int64), // the origin numbers segments from 0
 			Timeline:       timelineFor(c, media.Audio),
 		},
 	}

@@ -2,6 +2,7 @@ package dash
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -214,18 +215,44 @@ func TestSegmentDurationsFromNominal(t *testing.T) {
 }
 
 func TestSegmentDurationsErrors(t *testing.T) {
-	cases := []*SegmentTemplate{
-		{Duration: 5000, Timescale: 0},
-		{Timescale: 1000},
-		{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 0}}}},
-		{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 5, R: -2}}}},
-		{Timescale: 1000, Timeline: &SegmentTimeline{}},
-		{Duration: 1, Timescale: 2_000_000_000},
-		{Timescale: 2_000_000_000, Timeline: &SegmentTimeline{S: []S{{D: 1}}}},
+	const total = 10 * time.Second
+	cases := []struct {
+		st    *SegmentTemplate
+		total time.Duration
+	}{
+		{&SegmentTemplate{Duration: 5000, Timescale: 0}, total},
+		{&SegmentTemplate{Timescale: 1000}, total},
+		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 0}}}}, total},
+		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 5, R: -2}}}}, total},
+		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{}}, total},
+		{&SegmentTemplate{Duration: 1, Timescale: 2_000_000_000}, total},
+		{&SegmentTemplate{Timescale: 2_000_000_000, Timeline: &SegmentTimeline{S: []S{{D: 1}}}}, total},
+		// Counts past MaxSegments are refused before anything is allocated.
+		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 1000, R: 1 << 40}}}}, total},
+		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 1000, R: math.MaxInt64}}}}, total},
+		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 1000, R: MaxSegments / 2}, {D: 1000, R: MaxSegments / 2}}}}, total},
+		{&SegmentTemplate{Duration: 1, Timescale: 1000}, 100_000 * time.Hour},
 	}
-	for i, st := range cases {
-		if _, err := st.SegmentDurations(10 * time.Second); err == nil {
+	for i, c := range cases {
+		if _, err := c.st.SegmentDurations(c.total); err == nil {
 			t.Errorf("case %d should fail", i)
+		}
+	}
+}
+
+// TestSegmentDurationsAtCap: exactly MaxSegments segments still expand,
+// in both forms.
+func TestSegmentDurationsAtCap(t *testing.T) {
+	for _, c := range []struct {
+		st    *SegmentTemplate
+		total time.Duration
+	}{
+		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 1000}, {D: 1000, R: MaxSegments - 2}}}}, 0},
+		{&SegmentTemplate{Duration: 1, Timescale: 1000}, MaxSegments * time.Millisecond},
+	} {
+		durs, err := c.st.SegmentDurations(c.total)
+		if err != nil || len(durs) != MaxSegments {
+			t.Errorf("%+v over %v: %d segments, err %v; want %d", c.st, c.total, len(durs), err, MaxSegments)
 		}
 	}
 }

@@ -246,3 +246,51 @@ func TestStrikeTimerHoldsReleasedTransfer(t *testing.T) {
 		t.Fatalf("HoL stalls = %d, want 2 (second and third requests)", got)
 	}
 }
+
+// TestConnReconnectStrikeAllocFree pins the transport's request path at
+// zero allocations: once warm, a request on a connection that idled out
+// reconnects at the resume price and takes a loss stall, without a
+// recorder, and allocates nothing. H1 stalls the one stream a loss hits;
+// H2 stalls both streams in flight on the shared connection.
+func TestConnReconnectStrikeAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		proto   Protocol
+		streams int
+	}{{H1, 1}, {H2, 2}} {
+		eng := NewEngine()
+		link := NewLink(eng, trace.Fixed(media.Kbps(8000)))
+		link.RTT = 50 * time.Millisecond
+		cfg := DefaultTransport(tc.proto)
+		cfg.IdleTimeout = 100 * time.Millisecond
+		cfg.LossRate = 1 // every request is struck when its first byte lands
+		conn := NewConn(link, cfg, "conn")
+		trs := make([]*Transfer, tc.streams)
+		request := func() {
+			for i := range trs {
+				trs[i] = conn.Start(50_000, StartOptions{})
+			}
+			if err := eng.Run(1000); err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range trs {
+				tr.Release()
+			}
+			eng.RunUntil(eng.Now() + 2*cfg.IdleTimeout) // the connection idles out
+		}
+		request() // the first-ever handshake binds the ticks and fills the pools
+		request()
+		before := conn.Stats()
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, request)
+		st := conn.Stats()
+		if got := st.Resumes - before.Resumes; got != runs+1 {
+			t.Fatalf("%v: %d resumes over %d requests: the connection did not idle out each time", tc.proto, got, runs+1)
+		}
+		if got := st.HoLStalls - before.HoLStalls; got < (runs+1)*tc.streams {
+			t.Fatalf("%v: %d HoL stalls over %d requests of %d streams", tc.proto, got, runs+1, tc.streams)
+		}
+		if allocs != 0 {
+			t.Errorf("%v: a warm reconnect with a loss stall allocates %.2f objects per request, want 0", tc.proto, allocs)
+		}
+	}
+}

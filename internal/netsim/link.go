@@ -155,6 +155,10 @@ type Transfer struct {
 	sampleEv     Handle
 	sampleTick   func() // sample, bound on first use
 	strikeTick   func() // transport loss strike, bound on first use
+	recoverTick  func() // loss recovery of the chain this heads, bound on first use
+	// stallNext links the transfer into a transport loss's chain: the
+	// streams one loss hit, then the ones it froze (see Conn.strike).
+	stallNext *Transfer
 
 	// released marks that the owner let go of the transfer (Release).
 	// holds counts the link-side references that can still reach it
@@ -265,6 +269,7 @@ func (l *Link) prepare(size int64, opts StartOptions) *Transfer {
 		activateTick: tr.activateTick,
 		sampleTick:   tr.sampleTick,
 		strikeTick:   tr.strikeTick,
+		recoverTick:  tr.recoverTick,
 	}
 	return tr
 }

@@ -157,6 +157,11 @@ type Conn struct {
 	everConnected bool
 	lastUsed      time.Duration
 	hsEv          Handle
+	// hsCost and hsResumed price the setup in progress; hsTick is its
+	// completion, bound once in NewConn so a reconnect allocates nothing.
+	hsCost    time.Duration
+	hsResumed bool
+	hsTick    func()
 
 	inflight int
 	live     []*Transfer // dispatched and not yet off the wire
@@ -173,7 +178,9 @@ func NewConn(l *Link, cfg TransportConfig, label string) *Conn {
 	if l == nil {
 		panic("netsim: nil link")
 	}
-	return &Conn{link: l, cfg: cfg, label: label}
+	c := &Conn{link: l, cfg: cfg, label: label}
+	c.hsTick = c.finishHandshake
+	return c
 }
 
 // SetRecorder attaches a flight recorder for handshake and HoL-stall
@@ -235,30 +242,32 @@ func (c *Conn) connect() {
 		c.drain()
 		return
 	}
-	cost := c.connectCost()
-	resumed := c.everConnected
-	finish := func() {
-		c.hsEv = Handle{}
-		c.handshaking = false
-		c.established = true
-		c.everConnected = true
-		if resumed {
-			c.stats.Resumes++
-		} else {
-			c.stats.Handshakes++
-		}
-		c.stats.HandshakeWait += cost
-		c.emitHandshake(cost, resumed)
-		c.drain()
-	}
-	if cost <= 0 {
+	c.hsCost = c.connectCost()
+	c.hsResumed = c.everConnected
+	if c.hsCost <= 0 {
 		// 0-RTT (or an RTT-free link): data flows immediately, but the
 		// resumption is still on the record.
-		finish()
+		c.finishHandshake()
 		return
 	}
 	c.handshaking = true
-	c.hsEv = c.link.eng.After(cost, finish)
+	c.hsEv = c.link.eng.After(c.hsCost, c.hsTick)
+}
+
+// finishHandshake completes the setup connect began and drains the queue.
+func (c *Conn) finishHandshake() {
+	c.hsEv = Handle{}
+	c.handshaking = false
+	c.established = true
+	c.everConnected = true
+	if c.hsResumed {
+		c.stats.Resumes++
+	} else {
+		c.stats.Handshakes++
+	}
+	c.stats.HandshakeWait += c.hsCost
+	c.emitHandshake()
+	c.drain()
 }
 
 // drain dispatches queued requests while stream slots are free.
@@ -308,6 +317,11 @@ func (c *Conn) lossDraw() bool {
 // freezes for RecoveryRTTs round trips, then resumes. H1 and H3 stall
 // only the stream the loss hit: H1 because each response owns its
 // connection, H3 because QUIC delivers streams independently.
+//
+// The streams a loss hits are chained through Transfer.stallNext, and
+// those it froze stay chained until one recovery timer resumes them all,
+// so a warm strike allocates nothing. A transfer is in at most one chain:
+// one that is frozen, or off the wire, is never hit.
 func (c *Conn) strike(tr *Transfer) {
 	if tr.completed || tr.cancelled {
 		return
@@ -316,25 +330,29 @@ func (c *Conn) strike(tr *Transfer) {
 	if recovery <= 0 {
 		return
 	}
-	var hit []*Transfer
+	// Suspend advances the link, and a completion it delivers may lead an
+	// owner to release a transfer still in the hit chain, or change c.live:
+	// the chain is a snapshot, and each transfer in it is held.
+	var hit chain
 	if c.cfg.Protocol == H2 {
 		for _, a := range c.live {
 			if !a.completed && !a.cancelled && !a.suspended {
-				hit = append(hit, a)
+				a.holds++
+				hit.push(a)
 			}
 		}
 	} else if !tr.suspended {
-		hit = append(hit, tr)
+		tr.holds++
+		hit.push(tr)
 	}
-	// Suspend advances the link, and a completion it delivers may lead an
-	// owner to release a transfer still listed in hit: hold them all.
-	for _, a := range hit {
-		a.holds++
-	}
-	var stalled []*Transfer
-	for _, a := range hit {
+	// The transfers this loss froze keep their hold for the recovery
+	// timer; the rest are released once every hit has been tried.
+	var stalled, spared chain
+	for a := hit.head; a != nil; {
+		next := a.stallNext
+		a.stallNext = nil
 		if c.link.Suspend(a) {
-			stalled = append(stalled, a)
+			stalled.push(a)
 			c.stats.HoLStalls++
 			c.stats.HoLWait += recovery
 			c.rec.Emit(timeline.Event{
@@ -346,27 +364,52 @@ func (c *Conn) strike(tr *Transfer) {
 				Index:  -1,
 				Detail: c.cfg.Protocol.String(),
 			})
+		} else {
+			spared.push(a)
 		}
+		a = next
 	}
-	for _, a := range stalled {
-		a.holds++ // released by the recovery timer
+	spared.release()
+	if first := stalled.head; first != nil {
+		if first.recoverTick == nil {
+			first.recoverTick = first.recover
+		}
+		c.link.eng.After(recovery, first.recoverTick)
 	}
-	for _, a := range hit {
+}
+
+// recover is the recovery timer strike sets on the first transfer a loss
+// froze: it resumes that transfer and every one chained after it, then
+// releases them.
+func (tr *Transfer) recover() {
+	for a := tr; a != nil; a = a.stallNext {
+		a.link.Resume(a)
+	}
+	(&chain{head: tr}).release()
+}
+
+// chain is a list of transfers linked through stallNext.
+type chain struct{ head, tail *Transfer }
+
+// push appends a transfer to the chain.
+func (ch *chain) push(a *Transfer) {
+	if ch.tail == nil {
+		ch.head = a
+	} else {
+		ch.tail.stallNext = a
+	}
+	ch.tail = a
+}
+
+// release unlinks the chain and drops the hold each transfer in it had.
+func (ch *chain) release() {
+	for a := ch.head; a != nil; {
+		next := a.stallNext
+		a.stallNext = nil
 		a.holds--
 		a.tryRecycle()
+		a = next
 	}
-	if len(stalled) == 0 {
-		return
-	}
-	c.link.eng.After(recovery, func() {
-		for _, a := range stalled {
-			c.link.Resume(a)
-		}
-		for _, a := range stalled {
-			a.holds--
-			a.tryRecycle()
-		}
-	})
 }
 
 // onDone is the link's notification that a transfer left the wire
@@ -439,9 +482,14 @@ func (c *Conn) Migrate() time.Duration {
 	return 0
 }
 
-func (c *Conn) emitHandshake(d time.Duration, resumed bool) {
+// emitHandshake records the setup that just completed. The detail string
+// is built only for a recorder that keeps it.
+func (c *Conn) emitHandshake() {
+	if !c.rec.Enabled() {
+		return
+	}
 	detail := c.cfg.Protocol.String()
-	if resumed {
+	if c.hsResumed {
 		if c.cfg.ResumeRTTs <= 0 {
 			detail += "-0rtt"
 		} else {
@@ -450,7 +498,7 @@ func (c *Conn) emitHandshake(d time.Duration, resumed bool) {
 	}
 	c.rec.Emit(timeline.Event{
 		At:     c.link.eng.Now(),
-		Dur:    d,
+		Dur:    c.hsCost,
 		Kind:   timeline.Handshake,
 		Type:   "transport",
 		Track:  c.label,

@@ -224,8 +224,12 @@ type Session struct {
 	// on the wire; cancelStream cancels that transfer and a timeout only
 	// acts on the current request's. It holds a reference (see request).
 	current [2]*request
-	// freeReqs recycles request records with their callbacks bound.
-	freeReqs []*request
+	// pool supplies request records and the buffer fold's sample array,
+	// and takes them back once the session is done with them. A session
+	// started without a Pool uses own, which recycles records within the
+	// session only and dies with it.
+	pool *Pool
+	own  Pool
 
 	// Robustness state.
 	pol *faults.Policy // normalized policy; nil = fail fast
@@ -297,8 +301,46 @@ func RunSplit(videoLink, audioLink *netsim.Link, cfg Config) (*Result, error) {
 // (possibly shared) engine, beginning at the engine's current time. The
 // caller drives the engine; the session reports completion via
 // Config.OnDone and Done. Deadline and MaxBuffer et al. are interpreted in
-// session time, so staggered arrivals need no config adjustments.
+// session time, so staggered arrivals need no config adjustments. The
+// session recycles its request records within itself only; a Pool's Start
+// shares them across sessions.
 func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
+	return start(videoLink, audioLink, cfg, nil)
+}
+
+// Pool recycles what finished requests and sessions leave behind for the
+// sessions started through it: request records, with their callbacks
+// bound, and the buffer fold's sample arrays. A fleet shard keeps one
+// for all its cells, so a warm session rebuilds neither. A Pool is used by
+// one goroutine only: every session started through it must run on
+// engines that goroutine drives. The zero Pool is ready to use.
+type Pool struct {
+	reqs []*request
+	mins [][]float64
+}
+
+// takeMins returns an empty sample array with room for n samples: the
+// last one the pool took back when it is large enough, else a new one.
+func (p *Pool) takeMins(n int) []float64 {
+	if k := len(p.mins); k > 0 {
+		m := p.mins[k-1]
+		p.mins[k-1] = nil
+		p.mins = p.mins[:k-1]
+		if cap(m) >= n {
+			return m
+		}
+	}
+	return make([]float64, 0, n)
+}
+
+// Start is the package-level Start, drawing on and returning to p.
+func (p *Pool) Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
+	return start(videoLink, audioLink, cfg, p)
+}
+
+// start builds and schedules a session drawing on p, or on a pool of its
+// own when p is nil.
+func start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) (*Session, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -309,6 +351,10 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 		cfg:     cfg,
 		eng:     videoLink.Engine(),
 		content: cfg.Content,
+		pool:    p,
+	}
+	if p == nil {
+		s.pool = &s.own
 	}
 	s.t0 = s.eng.Now()
 	s.links[media.Video] = videoLink
@@ -414,7 +460,7 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 	s.res.Chunks = make([]ChunkDecision, 0, s.numChunks[media.Video]-s.next[media.Video]+s.numChunks[media.Audio]-s.next[media.Audio])
 	samples := int((s.content.Duration - s.playPos) / logInterval)
 	samples += samples/32 + 2
-	s.res.buffers.mins = make([]float64, 0, samples)
+	s.res.buffers.mins = s.pool.takeMins(samples)
 	if cfg.KeepTimeline {
 		s.res.Timeline = make([]Sample, 0, samples)
 	}
@@ -606,7 +652,9 @@ func (s *Session) teardown() {
 	s.underrun = netsim.Handle{}
 	s.collectTransport()
 	s.collectLive()
-	s.res.buffers.seal()
+	if mins := s.res.buffers.seal(); s.pool != &s.own {
+		s.pool.mins = append(s.pool.mins, mins)
+	}
 }
 
 // collectTransport folds the connections' accounting into the result. An
@@ -1022,22 +1070,23 @@ type requestCallbacks struct {
 	onSample                   func(*netsim.Transfer, float64, time.Duration)
 }
 
-// newRequest takes a record from the freelist, or makes one, for an
-// attempt at chunk idx of stream t. The caller owns its first reference.
+// newRequest takes a record from the pool, or makes one, for an attempt
+// at chunk idx of stream t, and binds it to s. The caller owns its first
+// reference.
 func (s *Session) newRequest(t media.Type, idx int, track, muxedWith *media.Track, attempt int, then func()) *request {
 	var r *request
-	if k := len(s.freeReqs); k > 0 {
-		r = s.freeReqs[k-1]
-		s.freeReqs[k-1] = nil
-		s.freeReqs = s.freeReqs[:k-1]
+	if k := len(s.pool.reqs); k > 0 {
+		r = s.pool.reqs[k-1]
+		s.pool.reqs[k-1] = nil
+		s.pool.reqs = s.pool.reqs[:k-1]
 	} else {
-		r = &request{s: s}
+		r = &request{}
 		r.cb = requestCallbacks{
 			retry: r.retry, failFast: r.failFast, onTimeout: r.onTimeout,
 			onComplete: r.onComplete, onSample: r.onSample,
 		}
 	}
-	r.t, r.idx, r.track, r.muxedWith, r.attempt, r.gen, r.then = t, idx, track, muxedWith, attempt, s.gen[t], then
+	r.s, r.t, r.idx, r.track, r.muxedWith, r.attempt, r.gen, r.then = s, t, idx, track, muxedWith, attempt, s.gen[t], then
 	r.refs = 1
 	return r
 }
@@ -1047,19 +1096,19 @@ func (s *Session) newRequest(t media.Type, idx int, track, muxedWith *media.Trac
 // can check that recycling never changes a session.
 var recycleRequests = true
 
-// unref drops one reference; the last one recycles the record and
-// releases its transfer to the link.
+// unref drops one reference; the last one returns the record to the
+// session's pool and releases its transfer to the link.
 func (r *request) unref() {
 	r.refs--
 	if r.refs > 0 || !recycleRequests {
 		return
 	}
-	s := r.s
+	pool := r.s.pool
 	if r.tr != nil {
 		r.tr.Release()
 	}
-	*r = request{s: s, cb: r.cb}
-	s.freeReqs = append(s.freeReqs, r)
+	*r = request{cb: r.cb}
+	pool.reqs = append(pool.reqs, r)
 }
 
 // setCurrent makes r (nil for none) stream t's current request.

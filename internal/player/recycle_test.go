@@ -11,34 +11,46 @@ import (
 	"demuxabr/internal/trace"
 )
 
-// runRecycled plays one session twice, with request and transfer
-// recycling on and off, and requires identical results: a stale timer or
-// callback that reached a record or transfer after its reuse would make
-// the recycled run diverge (or double-fire a chunk). It returns the
-// recycled run's result and session.
-func runRecycled(t *testing.T, name string, play func() (*Session, *netsim.Engine)) (*Result, *Session) {
+// runRecycled plays one session three ways and requires identical
+// results: with request and transfer recycling off, with it on, and on a
+// pool an earlier run of the same session drained, so every record it
+// starts from was bound to another session. A stale timer or callback
+// that reached a record or transfer after its reuse, or state a record
+// carried from its previous session, would make a recycled run diverge
+// (or double-fire a chunk). It returns the last run's result and session.
+func runRecycled(t *testing.T, name string, play func(*Pool) (*Session, *netsim.Engine)) (*Result, *Session) {
 	t.Helper()
 	defer func() { recycleRequests = true }()
-	var results [2]*Result
-	var sessions [2]*Session
-	for i, on := range []bool{false, true} {
-		recycleRequests = on
-		s, eng := play()
+	run := func(pool *Pool) (*Result, *Session) {
+		s, eng := play(pool)
 		if err := eng.Run(s.cfg.MaxEvents); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		results[i], sessions[i] = s.Result(), s
+		return s.Result(), s
 	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Fatalf("%s: recycling changed the session:\nwithout %+v\nwith    %+v", name, results[0], results[1])
+	recycleRequests = false
+	want, _ := run(new(Pool))
+	recycleRequests = true
+	fresh, _ := run(new(Pool))
+	if !reflect.DeepEqual(want, fresh) {
+		t.Fatalf("%s: recycling changed the session:\nwithout %+v\nwith    %+v", name, want, fresh)
 	}
-	assertNoForkedChunks(t, name, results[1])
-	return results[1], sessions[1]
+	drained := new(Pool)
+	run(drained)
+	if len(drained.reqs) == 0 {
+		t.Fatalf("%s: the earlier session left no record in the pool", name)
+	}
+	res, s := run(drained)
+	if !reflect.DeepEqual(want, res) {
+		t.Fatalf("%s: a drained pool changed the session:\nfresh   %+v\ndrained %+v", name, want, res)
+	}
+	assertNoForkedChunks(t, name, res)
+	return res, s
 }
 
-// startOn starts a session on a fresh engine and link (split links when
-// split is set) and stops the engine when it ends.
-func startOn(t *testing.T, cfg Config, rate media.Bps, rtt time.Duration, split bool) (*Session, *netsim.Engine) {
+// startOn starts a session through pool on a fresh engine and link (split
+// links when split is set) and stops the engine when it ends.
+func startOn(t *testing.T, pool *Pool, cfg Config, rate media.Bps, rtt time.Duration, split bool) (*Session, *netsim.Engine) {
 	t.Helper()
 	eng := netsim.NewEngine()
 	video := netsim.NewLink(eng, trace.Fixed(rate))
@@ -49,7 +61,7 @@ func startOn(t *testing.T, cfg Config, rate media.Bps, rtt time.Duration, split 
 		audio.RTT = rtt
 	}
 	cfg.OnDone = func(*Session) { eng.Stop() }
-	s, err := Start(video, audio, cfg)
+	s, err := pool.Start(video, audio, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +88,8 @@ func TestRecycledRecordsUnreachedByStaleTimers(t *testing.T) {
 		eta := time.Duration(float64(size) * 8 / float64(rate) * float64(time.Second))
 		pol := faults.DefaultPolicy()
 		pol.RequestTimeout = eta
-		res, s := runRecycled(t, "race", func() (*Session, *netsim.Engine) {
-			return startOn(t, Config{
+		res, s := runRecycled(t, "race", func(pool *Pool) (*Session, *netsim.Engine) {
+			return startOn(t, pool, Config{
 				Content: c, Model: &fixedPerType{video: v, audio: a}, Robustness: &pol,
 			}, rate, 0, true)
 		})
@@ -91,7 +103,7 @@ func TestRecycledRecordsUnreachedByStaleTimers(t *testing.T) {
 		if first == nil || first.CompletedAt != eta {
 			t.Fatalf("video chunk 0 = %+v, want it completed at the timeout instant %v", first, eta)
 		}
-		if len(s.freeReqs) == 0 {
+		if len(s.pool.reqs) == 0 {
 			t.Fatal("no request record was recycled")
 		}
 	})
@@ -106,13 +118,13 @@ func TestRecycledRecordsUnreachedByStaleTimers(t *testing.T) {
 			"per-type":    {Model: &fixedPerType{video: v, audio: a}},
 			"sync-window": {Model: &fixedJoint{combo: lowestCombo(c)}, SyncWindow: 1},
 		} {
-			res, _ := runRecycled(t, name, func() (*Session, *netsim.Engine) {
+			res, _ := runRecycled(t, name, func(pool *Pool) (*Session, *netsim.Engine) {
 				cfg := model
 				cfg.Content = c
 				cfg.AudioResets = resets
 				cfg.FaultPlan = &faults.Plan{Seed: 3, Rate: 0.3, Kinds: []faults.Kind{faults.HTTP404}}
 				cfg.Robustness = &pol
-				return startOn(t, cfg, media.Kbps(5000), 100*time.Millisecond, false)
+				return startOn(t, pool, cfg, media.Kbps(5000), 100*time.Millisecond, false)
 			})
 			if res.Retries == 0 || len(res.AudioResets) == 0 || !res.Ended {
 				t.Fatalf("%s: retries %d, resets %d, ended %v: the scenario no longer exercises backoff across resets",
@@ -126,8 +138,8 @@ func TestRecycledRecordsUnreachedByStaleTimers(t *testing.T) {
 		tc.LossRate = 0.5
 		tc.Seed = 5
 		pol := faults.DefaultPolicy()
-		res, _ := runRecycled(t, "strike", func() (*Session, *netsim.Engine) {
-			return startOn(t, Config{
+		res, _ := runRecycled(t, "strike", func(pool *Pool) (*Session, *netsim.Engine) {
+			return startOn(t, pool, Config{
 				Content: c, Model: &fixedJoint{combo: lowestCombo(c)}, SyncWindow: 1,
 				Transport: &tc, Robustness: &pol,
 				FaultPlan: &faults.Plan{Seed: 9, Rate: 0.1, Kinds: []faults.Kind{faults.Reset, faults.Truncate, faults.HTTP503}},
@@ -152,7 +164,7 @@ func TestWarmChunkRequestAllocFree(t *testing.T) {
 	} {
 		cfg := model
 		cfg.Content = c
-		s, eng := startOn(t, cfg, media.Kbps(3000), 20*time.Millisecond, false)
+		s, eng := startOn(t, new(Pool), cfg, media.Kbps(3000), 20*time.Millisecond, false)
 		chunks := func(n int) {
 			for len(s.res.Chunks) < n && eng.Step() {
 			}
@@ -165,5 +177,100 @@ func TestWarmChunkRequestAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: a warm chunk request allocates %.2f objects, want 0", name, allocs)
 		}
+	}
+}
+
+// TestSharedPoolKeepsSessionsApart starts four sessions behind one
+// uplink, staggered as in a fleet cell, once through one shared Pool and
+// once through a Pool each. The results must be identical, and after every
+// event no request record may be reachable from two sessions: each live
+// session's current records are bound to it, no two sessions share one,
+// and none of them sits in the pool.
+func TestSharedPoolKeepsSessionsApart(t *testing.T) {
+	c := media.DramaShow()
+	v, a := c.VideoTracks[0], c.AudioTracks[0]
+	pol := faults.DefaultPolicy()
+	h1 := netsim.DefaultTransport(netsim.H1)
+	h1.LossRate, h1.Seed, h1.IdleTimeout = 0.3, 5, 700*time.Millisecond
+	var resets []time.Duration
+	for at := 7 * time.Second; at < c.Duration; at += 11 * time.Second {
+		resets = append(resets, at)
+	}
+	plan := func(seed int64) *faults.Plan {
+		return &faults.Plan{Seed: seed, Rate: 0.2, Kinds: []faults.Kind{faults.HTTP404, faults.Reset, faults.Truncate, faults.HTTP503}}
+	}
+	cfgs := []Config{
+		{Model: &fixedPerType{video: v, audio: a}, FaultPlan: plan(1), Robustness: &pol, AudioResets: resets},
+		{Model: &fixedJoint{combo: lowestCombo(c)}, SyncWindow: 1, Transport: &h1, FaultPlan: plan(2), Robustness: &pol},
+		{Model: &fixedJoint{combo: lowestCombo(c)}, FaultPlan: plan(3), Robustness: &pol},
+		{Model: &fixedPerType{video: c.VideoTracks[1], audio: a}, Transport: &h1, FaultPlan: plan(4), Robustness: &pol},
+	}
+	play := func(shared bool) []*Result {
+		eng := netsim.NewEngine()
+		up := netsim.NewUplink(eng, trace.Fixed(media.Kbps(8000)))
+		pool := new(Pool)
+		sessions := make([]*Session, len(cfgs))
+		for i, cfg := range cfgs {
+			p := pool
+			if !shared {
+				p = new(Pool)
+			}
+			leaf := up.NewLeaf(trace.Fixed(media.Kbps(4000)))
+			leaf.RTT = 50 * time.Millisecond
+			cfg.Content = c
+			eng.Schedule(time.Duration(i)*3*time.Second, func() {
+				s, err := p.Start(leaf, leaf, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sessions[i] = s
+			})
+		}
+		for eng.Step() {
+			owner := make(map[*request]*Session)
+			for _, s := range sessions {
+				if s == nil || s.ended {
+					continue
+				}
+				for _, r := range s.current {
+					if r == nil {
+						continue
+					}
+					if r.s != s || r.refs <= 0 {
+						t.Fatalf("at %v a current record is bound to %p with %d refs, want %p", eng.Now(), r.s, r.refs, s)
+					}
+					if other, ok := owner[r]; ok && other != s {
+						t.Fatalf("at %v one record is current in two live sessions", eng.Now())
+					}
+					owner[r] = s
+				}
+			}
+			for _, r := range pool.reqs {
+				if owner[r] != nil || r.s != nil || r.refs != 0 {
+					t.Fatalf("at %v a pooled record is bound to %p with %d refs", eng.Now(), r.s, r.refs)
+				}
+			}
+		}
+		out := make([]*Result, len(sessions))
+		for i, s := range sessions {
+			if !s.Done() {
+				t.Fatalf("session %d did not finish", i)
+			}
+			out[i] = s.Result()
+		}
+		if shared && len(pool.reqs) == 0 {
+			t.Fatal("the shared pool recycled no record")
+		}
+		return out
+	}
+	own, shared := play(false), play(true)
+	for i := range own {
+		if !reflect.DeepEqual(own[i], shared[i]) {
+			t.Fatalf("session %d: sharing the pool changed it:\nown    %+v\nshared %+v", i, own[i], shared[i])
+		}
+		assertNoForkedChunks(t, "shared pool", shared[i])
+	}
+	if own[1].Transport == nil || own[1].Transport.HoLStalls == 0 || own[0].Retries == 0 {
+		t.Fatal("the scenario no longer strikes or retries")
 	}
 }
