@@ -94,6 +94,37 @@ func TestLintMPDMissingBandwidth(t *testing.T) {
 	}
 }
 
+// TestLintMPDRefusedTemplateJSON lints an MPD whose video SegmentTimeline
+// carries a negative S@r, which clients refuse, with -json: it is a
+// warning, reported under dash-invalid-segment-template.
+func TestLintMPDRefusedTemplateJSON(t *testing.T) {
+	dir := t.TempDir()
+	mpd := writeFile(t, dir, "manifest.mpd", func(f *os.File) error {
+		m := dashpkg.Generate(media.DramaShow())
+		st := *m.Periods[0].AdaptationSets[0].SegmentTemplate
+		st.Timeline = &dashpkg.SegmentTimeline{S: []dashpkg.S{{D: st.Duration, R: -3}}}
+		m.Periods[0].AdaptationSets[0].SegmentTemplate = &st
+		return m.Encode(f)
+	})
+	var out bytes.Buffer
+	warnings, errs := run([]string{mpd}, true, &out, io.Discard)
+	if warnings == 0 || errs != 0 {
+		t.Fatalf("warnings = %d, errs = %d, want a warning and no error", warnings, errs)
+	}
+	var doc struct {
+		Findings []jsonFinding `json:"findings"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, out.String())
+	}
+	for _, f := range doc.Findings {
+		if f.Rule == "dash-invalid-segment-template" && f.Severity == "WARN" && strings.Contains(f.Message, "negative repeat") {
+			return
+		}
+	}
+	t.Fatalf("no dash-invalid-segment-template warning in %+v", doc.Findings)
+}
+
 // TestLintContinuesPastErrors is the regression test for the early-return
 // bug: a parse failure must not skip the remaining files.
 func TestLintContinuesPastErrors(t *testing.T) {

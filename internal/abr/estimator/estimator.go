@@ -125,6 +125,8 @@ type SlidingPercentile struct {
 	// Percentile in (0,1); ExoPlayer uses 0.5 (the weighted median).
 	Percentile float64
 
+	// samples and sorted are each allocated once, at percentileCap, on
+	// first use, and grow past it only if the window ever holds more.
 	samples     []weightedSample
 	totalWeight float64
 
@@ -140,6 +142,11 @@ type weightedSample struct {
 	weight float64
 }
 
+// percentileCap is the capacity a SlidingPercentile's arrays start at: at
+// the default MaxWeight a window of whole segments or live parts retains at
+// most seven samples, plus the one Add appends before it evicts.
+const percentileCap = 8
+
 // NewSlidingPercentile creates the percentile tracker with ExoPlayer's
 // defaults (max weight 2000, percentile 0.5).
 func NewSlidingPercentile() *SlidingPercentile {
@@ -150,6 +157,9 @@ func NewSlidingPercentile() *SlidingPercentile {
 func (p *SlidingPercentile) Add(weight, value float64) {
 	if weight <= 0 {
 		return
+	}
+	if p.samples == nil {
+		p.samples = make([]weightedSample, 0, percentileCap)
 	}
 	p.samples = append(p.samples, weightedSample{value: value, weight: weight})
 	p.sortedFresh = false
@@ -175,6 +185,9 @@ func (p *SlidingPercentile) Estimate() (float64, bool) {
 		return 0, false
 	}
 	if !p.sortedFresh {
+		if p.sorted == nil {
+			p.sorted = make([]weightedSample, 0, max(percentileCap, len(p.samples)))
+		}
 		p.sorted = append(p.sorted[:0], p.samples...)
 		slices.SortFunc(p.sorted, func(a, b weightedSample) int { return cmp.Compare(a.value, b.value) })
 		p.sortedFresh = true
@@ -253,6 +266,8 @@ type SlidingMean struct {
 	// Window is the number of samples averaged (dash.js VOD default 4).
 	Window int
 
+	// samples is allocated on the first Add with room for Window+1: one
+	// more than the window, for the sample Add appends before it trims.
 	samples []float64
 }
 
@@ -261,6 +276,9 @@ func NewSlidingMean() *SlidingMean { return &SlidingMean{Window: 4} }
 
 // Add records one per-segment throughput sample in bits/s.
 func (s *SlidingMean) Add(bps float64) {
+	if s.samples == nil {
+		s.samples = make([]float64, 0, max(s.Window, 0)+1)
+	}
 	s.samples = append(s.samples, bps)
 	if k := len(s.samples) - s.Window; k > 0 {
 		// In place, so the backing array is reused (see SlidingPercentile.Add).

@@ -109,6 +109,15 @@ func NewCache(capacity int64) *Cache {
 	}
 }
 
+// Reset empties the cache and zeroes its counters for another workload,
+// keeping its node slice and its index map's buckets.
+func (c *Cache) Reset() {
+	clear(c.index)
+	c.nodes = c.nodes[:0]
+	c.head, c.tail, c.free = none, none, none
+	c.used, c.stats = 0, Stats{}
+}
+
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -342,7 +342,8 @@ func (c *Cache) recency(t *testing.T) []string {
 // Cache and the reference listCache: every hit, the recency order (and so
 // the eviction order), Used and Stats must agree after every request.
 // Streams mix hot and cold keys, capacities that hold a few objects or
-// most of them, and objects larger than the whole cache.
+// most of them, and objects larger than the whole cache. Every other
+// stream runs on a cache that served another stream and was Reset.
 func TestCacheMatchesListLRU(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -353,6 +354,12 @@ func TestCacheMatchesListLRU(t *testing.T) {
 			sizes[k] = 1 + rng.Int63n(capacity*5/4) // some exceed the capacity
 		}
 		got, want := NewCache(capacity), newListCache(capacity)
+		if seed%2 == 0 {
+			for n := 0; n < 500; n++ {
+				got.Request(Object{Key: fmt.Sprintf("old%d", rng.Intn(nkeys)), Size: sizes[rng.Intn(nkeys)]})
+			}
+			got.Reset()
+		}
 		for n := 0; n < 2000; n++ {
 			k := rng.Intn(nkeys)
 			if rng.Intn(2) == 0 {

@@ -19,9 +19,9 @@ var playAllocsPin = []struct {
 	allocs float64
 	bytes  uint64
 }{
-	{DashJS, 107, 30_100},
-	{BestPractice, 110, 28_200},
-	{VBRJoint, 99, 27_600},
+	{DashJS, 101, 30_000},
+	{BestPractice, 99, 27_900},
+	{VBRJoint, 94, 27_400},
 }
 
 // TestPlayAllocs pins the allocations and the bytes allocated by one warm

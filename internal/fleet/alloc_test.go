@@ -67,8 +67,8 @@ func TestFleetAllocsPerSession(t *testing.T) {
 		cfg               Config
 		allocPin, bytePin float64
 	}{
-		{"vod", vod, 66, 31_300},
-		{"resilient", resilient, 91, 32_100},
+		{"vod", vod, 42, 18_300},
+		{"resilient", resilient, 64, 19_900},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := row.cfg

@@ -97,8 +97,9 @@ type Config struct {
 	// JSONL / Chrome-trace export and the Report gains aggregate counters.
 	Timeline bool
 	// CellSessions partitions the fleet into independent contention cells
-	// of this many sessions: each cell gets its own engine, uplink, and
-	// edge cache (the paper's edge serving one neighborhood), and sessions
+	// of this many sessions: each cell gets its own engine run, uplink,
+	// and edge cache (the paper's edge serving one neighborhood; a shard
+	// worker resets one set for each of its cells), and sessions
 	// are assigned to cells by a seeded permutation — a pure function of
 	// (Seed, Sessions, CellSessions), never of how the cells are executed.
 	// Zero keeps today's behavior: one cell holding the whole fleet.
@@ -346,8 +347,8 @@ func (c *Config) parseManifests() ([]*core.ParsedManifest, error) {
 }
 
 // Run executes the co-simulation: sessions are partitioned into contention
-// cells (each cell an engine, a two-tier bottleneck, and an edge cache —
-// one cell covering the whole fleet by default), cells are dealt
+// cells (each cell an engine run, a two-tier bottleneck, and an edge cache
+// — one cell covering the whole fleet by default), cells are dealt
 // round-robin to shard workers, and per-shard aggregates are merged in a
 // fixed order. It returns when every session has finished or aborted.
 // Output is byte-identical for any Shards value; with the default single
@@ -373,10 +374,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	aggs, err := runpool.Map(shards, shards, func(sh int) (*shardAgg, error) {
-		agg := newShardAgg(&cfg, stream)
-		pool := new(player.Pool)
+		agg, sim := newShardAgg(&cfg, stream), newShardSim(&cfg)
 		for ci := sh; ci < len(cells); ci += shards {
-			if err := runCell(&cfg, manifests, ci, len(cells), cells[ci], arrive, agg, pool); err != nil {
+			if err := runCell(&cfg, manifests, ci, len(cells), cells[ci], arrive, agg, sim); err != nil {
 				return nil, err
 			}
 		}

@@ -94,17 +94,43 @@ func (a *shardAgg) addSession(s SessionResult) {
 	})
 }
 
-// runCell simulates one contention cell: its own engine, shared uplink, and
-// edge cache, populated by the cell's sessions starting at their global
+// shardSim is the simulation state a shard worker keeps from one cell to
+// the next: the engine with its event and transfer freelists, the uplink
+// with its leaves, the edge cache's slots and index, and the pool of
+// request records. Each cell resets it before it starts, and leaves the
+// engine drained.
+type shardSim struct {
+	eng   *netsim.Engine
+	up    *netsim.Uplink
+	cache *cdnsim.Cache
+	pool  *player.Pool
+}
+
+func newShardSim(cfg *Config) *shardSim {
+	eng := netsim.NewEngine()
+	return &shardSim{
+		eng:   eng,
+		up:    netsim.NewUplink(eng, cfg.UplinkProfile),
+		cache: cdnsim.NewCache(cfg.CacheBytes),
+		pool:  new(player.Pool),
+	}
+}
+
+// runCell simulates one contention cell: its own shared uplink and edge
+// cache, populated by the cell's sessions starting at their global
 // arrival times. Each session's model is built from its Mix entry's parse
 // in manifests (see Config.parseManifests). For the default single cell
 // this is, step for step, the original whole-fleet loop — the
-// equivalence the shard tests pin. Sessions start through the shard's
-// pool, which its cells share one after another.
-func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int, arrive []time.Duration, agg *shardAgg, pool *player.Pool) error {
-	eng := netsim.NewEngine()
-	up := netsim.NewUplink(eng, cfg.UplinkProfile)
-	edge := cdnsim.NewEdge(cdnsim.NewCache(cfg.CacheBytes), cfg.Mode, cfg.Content, len(ids))
+// equivalence the shard tests pin. The cell resets the shard's simulation
+// state, which the previous cell left drained, so its sessions take the
+// events, transfers, leaves and cache slots earlier cells released, and
+// they start through the shard's pool.
+func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int, arrive []time.Duration, agg *shardAgg, sim *shardSim) error {
+	eng, up := sim.eng, sim.up
+	eng.Reset()
+	up.Reset()
+	sim.cache.Reset()
+	edge := cdnsim.NewEdge(sim.cache, cfg.Mode, cfg.Content, len(ids))
 	budget := cfg.cellBudget(len(ids))
 	agg.beginCell(cellIdx)
 
@@ -200,7 +226,7 @@ func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells in
 			},
 		}
 		eng.Schedule(arrive[id], func() {
-			if _, err := pool.Start(leaf, leaf, pcfg); err != nil {
+			if _, err := sim.pool.Start(leaf, leaf, pcfg); err != nil {
 				errs[li] = err
 			}
 		})

@@ -106,9 +106,11 @@ func SegmentAlignment(videoName, audioName string, video, audio *hls.MediaPlayli
 	return alignFindings("hls-av-misaligned-segments", videoName, audioName, boundaries(vd), boundaries(ad))
 }
 
-// MPDTimeline lints every SegmentTemplate in an MPD: explicit timelines
-// against the declared nominal duration, and the audio adaptation set's
-// boundaries against the video one's.
+// MPDTimeline lints every SegmentTemplate in an MPD: one whose segment
+// list cannot be expanded (see dash.SegmentTemplate.SegmentDurations), so
+// that clients refuse the MPD, explicit timelines against the declared
+// nominal duration, and the audio adaptation set's boundaries against the
+// video one's.
 func MPDTimeline(m *dash.MPD) []Finding {
 	total := time.Duration(0)
 	if m.MediaPresentationDuration != "" {
@@ -126,8 +128,14 @@ func MPDTimeline(m *dash.MPD) []Finding {
 			if st == nil {
 				continue
 			}
+			kind := contentKind(as)
 			durs, err := st.SegmentDurations(total)
-			if err != nil || len(durs) == 0 {
+			if err != nil {
+				out = append(out, Finding{Warning, "dash-invalid-segment-template",
+					fmt.Sprintf("%s SegmentTemplate: %v; clients cannot list its segments and refuse the MPD", kind, err)})
+				continue
+			}
+			if len(durs) == 0 {
 				continue
 			}
 			// A SegmentTimeline without @duration IS the declaration that the
@@ -136,7 +144,6 @@ func MPDTimeline(m *dash.MPD) []Finding {
 			if st.Timeline != nil && st.Duration == 0 {
 				declaredVariable = true
 			}
-			kind := contentKind(as)
 			// Drift is only checkable when both a nominal @duration and an
 			// explicit timeline are declared: the timeline is then the truth
 			// the nominal must track.

@@ -199,6 +199,32 @@ func TestMPDTimelineDrift(t *testing.T) {
 	}
 }
 
+// TestMPDTimelineRefusedTemplates: a SegmentTemplate whose segment list
+// clients refuse to expand — a non-positive S@d, a negative S@r, more
+// than dash.MaxSegments segments — is a finding naming its adaptation set
+// and the cause, not a template the timeline rules skip.
+func TestMPDTimelineRefusedTemplates(t *testing.T) {
+	audio := &dash.SegmentTemplate{Timescale: 1000, Duration: 4000}
+	for _, tc := range []struct {
+		name  string
+		s     []dash.S
+		cause string
+	}{
+		{"zero S@d", []dash.S{{D: 4000, R: 3}, {D: 0}}, "non-positive duration"},
+		{"negative S@r", []dash.S{{D: 4000, R: -2}}, "negative repeat"},
+		{"too many segments", []dash.S{{D: 4000, R: dash.MaxSegments}}, "more than"},
+	} {
+		video := &dash.SegmentTemplate{Timescale: 1000, Duration: 4000, Timeline: &dash.SegmentTimeline{S: tc.s}}
+		fs := MPDTimeline(timelineMPD(video, audio))
+		if len(fs) != 1 || fs[0].Rule != "dash-invalid-segment-template" || fs[0].Severity != Warning {
+			t.Fatalf("%s: findings %v, want one dash-invalid-segment-template warning", tc.name, fs)
+		}
+		if !strings.Contains(fs[0].Message, "video SegmentTemplate") || !strings.Contains(fs[0].Message, tc.cause) {
+			t.Errorf("%s: message %q does not name the video set and %q", tc.name, fs[0].Message, tc.cause)
+		}
+	}
+}
+
 func TestMPDTimelineMisalignedNominals(t *testing.T) {
 	video := &dash.SegmentTemplate{Timescale: 1000, Duration: 4000}
 	audio := &dash.SegmentTemplate{Timescale: 1000, Duration: 3500}

@@ -209,7 +209,7 @@ func TestCompletionReentrancy(t *testing.T) {
 		t.Fatalf("b, d, e completed %v %v %v, long cancelled %v", b.Completed(), d.Completed(), e.Completed(), long.Cancelled())
 	}
 	if next := link.Start(1, StartOptions{}); next != a {
-		t.Fatal("the released transfer did not go back to the link's freelist once finished with")
+		t.Fatal("the released transfer did not go back to the engine's freelist once finished with")
 	}
 }
 

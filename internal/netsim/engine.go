@@ -27,6 +27,11 @@ type Engine struct {
 	// once, so the freelist caps Event allocations at the pending
 	// high-water mark.
 	free []*Event
+	// transfers recycles released transfers (see Transfer.Release) for
+	// every link the engine drives: a transfer one link let go of serves
+	// the next Start on any of them, so an engine that outlives its links
+	// (see Reset) carries its transfers from one simulation to the next.
+	transfers []*Transfer
 	// events lists every Event the engine ever made, at index Event.ref.
 	// Heap and lane entries name events by that index rather than by
 	// pointer, so they hold no pointers.
@@ -303,6 +308,29 @@ func (e *Engine) RunUntil(t time.Duration) {
 	}
 	if t > e.now {
 		e.now = t
+	}
+}
+
+// Reset readies a drained engine for another simulation: the clock goes
+// back to zero and a Stop is forgotten, while the event table, the event
+// and transfer freelists and the lanes are kept, so the next simulation
+// starts warm. Resetting with an event pending panics: the event belongs
+// to the simulation that scheduled it.
+//
+// The sequence counter is not rewound. It is each occupancy's generation
+// (see Handle), so restarting it would let a handle kept from the last
+// simulation match an Event reused by the next; only the relative order of
+// sequence numbers breaks ties, so the next simulation fires its events in
+// the order a new engine would.
+func (e *Engine) Reset() {
+	if n := e.Pending(); n > 0 {
+		panic(fmt.Sprintf("netsim: Reset with %d events pending at %v", n, e.now))
+	}
+	e.now, e.stopped = 0, false
+	// Entries left in a ring are dead: their events were cancelled and
+	// recycled already.
+	for _, l := range e.lanes {
+		l.head, l.n, l.dead = 0, 0, 0
 	}
 }
 

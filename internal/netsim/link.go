@@ -29,8 +29,6 @@ type Link struct {
 	active []*Transfer
 	// finished is finishCompleted's scratch list of transfers to notify.
 	finished []*Transfer
-	// free holds released transfers for reuse by prepare (see Release).
-	free []*Transfer
 	// sampleLane is the engine's lane for the last sampling interval a
 	// transfer asked for (see scheduleSample).
 	sampleLane *Lane
@@ -234,8 +232,9 @@ func (l *Link) Start(size int64, opts StartOptions) *Transfer {
 // connections use it to hold a request while a handshake or stream slot
 // is pending. The pre-byte delay (RTT + ExtraDelay) is captured now and
 // applied relative to whenever the transfer is actually dispatched. A
-// released transfer is reused when one is free; its bound callbacks carry
-// over, everything else starts from zero.
+// transfer released on any of the engine's links is reused when one is
+// free: it is rebound to this link, its bound callbacks carry over, and
+// everything else starts from zero.
 func (l *Link) prepare(size int64, opts StartOptions) *Transfer {
 	if size < 0 {
 		panic("netsim: negative transfer size")
@@ -249,10 +248,10 @@ func (l *Link) prepare(size int64, opts StartOptions) *Transfer {
 		delay = 0
 	}
 	var tr *Transfer
-	if k := len(l.free); k > 0 {
-		tr = l.free[k-1]
-		l.free[k-1] = nil
-		l.free = l.free[:k-1]
+	if free := l.eng.transfers; len(free) > 0 {
+		tr = free[len(free)-1]
+		free[len(free)-1] = nil
+		l.eng.transfers = free[:len(free)-1]
 	} else {
 		tr = &Transfer{}
 		tr.activateTick = tr.activateNow
@@ -274,18 +273,18 @@ func (l *Link) prepare(size int64, opts StartOptions) *Transfer {
 	return tr
 }
 
-// Release hands a transfer back to the link for reuse by a later Start:
-// the owner declares it will not touch tr, nor receive its callbacks,
-// again. A transfer still on the wire, or still reachable from a pending
-// callback or timer, stays as it is until it is finished with; only then
-// does the link recycle it. Transfers that are never released are simply
-// garbage collected.
+// Release hands a transfer back to the engine for reuse by a later Start
+// on any of its links: the owner declares it will not touch tr, nor
+// receive its callbacks, again. A transfer still on the wire, or still
+// reachable from a pending callback or timer, stays as it is until it is
+// finished with; only then is it recycled. Transfers that are never
+// released are simply garbage collected.
 func (tr *Transfer) Release() {
 	tr.released = true
 	tr.tryRecycle()
 }
 
-// tryRecycle puts a released transfer on its link's freelist once nothing
+// tryRecycle puts a released transfer on its engine's freelist once nothing
 // can reach it any more: it is off the wire (completed or cancelled), no
 // completion or sample callback is running on it, no transport timer
 // holds it, and neither its activation nor its sample tick is pending.
@@ -297,7 +296,8 @@ func (tr *Transfer) tryRecycle() {
 	tr.released = false // recycle once
 	// Drop the owner's callbacks and connection while the transfer is pooled.
 	tr.onComplete, tr.onSample, tr.conn = nil, nil, nil
-	tr.link.free = append(tr.link.free, tr)
+	eng := tr.link.eng
+	eng.transfers = append(eng.transfers, tr)
 }
 
 // scheduleActivation arms the transfer's first-byte wake, preDelay from

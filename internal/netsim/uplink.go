@@ -78,14 +78,38 @@ func NewUplink(eng *Engine, profile trace.Profile) *Uplink {
 
 // NewLeaf creates an access link behind this uplink: transfers started on
 // it obey the leaf profile, the shared uplink, and weighted fairness
-// against every other transfer in the tree.
+// against every other transfer in the tree. After Reset it recycles the
+// leaves of the last simulation, in order, keeping their slices' backing
+// arrays.
 func (u *Uplink) NewLeaf(profile trace.Profile) *Link {
 	if profile == nil {
 		panic("netsim: nil profile")
 	}
-	l := &Link{eng: u.eng, profile: profile, up: u}
+	var l *Link
+	if n := len(u.members); n < cap(u.members) {
+		l = u.members[:n+1][n] // a leaf Reset let go of, or nil
+	}
+	if l == nil {
+		l = new(Link)
+	}
+	*l = Link{eng: u.eng, profile: profile, up: u,
+		active: l.active[:0], finished: l.finished[:0], outages: l.outages[:0]}
 	u.members = append(u.members, l)
 	return l
+}
+
+// Reset empties the uplink for another simulation on its engine, which
+// must have been Reset first: the clock restarts at zero, no leaf is
+// attached, no recorder either, and later NewLeaf calls recycle the old
+// leaves. Links of the last simulation must not be used again.
+func (u *Uplink) Reset() {
+	u.members = u.members[:0]
+	u.lastUpdate = 0
+	u.wake = Handle{}
+	// A new version makes the cached transfer count, legs and rates stale.
+	u.version++
+	u.SetRecorder(nil, "")
+	u.recordedLeaves = 0
 }
 
 // leg is one loaded member of the tree: a leaf with transfers in flight.

@@ -11,48 +11,65 @@ import (
 	"demuxabr/internal/trace"
 )
 
-// runRecycled plays one session three ways and requires identical
-// results: with request and transfer recycling off, with it on, and on a
-// pool an earlier run of the same session drained, so every record it
-// starts from was bound to another session. A stale timer or callback
-// that reached a record or transfer after its reuse, or state a record
-// carried from its previous session, would make a recycled run diverge
-// (or double-fire a chunk). It returns the last run's result and session.
-func runRecycled(t *testing.T, name string, play func(*Pool) (*Session, *netsim.Engine)) (*Result, *Session) {
+// runRecycled plays one session four ways and requires identical
+// results: with request and transfer recycling off, with it on, on a pool
+// an earlier run of the same session drained, so every record it starts
+// from was bound to another session, and, as a fleet shard runs its
+// cells, on that pool and an engine the earlier run drained and Reset, so
+// its events and transfers were another session's too. A stale timer or
+// callback that reached a record, transfer or event after its reuse, or
+// state one carried from its previous session, would make a recycled run
+// diverge (or double-fire a chunk). It returns the last run's result and
+// session. play starts the session on the engine it is given (see
+// startOn).
+func runRecycled(t *testing.T, name string, play func(*Pool, *netsim.Engine) (*Session, *netsim.Engine)) (*Result, *Session) {
 	t.Helper()
 	defer func() { recycleRequests = true }()
-	run := func(pool *Pool) (*Result, *Session) {
-		s, eng := play(pool)
+	run := func(pool *Pool, eng *netsim.Engine) (*Result, *Session) {
+		s, eng := play(pool, eng)
 		if err := eng.Run(s.cfg.MaxEvents); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return s.Result(), s
 	}
 	recycleRequests = false
-	want, _ := run(new(Pool))
+	want, _ := run(new(Pool), nil)
 	recycleRequests = true
-	fresh, _ := run(new(Pool))
+	fresh, _ := run(new(Pool), nil)
 	if !reflect.DeepEqual(want, fresh) {
 		t.Fatalf("%s: recycling changed the session:\nwithout %+v\nwith    %+v", name, want, fresh)
 	}
 	drained := new(Pool)
-	run(drained)
+	run(drained, nil)
 	if len(drained.reqs) == 0 {
 		t.Fatalf("%s: the earlier session left no record in the pool", name)
 	}
-	res, s := run(drained)
+	res, _ := run(drained, nil)
 	if !reflect.DeepEqual(want, res) {
 		t.Fatalf("%s: a drained pool changed the session:\nfresh   %+v\ndrained %+v", name, want, res)
+	}
+	shard, eng := new(Pool), netsim.NewEngine()
+	run(shard, eng)
+	res, s := run(shard, eng)
+	if !reflect.DeepEqual(want, res) {
+		t.Fatalf("%s: a reset engine changed the session:\nfresh %+v\nreset %+v", name, want, res)
 	}
 	assertNoForkedChunks(t, name, res)
 	return res, s
 }
 
-// startOn starts a session through pool on a fresh engine and link (split
-// links when split is set) and stops the engine when it ends.
-func startOn(t *testing.T, pool *Pool, cfg Config, rate media.Bps, rtt time.Duration, split bool) (*Session, *netsim.Engine) {
+// startOn starts a session through pool on fresh links (split links when
+// split is set). With a nil eng it makes a new engine, which the session
+// stops when it ends. Otherwise it resets eng, which an earlier session
+// left drained, and the engine runs until it drains again.
+func startOn(t *testing.T, pool *Pool, eng *netsim.Engine, cfg Config, rate media.Bps, rtt time.Duration, split bool) (*Session, *netsim.Engine) {
 	t.Helper()
-	eng := netsim.NewEngine()
+	if eng == nil {
+		eng = netsim.NewEngine()
+		cfg.OnDone = func(*Session) { eng.Stop() }
+	} else {
+		eng.Reset()
+	}
 	video := netsim.NewLink(eng, trace.Fixed(rate))
 	video.RTT = rtt
 	audio := video
@@ -60,7 +77,6 @@ func startOn(t *testing.T, pool *Pool, cfg Config, rate media.Bps, rtt time.Dura
 		audio = netsim.NewLink(eng, trace.Fixed(rate))
 		audio.RTT = rtt
 	}
-	cfg.OnDone = func(*Session) { eng.Stop() }
 	s, err := pool.Start(video, audio, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +104,8 @@ func TestRecycledRecordsUnreachedByStaleTimers(t *testing.T) {
 		eta := time.Duration(float64(size) * 8 / float64(rate) * float64(time.Second))
 		pol := faults.DefaultPolicy()
 		pol.RequestTimeout = eta
-		res, s := runRecycled(t, "race", func(pool *Pool) (*Session, *netsim.Engine) {
-			return startOn(t, pool, Config{
+		res, s := runRecycled(t, "race", func(pool *Pool, eng *netsim.Engine) (*Session, *netsim.Engine) {
+			return startOn(t, pool, eng, Config{
 				Content: c, Model: &fixedPerType{video: v, audio: a}, Robustness: &pol,
 			}, rate, 0, true)
 		})
@@ -118,13 +134,13 @@ func TestRecycledRecordsUnreachedByStaleTimers(t *testing.T) {
 			"per-type":    {Model: &fixedPerType{video: v, audio: a}},
 			"sync-window": {Model: &fixedJoint{combo: lowestCombo(c)}, SyncWindow: 1},
 		} {
-			res, _ := runRecycled(t, name, func(pool *Pool) (*Session, *netsim.Engine) {
+			res, _ := runRecycled(t, name, func(pool *Pool, eng *netsim.Engine) (*Session, *netsim.Engine) {
 				cfg := model
 				cfg.Content = c
 				cfg.AudioResets = resets
 				cfg.FaultPlan = &faults.Plan{Seed: 3, Rate: 0.3, Kinds: []faults.Kind{faults.HTTP404}}
 				cfg.Robustness = &pol
-				return startOn(t, pool, cfg, media.Kbps(5000), 100*time.Millisecond, false)
+				return startOn(t, pool, eng, cfg, media.Kbps(5000), 100*time.Millisecond, false)
 			})
 			if res.Retries == 0 || len(res.AudioResets) == 0 || !res.Ended {
 				t.Fatalf("%s: retries %d, resets %d, ended %v: the scenario no longer exercises backoff across resets",
@@ -138,8 +154,8 @@ func TestRecycledRecordsUnreachedByStaleTimers(t *testing.T) {
 		tc.LossRate = 0.5
 		tc.Seed = 5
 		pol := faults.DefaultPolicy()
-		res, _ := runRecycled(t, "strike", func(pool *Pool) (*Session, *netsim.Engine) {
-			return startOn(t, pool, Config{
+		res, _ := runRecycled(t, "strike", func(pool *Pool, eng *netsim.Engine) (*Session, *netsim.Engine) {
+			return startOn(t, pool, eng, Config{
 				Content: c, Model: &fixedJoint{combo: lowestCombo(c)}, SyncWindow: 1,
 				Transport: &tc, Robustness: &pol,
 				FaultPlan: &faults.Plan{Seed: 9, Rate: 0.1, Kinds: []faults.Kind{faults.Reset, faults.Truncate, faults.HTTP503}},
@@ -164,7 +180,7 @@ func TestWarmChunkRequestAllocFree(t *testing.T) {
 	} {
 		cfg := model
 		cfg.Content = c
-		s, eng := startOn(t, new(Pool), cfg, media.Kbps(3000), 20*time.Millisecond, false)
+		s, eng := startOn(t, new(Pool), nil, cfg, media.Kbps(3000), 20*time.Millisecond, false)
 		chunks := func(n int) {
 			for len(s.res.Chunks) < n && eng.Step() {
 			}
@@ -181,11 +197,13 @@ func TestWarmChunkRequestAllocFree(t *testing.T) {
 }
 
 // TestSharedPoolKeepsSessionsApart starts four sessions behind one
-// uplink, staggered as in a fleet cell, once through one shared Pool and
-// once through a Pool each. The results must be identical, and after every
-// event no request record may be reachable from two sessions: each live
-// session's current records are bound to it, no two sessions share one,
-// and none of them sits in the pool.
+// uplink, staggered as in a fleet cell, through a Pool each, through one
+// shared Pool, and as a fleet shard's second cell: through a Pool and on
+// an engine that an earlier run of the cell drained, and Reset. The
+// results must be identical, and after every event no request record may
+// be reachable from two sessions: each live session's current records are
+// bound to it, no two sessions share one, and none of them sits in the
+// pool.
 func TestSharedPoolKeepsSessionsApart(t *testing.T) {
 	c := media.DramaShow()
 	v, a := c.VideoTracks[0], c.AudioTracks[0]
@@ -205,14 +223,15 @@ func TestSharedPoolKeepsSessionsApart(t *testing.T) {
 		{Model: &fixedJoint{combo: lowestCombo(c)}, FaultPlan: plan(3), Robustness: &pol},
 		{Model: &fixedPerType{video: c.VideoTracks[1], audio: a}, Transport: &h1, FaultPlan: plan(4), Robustness: &pol},
 	}
-	play := func(shared bool) []*Result {
-		eng := netsim.NewEngine()
+	// play runs the cell on eng through pool, or through a Pool per
+	// session when pool is nil.
+	play := func(pool *Pool, eng *netsim.Engine) []*Result {
+		eng.Reset()
 		up := netsim.NewUplink(eng, trace.Fixed(media.Kbps(8000)))
-		pool := new(Pool)
 		sessions := make([]*Session, len(cfgs))
 		for i, cfg := range cfgs {
 			p := pool
-			if !shared {
+			if p == nil {
 				p = new(Pool)
 			}
 			leaf := up.NewLeaf(trace.Fixed(media.Kbps(4000)))
@@ -245,6 +264,9 @@ func TestSharedPoolKeepsSessionsApart(t *testing.T) {
 					owner[r] = s
 				}
 			}
+			if pool == nil {
+				continue
+			}
 			for _, r := range pool.reqs {
 				if owner[r] != nil || r.s != nil || r.refs != 0 {
 					t.Fatalf("at %v a pooled record is bound to %p with %d refs", eng.Now(), r.s, r.refs)
@@ -258,17 +280,24 @@ func TestSharedPoolKeepsSessionsApart(t *testing.T) {
 			}
 			out[i] = s.Result()
 		}
-		if shared && len(pool.reqs) == 0 {
+		if pool != nil && len(pool.reqs) == 0 {
 			t.Fatal("the shared pool recycled no record")
 		}
 		return out
 	}
-	own, shared := play(false), play(true)
+	own, shared := play(nil, netsim.NewEngine()), play(new(Pool), netsim.NewEngine())
+	shardPool, shardEng := new(Pool), netsim.NewEngine()
+	play(shardPool, shardEng)
+	second := play(shardPool, shardEng)
 	for i := range own {
 		if !reflect.DeepEqual(own[i], shared[i]) {
 			t.Fatalf("session %d: sharing the pool changed it:\nown    %+v\nshared %+v", i, own[i], shared[i])
 		}
+		if !reflect.DeepEqual(own[i], second[i]) {
+			t.Fatalf("session %d: a reset engine changed it:\nown   %+v\nreset %+v", i, own[i], second[i])
+		}
 		assertNoForkedChunks(t, "shared pool", shared[i])
+		assertNoForkedChunks(t, "reset engine", second[i])
 	}
 	if own[1].Transport == nil || own[1].Transport.HoLStalls == 0 || own[0].Retries == 0 {
 		t.Fatal("the scenario no longer strikes or retries")

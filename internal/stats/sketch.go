@@ -27,14 +27,29 @@ import (
 // edge bins: N, Min, and Max remain exact, but quantile and mean error for
 // the clamped mass is bounded only by its distance to the range edge —
 // choose the range to cover the metric's physical domain.
+//
+// Memory: the bins are kept in pages of pageBins, each allocated when a
+// sample first lands in it, so a sketch costs only the pages its samples
+// touch. A page never touched holds zero counts, as do the last page's
+// slots past the final bin, and no query reads a zero count, so the
+// paging changes no answer.
 type Sketch struct {
 	lo, hi float64
 	width  float64
-	bins   []int64
-	n      int64
-	min    float64
-	max    float64
+	nbins  int
+	// pages holds bin i at pages[i/pageBins][i%pageBins]; a nil page is
+	// all zeros.
+	pages []*page
+	n     int64
+	min   float64
+	max   float64
 }
+
+// pageBins is the number of bins per page: 4 KiB of counts. A fleet
+// metric's samples cluster in a few pages of its range.
+const pageBins = 512
+
+type page [pageBins]int64
 
 // NewSketch returns a sketch over [lo, hi) with the given bin count.
 func NewSketch(lo, hi float64, bins int) *Sketch {
@@ -45,10 +60,29 @@ func NewSketch(lo, hi float64, bins int) *Sketch {
 		lo:    lo,
 		hi:    hi,
 		width: (hi - lo) / float64(bins),
-		bins:  make([]int64, bins),
+		nbins: bins,
+		pages: make([]*page, (bins+pageBins-1)/pageBins),
 		min:   math.Inf(1),
 		max:   math.Inf(-1),
 	}
+}
+
+// count returns bin i's count.
+func (s *Sketch) count(i int) int64 {
+	if p := s.pages[i/pageBins]; p != nil {
+		return p[i%pageBins]
+	}
+	return 0
+}
+
+// page returns page k, allocating it on first use.
+func (s *Sketch) page(k int) *page {
+	p := s.pages[k]
+	if p == nil {
+		p = new(page)
+		s.pages[k] = p
+	}
+	return p
 }
 
 // Add records one sample. NaN samples are ignored (they carry no order
@@ -73,14 +107,14 @@ func (s *Sketch) Add(x float64) {
 	case x < s.lo:
 		i = 0
 	case x >= s.hi:
-		i = len(s.bins) - 1
+		i = s.nbins - 1
 	default:
 		i = int((x - s.lo) / s.width)
-		if i >= len(s.bins) { // width rounding can land x==hi-ε on the edge
-			i = len(s.bins) - 1
+		if i >= s.nbins { // width rounding can land x==hi-ε on the edge
+			i = s.nbins - 1
 		}
 	}
-	s.bins[i]++
+	s.page(i / pageBins)[i%pageBins]++
 	s.n++
 }
 
@@ -89,12 +123,18 @@ func (s *Sketch) Add(x float64) {
 // data condition).
 func (s *Sketch) Merge(o *Sketch) {
 	//lint:ignore floateq sketch bounds are configuration constants compared for identity, not computed values
-	if s.lo != o.lo || s.hi != o.hi || len(s.bins) != len(o.bins) {
+	if s.lo != o.lo || s.hi != o.hi || s.nbins != o.nbins {
 		panic(fmt.Sprintf("stats: merging incompatible sketches [%v,%v)x%d and [%v,%v)x%d",
-			s.lo, s.hi, len(s.bins), o.lo, o.hi, len(o.bins)))
+			s.lo, s.hi, s.nbins, o.lo, o.hi, o.nbins))
 	}
-	for i, c := range o.bins {
-		s.bins[i] += c
+	for k, op := range o.pages {
+		if op == nil {
+			continue
+		}
+		p := s.page(k)
+		for j, c := range op {
+			p[j] += c
+		}
 	}
 	s.n += o.n
 	if o.min < s.min {
@@ -132,12 +172,17 @@ func (s *Sketch) ErrorBound() float64 { return s.width }
 // bin's samples uniformly across the bin.
 func (s *Sketch) orderStat(k int64) float64 {
 	var cum int64
-	for i, c := range s.bins {
-		if k < cum+c {
-			within := float64(k-cum) + 0.5
-			return s.lo + s.width*(float64(i)+within/float64(c))
+	for pk, p := range s.pages {
+		if p == nil {
+			continue
 		}
-		cum += c
+		for j, c := range p {
+			if k < cum+c {
+				within := float64(k-cum) + 0.5
+				return s.lo + s.width*(float64(pk*pageBins+j)+within/float64(c))
+			}
+			cum += c
+		}
 	}
 	return s.max
 }
@@ -176,12 +221,17 @@ func (s *Sketch) Mean() float64 {
 		return math.NaN()
 	}
 	var sum float64
-	for i, c := range s.bins {
-		if c == 0 {
+	for pk, p := range s.pages {
+		if p == nil {
 			continue
 		}
-		center := s.lo + s.width*(float64(i)+0.5)
-		sum += center * float64(c)
+		for j, c := range p {
+			if c == 0 {
+				continue
+			}
+			center := s.lo + s.width*(float64(pk*pageBins+j)+0.5)
+			sum += center * float64(c)
+		}
 	}
 	return sum / float64(s.n)
 }

@@ -55,12 +55,75 @@ func TestSketchMergeOrderIndependent(t *testing.T) {
 			merged.Merge(shards[i])
 		}
 
-		if !reflect.DeepEqual(ref.bins, merged.bins) || ref.n != merged.n ||
+		if ref.nbins != merged.nbins || ref.n != merged.n ||
 			ref.min != merged.min || ref.max != merged.max {
 			t.Fatalf("seed %d: merged sketch state differs from single-stream state", seed)
 		}
+		for i := 0; i < ref.nbins; i++ {
+			if ref.count(i) != merged.count(i) {
+				t.Fatalf("seed %d: bin %d counts %d merged, %d in one stream", seed, i, merged.count(i), ref.count(i))
+			}
+		}
 		if ref.Summary() != merged.Summary() {
 			t.Fatalf("seed %d: merged summary %v != reference %v", seed, merged.Summary(), ref.Summary())
+		}
+	}
+}
+
+// flatSummary is the sketch's summary computed over one flat bin array,
+// as the sketch kept its bins before they were paged: the reference the
+// paged queries must match bit for bit.
+func flatSummary(s *Sketch) Summary {
+	bins := make([]int64, s.nbins)
+	for i := range bins {
+		bins[i] = s.count(i)
+	}
+	orderStat := func(k int64) float64 {
+		var cum int64
+		for i, c := range bins {
+			if k < cum+c {
+				return s.lo + s.width*(float64(i)+(float64(k-cum)+0.5)/float64(c))
+			}
+			cum += c
+		}
+		return s.max
+	}
+	quantile := func(p float64) float64 {
+		rank := p / 100 * float64(s.n-1)
+		lo, hi := int64(math.Floor(rank)), int64(math.Ceil(rank))
+		v := orderStat(lo)
+		if hi != lo {
+			frac := rank - float64(lo)
+			v = v*(1-frac) + orderStat(hi)*frac
+		}
+		return v
+	}
+	var sum float64
+	for i, c := range bins {
+		sum += (s.lo + s.width*(float64(i)+0.5)) * float64(c)
+	}
+	return Summary{Min: s.min, P10: quantile(10), Median: quantile(50), P90: quantile(90),
+		Max: s.max, Mean: sum / float64(s.n), N: int(s.n)}
+}
+
+// TestSketchPagesMatchFlatBins checks the paged bins against a flat array:
+// samples spread over some pages of a range whose bin count is not a
+// multiple of the page size (so the last page is partial), clamped ones
+// included, answer exactly as the flat bins do, and untouched pages stay
+// unallocated.
+func TestSketchPagesMatchFlatBins(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(200 + seed))
+		s := NewSketch(0, 100, 3*pageBins+37)
+		for _, x := range randomSamples(rng, 50+rng.Intn(500), 20, true) {
+			s.Add(x)
+		}
+		s.Add(100) // the partial last page
+		if got, want := s.Summary(), flatSummary(s); got != want {
+			t.Fatalf("seed %d: paged summary %v, flat bins %v", seed, got, want)
+		}
+		if s.pages[2] != nil {
+			t.Fatalf("seed %d: a page no sample reached was allocated", seed)
 		}
 	}
 }
