@@ -45,11 +45,14 @@
 #                    allocs and bytes per session, TestComputeAllocs,
 #                    TestPlayAllocs' allocs and bytes per Play, the
 #                    transport's TestConnReconnectStrikeAllocFree, the
-#                    edge's TestMissEvictSteadyStateAllocs and the engine's
+#                    edge's TestMissEvictSteadyStateAllocs, the engine's
 #                    TestEngineReuseAllocFree, no new event, transfer or
-#                    leaf in a second cell on a reset engine) without the
-#                    race detector, which skips the first three in step 3
-#                    because it changes allocation counts
+#                    leaf in a second cell on a reset engine, and the
+#                    fleet's TestSessionReuseAllocFree, no new Session,
+#                    chunk log, connection or blacklist in a second cell on
+#                    a warm shard) without the race detector, which skips
+#                    the first three and the last in step 3 because it
+#                    changes allocation counts
 #  14. fma off       the golden-bearing packages pass again with
 #                    GODEBUG=cpu.fma=off, without the race detector: on
 #                    amd64 math.Exp (and Pow through it) takes an FMA
@@ -144,8 +147,8 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, allocs per reconnect and per edge miss, engine reuse across cells, no race detector)"
-go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree' \
+echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, no race detector)"
+go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestSessionReuseAllocFree' \
 	./internal/fleet ./internal/qoe ./internal/core ./internal/netsim ./internal/cdnsim
 
 echo "== golden tests with FMA off (GODEBUG=cpu.fma=off, no race detector)"

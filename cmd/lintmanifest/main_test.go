@@ -318,3 +318,29 @@ func TestLintMasterAlignment(t *testing.T) {
 		t.Errorf("aligned pair should lint clean; warnings=%d errs=%d output:\n%s", warnings, errs, out.String())
 	}
 }
+
+// TestLintMPDDefaultTimescale lints, with -json, an MPD whose
+// SegmentTemplates omit @timescale and give @duration in seconds: the
+// attribute defaults to 1, so the templates are valid and the MPD lints
+// clean.
+func TestLintMPDDefaultTimescale(t *testing.T) {
+	dir := t.TempDir()
+	c := media.DramaShow()
+	var buf bytes.Buffer
+	if err := dashpkg.Generate(c).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.ReplaceAll(buf.String(), ` timescale="1000"`, "")
+	doc = strings.ReplaceAll(doc, ` duration="5000"`, ` duration="5"`)
+	if strings.Contains(doc, "timescale") || !strings.Contains(doc, ` duration="5"`) {
+		t.Fatalf("the generated MPD no longer has the expected templates:\n%s", buf.String())
+	}
+	mpd := filepath.Join(dir, "manifest.mpd")
+	if err := os.WriteFile(mpd, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if warnings, errs := run([]string{mpd}, true, &out, io.Discard); warnings != 0 || errs != 0 {
+		t.Fatalf("warnings = %d, errs = %d, want a clean lint (exit 0):\n%s", warnings, errs, out.String())
+	}
+}

@@ -6,6 +6,7 @@
 package abr
 
 import (
+	"math"
 	"time"
 
 	"demuxabr/internal/media"
@@ -202,3 +203,44 @@ func HighestTrackAtMost(ladder media.Ladder, budget media.Bps) *media.Track {
 	}
 	return best
 }
+
+// Allowed is a server-allowed combination list prepared once for the
+// joint models: the combinations in ascending declared bitrate, ties in
+// list order, and each one's log-bitrate utility relative to the lowest.
+// It is never written after NewAllowed returns, so the models of any
+// number of sessions, on any goroutines, can share one: a manifest parse
+// builds it, and a model built from the parse allocates neither the sorted
+// copy nor the table.
+type Allowed struct {
+	combos    []media.Combo
+	utilities []float64
+}
+
+// NewAllowed sorts a copy of combos by declared bitrate (a stable
+// insertion sort: the lists are short) and derives the utilities. An empty
+// list gives an empty Allowed, which every model constructor refuses.
+func NewAllowed(combos []media.Combo) *Allowed {
+	sorted := make([]media.Combo, len(combos))
+	copy(sorted, combos)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j-1].DeclaredBitrate() > sorted[j].DeclaredBitrate(); j-- {
+			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
+		}
+	}
+	a := &Allowed{combos: sorted}
+	if len(sorted) > 0 {
+		a.utilities = make([]float64, len(sorted))
+		base := math.Log(float64(sorted[0].DeclaredBitrate()))
+		for i, cb := range sorted {
+			a.utilities[i] = math.Log(float64(cb.DeclaredBitrate())) - base
+		}
+	}
+	return a
+}
+
+// Combos returns the sorted combinations. Callers must not modify them.
+func (a *Allowed) Combos() []media.Combo { return a.combos }
+
+// Utilities returns, per sorted combination, ln(declared bitrate) minus
+// ln(the lowest declared bitrate). Callers must not modify them.
+func (a *Allowed) Utilities() []float64 { return a.utilities }

@@ -82,7 +82,7 @@ func (b *Bola) Select(buffer time.Duration) *media.Track {
 // perTypeState is the DYNAMIC machinery of one media type.
 type perTypeState struct {
 	ladder    media.Ladder
-	est       *estimator.SlidingMean
+	est       estimator.SlidingMean
 	bola      *Bola
 	usingBola bool
 }

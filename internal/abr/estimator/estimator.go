@@ -125,8 +125,9 @@ type SlidingPercentile struct {
 	// Percentile in (0,1); ExoPlayer uses 0.5 (the weighted median).
 	Percentile float64
 
-	// samples and sorted are each allocated once, at percentileCap, on
-	// first use, and grow past it only if the window ever holds more.
+	// samples and sorted start, on first use, in buf's two arrays, and
+	// move to the heap only if the window ever holds more than
+	// percentileCap samples.
 	samples     []weightedSample
 	totalWeight float64
 
@@ -135,6 +136,11 @@ type SlidingPercentile struct {
 	// call, so changing Percentile needs no invalidation.
 	sorted      []weightedSample
 	sortedFresh bool
+
+	// buf holds the window inside its owner, so a model that holds the
+	// window by value allocates nothing for it. A window must therefore
+	// not be copied once used: the copy would share buf's arrays.
+	buf [2][percentileCap]weightedSample
 }
 
 type weightedSample struct {
@@ -147,10 +153,11 @@ type weightedSample struct {
 // most seven samples, plus the one Add appends before it evicts.
 const percentileCap = 8
 
-// NewSlidingPercentile creates the percentile tracker with ExoPlayer's
-// defaults (max weight 2000, percentile 0.5).
-func NewSlidingPercentile() *SlidingPercentile {
-	return &SlidingPercentile{MaxWeight: 2000, Percentile: 0.5}
+// NewSlidingPercentile returns the percentile tracker with ExoPlayer's
+// defaults (max weight 2000, percentile 0.5). It is a value, so a model
+// holds its window inside itself rather than behind a pointer of its own.
+func NewSlidingPercentile() SlidingPercentile {
+	return SlidingPercentile{MaxWeight: 2000, Percentile: 0.5}
 }
 
 // Add records a sample with the given weight.
@@ -159,7 +166,7 @@ func (p *SlidingPercentile) Add(weight, value float64) {
 		return
 	}
 	if p.samples == nil {
-		p.samples = make([]weightedSample, 0, percentileCap)
+		p.samples = p.buf[0][:0]
 	}
 	p.samples = append(p.samples, weightedSample{value: value, weight: weight})
 	p.sortedFresh = false
@@ -179,14 +186,14 @@ func (p *SlidingPercentile) Add(weight, value float64) {
 
 // Estimate returns the weighted percentile; ok is false with no samples.
 // The sort is reused until the next Add, so repeated estimates allocate
-// nothing.
+// nothing, and neither does the first one.
 func (p *SlidingPercentile) Estimate() (float64, bool) {
 	if len(p.samples) == 0 {
 		return 0, false
 	}
 	if !p.sortedFresh {
 		if p.sorted == nil {
-			p.sorted = make([]weightedSample, 0, max(percentileCap, len(p.samples)))
+			p.sorted = p.buf[1][:0]
 		}
 		p.sorted = append(p.sorted[:0], p.samples...)
 		slices.SortFunc(p.sorted, func(a, b weightedSample) int { return cmp.Compare(a.value, b.value) })
@@ -211,7 +218,7 @@ func (p *SlidingPercentile) Estimate() (float64, bool) {
 // streams share the bottleneck — the behaviour the paper contrasts with
 // Shaka's per-transfer sampling.
 type GlobalMeter struct {
-	percentile *SlidingPercentile
+	percentile SlidingPercentile
 
 	activeCount int
 	activeSince time.Duration
@@ -219,9 +226,10 @@ type GlobalMeter struct {
 	accTime     time.Duration
 }
 
-// NewGlobalMeter creates the meter with ExoPlayer's percentile defaults.
-func NewGlobalMeter() *GlobalMeter {
-	return &GlobalMeter{percentile: NewSlidingPercentile()}
+// NewGlobalMeter returns the meter with ExoPlayer's percentile defaults,
+// as a value for a model to hold by value (see NewSlidingPercentile).
+func NewGlobalMeter() GlobalMeter {
+	return GlobalMeter{percentile: NewSlidingPercentile()}
 }
 
 // TransferStart notes that a transfer became active at time now.
@@ -266,18 +274,30 @@ type SlidingMean struct {
 	// Window is the number of samples averaged (dash.js VOD default 4).
 	Window int
 
-	// samples is allocated on the first Add with room for Window+1: one
-	// more than the window, for the sample Add appends before it trims.
+	// samples starts in buf on the first Add, which needs room for
+	// Window+1: one more than the window, for the sample Add appends
+	// before it trims. A window too long for buf allocates its array
+	// then. As with SlidingPercentile, a used window must not be copied.
 	samples []float64
+	buf     [meanCap]float64
 }
 
-// NewSlidingMean creates a mean estimator with dash.js's VOD window of 4.
-func NewSlidingMean() *SlidingMean { return &SlidingMean{Window: 4} }
+// meanCap is the longest window plus one that SlidingMean keeps inside
+// itself: dash.js's VOD window of 4, and its live window of 3.
+const meanCap = 5
+
+// NewSlidingMean returns a mean estimator with dash.js's VOD window of 4,
+// as a value for a model to hold by value (see NewSlidingPercentile).
+func NewSlidingMean() SlidingMean { return SlidingMean{Window: 4} }
 
 // Add records one per-segment throughput sample in bits/s.
 func (s *SlidingMean) Add(bps float64) {
 	if s.samples == nil {
-		s.samples = make([]float64, 0, max(s.Window, 0)+1)
+		if n := max(s.Window, 0) + 1; n <= meanCap {
+			s.samples = s.buf[:0:n]
+		} else {
+			s.samples = make([]float64, 0, n)
+		}
 	}
 	s.samples = append(s.samples, bps)
 	if k := len(s.samples) - s.Window; k > 0 {

@@ -126,7 +126,7 @@ type DASH struct {
 	InitialEstimate   media.Bps
 	Damping           hysteresis
 
-	meter   *estimator.GlobalMeter
+	meter   estimator.GlobalMeter
 	combos  []media.Combo
 	current media.Combo
 }
@@ -198,7 +198,7 @@ type HLS struct {
 	InitialEstimate   media.Bps
 	Damping           hysteresis
 
-	meter        *estimator.GlobalMeter
+	meter        estimator.GlobalMeter
 	videos       media.Ladder
 	videoBitrate map[string]media.Bps // video ID -> overestimated bitrate
 	fixedAudio   *media.Track

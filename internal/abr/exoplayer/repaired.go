@@ -20,7 +20,7 @@ type HLSRepaired struct {
 	InitialEstimate   media.Bps
 	Damping           hysteresis
 
-	meter    *estimator.GlobalMeter
+	meter    estimator.GlobalMeter
 	variants []media.Combo // listed variants sorted by true declared bitrate
 	current  media.Combo
 }

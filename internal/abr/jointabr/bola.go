@@ -29,7 +29,10 @@ type BolaJoint struct {
 	// BufferTarget sizes the BOLA control parameters (default 20 s).
 	BufferTarget time.Duration
 
-	allowed   []media.Combo
+	allowed []media.Combo
+	// utilities[i] + 1 is combination i's BOLA utility: the log of its
+	// declared bitrate relative to the lowest, shifted so the lowest
+	// scores 1 (abr.Allowed's table, shared).
 	utilities []float64
 	vp        float64
 	gp        float64
@@ -37,38 +40,50 @@ type BolaJoint struct {
 	// BOLA-O oscillation control: up-switches are capped at the highest
 	// combination the measured throughput sustains, so the utility
 	// objective cannot bounce across rungs faster than the link warrants.
-	meter   *estimator.GlobalMeter
+	meter   estimator.GlobalMeter
 	lastIdx int
 }
 
 // NewBolaJoint derives BOLA parameters over the allowed combinations.
 func NewBolaJoint(allowed []media.Combo, bufferTarget time.Duration) *BolaJoint {
-	if len(allowed) == 0 {
+	return NewBolaJointFrom(abr.NewAllowed(allowed), bufferTarget)
+}
+
+// NewBolaJointFrom is NewBolaJoint over a prepared list, whose
+// combinations and utilities the model shares and never writes.
+func NewBolaJointFrom(allowed *abr.Allowed, bufferTarget time.Duration) *BolaJoint {
+	b := new(BolaJoint)
+	b.init(allowed, bufferTarget)
+	return b
+}
+
+// init sets b to a new model's state: the one definition of it, for
+// NewBolaJointFrom and for the DynamicJoint that holds a BolaJoint by
+// value.
+func (b *BolaJoint) init(allowed *abr.Allowed, bufferTarget time.Duration) {
+	if len(allowed.Combos()) == 0 {
 		panic("jointabr: empty allowed combination list")
 	}
 	if bufferTarget <= 0 {
 		bufferTarget = 20 * time.Second
 	}
-	sorted := sortByDeclared(allowed)
-	b := &BolaJoint{
+	*b = BolaJoint{
 		BufferTarget: bufferTarget,
-		allowed:      sorted,
+		allowed:      allowed.Combos(),
+		utilities:    allowed.Utilities(),
 		meter:        estimator.NewGlobalMeter(),
 		lastIdx:      -1,
-	}
-	b.utilities = make([]float64, len(sorted))
-	l0 := math.Log(float64(sorted[0].DeclaredBitrate()))
-	for i, cb := range sorted {
-		b.utilities[i] = math.Log(float64(cb.DeclaredBitrate())) - l0 + 1
 	}
 	// The dash.js parameterization, over combinations: a minimum buffer of
 	// 10 s plus headroom toward the target.
 	const minimumBuffer = 10.0
 	bufferSecs := math.Max(bufferTarget.Seconds(), minimumBuffer+2)
-	top := b.utilities[len(b.utilities)-1]
+	// top is the BOLA utility of the richest combination. (u+1)-1 need
+	// not round back to u, so top - 1 stays as the parameterization writes
+	// it.
+	top := b.utilities[len(b.utilities)-1] + 1
 	b.gp = (top - 1) / (bufferSecs/minimumBuffer - 1)
 	b.vp = minimumBuffer / b.gp
-	return b
 }
 
 // Name implements abr.Algorithm.
@@ -95,7 +110,7 @@ func (b *BolaJoint) SelectCombo(st abr.State) media.Combo {
 	q := st.MinBuffer().Seconds()
 	bestIdx, bestScore := 0, math.Inf(-1)
 	for i, cb := range b.allowed {
-		score := (b.vp*(b.utilities[i]+b.gp) - q) / float64(cb.DeclaredBitrate())
+		score := (b.vp*(b.utilities[i]+1+b.gp) - q) / float64(cb.DeclaredBitrate())
 		if score > bestScore {
 			bestScore = score
 			bestIdx = i

@@ -22,24 +22,31 @@ type DynamicJoint struct {
 	ExitBuffer  time.Duration
 
 	allowed   []media.Combo
-	bola      *BolaJoint
-	meter     *estimator.GlobalMeter
+	bola      BolaJoint
+	meter     estimator.GlobalMeter
 	usingBola bool
 }
 
 // NewDynamicJoint builds the adapter over the allowed combinations.
 func NewDynamicJoint(allowed []media.Combo) *DynamicJoint {
-	if len(allowed) == 0 {
+	return NewDynamicJointFrom(abr.NewAllowed(allowed))
+}
+
+// NewDynamicJointFrom is NewDynamicJoint over a prepared list, which the
+// model shares and never writes.
+func NewDynamicJointFrom(allowed *abr.Allowed) *DynamicJoint {
+	if len(allowed.Combos()) == 0 {
 		panic("jointabr: empty allowed combination list")
 	}
-	return &DynamicJoint{
+	d := &DynamicJoint{
 		SafetyFactor: 0.9,
 		EnterBuffer:  12 * time.Second,
 		ExitBuffer:   6 * time.Second,
-		allowed:      sortByDeclared(allowed),
-		bola:         NewBolaJoint(allowed, 0),
+		allowed:      allowed.Combos(),
 		meter:        estimator.NewGlobalMeter(),
 	}
+	d.bola.init(allowed, 0)
+	return d
 }
 
 // Name implements abr.Algorithm.

@@ -11,12 +11,20 @@ import (
 // the download discipline changes, because this type implements
 // abr.PerTypeAlgorithm instead of abr.JointAlgorithm.
 type Independent struct {
-	p *Player
+	p Player
 }
 
 // NewIndependent creates the scheduling-ablated best-practice player.
 func NewIndependent(allowed []media.Combo, opts ...Option) *Independent {
-	return &Independent{p: New(allowed, opts...)}
+	return NewIndependentFrom(abr.NewAllowed(allowed), opts...)
+}
+
+// NewIndependentFrom is NewIndependent over a prepared list, which the
+// player shares and never writes.
+func NewIndependentFrom(allowed *abr.Allowed, opts ...Option) *Independent {
+	i := new(Independent)
+	i.p.init(allowed, opts)
+	return i
 }
 
 // Name implements abr.Algorithm.

@@ -58,12 +58,12 @@ type Player struct {
 	allowed []media.Combo
 
 	// Shared estimator (recommended): one meter over both streams.
-	meter *estimator.GlobalMeter
+	meter estimator.GlobalMeter
 	// Ablation: per-type estimators summed, modelling players that measure
 	// audio and video throughput separately.
 	separate     bool
 	pathAware    bool
-	perType      [2]*estimator.SlidingMean
+	perType      [2]estimator.SlidingMean
 	noDamping    bool
 	abandonment  bool
 	current      media.Combo
@@ -109,26 +109,38 @@ func WithAbandonment() Option {
 
 // New creates the player restricted to the given allowed combinations
 // (best practice 2). Pass media.AllCombos(...) to ablate the restriction.
-// The slice is re-sorted by declared bitrate.
+// The player keeps a copy of the list sorted by declared bitrate.
 func New(allowed []media.Combo, opts ...Option) *Player {
-	if len(allowed) == 0 {
+	return NewFrom(abr.NewAllowed(allowed), opts...)
+}
+
+// NewFrom is New over a prepared list, which the player shares and never
+// writes.
+func NewFrom(allowed *abr.Allowed, opts ...Option) *Player {
+	p := new(Player)
+	p.init(allowed, opts)
+	return p
+}
+
+// init sets p to a new player's state: the one definition of it, for New
+// and for the Independent that holds a Player by value.
+func (p *Player) init(allowed *abr.Allowed, opts []Option) {
+	if len(allowed.Combos()) == 0 {
 		panic("jointabr: empty allowed combination list")
 	}
-	p := &Player{
+	*p = Player{
 		SafetyFactor:     DefaultSafetyFactor,
 		UpSwitchBuffer:   DefaultUpSwitchBuffer,
 		DownSwitchBuffer: DefaultDownSwitchBuffer,
 		MinHold:          DefaultMinHold,
 		PanicBuffer:      DefaultPanicBuffer,
-		allowed:          sortByDeclared(allowed),
+		allowed:          allowed.Combos(),
 		meter:            estimator.NewGlobalMeter(),
+		perType:          [2]estimator.SlidingMean{estimator.NewSlidingMean(), estimator.NewSlidingMean()},
 	}
-	p.perType[media.Video] = estimator.NewSlidingMean()
-	p.perType[media.Audio] = estimator.NewSlidingMean()
 	for _, o := range opts {
 		o(p)
 	}
-	return p
 }
 
 // Name implements abr.Algorithm.
@@ -162,20 +174,8 @@ func (p *Player) SetAllowed(allowed []media.Combo) {
 	if len(allowed) == 0 {
 		panic("jointabr: empty allowed combination list")
 	}
-	p.allowed = sortByDeclared(allowed)
+	p.allowed = abr.NewAllowed(allowed).Combos()
 	p.current = media.Combo{}
-}
-
-// sortByDeclared returns a copy of combos sorted by declared bitrate.
-func sortByDeclared(combos []media.Combo) []media.Combo {
-	sorted := make([]media.Combo, len(combos))
-	copy(sorted, combos)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j-1].DeclaredBitrate() > sorted[j].DeclaredBitrate(); j-- {
-			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
-		}
-	}
-	return sorted
 }
 
 // OnStart implements abr.Observer.

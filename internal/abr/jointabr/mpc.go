@@ -37,7 +37,7 @@ type MPC struct {
 
 	allowed   []media.Combo
 	utilities []float64
-	meter     *estimator.GlobalMeter
+	meter     estimator.GlobalMeter
 	lastIdx   int
 
 	// bound[d*n+p] is the best d-step sum of utility minus switch penalty
@@ -55,28 +55,28 @@ type MPC struct {
 
 // NewMPC creates the adapter over the allowed combinations.
 func NewMPC(allowed []media.Combo, horizon int) *MPC {
-	if len(allowed) == 0 {
+	return NewMPCFrom(abr.NewAllowed(allowed), horizon)
+}
+
+// NewMPCFrom is NewMPC over a prepared list, whose combinations and
+// utilities the model shares and never writes.
+func NewMPCFrom(allowed *abr.Allowed, horizon int) *MPC {
+	if len(allowed.Combos()) == 0 {
 		panic("jointabr: empty allowed combination list")
 	}
 	if horizon <= 0 {
 		horizon = 5
 	}
-	sorted := sortByDeclared(allowed)
-	m := &MPC{
+	return &MPC{
 		Horizon:         horizon,
 		SwitchPenalty:   2,
 		RebufferPenalty: 8,
 		DrainPenalty:    1,
-		allowed:         sorted,
+		allowed:         allowed.Combos(),
+		utilities:       allowed.Utilities(),
 		meter:           estimator.NewGlobalMeter(),
 		lastIdx:         -1,
 	}
-	m.utilities = make([]float64, len(sorted))
-	base := math.Log(float64(sorted[0].DeclaredBitrate()))
-	for i, cb := range sorted {
-		m.utilities[i] = math.Log(float64(cb.DeclaredBitrate())) - base
-	}
-	return m
 }
 
 // Name implements abr.Algorithm.

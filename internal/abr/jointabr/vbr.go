@@ -29,13 +29,19 @@ type VBRAware struct {
 
 	allowed []media.Combo
 	sizes   ChunkSizer
-	meter   *estimator.GlobalMeter
+	meter   estimator.GlobalMeter
 	current media.Combo
 }
 
 // NewVBRAware creates the adapter. sizes must cover every track in allowed.
 func NewVBRAware(allowed []media.Combo, sizes ChunkSizer) *VBRAware {
-	if len(allowed) == 0 {
+	return NewVBRAwareFrom(abr.NewAllowed(allowed), sizes)
+}
+
+// NewVBRAwareFrom is NewVBRAware over a prepared list, which the model
+// shares and never writes.
+func NewVBRAwareFrom(allowed *abr.Allowed, sizes ChunkSizer) *VBRAware {
+	if len(allowed.Combos()) == 0 {
 		panic("jointabr: empty allowed combination list")
 	}
 	if sizes == nil {
@@ -45,7 +51,7 @@ func NewVBRAware(allowed []media.Combo, sizes ChunkSizer) *VBRAware {
 		SafetyFactor:     DefaultSafetyFactor,
 		UpSwitchBuffer:   DefaultUpSwitchBuffer,
 		DownSwitchBuffer: DefaultDownSwitchBuffer,
-		allowed:          sortByDeclared(allowed),
+		allowed:          allowed.Combos(),
 		sizes:            sizes,
 		meter:            estimator.NewGlobalMeter(),
 	}

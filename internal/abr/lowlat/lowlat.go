@@ -63,18 +63,6 @@ const (
 	LoLPMinHold = 15 * time.Second
 )
 
-// sortByDeclared returns a copy of combos sorted by declared bitrate.
-func sortByDeclared(combos []media.Combo) []media.Combo {
-	sorted := make([]media.Combo, len(combos))
-	copy(sorted, combos)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j-1].DeclaredBitrate() > sorted[j].DeclaredBitrate(); j-- {
-			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
-		}
-	}
-	return sorted
-}
-
 // Default is the dash.js throughput rule in a low-latency session: the mean
 // of the last LiveWindow per-segment throughput samples, a 0.9 safety
 // factor, and no latency term anywhere in the decision. It is the trio's
@@ -84,18 +72,22 @@ type Default struct {
 	abr.NopObserver
 
 	allowed []media.Combo
-	hist    *estimator.SlidingMean
+	hist    estimator.SlidingMean
 }
 
 // NewDefault creates the latency-blind throughput rule over the allowed
 // combination list.
-func NewDefault(allowed []media.Combo) *Default {
-	if len(allowed) == 0 {
+func NewDefault(allowed []media.Combo) *Default { return NewDefaultFrom(abr.NewAllowed(allowed)) }
+
+// NewDefaultFrom is NewDefault over a prepared list, which the rule shares
+// and never writes.
+func NewDefaultFrom(allowed *abr.Allowed) *Default {
+	if len(allowed.Combos()) == 0 {
 		panic("lowlat: empty allowed combination list")
 	}
 	hist := estimator.NewSlidingMean()
 	hist.Window = LiveWindow
-	return &Default{allowed: sortByDeclared(allowed), hist: hist}
+	return &Default{allowed: allowed.Combos(), hist: hist}
 }
 
 // Name implements abr.Algorithm.
@@ -139,19 +131,23 @@ type L2A struct {
 	abr.NopObserver
 
 	allowed []media.Combo
-	hist    *estimator.SlidingMean
+	hist    estimator.SlidingMean
 	last    float64 // most recent per-chunk throughput sample
 	queue   float64 // virtual latency-violation queue, seconds
 }
 
 // NewL2A creates the Learn2Adapt rule over the allowed combination list.
-func NewL2A(allowed []media.Combo) *L2A {
-	if len(allowed) == 0 {
+func NewL2A(allowed []media.Combo) *L2A { return NewL2AFrom(abr.NewAllowed(allowed)) }
+
+// NewL2AFrom is NewL2A over a prepared list, which the rule shares and
+// never writes.
+func NewL2AFrom(allowed *abr.Allowed) *L2A {
+	if len(allowed.Combos()) == 0 {
 		panic("lowlat: empty allowed combination list")
 	}
 	hist := estimator.NewSlidingMean()
 	hist.Window = LiveWindow
-	return &L2A{allowed: sortByDeclared(allowed), hist: hist}
+	return &L2A{allowed: allowed.Combos(), hist: hist}
 }
 
 // Name implements abr.Algorithm.
@@ -203,20 +199,24 @@ type LoLP struct {
 	abr.NopObserver
 
 	allowed []media.Combo
-	hist    *estimator.SlidingPercentile
+	hist    estimator.SlidingPercentile
 	last    float64 // most recent per-chunk throughput sample
 	current media.Combo
 	lastUp  time.Duration
 }
 
 // NewLoLP creates the LoL+ rule over the allowed combination list.
-func NewLoLP(allowed []media.Combo) *LoLP {
-	if len(allowed) == 0 {
+func NewLoLP(allowed []media.Combo) *LoLP { return NewLoLPFrom(abr.NewAllowed(allowed)) }
+
+// NewLoLPFrom is NewLoLP over a prepared list, which the rule shares and
+// never writes.
+func NewLoLPFrom(allowed *abr.Allowed) *LoLP {
+	if len(allowed.Combos()) == 0 {
 		panic("lowlat: empty allowed combination list")
 	}
 	hist := estimator.NewSlidingPercentile()
 	hist.Percentile = LoLPPercentile
-	return &LoLP{allowed: sortByDeclared(allowed), hist: hist}
+	return &LoLP{allowed: allowed.Combos(), hist: hist}
 }
 
 // Name implements abr.Algorithm.

@@ -19,9 +19,9 @@ var playAllocsPin = []struct {
 	allocs float64
 	bytes  uint64
 }{
-	{DashJS, 101, 30_000},
-	{BestPractice, 99, 27_900},
-	{VBRJoint, 94, 27_400},
+	{DashJS, 97, 30_000},
+	{BestPractice, 90, 27_800},
+	{VBRJoint, 89, 27_300},
 }
 
 // TestPlayAllocs pins the allocations and the bytes allocated by one warm

@@ -129,6 +129,9 @@ type ParsedManifest struct {
 	combos       []media.Combo
 	order        []*media.Track
 	sizer        jointabr.ChunkSizer // VBRJoint only
+	// allowed is combos sorted, with their utilities, for the joint and
+	// low-latency models, which share it; nil for DASH kinds.
+	allowed *abr.Allowed
 }
 
 // ParseManifest generates the manifest player kind reads for the content
@@ -190,6 +193,9 @@ func parseManifest(kind PlayerKind, c *media.Content, mo ManifestOptions) (*Pars
 	if err != nil {
 		return nil, err
 	}
+	if m.combos != nil {
+		m.allowed = abr.NewAllowed(m.combos)
+	}
 	return m, nil
 }
 
@@ -199,9 +205,10 @@ func (m *ParsedManifest) Allowed() []media.Combo { return m.combos }
 
 // NewModel constructs a fresh model of the manifest's player kind. Every
 // constructor copies what it keeps mutable, so models never write to the
-// shared parse.
+// shared parse; the joint and low-latency models share its sorted list
+// and utilities, so building one allocates little more than the model.
 func (m *ParsedManifest) NewModel() abr.Algorithm {
-	combos := m.combos
+	combos, allowed := m.combos, m.allowed
 	switch m.kind {
 	case ExoPlayerDASH:
 		return exoplayer.NewDASH(m.video, m.audio)
@@ -212,25 +219,25 @@ func (m *ParsedManifest) NewModel() abr.Algorithm {
 	case Shaka:
 		return shaka.NewHLS(combos)
 	case BestPractice:
-		return jointabr.New(combos)
+		return jointabr.NewFrom(allowed)
 	case BestPracticeAbandon:
-		return jointabr.New(combos, jointabr.WithAbandonment())
+		return jointabr.NewFrom(allowed, jointabr.WithAbandonment())
 	case BolaJoint:
-		return jointabr.NewBolaJoint(combos, 0)
+		return jointabr.NewBolaJointFrom(allowed, 0)
 	case MPCJoint:
-		return jointabr.NewMPC(combos, 0)
+		return jointabr.NewMPCFrom(allowed, 0)
 	case VBRJoint:
-		return jointabr.NewVBRAware(combos, m.sizer)
+		return jointabr.NewVBRAwareFrom(allowed, m.sizer)
 	case DynamicJoint:
-		return jointabr.NewDynamicJoint(combos)
+		return jointabr.NewDynamicJointFrom(allowed)
 	case LLDefault:
-		return lowlat.NewDefault(combos)
+		return lowlat.NewDefaultFrom(allowed)
 	case LLL2A:
-		return lowlat.NewL2A(combos)
+		return lowlat.NewL2AFrom(allowed)
 	case LLLoLP:
-		return lowlat.NewLoLP(combos)
+		return lowlat.NewLoLPFrom(allowed)
 	default:
-		return jointabr.NewIndependent(combos)
+		return jointabr.NewIndependentFrom(allowed)
 	}
 }
 

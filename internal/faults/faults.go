@@ -318,6 +318,12 @@ func NewBlacklist() *Blacklist {
 	return &Blacklist{strikes: map[string]int{}, until: map[string]time.Duration{}}
 }
 
+// Reset empties the blacklist, keeping its maps' storage for reuse.
+func (b *Blacklist) Reset() {
+	clear(b.strikes)
+	clear(b.until)
+}
+
 // Strike records a failure for the track at the given time and reports
 // whether the track just crossed the blacklist threshold.
 func (b *Blacklist) Strike(trackID string, now time.Duration, p Policy) bool {

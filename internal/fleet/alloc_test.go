@@ -1,6 +1,6 @@
 //go:build !race
 
-package fleet
+package fleet_test
 
 import (
 	"runtime"
@@ -9,20 +9,25 @@ import (
 
 	"demuxabr/internal/cdnsim"
 	"demuxabr/internal/core"
+	"demuxabr/internal/experiments"
 	"demuxabr/internal/faults"
+	"demuxabr/internal/fleet"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/trace"
 )
 
 // TestFleetAllocsPerSession pins the allocations and the bytes allocated
-// per session of two small streaming fleets shaped like the benchmark's
+// per session of three small streaming fleets shaped like the benchmark's
 // fleet workloads, request lifecycle included: the four joint models
 // behind one uplink and edge, in 16-session cells, aggregated by the
 // streaming path. The vod row is fleet-vod's deployment; the resilient row
 // turns on every optional request stage as fleet-resilient does (H1
 // connections that idle out and lose packets, a fault plan over every
-// kind, the default retry policy, an edge that evicts).
+// kind, the default retry policy, an edge that evicts); the live row runs
+// fleet-live's low-latency trio in live mode. The second cell of each run
+// reuses the Session objects the first released (see
+// TestSessionReuseAllocFree), so half of each run is warm.
 //
 // allocs/op is deterministic, so any regression in the request stages or
 // the aggregation shows here (the manifests are parsed once per process,
@@ -32,7 +37,7 @@ import (
 // regression pass. The race detector changes allocation counts, so the
 // test is built only without it (check.sh runs it in a step of its own).
 func TestFleetAllocsPerSession(t *testing.T) {
-	vod := Config{
+	vod := fleet.Config{
 		Content:       media.DramaShow(),
 		Sessions:      32,
 		Mix:           []core.PlayerKind{core.BestPractice, core.BolaJoint, core.MPCJoint, core.DynamicJoint},
@@ -61,19 +66,23 @@ func TestFleetAllocsPerSession(t *testing.T) {
 	}
 	pol := faults.DefaultPolicy()
 	resilient.Robustness = &pol
+	live := vod
+	live.Mix = experiments.LiveModels()
+	live.Live = experiments.LiveConfig()
 
 	for _, row := range []struct {
 		name              string
-		cfg               Config
+		cfg               fleet.Config
 		allocPin, bytePin float64
 	}{
-		{"vod", vod, 42, 18_300},
-		{"resilient", resilient, 64, 19_900},
+		{"vod", vod, 27, 13_600},
+		{"resilient", resilient, 38, 14_400},
+		{"live", live, 29, 12_400},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := row.cfg
 			var err error
-			allocs := testing.AllocsPerRun(3, func() { _, err = Run(cfg) })
+			allocs := testing.AllocsPerRun(3, func() { _, err = fleet.Run(cfg) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +97,7 @@ func TestFleetAllocsPerSession(t *testing.T) {
 			// session does.
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err = Run(cfg)
+			_, err = fleet.Run(cfg)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)

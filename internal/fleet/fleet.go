@@ -305,28 +305,29 @@ func (c *Config) arrivals() []time.Duration {
 	return at
 }
 
-// sessionPlan derives session i's fault plan from the fleet plan: same
-// knobs, a seed offset by the session ID so clients fail independently but
-// reproducibly.
-func (c *Config) sessionPlan(i int) *faults.Plan {
+// sessionPlan derives session i's fault plan from the fleet plan into
+// *plan and returns plan, or nil without a fleet plan: same knobs, a seed
+// offset by the session ID so clients fail independently but reproducibly.
+func (c *Config) sessionPlan(i int, plan *faults.Plan) *faults.Plan {
 	if c.FaultPlan == nil {
 		return nil
 	}
-	plan := *c.FaultPlan
+	*plan = *c.FaultPlan
 	plan.Seed = c.FaultPlan.Seed + int64(i+1)*1_000_003
-	return &plan
+	return plan
 }
 
-// sessionTransport derives session i's transport config: same knobs, a
-// seed offset by the session ID so connection loss draws are independent
-// across clients but a pure function of (fleet seed, session ID).
-func (c *Config) sessionTransport(i int) *netsim.TransportConfig {
+// sessionTransport derives session i's transport config into *tc and
+// returns tc, or nil without a fleet transport: same knobs, a seed offset
+// by the session ID so connection loss draws are independent across
+// clients but a pure function of (fleet seed, session ID).
+func (c *Config) sessionTransport(i int, tc *netsim.TransportConfig) *netsim.TransportConfig {
 	if c.Transport == nil {
 		return nil
 	}
-	tc := *c.Transport
+	*tc = *c.Transport
 	tc.Seed = c.Transport.Seed + c.Seed + int64(i+1)*1_000_003
-	return &tc
+	return tc
 }
 
 // parseManifests returns each Mix entry's parsed manifest, indexed like
@@ -374,13 +375,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	aggs, err := runpool.Map(shards, shards, func(sh int) (*shardAgg, error) {
-		agg, sim := newShardAgg(&cfg, stream), newShardSim(&cfg)
+		sim := newShardSim(&cfg, newShardAgg(&cfg, stream), arrive)
 		for ci := sh; ci < len(cells); ci += shards {
-			if err := runCell(&cfg, manifests, ci, len(cells), cells[ci], arrive, agg, sim); err != nil {
+			if err := runCell(sim, manifests, ci, len(cells), cells[ci]); err != nil {
 				return nil, err
 			}
 		}
-		return agg, nil
+		return sim.agg, nil
 	})
 	if err != nil {
 		return nil, err

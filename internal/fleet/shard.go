@@ -7,6 +7,8 @@ import (
 
 	"demuxabr/internal/cdnsim"
 	"demuxabr/internal/core"
+	"demuxabr/internal/faults"
+	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
@@ -96,24 +98,106 @@ func (a *shardAgg) addSession(s SessionResult) {
 
 // shardSim is the simulation state a shard worker keeps from one cell to
 // the next: the engine with its event and transfer freelists, the uplink
-// with its leaves, the edge cache's slots and index, and the pool of
-// request records. Each cell resets it before it starts, and leaves the
-// engine drained.
+// with its leaves, the edge cache's slots and index, the pool of request
+// records and finished sessions, and one slot per cell position. Each
+// cell resets it before it starts, and leaves the engine drained.
 type shardSim struct {
 	eng   *netsim.Engine
 	up    *netsim.Uplink
 	cache *cdnsim.Cache
 	pool  *player.Pool
+	slots []cellSlot
+
+	// What the slots' callbacks read: the fleet, the shard's aggregate,
+	// the arrival times, the running cell's edge, and the scratch table
+	// qoe.Compute builds each session's selections in.
+	cfg    *Config
+	agg    *shardAgg
+	arrive []time.Duration
+	edge   *cdnsim.Edge
+	qoe    qoe.Scratch
 }
 
-func newShardSim(cfg *Config) *shardSim {
+func newShardSim(cfg *Config, agg *shardAgg, arrive []time.Duration) *shardSim {
 	eng := netsim.NewEngine()
-	return &shardSim{
-		eng:   eng,
-		up:    netsim.NewUplink(eng, cfg.UplinkProfile),
-		cache: cdnsim.NewCache(cfg.CacheBytes),
-		pool:  new(player.Pool),
+	sim := &shardSim{
+		eng:    eng,
+		up:     netsim.NewUplink(eng, cfg.UplinkProfile),
+		cache:  cdnsim.NewCache(cfg.CacheBytes),
+		pool:   new(player.Pool),
+		slots:  make([]cellSlot, cfg.CellSessions),
+		cfg:    cfg,
+		agg:    agg,
+		arrive: arrive,
 	}
+	for li := range sim.slots {
+		sl := &sim.slots[li]
+		sl.sim, sl.li = sim, li
+		sl.onRequest, sl.onDone, sl.start = sl.request, sl.done, sl.run
+	}
+	return sim
+}
+
+// cellSlot is one position of a cell: the state the callbacks of the
+// session at that position read, and those callbacks, bound once per
+// shard. A slot's fault plan and transport config are the session's, held
+// by value, so a cell makes no closure, plan or config per session. Each
+// cell overwrites the slots it uses; the sessions of the last one have
+// all finished by then.
+type cellSlot struct {
+	sim      *shardSim
+	li, id   int
+	kind     core.PlayerKind
+	combos   []media.Combo
+	leaf     *netsim.Link
+	finished bool
+	err      error
+	plan     faults.Plan
+	tc       netsim.TransportConfig
+	pcfg     player.Config
+
+	onRequest func(player.ChunkRequest) time.Duration
+	onDone    func(*player.Session)
+	start     func()
+}
+
+// run starts the slot's session at its arrival time.
+func (sl *cellSlot) run() {
+	if _, err := sl.sim.pool.Start(sl.leaf, sl.leaf, sl.pcfg); err != nil {
+		sl.err = err
+	}
+}
+
+// request is the session's edge hook: a hit costs nothing extra, a miss
+// the origin round trip.
+func (sl *cellSlot) request(req player.ChunkRequest) time.Duration {
+	var hit bool
+	if req.MuxedWith != nil {
+		hit = sl.sim.edge.RequestMuxed(sl.li, req.Track, req.MuxedWith, req.Index)
+	} else {
+		hit = sl.sim.edge.RequestTrack(sl.li, req.Track, req.Index)
+	}
+	if hit {
+		return 0
+	}
+	return sl.sim.cfg.MissPenalty
+}
+
+// done fires once per session, inside the engine loop, after the Result is
+// final: the streaming path aggregates here and retains nothing, so cell
+// memory tracks the in-flight population rather than the cell total.
+func (sl *cellSlot) done(s *player.Session) {
+	sl.finished = true
+	sim := sl.sim
+	r := s.Result()
+	sim.agg.addSession(SessionResult{
+		ID:      sl.id,
+		Kind:    sl.kind,
+		Arrival: sim.arrive[sl.id],
+		Result:  r,
+		Metrics: sim.qoe.Compute(r, sim.cfg.Content, sl.combos, qoe.DefaultWeights()),
+		Cache:   sim.edge.SessionStats(sl.li),
+	})
 }
 
 // runCell simulates one contention cell: its own shared uplink and edge
@@ -124,13 +208,17 @@ func newShardSim(cfg *Config) *shardSim {
 // equivalence the shard tests pin. The cell resets the shard's simulation
 // state, which the previous cell left drained, so its sessions take the
 // events, transfers, leaves and cache slots earlier cells released, and
-// they start through the shard's pool.
-func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int, arrive []time.Duration, agg *shardAgg, sim *shardSim) error {
-	eng, up := sim.eng, sim.up
+// they start through the shard's pool. On the streaming path, where no
+// Result outlives its session's OnDone, the cell then releases its
+// sessions to the pool for the next cell to reuse; the exact path keeps
+// every Result, so its sessions are never reused.
+func runCell(sim *shardSim, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int) error {
+	cfg, agg, eng, up := sim.cfg, sim.agg, sim.eng, sim.up
 	eng.Reset()
 	up.Reset()
 	sim.cache.Reset()
 	edge := cdnsim.NewEdge(sim.cache, cfg.Mode, cfg.Content, len(ids))
+	sim.edge = edge
 	budget := cfg.cellBudget(len(ids))
 	agg.beginCell(cellIdx)
 
@@ -173,78 +261,49 @@ func runCell(cfg *Config, manifests []*core.ParsedManifest, cellIdx, numCells in
 		}
 	}
 
-	finished := make([]bool, len(ids))
-	errs := make([]error, len(ids))
-
+	slots := sim.slots[:len(ids)]
 	for li, id := range ids {
-		kind := cfg.Mix[id%len(cfg.Mix)]
+		sl := &slots[li]
 		manifest := manifests[id%len(cfg.Mix)]
-		model, combos := manifest.NewModel(), manifest.Allowed()
-		leaf := up.NewLeaf(cfg.AccessProfile)
-		leaf.RTT = cfg.AccessRTT
-		pcfg := player.Config{
+		sl.id, sl.kind, sl.combos = id, cfg.Mix[id%len(cfg.Mix)], manifest.Allowed()
+		sl.finished, sl.err = false, nil
+		sl.leaf = up.NewLeaf(cfg.AccessProfile)
+		sl.leaf.RTT = cfg.AccessRTT
+		sl.pcfg = player.Config{
 			Content:    cfg.Content,
-			Model:      model,
+			Model:      manifest.NewModel(),
 			Muxed:      cfg.Mode == cdnsim.Muxed,
 			MaxBuffer:  cfg.MaxBuffer,
 			Deadline:   cfg.Deadline,
 			MaxEvents:  budget,
-			FaultPlan:  cfg.sessionPlan(id),
+			FaultPlan:  cfg.sessionPlan(id, &sl.plan),
 			Robustness: cfg.Robustness,
-			Transport:  cfg.sessionTransport(id),
+			Transport:  cfg.sessionTransport(id, &sl.tc),
 			Live:       cfg.Live,
 			Recorder:   recFor(recs, li),
 			// Only the exact path retains the Result that carries the log.
 			KeepTimeline: !agg.stream,
-			OnRequest: func(req player.ChunkRequest) time.Duration {
-				var hit bool
-				if req.MuxedWith != nil {
-					hit = edge.RequestMuxed(li, req.Track, req.MuxedWith, req.Index)
-				} else {
-					hit = edge.RequestTrack(li, req.Track, req.Index)
-				}
-				if hit {
-					return 0
-				}
-				return cfg.MissPenalty
-			},
-			// OnDone fires once per session, inside the engine loop, after
-			// the Result is final: the streaming path aggregates here and
-			// retains nothing, so cell memory tracks the in-flight
-			// population rather than the cell total.
-			OnDone: func(s *player.Session) {
-				finished[li] = true
-				r := s.Result()
-				agg.addSession(SessionResult{
-					ID:      id,
-					Kind:    kind,
-					Arrival: arrive[id],
-					Result:  r,
-					Metrics: qoe.Compute(r, cfg.Content, combos, qoe.DefaultWeights()),
-					Cache:   edge.SessionStats(li),
-				})
-			},
+			OnRequest:    sl.onRequest,
+			OnDone:       sl.onDone,
 		}
-		eng.Schedule(arrive[id], func() {
-			if _, err := sim.pool.Start(leaf, leaf, pcfg); err != nil {
-				errs[li] = err
-			}
-		})
+		eng.Schedule(sim.arrive[id], sl.start)
 	}
 
 	if err := eng.Run(budget); err != nil {
 		return err
 	}
-	for li, err := range errs {
-		if err != nil {
-			return fmt.Errorf("fleet: session %d (%s): %w", ids[li], cfg.Mix[ids[li]%len(cfg.Mix)], err)
+	for i := range slots {
+		if sl := &slots[i]; sl.err != nil {
+			return fmt.Errorf("fleet: session %d (%s): %w", sl.id, sl.kind, sl.err)
 		}
 	}
-	for li := range ids {
-		if !finished[li] {
-			return fmt.Errorf("fleet: session %d (%s) never finished (event budget too small?)",
-				ids[li], cfg.Mix[ids[li]%len(cfg.Mix)])
+	for i := range slots {
+		if sl := &slots[i]; !sl.finished {
+			return fmt.Errorf("fleet: session %d (%s) never finished (event budget too small?)", sl.id, sl.kind)
 		}
+	}
+	if agg.stream {
+		sim.pool.Release()
 	}
 
 	agg.endCell(cellIdx, edge.Aggregate())

@@ -147,7 +147,7 @@ func FetchManifest(ctx context.Context, client *http.Client, baseURL string) (*M
 			return nil, fmt.Errorf("httpclient: AdaptationSet %d has unsupported contentType %q", i, as.ContentType)
 		}
 		st := as.SegmentTemplate
-		if st == nil || st.Timescale == 0 {
+		if st == nil {
 			return nil, fmt.Errorf("httpclient: %s AdaptationSet lacks a usable SegmentTemplate", as.ContentType)
 		}
 		if !strings.Contains(st.Media, "$RepresentationID$") || !strings.Contains(st.Media, "$Number$") {

@@ -15,6 +15,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -57,8 +58,10 @@ type SegmentTemplate struct {
 	// Duration is the nominal segment duration in timescale units; 0 (and
 	// absent from the XML) when the timeline is declared variable — then
 	// the SegmentTimeline below is the sole, authoritative duration source.
-	Duration  int64 `xml:"duration,attr,omitempty"`
-	Timescale int64 `xml:"timescale,attr"`
+	Duration int64 `xml:"duration,attr,omitempty"`
+	// Timescale is how many @duration and S@d units make a second; nil
+	// when the attribute is absent (see UnitsPerSecond).
+	Timescale *int64 `xml:"timescale,attr"`
 	// StartNumber is the $Number$ of the first segment; nil when the
 	// attribute is absent (see FirstNumber).
 	StartNumber *int64 `xml:"startNumber,attr"`
@@ -74,6 +77,15 @@ func (st *SegmentTemplate) FirstNumber() int64 {
 		return 1
 	}
 	return *st.StartNumber
+}
+
+// UnitsPerSecond returns the timescale: @timescale, or 1 when the
+// attribute is absent, the default of ISO/IEC 23009-1.
+func (st *SegmentTemplate) UnitsPerSecond() int64 {
+	if st.Timescale == nil {
+		return 1
+	}
+	return *st.Timescale
 }
 
 // SegmentTimeline is the explicit duration list.
@@ -101,17 +113,24 @@ const MaxSegments = 1 << 20
 // With a Timeline the expansion is exact; otherwise every segment has the
 // nominal @duration and the caller's total bounds the count (a total of 0,
 // as the linter passes when the MPD declares no duration, yields none).
-// Either way, more than MaxSegments segments is an error.
+// Either way, more than MaxSegments segments is an error, and so is a
+// duration of more units than a time.Duration can count the nanoseconds
+// of at timescale 1 (about 292 years), which the conversion would wrap.
 func (st *SegmentTemplate) SegmentDurations(total time.Duration) ([]time.Duration, error) {
-	if st.Timescale <= 0 {
+	timescale := st.UnitsPerSecond()
+	if timescale <= 0 {
 		return nil, fmt.Errorf("dash: non-positive timescale")
 	}
+	const maxUnits = math.MaxInt64 / int64(time.Second)
 	toDur := func(units int64) time.Duration {
-		return time.Duration(units) * time.Second / time.Duration(st.Timescale)
+		return time.Duration(units) * time.Second / time.Duration(timescale)
 	}
 	if st.Timeline != nil {
 		n := int64(0)
 		for i, s := range st.Timeline.S {
+			if s.D > maxUnits {
+				return nil, fmt.Errorf("dash: SegmentTimeline S[%d] duration %d overflows", i, s.D)
+			}
 			if toDur(s.D) <= 0 {
 				return nil, fmt.Errorf("dash: SegmentTimeline S[%d] has non-positive duration", i)
 			}
@@ -137,10 +156,13 @@ func (st *SegmentTemplate) SegmentDurations(total time.Duration) ([]time.Duratio
 	if st.Duration <= 0 {
 		return nil, fmt.Errorf("dash: SegmentTemplate has neither @duration nor a SegmentTimeline")
 	}
+	if st.Duration > maxUnits {
+		return nil, fmt.Errorf("dash: @duration %d overflows", st.Duration)
+	}
 	seg := toDur(st.Duration)
 	if seg <= 0 {
 		// A sub-nanosecond segment would never cover the total.
-		return nil, fmt.Errorf("dash: @duration %d at timescale %d is shorter than a nanosecond", st.Duration, st.Timescale)
+		return nil, fmt.Errorf("dash: @duration %d at timescale %d is shorter than a nanosecond", st.Duration, timescale)
 	}
 	if total <= 0 {
 		return nil, nil
@@ -259,7 +281,7 @@ func Generate(c *media.Content) *MPD {
 			Media:          "video/$RepresentationID$/seg-$Number$.m4s",
 			Initialization: "video/$RepresentationID$/init.mp4",
 			Duration:       nominalDurationFor(c, media.Video),
-			Timescale:      1000,
+			Timescale:      msTimescale(),
 			StartNumber:    new(int64), // the origin numbers segments from 0
 			Timeline:       timelineFor(c, media.Video),
 		},
@@ -282,7 +304,7 @@ func Generate(c *media.Content) *MPD {
 			Media:          "audio/$RepresentationID$/seg-$Number$.m4s",
 			Initialization: "audio/$RepresentationID$/init.mp4",
 			Duration:       nominalDurationFor(c, media.Audio),
-			Timescale:      1000,
+			Timescale:      msTimescale(),
 			StartNumber:    new(int64), // the origin numbers segments from 0
 			Timeline:       timelineFor(c, media.Audio),
 		},
@@ -314,6 +336,13 @@ func Generate(c *media.Content) *MPD {
 			AdaptationSets: []AdaptationSet{videoSet, audioSet},
 		}},
 	}
+}
+
+// msTimescale returns a new @timescale of milliseconds, the unit of every
+// duration Generate writes.
+func msTimescale() *int64 {
+	ms := int64(time.Second / time.Millisecond)
+	return &ms
 }
 
 // timelineFor emits an explicit SegmentTimeline for one track type when the

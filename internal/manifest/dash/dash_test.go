@@ -2,7 +2,9 @@ package dash
 
 import (
 	"bytes"
+	"encoding/xml"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -150,8 +152,8 @@ func TestSegmentTemplate(t *testing.T) {
 	if st == nil {
 		t.Fatal("missing SegmentTemplate")
 	}
-	if st.Duration != 5000 || st.Timescale != 1000 {
-		t.Errorf("segment duration = %d/%d, want 5000/1000", st.Duration, st.Timescale)
+	if st.Duration != 5000 || st.Timescale == nil || *st.Timescale != 1000 {
+		t.Errorf("segment duration = %d/%d, want 5000/1000", st.Duration, st.UnitsPerSecond())
 	}
 	if !strings.Contains(st.Media, "$RepresentationID$") || !strings.Contains(st.Media, "$Number$") {
 		t.Errorf("media template = %q", st.Media)
@@ -203,7 +205,7 @@ func TestSegmentTimelineOmittedWhenRegular(t *testing.T) {
 }
 
 func TestSegmentDurationsFromNominal(t *testing.T) {
-	st := &SegmentTemplate{Duration: 5000, Timescale: 1000}
+	st := &SegmentTemplate{Duration: 5000, Timescale: timescale(1000)}
 	durs, err := st.SegmentDurations(12 * time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -220,18 +222,18 @@ func TestSegmentDurationsErrors(t *testing.T) {
 		st    *SegmentTemplate
 		total time.Duration
 	}{
-		{&SegmentTemplate{Duration: 5000, Timescale: 0}, total},
-		{&SegmentTemplate{Timescale: 1000}, total},
-		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 0}}}}, total},
-		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 5, R: -2}}}}, total},
-		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{}}, total},
-		{&SegmentTemplate{Duration: 1, Timescale: 2_000_000_000}, total},
-		{&SegmentTemplate{Timescale: 2_000_000_000, Timeline: &SegmentTimeline{S: []S{{D: 1}}}}, total},
+		{&SegmentTemplate{Duration: 5000, Timescale: timescale(0)}, total},
+		{&SegmentTemplate{Timescale: timescale(1000)}, total},
+		{&SegmentTemplate{Timescale: timescale(1000), Timeline: &SegmentTimeline{S: []S{{D: 0}}}}, total},
+		{&SegmentTemplate{Timescale: timescale(1000), Timeline: &SegmentTimeline{S: []S{{D: 5, R: -2}}}}, total},
+		{&SegmentTemplate{Timescale: timescale(1000), Timeline: &SegmentTimeline{}}, total},
+		{&SegmentTemplate{Duration: 1, Timescale: timescale(2_000_000_000)}, total},
+		{&SegmentTemplate{Timescale: timescale(2_000_000_000), Timeline: &SegmentTimeline{S: []S{{D: 1}}}}, total},
 		// Counts past MaxSegments are refused before anything is allocated.
-		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 1000, R: 1 << 40}}}}, total},
-		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 1000, R: math.MaxInt64}}}}, total},
-		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 1000, R: MaxSegments / 2}, {D: 1000, R: MaxSegments / 2}}}}, total},
-		{&SegmentTemplate{Duration: 1, Timescale: 1000}, 100_000 * time.Hour},
+		{&SegmentTemplate{Timescale: timescale(1000), Timeline: &SegmentTimeline{S: []S{{D: 1000, R: 1 << 40}}}}, total},
+		{&SegmentTemplate{Timescale: timescale(1000), Timeline: &SegmentTimeline{S: []S{{D: 1000, R: math.MaxInt64}}}}, total},
+		{&SegmentTemplate{Timescale: timescale(1000), Timeline: &SegmentTimeline{S: []S{{D: 1000, R: MaxSegments / 2}, {D: 1000, R: MaxSegments / 2}}}}, total},
+		{&SegmentTemplate{Duration: 1, Timescale: timescale(1000)}, 100_000 * time.Hour},
 	}
 	for i, c := range cases {
 		if _, err := c.st.SegmentDurations(c.total); err == nil {
@@ -247,8 +249,8 @@ func TestSegmentDurationsAtCap(t *testing.T) {
 		st    *SegmentTemplate
 		total time.Duration
 	}{
-		{&SegmentTemplate{Timescale: 1000, Timeline: &SegmentTimeline{S: []S{{D: 1000}, {D: 1000, R: MaxSegments - 2}}}}, 0},
-		{&SegmentTemplate{Duration: 1, Timescale: 1000}, MaxSegments * time.Millisecond},
+		{&SegmentTemplate{Timescale: timescale(1000), Timeline: &SegmentTimeline{S: []S{{D: 1000}, {D: 1000, R: MaxSegments - 2}}}}, 0},
+		{&SegmentTemplate{Duration: 1, Timescale: timescale(1000)}, MaxSegments * time.Millisecond},
 	} {
 		durs, err := c.st.SegmentDurations(c.total)
 		if err != nil || len(durs) != MaxSegments {
@@ -256,3 +258,43 @@ func TestSegmentDurationsAtCap(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentTemplateDefaultTimescale: @timescale is optional, and
+// ISO/IEC 23009-1 defaults it to 1, so a template that omits it counts
+// @duration in seconds.
+func TestSegmentTemplateDefaultTimescale(t *testing.T) {
+	var st SegmentTemplate
+	if err := xml.Unmarshal([]byte(`<SegmentTemplate media="$RepresentationID$/$Number$.m4s" duration="4"></SegmentTemplate>`), &st); err != nil {
+		t.Fatal(err)
+	}
+	durs, err := st.SegmentDurations(12 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []time.Duration{4 * time.Second, 4 * time.Second, 4 * time.Second}; !slices.Equal(durs, want) {
+		t.Fatalf("durations = %v, want %v", durs, want)
+	}
+}
+
+// TestSegmentDurationsOverflow: a duration of more units than fit in an
+// int64 count of nanoseconds is refused, in either form, rather than
+// wrapped into some other duration. Timescale 1 makes such durations a
+// mere 20 billion units.
+func TestSegmentDurationsOverflow(t *testing.T) {
+	for _, doc := range []string{
+		`<SegmentTemplate duration="20000000000"></SegmentTemplate>`,
+		`<SegmentTemplate timescale="1" duration="20000000000"></SegmentTemplate>`,
+		`<SegmentTemplate timescale="1"><SegmentTimeline><S d="20000000000"></S></SegmentTimeline></SegmentTemplate>`,
+	} {
+		var st SegmentTemplate
+		if err := xml.Unmarshal([]byte(doc), &st); err != nil {
+			t.Fatal(err)
+		}
+		if durs, err := st.SegmentDurations(10 * time.Second); err == nil {
+			t.Errorf("%s: durations %v, want an error", doc, durs)
+		}
+	}
+}
+
+// timescale returns a @timescale attribute of v.
+func timescale(v int64) *int64 { return &v }

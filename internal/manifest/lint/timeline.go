@@ -147,8 +147,8 @@ func MPDTimeline(m *dash.MPD) []Finding {
 			// Drift is only checkable when both a nominal @duration and an
 			// explicit timeline are declared: the timeline is then the truth
 			// the nominal must track.
-			if st.Timeline != nil && st.Duration > 0 && st.Timescale > 0 {
-				nominal := time.Duration(st.Duration) * time.Second / time.Duration(st.Timescale)
+			if st.Timeline != nil && st.Duration > 0 && st.UnitsPerSecond() > 0 {
+				nominal := time.Duration(st.Duration) * time.Second / time.Duration(st.UnitsPerSecond())
 				if irregular, worst, worstAt := driftCount(durs, nominal); irregular > 0 {
 					out = append(out, Finding{Warning, "dash-irregular-segment-durations",
 						fmt.Sprintf("%s SegmentTimeline: %d/%d segments drift more than 1/%d from the declared %v @duration (worst: segment %d at %v); irregular chunking breaks duration-based byte budgeting and audio/video boundary alignment (§4.1)",

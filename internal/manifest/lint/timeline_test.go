@@ -131,13 +131,13 @@ func TestMPDDeclaredVariableTimeline(t *testing.T) {
 	// no drift rule (no nominal to drift from), no alignment rule (the
 	// misalignment is the design).
 	video := &dash.SegmentTemplate{
-		Timescale: 1000,
+		Timescale: timescale(1000),
 		Timeline: &dash.SegmentTimeline{S: []dash.S{
 			{D: 5000}, {D: 7000}, {D: 8000}, {D: 6000}, {D: 4000, R: 2}, {D: 2000},
 		}},
 	}
 	audio := &dash.SegmentTemplate{
-		Timescale: 1000,
+		Timescale: timescale(1000),
 		Timeline:  &dash.SegmentTimeline{S: []dash.S{{D: 6000, R: 5}, {D: 4000}}},
 	}
 	if fs := MPDTimeline(timelineMPD(video, audio)); len(fs) != 0 {
@@ -146,7 +146,7 @@ func TestMPDDeclaredVariableTimeline(t *testing.T) {
 	// With a nominal @duration alongside the same video timeline, the drift
 	// is once again a claim the manifest breaks — both rules return.
 	video.Duration = 5000
-	audioNominal := &dash.SegmentTemplate{Timescale: 1000, Duration: 5000}
+	audioNominal := &dash.SegmentTemplate{Timescale: timescale(1000), Duration: 5000}
 	rules := ruleSet(MPDTimeline(timelineMPD(video, audioNominal)))
 	if _, ok := rules["dash-irregular-segment-durations"]; !ok {
 		t.Errorf("nominal+timeline drift not flagged: %v", rules)
@@ -172,12 +172,12 @@ func timelineMPD(video, audio *dash.SegmentTemplate) *dash.MPD {
 
 func TestMPDTimelineDrift(t *testing.T) {
 	video := &dash.SegmentTemplate{
-		Timescale: 1000, Duration: 4000,
+		Timescale: timescale(1000), Duration: 4000,
 		Timeline: &dash.SegmentTimeline{S: []dash.S{
 			{D: 4000, R: 2}, {D: 6000}, {D: 4000, R: 5}, {D: 2000},
 		}},
 	}
-	audio := &dash.SegmentTemplate{Timescale: 1000, Duration: 4000}
+	audio := &dash.SegmentTemplate{Timescale: timescale(1000), Duration: 4000}
 	rules := ruleSet(MPDTimeline(timelineMPD(video, audio)))
 	if f, ok := rules["dash-irregular-segment-durations"]; !ok {
 		t.Fatalf("drifting timeline not flagged: %v", rules)
@@ -191,7 +191,7 @@ func TestMPDTimelineDrift(t *testing.T) {
 	}
 
 	regular := &dash.SegmentTemplate{
-		Timescale: 1000, Duration: 4000,
+		Timescale: timescale(1000), Duration: 4000,
 		Timeline: &dash.SegmentTimeline{S: []dash.S{{D: 4000, R: 8}, {D: 2000}}},
 	}
 	if fs := MPDTimeline(timelineMPD(regular, audio)); len(fs) != 0 {
@@ -204,7 +204,7 @@ func TestMPDTimelineDrift(t *testing.T) {
 // than dash.MaxSegments segments — is a finding naming its adaptation set
 // and the cause, not a template the timeline rules skip.
 func TestMPDTimelineRefusedTemplates(t *testing.T) {
-	audio := &dash.SegmentTemplate{Timescale: 1000, Duration: 4000}
+	audio := &dash.SegmentTemplate{Timescale: timescale(1000), Duration: 4000}
 	for _, tc := range []struct {
 		name  string
 		s     []dash.S
@@ -214,7 +214,7 @@ func TestMPDTimelineRefusedTemplates(t *testing.T) {
 		{"negative S@r", []dash.S{{D: 4000, R: -2}}, "negative repeat"},
 		{"too many segments", []dash.S{{D: 4000, R: dash.MaxSegments}}, "more than"},
 	} {
-		video := &dash.SegmentTemplate{Timescale: 1000, Duration: 4000, Timeline: &dash.SegmentTimeline{S: tc.s}}
+		video := &dash.SegmentTemplate{Timescale: timescale(1000), Duration: 4000, Timeline: &dash.SegmentTimeline{S: tc.s}}
 		fs := MPDTimeline(timelineMPD(video, audio))
 		if len(fs) != 1 || fs[0].Rule != "dash-invalid-segment-template" || fs[0].Severity != Warning {
 			t.Fatalf("%s: findings %v, want one dash-invalid-segment-template warning", tc.name, fs)
@@ -226,8 +226,8 @@ func TestMPDTimelineRefusedTemplates(t *testing.T) {
 }
 
 func TestMPDTimelineMisalignedNominals(t *testing.T) {
-	video := &dash.SegmentTemplate{Timescale: 1000, Duration: 4000}
-	audio := &dash.SegmentTemplate{Timescale: 1000, Duration: 3500}
+	video := &dash.SegmentTemplate{Timescale: timescale(1000), Duration: 4000}
+	audio := &dash.SegmentTemplate{Timescale: timescale(1000), Duration: 3500}
 	rules := ruleSet(MPDTimeline(timelineMPD(video, audio)))
 	if _, ok := rules["dash-av-misaligned-segments"]; !ok {
 		t.Fatalf("3.5s audio vs 4s video chunking not flagged: %v", rules)
@@ -288,3 +288,6 @@ func TestGeneratedShapedManifestsPassTimelineRules(t *testing.T) {
 		t.Errorf("shaped pair flagged: %v", fs)
 	}
 }
+
+// timescale returns a @timescale attribute of v.
+func timescale(v int64) *int64 { return &v }

@@ -158,7 +158,8 @@ type Conn struct {
 	lastUsed      time.Duration
 	hsEv          Handle
 	// hsCost and hsResumed price the setup in progress; hsTick is its
-	// completion, bound once in NewConn so a reconnect allocates nothing.
+	// completion, bound once in NewConn so a reconnect (or a Reuse)
+	// allocates nothing.
 	hsCost    time.Duration
 	hsResumed bool
 	hsTick    func()
@@ -178,9 +179,25 @@ func NewConn(l *Link, cfg TransportConfig, label string) *Conn {
 	if l == nil {
 		panic("netsim: nil link")
 	}
-	c := &Conn{link: l, cfg: cfg, label: label}
+	c := new(Conn)
 	c.hsTick = c.finishHandshake
+	c.Reuse(l, cfg, label)
 	return c
+}
+
+// Reuse re-attaches c to the link as NewConn would make it: cold, with no
+// recorder and zero stats. c must be done with its last link: every
+// transfer off the wire and its engine drained, so no handshake is
+// pending. Its request lists keep their capacity and its handshake tick
+// its binding, so a reused connection allocates nothing.
+func (c *Conn) Reuse(l *Link, cfg TransportConfig, label string) {
+	if l == nil {
+		panic("netsim: nil link")
+	}
+	if len(c.live) > 0 || len(c.queue) > 0 {
+		panic("netsim: Reuse of a connection with requests in flight")
+	}
+	*c = Conn{link: l, cfg: cfg, label: label, hsTick: c.hsTick, live: c.live, queue: c.queue}
 }
 
 // SetRecorder attaches a flight recorder for handshake and HoL-stall

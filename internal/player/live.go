@@ -131,8 +131,8 @@ type liveState struct {
 	// rateSeconds and playSeconds accumulate rate*dt and dt while playing.
 	rateSeconds float64
 	playSeconds float64
-	// tick is the controller tick, Session.onLiveTick bound once, and
-	// lane the engine's lane for its cadence.
+	// tick is the controller tick, Session.onLiveTick bound once per
+	// Session object, and lane the engine's lane for its cadence.
 	tick func()
 	lane *netsim.Lane
 
@@ -149,13 +149,14 @@ func (s *Session) initLive() error {
 	if cfg.LatencyTarget <= 0 {
 		return errors.New("player: live latency target must be positive")
 	}
-	if cfg.PartTarget < 0 || cfg.PartTarget > s.content.ChunkDuration {
-		return fmt.Errorf("player: live part target %v outside (0, chunk duration %v]", cfg.PartTarget, s.content.ChunkDuration)
+	if cfg.PartTarget < 0 || cfg.PartTarget > s.cfg.Content.ChunkDuration {
+		return fmt.Errorf("player: live part target %v outside (0, chunk duration %v]", cfg.PartTarget, s.cfg.Content.ChunkDuration)
 	}
-	ls := &liveState{cfg: cfg, rate: 100}
+	ls := &s.parts().live
+	*ls = liveState{cfg: cfg, rate: 100, tick: ls.tick}
 	ls.edge0 = cfg.EdgeAtJoin
-	if ls.edge0 > s.content.Duration {
-		ls.edge0 = s.content.Duration
+	if ls.edge0 > s.cfg.Content.Duration {
+		ls.edge0 = s.cfg.Content.Duration
 	}
 	// Join LatencyTarget behind the edge, snapped down to a video chunk
 	// boundary (a client can only start on a segment or part boundary; we
@@ -168,16 +169,18 @@ func (s *Session) initLive() error {
 	if joinPos < 0 {
 		joinPos = 0
 	}
-	joinIdx := s.content.ChunkIndexAt(media.Video, joinPos)
+	joinIdx := s.cfg.Content.ChunkIndexAt(media.Video, joinPos)
 	joinPos = s.chunkStarts[media.Video][joinIdx]
 	s.playPos = joinPos
 	s.next[media.Video] = joinIdx
-	s.next[media.Audio] = s.content.ChunkIndexAt(media.Audio, joinPos)
+	s.next[media.Audio] = s.cfg.Content.ChunkIndexAt(media.Audio, joinPos)
 	s.frontier[media.Video], s.frontier[media.Audio] = joinPos, joinPos
 	ls.stats.LatencyTarget = cfg.LatencyTarget
 	ls.stats.JoinLatency = ls.edge0 - joinPos
 	ls.lastTickAt = s.eng.Now()
-	ls.tick = s.onLiveTick
+	if ls.tick == nil {
+		ls.tick = s.onLiveTick
+	}
 	ls.lane = s.eng.Lane(liveSampleInterval)
 	s.live = ls
 	s.scheduleLiveTick()
@@ -188,8 +191,8 @@ func (s *Session) initLive() error {
 // absolute engine time now.
 func (s *Session) liveEdgeAt(now time.Duration) time.Duration {
 	edge := s.live.edge0 + s.rel(now)
-	if edge > s.content.Duration {
-		edge = s.content.Duration
+	if edge > s.cfg.Content.Duration {
+		edge = s.cfg.Content.Duration
 	}
 	return edge
 }
@@ -242,7 +245,7 @@ func (s *Session) liveWakeAt(t media.Type, at time.Duration) {
 func (s *Session) scheduleLiveTick() { s.live.lane.Add(s.live.tick) }
 
 // onLiveTick runs the controller at its cadence; bound once as
-// liveState.tick in initLive so the re-arm allocates no closure.
+// liveState.tick so the re-arm allocates no closure.
 func (s *Session) onLiveTick() {
 	if s.ended {
 		return
@@ -265,7 +268,7 @@ func (s *Session) liveTick() {
 	if lat > ls.stats.MaxLatency {
 		ls.stats.MaxLatency = lat
 	}
-	if s.liveEdgeAt(now) < s.content.Duration {
+	if s.liveEdgeAt(now) < s.cfg.Content.Duration {
 		ls.stats.FinalLatency = lat
 	}
 	dt := now - ls.lastTickAt
@@ -345,7 +348,7 @@ func (s *Session) liveResync(now time.Duration) {
 	// The jump lands on a video chunk boundary; each type resolves its own
 	// refetch index on its own timeline (misaligned audio rejoins at the
 	// chunk covering the target position).
-	idx := s.content.ChunkIndexAt(media.Video, target)
+	idx := s.cfg.Content.ChunkIndexAt(media.Video, target)
 	targetPos := s.chunkStarts[media.Video][idx]
 	if targetPos <= s.playPos {
 		return
@@ -364,7 +367,7 @@ func (s *Session) liveResync(now time.Duration) {
 		s.frontier[t] = targetPos
 	}
 	discard(media.Video, idx)
-	discard(media.Audio, s.content.ChunkIndexAt(media.Audio, targetPos))
+	discard(media.Audio, s.cfg.Content.ChunkIndexAt(media.Audio, targetPos))
 	if s.paired {
 		s.jointPending = 0
 	}
@@ -413,7 +416,7 @@ func (s *Session) collectLive() {
 	if ls == nil {
 		return
 	}
-	st := ls.stats
+	st := &ls.stats
 	if st.Samples > 0 {
 		st.MeanLatency = ls.latencySum / time.Duration(st.Samples)
 	}
@@ -422,5 +425,5 @@ func (s *Session) collectLive() {
 	} else {
 		st.MeanRate = 1
 	}
-	s.res.Live = &st
+	s.res.Live = st
 }

@@ -185,11 +185,10 @@ func (c *Config) supportsAudioReset(joint bool) bool {
 // model, are session-relative (zero at Start), so a session's behaviour is
 // invariant to its arrival time in a fleet.
 type Session struct {
-	cfg     Config
-	eng     *netsim.Engine
-	links   [2]*netsim.Link // per media.Type; both entries equal on a shared bottleneck
-	content *media.Content
-	t0      time.Duration // engine time at Start; all recorded times are relative to it
+	cfg   Config
+	eng   *netsim.Engine
+	links [2]*netsim.Link // per media.Type; both entries equal on a shared bottleneck
+	t0    time.Duration   // engine time at Start; all recorded times are relative to it
 
 	joint     abr.JointAlgorithm
 	perType   abr.PerTypeAlgorithm
@@ -211,9 +210,12 @@ type Session struct {
 	// Scheduling state. A paired session (strict joint pairing, or muxed
 	// objects) runs one loop, fetchJoint; every other session runs one
 	// fetchStream loop per type. loop[t] re-enters stream t's loop and
-	// cont[t] is its chunk continuation, both bound once in Start (a
-	// paired session binds fetchJoint and jointChunkDone).
+	// cont[t] is its chunk continuation (a paired session binds fetchJoint
+	// and jointChunkDone). They are bound once per Session object, and
+	// again only for a session that reuses the object with the other kind
+	// of loop: loopsPaired records which kind they are.
 	paired       bool
+	loopsPaired  bool
 	loop         [2]func()
 	cont         [2]func()
 	jointPending int                 // paired: transfers in flight for the current chunk
@@ -228,11 +230,15 @@ type Session struct {
 	// and takes them back once the session is done with them. A session
 	// started without a Pool uses own, which recycles records within the
 	// session only and dies with it.
-	pool *Pool
-	own  Pool
+	pool *records
+	own  records
+	// spare holds what this session built that a later session on the
+	// same Session object reuses (see Pool.Release). A Pool makes it with
+	// the Session; a session started without one makes it on first need.
+	spare *sessionSpare
 
 	// Robustness state.
-	pol *faults.Policy // normalized policy; nil = fail fast
+	pol *faults.Policy // normalized policy, in spare; nil = fail fast
 	// timeoutLane carries the fixed per-request timeouts; nil without a
 	// positive RequestTimeout.
 	timeoutLane *netsim.Lane
@@ -251,19 +257,58 @@ type Session struct {
 	underrun netsim.Handle
 	stallAt  time.Duration
 
-	// live is the latency-target controller state; nil for VOD sessions
-	// (every live hook on the playback clock and the fetch loops is
-	// guarded on it, so VOD behaviour is bit-identical to pre-live code).
+	// live is the latency-target controller state, in spare; nil for VOD
+	// sessions (every live hook on the playback clock and the fetch loops
+	// is guarded on it, so VOD behaviour is bit-identical to pre-live
+	// code).
 	live *liveState
 
 	// logTick is the timeline-logging tick and underrunTick the underrun
-	// alarm, both bound once in Start so re-arming allocates no closure.
-	// logLane is the engine's lane for logInterval.
+	// alarm, both bound once per Session object so re-arming allocates no
+	// closure. logLane is the engine's lane for logInterval.
 	logTick      func()
 	underrunTick func()
 	logLane      *netsim.Lane
 
 	res Result
+}
+
+// sessionSpare is what a finished session leaves on its Session object for
+// the next session to start on it: the Result's logs, emptied, with their
+// capacity; the windowed mode's decision map; the transport connections;
+// the blacklist; and, held by value, the storage of the policy, the live
+// state and the Result's TransportStats. start hands them out and
+// teardown takes the logs back, so a session that reuses the object
+// allocates none of them.
+type sessionSpare struct {
+	chunks    []ChunkDecision
+	timeline  []Sample
+	stalls    []Stall
+	abandons  []Abandonment
+	resets    []AudioReset
+	faults    []FaultEvent
+	failovers []Failover
+	comboFor  map[int]media.Combo
+	conns     [2]*netsim.Conn
+	blacklist *faults.Blacklist
+	policy    faults.Policy
+	live      liveState
+	transport TransportStats
+}
+
+// pooledSession is a Session a Pool makes, in one allocation with its
+// spare parts.
+type pooledSession struct {
+	Session
+	spare sessionSpare
+}
+
+// parts returns s.spare, making it for a session started without a Pool.
+func (s *Session) parts() *sessionSpare {
+	if s.spare == nil {
+		s.spare = new(sessionSpare)
+	}
+	return s.spare
 }
 
 // Run executes a full streaming session of cfg.Content over the link and
@@ -303,25 +348,45 @@ func RunSplit(videoLink, audioLink *netsim.Link, cfg Config) (*Result, error) {
 // Config.OnDone and Done. Deadline and MaxBuffer et al. are interpreted in
 // session time, so staggered arrivals need no config adjustments. The
 // session recycles its request records within itself only; a Pool's Start
-// shares them across sessions.
+// shares them, and the Session itself, across sessions.
 func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
-	return start(videoLink, audioLink, cfg, nil)
+	s := new(Session)
+	if err := s.start(videoLink, audioLink, cfg, nil); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Pool recycles what finished requests and sessions leave behind for the
-// sessions started through it: request records, with their callbacks
-// bound, and the buffer fold's sample arrays. A fleet shard keeps one
-// for all its cells, so a warm session rebuilds neither. A Pool is used by
+// sessions started through it. Request records, with their callbacks
+// bound, and the buffer fold's sample arrays go back to the pool as each
+// session lets go of them. Whole sessions go back at Release: the Session
+// object with its bound method values, its Result's logs (emptied, keeping
+// their capacity), its windowed-mode decision map, its transport
+// connections and its blacklist, all of which the next Start reuses.
+//
+// A fleet shard keeps one Pool for all its cells and releases it at the
+// end of each, so a warm session rebuilds none of these. A Pool is used by
 // one goroutine only: every session started through it must run on
 // engines that goroutine drives. The zero Pool is ready to use.
 type Pool struct {
+	records
+	// started lists the sessions started since the last Release, and free
+	// the released ones Start reuses.
+	started []*Session
+	free    []*Session
+}
+
+// records is what a running session draws on and returns to: request
+// records and the buffer fold's sample arrays.
+type records struct {
 	reqs []*request
 	mins [][]float64
 }
 
 // takeMins returns an empty sample array with room for n samples: the
 // last one the pool took back when it is large enough, else a new one.
-func (p *Pool) takeMins(n int) []float64 {
+func (p *records) takeMins(n int) []float64 {
 	if k := len(p.mins); k > 0 {
 		m := p.mins[k-1]
 		p.mins[k-1] = nil
@@ -333,25 +398,74 @@ func (p *Pool) takeMins(n int) []float64 {
 	return make([]float64, 0, n)
 }
 
-// Start is the package-level Start, drawing on and returning to p.
+// Start is the package-level Start, drawing on p: the session runs on a
+// Session object an earlier session left at Release when there is one.
+// Its results are the same either way.
 func (p *Pool) Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
-	return start(videoLink, audioLink, cfg, p)
-}
-
-// start builds and schedules a session drawing on p, or on a pool of its
-// own when p is nil.
-func start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) (*Session, error) {
-	if err := cfg.setDefaults(); err != nil {
+	var s *Session
+	if k := len(p.free); k > 0 {
+		s = p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+	} else {
+		ps := new(pooledSession)
+		s = &ps.Session
+		s.spare = &ps.spare
+	}
+	if err := s.start(videoLink, audioLink, cfg, &p.records); err != nil {
+		p.free = append(p.free, s) // it scheduled nothing
 		return nil, err
 	}
-	if videoLink.Engine() != audioLink.Engine() {
-		return nil, errors.New("player: video and audio links use different engines")
+	p.started = append(p.started, s)
+	return s, nil
+}
+
+// Release hands every session started through p since the last Release
+// back to p, for later Starts to reuse. Call it only once the engines that
+// ran them have drained, and only when nothing will read those sessions'
+// Results again: each Result becomes a later session's. The drained engine
+// matters because a finished session's logging tick and voided timers
+// stay queued until the engine reaches them; released earlier, they would
+// fire into the object's next session. Release therefore panics if any of
+// those sessions is still running or its engine still has events pending.
+func (p *Pool) Release() {
+	for _, s := range p.started {
+		if !s.Done() {
+			panic("player: Pool.Release with a session still running")
+		}
 	}
-	s := &Session{
-		cfg:     cfg,
-		eng:     videoLink.Engine(),
-		content: cfg.Content,
-		pool:    p,
+	for _, s := range p.started {
+		if n := s.eng.Pending(); n > 0 {
+			panic(fmt.Sprintf("player: Pool.Release with %d events pending on a session's engine", n))
+		}
+	}
+	p.free = append(p.free, p.started...)
+	clear(p.started)
+	p.started = p.started[:0]
+}
+
+// start builds and schedules a session on s, drawing on p, or on a pool of
+// its own when p is nil. s is new, or a Session an earlier session
+// finished on: start resets every field but the method values already
+// bound and the spare parts, so both kinds start in the same state.
+func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *records) error {
+	if err := cfg.setDefaults(); err != nil {
+		return err
+	}
+	if videoLink.Engine() != audioLink.Engine() {
+		return errors.New("player: video and audio links use different engines")
+	}
+	*s = Session{
+		cfg:   cfg,
+		eng:   videoLink.Engine(),
+		pool:  p,
+		spare: s.spare,
+		// The method values bound by an earlier session on s.
+		loopsPaired:  s.loopsPaired,
+		loop:         s.loop,
+		cont:         s.cont,
+		logTick:      s.logTick,
+		underrunTick: s.underrunTick,
 	}
 	if p == nil {
 		s.pool = &s.own
@@ -365,21 +479,27 @@ func start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) (*Session, er
 	case abr.PerTypeAlgorithm:
 		s.perType = m
 	default:
-		return nil, fmt.Errorf("player: model %q implements neither JointAlgorithm nor PerTypeAlgorithm", cfg.Model.Name())
+		return fmt.Errorf("player: model %q implements neither JointAlgorithm nor PerTypeAlgorithm", cfg.Model.Name())
 	}
 	s.abandoner, _ = cfg.Model.(abr.Abandoner)
 	if cfg.Muxed && s.joint == nil {
-		return nil, errors.New("player: muxed mode requires a JointAlgorithm")
+		return errors.New("player: muxed mode requires a JointAlgorithm")
 	}
 	if cfg.Muxed && (cfg.FaultPlan != nil || cfg.Robustness != nil) {
-		return nil, errors.New("player: fault injection and robustness policy require demuxed mode")
+		return errors.New("player: fault injection and robustness policy require demuxed mode")
 	}
 	if cfg.Robustness != nil {
-		pol := cfg.Robustness.WithDefaults()
-		s.pol = &pol
-		s.blacklist = faults.NewBlacklist()
-		if pol.RequestTimeout > 0 {
-			s.timeoutLane = s.eng.Lane(pol.RequestTimeout)
+		sp := s.parts()
+		sp.policy = cfg.Robustness.WithDefaults()
+		s.pol = &sp.policy
+		if sp.blacklist == nil {
+			sp.blacklist = faults.NewBlacklist()
+		} else {
+			sp.blacklist.Reset()
+		}
+		s.blacklist = sp.blacklist
+		if s.pol.RequestTimeout > 0 {
+			s.timeoutLane = s.eng.Lane(s.pol.RequestTimeout)
 		}
 	}
 	s.rec = cfg.Recorder
@@ -392,77 +512,86 @@ func start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) (*Session, er
 		}
 	}
 	if len(cfg.AudioResets) > 0 && !cfg.supportsAudioReset(s.joint != nil) {
-		return nil, errors.New("player: AudioResets require a per-type model, SyncWindow > 0, or Muxed mode")
+		return errors.New("player: AudioResets require a per-type model, SyncWindow > 0, or Muxed mode")
 	}
-	if cfg.Transport != nil {
-		tc := *cfg.Transport
-		mk := func(l *netsim.Link, label string) *netsim.Conn {
-			c := netsim.NewConn(l, tc, label)
-			c.SetRecorder(s.rec)
-			return c
-		}
+	if tc := cfg.Transport; tc != nil {
 		switch {
-		case cfg.Muxed:
-			// One combined object per chunk: a single connection carries
-			// the whole session regardless of protocol.
-			c := mk(videoLink, "conn")
-			s.conns[media.Video], s.conns[media.Audio] = c, c
-		case tc.Protocol != netsim.H1 && videoLink == audioLink:
-			// H2/H3 multiplex both streams on one connection — the shared
+		case cfg.Muxed, tc.Protocol != netsim.H1 && videoLink == audioLink:
+			// Muxed: one combined object per chunk, so a single connection
+			// carries the whole session regardless of protocol. H2/H3
+			// multiplex both streams on one connection — the shared
 			// congestion window the HoL coupling models.
-			c := mk(videoLink, "conn")
+			c := s.conn(0, videoLink, tc, "conn")
 			s.conns[media.Video], s.conns[media.Audio] = c, c
 		default:
 			// HTTP/1.1 serializes requests per connection (and split hosts
 			// cannot share one): each stream owns a connection that pays
 			// its own handshakes and idles out on its own — the demux
 			// request-doubling pathology at the transport layer.
-			s.conns[media.Video] = mk(videoLink, "conn-v")
-			s.conns[media.Audio] = mk(audioLink, "conn-a")
+			s.conns[media.Video] = s.conn(0, videoLink, tc, "conn-v")
+			s.conns[media.Audio] = s.conn(1, audioLink, tc, "conn-a")
 		}
 	}
-	if (s.joint != nil || cfg.Muxed) && !s.content.Aligned() {
+	if (s.joint != nil || cfg.Muxed) && !s.cfg.Content.Aligned() {
 		// Joint scheduling and muxed packaging pair audio with video by
 		// chunk index; that is only meaningful when both timelines share
 		// their boundaries. Per-type models handle misaligned content.
-		return nil, errors.New("player: joint scheduling and muxed mode require aligned audio/video chunk timelines")
+		return errors.New("player: joint scheduling and muxed mode require aligned audio/video chunk timelines")
 	}
 	for _, t := range []media.Type{media.Video, media.Audio} {
-		s.chunkStarts[t] = s.content.ChunkTimeline(t)
+		s.chunkStarts[t] = s.cfg.Content.ChunkTimeline(t)
 		s.numChunks[t] = len(s.chunkStarts[t]) - 1
 	}
 	s.res = Result{
 		ModelName:       cfg.Model.Name(),
-		ContentDuration: s.content.Duration,
+		ContentDuration: s.cfg.Content.Duration,
+	}
+	var spareChunks []ChunkDecision
+	var spareTimeline []Sample
+	if sp := s.spare; sp != nil {
+		r := &s.res
+		r.Stalls, r.Abandonments, r.AudioResets, r.Faults, r.Failovers = sp.stalls, sp.abandons, sp.resets, sp.faults, sp.failovers
+		spareChunks, spareTimeline = sp.chunks, sp.timeline
 	}
 	s.paired = s.joint != nil && (cfg.SyncWindow == 0 || cfg.Muxed)
-	if s.paired {
-		fetch, done := s.fetchJoint, s.jointChunkDone
-		s.loop = [2]func(){fetch, fetch}
-		s.cont = [2]func(){done, done}
-	} else {
-		for _, t := range []media.Type{media.Video, media.Audio} {
-			s.loop[t] = func() { s.fetchStream(t) }
-			s.cont[t] = func() { s.streamDone(t) }
+	if s.loop[media.Video] == nil || s.loopsPaired != s.paired {
+		s.loopsPaired = s.paired
+		if s.paired {
+			fetch, done := s.fetchJoint, s.jointChunkDone
+			s.loop = [2]func(){fetch, fetch}
+			s.cont = [2]func(){done, done}
+		} else {
+			for _, t := range []media.Type{media.Video, media.Audio} {
+				s.loop[t] = func() { s.fetchStream(t) }
+				s.cont[t] = func() { s.streamDone(t) }
+			}
 		}
-		if s.joint != nil {
-			s.comboFor = make(map[int]media.Combo)
+	}
+	if !s.paired && s.joint != nil {
+		sp := s.parts()
+		if sp.comboFor == nil {
+			sp.comboFor = make(map[int]media.Combo)
 		}
+		clear(sp.comboFor)
+		s.comboFor = sp.comboFor
+	}
+	if s.logTick == nil {
+		s.logTick, s.underrunTick = s.logTimeline, s.onUnderrun
 	}
 	if cfg.Live != nil {
 		if err := s.initLive(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Size the chunk log, the buffer fold and the timeline for a session
 	// that plays the rest of the content with little stalling, so that a
 	// warm chunk request and logging tick append without growing them.
-	s.res.Chunks = make([]ChunkDecision, 0, s.numChunks[media.Video]-s.next[media.Video]+s.numChunks[media.Audio]-s.next[media.Audio])
-	samples := int((s.content.Duration - s.playPos) / logInterval)
+	s.res.Chunks = reuse(spareChunks, s.numChunks[media.Video]-s.next[media.Video]+s.numChunks[media.Audio]-s.next[media.Audio])
+	samples := int((s.cfg.Content.Duration - s.playPos) / logInterval)
 	samples += samples/32 + 2
 	s.res.buffers.mins = s.pool.takeMins(samples)
 	if cfg.KeepTimeline {
-		s.res.Timeline = make([]Sample, 0, samples)
+		s.res.Timeline = reuse(spareTimeline, samples)
 	}
 
 	// Kick off downloading and timeline logging.
@@ -470,17 +599,40 @@ func start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) (*Session, er
 	if !s.paired {
 		s.eng.Schedule(s.eng.Now(), s.loop[media.Audio])
 	}
-	s.logTick = s.logTimeline
-	s.underrunTick = s.onUnderrun
 	s.logLane = s.eng.Lane(logInterval)
 	s.scheduleLog()
 	for _, at := range cfg.AudioResets {
 		s.eng.Schedule(s.t0+at, func() { s.resetAudio(at) })
 	}
-	return s, nil
+	return nil
 }
 
-// Result returns the session's recorded timeline; complete once Done.
+// reuse returns spare, emptied, when it has room for n entries, else a new
+// empty slice with room for n.
+func reuse[T any](spare []T, n int) []T {
+	if spare != nil && cap(spare) >= n {
+		return spare[:0]
+	}
+	return make([]T, 0, n)
+}
+
+// conn returns the session's i-th transport connection, on l: the one an
+// earlier session on this Session object made, reset as new, or a new one.
+func (s *Session) conn(i int, l *netsim.Link, tc *netsim.TransportConfig, label string) *netsim.Conn {
+	sp := s.parts()
+	c := sp.conns[i]
+	if c == nil {
+		c = netsim.NewConn(l, *tc, label)
+		sp.conns[i] = c
+	} else {
+		c.Reuse(l, *tc, label)
+	}
+	c.SetRecorder(s.rec)
+	return c
+}
+
+// Result returns the session's recorded timeline; complete once Done. A
+// session started through a Pool keeps it only until Pool.Release.
 func (s *Session) Result() *Result { return &s.res }
 
 // Done reports whether the session has finished or aborted.
@@ -534,7 +686,7 @@ func (s *Session) onFrontierAdvance() {
 	needed := func(threshold time.Duration) time.Duration {
 		// Near the end of the content the full threshold may exceed what
 		// remains; require only the remainder.
-		remaining := s.content.Duration - s.playPosAt(now)
+		remaining := s.cfg.Content.Duration - s.playPosAt(now)
 		if threshold > remaining {
 			return remaining
 		}
@@ -586,8 +738,8 @@ func (s *Session) rescheduleUnderrun() {
 	}
 	now := s.eng.Now()
 	target := s.minFrontier()
-	if target > s.content.Duration {
-		target = s.content.Duration
+	if target > s.cfg.Content.Duration {
+		target = s.cfg.Content.Duration
 	}
 	remaining := target - s.playPosAt(now)
 	if s.live != nil && s.live.rate != 100 {
@@ -605,13 +757,13 @@ func (s *Session) onUnderrun() {
 	s.underrun = netsim.Handle{}
 	now := s.eng.Now()
 	s.syncPlay(now)
-	if s.live != nil && s.content.Duration-s.playPos < time.Microsecond {
+	if s.live != nil && s.cfg.Content.Duration-s.playPos < time.Microsecond {
 		// Rate-scaled clock arithmetic rounds at nanosecond granularity;
 		// snap sub-microsecond remainders so a live session's final alarm
 		// still reaches the end of the content.
-		s.playPos = s.content.Duration
+		s.playPos = s.cfg.Content.Duration
 	}
-	if s.playPos >= s.content.Duration {
+	if s.playPos >= s.cfg.Content.Duration {
 		s.finish(now)
 		return
 	}
@@ -655,6 +807,37 @@ func (s *Session) teardown() {
 	if mins := s.res.buffers.seal(); s.pool != &s.own {
 		s.pool.mins = append(s.pool.mins, mins)
 	}
+	if s.spare != nil {
+		s.keepLogs()
+	}
+}
+
+// keepLogs gives the Result's logs to spare, for the next session on this
+// Session object to append into once the Result is no longer read (see
+// Pool.Release). A log left empty becomes nil, as a log that was never
+// appended to is, so a reused log cannot show in the Result.
+func (s *Session) keepLogs() {
+	sp, r := s.spare, &s.res
+	sp.chunks = r.Chunks[:0]
+	if r.Timeline != nil {
+		sp.timeline = r.Timeline[:0]
+	}
+	keepLog(&r.Stalls, &sp.stalls)
+	keepLog(&r.Abandonments, &sp.abandons)
+	keepLog(&r.AudioResets, &sp.resets)
+	keepLog(&r.Faults, &sp.faults)
+	keepLog(&r.Failovers, &sp.failovers)
+}
+
+// keepLog stashes *log's backing array in *spare, unless it has none, and
+// makes an empty *log nil.
+func keepLog[T any](log, spare *[]T) {
+	if cap(*log) > 0 {
+		*spare = (*log)[:0]
+	}
+	if len(*log) == 0 {
+		*log = nil
+	}
 }
 
 // collectTransport folds the connections' accounting into the result. An
@@ -680,7 +863,9 @@ func (s *Session) collectTransport() {
 	if st == (netsim.ConnStats{}) {
 		return
 	}
-	s.res.Transport = &TransportStats{Protocol: proto.String(), ConnStats: st}
+	ts := &s.spare.transport // the connections made spare
+	*ts = TransportStats{Protocol: proto.String(), ConnStats: st}
+	s.res.Transport = ts
 }
 
 // --- Timeline logging --------------------------------------------------
@@ -772,7 +957,7 @@ func (s *Session) state(chunkIdx int) abr.State {
 		VideoBuffer:   s.bufferOf(media.Video, now),
 		AudioBuffer:   s.bufferOf(media.Audio, now),
 		ChunkIndex:    chunkIdx,
-		ChunkDuration: s.content.ChunkDuration,
+		ChunkDuration: s.cfg.Content.ChunkDuration,
 		Startup:       !s.started,
 		LastVideo:     s.lastSel[media.Video],
 		LastAudio:     s.lastSel[media.Audio],
@@ -979,7 +1164,7 @@ func (s *Session) resetAudio(at time.Duration) {
 		for _, ch := range s.res.Chunks {
 			if ch.Type == t && ch.Index >= tIdx {
 				rec.DiscardedBytes += ch.Bytes
-				rec.DiscardedSeconds += s.content.ChunkDurationOf(t, ch.Index)
+				rec.DiscardedSeconds += s.cfg.Content.ChunkDurationOf(t, ch.Index)
 			}
 		}
 		if s.next[t] > tIdx {
@@ -1196,9 +1381,9 @@ func (r *request) start() {
 			r.attempt = 0
 		}
 	}
-	size := s.content.ChunkSize(r.track, r.idx)
+	size := s.cfg.Content.ChunkSize(r.track, r.idx)
 	if r.muxedWith != nil {
-		size += s.content.ChunkSize(r.muxedWith, r.idx)
+		size += s.cfg.Content.ChunkSize(r.muxedWith, r.idx)
 	} else if s.rec.Enabled() {
 		ev := r.event(timeline.Request, now)
 		ev.Bytes = size
@@ -1369,8 +1554,8 @@ func (r *request) complete(tr *netsim.Transfer) {
 		// The object carried both components; log each at its own size.
 		s.frontier[media.Audio] = end // muxed requires aligned timelines
 		audio := chunk
-		chunk.Bytes = s.content.ChunkSize(r.track, r.idx)
-		audio.Type, audio.Track, audio.Bytes = media.Audio, r.muxedWith, s.content.ChunkSize(r.muxedWith, r.idx)
+		chunk.Bytes = s.cfg.Content.ChunkSize(r.track, r.idx)
+		audio.Type, audio.Track, audio.Bytes = media.Audio, r.muxedWith, s.cfg.Content.ChunkSize(r.muxedWith, r.idx)
 		s.res.Chunks = append(s.res.Chunks, chunk, audio)
 	}
 	s.cfg.Model.OnComplete(abr.TransferInfo{
@@ -1591,9 +1776,9 @@ func (s *Session) failChunk(r *request, kind faults.Kind, wasted int64) {
 // rule (faults.Blacklist.Failover), else (everything exiled) the cheapest
 // track of the type — a robust client keeps trying rather than giving up.
 func (s *Session) failoverTrack(t media.Type, failed *media.Track) *media.Track {
-	ladder := s.content.VideoTracks
+	ladder := s.cfg.Content.VideoTracks
 	if t == media.Audio {
-		ladder = s.content.AudioTracks
+		ladder = s.cfg.Content.AudioTracks
 	}
 	if repl := s.blacklist.Failover(ladder, failed, s.eng.Now()); repl != nil {
 		return repl

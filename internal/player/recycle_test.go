@@ -1,61 +1,234 @@
 package player
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"maps"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"demuxabr/internal/abr"
 	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
+	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
 )
 
-// runRecycled plays one session four ways and requires identical
+// runRecycled plays one session five ways and requires identical
 // results: with request and transfer recycling off, with it on, on a pool
 // an earlier run of the same session drained, so every record it starts
-// from was bound to another session, and, as a fleet shard runs its
-// cells, on that pool and an engine the earlier run drained and Reset, so
-// its events and transfers were another session's too. A stale timer or
-// callback that reached a record, transfer or event after its reuse, or
-// state one carried from its previous session, would make a recycled run
-// diverge (or double-fire a chunk). It returns the last run's result and
-// session. play starts the session on the engine it is given (see
-// startOn).
+// from was bound to another session, as a fleet shard runs its cells, on
+// that pool and an engine the earlier run drained and Reset, so its events
+// and transfers were another session's too, and on a Session object that
+// an earlier, different session finished and Pool.Release handed back
+// (see dirtyPredecessors). A stale timer or callback that reached a
+// record, transfer or event after its reuse, or state one carried from
+// its previous session, would make a recycled run diverge (or double-fire
+// a chunk). Every way must also start in the same state, and give the
+// same Result JSON and recorder events when play attaches a recorder. It
+// returns the fourth way's result and session. play starts the session on
+// the engine it is given (see startOn).
 func runRecycled(t *testing.T, name string, play func(*Pool, *netsim.Engine) (*Session, *netsim.Engine)) (*Result, *Session) {
 	t.Helper()
 	defer func() { recycleRequests = true }()
-	run := func(pool *Pool, eng *netsim.Engine) (*Result, *Session) {
+	var want *Result
+	var wantState sessionStart
+	var wantJSON []byte
+	var wantEvents []timeline.Event
+	run := func(way string, pool *Pool, eng *netsim.Engine) (*Result, *Session) {
+		t.Helper()
 		s, eng := play(pool, eng)
+		state := startState(s)
 		if err := eng.Run(s.cfg.MaxEvents); err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s (%s): %v", name, way, err)
 		}
-		return s.Result(), s
+		res := s.Result()
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := s.rec.Events()
+		if want == nil {
+			want, wantState, wantJSON, wantEvents = res, state, js, events
+			return res, s
+		}
+		if !reflect.DeepEqual(wantState, state) {
+			t.Fatalf("%s: %s starts in another state:\nfresh %+v\n%s %+v", name, way, wantState, way, state)
+		}
+		if !reflect.DeepEqual(want, res) {
+			t.Fatalf("%s: %s changed the session:\nfresh %+v\n%s %+v", name, way, want, way, res)
+		}
+		if !bytes.Equal(wantJSON, js) {
+			t.Fatalf("%s: %s changed the result JSON:\nfresh %s\n%s %s", name, way, wantJSON, way, js)
+		}
+		if !reflect.DeepEqual(wantEvents, events) {
+			t.Fatalf("%s: %s changed the recorded events (%d, want %d)", name, way, len(events), len(wantEvents))
+		}
+		return res, s
 	}
 	recycleRequests = false
-	want, _ := run(new(Pool), nil)
+	run("no recycling", new(Pool), nil)
 	recycleRequests = true
-	fresh, _ := run(new(Pool), nil)
-	if !reflect.DeepEqual(want, fresh) {
-		t.Fatalf("%s: recycling changed the session:\nwithout %+v\nwith    %+v", name, want, fresh)
-	}
+	run("recycling", new(Pool), nil)
 	drained := new(Pool)
-	run(drained, nil)
+	run("the earlier run", drained, nil)
 	if len(drained.reqs) == 0 {
 		t.Fatalf("%s: the earlier session left no record in the pool", name)
 	}
-	res, _ := run(drained, nil)
-	if !reflect.DeepEqual(want, res) {
-		t.Fatalf("%s: a drained pool changed the session:\nfresh   %+v\ndrained %+v", name, want, res)
-	}
+	run("a drained pool", drained, nil)
 	shard, eng := new(Pool), netsim.NewEngine()
-	run(shard, eng)
-	res, s := run(shard, eng)
-	if !reflect.DeepEqual(want, res) {
-		t.Fatalf("%s: a reset engine changed the session:\nfresh %+v\nreset %+v", name, want, res)
-	}
+	run("the earlier cell", shard, eng)
+	res, s := run("a reset engine", shard, eng)
 	assertNoForkedChunks(t, name, res)
+
+	for _, pred := range dirtyPredecessors(t) {
+		pool, eng := new(Pool), netsim.NewEngine()
+		prev := pred.run(t, pool, eng)
+		pool.Release()
+		way := "a session released by a " + pred.name + " session"
+		next, _ := run(way, pool, eng)
+		if next != &prev.res {
+			t.Fatalf("%s: %s ran on a new Session object", name, way)
+		}
+	}
 	return res, s
+}
+
+// startState is s as start left it, without what legitimately differs
+// between runs: the engine, links, pool and spare parts it was given, the
+// model and recorder, and the bound method values and lanes. What s
+// points to that the run goes on to change is copied.
+func startState(s *Session) sessionStart {
+	st := sessionStart{s: *s, comboFor: maps.Clone(s.comboFor), blacklistEmpty: s.blacklist == nil ||
+		reflect.DeepEqual(s.blacklist, faults.NewBlacklist())}
+	c := &st.s
+	c.cfg, c.eng, c.links, c.pool, c.own, c.spare = Config{}, nil, [2]*netsim.Link{}, nil, records{}, nil
+	c.joint, c.perType, c.abandoner, c.rec = nil, nil, nil, nil
+	c.loop, c.cont, c.logTick, c.underrunTick = [2]func(){}, [2]func(){}, nil, nil
+	c.timeoutLane, c.logLane = nil, nil
+	c.comboFor, c.blacklist, c.conns, c.live = nil, nil, [2]*netsim.Conn{}, nil
+	// A log a reused Session hands out is empty, not nil; teardown makes it
+	// nil again if it stays empty.
+	r := &c.res
+	r.Stalls, r.Timeline, r.Chunks = emptyNil(r.Stalls), emptyNil(r.Timeline), emptyNil(r.Chunks)
+	r.Abandonments, r.AudioResets = emptyNil(r.Abandonments), emptyNil(r.AudioResets)
+	r.Faults, r.Failovers, r.buffers.mins = emptyNil(r.Faults), emptyNil(r.Failovers), emptyNil(r.buffers.mins)
+	if s.pol != nil {
+		st.pol = *s.pol
+	}
+	if s.live != nil {
+		st.live = *s.live
+		st.live.tick, st.live.lane = nil, nil
+	}
+	for i, conn := range s.conns {
+		if conn != nil {
+			st.conns[i] = connStart{conn.Stats(), conn.Established(), conn.Protocol()}
+		}
+	}
+	return st
+}
+
+// emptyNil returns nil for an empty log, else the log.
+func emptyNil[T any](log []T) []T {
+	if len(log) == 0 {
+		return nil
+	}
+	return log
+}
+
+// sessionStart is a session's state at start (see startState).
+type sessionStart struct {
+	s              Session
+	comboFor       map[int]media.Combo
+	blacklistEmpty bool
+	pol            faults.Policy
+	live           liveState
+	conns          [2]connStart
+}
+
+// connStart is a connection's state at the start of a session.
+type connStart struct {
+	stats       netsim.ConnStats
+	established bool
+	protocol    netsim.Protocol
+}
+
+// predecessor is a session that runs on a Pool, on an engine it drains,
+// before the session under test reuses its Session object.
+type predecessor struct {
+	name string
+	run  func(t *testing.T, pool *Pool, eng *netsim.Engine) *Session
+}
+
+// dirtyPredecessors are the earlier, different sessions runRecycled's
+// fifth way runs first. Between them they leave every part a Session
+// object keeps dirty: every Result log non-empty, a windowed decision map
+// with entries, connections with handshakes and stalls, a blacklist with
+// strikes and exiles, generations bumped by resets, live controller state,
+// and loops of both kinds bound. Each checks that it did.
+func dirtyPredecessors(t *testing.T) []predecessor {
+	c := media.DramaShow()
+	run := func(t *testing.T, pool *Pool, eng *netsim.Engine, cfg Config, rate media.Bps) *Session {
+		t.Helper()
+		s, eng := startOn(t, pool, eng, cfg, rate, 150*time.Millisecond, false)
+		if err := eng.Run(s.cfg.MaxEvents); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	return []predecessor{
+		{"windowed, faulted, H1", func(t *testing.T, pool *Pool, eng *netsim.Engine) *Session {
+			pol := faults.DefaultPolicy()
+			h1 := netsim.DefaultTransport(netsim.H1)
+			h1.LossRate, h1.Seed, h1.IdleTimeout = 0.3, 3, 700*time.Millisecond
+			var resets []time.Duration
+			for at := 9 * time.Second; at < c.Duration; at += 23 * time.Second {
+				resets = append(resets, at)
+			}
+			s := run(t, pool, eng, Config{
+				Content: c, Model: &fixedJoint{combo: media.Combo{Video: c.VideoTracks[len(c.VideoTracks)-1], Audio: c.AudioTracks[0]}},
+				SyncWindow: 2, AudioResets: resets, Robustness: &pol, Transport: &h1,
+				FaultPlan: &faults.Plan{Seed: 4, Rate: 0.25, Kinds: append(faults.AllKinds(), faults.TransportKinds()...)},
+			}, media.Kbps(2500))
+			r := s.Result()
+			if len(r.Stalls) == 0 || len(r.Faults) == 0 || len(r.Failovers) == 0 || len(r.AudioResets) == 0 ||
+				len(s.comboFor) == 0 || reflect.DeepEqual(s.blacklist, faults.NewBlacklist()) || s.gen[media.Audio] == 0 ||
+				r.Transport == nil || r.Transport.HoLStalls == 0 || len(r.Chunks) == 0 {
+				t.Fatalf("the windowed predecessor no longer dirties every part: %d stalls, %d faults, %d failovers, %d resets, %d decisions, gen %v, transport %+v",
+					len(r.Stalls), len(r.Faults), len(r.Failovers), len(r.AudioResets), len(s.comboFor), s.gen, r.Transport)
+			}
+			return s
+		}},
+		{"live, abandoning", func(t *testing.T, pool *Pool, eng *netsim.Engine) *Session {
+			s := run(t, pool, eng, Config{
+				Content: c, Model: &abandoning{fixedPerType{video: c.VideoTracks[len(c.VideoTracks)-1], audio: c.AudioTracks[0]}, c.VideoTracks[0]},
+				Live: &LiveConfig{LatencyTarget: 3 * time.Second, PartTarget: time.Second, ResyncThreshold: 6 * time.Second},
+			}, media.Kbps(1500))
+			r := s.Result()
+			if r.Live == nil || r.Live.Resyncs == 0 || len(r.Abandonments) == 0 || len(r.Stalls) == 0 {
+				t.Fatalf("the live predecessor no longer dirties its parts: live %+v, %d abandonments, %d stalls", r.Live, len(r.Abandonments), len(r.Stalls))
+			}
+			return s
+		}},
+	}
+}
+
+// abandoning is a per-type model that abandons its video download of
+// every third chunk, after 300 ms, for the low track.
+type abandoning struct {
+	fixedPerType
+	low *media.Track
+}
+
+func (a *abandoning) Abandon(dp abr.DownloadProgress) *media.Track {
+	if dp.Type != media.Video || dp.Attempt > 0 || dp.ChunkIndex%3 != 0 || dp.Elapsed < 300*time.Millisecond {
+		return nil
+	}
+	return a.low
 }
 
 // startOn starts a session through pool on fresh links (split links when
@@ -302,4 +475,59 @@ func TestSharedPoolKeepsSessionsApart(t *testing.T) {
 	if own[1].Transport == nil || own[1].Transport.HoLStalls == 0 || own[0].Retries == 0 {
 		t.Fatal("the scenario no longer strikes or retries")
 	}
+}
+
+// TestReleasePanicsWithSessionRunning: Release hands a pool's sessions to
+// later Starts, so releasing one that still runs would leave one Session
+// object in the hands of two sessions. Release refuses, and names the
+// running session as the reason.
+func TestReleasePanicsWithSessionRunning(t *testing.T) {
+	c := media.DramaShow()
+	pool, eng := new(Pool), netsim.NewEngine()
+	done, _ := startOn(t, pool, eng, Config{Content: c, Model: &fixedJoint{combo: lowestCombo(c)}}, media.Kbps(3000), 0, false)
+	if err := eng.Run(done.cfg.MaxEvents); err != nil {
+		t.Fatal(err)
+	}
+	running, _ := startOn(t, pool, eng, Config{Content: c, Model: &fixedJoint{combo: lowestCombo(c)}}, media.Kbps(3000), 0, false)
+	eng.RunUntil(20 * time.Second)
+	if !done.Done() || running.Done() {
+		t.Fatalf("done %v, running %v: want the first session finished and the second running", done.Done(), running.Done())
+	}
+	msg := releasePanic(pool)
+	if !strings.Contains(msg, "still running") {
+		t.Fatalf("Release with a session running: panic %q, want one naming the running session", msg)
+	}
+}
+
+// TestReleasePanicsWithEventsPending: a session is Done once OnDone has
+// fired, but its logging tick and voided timers stay queued until the
+// engine reaches them. Released from OnDone, the Session object would
+// take them into its next session, so Release refuses while its engine
+// has events pending.
+func TestReleasePanicsWithEventsPending(t *testing.T) {
+	c := media.DramaShow()
+	pool, eng := new(Pool), netsim.NewEngine()
+	var msg string
+	cfg := Config{Content: c, Model: &fixedJoint{combo: lowestCombo(c)}}
+	cfg.OnDone = func(*Session) { msg = releasePanic(pool) }
+	s, _ := startOn(t, pool, eng, cfg, media.Kbps(3000), 0, false)
+	if err := eng.Run(s.cfg.MaxEvents); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(msg, "events pending") {
+		t.Fatalf("Release from OnDone: panic %q, want one naming the pending events", msg)
+	}
+	pool.Release() // the engine has drained: now it may
+}
+
+// releasePanic calls pool.Release and returns what it panicked with, or ""
+// if it did not.
+func releasePanic(pool *Pool) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	pool.Release()
+	return ""
 }

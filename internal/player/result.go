@@ -240,18 +240,33 @@ func (r *Result) ChunksOf(t media.Type) []ChunkDecision {
 // pairing of the session (the combinations selected, off-manifest
 // positions) reads it.
 func (r *Result) ByIndex() [2][]*media.Track {
+	sel, _ := r.ByIndexIn(nil)
+	return sel
+}
+
+// ByIndexIn is ByIndex building its table in buf when buf has room for
+// it. It returns the table and the array it is in (buf, or a larger one),
+// for a caller that builds the tables of many sessions in turn to pass to
+// the next call; the table is valid until then.
+func (r *Result) ByIndexIn(buf []*media.Track) ([2][]*media.Track, []*media.Track) {
 	var n [2]int
 	for _, c := range r.Chunks {
 		n[c.Type] = max(n[c.Type], c.Index+1)
 	}
-	all := make([]*media.Track, n[media.Video]+n[media.Audio])
+	all := buf[:0]
+	if size := n[media.Video] + n[media.Audio]; cap(all) >= size {
+		all = all[:size]
+		clear(all)
+	} else {
+		all = make([]*media.Track, size)
+	}
 	var sel [2][]*media.Track
 	sel[media.Video] = all[:n[media.Video]:n[media.Video]]
 	sel[media.Audio] = all[n[media.Video]:]
 	for _, c := range r.Chunks {
 		sel[c.Type][c.Index] = c.Track
 	}
-	return sel
+	return sel, all
 }
 
 // Switches counts selection changes of the given type across consecutive

@@ -83,6 +83,20 @@ func utility(l media.Ladder, t *media.Track) float64 {
 // Compute derives metrics for a finished session. allowed may be nil when
 // no server-side combination list applies.
 func Compute(res *player.Result, content *media.Content, allowed []media.Combo, w Weights) Metrics {
+	var sc Scratch
+	return sc.Compute(res, content, allowed, w)
+}
+
+// Scratch is working storage that Compute reuses from one call to the
+// next: a caller computing many sessions' metrics in turn, as a fleet
+// shard does, keeps one and builds each session's per-index selection
+// table in the last one's array. The zero Scratch is ready to use.
+type Scratch struct {
+	sel []*media.Track
+}
+
+// Compute is the package-level Compute, building its table in sc.
+func (sc *Scratch) Compute(res *player.Result, content *media.Content, allowed []media.Combo, w Weights) Metrics {
 	var m Metrics
 	// Each type's average weights by that type's own chunk durations:
 	// passing the video timeline's durations for audio would mis-weight
@@ -95,7 +109,8 @@ func Compute(res *player.Result, content *media.Content, allowed []media.Combo, 
 	})
 	m.VideoSwitches = res.Switches(media.Video)
 	m.AudioSwitches = res.Switches(media.Audio)
-	sel := res.ByIndex()
+	var sel [2][]*media.Track
+	sel, sc.sel = res.ByIndexIn(sc.sel)
 	var combos [16]media.Combo
 	m.DistinctCombos = len(player.AppendCombos(combos[:0], sel))
 	m.StallCount = len(res.Stalls)
