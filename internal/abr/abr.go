@@ -217,9 +217,13 @@ type Allowed struct {
 }
 
 // NewAllowed sorts a copy of combos by declared bitrate (a stable
-// insertion sort: the lists are short) and derives the utilities. An empty
-// list gives an empty Allowed, which every model constructor refuses.
+// insertion sort: the lists are short) and derives the utilities. It
+// panics on an empty list: every model built from an Allowed indexes its
+// lowest combination, so this is the one check that it exists.
 func NewAllowed(combos []media.Combo) *Allowed {
+	if len(combos) == 0 {
+		panic("abr: empty allowed combination list")
+	}
 	sorted := make([]media.Combo, len(combos))
 	copy(sorted, combos)
 	for i := 1; i < len(sorted); i++ {
@@ -227,13 +231,10 @@ func NewAllowed(combos []media.Combo) *Allowed {
 			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
 		}
 	}
-	a := &Allowed{combos: sorted}
-	if len(sorted) > 0 {
-		a.utilities = make([]float64, len(sorted))
-		base := math.Log(float64(sorted[0].DeclaredBitrate()))
-		for i, cb := range sorted {
-			a.utilities[i] = math.Log(float64(cb.DeclaredBitrate())) - base
-		}
+	a := &Allowed{combos: sorted, utilities: make([]float64, len(sorted))}
+	base := math.Log(float64(sorted[0].DeclaredBitrate()))
+	for i, cb := range sorted {
+		a.utilities[i] = math.Log(float64(cb.DeclaredBitrate())) - base
 	}
 	return a
 }

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"time"
 
+	"demuxabr/internal/abr"
 	"demuxabr/internal/media"
 )
 
@@ -217,6 +218,9 @@ func (p *SlidingPercentile) Estimate() (float64, bool) {
 // video downloading, it estimates the full link capacity even when the two
 // streams share the bottleneck — the behaviour the paper contrasts with
 // Shaka's per-transfer sampling.
+//
+// It is an abr.Observer of its own, so a model that embeds it is fed the
+// transfer events with no code of its own.
 type GlobalMeter struct {
 	percentile SlidingPercentile
 
@@ -232,25 +236,27 @@ func NewGlobalMeter() GlobalMeter {
 	return GlobalMeter{percentile: NewSlidingPercentile()}
 }
 
-// TransferStart notes that a transfer became active at time now.
-func (m *GlobalMeter) TransferStart(now time.Duration) {
+// OnStart implements abr.Observer: a transfer became active at ti.At.
+func (m *GlobalMeter) OnStart(ti abr.TransferInfo) {
 	if m.activeCount == 0 {
-		m.activeSince = now
+		m.activeSince = ti.At
 	}
 	m.activeCount++
 }
 
-// TransferBytes accumulates bytes moved by any transfer.
-func (m *GlobalMeter) TransferBytes(bytes float64) { m.accBytes += bytes }
+// OnProgress implements abr.Observer: like ExoPlayer's
+// DefaultBandwidthMeter, bytes are accounted as they flow, from all
+// concurrent transfers of both streams.
+func (m *GlobalMeter) OnProgress(ti abr.TransferInfo) { m.accBytes += ti.Bytes }
 
-// TransferEnd notes a completion at time now and emits a sample covering the
-// bytes accumulated since the last sample.
-func (m *GlobalMeter) TransferEnd(now time.Duration) {
+// OnComplete implements abr.Observer: a completion at ti.At closes one
+// sampling window, emitting a sample covering the bytes accumulated since
+// the last sample.
+func (m *GlobalMeter) OnComplete(ti abr.TransferInfo) {
 	if m.activeCount <= 0 {
 		return
 	}
-	elapsed := now - m.activeSince
-	m.accTime += elapsed
+	m.accTime += ti.At - m.activeSince
 	if m.accTime > 0 && m.accBytes > 0 {
 		bps := m.accBytes * 8 / m.accTime.Seconds()
 		m.percentile.Add(math.Sqrt(m.accBytes), bps)
@@ -258,7 +264,7 @@ func (m *GlobalMeter) TransferEnd(now time.Duration) {
 		m.accTime = 0
 	}
 	m.activeCount--
-	m.activeSince = now
+	m.activeSince = ti.At
 }
 
 // Estimate returns the sliding-percentile bandwidth; ok is false before the

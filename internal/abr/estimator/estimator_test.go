@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"demuxabr/internal/abr"
 	"demuxabr/internal/media"
 )
 
@@ -284,9 +285,9 @@ func TestGlobalMeterSingleTransfer(t *testing.T) {
 	if _, ok := m.Estimate(); ok {
 		t.Error("estimate before transfers should not be ok")
 	}
-	m.TransferStart(0)
-	m.TransferBytes(125000) // 1 Mbit over 1 s
-	m.TransferEnd(time.Second)
+	m.OnStart(abr.TransferInfo{})
+	m.OnProgress(abr.TransferInfo{Bytes: 125000}) // 1 Mbit over 1 s
+	m.OnComplete(abr.TransferInfo{At: time.Second})
 	got, ok := m.Estimate()
 	if !ok || math.Abs(float64(got)-1e6) > 1 {
 		t.Errorf("estimate = %v,%v; want 1 Mbps", got, ok)
@@ -297,12 +298,12 @@ func TestGlobalMeterAggregatesConcurrent(t *testing.T) {
 	// Two concurrent transfers each at 500 Kbps on a 1 Mbps link: the
 	// global meter must see the full 1 Mbps, not the per-transfer share.
 	m := NewGlobalMeter()
-	m.TransferStart(0)
-	m.TransferStart(0)
-	m.TransferBytes(62500) // transfer A's bytes over 1 s at 500 Kbps
-	m.TransferBytes(62500) // transfer B's bytes
-	m.TransferEnd(time.Second)
-	m.TransferEnd(time.Second)
+	m.OnStart(abr.TransferInfo{})
+	m.OnStart(abr.TransferInfo{})
+	m.OnProgress(abr.TransferInfo{Bytes: 62500}) // transfer A's bytes over 1 s at 500 Kbps
+	m.OnProgress(abr.TransferInfo{Bytes: 62500}) // transfer B's bytes
+	m.OnComplete(abr.TransferInfo{At: time.Second})
+	m.OnComplete(abr.TransferInfo{At: time.Second})
 	got, _ := m.Estimate()
 	if math.Abs(float64(got)-1e6) > 1 {
 		t.Errorf("estimate = %v, want 1 Mbps (aggregate view)", got)
@@ -311,7 +312,7 @@ func TestGlobalMeterAggregatesConcurrent(t *testing.T) {
 
 func TestGlobalMeterEndWithoutStart(t *testing.T) {
 	m := NewGlobalMeter()
-	m.TransferEnd(time.Second) // must not panic or corrupt state
+	m.OnComplete(abr.TransferInfo{At: time.Second}) // must not panic or corrupt state
 	if _, ok := m.Estimate(); ok {
 		t.Error("estimate should be absent")
 	}
@@ -384,12 +385,12 @@ func TestGlobalMeterMultiplePeriods(t *testing.T) {
 	// Two disjoint active periods at different rates: the sliding
 	// percentile blends both; neither period is lost.
 	m := NewGlobalMeter()
-	m.TransferStart(0)
-	m.TransferBytes(125000) // 1 Mbps for 1 s
-	m.TransferEnd(time.Second)
-	m.TransferStart(10 * time.Second)
-	m.TransferBytes(250000) // 2 Mbps for 1 s
-	m.TransferEnd(11 * time.Second)
+	m.OnStart(abr.TransferInfo{})
+	m.OnProgress(abr.TransferInfo{Bytes: 125000}) // 1 Mbps for 1 s
+	m.OnComplete(abr.TransferInfo{At: time.Second})
+	m.OnStart(abr.TransferInfo{At: 10 * time.Second})
+	m.OnProgress(abr.TransferInfo{Bytes: 250000}) // 2 Mbps for 1 s
+	m.OnComplete(abr.TransferInfo{At: 11 * time.Second})
 	got, ok := m.Estimate()
 	if !ok || got < media.Kbps(1000) || got > media.Kbps(2000) {
 		t.Errorf("estimate = %v, want within [1,2] Mbps", got)

@@ -118,6 +118,11 @@ func (h hysteresis) apply(currentRate, idealRate media.Bps, buffered time.Durati
 	}
 }
 
+// meter is the global bandwidth meter every mode embeds: ExoPlayer's
+// DefaultBandwidthMeter, an abr.Observer itself, so the models are fed the
+// transfer events with no forwarding code of their own.
+type meter = estimator.GlobalMeter
+
 // DASH is ExoPlayer's joint adaptation over the predetermined combinations.
 type DASH struct {
 	// BandwidthFraction, InitialEstimate and the switch-damping thresholds
@@ -126,7 +131,7 @@ type DASH struct {
 	InitialEstimate   media.Bps
 	Damping           hysteresis
 
-	meter   estimator.GlobalMeter
+	meter
 	combos  []media.Combo
 	current media.Combo
 }
@@ -151,18 +156,6 @@ func (d *DASH) Name() string { return "exoplayer-dash" }
 
 // Combos exposes the predetermined combinations (for tests and reports).
 func (d *DASH) Combos() []media.Combo { return d.combos }
-
-// OnStart implements abr.Observer, feeding the global bandwidth meter.
-func (d *DASH) OnStart(ti abr.TransferInfo) { d.meter.TransferStart(ti.At) }
-
-// OnProgress implements abr.Observer: like ExoPlayer's
-// DefaultBandwidthMeter, bytes are accounted as they flow, from all
-// concurrent transfers.
-func (d *DASH) OnProgress(ti abr.TransferInfo) { d.meter.TransferBytes(ti.Bytes) }
-
-// OnComplete implements abr.Observer: a completion closes one sampling
-// window of the global meter.
-func (d *DASH) OnComplete(ti abr.TransferInfo) { d.meter.TransferEnd(ti.At) }
 
 // BandwidthEstimate implements abr.BandwidthReporter.
 func (d *DASH) BandwidthEstimate() (media.Bps, bool) {
@@ -198,7 +191,7 @@ type HLS struct {
 	InitialEstimate   media.Bps
 	Damping           hysteresis
 
-	meter        estimator.GlobalMeter
+	meter
 	videos       media.Ladder
 	videoBitrate map[string]media.Bps // video ID -> overestimated bitrate
 	fixedAudio   *media.Track
@@ -254,15 +247,6 @@ func (h *HLS) FixedAudio() *media.Track { return h.fixedAudio }
 // AssumedVideoBitrate exposes the overestimated bitrate used for a video
 // track (for tests and reports).
 func (h *HLS) AssumedVideoBitrate(id string) media.Bps { return h.videoBitrate[id] }
-
-// OnStart implements abr.Observer.
-func (h *HLS) OnStart(ti abr.TransferInfo) { h.meter.TransferStart(ti.At) }
-
-// OnProgress implements abr.Observer (byte-flow accounting, as in DASH).
-func (h *HLS) OnProgress(ti abr.TransferInfo) { h.meter.TransferBytes(ti.Bytes) }
-
-// OnComplete implements abr.Observer.
-func (h *HLS) OnComplete(ti abr.TransferInfo) { h.meter.TransferEnd(ti.At) }
 
 // BandwidthEstimate implements abr.BandwidthReporter.
 func (h *HLS) BandwidthEstimate() (media.Bps, bool) {

@@ -20,7 +20,7 @@ type HLSRepaired struct {
 	InitialEstimate   media.Bps
 	Damping           hysteresis
 
-	meter    estimator.GlobalMeter
+	meter
 	variants []media.Combo // listed variants sorted by true declared bitrate
 	current  media.Combo
 }
@@ -54,15 +54,6 @@ func (h *HLSRepaired) Name() string { return "exoplayer-hls-repaired" }
 
 // Variants exposes the selectable combination list.
 func (h *HLSRepaired) Variants() []media.Combo { return h.variants }
-
-// OnStart implements abr.Observer.
-func (h *HLSRepaired) OnStart(ti abr.TransferInfo) { h.meter.TransferStart(ti.At) }
-
-// OnProgress implements abr.Observer.
-func (h *HLSRepaired) OnProgress(ti abr.TransferInfo) { h.meter.TransferBytes(ti.Bytes) }
-
-// OnComplete implements abr.Observer.
-func (h *HLSRepaired) OnComplete(ti abr.TransferInfo) { h.meter.TransferEnd(ti.At) }
 
 // BandwidthEstimate implements abr.BandwidthReporter.
 func (h *HLSRepaired) BandwidthEstimate() (media.Bps, bool) {

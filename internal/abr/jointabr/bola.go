@@ -40,30 +40,21 @@ type BolaJoint struct {
 	// BOLA-O oscillation control: up-switches are capped at the highest
 	// combination the measured throughput sustains, so the utility
 	// objective cannot bounce across rungs faster than the link warrants.
-	meter   estimator.GlobalMeter
+	meter
 	lastIdx int
 }
 
-// NewBolaJoint derives BOLA parameters over the allowed combinations.
-func NewBolaJoint(allowed []media.Combo, bufferTarget time.Duration) *BolaJoint {
-	return NewBolaJointFrom(abr.NewAllowed(allowed), bufferTarget)
-}
-
-// NewBolaJointFrom is NewBolaJoint over a prepared list, whose
-// combinations and utilities the model shares and never writes.
-func NewBolaJointFrom(allowed *abr.Allowed, bufferTarget time.Duration) *BolaJoint {
+// NewBolaJoint derives BOLA parameters over the allowed combinations, whose
+// list and utilities the model shares and never writes.
+func NewBolaJoint(allowed *abr.Allowed, bufferTarget time.Duration) *BolaJoint {
 	b := new(BolaJoint)
 	b.init(allowed, bufferTarget)
 	return b
 }
 
 // init sets b to a new model's state: the one definition of it, for
-// NewBolaJointFrom and for the DynamicJoint that holds a BolaJoint by
-// value.
+// NewBolaJoint and for the DynamicJoint that holds a BolaJoint by value.
 func (b *BolaJoint) init(allowed *abr.Allowed, bufferTarget time.Duration) {
-	if len(allowed.Combos()) == 0 {
-		panic("jointabr: empty allowed combination list")
-	}
 	if bufferTarget <= 0 {
 		bufferTarget = 20 * time.Second
 	}
@@ -91,15 +82,6 @@ func (b *BolaJoint) Name() string { return "bola-joint" }
 
 // Allowed exposes the combination list.
 func (b *BolaJoint) Allowed() []media.Combo { return b.allowed }
-
-// OnStart implements abr.Observer, feeding the BOLA-O throughput meter.
-func (b *BolaJoint) OnStart(ti abr.TransferInfo) { b.meter.TransferStart(ti.At) }
-
-// OnProgress implements abr.Observer.
-func (b *BolaJoint) OnProgress(ti abr.TransferInfo) { b.meter.TransferBytes(ti.Bytes) }
-
-// OnComplete implements abr.Observer.
-func (b *BolaJoint) OnComplete(ti abr.TransferInfo) { b.meter.TransferEnd(ti.At) }
 
 // BandwidthEstimate implements abr.BandwidthReporter.
 func (b *BolaJoint) BandwidthEstimate() (media.Bps, bool) { return b.meter.Estimate() }

@@ -15,7 +15,7 @@ import (
 func TestBolaJointSelectsFromAllowed(t *testing.T) {
 	c := media.DramaShow()
 	allowed := media.HSub(c)
-	b := NewBolaJoint(allowed, 20*time.Second)
+	b := NewBolaJoint(abr.NewAllowed(allowed), 20*time.Second)
 	inAllowed := func(cb media.Combo) bool {
 		for _, a := range allowed {
 			if a.String() == cb.String() {
@@ -35,7 +35,7 @@ func TestBolaJointSelectsFromAllowed(t *testing.T) {
 // Property: BOLA-joint is monotone non-decreasing in the minimum buffer.
 func TestBolaJointMonotoneProperty(t *testing.T) {
 	c := media.DramaShow()
-	b := NewBolaJoint(media.HSub(c), 25*time.Second)
+	b := NewBolaJoint(hsub(c), 25*time.Second)
 	f := func(x, y uint16) bool {
 		bx := time.Duration(x%60) * time.Second
 		by := time.Duration(y%60) * time.Second
@@ -56,7 +56,7 @@ func TestBolaJointUsesMinBuffer(t *testing.T) {
 	// two buffers: a full audio buffer must not embolden the selection
 	// when the video buffer is empty.
 	c := media.DramaShow()
-	b := NewBolaJoint(media.HSub(c), 20*time.Second)
+	b := NewBolaJoint(hsub(c), 20*time.Second)
 	skewed := b.SelectCombo(abr.State{VideoBuffer: 0, AudioBuffer: 40 * time.Second})
 	low := b.SelectCombo(abr.State{VideoBuffer: 0, AudioBuffer: 0})
 	if skewed.DeclaredBitrate() != low.DeclaredBitrate() {
@@ -70,7 +70,7 @@ func TestBolaJointStreamsWithoutExcessStalls(t *testing.T) {
 	link := netsim.NewLink(eng, trace.Fixed(media.Kbps(900)))
 	res, err := player.Run(link, player.Config{
 		Content: c,
-		Model:   NewBolaJoint(media.HSub(c), 20*time.Second),
+		Model:   NewBolaJoint(hsub(c), 20*time.Second),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestBolaJointStreamsWithoutExcessStalls(t *testing.T) {
 
 func TestBolaJointDefaults(t *testing.T) {
 	c := media.DramaShow()
-	b := NewBolaJoint(media.HSub(c), 0)
+	b := NewBolaJoint(hsub(c), 0)
 	if b.BufferTarget != 20*time.Second {
 		t.Errorf("default buffer target = %v", b.BufferTarget)
 	}
@@ -103,12 +103,12 @@ func TestBolaJointDefaults(t *testing.T) {
 			t.Error("empty allowed should panic")
 		}
 	}()
-	NewBolaJoint(nil, 0)
+	NewBolaJoint(abr.NewAllowed(nil), 0)
 }
 
 func TestAbandonmentTriggersOnDoomedDownload(t *testing.T) {
 	c := media.DramaShow()
-	p := New(media.HSub(c), WithAbandonment())
+	p := New(hsub(c), WithAbandonment())
 	// A V6 chunk arriving at 200 Kbps with 4 s of buffer: remaining time
 	// far exceeds the buffer; the player must bail to a cheaper track.
 	repl := p.Abandon(abr.DownloadProgress{
@@ -130,7 +130,7 @@ func TestAbandonmentTriggersOnDoomedDownload(t *testing.T) {
 
 func TestAbandonmentRespectsGuards(t *testing.T) {
 	c := media.DramaShow()
-	p := New(media.HSub(c), WithAbandonment())
+	p := New(hsub(c), WithAbandonment())
 	healthy := abr.DownloadProgress{
 		Type:       media.Video,
 		Track:      c.VideoTracks[2],
@@ -160,7 +160,7 @@ func TestAbandonmentRespectsGuards(t *testing.T) {
 	if got := p.Abandon(early); got != nil {
 		t.Error("abandonment needs a settled rate sample")
 	}
-	off := New(media.HSub(c))
+	off := New(hsub(c))
 	if got := off.Abandon(doomed); got != nil {
 		t.Error("abandonment must be opt-in")
 	}
@@ -184,8 +184,8 @@ func TestAbandonmentEndToEndReducesStalls(t *testing.T) {
 		}
 		return res
 	}
-	with := run(New(media.HSub(c), WithAbandonment()))
-	without := run(New(media.HSub(c)))
+	with := run(New(hsub(c), WithAbandonment()))
+	without := run(New(hsub(c)))
 	if !with.Ended || !without.Ended {
 		t.Fatal("sessions did not finish")
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"demuxabr/internal/abr"
-	"demuxabr/internal/abr/estimator"
 	"demuxabr/internal/media"
 )
 
@@ -21,29 +20,20 @@ type DynamicJoint struct {
 	EnterBuffer time.Duration
 	ExitBuffer  time.Duration
 
-	allowed   []media.Combo
+	// bola is the BOLA rule, and its allowed list and meter are the
+	// THROUGHPUT rule's too: one meter, fed once per transfer event,
+	// serves both rules.
 	bola      BolaJoint
-	meter     estimator.GlobalMeter
 	usingBola bool
 }
 
-// NewDynamicJoint builds the adapter over the allowed combinations.
-func NewDynamicJoint(allowed []media.Combo) *DynamicJoint {
-	return NewDynamicJointFrom(abr.NewAllowed(allowed))
-}
-
-// NewDynamicJointFrom is NewDynamicJoint over a prepared list, which the
-// model shares and never writes.
-func NewDynamicJointFrom(allowed *abr.Allowed) *DynamicJoint {
-	if len(allowed.Combos()) == 0 {
-		panic("jointabr: empty allowed combination list")
-	}
+// NewDynamicJoint builds the adapter over the allowed combinations, which
+// it shares and never writes.
+func NewDynamicJoint(allowed *abr.Allowed) *DynamicJoint {
 	d := &DynamicJoint{
 		SafetyFactor: 0.9,
 		EnterBuffer:  12 * time.Second,
 		ExitBuffer:   6 * time.Second,
-		allowed:      allowed.Combos(),
-		meter:        estimator.NewGlobalMeter(),
 	}
 	d.bola.init(allowed, 0)
 	return d
@@ -53,39 +43,31 @@ func NewDynamicJointFrom(allowed *abr.Allowed) *DynamicJoint {
 func (d *DynamicJoint) Name() string { return "dynamic-joint" }
 
 // Allowed exposes the combination list.
-func (d *DynamicJoint) Allowed() []media.Combo { return d.allowed }
+func (d *DynamicJoint) Allowed() []media.Combo { return d.bola.allowed }
 
 // UsingBola reports which rule is active.
 func (d *DynamicJoint) UsingBola() bool { return d.usingBola }
 
-// OnStart implements abr.Observer.
-func (d *DynamicJoint) OnStart(ti abr.TransferInfo) {
-	d.meter.TransferStart(ti.At)
-	d.bola.OnStart(ti)
-}
+// OnStart implements abr.Observer through the BOLA rule's meter.
+func (d *DynamicJoint) OnStart(ti abr.TransferInfo) { d.bola.OnStart(ti) }
 
-// OnProgress implements abr.Observer.
-func (d *DynamicJoint) OnProgress(ti abr.TransferInfo) {
-	d.meter.TransferBytes(ti.Bytes)
-	d.bola.OnProgress(ti)
-}
+// OnProgress implements abr.Observer through the BOLA rule's meter.
+func (d *DynamicJoint) OnProgress(ti abr.TransferInfo) { d.bola.OnProgress(ti) }
 
-// OnComplete implements abr.Observer.
-func (d *DynamicJoint) OnComplete(ti abr.TransferInfo) {
-	d.meter.TransferEnd(ti.At)
-	d.bola.OnComplete(ti)
-}
+// OnComplete implements abr.Observer through the BOLA rule's meter.
+func (d *DynamicJoint) OnComplete(ti abr.TransferInfo) { d.bola.OnComplete(ti) }
 
 // BandwidthEstimate implements abr.BandwidthReporter.
-func (d *DynamicJoint) BandwidthEstimate() (media.Bps, bool) { return d.meter.Estimate() }
+func (d *DynamicJoint) BandwidthEstimate() (media.Bps, bool) { return d.bola.Estimate() }
 
 // SelectCombo implements abr.JointAlgorithm with the DYNAMIC switchover the
 // paper describes, over combinations instead of per-type ladders.
 func (d *DynamicJoint) SelectCombo(st abr.State) media.Combo {
-	tput := d.allowed[0]
-	if est, ok := d.meter.Estimate(); ok {
+	allowed := d.bola.allowed
+	tput := allowed[0]
+	if est, ok := d.bola.Estimate(); ok {
 		budget := media.Bps(float64(est) * d.SafetyFactor)
-		tput = abr.HighestAtMost(d.allowed, budget, media.Combo.DeclaredBitrate)
+		tput = abr.HighestAtMost(allowed, budget, media.Combo.DeclaredBitrate)
 	}
 	bola := d.bola.SelectCombo(st)
 	buffer := st.MinBuffer()

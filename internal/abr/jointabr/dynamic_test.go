@@ -15,7 +15,7 @@ import (
 
 func TestDynamicJointSwitchover(t *testing.T) {
 	c := media.DramaShow()
-	d := NewDynamicJoint(media.HSub(c))
+	d := NewDynamicJoint(hsub(c))
 	if d.UsingBola() {
 		t.Fatal("must start on THROUGHPUT")
 	}
@@ -55,7 +55,7 @@ func TestJointnessIsolation(t *testing.T) {
 		}
 		return qoe.Compute(res, c, media.HSub(c), qoe.DefaultWeights())
 	}
-	joint := run(NewDynamicJoint(media.HSub(c)))
+	joint := run(NewDynamicJoint(hsub(c)))
 	independent := run(dashjs.New(c.VideoTracks, c.AudioTracks))
 
 	if joint.OffManifest != 0 {
@@ -83,5 +83,5 @@ func TestDynamicJointValidation(t *testing.T) {
 			t.Error("empty allowed should panic")
 		}
 	}()
-	NewDynamicJoint(nil)
+	NewDynamicJoint(abr.NewAllowed(nil))
 }

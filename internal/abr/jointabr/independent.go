@@ -10,18 +10,17 @@ import (
 // (balanced chunk-level prefetching). The decision logic is identical; only
 // the download discipline changes, because this type implements
 // abr.PerTypeAlgorithm instead of abr.JointAlgorithm.
+//
+// It holds its Player as a field rather than embedding it: embedding would
+// promote SelectCombo, making it an abr.JointAlgorithm that the player
+// engine schedules jointly.
 type Independent struct {
 	p Player
 }
 
-// NewIndependent creates the scheduling-ablated best-practice player.
-func NewIndependent(allowed []media.Combo, opts ...Option) *Independent {
-	return NewIndependentFrom(abr.NewAllowed(allowed), opts...)
-}
-
-// NewIndependentFrom is NewIndependent over a prepared list, which the
-// player shares and never writes.
-func NewIndependentFrom(allowed *abr.Allowed, opts ...Option) *Independent {
+// NewIndependent creates the scheduling-ablated best-practice player over
+// the allowed combinations, which it shares and never writes.
+func NewIndependent(allowed *abr.Allowed, opts ...Option) *Independent {
 	i := new(Independent)
 	i.p.init(allowed, opts)
 	return i

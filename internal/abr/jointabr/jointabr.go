@@ -45,6 +45,12 @@ const (
 	DefaultPanicBuffer = 4 * time.Second
 )
 
+// meter is the shared bandwidth meter the models embed: it implements
+// abr.Observer itself, so an embedding model is fed the transfer events
+// with no forwarding code, and the unexported name adds no field to the
+// model's API.
+type meter = estimator.GlobalMeter
+
 // Player is the best-practice joint audio/video adapter.
 type Player struct {
 	// SafetyFactor, switch-damping and panic thresholds; see the package
@@ -57,8 +63,9 @@ type Player struct {
 
 	allowed []media.Combo
 
-	// Shared estimator (recommended): one meter over both streams.
-	meter estimator.GlobalMeter
+	// Shared estimator (recommended): one meter over both streams, fed
+	// the transfer events it observes itself.
+	meter
 	// Ablation: per-type estimators summed, modelling players that measure
 	// audio and video throughput separately.
 	separate     bool
@@ -108,15 +115,9 @@ func WithAbandonment() Option {
 }
 
 // New creates the player restricted to the given allowed combinations
-// (best practice 2). Pass media.AllCombos(...) to ablate the restriction.
-// The player keeps a copy of the list sorted by declared bitrate.
-func New(allowed []media.Combo, opts ...Option) *Player {
-	return NewFrom(abr.NewAllowed(allowed), opts...)
-}
-
-// NewFrom is New over a prepared list, which the player shares and never
-// writes.
-func NewFrom(allowed *abr.Allowed, opts ...Option) *Player {
+// (best practice 2), which it shares and never writes. Pass
+// abr.NewAllowed(media.AllCombos(...)) to ablate the restriction.
+func New(allowed *abr.Allowed, opts ...Option) *Player {
 	p := new(Player)
 	p.init(allowed, opts)
 	return p
@@ -125,9 +126,6 @@ func NewFrom(allowed *abr.Allowed, opts ...Option) *Player {
 // init sets p to a new player's state: the one definition of it, for New
 // and for the Independent that holds a Player by value.
 func (p *Player) init(allowed *abr.Allowed, opts []Option) {
-	if len(allowed.Combos()) == 0 {
-		panic("jointabr: empty allowed combination list")
-	}
 	*p = Player{
 		SafetyFactor:     DefaultSafetyFactor,
 		UpSwitchBuffer:   DefaultUpSwitchBuffer,
@@ -171,23 +169,14 @@ func (p *Player) Allowed() []media.Combo { return p.allowed }
 // now applies. The current selection resets so the next decision starts
 // from the new list.
 func (p *Player) SetAllowed(allowed []media.Combo) {
-	if len(allowed) == 0 {
-		panic("jointabr: empty allowed combination list")
-	}
 	p.allowed = abr.NewAllowed(allowed).Combos()
 	p.current = media.Combo{}
 }
 
-// OnStart implements abr.Observer.
-func (p *Player) OnStart(ti abr.TransferInfo) { p.meter.TransferStart(ti.At) }
-
-// OnProgress implements abr.Observer: the shared meter accounts bytes as
-// they flow, from both streams.
-func (p *Player) OnProgress(ti abr.TransferInfo) { p.meter.TransferBytes(ti.Bytes) }
-
-// OnComplete implements abr.Observer.
+// OnComplete implements abr.Observer: the shared meter's, plus the
+// per-type estimators' samples.
 func (p *Player) OnComplete(ti abr.TransferInfo) {
-	p.meter.TransferEnd(ti.At)
+	p.meter.OnComplete(ti)
 	if tput := ti.Throughput(); tput > 0 {
 		p.perType[ti.Type].Add(tput)
 	}

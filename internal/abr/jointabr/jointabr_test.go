@@ -9,6 +9,9 @@ import (
 	"demuxabr/internal/media"
 )
 
+// hsub is the content's curated allowed list, prepared for a model.
+func hsub(c *media.Content) *abr.Allowed { return abr.NewAllowed(media.HSub(c)) }
+
 func feed(p *Player, t media.Type, bps float64, n int, at time.Duration) time.Duration {
 	for i := 0; i < n; i++ {
 		p.OnStart(abr.TransferInfo{Type: t, At: at})
@@ -25,7 +28,7 @@ func st(buf time.Duration, now time.Duration) abr.State {
 
 func TestStartsAtLowestAllowed(t *testing.T) {
 	c := media.DramaShow()
-	p := New(media.HSub(c))
+	p := New(hsub(c))
 	got := p.SelectCombo(st(0, 0))
 	if got.String() != "V1+A1" {
 		t.Errorf("initial selection = %s, want V1+A1", got)
@@ -35,7 +38,7 @@ func TestStartsAtLowestAllowed(t *testing.T) {
 func TestSelectsOnlyAllowedCombos(t *testing.T) {
 	c := media.DramaShow()
 	allowed := media.HSub(c)
-	p := New(allowed)
+	p := New(abr.NewAllowed(allowed))
 	inAllowed := func(cb media.Combo) bool {
 		for _, a := range allowed {
 			if a.String() == cb.String() {
@@ -57,7 +60,7 @@ func TestSelectsOnlyAllowedCombos(t *testing.T) {
 func TestAudioAdaptsWithBandwidth(t *testing.T) {
 	// Best practice 1: the audio selection must move with bandwidth.
 	c := media.DramaShow()
-	p := New(media.HSub(c))
+	p := New(hsub(c))
 	now := feed(p, media.Video, 300e3, 6, 0)
 	low := p.SelectCombo(st(15*time.Second, now))
 	now = feed(p, media.Video, 6e6, 12, now)
@@ -73,7 +76,7 @@ func TestAudioAdaptsWithBandwidth(t *testing.T) {
 
 func TestDampingPreventsFlapping(t *testing.T) {
 	c := media.DramaShow()
-	p := New(media.HSub(c))
+	p := New(hsub(c))
 	// Estimate hovers around the V2/V3 boundary; with damping the
 	// selection must not change on every decision.
 	now := feed(p, media.Video, 700e3, 4, 0)
@@ -95,8 +98,8 @@ func TestDampingPreventsFlapping(t *testing.T) {
 
 func TestNoDampingAblationFlaps(t *testing.T) {
 	c := media.DramaShow()
-	damped := New(media.HSub(c))
-	undamped := New(media.HSub(c), WithoutDamping())
+	damped := New(hsub(c))
+	undamped := New(hsub(c), WithoutDamping())
 	count := func(p *Player) int {
 		now := feed(p, media.Video, 700e3, 4, 0)
 		prev := p.SelectCombo(st(15*time.Second, now))
@@ -108,9 +111,9 @@ func TestNoDampingAblationFlaps(t *testing.T) {
 			}
 			// Hard-reset the estimator to the target rate.
 			p.meter = estimator.NewGlobalMeter()
-			p.meter.TransferStart(now)
-			p.meter.TransferBytes(r / 8)
-			p.meter.TransferEnd(now + time.Second)
+			p.meter.OnStart(abr.TransferInfo{At: now})
+			p.meter.OnProgress(abr.TransferInfo{Bytes: r / 8})
+			p.meter.OnComplete(abr.TransferInfo{At: now + time.Second})
 			now += time.Second
 			got := p.SelectCombo(st(15*time.Second, now))
 			if got.String() != prev.String() {
@@ -127,7 +130,7 @@ func TestNoDampingAblationFlaps(t *testing.T) {
 
 func TestPanicHalvesBudget(t *testing.T) {
 	c := media.DramaShow()
-	p := New(media.HSub(c), WithoutDamping())
+	p := New(hsub(c), WithoutDamping())
 	now := feed(p, media.Video, 2e6, 6, 0)
 	healthy := p.SelectCombo(st(15*time.Second, now))
 	panicked := p.SelectCombo(st(2*time.Second, now))
@@ -142,7 +145,7 @@ func TestSharedEstimatorSeesAggregate(t *testing.T) {
 	// per-type throughputs (which here also sums to 1 Mbps) — the
 	// difference appears when only one type has samples.
 	c := media.DramaShow()
-	shared := New(media.HSub(c))
+	shared := New(hsub(c))
 	shared.OnStart(abr.TransferInfo{Type: media.Video, At: 0})
 	shared.OnStart(abr.TransferInfo{Type: media.Audio, At: 0})
 	shared.OnProgress(abr.TransferInfo{Type: media.Video, Bytes: 62500, Duration: time.Second})
@@ -157,7 +160,7 @@ func TestSharedEstimatorSeesAggregate(t *testing.T) {
 
 func TestSeparateEstimatorAblation(t *testing.T) {
 	c := media.DramaShow()
-	p := New(media.HSub(c), WithSeparateEstimators())
+	p := New(hsub(c), WithSeparateEstimators())
 	if _, ok := p.BandwidthEstimate(); ok {
 		t.Error("no samples yet: estimate should be absent")
 	}
@@ -178,10 +181,10 @@ func TestNamesDistinguishAblations(t *testing.T) {
 	c := media.DramaShow()
 	names := map[string]bool{}
 	for _, p := range []*Player{
-		New(media.HSub(c)),
-		New(media.HSub(c), WithoutDamping()),
-		New(media.HSub(c), WithSeparateEstimators()),
-		New(media.HSub(c), WithSeparateEstimators(), WithoutDamping()),
+		New(hsub(c)),
+		New(hsub(c), WithoutDamping()),
+		New(hsub(c), WithSeparateEstimators()),
+		New(hsub(c), WithSeparateEstimators(), WithoutDamping()),
 	} {
 		if names[p.Name()] {
 			t.Errorf("duplicate name %q", p.Name())
@@ -196,7 +199,7 @@ func TestEmptyAllowedPanics(t *testing.T) {
 			t.Error("empty allowed list should panic")
 		}
 	}()
-	New(nil)
+	New(abr.NewAllowed(nil))
 }
 
 func TestAllowedListSorted(t *testing.T) {
@@ -207,7 +210,7 @@ func TestAllowedListSorted(t *testing.T) {
 	for i, cb := range combos {
 		rev[len(combos)-1-i] = cb
 	}
-	p := New(rev)
+	p := New(abr.NewAllowed(rev))
 	got := p.Allowed()
 	for i := 1; i < len(got); i++ {
 		if got[i-1].DeclaredBitrate() > got[i].DeclaredBitrate() {

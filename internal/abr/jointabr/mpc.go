@@ -37,8 +37,8 @@ type MPC struct {
 
 	allowed   []media.Combo
 	utilities []float64
-	meter     estimator.GlobalMeter
-	lastIdx   int
+	meter
+	lastIdx int
 
 	// bound[d*n+p] is the best d-step sum of utility minus switch penalty
 	// after combination p, for n allowed combinations and d < boundHorizon.
@@ -53,17 +53,9 @@ type MPC struct {
 	prune bool
 }
 
-// NewMPC creates the adapter over the allowed combinations.
-func NewMPC(allowed []media.Combo, horizon int) *MPC {
-	return NewMPCFrom(abr.NewAllowed(allowed), horizon)
-}
-
-// NewMPCFrom is NewMPC over a prepared list, whose combinations and
+// NewMPC creates the adapter over the allowed combinations, whose list and
 // utilities the model shares and never writes.
-func NewMPCFrom(allowed *abr.Allowed, horizon int) *MPC {
-	if len(allowed.Combos()) == 0 {
-		panic("jointabr: empty allowed combination list")
-	}
+func NewMPC(allowed *abr.Allowed, horizon int) *MPC {
 	if horizon <= 0 {
 		horizon = 5
 	}
@@ -84,15 +76,6 @@ func (m *MPC) Name() string { return "mpc-joint" }
 
 // Allowed exposes the combination list.
 func (m *MPC) Allowed() []media.Combo { return m.allowed }
-
-// OnStart implements abr.Observer.
-func (m *MPC) OnStart(ti abr.TransferInfo) { m.meter.TransferStart(ti.At) }
-
-// OnProgress implements abr.Observer.
-func (m *MPC) OnProgress(ti abr.TransferInfo) { m.meter.TransferBytes(ti.Bytes) }
-
-// OnComplete implements abr.Observer.
-func (m *MPC) OnComplete(ti abr.TransferInfo) { m.meter.TransferEnd(ti.At) }
 
 // BandwidthEstimate implements abr.BandwidthReporter.
 func (m *MPC) BandwidthEstimate() (media.Bps, bool) { return m.meter.Estimate() }

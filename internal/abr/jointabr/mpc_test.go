@@ -25,7 +25,7 @@ func feedMPC(m *MPC, bps float64, n int) {
 
 func TestMPCStartsLowWithoutEstimate(t *testing.T) {
 	c := media.DramaShow()
-	m := NewMPC(media.HSub(c), 5)
+	m := NewMPC(hsub(c), 5)
 	got := m.SelectCombo(abr.State{ChunkDuration: 5 * time.Second})
 	if got.String() != "V1+A1" {
 		t.Errorf("initial selection = %s, want V1+A1", got)
@@ -34,7 +34,7 @@ func TestMPCStartsLowWithoutEstimate(t *testing.T) {
 
 func TestMPCMatchesBandwidth(t *testing.T) {
 	c := media.DramaShow()
-	m := NewMPC(media.HSub(c), 5)
+	m := NewMPC(hsub(c), 5)
 	feedMPC(m, 1e6, 6)
 	deep := m.SelectCombo(abr.State{
 		VideoBuffer: 20 * time.Second, AudioBuffer: 20 * time.Second,
@@ -47,7 +47,7 @@ func TestMPCMatchesBandwidth(t *testing.T) {
 	}
 	// With a thin buffer the sustainability bias must hold it at V3+A2
 	// (669 Kbps), the highest rung 1 Mbps sustains.
-	m2 := NewMPC(media.HSub(c), 5)
+	m2 := NewMPC(hsub(c), 5)
 	feedMPC(m2, 1e6, 6)
 	thin := m2.SelectCombo(abr.State{
 		VideoBuffer: 6 * time.Second, AudioBuffer: 6 * time.Second,
@@ -60,7 +60,7 @@ func TestMPCMatchesBandwidth(t *testing.T) {
 
 func TestMPCAvoidsPredictedRebuffering(t *testing.T) {
 	c := media.DramaShow()
-	m := NewMPC(media.HSub(c), 5)
+	m := NewMPC(hsub(c), 5)
 	feedMPC(m, 3e6, 6)
 	// Ample bandwidth but an empty buffer: the lookahead must not jump to
 	// a combination whose first download outruns the buffer by much.
@@ -81,7 +81,7 @@ func TestMPCAvoidsPredictedRebuffering(t *testing.T) {
 func TestMPCSelectsOnlyAllowed(t *testing.T) {
 	c := media.DramaShow()
 	allowed := media.HSub(c)
-	m := NewMPC(allowed, 4)
+	m := NewMPC(abr.NewAllowed(allowed), 4)
 	in := func(cb media.Combo) bool {
 		for _, a := range allowed {
 			if a.String() == cb.String() {
@@ -105,7 +105,7 @@ func TestMPCEndToEnd(t *testing.T) {
 	c := media.DramaShow()
 	eng := netsim.NewEngine()
 	link := netsim.NewLink(eng, trace.Fixed(media.Kbps(1300)))
-	res, err := player.Run(link, player.Config{Content: c, Model: NewMPC(media.HSub(c), 5)})
+	res, err := player.Run(link, player.Config{Content: c, Model: NewMPC(hsub(c), 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMPCEndToEnd(t *testing.T) {
 
 func TestMPCDefaults(t *testing.T) {
 	c := media.DramaShow()
-	m := NewMPC(media.HSub(c), 0)
+	m := NewMPC(hsub(c), 0)
 	if m.Horizon != 5 || m.Name() != "mpc-joint" || len(m.Allowed()) != 6 {
 		t.Errorf("defaults wrong: %+v", m)
 	}
@@ -131,7 +131,7 @@ func TestMPCDefaults(t *testing.T) {
 			t.Error("empty allowed should panic")
 		}
 	}()
-	NewMPC(nil, 5)
+	NewMPC(abr.NewAllowed(nil), 5)
 }
 
 // fullSearch is the plain recursion MPC.search replaced: it enumerates every
@@ -206,7 +206,7 @@ func recordedMPCStates(t testing.TB, sessions int) []mpcState {
 	c := media.DramaShow()
 	var states []mpcState
 	for s := 0; s < sessions; s++ {
-		rec := &recordingMPC{MPC: NewMPC(media.HSub(c), 5)}
+		rec := &recordingMPC{MPC: NewMPC(hsub(c), 5)}
 		eng := netsim.NewEngine()
 		link := netsim.NewLink(eng, trace.RandomWalk(int64(s+1), media.Kbps(400), media.Kbps(2500), 4*time.Second, time.Minute))
 		if _, err := player.Run(link, player.Config{Content: c, Model: rec}); err != nil {
@@ -254,7 +254,7 @@ func TestMPCSearchMatchesFullEnumeration(t *testing.T) {
 		if len(states) < 500 {
 			t.Fatalf("recorded %d decisions, want a few hundred", len(states))
 		}
-		m := NewMPC(media.HSub(c), 5)
+		m := NewMPC(hsub(c), 5)
 		for _, s := range states {
 			check(t, m, s)
 		}
@@ -265,7 +265,7 @@ func TestMPCSearchMatchesFullEnumeration(t *testing.T) {
 			allowed    []media.Combo
 			maxHorizon int
 		}{{"hsub", media.HSub(c), 6}, {"hall", media.HAll(c), 4}} {
-			m := NewMPC(ladder.allowed, 1)
+			m := NewMPC(abr.NewAllowed(ladder.allowed), 1)
 			for k, s := range randomStates(42, 3000, len(ladder.allowed)) {
 				m.Horizon = 1 + k%ladder.maxHorizon
 				check(t, m, s)
@@ -275,7 +275,7 @@ func TestMPCSearchMatchesFullEnumeration(t *testing.T) {
 	t.Run("retuned", func(t *testing.T) {
 		// The bound table is built for the first decision's Horizon and
 		// SwitchPenalty; later decisions under other values must rebuild it.
-		m := NewMPC(media.HSub(c), 5)
+		m := NewMPC(hsub(c), 5)
 		states := randomStates(7, 400, len(m.allowed))
 		for k, s := range states {
 			switch k {
@@ -292,7 +292,7 @@ func TestMPCSearchMatchesFullEnumeration(t *testing.T) {
 	t.Run("infinite-rebuffer-penalty", func(t *testing.T) {
 		// Inf·0 makes every value NaN or -Inf; enumeration then keeps
 		// index 0, and so must the search.
-		m := NewMPC(media.HSub(c), 3)
+		m := NewMPC(hsub(c), 3)
 		m.RebufferPenalty = math.Inf(1)
 		for _, s := range randomStates(13, 100, len(m.allowed)) {
 			check(t, m, s)
@@ -300,7 +300,7 @@ func TestMPCSearchMatchesFullEnumeration(t *testing.T) {
 	})
 	t.Run("negative-drain-penalty", func(t *testing.T) {
 		// A drain reward breaks the bound, so the search must not prune.
-		m := NewMPC(media.HSub(c), 5)
+		m := NewMPC(hsub(c), 5)
 		m.DrainPenalty = -3
 		for _, s := range randomStates(11, 300, len(m.allowed)) {
 			check(t, m, s)
@@ -320,7 +320,7 @@ func warmMPCs(t testing.TB, states []mpcState) ([]*MPC, []abr.State) {
 	models := make([]*MPC, len(states))
 	inputs := make([]abr.State, len(states))
 	for k, s := range states {
-		m := NewMPC(media.HSub(c), 5)
+		m := NewMPC(hsub(c), 5)
 		m.OnStart(abr.TransferInfo{})
 		m.OnProgress(abr.TransferInfo{Bytes: s.est / 8})
 		m.OnComplete(abr.TransferInfo{At: time.Second})

@@ -29,21 +29,13 @@ type VBRAware struct {
 
 	allowed []media.Combo
 	sizes   ChunkSizer
-	meter   estimator.GlobalMeter
+	meter
 	current media.Combo
 }
 
-// NewVBRAware creates the adapter. sizes must cover every track in allowed.
-func NewVBRAware(allowed []media.Combo, sizes ChunkSizer) *VBRAware {
-	return NewVBRAwareFrom(abr.NewAllowed(allowed), sizes)
-}
-
-// NewVBRAwareFrom is NewVBRAware over a prepared list, which the model
-// shares and never writes.
-func NewVBRAwareFrom(allowed *abr.Allowed, sizes ChunkSizer) *VBRAware {
-	if len(allowed.Combos()) == 0 {
-		panic("jointabr: empty allowed combination list")
-	}
+// NewVBRAware creates the adapter over the allowed combinations, which it
+// shares and never writes. sizes must cover every track in allowed.
+func NewVBRAware(allowed *abr.Allowed, sizes ChunkSizer) *VBRAware {
 	if sizes == nil {
 		panic("jointabr: nil chunk sizer")
 	}
@@ -62,15 +54,6 @@ func (v *VBRAware) Name() string { return "bestpractice-vbr" }
 
 // Allowed exposes the combination list.
 func (v *VBRAware) Allowed() []media.Combo { return v.allowed }
-
-// OnStart implements abr.Observer.
-func (v *VBRAware) OnStart(ti abr.TransferInfo) { v.meter.TransferStart(ti.At) }
-
-// OnProgress implements abr.Observer.
-func (v *VBRAware) OnProgress(ti abr.TransferInfo) { v.meter.TransferBytes(ti.Bytes) }
-
-// OnComplete implements abr.Observer.
-func (v *VBRAware) OnComplete(ti abr.TransferInfo) { v.meter.TransferEnd(ti.At) }
 
 // BandwidthEstimate implements abr.BandwidthReporter.
 func (v *VBRAware) BandwidthEstimate() (media.Bps, bool) { return v.meter.Estimate() }

@@ -15,7 +15,7 @@ import (
 func TestVBRAwareUsesActualChunkSizes(t *testing.T) {
 	c := media.ActionMovie()
 	sizer := func(tr *media.Track, idx int) int64 { return c.ChunkSize(tr, idx) }
-	v := NewVBRAware(media.HSub(c), sizer)
+	v := NewVBRAware(hsub(c), sizer)
 	feedVBR(v, 1.2e6, 6)
 	// Find a spiky position: V4's peak chunks approach 1190 Kbps while its
 	// declared average-based cost is 734. The VBR-aware player must select
@@ -37,7 +37,7 @@ func TestVBRAwareUsesActualChunkSizes(t *testing.T) {
 	st := abr.State{VideoBuffer: 15 * time.Second, AudioBuffer: 15 * time.Second, ChunkDuration: 5 * time.Second}
 	st.ChunkIndex = cheap
 	onCheap := v.SelectCombo(st)
-	v2 := NewVBRAware(media.HSub(c), sizer)
+	v2 := NewVBRAware(hsub(c), sizer)
 	feedVBR(v2, 1.2e6, 6)
 	st.ChunkIndex = expensive
 	onExpensive := v2.SelectCombo(st)
@@ -74,8 +74,8 @@ func TestVBRAwareEndToEndOnSpikyContent(t *testing.T) {
 		}
 		return qoe.Compute(res, c, media.HSub(c), qoe.DefaultWeights())
 	}
-	vbr := run(NewVBRAware(media.HSub(c), sizer))
-	avg := run(New(media.HSub(c)))
+	vbr := run(NewVBRAware(hsub(c), sizer))
+	avg := run(New(hsub(c)))
 	if vbr.OffManifest != 0 {
 		t.Errorf("VBR-aware off-manifest = %d", vbr.OffManifest)
 	}
@@ -102,8 +102,8 @@ func TestVBRAwareValidation(t *testing.T) {
 			t.Error("empty allowed should panic")
 		}
 	}()
-	_ = NewVBRAware(media.HSub(c), sizer).Name()
-	NewVBRAware(nil, sizer)
+	_ = NewVBRAware(hsub(c), sizer).Name()
+	NewVBRAware(abr.NewAllowed(nil), sizer)
 }
 
 func TestVBRAwareNilSizerPanics(t *testing.T) {
@@ -112,5 +112,5 @@ func TestVBRAwareNilSizerPanics(t *testing.T) {
 			t.Error("nil sizer should panic")
 		}
 	}()
-	NewVBRAware(media.HSub(media.DramaShow()), nil)
+	NewVBRAware(abr.NewAllowed(media.HSub(media.DramaShow())), nil)
 }

@@ -76,15 +76,8 @@ type Default struct {
 }
 
 // NewDefault creates the latency-blind throughput rule over the allowed
-// combination list.
-func NewDefault(allowed []media.Combo) *Default { return NewDefaultFrom(abr.NewAllowed(allowed)) }
-
-// NewDefaultFrom is NewDefault over a prepared list, which the rule shares
-// and never writes.
-func NewDefaultFrom(allowed *abr.Allowed) *Default {
-	if len(allowed.Combos()) == 0 {
-		panic("lowlat: empty allowed combination list")
-	}
+// combination list, which the rule shares and never writes.
+func NewDefault(allowed *abr.Allowed) *Default {
 	hist := estimator.NewSlidingMean()
 	hist.Window = LiveWindow
 	return &Default{allowed: allowed.Combos(), hist: hist}
@@ -136,15 +129,9 @@ type L2A struct {
 	queue   float64 // virtual latency-violation queue, seconds
 }
 
-// NewL2A creates the Learn2Adapt rule over the allowed combination list.
-func NewL2A(allowed []media.Combo) *L2A { return NewL2AFrom(abr.NewAllowed(allowed)) }
-
-// NewL2AFrom is NewL2A over a prepared list, which the rule shares and
-// never writes.
-func NewL2AFrom(allowed *abr.Allowed) *L2A {
-	if len(allowed.Combos()) == 0 {
-		panic("lowlat: empty allowed combination list")
-	}
+// NewL2A creates the Learn2Adapt rule over the allowed combination list,
+// which the rule shares and never writes.
+func NewL2A(allowed *abr.Allowed) *L2A {
 	hist := estimator.NewSlidingMean()
 	hist.Window = LiveWindow
 	return &L2A{allowed: allowed.Combos(), hist: hist}
@@ -205,15 +192,9 @@ type LoLP struct {
 	lastUp  time.Duration
 }
 
-// NewLoLP creates the LoL+ rule over the allowed combination list.
-func NewLoLP(allowed []media.Combo) *LoLP { return NewLoLPFrom(abr.NewAllowed(allowed)) }
-
-// NewLoLPFrom is NewLoLP over a prepared list, which the rule shares and
-// never writes.
-func NewLoLPFrom(allowed *abr.Allowed) *LoLP {
-	if len(allowed.Combos()) == 0 {
-		panic("lowlat: empty allowed combination list")
-	}
+// NewLoLP creates the LoL+ rule over the allowed combination list, which
+// the rule shares and never writes.
+func NewLoLP(allowed *abr.Allowed) *LoLP {
 	hist := estimator.NewSlidingPercentile()
 	hist.Percentile = LoLPPercentile
 	return &LoLP{allowed: allowed.Combos(), hist: hist}

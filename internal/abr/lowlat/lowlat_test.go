@@ -38,7 +38,7 @@ func chunkAt(kbps float64) abr.TransferInfo {
 func declared(c media.Combo) float64 { return c.DeclaredBitrate().Kbps() }
 
 func TestDefaultThroughputRule(t *testing.T) {
-	d := NewDefault(ladder())
+	d := NewDefault(abr.NewAllowed(ladder()))
 	if d.Name() != "ll-default" {
 		t.Fatalf("name %q", d.Name())
 	}
@@ -71,7 +71,7 @@ func TestDefaultThroughputRule(t *testing.T) {
 }
 
 func TestL2AReactiveEstimate(t *testing.T) {
-	l := NewL2A(ladder())
+	l := NewL2A(abr.NewAllowed(ladder()))
 	if l.Name() != "ll-l2a" {
 		t.Fatalf("name %q", l.Name())
 	}
@@ -98,7 +98,7 @@ func TestL2AReactiveEstimate(t *testing.T) {
 }
 
 func TestL2AVirtualQueue(t *testing.T) {
-	l := NewL2A(ladder())
+	l := NewL2A(abr.NewAllowed(ladder()))
 	for i := 0; i < 3; i++ {
 		l.OnComplete(kbpsOver(4500, time.Second))
 	}
@@ -126,7 +126,7 @@ func TestL2AVirtualQueue(t *testing.T) {
 }
 
 func TestLoLPGatedUpSwitch(t *testing.T) {
-	p := NewLoLP(ladder())
+	p := NewLoLP(abr.NewAllowed(ladder()))
 	if p.Name() != "ll-lolp" {
 		t.Fatalf("name %q", p.Name())
 	}
@@ -178,7 +178,7 @@ func TestLoLPGatedUpSwitch(t *testing.T) {
 // TestLoLPPercentileAfterEstimate changes the percentile after an estimate
 // has been taken: the estimator's cached sort must not serve a stale value.
 func TestLoLPPercentileAfterEstimate(t *testing.T) {
-	p := NewLoLP(ladder())
+	p := NewLoLP(abr.NewAllowed(ladder()))
 	for _, kbps := range []float64{1000, 2000, 4000, 8000} {
 		p.OnComplete(chunkAt(kbps))
 	}

@@ -184,7 +184,15 @@ func parseManifest(kind PlayerKind, c *media.Content, mo ManifestOptions) (*Pars
 		m.video, m.audio, err = RoundTripMPD(c)
 	case ExoPlayerHLS, Shaka, BestPractice, BestPracticeIndependent, BestPracticeAbandon, BolaJoint, MPCJoint, VBRJoint, DynamicJoint, LLDefault, LLL2A, LLLoLP:
 		m.combos, m.order, err = RoundTripMaster(c, mo.Combos, mo.AudioOrder)
-		if err == nil && kind == VBRJoint {
+		if err != nil {
+			return nil, err
+		}
+		if len(m.combos) == 0 {
+			// Every HLS model starts on a declared combination.
+			return nil, fmt.Errorf("core: %s: the master playlist declares no combination", kind)
+		}
+		m.allowed = abr.NewAllowed(m.combos)
+		if kind == VBRJoint {
 			m.sizer, err = chunkSizerFromPlaylists(c)
 		}
 	default:
@@ -192,9 +200,6 @@ func parseManifest(kind PlayerKind, c *media.Content, mo ManifestOptions) (*Pars
 	}
 	if err != nil {
 		return nil, err
-	}
-	if m.combos != nil {
-		m.allowed = abr.NewAllowed(m.combos)
 	}
 	return m, nil
 }
@@ -219,25 +224,25 @@ func (m *ParsedManifest) NewModel() abr.Algorithm {
 	case Shaka:
 		return shaka.NewHLS(combos)
 	case BestPractice:
-		return jointabr.NewFrom(allowed)
+		return jointabr.New(allowed)
 	case BestPracticeAbandon:
-		return jointabr.NewFrom(allowed, jointabr.WithAbandonment())
+		return jointabr.New(allowed, jointabr.WithAbandonment())
 	case BolaJoint:
-		return jointabr.NewBolaJointFrom(allowed, 0)
+		return jointabr.NewBolaJoint(allowed, 0)
 	case MPCJoint:
-		return jointabr.NewMPCFrom(allowed, 0)
+		return jointabr.NewMPC(allowed, 0)
 	case VBRJoint:
-		return jointabr.NewVBRAwareFrom(allowed, m.sizer)
+		return jointabr.NewVBRAware(allowed, m.sizer)
 	case DynamicJoint:
-		return jointabr.NewDynamicJointFrom(allowed)
+		return jointabr.NewDynamicJoint(allowed)
 	case LLDefault:
-		return lowlat.NewDefaultFrom(allowed)
+		return lowlat.NewDefault(allowed)
 	case LLL2A:
-		return lowlat.NewL2AFrom(allowed)
+		return lowlat.NewL2A(allowed)
 	case LLLoLP:
-		return lowlat.NewLoLPFrom(allowed)
+		return lowlat.NewLoLP(allowed)
 	default:
-		return jointabr.NewIndependentFrom(allowed)
+		return jointabr.NewIndependent(allowed)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"demuxabr/internal/abr"
 	"demuxabr/internal/media"
 	"demuxabr/internal/trace"
 )
@@ -50,6 +51,76 @@ func TestEveryPlayerKindRuns(t *testing.T) {
 				t.Error("no chunks downloaded")
 			}
 		})
+	}
+}
+
+// TestEmptyDeclaredListRefused plays every kind with a declared
+// combination list that is empty. The DASH kinds read no master playlist
+// and play; every HLS kind must refuse the manifest with an error rather
+// than panic building its model.
+func TestEmptyDeclaredListRefused(t *testing.T) {
+	for _, kind := range PlayerKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			s, err := Play(Spec{
+				Profile:  trace.Fixed(media.Kbps(1500)),
+				Player:   kind,
+				Manifest: ManifestOptions{Combos: []media.Combo{}},
+			})
+			switch kind {
+			case ExoPlayerDASH, DashJS:
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !s.Result.Ended {
+					t.Error("session did not end")
+				}
+			default:
+				if err == nil {
+					t.Error("an empty master playlist was accepted")
+				}
+			}
+		})
+	}
+}
+
+// TestModelInterfaces pins which of the abr interfaces each kind's model
+// implements; the engine picks its scheduling and abandonment by them, so
+// a change to how a model is composed must neither add nor drop one.
+func TestModelInterfaces(t *testing.T) {
+	type ifaces struct{ joint, perType, observer, reporter, abandoner bool }
+	joint := ifaces{joint: true, observer: true, reporter: true}
+	want := map[PlayerKind]ifaces{
+		ExoPlayerDASH:           joint,
+		ExoPlayerHLS:            joint,
+		Shaka:                   joint,
+		DashJS:                  {perType: true, observer: true, reporter: true, abandoner: true},
+		BestPractice:            {joint: true, observer: true, reporter: true, abandoner: true},
+		BestPracticeIndependent: {perType: true, observer: true, reporter: true},
+		BestPracticeAbandon:     {joint: true, observer: true, reporter: true, abandoner: true},
+		BolaJoint:               joint,
+		MPCJoint:                joint,
+		VBRJoint:                joint,
+		DynamicJoint:            joint,
+		LLDefault:               joint,
+		LLL2A:                   joint,
+		LLLoLP:                  joint,
+	}
+	c := media.DramaShow()
+	for _, kind := range PlayerKinds() {
+		m, err := ParseManifest(kind, c, ManifestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got ifaces
+		model := any(m.NewModel())
+		_, got.joint = model.(abr.JointAlgorithm)
+		_, got.perType = model.(abr.PerTypeAlgorithm)
+		_, got.observer = model.(abr.Observer)
+		_, got.reporter = model.(abr.BandwidthReporter)
+		_, got.abandoner = model.(abr.Abandoner)
+		if w, ok := want[kind]; !ok || got != w {
+			t.Errorf("%s implements %+v, want %+v", kind, got, w)
+		}
 	}
 }
 

@@ -162,10 +162,11 @@ func SplitPath() (SplitPathResult, error) {
 		}
 		return scoreFinished(res, model.Name(), content, combos)
 	}
-	if r.Shared, err = run(jointabr.New(combos)); err != nil {
+	allowed := abr.NewAllowed(combos)
+	if r.Shared, err = run(jointabr.New(allowed)); err != nil {
 		return SplitPathResult{}, err
 	}
-	if r.PathAware, err = run(jointabr.New(combos, jointabr.WithPathAwareness())); err != nil {
+	if r.PathAware, err = run(jointabr.New(allowed, jointabr.WithPathAwareness())); err != nil {
 		return SplitPathResult{}, err
 	}
 	return r, nil
@@ -190,11 +191,12 @@ func SyncGranularity(windows []int) ([]SyncGranularityPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	allowed := abr.NewAllowed(combos)
 	var out []SyncGranularityPoint
 	for _, w := range windows {
 		eng := netsim.NewEngine()
 		link := netsim.NewLink(eng, trace.Fig3VaryingAvg600())
-		model := jointabr.New(combos)
+		model := jointabr.New(allowed)
 		res, err := player.Run(link, player.Config{Content: content, Model: model, SyncWindow: w})
 		if err != nil {
 			return nil, err

@@ -121,8 +121,8 @@ type AblationVariant struct {
 //   - independent-scheduling: free-running per-type downloads (practice 4
 //     off).
 func ablationSpecs(c *media.Content) []modelSpec {
-	hsub := media.HSub(c)
-	hall := media.HAll(c)
+	hsub := abr.NewAllowed(media.HSub(c))
+	hall := abr.NewAllowed(media.HAll(c))
 	return []modelSpec{
 		{"full", func() abr.Algorithm { return jointabr.New(hsub) }},
 		{"no-allowed-list", func() abr.Algorithm { return jointabr.New(hall) }},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"demuxabr/internal/abr"
 	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
@@ -32,7 +33,7 @@ func LanguageSwitch() (LanguageSwitchResult, error) {
 
 	run := func(muxed bool) (Outcome, int64, error) {
 		es := media.CombosForLanguage(media.AllCombos(content.VideoTracks, media.LanguageLadder(content.AudioTracks, "es")), "es")
-		model := jointabr.New(media.PairCombos(content.VideoTracks, media.LanguageLadder(content.AudioTracks, "en")))
+		model := jointabr.New(abr.NewAllowed(media.PairCombos(content.VideoTracks, media.LanguageLadder(content.AudioTracks, "en"))))
 		eng := netsim.NewEngine()
 		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(2000)))
 		// The viewer picks Spanish at switchAt: the model's allowed list

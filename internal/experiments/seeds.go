@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"demuxabr/internal/abr"
 	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/core"
 	"demuxabr/internal/media"
@@ -116,12 +117,13 @@ func SafetyFactorSweep(factors []float64, parallel int) ([]ParetoPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	allowed := abr.NewAllowed(combos)
 	return runpool.Map(parallel, len(factors), func(i int) (ParetoPoint, error) {
 		f := factors[i]
 		out, err := playToEnd(core.Spec{
 			Content:  content,
 			Profile:  trace.Fig3VaryingAvg600(),
-			Model:    jointabr.New(combos, jointabr.WithSafetyFactor(f)),
+			Model:    jointabr.New(allowed, jointabr.WithSafetyFactor(f)),
 			Manifest: core.ManifestOptions{Combos: combos},
 		})
 		if err != nil {

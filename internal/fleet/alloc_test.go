@@ -75,9 +75,9 @@ func TestFleetAllocsPerSession(t *testing.T) {
 		cfg               fleet.Config
 		allocPin, bytePin float64
 	}{
-		{"vod", vod, 27, 13_600},
-		{"resilient", resilient, 38, 14_400},
-		{"live", live, 29, 12_400},
+		{"vod", vod, 27, 13_400},
+		{"resilient", resilient, 38, 14_100},
+		{"live", live, 29, 12_300},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := row.cfg

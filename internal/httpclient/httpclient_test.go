@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"demuxabr/internal/abr"
 	"demuxabr/internal/abr/exoplayer"
 	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/manifest/dash"
@@ -112,7 +113,7 @@ func TestStreamEndToEndBestPractice(t *testing.T) {
 		t.Fatal(err)
 	}
 	allowed := media.PairCombos(m.Content.VideoTracks, m.Content.AudioTracks)
-	model := jointabr.New(allowed)
+	model := jointabr.New(abr.NewAllowed(allowed))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	rep, err := Stream(ctx, m, Config{
@@ -272,7 +273,7 @@ func TestFetchCombinationsOutOfBand(t *testing.T) {
 			t.Errorf("combo %d = %s, want %s", i, cb, wantNames[i])
 		}
 	}
-	model := jointabr.New(combos)
+	model := jointabr.New(abr.NewAllowed(combos))
 	rep, err := Stream(context.Background(), m, Config{
 		BaseURL:      srv.URL,
 		Model:        model,

@@ -170,7 +170,7 @@ func (s *Session) initLive() error {
 		joinPos = 0
 	}
 	joinIdx := s.cfg.Content.ChunkIndexAt(media.Video, joinPos)
-	joinPos = s.chunkStarts[media.Video][joinIdx]
+	joinPos = s.cfg.Content.ChunkTimeline(media.Video)[joinIdx]
 	s.playPos = joinPos
 	s.next[media.Video] = joinIdx
 	s.next[media.Audio] = s.cfg.Content.ChunkIndexAt(media.Audio, joinPos)
@@ -216,9 +216,10 @@ func (s *Session) liveLatency(now time.Duration) time.Duration {
 // offset) is what keeps availability correct on variable-duration
 // timelines. Chunks behind the join edge are available immediately.
 func (s *Session) chunkAvailableAt(t media.Type, idx int) time.Duration {
-	avail := s.chunkStarts[t][idx+1]
+	starts := s.cfg.Content.ChunkTimeline(t)
+	avail := starts[idx+1]
 	if pt := s.live.cfg.PartTarget; pt > 0 {
-		if first := s.chunkStarts[t][idx] + pt; first < avail {
+		if first := starts[idx] + pt; first < avail {
 			avail = first
 		}
 	}
@@ -349,7 +350,7 @@ func (s *Session) liveResync(now time.Duration) {
 	// refetch index on its own timeline (misaligned audio rejoins at the
 	// chunk covering the target position).
 	idx := s.cfg.Content.ChunkIndexAt(media.Video, target)
-	targetPos := s.chunkStarts[media.Video][idx]
+	targetPos := s.cfg.Content.ChunkTimeline(media.Video)[idx]
 	if targetPos <= s.playPos {
 		return
 	}

@@ -194,14 +194,6 @@ type Session struct {
 	perType   abr.PerTypeAlgorithm
 	abandoner abr.Abandoner
 
-	// Per-type chunk timelines, indexed by media.Type: the content's own
-	// read-only boundary tables. Uniform content gives both types equal
-	// tables; shaped content can give audio and video different chunk
-	// counts and edges (the misalignment regime of §4), which is why every
-	// index computation below is typed.
-	numChunks   [2]int
-	chunkStarts [2][]time.Duration // start offset of each chunk; [n] = duration
-
 	// Per-type download state, indexed by media.Type.
 	next     [2]int           // next chunk index to fetch
 	frontier [2]time.Duration // contiguous downloaded content end
@@ -538,10 +530,6 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *record
 		// their boundaries. Per-type models handle misaligned content.
 		return errors.New("player: joint scheduling and muxed mode require aligned audio/video chunk timelines")
 	}
-	for _, t := range []media.Type{media.Video, media.Audio} {
-		s.chunkStarts[t] = s.cfg.Content.ChunkTimeline(t)
-		s.numChunks[t] = len(s.chunkStarts[t]) - 1
-	}
 	s.res = Result{
 		ModelName:       cfg.Model.Name(),
 		ContentDuration: s.cfg.Content.Duration,
@@ -586,8 +574,9 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *record
 	// Size the chunk log, the buffer fold and the timeline for a session
 	// that plays the rest of the content with little stalling, so that a
 	// warm chunk request and logging tick append without growing them.
-	s.res.Chunks = reuse(spareChunks, s.numChunks[media.Video]-s.next[media.Video]+s.numChunks[media.Audio]-s.next[media.Audio])
-	samples := int((s.cfg.Content.Duration - s.playPos) / logInterval)
+	c := s.cfg.Content
+	s.res.Chunks = reuse(spareChunks, c.NumChunksOf(media.Video)-s.next[media.Video]+c.NumChunksOf(media.Audio)-s.next[media.Audio])
+	samples := int((c.Duration - s.playPos) / logInterval)
 	samples += samples/32 + 2
 	s.res.buffers.mins = s.pool.takeMins(samples)
 	if cfg.KeepTimeline {
@@ -1020,7 +1009,7 @@ func (s *Session) fetchJoint() {
 		return
 	}
 	idx := s.next[media.Video] // both types share the index when paired
-	if idx >= s.numChunks[media.Video] {
+	if idx >= s.cfg.Content.NumChunksOf(media.Video) {
 		return
 	}
 	now := s.eng.Now()
@@ -1060,7 +1049,7 @@ func (s *Session) fetchStream(t media.Type) {
 		return
 	}
 	idx := s.next[t]
-	if idx >= s.numChunks[t] {
+	if idx >= s.cfg.Content.NumChunksOf(t) {
 		return
 	}
 	// Skew bound: wait for the other stream (its completion re-kicks us).
@@ -1149,8 +1138,9 @@ func (s *Session) resetAudio(at time.Duration) {
 	// type resolves the position on its own timeline (shaped content can
 	// have misaligned audio/video boundaries).
 	refetchFrom := func(t media.Type) int {
+		starts := s.cfg.Content.ChunkTimeline(t)
 		idx := 0
-		for idx < s.numChunks[t] && s.chunkStarts[t][idx] < playPos {
+		for idx < len(starts)-1 && starts[idx] < playPos {
 			idx++
 		}
 		return idx
@@ -1170,8 +1160,8 @@ func (s *Session) resetAudio(at time.Duration) {
 		if s.next[t] > tIdx {
 			s.next[t] = tIdx
 		}
-		if s.frontier[t] > s.chunkStarts[t][tIdx] {
-			s.frontier[t] = s.chunkStarts[t][tIdx]
+		if start := s.cfg.Content.ChunkTimeline(t)[tIdx]; s.frontier[t] > start {
+			s.frontier[t] = start
 		}
 	}
 
@@ -1538,7 +1528,7 @@ func (r *request) complete(tr *netsim.Transfer) {
 		ev.Bytes = tr.Size()
 		s.rec.Emit(ev)
 	}
-	end := s.chunkStarts[t][r.idx+1]
+	end := s.cfg.Content.ChunkTimeline(t)[r.idx+1]
 	s.frontier[t] = end
 	chunk := ChunkDecision{
 		Index:       r.idx,

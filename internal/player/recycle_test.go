@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"demuxabr/internal/abr"
 	"demuxabr/internal/faults"
@@ -366,6 +367,24 @@ func TestWarmChunkRequestAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: a warm chunk request allocates %.2f objects, want 0", name, allocs)
 		}
+	}
+}
+
+// TestSessionSizeClasses pins a Session's footprint to Go's malloc size
+// classes. An object over 512 bytes that holds pointers carries an 8-byte
+// header, and is rounded up to the next class: 1,024, 1,152, ..., 1,536,
+// 1,792. A Pool allocates a pooledSession for every cold session of a
+// shard, and one byte past 1,536 would land it in the 1,792-byte class,
+// 256 bytes more per session; a Session started without a Pool is
+// allocated bare and must keep to 1,024. Let either cross a class
+// boundary only on purpose.
+func TestSessionSizeClasses(t *testing.T) {
+	const header = 8
+	if n := unsafe.Sizeof(pooledSession{}) + header; n > 1536 {
+		t.Errorf("pooledSession needs %d bytes with its header, over the 1,536-byte size class", n)
+	}
+	if n := unsafe.Sizeof(Session{}) + header; n > 1024 {
+		t.Errorf("Session needs %d bytes with its header, over the 1,024-byte size class", n)
 	}
 }
 

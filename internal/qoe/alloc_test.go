@@ -5,6 +5,7 @@ package qoe
 import (
 	"testing"
 
+	"demuxabr/internal/abr"
 	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
@@ -26,7 +27,7 @@ func TestComputeAllocs(t *testing.T) {
 	c := media.DramaShow()
 	allowed := media.HSub(c)
 	res, err := player.Run(netsim.NewLink(netsim.NewEngine(), trace.Fig3VaryingAvg600()),
-		player.Config{Content: c, Model: jointabr.New(allowed)})
+		player.Config{Content: c, Model: jointabr.New(abr.NewAllowed(allowed))})
 	if err != nil {
 		t.Fatal(err)
 	}
