@@ -51,11 +51,11 @@
 #                    fleet's TestSessionReuseAllocFree, no new Session,
 #                    chunk log, connection or blacklist in a second cell on
 #                    a warm shard, and the player's TestSessionSizeClasses,
-#                    a pooled Session within the 1,536-byte malloc size
-#                    class and a bare one within 1,024) without the race
-#                    detector, which skips the first three and
-#                    TestSessionReuseAllocFree in step 3 because it changes
-#                    allocation counts
+#                    a Session, which a Pool always makes with its spare
+#                    parts, within the 1,536-byte malloc size class)
+#                    without the race detector, which skips the first
+#                    three and TestSessionReuseAllocFree in step 3 because
+#                    it changes allocation counts
 #  14. fma off       the golden-bearing packages pass again with
 #                    GODEBUG=cpu.fma=off, without the race detector: on
 #                    amd64 math.Exp (and Pow through it) takes an FMA
@@ -150,7 +150,7 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, Session size classes, no race detector)"
+echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, the pooled Session's size class, no race detector)"
 go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestSessionReuseAllocFree|TestSessionSizeClasses' \
 	./internal/fleet ./internal/qoe ./internal/core ./internal/netsim ./internal/cdnsim ./internal/player
 

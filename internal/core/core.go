@@ -13,6 +13,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -376,7 +377,25 @@ type Session struct {
 	Allowed []media.Combo
 }
 
-// Play runs one session in the discrete-event simulator.
+// playState is the simulation state Play reuses: the engine with its
+// freelists, the unbounded uplink whose one leaf is the session's link,
+// and the Pool of request records and buffer-fold arrays.
+type playState struct {
+	eng  *netsim.Engine
+	up   *netsim.Uplink
+	pool player.Pool
+}
+
+// playStates holds finished Plays' states. One the GC drops only makes a
+// later Play build a new one.
+var playStates = sync.Pool{New: func() any {
+	eng := netsim.NewEngine()
+	return &playState{eng: eng, up: netsim.NewUplink(eng, trace.Fixed(math.MaxInt64))}
+}}
+
+// Play runs one session in the discrete-event simulator, on the state an
+// earlier Play left, reset. Only a run that succeeded gives its state
+// back: a failed one can leave events pending.
 func Play(spec Spec) (*Session, error) {
 	if spec.Profile == nil {
 		return nil, fmt.Errorf("core: nil network profile")
@@ -397,13 +416,15 @@ func Play(spec Spec) (*Session, error) {
 			return nil, err
 		}
 	}
-	eng := netsim.NewEngine()
-	link := netsim.NewLink(eng, spec.Profile)
+	st := playStates.Get().(*playState)
+	st.eng.Reset()
+	st.up.Reset()
+	link := st.up.NewLeaf(spec.Profile)
 	link.RTT = spec.RTT
 	if spec.Recorder != nil {
 		link.SetRecorder(spec.Recorder, "link")
 	}
-	res, err := player.Run(link, player.Config{
+	res, err := st.pool.Run(link, link, player.Config{
 		Content:       spec.Content,
 		Model:         model,
 		MaxBuffer:     spec.MaxBuffer,
@@ -421,6 +442,7 @@ func Play(spec Spec) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	playStates.Put(st)
 	return &Session{
 		Model:   model.Name(),
 		Result:  res,

@@ -127,6 +127,13 @@ func profiledSites() map[string]int64 {
 		frames := runtime.CallersFrames(r.Stack())
 		for {
 			fr, more := frames.Next()
+			if fr.Function == "runtime.typeAssert" || fr.Function == "runtime.interfaceSwitch" {
+				// The runtime's per-site cache of type-assertion results,
+				// which it grows at random (on about 1 in 1,024 cache misses,
+				// see runtime/iface.go): not an object the program made, and
+				// not one a warm session can avoid.
+				break
+			}
 			if !strings.HasPrefix(fr.Function, "runtime.") {
 				sites[fr.Function] += r.AllocObjects
 				break

@@ -1,7 +1,6 @@
 package player
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -142,17 +141,12 @@ type liveState struct {
 // rateF is the playback rate as a float multiplier.
 func (ls *liveState) rateF() float64 { return float64(ls.rate) / 100 }
 
-// initLive validates and installs live mode; called from Start after the
-// chunk table is built and before the fetch loops are scheduled.
-func (s *Session) initLive() error {
+// initLive installs live mode, whose configuration setDefaults has
+// checked; called from start after the chunk table is built and before
+// the fetch loops are scheduled.
+func (s *Session) initLive() {
 	cfg := s.cfg.Live.withDefaults()
-	if cfg.LatencyTarget <= 0 {
-		return errors.New("player: live latency target must be positive")
-	}
-	if cfg.PartTarget < 0 || cfg.PartTarget > s.cfg.Content.ChunkDuration {
-		return fmt.Errorf("player: live part target %v outside (0, chunk duration %v]", cfg.PartTarget, s.cfg.Content.ChunkDuration)
-	}
-	ls := &s.parts().live
+	ls := &s.spare.live
 	*ls = liveState{cfg: cfg, rate: 100, tick: ls.tick}
 	ls.edge0 = cfg.EdgeAtJoin
 	if ls.edge0 > s.cfg.Content.Duration {
@@ -184,7 +178,6 @@ func (s *Session) initLive() error {
 	ls.lane = s.eng.Lane(liveSampleInterval)
 	s.live = ls
 	s.scheduleLiveTick()
-	return nil
 }
 
 // liveEdgeAt returns the stream edge (media time produced so far) at

@@ -86,8 +86,8 @@ type Config struct {
 	Robustness *faults.Policy
 	// OnDone fires exactly once when the session finishes or aborts, after
 	// the result is final and the session's in-flight transfers have been
-	// torn down. Sessions started via Run/RunSplit stop the engine here;
-	// fleet sessions sharing an engine let it keep running.
+	// torn down. The engine keeps running after it: Run and RunSplit
+	// return once the engine drains, and fleet sessions share theirs.
 	OnDone func(*Session)
 	// OnRequest observes every chunk request that puts bytes on the wire
 	// and returns an extra first-byte delay — the hook a CDN edge uses to
@@ -166,6 +166,15 @@ func (c *Config) setDefaults() error {
 	if c.StartupBuffer > c.MaxBuffer || c.ResumeBuffer > c.MaxBuffer {
 		return fmt.Errorf("player: startup/resume buffer exceeds max buffer %v", c.MaxBuffer)
 	}
+	if c.Live != nil {
+		lc := c.Live.withDefaults()
+		if lc.LatencyTarget <= 0 {
+			return errors.New("player: live latency target must be positive")
+		}
+		if lc.PartTarget < 0 || lc.PartTarget > c.Content.ChunkDuration {
+			return fmt.Errorf("player: live part target %v outside (0, chunk duration %v]", lc.PartTarget, c.Content.ChunkDuration)
+		}
+	}
 	return nil
 }
 
@@ -178,8 +187,8 @@ func (c *Config) supportsAudioReset(joint bool) bool {
 // Session is the live state of one streaming run. A Session attaches to
 // its links' engine without owning the run loop, so any number of sessions
 // can share one engine (and, through it, shared bottlenecks and a shared
-// CDN edge). Start creates and schedules one; Run/RunSplit wrap a single
-// session with its own engine run loop.
+// CDN edge). A Pool makes every Session: Pool.Start schedules one, and
+// Pool.Run also drives the engine until it drains.
 //
 // All times recorded in the Result, and all times reported to the ABR
 // model, are session-relative (zero at Start), so a session's behaviour is
@@ -218,15 +227,13 @@ type Session struct {
 	// on the wire; cancelStream cancels that transfer and a timeout only
 	// acts on the current request's. It holds a reference (see request).
 	current [2]*request
-	// pool supplies request records and the buffer fold's sample array,
-	// and takes them back once the session is done with them. A session
-	// started without a Pool uses own, which recycles records within the
-	// session only and dies with it.
-	pool *records
-	own  records
+	// pool is the Pool the session started through. It supplies request
+	// records and the buffer fold's sample array, and takes them back once
+	// the session is done with them.
+	pool *Pool
 	// spare holds what this session built that a later session on the
-	// same Session object reuses (see Pool.Release). A Pool makes it with
-	// the Session; a session started without one makes it on first need.
+	// same Session object reuses (see Pool.Release). The Pool makes it in
+	// one allocation with the Session.
 	spare *sessionSpare
 
 	// Robustness state.
@@ -295,58 +302,28 @@ type pooledSession struct {
 	spare sessionSpare
 }
 
-// parts returns s.spare, making it for a session started without a Pool.
-func (s *Session) parts() *sessionSpare {
-	if s.spare == nil {
-		s.spare = new(sessionSpare)
-	}
-	return s.spare
-}
-
 // Run executes a full streaming session of cfg.Content over the link and
-// returns the recorded result. A session that cannot finish (e.g. the link
-// is dead forever) returns a result with Ended == false and a nil error;
-// exhausting the event budget returns an error.
+// returns the recorded result: Pool.Run on a Pool of its own.
 func Run(link *netsim.Link, cfg Config) (*Result, error) {
-	return RunSplit(link, link, cfg)
+	return new(Pool).Run(link, link, cfg)
 }
 
 // RunSplit executes a session with the video and audio streams on separate
 // links — the §4.1 scenario where the demuxed tracks live on different
 // servers and do not share a bottleneck. Both links must be driven by the
-// same engine. It is a thin wrapper over Start that owns the engine's run
-// loop and stops it when the session ends.
+// same engine. It is Pool.Run on a Pool of its own.
 func RunSplit(videoLink, audioLink *netsim.Link, cfg Config) (*Result, error) {
-	inner := cfg.OnDone
-	cfg.OnDone = func(s *Session) {
-		if inner != nil {
-			inner(s)
-		}
-		s.eng.Stop()
-	}
-	s, err := Start(videoLink, audioLink, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.eng.Run(s.cfg.MaxEvents); err != nil {
-		return nil, err
-	}
-	return &s.res, nil
+	return new(Pool).Run(videoLink, audioLink, cfg)
 }
 
 // Start validates the configuration and schedules a session on the links'
 // (possibly shared) engine, beginning at the engine's current time. The
 // caller drives the engine; the session reports completion via
 // Config.OnDone and Done. Deadline and MaxBuffer et al. are interpreted in
-// session time, so staggered arrivals need no config adjustments. The
-// session recycles its request records within itself only; a Pool's Start
-// shares them, and the Session itself, across sessions.
+// session time, so staggered arrivals need no config adjustments. It is
+// Pool.Start on a Pool of its own.
 func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
-	s := new(Session)
-	if err := s.start(videoLink, audioLink, cfg, nil); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return new(Pool).Start(videoLink, audioLink, cfg)
 }
 
 // Pool recycles what finished requests and sessions leave behind for the
@@ -362,23 +339,19 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 // one goroutine only: every session started through it must run on
 // engines that goroutine drives. The zero Pool is ready to use.
 type Pool struct {
-	records
+	// reqs and mins are what a running session draws on and returns to:
+	// request records and the buffer fold's sample arrays.
+	reqs []*request
+	mins [][]float64
 	// started lists the sessions started since the last Release, and free
 	// the released ones Start reuses.
 	started []*Session
 	free    []*Session
 }
 
-// records is what a running session draws on and returns to: request
-// records and the buffer fold's sample arrays.
-type records struct {
-	reqs []*request
-	mins [][]float64
-}
-
 // takeMins returns an empty sample array with room for n samples: the
 // last one the pool took back when it is large enough, else a new one.
-func (p *records) takeMins(n int) []float64 {
+func (p *Pool) takeMins(n int) []float64 {
 	if k := len(p.mins); k > 0 {
 		m := p.mins[k-1]
 		p.mins[k-1] = nil
@@ -392,7 +365,7 @@ func (p *records) takeMins(n int) []float64 {
 
 // Start is the package-level Start, drawing on p: the session runs on a
 // Session object an earlier session left at Release when there is one.
-// Its results are the same either way.
+// Its results are the same either way; a refused start changes nothing.
 func (p *Pool) Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 	var s *Session
 	if k := len(p.free); k > 0 {
@@ -404,12 +377,31 @@ func (p *Pool) Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, e
 		s = &ps.Session
 		s.spare = &ps.spare
 	}
-	if err := s.start(videoLink, audioLink, cfg, &p.records); err != nil {
+	if err := s.start(videoLink, audioLink, cfg, p); err != nil {
 		p.free = append(p.free, s) // it scheduled nothing
 		return nil, err
 	}
 	p.started = append(p.started, s)
 	return s, nil
+}
+
+// Run starts a session through p and runs the links' engine until it
+// drains. The session is then the caller's: it leaves the started list, so
+// no Release hands the object holding the Result to a later session. A
+// session that cannot finish (e.g. the link is dead forever) returns
+// Ended == false and a nil error; exhausting the event budget an error.
+func (p *Pool) Run(videoLink, audioLink *netsim.Link, cfg Config) (*Result, error) {
+	s, err := p.Start(videoLink, audioLink, cfg)
+	if err != nil {
+		return nil, err
+	}
+	k := len(p.started) - 1
+	p.started[k] = nil
+	p.started = p.started[:k]
+	if err := s.eng.Run(s.cfg.MaxEvents); err != nil {
+		return nil, err
+	}
+	return &s.res, nil
 }
 
 // Release hands every session started through p since the last Release
@@ -436,22 +428,49 @@ func (p *Pool) Release() {
 	p.started = p.started[:0]
 }
 
-// start builds and schedules a session on s, drawing on p, or on a pool of
-// its own when p is nil. s is new, or a Session an earlier session
-// finished on: start resets every field but the method values already
-// bound and the spare parts, so both kinds start in the same state.
-func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *records) error {
+// start builds and schedules a session on s, drawing on p. s is new, or a
+// Session an earlier session finished on: start resets every field but
+// the method values already bound and the spare parts, so both kinds start
+// in the same state. Every check comes before the first side effect.
+func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) error {
 	if err := cfg.setDefaults(); err != nil {
 		return err
 	}
 	if videoLink.Engine() != audioLink.Engine() {
 		return errors.New("player: video and audio links use different engines")
 	}
+	var joint abr.JointAlgorithm
+	var perType abr.PerTypeAlgorithm
+	switch m := cfg.Model.(type) {
+	case abr.JointAlgorithm:
+		joint = m
+	case abr.PerTypeAlgorithm:
+		perType = m
+	default:
+		return fmt.Errorf("player: model %q implements neither JointAlgorithm nor PerTypeAlgorithm", cfg.Model.Name())
+	}
+	if cfg.Muxed && joint == nil {
+		return errors.New("player: muxed mode requires a JointAlgorithm")
+	}
+	if cfg.Muxed && (cfg.FaultPlan != nil || cfg.Robustness != nil) {
+		return errors.New("player: fault injection and robustness policy require demuxed mode")
+	}
+	if len(cfg.AudioResets) > 0 && !cfg.supportsAudioReset(joint != nil) {
+		return errors.New("player: AudioResets require a per-type model, SyncWindow > 0, or Muxed mode")
+	}
+	if (joint != nil || cfg.Muxed) && !cfg.Content.Aligned() {
+		// Joint scheduling and muxed packaging pair audio with video by
+		// chunk index; that is only meaningful when both timelines share
+		// their boundaries. Per-type models handle misaligned content.
+		return errors.New("player: joint scheduling and muxed mode require aligned audio/video chunk timelines")
+	}
 	*s = Session{
-		cfg:   cfg,
-		eng:   videoLink.Engine(),
-		pool:  p,
-		spare: s.spare,
+		cfg:     cfg,
+		eng:     videoLink.Engine(),
+		joint:   joint,
+		perType: perType,
+		pool:    p,
+		spare:   s.spare,
 		// The method values bound by an earlier session on s.
 		loopsPaired:  s.loopsPaired,
 		loop:         s.loop,
@@ -459,29 +478,12 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *record
 		logTick:      s.logTick,
 		underrunTick: s.underrunTick,
 	}
-	if p == nil {
-		s.pool = &s.own
-	}
 	s.t0 = s.eng.Now()
 	s.links[media.Video] = videoLink
 	s.links[media.Audio] = audioLink
-	switch m := cfg.Model.(type) {
-	case abr.JointAlgorithm:
-		s.joint = m
-	case abr.PerTypeAlgorithm:
-		s.perType = m
-	default:
-		return fmt.Errorf("player: model %q implements neither JointAlgorithm nor PerTypeAlgorithm", cfg.Model.Name())
-	}
 	s.abandoner, _ = cfg.Model.(abr.Abandoner)
-	if cfg.Muxed && s.joint == nil {
-		return errors.New("player: muxed mode requires a JointAlgorithm")
-	}
-	if cfg.Muxed && (cfg.FaultPlan != nil || cfg.Robustness != nil) {
-		return errors.New("player: fault injection and robustness policy require demuxed mode")
-	}
+	sp := s.spare
 	if cfg.Robustness != nil {
-		sp := s.parts()
 		sp.policy = cfg.Robustness.WithDefaults()
 		s.pol = &sp.policy
 		if sp.blacklist == nil {
@@ -503,9 +505,6 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *record
 			}
 		}
 	}
-	if len(cfg.AudioResets) > 0 && !cfg.supportsAudioReset(s.joint != nil) {
-		return errors.New("player: AudioResets require a per-type model, SyncWindow > 0, or Muxed mode")
-	}
 	if tc := cfg.Transport; tc != nil {
 		switch {
 		case cfg.Muxed, tc.Protocol != netsim.H1 && videoLink == audioLink:
@@ -524,22 +523,14 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *record
 			s.conns[media.Audio] = s.conn(1, audioLink, tc, "conn-a")
 		}
 	}
-	if (s.joint != nil || cfg.Muxed) && !s.cfg.Content.Aligned() {
-		// Joint scheduling and muxed packaging pair audio with video by
-		// chunk index; that is only meaningful when both timelines share
-		// their boundaries. Per-type models handle misaligned content.
-		return errors.New("player: joint scheduling and muxed mode require aligned audio/video chunk timelines")
-	}
 	s.res = Result{
 		ModelName:       cfg.Model.Name(),
 		ContentDuration: s.cfg.Content.Duration,
-	}
-	var spareChunks []ChunkDecision
-	var spareTimeline []Sample
-	if sp := s.spare; sp != nil {
-		r := &s.res
-		r.Stalls, r.Abandonments, r.AudioResets, r.Faults, r.Failovers = sp.stalls, sp.abandons, sp.resets, sp.faults, sp.failovers
-		spareChunks, spareTimeline = sp.chunks, sp.timeline
+		Stalls:          sp.stalls,
+		Abandonments:    sp.abandons,
+		AudioResets:     sp.resets,
+		Faults:          sp.faults,
+		Failovers:       sp.failovers,
 	}
 	s.paired = s.joint != nil && (cfg.SyncWindow == 0 || cfg.Muxed)
 	if s.loop[media.Video] == nil || s.loopsPaired != s.paired {
@@ -556,7 +547,6 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *record
 		}
 	}
 	if !s.paired && s.joint != nil {
-		sp := s.parts()
 		if sp.comboFor == nil {
 			sp.comboFor = make(map[int]media.Combo)
 		}
@@ -567,20 +557,18 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *record
 		s.logTick, s.underrunTick = s.logTimeline, s.onUnderrun
 	}
 	if cfg.Live != nil {
-		if err := s.initLive(); err != nil {
-			return err
-		}
+		s.initLive()
 	}
 	// Size the chunk log, the buffer fold and the timeline for a session
 	// that plays the rest of the content with little stalling, so that a
 	// warm chunk request and logging tick append without growing them.
 	c := s.cfg.Content
-	s.res.Chunks = reuse(spareChunks, c.NumChunksOf(media.Video)-s.next[media.Video]+c.NumChunksOf(media.Audio)-s.next[media.Audio])
+	s.res.Chunks = reuse(sp.chunks, c.NumChunksOf(media.Video)-s.next[media.Video]+c.NumChunksOf(media.Audio)-s.next[media.Audio])
 	samples := int((c.Duration - s.playPos) / logInterval)
 	samples += samples/32 + 2
 	s.res.buffers.mins = s.pool.takeMins(samples)
 	if cfg.KeepTimeline {
-		s.res.Timeline = reuse(spareTimeline, samples)
+		s.res.Timeline = reuse(sp.timeline, samples)
 	}
 
 	// Kick off downloading and timeline logging.
@@ -608,7 +596,7 @@ func reuse[T any](spare []T, n int) []T {
 // conn returns the session's i-th transport connection, on l: the one an
 // earlier session on this Session object made, reset as new, or a new one.
 func (s *Session) conn(i int, l *netsim.Link, tc *netsim.TransportConfig, label string) *netsim.Conn {
-	sp := s.parts()
+	sp := s.spare
 	c := sp.conns[i]
 	if c == nil {
 		c = netsim.NewConn(l, *tc, label)
@@ -793,12 +781,8 @@ func (s *Session) teardown() {
 	s.underrun = netsim.Handle{}
 	s.collectTransport()
 	s.collectLive()
-	if mins := s.res.buffers.seal(); s.pool != &s.own {
-		s.pool.mins = append(s.pool.mins, mins)
-	}
-	if s.spare != nil {
-		s.keepLogs()
-	}
+	s.pool.mins = append(s.pool.mins, s.res.buffers.seal())
+	s.keepLogs()
 }
 
 // keepLogs gives the Result's logs to spare, for the next session on this

@@ -107,7 +107,7 @@ func startState(s *Session) sessionStart {
 	st := sessionStart{s: *s, comboFor: maps.Clone(s.comboFor), blacklistEmpty: s.blacklist == nil ||
 		reflect.DeepEqual(s.blacklist, faults.NewBlacklist())}
 	c := &st.s
-	c.cfg, c.eng, c.links, c.pool, c.own, c.spare = Config{}, nil, [2]*netsim.Link{}, nil, records{}, nil
+	c.cfg, c.eng, c.links, c.pool, c.spare = Config{}, nil, [2]*netsim.Link{}, nil, nil
 	c.joint, c.perType, c.abandoner, c.rec = nil, nil, nil, nil
 	c.loop, c.cont, c.logTick, c.underrunTick = [2]func(){}, [2]func(){}, nil, nil
 	c.timeoutLane, c.logLane = nil, nil
@@ -373,18 +373,14 @@ func TestWarmChunkRequestAllocFree(t *testing.T) {
 // TestSessionSizeClasses pins a Session's footprint to Go's malloc size
 // classes. An object over 512 bytes that holds pointers carries an 8-byte
 // header, and is rounded up to the next class: 1,024, 1,152, ..., 1,536,
-// 1,792. A Pool allocates a pooledSession for every cold session of a
-// shard, and one byte past 1,536 would land it in the 1,792-byte class,
-// 256 bytes more per session; a Session started without a Pool is
-// allocated bare and must keep to 1,024. Let either cross a class
-// boundary only on purpose.
+// 1,792. A Pool allocates a pooledSession for every session it has no
+// released one for (each Play, and each cold session of a fleet shard),
+// and one byte past 1,536 would land it in the 1,792-byte class, 256 bytes
+// more per session. Let it cross the class boundary only on purpose.
 func TestSessionSizeClasses(t *testing.T) {
 	const header = 8
 	if n := unsafe.Sizeof(pooledSession{}) + header; n > 1536 {
 		t.Errorf("pooledSession needs %d bytes with its header, over the 1,536-byte size class", n)
-	}
-	if n := unsafe.Sizeof(Session{}) + header; n > 1024 {
-		t.Errorf("Session needs %d bytes with its header, over the 1,024-byte size class", n)
 	}
 }
 

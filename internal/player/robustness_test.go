@@ -183,6 +183,36 @@ func TestMuxedModeRejectsFaultPlan(t *testing.T) {
 	}
 }
 
+// A Start that refuses its configuration leaves the links and the engine
+// as it found them: the fault plan's blackout windows are applied only
+// once every check has passed, and nothing is scheduled. The refusals
+// below cover the checks that need the model's kind, the content's
+// timelines and the live configuration.
+func TestRefusedStartLeavesLinksUntouched(t *testing.T) {
+	c := media.DramaShow()
+	plan := &faults.Plan{Blackouts: []faults.Window{{Start: 10 * time.Second, End: 20 * time.Second}}}
+	pol := faults.DefaultPolicy()
+	h1 := netsim.DefaultTransport(netsim.H1)
+	for name, cfg := range map[string]Config{
+		"audio resets on strict pairing": {Content: c, Model: &fixedJoint{combo: lowestCombo(c)}, AudioResets: []time.Duration{5 * time.Second}},
+		"joint on misaligned timelines":  {Content: shapedContent(t), Model: &fixedJoint{combo: lowestCombo(c)}, Transport: &h1},
+		"invalid live target":            {Content: c, Model: &fixedJoint{combo: lowestCombo(c)}, Robustness: &pol, Live: &LiveConfig{LatencyTarget: -time.Second}},
+	} {
+		cfg.FaultPlan = plan
+		eng := netsim.NewEngine()
+		video, audio := netsim.NewLink(eng, trace.Fixed(media.Kbps(5000))), netsim.NewLink(eng, trace.Fixed(media.Kbps(500)))
+		if _, err := new(Pool).Start(video, audio, cfg); err == nil {
+			t.Fatalf("%s: Start accepted the configuration", name)
+		}
+		if video.RateAt(15*time.Second) == 0 || audio.RateAt(15*time.Second) == 0 {
+			t.Errorf("%s: the refused Start left its blackout on the links", name)
+		}
+		if n := eng.Pending(); n > 0 {
+			t.Errorf("%s: the refused Start left %d events scheduled", name, n)
+		}
+	}
+}
+
 func TestDeadlineAbortSetsAborted(t *testing.T) {
 	c := media.DramaShow()
 	eng := netsim.NewEngine()
