@@ -43,7 +43,13 @@
 #                    trajectory is always measurable
 #  13. allocs        the allocation ratchets (TestFleetAllocsPerSession's
 #                    allocs and bytes per session, TestComputeAllocs,
-#                    TestPlayAllocs' allocs and bytes per Play, the
+#                    TestPlayAllocs' allocs and bytes per Play of every
+#                    solo-sweep variant, TestPlayStateCrossesGoroutines, a
+#                    warm Play on a goroutine other than the last Play's,
+#                    TestNewModelAllocs, one allocation per NewModel of
+#                    every kind, TestModelNamesAllocFree, no allocation
+#                    per Name, the MPC's TestMPCBoundTableBuiltOnce, a new
+#                    model's first decision allocation-free, the
 #                    transport's TestConnReconnectStrikeAllocFree, the
 #                    edge's TestMissEvictSteadyStateAllocs, the engine's
 #                    TestEngineReuseAllocFree, no new event, transfer or
@@ -53,9 +59,9 @@
 #                    a warm shard, and the player's TestSessionSizeClasses,
 #                    a Session, which a Pool always makes with its spare
 #                    parts, within the 1,536-byte malloc size class)
-#                    without the race detector, which skips the first
-#                    three and TestSessionReuseAllocFree in step 3 because
-#                    it changes allocation counts
+#                    through ratchets, without the race detector, which
+#                    changes allocation counts: step 3 skips the tests
+#                    built only without it
 #  14. fma off       the golden-bearing packages pass again with
 #                    GODEBUG=cpu.fma=off, without the race detector: on
 #                    amd64 math.Exp (and Pow through it) takes an FMA
@@ -65,29 +71,48 @@
 #                    passes its tests against the current tree; the root
 #                    go build ./... does not compile it
 #
-# Steps 6-11 run named tests through gate, which first fails the step if
-# any listed name matches no test in the step's packages: go test -run with
-# a name that matches nothing passes silently, so a renamed test would
-# otherwise empty its gate without notice.
+# Steps 6-11 run named tests through gate, and step 13 through ratchets,
+# which first fail the step if any listed name matches no test in the
+# step's packages: go test -run with a name that matches nothing passes
+# silently, so a renamed test would otherwise empty its step without
+# notice.
 #
 # Exits non-zero on the first failing step.
 set -eu
 cd "$(dirname "$0")"
 
-# gate NAMES PACKAGES... runs the tests NAMES (a -run pattern of
-# '|'-separated names, each matched as go test -run matches it) under the
-# race detector, after checking that every name matches at least one test.
-gate() {
+# requirenames NAMES FLAGS PACKAGES... exits unless every name in NAMES (a
+# -run pattern of '|'-separated names, each matched as go test -run
+# matches it) matches at least one test in PACKAGES built with FLAGS.
+requirenames() {
 	names=$1
-	shift
-	listed=$(go test -race -list "$names" "$@")
+	flags=$2
+	shift 2
+	listed=$(go test $flags -list "$names" "$@")
 	for name in $(echo "$names" | tr '|' ' '); do
 		if ! printf '%s\n' "$listed" | grep -E '^(Test|Example|Fuzz)' | grep -q -- "$name"; then
-			echo "check.sh: gate name $name matches no test in $*" >&2
+			echo "check.sh: name $name matches no test in $*" >&2
 			exit 1
 		fi
 	done
+}
+
+# gate NAMES PACKAGES... runs the tests NAMES under the race detector,
+# after checking that every name matches at least one test.
+gate() {
+	names=$1
+	shift
+	requirenames "$names" -race "$@"
 	go test -race -count=1 -run "$names" "$@"
+}
+
+# ratchets NAMES PACKAGES... runs the tests NAMES without the race
+# detector, after checking that every name matches at least one test.
+ratchets() {
+	names=$1
+	shift
+	requirenames "$names" "" "$@"
+	go test -count=1 -run "$names" "$@"
 }
 
 echo "== gofmt -l (every .go file outside build output)"
@@ -150,9 +175,9 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, the pooled Session's size class, no race detector)"
-go test -count=1 -run 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestSessionReuseAllocFree|TestSessionSizeClasses' \
-	./internal/fleet ./internal/qoe ./internal/core ./internal/netsim ./internal/cdnsim ./internal/player
+echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, a warm Play across goroutines, allocs per NewModel and per Name, MPC's bound table built once, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, the pooled Session's size class, no race detector)"
+ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestSessionReuseAllocFree|TestSessionSizeClasses' \
+	./internal/fleet ./internal/qoe ./internal/core ./internal/abr/jointabr ./internal/netsim ./internal/cdnsim ./internal/player
 
 echo "== golden tests with FMA off (GODEBUG=cpu.fma=off, no race detector)"
 GODEBUG=cpu.fma=off go test -count=1 ./cmd/paperfigs ./internal/manifest/... ./internal/timeline \

@@ -79,7 +79,9 @@ func (b *Bola) Select(buffer time.Duration) *media.Track {
 	return b.ladder[bestIdx]
 }
 
-// perTypeState is the DYNAMIC machinery of one media type.
+// perTypeState is the DYNAMIC machinery of one media type. The Player
+// holds it by value, so a copy of a new Player is a new Player; the copies
+// share the ladder and the Bola, which nothing writes.
 type perTypeState struct {
 	ladder    media.Ladder
 	est       estimator.SlidingMean
@@ -95,13 +97,13 @@ type Player struct {
 	BolaEnterBuffer time.Duration
 	BolaExitBuffer  time.Duration
 
-	state [2]*perTypeState
+	state [2]perTypeState
 }
 
 // New builds the model for the two ladders.
 func New(video, audio media.Ladder) *Player {
-	mk := func(l media.Ladder) *perTypeState {
-		return &perTypeState{
+	mk := func(l media.Ladder) perTypeState {
+		return perTypeState{
 			ladder: l,
 			est:    estimator.NewSlidingMean(),
 			bola:   NewBola(l, DefaultBolaEnterBuffer),
@@ -158,7 +160,7 @@ func (p *Player) Abandon(dp abr.DownloadProgress) *media.Track {
 	if dp.RemainingTime() <= dp.Buffer {
 		return nil
 	}
-	s := p.state[dp.Type]
+	s := &p.state[dp.Type]
 	budget := media.Bps(dp.Rate() * p.SafetyFactor)
 	repl := abr.HighestTrackAtMost(s.ladder, budget)
 	if repl == dp.Track || repl.DeclaredBitrate >= dp.Track.DeclaredBitrate {
@@ -182,7 +184,7 @@ func (p *Player) throughputRule(s *perTypeState) *media.Track {
 // buffer exceeds BolaEnterBuffer and BOLA selects at least as high; revert
 // when the buffer falls below BolaExitBuffer and BOLA selects lower.
 func (p *Player) SelectTrack(t media.Type, st abr.State) *media.Track {
-	s := p.state[t]
+	s := &p.state[t]
 	buffer := st.Buffer(t)
 	tput := p.throughputRule(s)
 	bola := s.bola.Select(buffer)

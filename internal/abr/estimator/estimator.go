@@ -32,8 +32,12 @@ type EWMA struct {
 // NewEWMA creates an EWMA whose estimate decays by half after halfLife
 // seconds' worth of sample weight.
 func NewEWMA(halfLife time.Duration) *EWMA {
-	return &EWMA{halfLife: halfLife.Seconds()}
+	e := newEWMA(halfLife)
+	return &e
 }
+
+// newEWMA is NewEWMA's average as a value, for an owner to hold by value.
+func newEWMA(halfLife time.Duration) EWMA { return EWMA{halfLife: halfLife.Seconds()} }
 
 // Sample folds in a value observed over the given weight (seconds).
 func (e *EWMA) Sample(weight float64, value float64) {
@@ -72,7 +76,9 @@ type ShakaEstimator struct {
 	// DefaultEstimate is reported before any valid sample (default 500 Kbps).
 	DefaultEstimate media.Bps
 
-	fast, slow *EWMA
+	// fast and slow are held by value, so a copy of an estimator that has
+	// not sampled yet is an independent estimator.
+	fast, slow EWMA
 	hasSample  bool
 }
 
@@ -85,8 +91,8 @@ func NewShakaEstimator() *ShakaEstimator {
 	return &ShakaEstimator{
 		MinBytes:        16 * 1024,
 		DefaultEstimate: media.Kbps(500),
-		fast:            NewEWMA(2 * time.Second),
-		slow:            NewEWMA(5 * time.Second),
+		fast:            newEWMA(2 * time.Second),
+		slow:            newEWMA(5 * time.Second),
 	}
 }
 

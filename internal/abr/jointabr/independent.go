@@ -26,8 +26,8 @@ func NewIndependent(allowed *abr.Allowed, opts ...Option) *Independent {
 	return i
 }
 
-// Name implements abr.Algorithm.
-func (i *Independent) Name() string { return i.p.Name() + "-independent" }
+// Name implements abr.Algorithm, allocating nothing (see Player.Name).
+func (i *Independent) Name() string { return names[16+i.p.nameIndex()] }
 
 // OnStart implements abr.Observer.
 func (i *Independent) OnStart(ti abr.TransferInfo) { i.p.OnStart(ti) }

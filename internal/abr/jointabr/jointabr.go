@@ -141,25 +141,46 @@ func (p *Player) init(allowed *abr.Allowed, opts []Option) {
 	}
 }
 
-// Name implements abr.Algorithm.
-func (p *Player) Name() string {
-	name := "bestpractice"
-	switch {
-	case p.separate && p.noDamping:
-		name = "bestpractice-separate-nodamping"
-	case p.separate:
-		name = "bestpractice-separate-est"
-	case p.noDamping:
-		name = "bestpractice-nodamping"
+// Name implements abr.Algorithm. It allocates nothing: the name of every
+// option set is built once, in names.
+func (p *Player) Name() string { return names[p.nameIndex()] }
+
+// nameIndex packs the options a Player's name shows into an index of
+// names: separate, noDamping, pathAware and abandonment are bits 0 to 3.
+func (p *Player) nameIndex() int {
+	i := 0
+	for bit, on := range [...]bool{p.separate, p.noDamping, p.pathAware, p.abandonment} {
+		if on {
+			i |= 1 << bit
+		}
 	}
-	if p.pathAware {
-		name += "+pathaware"
-	}
-	if p.abandonment {
-		name += "+abandon"
-	}
-	return name
+	return i
 }
+
+// names holds, at each nameIndex, the name of a Player with those options
+// and, 16 further on, the name of an Independent over such a Player.
+var names = func() (names [32]string) {
+	for i := range 16 {
+		separate, noDamping, pathAware, abandonment := i&1 != 0, i&2 != 0, i&4 != 0, i&8 != 0
+		name := "bestpractice"
+		switch {
+		case separate && noDamping:
+			name = "bestpractice-separate-nodamping"
+		case separate:
+			name = "bestpractice-separate-est"
+		case noDamping:
+			name = "bestpractice-nodamping"
+		}
+		if pathAware {
+			name += "+pathaware"
+		}
+		if abandonment {
+			name += "+abandon"
+		}
+		names[i], names[16+i] = name, name+"-independent"
+	}
+	return names
+}()
 
 // Allowed exposes the (sorted) allowed combinations.
 func (p *Player) Allowed() []media.Combo { return p.allowed }

@@ -218,3 +218,51 @@ func TestAllowedListSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestNamesOfEveryOptionSet: a Player and an Independent are named for
+// their options, every option set apart from the others, and Name
+// allocates nothing for any of them.
+func TestNamesOfEveryOptionSet(t *testing.T) {
+	c := media.DramaShow()
+	opts := []Option{WithSeparateEstimators(), WithoutDamping(), WithPathAwareness(), WithAbandonment()}
+	seen := map[string]bool{}
+	var sink string
+	for set := range 1 << len(opts) {
+		var with []Option
+		for bit, o := range opts {
+			if set&(1<<bit) != 0 {
+				with = append(with, o)
+			}
+		}
+		separate, noDamping := set&1 != 0, set&2 != 0
+		want := map[[2]bool]string{
+			{false, false}: "bestpractice",
+			{false, true}:  "bestpractice-nodamping",
+			{true, false}:  "bestpractice-separate-est",
+			{true, true}:   "bestpractice-separate-nodamping",
+		}[[2]bool{separate, noDamping}]
+		if set&4 != 0 {
+			want += "+pathaware"
+		}
+		if set&8 != 0 {
+			want += "+abandon"
+		}
+		for _, m := range []abr.Algorithm{New(hsub(c), with...), NewIndependent(hsub(c), with...)} {
+			w := want
+			if _, ok := m.(*Independent); ok {
+				w += "-independent"
+			}
+			if got := m.Name(); got != w {
+				t.Errorf("option set %04b: named %q, want %q", set, got, w)
+			}
+			if seen[w] {
+				t.Errorf("option set %04b: name %q taken by another set", set, w)
+			}
+			seen[w] = true
+			if allocs := testing.AllocsPerRun(10, func() { sink = m.Name() }); allocs != 0 {
+				t.Errorf("%s: Name makes %v allocations, want 0", w, allocs)
+			}
+		}
+	}
+	_ = sink
+}

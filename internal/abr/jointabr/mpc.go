@@ -44,7 +44,8 @@ type MPC struct {
 	// after combination p, for n allowed combinations and d < boundHorizon.
 	// Rebuffer and drain penalties are non-negative, so it bounds the
 	// objective of every d-step continuation from above. It depends only on
-	// the utilities and on SwitchPenalty, whose bits are boundSwitch.
+	// the utilities and on SwitchPenalty, whose bits are boundSwitch. NewMPC
+	// builds it, so copies of a new model share it; no model writes it.
 	bound        []float64
 	boundHorizon int
 	boundSwitch  uint64
@@ -54,12 +55,13 @@ type MPC struct {
 }
 
 // NewMPC creates the adapter over the allowed combinations, whose list and
-// utilities the model shares and never writes.
+// utilities the model shares and never writes, with the bound table for
+// the horizon and the default SwitchPenalty built.
 func NewMPC(allowed *abr.Allowed, horizon int) *MPC {
 	if horizon <= 0 {
 		horizon = 5
 	}
-	return &MPC{
+	m := &MPC{
 		Horizon:         horizon,
 		SwitchPenalty:   2,
 		RebufferPenalty: 8,
@@ -69,6 +71,8 @@ func NewMPC(allowed *abr.Allowed, horizon int) *MPC {
 		meter:           estimator.NewGlobalMeter(),
 		lastIdx:         -1,
 	}
+	m.refreshBound()
+	return m
 }
 
 // Name implements abr.Algorithm.
@@ -104,8 +108,10 @@ func (m *MPC) plan(buffer float64, prevIdx int, est, chunkSecs float64) (int, fl
 	return m.search(buffer, prevIdx, m.Horizon, est, chunkSecs)
 }
 
-// refreshBound rebuilds the bound table when Horizon or SwitchPenalty
+// refreshBound builds the bound table anew when Horizon or SwitchPenalty
 // changed since it was built, and decides whether the search may prune.
+// It never writes into the table it replaces, which copies of the model
+// may share.
 func (m *MPC) refreshBound() {
 	m.prune = m.RebufferPenalty >= 0 && m.DrainPenalty >= 0
 	h := max(m.Horizon, 1)

@@ -3,6 +3,7 @@ package jointabr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -363,5 +364,57 @@ func BenchmarkMPCSelectCombo(b *testing.B) {
 		k := i % len(models)
 		models[k].lastIdx = prev[k]
 		models[k].SelectCombo(inputs[k])
+	}
+}
+
+// TestMPCBoundTableBuiltOnce: NewMPC builds the bound table, so neither a
+// new model's first decision nor that of a copy of one (the models
+// core.ParsedManifest.NewModel makes) allocates, and the copies share the
+// table. A copy whose Horizon or SwitchPenalty is overridden builds a
+// table of its own and leaves the shared one as it was.
+func TestMPCBoundTableBuiltOnce(t *testing.T) {
+	c := media.DramaShow()
+	allowed := hsub(c)
+	st := abr.State{VideoBuffer: 12 * time.Second, AudioBuffer: 12 * time.Second, ChunkDuration: c.ChunkDuration}
+	warmed := func(m *MPC) *MPC {
+		feedMPC(m, 1.5e6, 3)
+		m.BandwidthEstimate() // sorts the meter's window, in the model
+		return m
+	}
+	proto := NewMPC(allowed, 0)
+	const runs = 20
+	var models []*MPC // AllocsPerRun makes one run more than runs
+	for range runs + 1 {
+		models = append(models, warmed(NewMPC(allowed, 0)))
+	}
+	for range runs + 1 {
+		cp := *proto
+		models = append(models, warmed(&cp))
+	}
+	for first := 0; first < len(models); first += runs + 1 {
+		k := first
+		if allocs := testing.AllocsPerRun(runs, func() { models[k].SelectCombo(st); k++ }); allocs != 0 {
+			t.Errorf("a first decision makes %v allocations, want 0", allocs)
+		}
+	}
+	shared := slices.Clone(proto.bound)
+	for _, m := range models[runs+1:] {
+		if &m.bound[0] != &proto.bound[0] {
+			t.Fatal("a copy of a new model built a table of its own")
+		}
+	}
+	for _, retune := range []func(*MPC){
+		func(m *MPC) { m.SwitchPenalty = 0.5 },
+		func(m *MPC) { m.Horizon = 3 },
+	} {
+		cp := *proto
+		retune(&cp)
+		warmed(&cp).SelectCombo(st)
+		if &cp.bound[0] == &proto.bound[0] {
+			t.Fatal("a copy with overridden parameters kept the shared table")
+		}
+	}
+	if !slices.Equal(proto.bound, shared) {
+		t.Error("a retuned copy wrote to the shared table")
 	}
 }

@@ -29,7 +29,9 @@ type Player struct {
 	// bandwidths. Defaults to DefaultDowngradeTarget.
 	DowngradeTarget float64
 
-	est    *estimator.ShakaEstimator
+	// est is held by value, so a copy of a new Player is a new Player; the
+	// copies share combos, which no Player writes.
+	est    estimator.ShakaEstimator
 	combos []media.Combo // selectable variants, sorted by peak bitrate
 }
 
@@ -37,7 +39,7 @@ type Player struct {
 func NewHLS(variants []media.Combo) *Player {
 	return &Player{
 		DowngradeTarget: DefaultDowngradeTarget,
-		est:             estimator.NewShakaEstimator(),
+		est:             *estimator.NewShakaEstimator(),
 		combos:          sortedByPeak(variants),
 	}
 }

@@ -70,7 +70,7 @@ func TestFluctuationAcrossNearbyVariants(t *testing.T) {
 		// Drive the estimator to the target. Samples at these low rates
 		// only pass the 16 KB filter over longer intervals, so feed 1 s
 		// intervals here; the selection rule under test is the same.
-		p.est = estimator.NewShakaEstimator()
+		p.est = *estimator.NewShakaEstimator()
 		bps := float64(est) * 1000 / 0.95
 		for i := 0; i < 60; i++ {
 			p.est.Interval(bps/8, time.Second)
@@ -121,7 +121,7 @@ func TestLowestVariantWhenNothingFits(t *testing.T) {
 	c := media.DramaShow()
 	p := NewHLS(media.HAll(c))
 	feedIntervals(p, 2.5e6, 10) // one burst to unlock the estimator
-	p.est = estimator.NewShakaEstimator()
+	p.est = *estimator.NewShakaEstimator()
 	p.est.DefaultEstimate = media.Kbps(100) // nothing fits under 95 Kbps
 	got := p.SelectCombo(abr.State{})
 	if got.String() != "V1+A1" {

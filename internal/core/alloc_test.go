@@ -4,55 +4,71 @@ package core
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"demuxabr/internal/abr"
+	"demuxabr/internal/media"
 	"demuxabr/internal/trace"
 )
 
-// playAllocsPin is the ratchet for TestPlayAllocs, per player kind: the
+// playAllocsPin is the ratchet for TestPlayAllocs, per solo-sweep
+// variant (the 11 VOD kinds demuxed, then best practice muxed): the
 // measured allocations plus 2, since the runtime now and then adds one or
 // two of its own to a run's count, and the measured bytes plus about 1.3%.
 // Lower an entry when a change cuts allocations; never raise one to make a
 // regression pass.
 var playAllocsPin = []struct {
 	kind   PlayerKind
+	muxed  bool
 	allocs float64
 	bytes  uint64
 }{
-	{DashJS, 30, 12_930},
-	{BestPractice, 16, 10_280},
-	{VBRJoint, 15, 9_830},
+	{ExoPlayerDASH, false, 7, 7_720},
+	{ExoPlayerHLS, false, 6, 7_410},
+	{Shaka, false, 6, 7_140},
+	{DashJS, false, 7, 8_610},
+	{BestPractice, false, 7, 7_910},
+	{BestPracticeIndependent, false, 7, 7_880},
+	{BestPracticeAbandon, false, 9, 8_530},
+	{BolaJoint, false, 7, 7_700},
+	{MPCJoint, false, 6, 7_530},
+	{VBRJoint, false, 6, 7_430},
+	{DynamicJoint, false, 6, 7_510},
+	{BestPractice, true, 6, 7_660},
 }
 
 // playBytesRuns is how many Plays TestPlayAllocs reads the bytes over.
 const playBytesRuns = 10
 
 // TestPlayAllocs pins the allocations and the bytes allocated by one warm
-// Play session on the Fig. 3 trace for a DASH kind, an HLS kind and the
-// HLS kind that also reads the media playlists: the three manifest parse
-// paths. A warm session takes its manifest from the memoized parse, so any
-// per-session round trip shows here, and a session that keeps a timeline
-// nothing reads shows in its bytes. Bytes are read from
-// runtime.MemStats.TotalAlloc over playBytesRuns runs after AllocsPerRun
-// has warmed the process, on one P and averaged over the runs, as
-// AllocsPerRun reads its count. On one P each Play takes back the state
-// the last one put in the sync.Pool, which keeps it per P, so every run is
-// warm; and the average keeps an allocation the runtime makes of its own
-// now and then (it grows a type-assertion cache at random, see
-// runtime/iface.go: 256 bytes in one run, 2% of a Play) to a tenth of
-// that. The race detector changes allocation counts, so the test is built
-// only without it (check.sh runs it in a step of its own).
+// Play session on the Fig. 3 trace for every solo-sweep variant, which
+// between them take every manifest parse path. A warm session takes its
+// manifest from the memoized parse and its model from the parse's, so any
+// per-session round trip or model derivation shows here, and a session
+// that keeps a timeline nothing reads shows in its bytes. Bytes are read
+// from runtime.MemStats.TotalAlloc over playBytesRuns runs after
+// AllocsPerRun has warmed the process, on one P and averaged over the
+// runs, as AllocsPerRun reads its count: the average keeps an allocation
+// the runtime makes of its own now and then (it grows a type-assertion
+// cache at random, see runtime/iface.go: 256 bytes in one run) to a tenth
+// of that. The race detector changes allocation counts, so the test is
+// built only without it (check.sh runs it in a step of its own).
 func TestPlayAllocs(t *testing.T) {
 	for _, p := range playAllocsPin {
-		spec := Spec{Profile: trace.Fig3VaryingAvg600(), Player: p.kind}
+		spec := Spec{Profile: trace.Fig3VaryingAvg600(), Player: p.kind, Muxed: p.muxed}
+		name := string(p.kind)
+		if p.muxed {
+			name += " muxed"
+		}
 		var err error
 		allocs := testing.AllocsPerRun(10, func() { _, err = Play(spec) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: %.0f allocs per Play", p.kind, allocs)
+		t.Logf("%s: %.0f allocs per Play", name, allocs)
 		if allocs > p.allocs {
-			t.Errorf("%s: %.0f allocs per Play, pinned at %.0f", p.kind, allocs, p.allocs)
+			t.Errorf("%s: %.0f allocs per Play, pinned at %.0f", name, allocs, p.allocs)
 		}
 
 		var before, after runtime.MemStats
@@ -66,9 +82,112 @@ func TestPlayAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		runtime.GOMAXPROCS(procs)
 		bytes := (after.TotalAlloc - before.TotalAlloc) / playBytesRuns
-		t.Logf("%s: %d bytes per Play", p.kind, bytes)
+		t.Logf("%s: %d bytes per Play", name, bytes)
 		if bytes > p.bytes {
-			t.Errorf("%s: %d bytes per Play, pinned at %d", p.kind, bytes, p.bytes)
+			t.Errorf("%s: %d bytes per Play, pinned at %d", name, bytes, p.bytes)
+		}
+	}
+}
+
+// TestPlayStateCrossesGoroutines: the state a Play gives back is the next
+// Play's on any goroutine. On two Ps, one goroutine plays a session and
+// then keeps its P busy, so the test's goroutine, which plays the same
+// session next, runs on the other P. Its Play must read close to the warm
+// count AllocsPerRun reads, not close to a Play that builds its engine,
+// uplink, Pool and Session anew (about 90 more): the limit is halfway.
+// MemStats read across two Ps now and then counts a warm Play's
+// allocations twice, which stays well under it. Each attempt checks one
+// handoff, and all of them must be warm.
+func TestPlayStateCrossesGoroutines(t *testing.T) {
+	spec := Spec{Profile: trace.Fig3VaryingAvg600(), Player: BestPractice}
+	var err error
+	warm := testing.AllocsPerRun(10, func() { _, err = Play(spec) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := (warm + float64(coldPlayAllocs(t, spec))) / 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for attempt := range 20 {
+		played := make(chan error)
+		var stop atomic.Bool
+		go func() {
+			_, err := Play(spec)
+			played <- err
+			for !stop.Load() {
+			}
+		}()
+		if err := <-played; err != nil {
+			stop.Store(true)
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Play(spec)
+		runtime.ReadMemStats(&after)
+		stop.Store(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; float64(n) >= limit {
+			t.Fatalf("attempt %d: a Play after another goroutine's made %d allocations, a warm one %.0f", attempt, n, warm)
+		}
+	}
+}
+
+// coldPlayAllocs returns the allocations of one Play of spec on new
+// state: the free states are set aside for it, then put back under the
+// one it made.
+func coldPlayAllocs(t *testing.T, spec Spec) uint64 {
+	t.Helper()
+	playStates.Lock()
+	saved := playStates.free
+	playStates.free = nil
+	playStates.Unlock()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Play(spec)
+	runtime.ReadMemStats(&after)
+	playStates.Lock()
+	playStates.free = append(saved, playStates.free...)
+	playStates.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// modelSink keeps TestNewModelAllocs' models on the heap, as a session's.
+var modelSink abr.Algorithm
+
+// TestNewModelAllocs: NewModel is one allocation for every kind, the
+// model itself; whatever a model derives from the manifest was built with
+// the parse.
+func TestNewModelAllocs(t *testing.T) {
+	for _, kind := range PlayerKinds() {
+		m, err := ParseManifest(kind, media.DramaShow(), ManifestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { modelSink = m.NewModel() }); allocs != 1 {
+			t.Errorf("%s: NewModel makes %.0f allocations, want 1", kind, allocs)
+		}
+	}
+	modelSink = nil
+}
+
+// nameSink keeps TestModelNamesAllocFree's names from being optimized away.
+var nameSink string
+
+// TestModelNamesAllocFree: Name allocates nothing for any kind's model.
+// Each Play reads it twice (player.Result.ModelName and Session.Model).
+func TestModelNamesAllocFree(t *testing.T) {
+	for _, kind := range PlayerKinds() {
+		model, _, err := BuildModel(kind, media.DramaShow(), ManifestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { nameSink = model.Name() }); allocs != 0 {
+			t.Errorf("%s: Name makes %.0f allocations, want 0", kind, allocs)
 		}
 	}
 }

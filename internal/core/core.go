@@ -6,8 +6,14 @@
 // manifest is generated and re-parsed, and the player model is constructed
 // from the parsed manifest — never from ground truth the real player could
 // not see. The round trip for the default manifest runs once per content
-// and player kind per process (see ParseManifest); every session still
-// gets a fresh model built from it.
+// and player kind per process (see ParseManifest), and so does everything
+// a model derives from the manifest alone; every session still gets a
+// fresh model, copied from the parse's unused one.
+//
+// Play runs each session on simulation state an earlier Play left: an
+// engine, a link and a player.Pool, whose Session object it reuses. A warm
+// Play allocates little more than what its caller keeps: the model, the
+// Session with its Result, and the Result's logs.
 package core
 
 import (
@@ -120,19 +126,15 @@ func BuildModel(kind PlayerKind, c *media.Content, mo ManifestOptions) (abr.Algo
 
 // ParsedManifest is what one player kind reads from the server's
 // manifest: the DASH ladders, or the HLS combinations and rendition order
-// (plus, for VBRJoint, the per-chunk sizes of the media playlists). It
-// depends only on the kind, the content and the manifest options, and it
-// is never written after ParseManifest returns, so sessions on any number
-// of goroutines can share one and build their models from it.
+// (plus, for VBRJoint, the per-chunk sizes of the media playlists), and a
+// model of the kind built from them that never runs. It depends only on
+// the kind, the content and the manifest options, and it is never written
+// after ParseManifest returns, so sessions on any number of goroutines can
+// share one and build their models from it.
 type ParsedManifest struct {
-	kind         PlayerKind
-	video, audio media.Ladder // DASH kinds
-	combos       []media.Combo
-	order        []*media.Track
-	sizer        jointabr.ChunkSizer // VBRJoint only
-	// allowed is combos sorted, with their utilities, for the joint and
-	// low-latency models, which share it; nil for DASH kinds.
-	allowed *abr.Allowed
+	combos []media.Combo // HLS kinds: the declared combinations
+	// newModel copies the parse's unused model (see prototype).
+	newModel func() abr.Algorithm
 }
 
 // ParseManifest generates the manifest player kind reads for the content
@@ -178,74 +180,95 @@ func parseManifest(kind PlayerKind, c *media.Content, mo ManifestOptions) (*Pars
 	if mo.Combos == nil {
 		mo.Combos = media.HSub(c)
 	}
-	m := &ParsedManifest{kind: kind}
-	var err error
+	m := new(ParsedManifest)
 	switch kind {
 	case ExoPlayerDASH, DashJS:
-		m.video, m.audio, err = RoundTripMPD(c)
-	case ExoPlayerHLS, Shaka, BestPractice, BestPracticeIndependent, BestPracticeAbandon, BolaJoint, MPCJoint, VBRJoint, DynamicJoint, LLDefault, LLL2A, LLLoLP:
-		m.combos, m.order, err = RoundTripMaster(c, mo.Combos, mo.AudioOrder)
+		video, audio, err := RoundTripMPD(c)
 		if err != nil {
 			return nil, err
 		}
-		if len(m.combos) == 0 {
-			// Every HLS model starts on a declared combination.
-			return nil, fmt.Errorf("core: %s: the master playlist declares no combination", kind)
+		if kind == ExoPlayerDASH {
+			m.newModel = prototype(exoplayer.NewDASH(video, audio))
+		} else {
+			m.newModel = prototype(dashjs.New(video, audio))
 		}
-		m.allowed = abr.NewAllowed(m.combos)
-		if kind == VBRJoint {
-			m.sizer, err = chunkSizerFromPlaylists(c)
-		}
+		return m, nil
+	case ExoPlayerHLS, Shaka, BestPractice, BestPracticeIndependent, BestPracticeAbandon, BolaJoint, MPCJoint, VBRJoint, DynamicJoint, LLDefault, LLL2A, LLLoLP:
+		// The HLS kinds, below.
 	default:
 		return nil, fmt.Errorf("core: unknown player kind %q", kind)
 	}
+	combos, order, err := RoundTripMaster(c, mo.Combos, mo.AudioOrder)
 	if err != nil {
 		return nil, err
 	}
+	if len(combos) == 0 {
+		// Every HLS model starts on a declared combination.
+		return nil, fmt.Errorf("core: %s: the master playlist declares no combination", kind)
+	}
+	m.combos = combos
+	// The sorted list and its utilities, which the joint and low-latency
+	// models share.
+	allowed := abr.NewAllowed(combos)
+	switch kind {
+	case ExoPlayerHLS:
+		m.newModel = prototype(exoplayer.NewHLS(combos, order))
+	case Shaka:
+		m.newModel = prototype(shaka.NewHLS(combos))
+	case BestPractice:
+		m.newModel = prototype(jointabr.New(allowed))
+	case BestPracticeIndependent:
+		m.newModel = prototype(jointabr.NewIndependent(allowed))
+	case BestPracticeAbandon:
+		m.newModel = prototype(jointabr.New(allowed, jointabr.WithAbandonment()))
+	case BolaJoint:
+		m.newModel = prototype(jointabr.NewBolaJoint(allowed, 0))
+	case MPCJoint:
+		m.newModel = prototype(jointabr.NewMPC(allowed, 0))
+	case VBRJoint:
+		sizer, err := chunkSizerFromPlaylists(c)
+		if err != nil {
+			return nil, err
+		}
+		m.newModel = prototype(jointabr.NewVBRAware(allowed, sizer))
+	case DynamicJoint:
+		m.newModel = prototype(jointabr.NewDynamicJoint(allowed))
+	case LLDefault:
+		m.newModel = prototype(lowlat.NewDefault(allowed))
+	case LLL2A:
+		m.newModel = prototype(lowlat.NewL2A(allowed))
+	case LLLoLP:
+		m.newModel = prototype(lowlat.NewLoLP(allowed))
+	}
 	return m, nil
+}
+
+// prototype returns a constructor of models that are copies of proto, in
+// one allocation each. proto must never run. Every model holds its
+// per-session state by value, so a copy of a new model is a new model; the
+// copies share what proto derived from the manifest (ExoPlayer's
+// predetermined combinations and video bitrate table, dash.js's Bola
+// rules, Shaka's sorted variants, the joint models' abr.Allowed), which no
+// model writes. A model that had run could not be copied this way: its
+// estimator windows would already point into it.
+func prototype[T any, M interface {
+	*T
+	abr.Algorithm
+}](proto M) func() abr.Algorithm {
+	return func() abr.Algorithm {
+		m := new(T)
+		*m = *proto
+		return M(m)
+	}
 }
 
 // Allowed returns the combination list the server declared; nil for pure
 // DASH kinds. Callers must not modify it.
 func (m *ParsedManifest) Allowed() []media.Combo { return m.combos }
 
-// NewModel constructs a fresh model of the manifest's player kind. Every
-// constructor copies what it keeps mutable, so models never write to the
-// shared parse; the joint and low-latency models share its sorted list
-// and utilities, so building one allocates little more than the model.
-func (m *ParsedManifest) NewModel() abr.Algorithm {
-	combos, allowed := m.combos, m.allowed
-	switch m.kind {
-	case ExoPlayerDASH:
-		return exoplayer.NewDASH(m.video, m.audio)
-	case DashJS:
-		return dashjs.New(m.video, m.audio)
-	case ExoPlayerHLS:
-		return exoplayer.NewHLS(combos, m.order)
-	case Shaka:
-		return shaka.NewHLS(combos)
-	case BestPractice:
-		return jointabr.New(allowed)
-	case BestPracticeAbandon:
-		return jointabr.New(allowed, jointabr.WithAbandonment())
-	case BolaJoint:
-		return jointabr.NewBolaJoint(allowed, 0)
-	case MPCJoint:
-		return jointabr.NewMPC(allowed, 0)
-	case VBRJoint:
-		return jointabr.NewVBRAware(allowed, m.sizer)
-	case DynamicJoint:
-		return jointabr.NewDynamicJoint(allowed)
-	case LLDefault:
-		return lowlat.NewDefault(allowed)
-	case LLL2A:
-		return lowlat.NewL2A(allowed)
-	case LLLoLP:
-		return lowlat.NewLoLP(allowed)
-	default:
-		return jointabr.NewIndependent(allowed)
-	}
-}
+// NewModel constructs a fresh model of the manifest's player kind, in one
+// allocation: a copy of the parse's unused model (see prototype).
+func (m *ParsedManifest) NewModel() abr.Algorithm { return m.newModel() }
 
 // chunkSizerFromPlaylists recovers per-chunk byte sizes the way a §4.1
 // client does: from the single-file media playlists' EXT-X-BYTERANGE rows.
@@ -379,23 +402,54 @@ type Session struct {
 
 // playState is the simulation state Play reuses: the engine with its
 // freelists, the unbounded uplink whose one leaf is the session's link,
-// and the Pool of request records and buffer-fold arrays.
+// the Pool of request records, buffer-fold arrays and the Session object
+// Pool.Run gives back, and the working storage of qoe.Compute.
 type playState struct {
 	eng  *netsim.Engine
 	up   *netsim.Uplink
 	pool player.Pool
+	qoe  qoe.Scratch
 }
 
-// playStates holds finished Plays' states. One the GC drops only makes a
-// later Play build a new one.
-var playStates = sync.Pool{New: func() any {
+// playStates is a stack of the states no Play is using. Any goroutine
+// takes the state put last, so a Play finds a warm one whenever one is
+// free; it never holds more than the most Plays that have run at once.
+var playStates struct {
+	sync.Mutex
+	free []*playState
+}
+
+// takePlayState takes a free state off playStates, or makes one.
+func takePlayState() *playState {
+	playStates.Lock()
+	defer playStates.Unlock()
+	if k := len(playStates.free); k > 0 {
+		st := playStates.free[k-1]
+		playStates.free[k-1] = nil
+		playStates.free = playStates.free[:k-1]
+		return st
+	}
 	eng := netsim.NewEngine()
 	return &playState{eng: eng, up: netsim.NewUplink(eng, trace.Fixed(math.MaxInt64))}
-}}
+}
+
+// putPlayState puts a state back on playStates, for the next Play.
+func putPlayState(st *playState) {
+	playStates.Lock()
+	playStates.free = append(playStates.free, st)
+	playStates.Unlock()
+}
+
+// sessionAndResult is a Session with its Result, allocated together.
+type sessionAndResult struct {
+	Session
+	res player.Result
+}
 
 // Play runs one session in the discrete-event simulator, on the state an
 // earlier Play left, reset. Only a run that succeeded gives its state
-// back: a failed one can leave events pending.
+// back: a failed one can leave events pending. The Session and its Result
+// are the caller's, and share nothing with later Plays.
 func Play(spec Spec) (*Session, error) {
 	if spec.Profile == nil {
 		return nil, fmt.Errorf("core: nil network profile")
@@ -416,7 +470,7 @@ func Play(spec Spec) (*Session, error) {
 			return nil, err
 		}
 	}
-	st := playStates.Get().(*playState)
+	st := takePlayState()
 	st.eng.Reset()
 	st.up.Reset()
 	link := st.up.NewLeaf(spec.Profile)
@@ -424,7 +478,8 @@ func Play(spec Spec) (*Session, error) {
 	if spec.Recorder != nil {
 		link.SetRecorder(spec.Recorder, "link")
 	}
-	res, err := st.pool.Run(link, link, player.Config{
+	out := new(sessionAndResult)
+	err := st.pool.Run(link, link, player.Config{
 		Content:       spec.Content,
 		Model:         model,
 		MaxBuffer:     spec.MaxBuffer,
@@ -438,15 +493,16 @@ func Play(spec Spec) (*Session, error) {
 		Transport:     spec.Transport,
 		Live:          spec.Live,
 		KeepTimeline:  spec.KeepTimeline,
-	})
+	}, &out.res)
 	if err != nil {
 		return nil, err
 	}
-	playStates.Put(st)
-	return &Session{
+	out.Session = Session{
 		Model:   model.Name(),
-		Result:  res,
-		Metrics: qoe.Compute(res, spec.Content, allowed, qoe.DefaultWeights()),
+		Result:  &out.res,
+		Metrics: st.qoe.Compute(&out.res, spec.Content, allowed, qoe.DefaultWeights()),
 		Allowed: allowed,
-	}, nil
+	}
+	putPlayState(st)
+	return &out.Session, nil
 }

@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
+	"demuxabr/internal/abr"
+	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/media"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
@@ -29,28 +32,49 @@ func memoContents(t *testing.T) []*media.Content {
 	return []*media.Content{media.DramaShow(), c}
 }
 
-// sameParse fails the test unless got and want are equal parses of c. The
-// VBRJoint chunk sizer is a closure, which reflect.DeepEqual cannot
-// compare, so it is compared by its value at every chunk of every track.
-func sameParse(t *testing.T, c *media.Content, got, want *ParsedManifest) {
+// sameParse fails the test unless got and want are equal parses of c: the
+// same declared combinations, and new models that are equal. The VBRJoint
+// chunk sizer is a closure, which reflect.DeepEqual cannot compare, so it
+// is compared by its value at every chunk of every track.
+func sameParse(t *testing.T, kind PlayerKind, c *media.Content, got, want *ParsedManifest) {
 	t.Helper()
-	g, w := *got, *want
-	if (g.sizer == nil) != (w.sizer == nil) {
-		t.Fatalf("%s on %s: chunk sizer present %v, want %v", w.kind, c.Name, g.sizer != nil, w.sizer != nil)
+	if !reflect.DeepEqual(got.Allowed(), want.Allowed()) {
+		t.Fatalf("%s on %s: declared combinations differ", kind, c.Name)
 	}
-	if w.sizer != nil {
+	g, gs := withoutSizer(got.NewModel())
+	w, ws := withoutSizer(want.NewModel())
+	if (gs == nil) != (ws == nil) {
+		t.Fatalf("%s on %s: chunk sizer present %v, want %v", kind, c.Name, gs != nil, ws != nil)
+	}
+	if ws != nil {
 		for _, tr := range c.Tracks() {
 			for i := range c.NumChunksOf(tr.Type) {
-				if gs, ws := g.sizer(tr, i), w.sizer(tr, i); gs != ws {
-					t.Fatalf("%s on %s: %s chunk %d sized %d, want %d", w.kind, c.Name, tr.ID, i, gs, ws)
+				if g, w := gs(tr, i), ws(tr, i); g != w {
+					t.Fatalf("%s on %s: %s chunk %d sized %d, want %d", kind, c.Name, tr.ID, i, g, w)
 				}
 			}
 		}
-		g.sizer, w.sizer = nil, nil
 	}
 	if !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s on %s: memoized parse differs from a fresh one", w.kind, c.Name)
+		t.Fatalf("%s on %s: memoized parse differs from a fresh one", kind, c.Name)
 	}
+}
+
+// withoutSizer returns a copy of model with its chunk sizer cleared, and
+// the sizer; nil for a model without one. The field is unexported, so it
+// is reached through its address.
+func withoutSizer(model abr.Algorithm) (abr.Algorithm, jointabr.ChunkSizer) {
+	v := reflect.New(reflect.TypeOf(model).Elem())
+	v.Elem().Set(reflect.ValueOf(model).Elem())
+	var sizer jointabr.ChunkSizer
+	for i := range v.Elem().NumField() {
+		if f := v.Elem().Field(i); f.Type() == reflect.TypeOf(sizer) {
+			field := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+			sizer = field.Interface().(jointabr.ChunkSizer)
+			field.SetZero()
+		}
+	}
+	return v.Interface().(abr.Algorithm), sizer
 }
 
 // TestParseManifestMemo checks that a zero-option parse is memoized per
@@ -67,7 +91,7 @@ func TestParseManifestMemo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameParse(t, c, m, fresh)
+			sameParse(t, kind, c, m, fresh)
 			if again, _ := ParseManifest(kind, c, ManifestOptions{}); again != m {
 				t.Errorf("%s on %s: repeat call returned a different parse", kind, c.Name)
 			}
@@ -82,7 +106,7 @@ func TestParseManifestMemo(t *testing.T) {
 				if own == m {
 					t.Errorf("%s on %s: options %+v returned the memoized parse", kind, c.Name, mo)
 				}
-				sameParse(t, c, own, m)
+				sameParse(t, kind, c, own, m)
 			}
 		}
 	}
@@ -122,7 +146,7 @@ func TestParseManifestMemoSharedByPlay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameParse(t, c, m, fresh)
+			sameParse(t, kind, c, m, fresh)
 		}
 	}
 }

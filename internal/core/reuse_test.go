@@ -124,36 +124,61 @@ func TestPlayOnReusedStateMatchesFresh(t *testing.T) {
 }
 
 // TestPlayResultOutlivesLaterPlays: a Result Play returned is the
-// caller's, so no later Play may reuse the object it lives in or any log
-// it holds. It must still equal, and encode as, a snapshot of it taken
-// before twenty later Plays.
+// caller's, though the Session object it was recorded on is the next
+// Play's, so no later Play may write anything it holds. One Result of
+// every dirty session is kept, and each must still equal, and encode as, a
+// snapshot of it taken before twenty later Plays. Between them the kept
+// Results hold every log and summary a Session hands over: chunks,
+// timeline, stalls, faults, transport and live. The later Plays are the
+// dirty sessions on other links, so what they write differs from what
+// the kept Results hold.
 func TestPlayResultOutlivesLaterPlays(t *testing.T) {
 	specs := dirtySpecs()
-	kept := specs[len(specs)-2] // the recorder's session keeps every log
-	first, err := playReused(kept)
-	if err != nil {
-		t.Fatal(err)
+	type keptResult struct {
+		first, snapshot played
+		js              []byte
 	}
-	snapshot := playFresh(t, kept)
-	js, err := json.Marshal(first.res)
-	if err != nil {
-		t.Fatal(err)
+	var kept []keptResult
+	var stalls, faults, timeline, transport, live bool
+	for _, spec := range specs {
+		first, err := playReused(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(first.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, keptResult{first, playFresh(t, spec), js})
+		r := first.res
+		stalls = stalls || len(r.Stalls) > 0
+		faults = faults || len(r.Faults) > 0
+		timeline = timeline || len(r.Timeline) > 0
+		transport = transport || r.Transport != nil
+		live = live || r.Live != nil
+	}
+	if !stalls || !faults || !timeline || !transport || !live {
+		t.Fatalf("the kept Results hold stalls %v, faults %v, a timeline %v, transport %v, live %v: want all",
+			stalls, faults, timeline, transport, live)
 	}
 	for i := range 20 {
 		spec := dirtySpecs()[i%len(specs)]
+		spec.Profile = trace.Fixed(media.Kbps(float64(700 + 150*i)))
 		if _, err := Play(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if diff := samePlayed(snapshot, first); diff != "" {
-		t.Fatalf("later Plays changed the kept %s", diff)
-	}
-	after, err := json.Marshal(first.res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js, after) {
-		t.Fatal("later Plays changed the kept Result's JSON")
+	for i, k := range kept {
+		if diff := samePlayed(k.snapshot, k.first); diff != "" {
+			t.Fatalf("spec %d (%s): later Plays changed the kept %s", i, specs[i].Player, diff)
+		}
+		after, err := json.Marshal(k.first.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(k.js, after) {
+			t.Fatalf("spec %d (%s): later Plays changed the kept Result's JSON", i, specs[i].Player)
+		}
 	}
 }
 

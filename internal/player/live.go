@@ -232,7 +232,7 @@ func (s *Session) liveWakeAt(t media.Type, at time.Duration) {
 		return
 	}
 	s.live.wakeAt[t] = at
-	s.eng.Schedule(at, s.loop[t])
+	s.eng.Schedule(at, s.loop(t))
 }
 
 // scheduleLiveTick arms the latency-target controller's next tick.

@@ -20,6 +20,7 @@ package player
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"demuxabr/internal/abr"
@@ -87,7 +88,9 @@ type Config struct {
 	// OnDone fires exactly once when the session finishes or aborts, after
 	// the result is final and the session's in-flight transfers have been
 	// torn down. The engine keeps running after it: Run and RunSplit
-	// return once the engine drains, and fleet sessions share theirs.
+	// return once the engine drains, and fleet sessions share theirs. A
+	// session run by Pool.Run goes back to its Pool when Run returns, so
+	// OnDone must not keep the *Session.
 	OnDone func(*Session)
 	// OnRequest observes every chunk request that puts bytes on the wire
 	// and returns an extra first-byte delay — the hook a CDN edge uses to
@@ -209,16 +212,17 @@ type Session struct {
 	lastSel  [2]*media.Track
 
 	// Scheduling state. A paired session (strict joint pairing, or muxed
-	// objects) runs one loop, fetchJoint; every other session runs one
-	// fetchStream loop per type. loop[t] re-enters stream t's loop and
-	// cont[t] is its chunk continuation (a paired session binds fetchJoint
-	// and jointChunkDone). They are bound once per Session object, and
-	// again only for a session that reuses the object with the other kind
-	// of loop: loopsPaired records which kind they are.
+	// objects) runs one loop, fetchJoint, whose chunk continuation is
+	// jointChunkDone: jointLoop and jointCont. Every other session runs
+	// one fetchStream loop per type: streamLoop[t] re-enters stream t's
+	// loop and streamCont[t] is its chunk continuation. Each kind is bound
+	// on the first session of that kind on the Session object and kept
+	// for every later one (see loop).
 	paired       bool
-	loopsPaired  bool
-	loop         [2]func()
-	cont         [2]func()
+	jointLoop    func()
+	jointCont    func()
+	streamLoop   [2]func()
+	streamCont   [2]func()
 	jointPending int                 // paired: transfers in flight for the current chunk
 	comboFor     map[int]media.Combo // windowed mode: joint decision per position
 	inflight     [2]bool             // stream loops: a request chain is running for the type
@@ -278,7 +282,8 @@ type Session struct {
 // the blacklist; and, held by value, the storage of the policy, the live
 // state and the Result's TransportStats. start hands them out and
 // teardown takes the logs back, so a session that reuses the object
-// allocates none of them.
+// allocates none of them; Pool.Run's handOver takes out what its caller
+// keeps.
 type sessionSpare struct {
 	chunks    []ChunkDecision
 	timeline  []Sample
@@ -305,7 +310,7 @@ type pooledSession struct {
 // Run executes a full streaming session of cfg.Content over the link and
 // returns the recorded result: Pool.Run on a Pool of its own.
 func Run(link *netsim.Link, cfg Config) (*Result, error) {
-	return new(Pool).Run(link, link, cfg)
+	return RunSplit(link, link, cfg)
 }
 
 // RunSplit executes a session with the video and audio streams on separate
@@ -313,7 +318,11 @@ func Run(link *netsim.Link, cfg Config) (*Result, error) {
 // servers and do not share a bottleneck. Both links must be driven by the
 // same engine. It is Pool.Run on a Pool of its own.
 func RunSplit(videoLink, audioLink *netsim.Link, cfg Config) (*Result, error) {
-	return new(Pool).Run(videoLink, audioLink, cfg)
+	res := new(Result)
+	if err := new(Pool).Run(videoLink, audioLink, cfg, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Start validates the configuration and schedules a session on the links'
@@ -329,15 +338,17 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 // Pool recycles what finished requests and sessions leave behind for the
 // sessions started through it. Request records, with their callbacks
 // bound, and the buffer fold's sample arrays go back to the pool as each
-// session lets go of them. Whole sessions go back at Release: the Session
-// object with its bound method values, its Result's logs (emptied, keeping
-// their capacity), its windowed-mode decision map, its transport
-// connections and its blacklist, all of which the next Start reuses.
+// session lets go of them. Whole sessions go back at Release, or as
+// Pool.Run returns: the Session object with its bound method values, its
+// Result's logs (emptied, keeping their capacity), its windowed-mode
+// decision map, its transport connections and its blacklist, all of which
+// the next Start reuses.
 //
 // A fleet shard keeps one Pool for all its cells and releases it at the
-// end of each, so a warm session rebuilds none of these. A Pool is used by
-// one goroutine only: every session started through it must run on
-// engines that goroutine drives. The zero Pool is ready to use.
+// end of each, so a warm session rebuilds none of these; core.Play keeps
+// one for its Pool.Run calls. A Pool is used by one goroutine only: every
+// session started through it must run on engines that goroutine drives.
+// The zero Pool is ready to use.
 type Pool struct {
 	// reqs and mins are what a running session draws on and returns to:
 	// request records and the buffer fold's sample arrays.
@@ -385,23 +396,31 @@ func (p *Pool) Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, e
 	return s, nil
 }
 
-// Run starts a session through p and runs the links' engine until it
-// drains. The session is then the caller's: it leaves the started list, so
-// no Release hands the object holding the Result to a later session. A
-// session that cannot finish (e.g. the link is dead forever) returns
-// Ended == false and a nil error; exhausting the event budget an error.
-func (p *Pool) Run(videoLink, audioLink *netsim.Link, cfg Config) (*Result, error) {
+// Run starts a session through p, runs the links' engine until it drains,
+// and writes the session's Result to res, which is the caller's from then
+// on: it shares no storage with anything a later session writes. The
+// finished Session object goes back to p, like a released one, for the
+// next Start to reuse. A session that cannot finish (e.g. the link is dead
+// forever) gives Ended == false and a nil error; exhausting the event
+// budget an error, and then the object is not reused.
+func (p *Pool) Run(videoLink, audioLink *netsim.Link, cfg Config, res *Result) error {
 	s, err := p.Start(videoLink, audioLink, cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	k := len(p.started) - 1
 	p.started[k] = nil
 	p.started = p.started[:k]
 	if err := s.eng.Run(s.cfg.MaxEvents); err != nil {
-		return nil, err
+		return err
 	}
-	return &s.res, nil
+	s.handOver(res)
+	if s.Done() && s.eng.Pending() == 0 {
+		// Release's conditions: nothing left queued can fire into the
+		// object's next session.
+		p.free = append(p.free, s)
+	}
+	return nil
 }
 
 // Release hands every session started through p since the last Release
@@ -472,9 +491,10 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) 
 		pool:    p,
 		spare:   s.spare,
 		// The method values bound by an earlier session on s.
-		loopsPaired:  s.loopsPaired,
-		loop:         s.loop,
-		cont:         s.cont,
+		jointLoop:    s.jointLoop,
+		jointCont:    s.jointCont,
+		streamLoop:   s.streamLoop,
+		streamCont:   s.streamCont,
 		logTick:      s.logTick,
 		underrunTick: s.underrunTick,
 	}
@@ -533,17 +553,13 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) 
 		Failovers:       sp.failovers,
 	}
 	s.paired = s.joint != nil && (cfg.SyncWindow == 0 || cfg.Muxed)
-	if s.loop[media.Video] == nil || s.loopsPaired != s.paired {
-		s.loopsPaired = s.paired
-		if s.paired {
-			fetch, done := s.fetchJoint, s.jointChunkDone
-			s.loop = [2]func(){fetch, fetch}
-			s.cont = [2]func(){done, done}
-		} else {
-			for _, t := range []media.Type{media.Video, media.Audio} {
-				s.loop[t] = func() { s.fetchStream(t) }
-				s.cont[t] = func() { s.streamDone(t) }
-			}
+	if s.paired && s.jointLoop == nil {
+		s.jointLoop, s.jointCont = s.fetchJoint, s.jointChunkDone
+	}
+	if !s.paired && s.streamLoop[media.Video] == nil {
+		for _, t := range []media.Type{media.Video, media.Audio} {
+			s.streamLoop[t] = func() { s.fetchStream(t) }
+			s.streamCont[t] = func() { s.streamDone(t) }
 		}
 	}
 	if !s.paired && s.joint != nil {
@@ -572,9 +588,9 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) 
 	}
 
 	// Kick off downloading and timeline logging.
-	s.eng.Schedule(s.eng.Now(), s.loop[media.Video])
+	s.eng.Schedule(s.eng.Now(), s.loop(media.Video))
 	if !s.paired {
-		s.eng.Schedule(s.eng.Now(), s.loop[media.Audio])
+		s.eng.Schedule(s.eng.Now(), s.loop(media.Audio))
 	}
 	s.logLane = s.eng.Lane(logInterval)
 	s.scheduleLog()
@@ -582,6 +598,14 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) 
 		s.eng.Schedule(s.t0+at, func() { s.resetAudio(at) })
 	}
 	return nil
+}
+
+// loop returns the function that re-enters stream t's fetch loop.
+func (s *Session) loop(t media.Type) func() {
+	if s.paired {
+		return s.jointLoop
+	}
+	return s.streamLoop[t]
 }
 
 // reuse returns spare, emptied, when it has room for n entries, else a new
@@ -609,7 +633,8 @@ func (s *Session) conn(i int, l *netsim.Link, tc *netsim.TransportConfig, label 
 }
 
 // Result returns the session's recorded timeline; complete once Done. A
-// session started through a Pool keeps it only until Pool.Release.
+// session keeps it only until Pool.Release hands the object back to its
+// Pool.
 func (s *Session) Result() *Result { return &s.res }
 
 // Done reports whether the session has finished or aborted.
@@ -813,6 +838,34 @@ func keepLog[T any](log, spare *[]T) {
 	}
 }
 
+// handOver copies the session's Result to res for a caller that keeps it
+// while later sessions reuse s, and takes out of the spare parts whatever
+// res then shares: the chunk log and the timeline leave the spare, the
+// next session making new ones, and the other logs, which few sessions
+// fill, are copied at their length, so the spare keeps their capacity.
+// The transport and live summaries, which live in the spare, are copied.
+func (s *Session) handOver(res *Result) {
+	sp := s.spare
+	*res = s.res
+	sp.chunks = nil
+	if res.Timeline != nil {
+		sp.timeline = nil
+	}
+	res.Stalls = slices.Clone(res.Stalls)
+	res.Abandonments = slices.Clone(res.Abandonments)
+	res.AudioResets = slices.Clone(res.AudioResets)
+	res.Faults = slices.Clone(res.Faults)
+	res.Failovers = slices.Clone(res.Failovers)
+	if res.Transport != nil {
+		ts := *res.Transport
+		res.Transport = &ts
+	}
+	if res.Live != nil {
+		ls := *res.Live
+		res.Live = &ls
+	}
+}
+
 // collectTransport folds the connections' accounting into the result. An
 // all-zero accounting — a transport that never charged anything, e.g.
 // handshakes zeroed for the transport-off equivalence gate — reports
@@ -966,7 +1019,7 @@ func (s *Session) mayFetch(t media.Type, idx int, now time.Duration) bool {
 	}
 	if gate >= s.cfg.MaxBuffer {
 		// Wake when the buffer has drained just below the cap.
-		s.eng.Schedule(now+(gate-s.cfg.MaxBuffer)+time.Millisecond, s.loop[t])
+		s.eng.Schedule(now+(gate-s.cfg.MaxBuffer)+time.Millisecond, s.loop(t))
 		return false
 	}
 	return true
@@ -1005,12 +1058,12 @@ func (s *Session) fetchJoint() {
 	s.lastSel[media.Audio] = combo.Audio
 	if s.cfg.Muxed {
 		s.jointPending = 1
-		s.startRequest(media.Video, idx, combo.Video, combo.Audio, 0, s.cont[media.Video])
+		s.startRequest(media.Video, idx, combo.Video, combo.Audio, 0, s.jointCont)
 		return
 	}
 	s.jointPending = 2
-	s.startRequest(media.Video, idx, combo.Video, nil, 0, s.cont[media.Video])
-	s.startRequest(media.Audio, idx, combo.Audio, nil, 0, s.cont[media.Audio])
+	s.startRequest(media.Video, idx, combo.Video, nil, 0, s.jointCont)
+	s.startRequest(media.Audio, idx, combo.Audio, nil, 0, s.jointCont)
 }
 
 func (s *Session) jointChunkDone() {
@@ -1067,7 +1120,7 @@ func (s *Session) fetchStream(t media.Type) {
 	}
 	s.lastSel[t] = track
 	s.inflight[t] = true
-	s.startRequest(t, idx, track, nil, 0, s.cont[t])
+	s.startRequest(t, idx, track, nil, 0, s.streamCont[t])
 }
 
 // streamDone is stream t's continuation: the chunk is in, so the chain

@@ -109,7 +109,8 @@ func startState(s *Session) sessionStart {
 	c := &st.s
 	c.cfg, c.eng, c.links, c.pool, c.spare = Config{}, nil, [2]*netsim.Link{}, nil, nil
 	c.joint, c.perType, c.abandoner, c.rec = nil, nil, nil, nil
-	c.loop, c.cont, c.logTick, c.underrunTick = [2]func(){}, [2]func(){}, nil, nil
+	c.jointLoop, c.jointCont, c.streamLoop, c.streamCont = nil, nil, [2]func(){}, [2]func(){}
+	c.logTick, c.underrunTick = nil, nil
 	c.timeoutLane, c.logLane = nil, nil
 	c.comboFor, c.blacklist, c.conns, c.live = nil, nil, [2]*netsim.Conn{}, nil
 	// A log a reused Session hands out is empty, not nil; teardown makes it
