@@ -58,10 +58,20 @@
 #                    chunk log, connection or blacklist in a second cell on
 #                    a warm shard, and the player's TestSessionSizeClasses,
 #                    a Session, which a Pool always makes with its spare
-#                    parts, within the 1,536-byte malloc size class)
-#                    through ratchets, without the race detector, which
-#                    changes allocation counts: step 3 skips the tests
-#                    built only without it
+#                    parts, within the 1,536-byte malloc size class), with
+#                    the tests of the shard state a Run takes from and puts
+#                    back on the free stack those fleet pins read warm
+#                    (TestRunOnReusedStateMatchesFresh, a sequence of
+#                    differing fleets on reused state byte-equal to fresh
+#                    state; TestExactResultOutlivesLaterRuns, an exact-path
+#                    Result unchanged by later Runs;
+#                    TestFailedRunGivesNoStateBack; TestParallelRunsMatchSerial;
+#                    TestFreeShardSimHoldsNoCallerPointer, a free state
+#                    pins nothing of its last Run; the edge's
+#                    TestEdgeResetMatchesNewEdge), through ratchets, without
+#                    the race detector, which changes allocation counts:
+#                    step 3 skips the tests built only without it, and runs
+#                    the others under it
 #  14. fma off       the golden-bearing packages pass again with
 #                    GODEBUG=cpu.fma=off, without the race detector: on
 #                    amd64 math.Exp (and Pow through it) takes an FMA
@@ -175,8 +185,8 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, a warm Play across goroutines, allocs per NewModel and per Name, MPC's bound table built once, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, the pooled Session's size class, no race detector)"
-ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestSessionReuseAllocFree|TestSessionSizeClasses' \
+echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, a warm Play across goroutines, allocs per NewModel and per Name, MPC's bound table built once, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, the pooled Session's size class, shard state reused across Runs, no race detector)"
+ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestSessionReuseAllocFree|TestSessionSizeClasses|TestRunOnReusedStateMatchesFresh|TestExactResultOutlivesLaterRuns|TestFailedRunGivesNoStateBack|TestParallelRunsMatchSerial|TestFreeShardSimHoldsNoCallerPointer|TestEdgeResetMatchesNewEdge' \
 	./internal/fleet ./internal/qoe ./internal/core ./internal/abr/jointabr ./internal/netsim ./internal/cdnsim ./internal/player
 
 echo "== golden tests with FMA off (GODEBUG=cpu.fma=off, no race detector)"

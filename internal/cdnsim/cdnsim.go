@@ -109,9 +109,14 @@ func NewCache(capacity int64) *Cache {
 	}
 }
 
-// Reset empties the cache and zeroes its counters for another workload,
-// keeping its node slice and its index map's buckets.
-func (c *Cache) Reset() {
+// Reset empties the cache and zeroes its counters for another workload
+// of up to capacity bytes, keeping its node slice and its index map's
+// buckets.
+func (c *Cache) Reset(capacity int64) {
+	if capacity <= 0 {
+		panic("cdnsim: non-positive cache capacity")
+	}
+	c.capacity = capacity
 	clear(c.index)
 	c.nodes = c.nodes[:0]
 	c.head, c.tail, c.free = none, none, none

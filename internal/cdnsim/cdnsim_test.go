@@ -343,7 +343,8 @@ func (c *Cache) recency(t *testing.T) []string {
 // the eviction order), Used and Stats must agree after every request.
 // Streams mix hot and cold keys, capacities that hold a few objects or
 // most of them, and objects larger than the whole cache. Every other
-// stream runs on a cache that served another stream and was Reset.
+// stream runs on a cache that served another stream, at another capacity,
+// and was Reset to the stream's.
 func TestCacheMatchesListLRU(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -355,10 +356,11 @@ func TestCacheMatchesListLRU(t *testing.T) {
 		}
 		got, want := NewCache(capacity), newListCache(capacity)
 		if seed%2 == 0 {
+			got = NewCache(2 * capacity)
 			for n := 0; n < 500; n++ {
 				got.Request(Object{Key: fmt.Sprintf("old%d", rng.Intn(nkeys)), Size: sizes[rng.Intn(nkeys)]})
 			}
-			got.Reset()
+			got.Reset(capacity)
 		}
 		for n := 0; n < 2000; n++ {
 			k := rng.Intn(nkeys)

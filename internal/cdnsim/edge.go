@@ -1,6 +1,8 @@
 package cdnsim
 
 import (
+	"slices"
+
 	"demuxabr/internal/media"
 )
 
@@ -36,6 +38,19 @@ func NewEdge(cache *Cache, mode Mode, content *media.Content, sessions int) *Edg
 		content: content,
 		per:     make([]Stats, sessions),
 	}
+}
+
+// Reset readies e for another workload on its cache, which the caller
+// resets: e serves content in mode to the given number of sessions, with
+// every per-session counter zeroed and no Observer. It keeps the counters'
+// storage.
+func (e *Edge) Reset(mode Mode, content *media.Content, sessions int) {
+	if sessions < 0 {
+		panic("cdnsim: negative session count")
+	}
+	e.mode, e.content, e.Observer = mode, content, nil
+	e.per = slices.Grow(e.per[:0], sessions)[:sessions]
+	clear(e.per)
 }
 
 // Mode returns the packaging mode the edge serves.

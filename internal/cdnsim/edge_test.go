@@ -166,3 +166,49 @@ func TestObjectStreamMemoShared(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeResetMatchesNewEdge: an edge that served another workload, in
+// the other mode, to more sessions and with an Observer, then was Reset
+// with its cache, serves a workload as a new edge does. Its per-session
+// counters and aggregate match, and the old Observer sees nothing.
+func TestEdgeResetMatchesNewEdge(t *testing.T) {
+	content := media.DramaShow()
+	v1 := content.VideoTracks[0]
+	a1, a2 := content.AudioTracks[0], content.AudioTracks[1]
+	play := func(e *Edge) {
+		for idx := 0; idx < content.NumChunks(); idx++ {
+			e.RequestTrack(0, v1, idx)
+			e.RequestTrack(0, a2, idx)
+			e.RequestTrack(1, v1, idx)
+			e.RequestTrack(1, a1, idx)
+		}
+	}
+	want := NewEdge(NewCache(1<<20), Demuxed, content, 2)
+	play(want)
+
+	cache := NewCache(1 << 30)
+	got := NewEdge(cache, Muxed, content, 3)
+	observed := 0
+	got.Observer = func(int, string, int64, bool) { observed++ }
+	for s := range 3 {
+		got.RequestMuxed(s, v1, a1, s)
+	}
+	seen := observed
+	cache.Reset(1 << 20)
+	got.Reset(Demuxed, content, 2)
+	play(got)
+	if observed != seen || got.Observer != nil {
+		t.Fatalf("the reset edge kept its Observer: it saw %d more requests", observed-seen)
+	}
+	if got.Mode() != Demuxed || got.Sessions() != 2 {
+		t.Fatalf("the reset edge serves %v to %d sessions, want demuxed to 2", got.Mode(), got.Sessions())
+	}
+	for s := range 2 {
+		if got.SessionStats(s) != want.SessionStats(s) {
+			t.Fatalf("session %d: reset edge %+v, new edge %+v", s, got.SessionStats(s), want.SessionStats(s))
+		}
+	}
+	if got.Aggregate() != want.Aggregate() {
+		t.Fatalf("aggregate: reset edge %+v, new edge %+v", got.Aggregate(), want.Aggregate())
+	}
+}

@@ -430,8 +430,12 @@ func takePlayState() *playState {
 		return st
 	}
 	eng := netsim.NewEngine()
-	return &playState{eng: eng, up: netsim.NewUplink(eng, trace.Fixed(math.MaxInt64))}
+	return &playState{eng: eng, up: netsim.NewUplink(eng, unbounded)}
 }
+
+// unbounded is the capacity of Play's uplink: no limit, so the session's
+// link alone shapes it.
+var unbounded trace.Profile = trace.Fixed(math.MaxInt64)
 
 // putPlayState puts a state back on playStates, for the next Play.
 func putPlayState(st *playState) {
@@ -472,7 +476,7 @@ func Play(spec Spec) (*Session, error) {
 	}
 	st := takePlayState()
 	st.eng.Reset()
-	st.up.Reset()
+	st.up.Reset(unbounded)
 	link := st.up.NewLeaf(spec.Profile)
 	link.RTT = spec.RTT
 	if spec.Recorder != nil {

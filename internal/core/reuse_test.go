@@ -18,27 +18,54 @@ import (
 	"demuxabr/internal/trace"
 )
 
+// dirtySpec is a Play spec with the audio resets its session schedules,
+// which a Spec cannot carry: playReused runs a spec with resets through
+// Play's reused state and Pool.Run, as Play would run it with them.
+type dirtySpec struct {
+	Spec
+	audioResets []time.Duration
+}
+
 // dirtySpecs returns sessions that each leave a different kind of state on
 // the engine, uplink and Pool that Play reuses: faults retried under the
 // default policy, lossy HTTP/1.1 connections, a live session, muxed
-// objects, and a recorder on the link and the session. Each call makes new
-// recorders. The last entry is a clean session with none of these.
-func dirtySpecs() []Spec {
+// objects, a recorder on the link and the session, chunks abandoned on a
+// collapsing link, audio resets on strictly paired muxed objects, and
+// failover from a dead audio track. Each call makes new recorders. The
+// last entry is a clean session with none of these.
+func dirtySpecs() []dirtySpec {
 	pol := faults.DefaultPolicy()
 	h1 := netsim.DefaultTransport(netsim.H1)
 	h1.LossRate, h1.Seed = 0.05, 5
 	profile := trace.Fig3VaryingAvg600()
-	return []Spec{
-		{Profile: profile, Player: BestPractice, Robustness: &pol, Faults: &faults.Plan{
+	return []dirtySpec{
+		{Spec: Spec{Profile: profile, Player: BestPractice, Robustness: &pol, Faults: &faults.Plan{
 			Seed: 3, Rate: 0.2, Kinds: faults.AllKinds(),
 			Blackouts: []faults.Window{{Start: 20 * time.Second, End: 26 * time.Second}},
-		}},
-		{Profile: profile, Player: DashJS, RTT: 40 * time.Millisecond, Transport: &h1},
-		{Profile: trace.Fixed(media.Kbps(3000)), Player: LLLoLP, Live: &player.LiveConfig{PartTarget: time.Second}},
-		{Profile: profile, Player: BolaJoint, Muxed: true},
-		{Profile: profile, Player: Shaka, Recorder: timeline.New(0, "s0 shaka"), KeepTimeline: true},
-		{Profile: profile, Player: BestPractice},
+		}}},
+		{Spec: Spec{Profile: profile, Player: DashJS, RTT: 40 * time.Millisecond, Transport: &h1}},
+		{Spec: Spec{Profile: trace.Fixed(media.Kbps(3000)), Player: LLLoLP, Live: &player.LiveConfig{PartTarget: time.Second}}},
+		{Spec: Spec{Profile: profile, Player: BolaJoint, Muxed: true}},
+		{Spec: Spec{Profile: profile, Player: Shaka, Recorder: timeline.New(0, "s0 shaka"), KeepTimeline: true}},
+		{Spec: Spec{Profile: collapsing(0), Player: BestPracticeAbandon}},
+		{Spec: Spec{Profile: profile, Player: BolaJoint, Muxed: true}, audioResets: []time.Duration{20 * time.Second, 50 * time.Second}},
+		{Spec: Spec{Profile: profile, Player: BestPractice, Robustness: &pol, Faults: &faults.Plan{
+			Seed: 5, Rate: 1, Kinds: []faults.Kind{faults.HTTP404},
+			Targets: []string{media.DramaShow().AudioTracks[0].ID}, MaxPersistence: -1,
+		}}},
+		{Spec: Spec{Profile: profile, Player: BestPractice}},
 	}
+}
+
+// collapsing is a link that drops from 4 Mbps (plus i×150 kbps) to 250
+// kbps at 40 s (plus i s) and recovers to 2 Mbps at 100 s: a doomed
+// high-bitrate chunk that an abandoning model replaces.
+func collapsing(i int) trace.Profile {
+	return trace.MustSteps([]trace.Step{
+		{At: 0, Rate: media.Kbps(float64(4000 + 150*i))},
+		{At: 40*time.Second + time.Duration(i)*time.Second, Rate: media.Kbps(250)},
+		{At: 100 * time.Second, Rate: media.Kbps(2000)},
+	}, 0)
 }
 
 // played is what a session leaves for its caller to read.
@@ -50,7 +77,7 @@ type played struct {
 
 // playFresh runs spec through player.Run on a new engine and link: the
 // session Play must reproduce on the state it reuses.
-func playFresh(t *testing.T, spec Spec) played {
+func playFresh(t *testing.T, spec dirtySpec) played {
 	t.Helper()
 	c := media.DramaShow()
 	model, allowed, err := BuildModel(spec.Player, c, spec.Manifest)
@@ -68,6 +95,7 @@ func playFresh(t *testing.T, spec Spec) played {
 		Content:      c,
 		Model:        model,
 		Muxed:        spec.Muxed,
+		AudioResets:  spec.audioResets,
 		FaultPlan:    spec.Faults,
 		Robustness:   spec.Robustness,
 		Recorder:     rec,
@@ -81,13 +109,34 @@ func playFresh(t *testing.T, spec Spec) played {
 	return played{res, qoe.Compute(res, c, allowed, qoe.DefaultWeights()), rec.Events()}
 }
 
-// playReused runs spec through Play.
-func playReused(spec Spec) (played, error) {
-	s, err := Play(spec)
+// playReused runs spec through Play, or, when it schedules audio resets,
+// through the state Play takes and the Pool.Run Play calls.
+func playReused(spec dirtySpec) (played, error) {
+	if len(spec.audioResets) == 0 {
+		s, err := Play(spec.Spec)
+		if err != nil {
+			return played{}, err
+		}
+		return played{s.Result, s.Metrics, spec.Recorder.Events()}, nil
+	}
+	c := media.DramaShow()
+	model, allowed, err := BuildModel(spec.Player, c, spec.Manifest)
 	if err != nil {
 		return played{}, err
 	}
-	return played{s.Result, s.Metrics, spec.Recorder.Events()}, nil
+	st := takePlayState()
+	st.eng.Reset()
+	st.up.Reset(unbounded)
+	link := st.up.NewLeaf(spec.Profile)
+	res := new(player.Result)
+	if err := st.pool.Run(link, link, player.Config{
+		Content: c, Model: model, Muxed: spec.Muxed, AudioResets: spec.audioResets,
+	}, res); err != nil {
+		return played{}, err
+	}
+	metrics := st.qoe.Compute(res, c, allowed, qoe.DefaultWeights())
+	putPlayState(st)
+	return played{res, metrics, nil}, nil
 }
 
 // samePlayed reports how got differs from want, or "" when it does not.
@@ -129,9 +178,10 @@ func TestPlayOnReusedStateMatchesFresh(t *testing.T) {
 // every dirty session is kept, and each must still equal, and encode as, a
 // snapshot of it taken before twenty later Plays. Between them the kept
 // Results hold every log and summary a Session hands over: chunks,
-// timeline, stalls, faults, transport and live. The later Plays are the
-// dirty sessions on other links, so what they write differs from what
-// the kept Results hold.
+// timeline, stalls, abandonments, audio resets, faults, failovers,
+// transport and live. The later Plays are the dirty sessions on other,
+// collapsing links, so what they write differs from what the kept Results
+// hold.
 func TestPlayResultOutlivesLaterPlays(t *testing.T) {
 	specs := dirtySpecs()
 	type keptResult struct {
@@ -139,7 +189,7 @@ func TestPlayResultOutlivesLaterPlays(t *testing.T) {
 		js              []byte
 	}
 	var kept []keptResult
-	var stalls, faults, timeline, transport, live bool
+	var stalls, abandons, resets, faults, failovers, timeline, transport, live bool
 	for _, spec := range specs {
 		first, err := playReused(spec)
 		if err != nil {
@@ -152,19 +202,22 @@ func TestPlayResultOutlivesLaterPlays(t *testing.T) {
 		kept = append(kept, keptResult{first, playFresh(t, spec), js})
 		r := first.res
 		stalls = stalls || len(r.Stalls) > 0
+		abandons = abandons || len(r.Abandonments) > 0
+		resets = resets || len(r.AudioResets) > 0
 		faults = faults || len(r.Faults) > 0
+		failovers = failovers || len(r.Failovers) > 0
 		timeline = timeline || len(r.Timeline) > 0
 		transport = transport || r.Transport != nil
 		live = live || r.Live != nil
 	}
-	if !stalls || !faults || !timeline || !transport || !live {
-		t.Fatalf("the kept Results hold stalls %v, faults %v, a timeline %v, transport %v, live %v: want all",
-			stalls, faults, timeline, transport, live)
+	if !stalls || !abandons || !resets || !faults || !failovers || !timeline || !transport || !live {
+		t.Fatalf("the kept Results hold stalls %v, abandonments %v, audio resets %v, faults %v, failovers %v, a timeline %v, transport %v, live %v: want all",
+			stalls, abandons, resets, faults, failovers, timeline, transport, live)
 	}
 	for i := range 20 {
 		spec := dirtySpecs()[i%len(specs)]
-		spec.Profile = trace.Fixed(media.Kbps(float64(700 + 150*i)))
-		if _, err := Play(spec); err != nil {
+		spec.Profile = collapsing(i + 1)
+		if _, err := playReused(spec); err != nil {
 			t.Fatal(err)
 		}
 	}

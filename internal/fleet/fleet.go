@@ -16,7 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"demuxabr/internal/cdnsim"
@@ -284,7 +284,7 @@ func (c *Config) cells() [][]int {
 			hi = n
 		}
 		cell := perm[lo:hi]
-		sort.Ints(cell)
+		slices.Sort(cell)
 		cells[j] = cell
 	}
 	return cells
@@ -301,7 +301,7 @@ func (c *Config) arrivals() []time.Duration {
 	for i := range at {
 		at[i] = time.Duration(rng.Int63n(int64(c.ArrivalSpread)))
 	}
-	sort.Slice(at, func(i, j int) bool { return at[i] < at[j] })
+	slices.Sort(at)
 	return at
 }
 
@@ -375,13 +375,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	aggs, err := runpool.Map(shards, shards, func(sh int) (*shardAgg, error) {
-		sim := newShardSim(&cfg, newShardAgg(&cfg, stream), arrive)
+		agg := newShardAgg(&cfg, stream)
+		sim := takeShardSim(&cfg, agg, arrive)
 		for ci := sh; ci < len(cells); ci += shards {
 			if err := runCell(sim, manifests, ci, len(cells), cells[ci]); err != nil {
 				return nil, err
 			}
 		}
-		return sim.agg, nil
+		putShardSim(sim)
+		return agg, nil
 	})
 	if err != nil {
 		return nil, err

@@ -57,7 +57,7 @@ func TestSessionReuseAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := cfg.cells()
-	sim := newShardSim(&cfg, newShardAgg(&cfg, cfg.streaming()), cfg.arrivals())
+	sim := takeShardSim(&cfg, newShardAgg(&cfg, cfg.streaming()), cfg.arrivals())
 	cell := func(ci int) {
 		if err := runCell(sim, manifests, ci, len(cells), cells[ci]); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"demuxabr/internal/cdnsim"
@@ -97,53 +99,96 @@ func (a *shardAgg) addSession(s SessionResult) {
 }
 
 // shardSim is the simulation state a shard worker keeps from one cell to
-// the next: the engine with its event and transfer freelists, the uplink
-// with its leaves, the edge cache's slots and index, the pool of request
-// records and finished sessions, and one slot per cell position. Each
-// cell resets it before it starts, and leaves the engine drained.
+// the next, and from one Run to the next: the engine with its event and
+// transfer freelists, the uplink with its leaves, the edge with its cache's
+// slots and index, the pool of request records and finished sessions, and
+// one slot per cell position. Each cell resets it before it starts, and
+// leaves the engine drained.
 type shardSim struct {
 	eng   *netsim.Engine
 	up    *netsim.Uplink
 	cache *cdnsim.Cache
+	edge  *cdnsim.Edge
 	pool  *player.Pool
 	slots []cellSlot
 
 	// What the slots' callbacks read: the fleet, the shard's aggregate,
-	// the arrival times, the running cell's edge, and the scratch table
-	// qoe.Compute builds each session's selections in.
+	// the arrival times, and the scratch table qoe.Compute builds each
+	// session's selections in. A Run binds the first three (see
+	// takeShardSim).
 	cfg    *Config
 	agg    *shardAgg
 	arrive []time.Duration
-	edge   *cdnsim.Edge
 	qoe    qoe.Scratch
 }
 
-func newShardSim(cfg *Config, agg *shardAgg, arrive []time.Duration) *shardSim {
-	eng := netsim.NewEngine()
-	sim := &shardSim{
-		eng:    eng,
-		up:     netsim.NewUplink(eng, cfg.UplinkProfile),
-		cache:  cdnsim.NewCache(cfg.CacheBytes),
-		pool:   new(player.Pool),
-		slots:  make([]cellSlot, cfg.CellSessions),
-		cfg:    cfg,
-		agg:    agg,
-		arrive: arrive,
+// shardSims is a stack of the shard states no Run is using. A shard worker
+// takes the state put last, so it finds a warm one whenever one is free;
+// the stack never holds more than the most shard workers that have run at
+// once.
+var shardSims struct {
+	sync.Mutex
+	free []*shardSim
+}
+
+// takeShardSim takes a free state off shardSims, or makes one, and binds
+// it to a Run's fleet, shard aggregate and arrival times.
+func takeShardSim(cfg *Config, agg *shardAgg, arrive []time.Duration) *shardSim {
+	shardSims.Lock()
+	var sim *shardSim
+	if k := len(shardSims.free); k > 0 {
+		sim = shardSims.free[k-1]
+		shardSims.free[k-1] = nil
+		shardSims.free = shardSims.free[:k-1]
 	}
-	for li := range sim.slots {
-		sl := &sim.slots[li]
-		sl.sim, sl.li = sim, li
-		sl.onRequest, sl.onDone, sl.start = sl.request, sl.done, sl.run
+	shardSims.Unlock()
+	if sim == nil {
+		eng := netsim.NewEngine()
+		cache := cdnsim.NewCache(cfg.CacheBytes)
+		sim = &shardSim{
+			eng:   eng,
+			up:    netsim.NewUplink(eng, cfg.UplinkProfile),
+			cache: cache,
+			edge:  cdnsim.NewEdge(cache, cfg.Mode, cfg.Content, 0),
+			pool:  new(player.Pool),
+		}
 	}
+	if len(sim.slots) < cfg.CellSessions {
+		sim.slots = make([]cellSlot, cfg.CellSessions)
+		for li := range sim.slots {
+			sl := &sim.slots[li]
+			sl.sim, sl.li = sim, li
+			sl.onRequest, sl.onDone, sl.start = sl.request, sl.done, sl.run
+		}
+	}
+	sim.cfg, sim.agg, sim.arrive = cfg, agg, arrive
 	return sim
+}
+
+// putShardSim puts a state back on shardSims once every cell of its Run
+// has succeeded: a failed cell can leave events pending. The state first
+// lets go of everything of the Run's caller it holds. On the exact path
+// the Results of its started sessions are the caller's, so the pool
+// disowns them; their objects never reach its free list.
+func putShardSim(sim *shardSim) {
+	sim.pool.Disown()
+	sim.cfg, sim.agg, sim.arrive = nil, nil, nil
+	sim.up.SetRecorder(nil, "")
+	sim.edge.Reset(cdnsim.Demuxed, nil, 0)
+	for li := range sim.slots {
+		sim.slots[li].forget()
+	}
+	shardSims.Lock()
+	shardSims.free = append(shardSims.free, sim)
+	shardSims.Unlock()
 }
 
 // cellSlot is one position of a cell: the state the callbacks of the
 // session at that position read, and those callbacks, bound once per
-// shard. A slot's fault plan and transport config are the session's, held
-// by value, so a cell makes no closure, plan or config per session. Each
-// cell overwrites the slots it uses; the sessions of the last one have
-// all finished by then.
+// shardSim. A slot's fault plan and transport config are the session's,
+// held by value, so a cell makes no closure, plan or config per session.
+// Each cell overwrites the slots it uses; the sessions of the last one
+// have all finished by then.
 type cellSlot struct {
 	sim      *shardSim
 	li, id   int
@@ -159,6 +204,12 @@ type cellSlot struct {
 	onRequest func(player.ChunkRequest) time.Duration
 	onDone    func(*player.Session)
 	start     func()
+}
+
+// forget drops everything the slot holds of the last cell, keeping its
+// position and its callbacks.
+func (sl *cellSlot) forget() {
+	*sl = cellSlot{sim: sl.sim, li: sl.li, onRequest: sl.onRequest, onDone: sl.onDone, start: sl.start}
 }
 
 // run starts the slot's session at its arrival time.
@@ -206,19 +257,19 @@ func (sl *cellSlot) done(s *player.Session) {
 // in manifests (see Config.parseManifests). For the default single cell
 // this is, step for step, the original whole-fleet loop — the
 // equivalence the shard tests pin. The cell resets the shard's simulation
-// state, which the previous cell left drained, so its sessions take the
-// events, transfers, leaves and cache slots earlier cells released, and
-// they start through the shard's pool. On the streaming path, where no
-// Result outlives its session's OnDone, the cell then releases its
-// sessions to the pool for the next cell to reuse; the exact path keeps
-// every Result, so its sessions are never reused.
+// state, which the previous cell, of this Run or an earlier one, left
+// drained, so its sessions take the events, transfers, leaves and cache
+// slots earlier cells released, and they start through the shard's pool.
+// On the streaming path, where no Result outlives its session's OnDone,
+// the cell then releases its sessions to the pool for the next cell to
+// reuse; the exact path keeps every Result, so its sessions are never
+// reused (see putShardSim).
 func runCell(sim *shardSim, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int) error {
-	cfg, agg, eng, up := sim.cfg, sim.agg, sim.eng, sim.up
+	cfg, agg, eng, up, edge := sim.cfg, sim.agg, sim.eng, sim.up, sim.edge
 	eng.Reset()
-	up.Reset()
-	sim.cache.Reset()
-	edge := cdnsim.NewEdge(sim.cache, cfg.Mode, cfg.Content, len(ids))
-	sim.edge = edge
+	up.Reset(cfg.UplinkProfile)
+	sim.cache.Reset(cfg.CacheBytes)
+	edge.Reset(cfg.Mode, cfg.Content, len(ids))
 	budget := cfg.cellBudget(len(ids))
 	agg.beginCell(cellIdx)
 
@@ -354,7 +405,7 @@ func mergeShards(cfg *Config, stream bool, numCells int, aggs []*shardAgg) (*Res
 		}
 		// Jain partials are float sums: fold them in cell-index order so
 		// the total is identical no matter which shard ran which cell.
-		sort.Slice(jains, func(i, j int) bool { return jains[i].cell < jains[j].cell })
+		slices.SortFunc(jains, func(a, b cellJain) int { return cmp.Compare(a.cell, b.cell) })
 		var jain qoe.JainPartial
 		for _, cj := range jains {
 			jain = jain.Plus(cj.partial)
@@ -367,7 +418,7 @@ func mergeShards(cfg *Config, stream bool, numCells int, aggs []*shardAgg) (*Res
 		for _, a := range aggs {
 			all = append(all, a.sessions...)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+		slices.SortFunc(all, func(a, b SessionResult) int { return cmp.Compare(a.ID, b.ID) })
 		res.Sessions = all
 		metrics := make([]qoe.Metrics, len(all))
 		for i, s := range all {
@@ -382,9 +433,13 @@ func mergeShards(cfg *Config, stream bool, numCells int, aggs []*shardAgg) (*Res
 			recs = append(recs, a.recs...)
 			upRecs = append(upRecs, a.upRecs...)
 		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Session() < recs[j].Session() })
-		sort.Slice(upRecs, func(i, j int) bool { return upRecs[i].Session() < upRecs[j].Session() })
+		slices.SortFunc(recs, byRecorderSession)
+		slices.SortFunc(upRecs, byRecorderSession)
 		res.Recorders = append(recs, upRecs...)
 	}
 	return res, nil
 }
+
+// byRecorderSession orders recorders by their globally-unique session
+// index.
+func byRecorderSession(a, b *timeline.Recorder) int { return cmp.Compare(a.Session(), b.Session()) }

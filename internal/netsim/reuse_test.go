@@ -212,22 +212,25 @@ func cellScenario(t *testing.T, up *Uplink, seed int64) []string {
 }
 
 // cellUplink is the uplink cellScenario's cells share.
-func cellUplink(eng *Engine) *Uplink { return NewUplink(eng, trace.Fixed(media.Kbps(9000))) }
+func cellUplink(eng *Engine) *Uplink { return NewUplink(eng, cellProfile()) }
+
+// cellProfile is the uplink capacity of the cell scenarios.
+func cellProfile() trace.Profile { return trace.Fixed(media.Kbps(9000)) }
 
 // TestResetEngineMatchesFreshEngine is the differential check of engine
-// reuse: a cell run on an engine and uplink that already ran another cell
-// and were reset, its leaves recycled, matches the same cell on a new
-// engine and uplink event for event.
+// reuse: a cell run on an engine and uplink that already ran another cell,
+// at another uplink capacity, and were reset, its leaves recycled, matches
+// the same cell on a new engine and uplink event for event.
 func TestResetEngineMatchesFreshEngine(t *testing.T) {
 	want := cellScenario(t, cellUplink(NewEngine()), 2)
 	eng := NewEngine()
-	up := cellUplink(eng)
+	up := NewUplink(eng, trace.Fixed(media.Kbps(4000)))
 	cellScenario(t, up, 1)
 	if len(eng.free) == 0 || len(eng.transfers) == 0 {
 		t.Fatalf("the first cell pooled %d events and %d transfers: nothing to reuse", len(eng.free), len(eng.transfers))
 	}
 	eng.Reset()
-	up.Reset()
+	up.Reset(cellProfile())
 	got := cellScenario(t, up, 2)
 	if !reflect.DeepEqual(got, want) {
 		for i := range min(len(got), len(want)) {
@@ -259,7 +262,7 @@ func TestEngineReuseAllocFree(t *testing.T) {
 		pooled[tr] = true
 	}
 	eng.Reset()
-	up.Reset()
+	up.Reset(cellProfile())
 	cellScenario(t, up, 4)
 	if !slices.Equal(up.members, leaves) {
 		t.Error("the second cell made new leaves")

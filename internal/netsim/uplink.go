@@ -99,10 +99,15 @@ func (u *Uplink) NewLeaf(profile trace.Profile) *Link {
 }
 
 // Reset empties the uplink for another simulation on its engine, which
-// must have been Reset first: the clock restarts at zero, no leaf is
-// attached, no recorder either, and later NewLeaf calls recycle the old
-// leaves. Links of the last simulation must not be used again.
-func (u *Uplink) Reset() {
+// must have been Reset first: the uplink's capacity follows profile from
+// then on, the clock restarts at zero, no leaf is attached, no recorder
+// either, and later NewLeaf calls recycle the old leaves. Links of the
+// last simulation must not be used again.
+func (u *Uplink) Reset(profile trace.Profile) {
+	if profile == nil {
+		panic("netsim: nil uplink profile")
+	}
+	u.profile = profile
 	u.members = u.members[:0]
 	u.lastUpdate = 0
 	u.wake = Handle{}

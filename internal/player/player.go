@@ -344,11 +344,12 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 // decision map, its transport connections and its blacklist, all of which
 // the next Start reuses.
 //
-// A fleet shard keeps one Pool for all its cells and releases it at the
-// end of each, so a warm session rebuilds none of these; core.Play keeps
-// one for its Pool.Run calls. A Pool is used by one goroutine only: every
-// session started through it must run on engines that goroutine drives.
-// The zero Pool is ready to use.
+// A fleet shard state keeps one Pool for all its cells, across Runs, and
+// releases it at the end of each streaming cell, so a warm session
+// rebuilds none of these; core.Play keeps one for its Pool.Run calls. A
+// Pool is used by one goroutine only: every session started through it
+// must run on engines that goroutine drives. The zero Pool is ready to
+// use.
 type Pool struct {
 	// reqs and mins are what a running session draws on and returns to:
 	// request records and the buffer fold's sample arrays.
@@ -418,7 +419,7 @@ func (p *Pool) Run(videoLink, audioLink *netsim.Link, cfg Config, res *Result) e
 	if s.Done() && s.eng.Pending() == 0 {
 		// Release's conditions: nothing left queued can fire into the
 		// object's next session.
-		p.free = append(p.free, s)
+		p.recycle(s)
 	}
 	return nil
 }
@@ -442,9 +443,33 @@ func (p *Pool) Release() {
 			panic(fmt.Sprintf("player: Pool.Release with %d events pending on a session's engine", n))
 		}
 	}
-	p.free = append(p.free, p.started...)
+	for _, s := range p.started {
+		p.recycle(s)
+	}
+	p.Disown()
+}
+
+// Disown lets go of every session started through p since the last
+// Release without taking it back: the Session objects, with the Results
+// in them, stay their callers', and no later Start reuses them. A caller
+// that keeps those Results calls it before it uses p again.
+func (p *Pool) Disown() {
 	clear(p.started)
 	p.started = p.started[:0]
+}
+
+// recycle puts s, finished and its Result no longer read, on p.free for a
+// later Start. s drops everything it held of its last session's caller
+// (the config with its model, content and recorder, the links, and the
+// recorder its connections log to), so a free Session pins none of it.
+func (p *Pool) recycle(s *Session) {
+	s.clean()
+	for _, c := range s.spare.conns {
+		if c != nil {
+			c.SetRecorder(nil)
+		}
+	}
+	p.free = append(p.free, s)
 }
 
 // start builds and schedules a session on s, drawing on p. s is new, or a
@@ -483,21 +508,9 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) 
 		// their boundaries. Per-type models handle misaligned content.
 		return errors.New("player: joint scheduling and muxed mode require aligned audio/video chunk timelines")
 	}
-	*s = Session{
-		cfg:     cfg,
-		eng:     videoLink.Engine(),
-		joint:   joint,
-		perType: perType,
-		pool:    p,
-		spare:   s.spare,
-		// The method values bound by an earlier session on s.
-		jointLoop:    s.jointLoop,
-		jointCont:    s.jointCont,
-		streamLoop:   s.streamLoop,
-		streamCont:   s.streamCont,
-		logTick:      s.logTick,
-		underrunTick: s.underrunTick,
-	}
+	s.clean()
+	s.cfg, s.eng, s.pool = cfg, videoLink.Engine(), p
+	s.joint, s.perType = joint, perType
 	s.t0 = s.eng.Now()
 	s.links[media.Video] = videoLink
 	s.links[media.Audio] = audioLink
@@ -598,6 +611,20 @@ func (s *Session) start(videoLink, audioLink *netsim.Link, cfg Config, p *Pool) 
 		s.eng.Schedule(s.t0+at, func() { s.resetAudio(at) })
 	}
 	return nil
+}
+
+// clean resets every field of s but its spare parts and the method values
+// an earlier session bound on it.
+func (s *Session) clean() {
+	*s = Session{
+		spare:        s.spare,
+		jointLoop:    s.jointLoop,
+		jointCont:    s.jointCont,
+		streamLoop:   s.streamLoop,
+		streamCont:   s.streamCont,
+		logTick:      s.logTick,
+		underrunTick: s.underrunTick,
+	}
 }
 
 // loop returns the function that re-enters stream t's fetch loop.
