@@ -55,8 +55,9 @@
 #                    TestEngineReuseAllocFree, no new event, transfer or
 #                    leaf in a second cell on a reset engine, and the
 #                    fleet's TestSessionReuseAllocFree, no new Session,
-#                    chunk log, connection or blacklist in a second cell on
-#                    a warm shard, and the player's TestSessionSizeClasses,
+#                    connection or blacklist in a second cell on a warm
+#                    shard, streaming or exact, and no new chunk log
+#                    streaming, and the player's TestSessionSizeClasses,
 #                    a Session, which a Pool always makes with its spare
 #                    parts, within the 1,536-byte malloc size class), with
 #                    the tests of the shard state a Run takes from and puts
@@ -68,8 +69,11 @@
 #                    TestFailedRunGivesNoStateBack; TestParallelRunsMatchSerial;
 #                    TestFreeShardSimHoldsNoCallerPointer, a free state
 #                    pins nothing of its last Run; the edge's
-#                    TestEdgeResetMatchesNewEdge), through ratchets, without
-#                    the race detector, which changes allocation counts:
+#                    TestEdgeResetMatchesNewEdge) and core's
+#                    TestFreePlayStateHoldsNoCallerPointer, a free Play
+#                    state pins no recorder or config of its last Plays,
+#                    through ratchets, without the race detector, which
+#                    changes allocation counts:
 #                    step 3 skips the tests built only without it, and runs
 #                    the others under it
 #  14. fma off       the golden-bearing packages pass again with
@@ -185,8 +189,8 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, a warm Play across goroutines, allocs per NewModel and per Name, MPC's bound table built once, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, the pooled Session's size class, shard state reused across Runs, no race detector)"
-ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestSessionReuseAllocFree|TestSessionSizeClasses|TestRunOnReusedStateMatchesFresh|TestExactResultOutlivesLaterRuns|TestFailedRunGivesNoStateBack|TestParallelRunsMatchSerial|TestFreeShardSimHoldsNoCallerPointer|TestEdgeResetMatchesNewEdge' \
+echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, a warm Play across goroutines, allocs per NewModel and per Name, MPC's bound table built once, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, the pooled Session's size class, shard and Play state reused across Runs, no race detector)"
+ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestSessionReuseAllocFree|TestSessionSizeClasses|TestRunOnReusedStateMatchesFresh|TestExactResultOutlivesLaterRuns|TestFailedRunGivesNoStateBack|TestParallelRunsMatchSerial|TestFreeShardSimHoldsNoCallerPointer|TestFreePlayStateHoldsNoCallerPointer|TestEdgeResetMatchesNewEdge' \
 	./internal/fleet ./internal/qoe ./internal/core ./internal/abr/jointabr ./internal/netsim ./internal/cdnsim ./internal/player
 
 echo "== golden tests with FMA off (GODEBUG=cpu.fma=off, no race detector)"

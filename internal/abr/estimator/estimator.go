@@ -155,9 +155,12 @@ type weightedSample struct {
 	weight float64
 }
 
-// percentileCap is the capacity a SlidingPercentile's arrays start at: at
-// the default MaxWeight a window of whole segments or live parts retains at
-// most seven samples, plus the one Add appends before it evicts.
+// percentileCap is the capacity a SlidingPercentile's arrays start at. A
+// meter sample weighs the square root of its bytes, so at the default
+// MaxWeight a window of samples above 62,500 bytes each retains at most
+// seven, plus the one Add appends before it evicts. The smaller samples of
+// low-bitrate sessions fill a window with more than eight, and then Add
+// and Estimate move its arrays to the heap.
 const percentileCap = 8
 
 // NewSlidingPercentile returns the percentile tracker with ExoPlayer's

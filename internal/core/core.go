@@ -36,6 +36,7 @@ import (
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
+	"demuxabr/internal/runpool"
 	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
 )
@@ -411,22 +412,12 @@ type playState struct {
 	qoe  qoe.Scratch
 }
 
-// playStates is a stack of the states no Play is using. Any goroutine
-// takes the state put last, so a Play finds a warm one whenever one is
-// free; it never holds more than the most Plays that have run at once.
-var playStates struct {
-	sync.Mutex
-	free []*playState
-}
+// playStates holds the states no Play is using.
+var playStates runpool.Free[playState]
 
 // takePlayState takes a free state off playStates, or makes one.
 func takePlayState() *playState {
-	playStates.Lock()
-	defer playStates.Unlock()
-	if k := len(playStates.free); k > 0 {
-		st := playStates.free[k-1]
-		playStates.free[k-1] = nil
-		playStates.free = playStates.free[:k-1]
+	if st := playStates.Take(); st != nil {
 		return st
 	}
 	eng := netsim.NewEngine()
@@ -436,13 +427,6 @@ func takePlayState() *playState {
 // unbounded is the capacity of Play's uplink: no limit, so the session's
 // link alone shapes it.
 var unbounded trace.Profile = trace.Fixed(math.MaxInt64)
-
-// putPlayState puts a state back on playStates, for the next Play.
-func putPlayState(st *playState) {
-	playStates.Lock()
-	playStates.free = append(playStates.free, st)
-	playStates.Unlock()
-}
 
 // sessionAndResult is a Session with its Result, allocated together.
 type sessionAndResult struct {
@@ -507,6 +491,9 @@ func Play(spec Spec) (*Session, error) {
 		Metrics: st.qoe.Compute(&out.res, spec.Content, allowed, qoe.DefaultWeights()),
 		Allowed: allowed,
 	}
-	putPlayState(st)
+	// The leaf stays reachable from the engine's and the uplink's
+	// freelists: it must not pin the caller's recorder.
+	link.SetRecorder(nil, "")
+	playStates.Put(st)
 	return &out.Session, nil
 }

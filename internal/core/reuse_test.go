@@ -135,7 +135,7 @@ func playReused(spec dirtySpec) (played, error) {
 		return played{}, err
 	}
 	metrics := st.qoe.Compute(res, c, allowed, qoe.DefaultWeights())
-	putPlayState(st)
+	playStates.Put(st)
 	return played{res, metrics, nil}, nil
 }
 

@@ -43,10 +43,11 @@ func TestFreeShardSimHoldsNoCallerPointer(t *testing.T) {
 			if len(res.Recorders) == 0 {
 				t.Fatal("the fleet recorded nothing")
 			}
-			if len(shardSims.free) != 1 {
-				t.Fatalf("%d free states, want the Run's one", len(shardSims.free))
+			free := shardSims.Drain()
+			if len(free) != 1 {
+				t.Fatalf("%d free states, want the Run's one", len(free))
 			}
-			sim := shardSims.free[0]
+			sim := free[0]
 			if sim.cfg != nil || sim.agg != nil || sim.arrive != nil {
 				t.Fatal("the free state still holds the Run's fleet, aggregate or arrival times")
 			}

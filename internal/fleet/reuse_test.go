@@ -3,6 +3,7 @@
 package fleet
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -19,74 +20,84 @@ import (
 
 // TestSessionReuseAllocFree pins the recycling of whole sessions across a
 // shard's cells: once one cell has run and released its sessions, a
-// second cell on the warm shard allocates no Session, no chunk log, no
-// transport connection and no blacklist. The fleet is the resilient one
+// second cell on the warm shard allocates no Session, no transport
+// connection and no blacklist, on the streaming and on the exact path.
+// Streaming, it allocates no chunk log either; an exact-path session hands
+// its chunk log and timeline over with its Result, so the next session on
+// the object makes new ones. The fleet is the resilient one
 // TestFleetAllocsPerSession measures, whose sessions build all four, and
 // the test counts the second cell's allocations by the function that made
 // them, from a profile of every allocation. The race detector changes
 // allocation counts, so the test is built only without it (check.sh runs
 // it in a step of its own).
 func TestSessionReuseAllocFree(t *testing.T) {
-	tc := netsim.DefaultTransport(netsim.H1)
-	tc.IdleTimeout = 700 * time.Millisecond
-	tc.LossRate = 0.02
-	pol := faults.DefaultPolicy()
-	cfg := Config{
-		Content:       media.DramaShow(),
-		Sessions:      32,
-		Mix:           []core.PlayerKind{core.BestPractice, core.BolaJoint, core.MPCJoint, core.DynamicJoint},
-		Mode:          cdnsim.Demuxed,
-		CacheBytes:    8 << 20,
-		MissPenalty:   60 * time.Millisecond,
-		UplinkProfile: trace.Fixed(media.Kbps(24_000)),
-		AccessProfile: trace.Fixed(media.Kbps(6_000)),
-		AccessRTT:     200 * time.Millisecond,
-		ArrivalSpread: 30 * time.Second,
-		Seed:          17,
-		CellSessions:  16,
-		MaxRetained:   -1,
-		Transport:     &tc,
-		Robustness:    &pol,
-		FaultPlan:     &faults.Plan{Seed: 17, Rate: 0.02, Kinds: append(faults.AllKinds(), faults.TransportKinds()...)},
-	}
-	if err := cfg.setDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	manifests, err := cfg.parseManifests()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := cfg.cells()
-	sim := takeShardSim(&cfg, newShardAgg(&cfg, cfg.streaming()), cfg.arrivals())
-	cell := func(ci int) {
-		if err := runCell(sim, manifests, ci, len(cells), cells[ci]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cell(0)
-	sites := allocSites(func() { cell(1) })
-	for _, site := range []string{
-		"demuxabr/internal/player.(*Pool).Start",    // the Session and its spare parts
-		"demuxabr/internal/player.(*Session).start", // bound loops, the decision map
-		"demuxabr/internal/player.reuse[",           // the chunk log
-		"demuxabr/internal/netsim.NewConn",
-		"demuxabr/internal/faults.NewBlacklist",
-	} {
-		for fn, n := range sites {
-			if strings.HasPrefix(fn, site) {
-				t.Errorf("the second cell allocates %d objects in %s", n, fn)
+	for _, retained := range []int{-1, 0} {
+		t.Run(fmt.Sprintf("MaxRetained=%d", retained), func(t *testing.T) {
+			tc := netsim.DefaultTransport(netsim.H1)
+			tc.IdleTimeout = 700 * time.Millisecond
+			tc.LossRate = 0.02
+			pol := faults.DefaultPolicy()
+			cfg := Config{
+				Content:       media.DramaShow(),
+				Sessions:      32,
+				Mix:           []core.PlayerKind{core.BestPractice, core.BolaJoint, core.MPCJoint, core.DynamicJoint},
+				Mode:          cdnsim.Demuxed,
+				CacheBytes:    8 << 20,
+				MissPenalty:   60 * time.Millisecond,
+				UplinkProfile: trace.Fixed(media.Kbps(24_000)),
+				AccessProfile: trace.Fixed(media.Kbps(6_000)),
+				AccessRTT:     200 * time.Millisecond,
+				ArrivalSpread: 30 * time.Second,
+				Seed:          17,
+				CellSessions:  16,
+				MaxRetained:   retained,
+				Transport:     &tc,
+				Robustness:    &pol,
+				FaultPlan:     &faults.Plan{Seed: 17, Rate: 0.02, Kinds: append(faults.AllKinds(), faults.TransportKinds()...)},
 			}
-		}
-	}
-	if t.Failed() {
-		names := make([]string, 0, len(sites))
-		for fn := range sites {
-			names = append(names, fn)
-		}
-		slices.Sort(names)
-		for _, fn := range names {
-			t.Logf("%6d %s", sites[fn], fn)
-		}
+			if err := cfg.setDefaults(); err != nil {
+				t.Fatal(err)
+			}
+			manifests, err := cfg.parseManifests()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := cfg.cells()
+			sim := takeShardSim(&cfg, newShardAgg(&cfg, cfg.streaming()), cfg.arrivals())
+			cell := func(ci int) {
+				if err := runCell(sim, manifests, ci, len(cells), cells[ci]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cell(0)
+			sites := allocSites(func() { cell(1) })
+			reused := []string{
+				"demuxabr/internal/player.(*Pool).Start",    // the Session and its spare parts
+				"demuxabr/internal/player.(*Session).start", // bound loops, the decision map
+				"demuxabr/internal/netsim.NewConn",
+				"demuxabr/internal/faults.NewBlacklist",
+			}
+			if cfg.streaming() {
+				reused = append(reused, "demuxabr/internal/player.reuse[") // the chunk log
+			}
+			for _, site := range reused {
+				for fn, n := range sites {
+					if strings.HasPrefix(fn, site) {
+						t.Errorf("the second cell allocates %d objects in %s", n, fn)
+					}
+				}
+			}
+			if t.Failed() {
+				names := make([]string, 0, len(sites))
+				for fn := range sites {
+					names = append(names, fn)
+				}
+				slices.Sort(names)
+				for _, fn := range names {
+					t.Logf("%6d %s", sites[fn], fn)
+				}
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"demuxabr/internal/cdnsim"
@@ -14,6 +13,7 @@ import (
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
+	"demuxabr/internal/runpool"
 	"demuxabr/internal/stats"
 	"demuxabr/internal/timeline"
 )
@@ -122,26 +122,13 @@ type shardSim struct {
 	qoe    qoe.Scratch
 }
 
-// shardSims is a stack of the shard states no Run is using. A shard worker
-// takes the state put last, so it finds a warm one whenever one is free;
-// the stack never holds more than the most shard workers that have run at
-// once.
-var shardSims struct {
-	sync.Mutex
-	free []*shardSim
-}
+// shardSims holds the shard states no Run is using.
+var shardSims runpool.Free[shardSim]
 
 // takeShardSim takes a free state off shardSims, or makes one, and binds
 // it to a Run's fleet, shard aggregate and arrival times.
 func takeShardSim(cfg *Config, agg *shardAgg, arrive []time.Duration) *shardSim {
-	shardSims.Lock()
-	var sim *shardSim
-	if k := len(shardSims.free); k > 0 {
-		sim = shardSims.free[k-1]
-		shardSims.free[k-1] = nil
-		shardSims.free = shardSims.free[:k-1]
-	}
-	shardSims.Unlock()
+	sim := shardSims.Take()
 	if sim == nil {
 		eng := netsim.NewEngine()
 		cache := cdnsim.NewCache(cfg.CacheBytes)
@@ -167,20 +154,15 @@ func takeShardSim(cfg *Config, agg *shardAgg, arrive []time.Duration) *shardSim 
 
 // putShardSim puts a state back on shardSims once every cell of its Run
 // has succeeded: a failed cell can leave events pending. The state first
-// lets go of everything of the Run's caller it holds. On the exact path
-// the Results of its started sessions are the caller's, so the pool
-// disowns them; their objects never reach its free list.
+// lets go of everything of the Run's caller it holds.
 func putShardSim(sim *shardSim) {
-	sim.pool.Disown()
 	sim.cfg, sim.agg, sim.arrive = nil, nil, nil
 	sim.up.SetRecorder(nil, "")
 	sim.edge.Reset(cdnsim.Demuxed, nil, 0)
 	for li := range sim.slots {
 		sim.slots[li].forget()
 	}
-	shardSims.Lock()
-	shardSims.free = append(shardSims.free, sim)
-	shardSims.Unlock()
+	shardSims.Put(sim)
 }
 
 // cellSlot is one position of a cell: the state the callbacks of the
@@ -241,6 +223,12 @@ func (sl *cellSlot) done(s *player.Session) {
 	sl.finished = true
 	sim := sl.sim
 	r := s.Result()
+	if !sim.agg.stream {
+		// The exact path keeps the Result past the cell, whose end
+		// releases the session.
+		r = new(player.Result)
+		s.HandOver(r)
+	}
 	sim.agg.addSession(SessionResult{
 		ID:      sl.id,
 		Kind:    sl.kind,
@@ -260,10 +248,9 @@ func (sl *cellSlot) done(s *player.Session) {
 // state, which the previous cell, of this Run or an earlier one, left
 // drained, so its sessions take the events, transfers, leaves and cache
 // slots earlier cells released, and they start through the shard's pool.
-// On the streaming path, where no Result outlives its session's OnDone,
-// the cell then releases its sessions to the pool for the next cell to
-// reuse; the exact path keeps every Result, so its sessions are never
-// reused (see putShardSim).
+// The cell then releases its sessions to the pool for the next cell to
+// reuse: no Result outlives its session's OnDone but the exact path's
+// copies (see cellSlot.done).
 func runCell(sim *shardSim, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int) error {
 	cfg, agg, eng, up, edge := sim.cfg, sim.agg, sim.eng, sim.up, sim.edge
 	eng.Reset()
@@ -353,9 +340,7 @@ func runCell(sim *shardSim, manifests []*core.ParsedManifest, cellIdx, numCells 
 			return fmt.Errorf("fleet: session %d (%s) never finished (event budget too small?)", sl.id, sl.kind)
 		}
 	}
-	if agg.stream {
-		sim.pool.Release()
-	}
+	sim.pool.Release()
 
 	agg.endCell(cellIdx, edge.Aggregate())
 	if cfg.Timeline {

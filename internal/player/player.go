@@ -89,8 +89,8 @@ type Config struct {
 	// the result is final and the session's in-flight transfers have been
 	// torn down. The engine keeps running after it: Run and RunSplit
 	// return once the engine drains, and fleet sessions share theirs. A
-	// session run by Pool.Run goes back to its Pool when Run returns, so
-	// OnDone must not keep the *Session.
+	// session goes back to its Pool at Pool.Release, which Pool.Run calls
+	// before it returns, so OnDone must not keep the *Session.
 	OnDone func(*Session)
 	// OnRequest observes every chunk request that puts bytes on the wire
 	// and returns an extra first-byte delay — the hook a CDN edge uses to
@@ -282,8 +282,7 @@ type Session struct {
 // the blacklist; and, held by value, the storage of the policy, the live
 // state and the Result's TransportStats. start hands them out and
 // teardown takes the logs back, so a session that reuses the object
-// allocates none of them; Pool.Run's handOver takes out what its caller
-// keeps.
+// allocates none of them; HandOver takes out what its caller keeps.
 type sessionSpare struct {
 	chunks    []ChunkDecision
 	timeline  []Sample
@@ -338,14 +337,14 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 // Pool recycles what finished requests and sessions leave behind for the
 // sessions started through it. Request records, with their callbacks
 // bound, and the buffer fold's sample arrays go back to the pool as each
-// session lets go of them. Whole sessions go back at Release, or as
-// Pool.Run returns: the Session object with its bound method values, its
+// session lets go of them. Whole sessions go back at Release, which
+// Pool.Run calls too: the Session object with its bound method values, its
 // Result's logs (emptied, keeping their capacity), its windowed-mode
 // decision map, its transport connections and its blacklist, all of which
 // the next Start reuses.
 //
 // A fleet shard state keeps one Pool for all its cells, across Runs, and
-// releases it at the end of each streaming cell, so a warm session
+// releases it at the end of each cell, so a warm session
 // rebuilds none of these; core.Play keeps one for its Pool.Run calls. A
 // Pool is used by one goroutine only: every session started through it
 // must run on engines that goroutine drives. The zero Pool is ready to
@@ -364,27 +363,29 @@ type Pool struct {
 // takeMins returns an empty sample array with room for n samples: the
 // last one the pool took back when it is large enough, else a new one.
 func (p *Pool) takeMins(n int) []float64 {
-	if k := len(p.mins); k > 0 {
-		m := p.mins[k-1]
-		p.mins[k-1] = nil
-		p.mins = p.mins[:k-1]
-		if cap(m) >= n {
-			return m
-		}
+	if m := pop(&p.mins); cap(m) >= n {
+		return m
 	}
 	return make([]float64, 0, n)
+}
+
+// pop takes the last entry off *stack, or returns the zero T when it is
+// empty.
+func pop[T any](stack *[]T) (v T) {
+	if k := len(*stack); k > 0 {
+		var zero T
+		v, (*stack)[k-1] = (*stack)[k-1], zero
+		*stack = (*stack)[:k-1]
+	}
+	return v
 }
 
 // Start is the package-level Start, drawing on p: the session runs on a
 // Session object an earlier session left at Release when there is one.
 // Its results are the same either way; a refused start changes nothing.
 func (p *Pool) Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
-	var s *Session
-	if k := len(p.free); k > 0 {
-		s = p.free[k-1]
-		p.free[k-1] = nil
-		p.free = p.free[:k-1]
-	} else {
+	s := pop(&p.free)
+	if s == nil {
 		ps := new(pooledSession)
 		s = &ps.Session
 		s.spare = &ps.spare
@@ -398,40 +399,38 @@ func (p *Pool) Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, e
 }
 
 // Run starts a session through p, runs the links' engine until it drains,
-// and writes the session's Result to res, which is the caller's from then
-// on: it shares no storage with anything a later session writes. The
-// finished Session object goes back to p, like a released one, for the
-// next Start to reuse. A session that cannot finish (e.g. the link is dead
-// forever) gives Ended == false and a nil error; exhausting the event
-// budget an error, and then the object is not reused.
+// hands the session's Result over to res (see Session.HandOver), and
+// releases the session to p for the next Start to reuse. p must have no
+// other session running. A session that cannot finish (e.g. the link is
+// dead forever) gives Ended == false and a nil error; exhausting the event
+// budget an error, and then the session still runs and p cannot be
+// released: drop it.
 func (p *Pool) Run(videoLink, audioLink *netsim.Link, cfg Config, res *Result) error {
 	s, err := p.Start(videoLink, audioLink, cfg)
 	if err != nil {
 		return err
 	}
-	k := len(p.started) - 1
-	p.started[k] = nil
-	p.started = p.started[:k]
 	if err := s.eng.Run(s.cfg.MaxEvents); err != nil {
 		return err
 	}
-	s.handOver(res)
-	if s.Done() && s.eng.Pending() == 0 {
-		// Release's conditions: nothing left queued can fire into the
-		// object's next session.
-		p.recycle(s)
-	}
+	s.HandOver(res)
+	p.Release()
 	return nil
 }
 
 // Release hands every session started through p since the last Release
-// back to p, for later Starts to reuse. Call it only once the engines that
-// ran them have drained, and only when nothing will read those sessions'
-// Results again: each Result becomes a later session's. The drained engine
-// matters because a finished session's logging tick and voided timers
-// stay queued until the engine reaches them; released earlier, they would
-// fire into the object's next session. Release therefore panics if any of
-// those sessions is still running or its engine still has events pending.
+// back to p, for later Starts to reuse: the only way a session leaves a
+// Pool. Call it only once the engines that ran them have drained, and only
+// when nothing will read those sessions' Results again: each Result
+// becomes a later session's, so a caller that keeps one takes it out with
+// Session.HandOver first. The drained engine matters because a finished
+// session's logging tick and voided timers stay queued until the engine
+// reaches them; released earlier, they would fire into the object's next
+// session. Release therefore panics if any of those sessions is still
+// running or its engine still has events pending. A released session drops
+// everything it held of its caller (the config with its model, content and
+// recorder, the links, and the recorder its connections log to), so a
+// free Session pins none of it.
 func (p *Pool) Release() {
 	for _, s := range p.started {
 		if !s.Done() {
@@ -444,32 +443,16 @@ func (p *Pool) Release() {
 		}
 	}
 	for _, s := range p.started {
-		p.recycle(s)
-	}
-	p.Disown()
-}
-
-// Disown lets go of every session started through p since the last
-// Release without taking it back: the Session objects, with the Results
-// in them, stay their callers', and no later Start reuses them. A caller
-// that keeps those Results calls it before it uses p again.
-func (p *Pool) Disown() {
-	clear(p.started)
-	p.started = p.started[:0]
-}
-
-// recycle puts s, finished and its Result no longer read, on p.free for a
-// later Start. s drops everything it held of its last session's caller
-// (the config with its model, content and recorder, the links, and the
-// recorder its connections log to), so a free Session pins none of it.
-func (p *Pool) recycle(s *Session) {
-	s.clean()
-	for _, c := range s.spare.conns {
-		if c != nil {
-			c.SetRecorder(nil)
+		s.clean()
+		for _, c := range s.spare.conns {
+			if c != nil {
+				c.SetRecorder(nil)
+			}
 		}
 	}
-	p.free = append(p.free, s)
+	p.free = append(p.free, p.started...)
+	clear(p.started)
+	p.started = p.started[:0]
 }
 
 // start builds and schedules a session on s, drawing on p. s is new, or a
@@ -661,7 +644,7 @@ func (s *Session) conn(i int, l *netsim.Link, tc *netsim.TransportConfig, label 
 
 // Result returns the session's recorded timeline; complete once Done. A
 // session keeps it only until Pool.Release hands the object back to its
-// Pool.
+// Pool; a caller that reads it later takes a copy with HandOver.
 func (s *Session) Result() *Result { return &s.res }
 
 // Done reports whether the session has finished or aborted.
@@ -865,13 +848,14 @@ func keepLog[T any](log, spare *[]T) {
 	}
 }
 
-// handOver copies the session's Result to res for a caller that keeps it
-// while later sessions reuse s, and takes out of the spare parts whatever
-// res then shares: the chunk log and the timeline leave the spare, the
-// next session making new ones, and the other logs, which few sessions
-// fill, are copied at their length, so the spare keeps their capacity.
-// The transport and live summaries, which live in the spare, are copied.
-func (s *Session) handOver(res *Result) {
+// HandOver copies the finished session's Result to res for a caller that
+// keeps it after Pool.Release, while later sessions reuse s, and takes out
+// of the spare parts whatever res then shares: the chunk log and the
+// timeline leave the spare, the next session making new ones, and the
+// other logs, which few sessions fill, are copied at their length, so the
+// spare keeps their capacity. The transport and live summaries, which
+// live in the spare, are copied.
+func (s *Session) HandOver(res *Result) {
 	sp := s.spare
 	*res = s.res
 	sp.chunks = nil
@@ -1313,12 +1297,8 @@ type requestCallbacks struct {
 // at chunk idx of stream t, and binds it to s. The caller owns its first
 // reference.
 func (s *Session) newRequest(t media.Type, idx int, track, muxedWith *media.Track, attempt int, then func()) *request {
-	var r *request
-	if k := len(s.pool.reqs); k > 0 {
-		r = s.pool.reqs[k-1]
-		s.pool.reqs[k-1] = nil
-		s.pool.reqs = s.pool.reqs[:k-1]
-	} else {
+	r := pop(&s.pool.reqs)
+	if r == nil {
 		r = &request{}
 		r.cb = requestCallbacks{
 			retry: r.retry, failFast: r.failFast, onTimeout: r.onTimeout,

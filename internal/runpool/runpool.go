@@ -1,6 +1,6 @@
 // Package runpool fans independent simulation sessions out across worker
 // goroutines while keeping the fleet's output byte-identical to a serial
-// run.
+// run, and keeps the simulation states workers reuse (Free).
 //
 // The determinism contract (see docs/PERFORMANCE.md):
 //
@@ -114,4 +114,40 @@ func Map[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
 func Collect[T any](workers, n int, job func(i int) T) []T {
 	out, _ := Map(workers, n, func(i int) (T, error) { return job(i), nil })
 	return out
+}
+
+// Free is a stack of the states no worker is using, safe for concurrent
+// use. A worker takes the state put last, so it finds a warm one whenever
+// one is free; the stack never holds more than the most workers that have
+// held a state at once. The zero Free is empty and ready to use.
+type Free[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Take pops the state put last, or returns nil when none is free.
+func (f *Free[T]) Take() (v *T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if k := len(f.free); k > 0 {
+		v, f.free[k-1] = f.free[k-1], nil
+		f.free = f.free[:k-1]
+	}
+	return v
+}
+
+// Put pushes v, for a later Take.
+func (f *Free[T]) Put(v *T) {
+	f.mu.Lock()
+	f.free = append(f.free, v)
+	f.mu.Unlock()
+}
+
+// Drain empties the stack and returns what it held, the state put last
+// at the end.
+func (f *Free[T]) Drain() (free []*T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	free, f.free = f.free, nil
+	return free
 }

@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Reservoir is a deterministic bottom-k uniform sample over a keyed stream.
 // Every item's priority is a seeded hash of its integer ID; the reservoir
@@ -90,9 +93,8 @@ func (r *Reservoir[T]) Len() int { return len(r.items) }
 
 // Items returns the sampled values in ascending ID order.
 func (r *Reservoir[T]) Items() []T {
-	sorted := make([]reservoirItem[T], len(r.items))
-	copy(sorted, r.items)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].id < sorted[j].id })
+	sorted := slices.Clone(r.items)
+	slices.SortFunc(sorted, func(a, b reservoirItem[T]) int { return cmp.Compare(a.id, b.id) })
 	out := make([]T, len(sorted))
 	for i, it := range sorted {
 		out[i] = it.v
@@ -106,6 +108,6 @@ func (r *Reservoir[T]) IDs() []int {
 	for i, it := range r.items {
 		ids[i] = it.id
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	return ids
 }
