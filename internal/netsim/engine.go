@@ -42,6 +42,10 @@ type Engine struct {
 	lanes   []*Lane
 	laneBuf [4]Lane
 	laneRef [4]*Lane
+
+	// fired counts the events the engine has fired since it was made, in
+	// the heap and in the lanes (see Fired).
+	fired uint64
 }
 
 // NewEngine returns an engine with the clock at zero. Events with variable
@@ -267,10 +271,15 @@ func (e *Engine) fire(lane *Lane) {
 		ev = lane.pop()
 	}
 	e.now = ev.at
+	e.fired++
 	fn := ev.fn
 	e.recycle(ev)
 	fn()
 }
+
+// Fired returns the number of events the engine has fired since it was
+// made, across every Reset: a deterministic measure of its work.
+func (e *Engine) Fired() uint64 { return e.fired }
 
 // Step fires the next event. It reports false when no events remain or the
 // engine is stopped.
