@@ -119,9 +119,19 @@ func TestEngineLaneMixAllocFree(t *testing.T) {
 // TestUplinkTickAllocFree pins BenchmarkUplinkTick at 0 allocs/op: a warm
 // sample tick on a 16-leaf, 32-transfer tree allocates nothing.
 func TestUplinkTickAllocFree(t *testing.T) {
-	eng := uplinkTickTree()
+	eng, _ := uplinkTickTree()
 	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
 		t.Fatalf("warm uplink tick allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestUplinkChangeAllocFree pins BenchmarkUplinkChange at 0 allocs/op: a
+// warm activation and completion on a 16-leaf, 32-transfer tree allocates
+// nothing.
+func TestUplinkChangeAllocFree(t *testing.T) {
+	change := uplinkChanger()
+	if allocs := testing.AllocsPerRun(1000, change); allocs != 0 {
+		t.Fatalf("a warm activation and completion allocates %.2f objects, want 0", allocs)
 	}
 }
 
