@@ -38,9 +38,9 @@
 #                    keeps byte-identical manifests and chunk sizes
 #                    (uniform zero-cost, pinned by the golden manifests)
 #  12. benchmem      fleet benchmarks, the MPC decision benchmark and the
-#                    engine fleet-mix, engine lane-mix and uplink-tick
-#                    benchmarks compile and run once, so the allocs/op
-#                    trajectory is always measurable
+#                    engine fleet-mix, engine lane-mix, uplink-tick and
+#                    uplink-change benchmarks compile and run once, so the
+#                    allocs/op trajectory is always measurable
 #  13. allocs        the allocation ratchets (TestFleetAllocsPerSession's
 #                    allocs and bytes per session, TestComputeAllocs,
 #                    TestPlayAllocs' allocs and bytes per Play of every
@@ -53,7 +53,12 @@
 #                    transport's TestConnReconnectStrikeAllocFree, the
 #                    edge's TestMissEvictSteadyStateAllocs, the engine's
 #                    TestEngineReuseAllocFree, no new event, transfer or
-#                    leaf in a second cell on a reset engine, and the
+#                    leaf in a second cell on a reset engine, the uplink's
+#                    TestUplinkChangeAllocFree, no allocation per warm
+#                    activation and completion, the solver's
+#                    TestSolverWorkCounts, the exact events, advances,
+#                    transfer updates and fills of a vod cell and a solo
+#                    Play, and the
 #                    fleet's TestSessionReuseAllocFree, no new Session,
 #                    connection or blacklist in a second cell on a warm
 #                    shard, streaming or exact, and no new chunk log
@@ -187,10 +192,10 @@ echo "== benchmem smoke (1 iteration per fleet benchmark, the MPC decision bench
 go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCDNCacheSweep|BenchmarkFleet|BenchmarkLiveSession' \
 	-benchtime=1x -benchmem .
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
-go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick' -benchtime=1x -benchmem ./internal/netsim
+go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick|BenchmarkUplinkChange' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, a warm Play across goroutines, allocs per NewModel and per Name, MPC's bound table built once, allocs per reconnect and per edge miss, engine reuse across cells, session reuse across cells, the pooled Session's size class, shard and Play state reused across Runs, no race detector)"
-ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestSessionReuseAllocFree|TestSessionSizeClasses|TestRunOnReusedStateMatchesFresh|TestExactResultOutlivesLaterRuns|TestFailedRunGivesNoStateBack|TestParallelRunsMatchSerial|TestFreeShardSimHoldsNoCallerPointer|TestFreePlayStateHoldsNoCallerPointer|TestEdgeResetMatchesNewEdge' \
+echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, a warm Play across goroutines, allocs per NewModel and per Name, MPC's bound table built once, allocs per reconnect and per edge miss, engine reuse across cells, allocs per uplink change, the solver's work counts, session reuse across cells, the pooled Session's size class, shard and Play state reused across Runs, no race detector)"
+ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestUplinkChangeAllocFree|TestSolverWorkCounts|TestSessionReuseAllocFree|TestSessionSizeClasses|TestRunOnReusedStateMatchesFresh|TestExactResultOutlivesLaterRuns|TestFailedRunGivesNoStateBack|TestParallelRunsMatchSerial|TestFreeShardSimHoldsNoCallerPointer|TestFreePlayStateHoldsNoCallerPointer|TestEdgeResetMatchesNewEdge' \
 	./internal/fleet ./internal/qoe ./internal/core ./internal/abr/jointabr ./internal/netsim ./internal/cdnsim ./internal/player
 
 echo "== golden tests with FMA off (GODEBUG=cpu.fma=off, no race detector)"

@@ -279,3 +279,32 @@ func TestEngineReuseAllocFree(t *testing.T) {
 		t.Fatalf("%d transfers pooled after the second cell, %d after the first", len(eng.transfers), len(pooled))
 	}
 }
+
+// TestResetTakesTransfersOffTheWire: a transfer the last simulation left
+// on the wire, stalled behind an uplink whose capacity dropped to zero for
+// good, keeps its bytes done through Uplink.Reset. Its bytes go back to
+// it, so the transfers of the next simulation, which fill the flat arrays
+// it had a slot in, do not show through it.
+func TestResetTakesTransfersOffTheWire(t *testing.T) {
+	eng := NewEngine()
+	dead := trace.MustSteps([]trace.Step{{At: 0, Rate: media.Kbps(8000)}, {At: time.Second, Rate: 0}}, 0)
+	up := NewUplink(eng, dead)
+	stalled := up.NewLeaf(trace.Fixed(media.Kbps(8000))).Start(10_000_000, StartOptions{})
+	if err := eng.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if got := stalled.Done(); got != 1_000_000 || stalled.Completed() {
+		t.Fatalf("stalled transfer moved %v bytes, completed %v; want 1 MB in flight", got, stalled.Completed())
+	}
+	eng.Reset()
+	up.Reset(trace.Fixed(media.Kbps(8000)))
+	next := up.NewLeaf(trace.Fixed(media.Kbps(8000))).Start(10_000_000, StartOptions{})
+	eng.RunUntil(3 * time.Second)
+	up.advance()
+	if got := next.Done(); got != 3_000_000 {
+		t.Fatalf("the next simulation's transfer moved %v bytes, want 3 MB", got)
+	}
+	if got := stalled.Done(); got != 1_000_000 {
+		t.Fatalf("after Reset the last simulation's transfer reads %v bytes done, want its own 1 MB", got)
+	}
+}

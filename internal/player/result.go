@@ -183,11 +183,11 @@ func (f *bufferFold) add(video, audio time.Duration) {
 }
 
 // seal summarizes the min-buffer levels after the last sample. The summary
-// sorts mins in place, so mins is dropped with it; seal returns its
+// reorders mins in place, so mins is dropped with it; seal returns its
 // backing array, emptied, for reuse.
 func (f *bufferFold) seal() []float64 {
 	if f.n > 0 {
-		f.health = stats.SummarizeInPlace(f.mins)
+		f.health = stats.SummarizeScratch(f.mins)
 	}
 	mins := f.mins[:0]
 	f.mins = nil

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -357,5 +358,61 @@ func BenchmarkSketchAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Add(float64(i % 1000))
+	}
+}
+
+// TestSummarizeScratchMatchesSort is the differential test of selection:
+// on random inputs of 1 to 64 values drawn from a few distinct ones (so
+// ties abound), with zeros of either sign or both and now and then a NaN
+// or an infinity, SummarizeScratch reads SummarizeInPlace's statistics
+// bit for bit. Larger inputs, with and without ties, and in sorted,
+// reversed and organ-pipe order, check the partitioning.
+func TestSummarizeScratchMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pool := []float64{0, math.Copysign(0, -1), 0.25, 0.5, 1, 1.5, 2, 3, 7.5, 1e300, -2, math.Inf(1), math.Inf(-1), math.NaN()}
+	bitsOf := func(s Summary) [7]uint64 {
+		return [7]uint64{math.Float64bits(s.Min), math.Float64bits(s.P10), math.Float64bits(s.Median),
+			math.Float64bits(s.P90), math.Float64bits(s.Max), math.Float64bits(s.Mean), uint64(s.N)}
+	}
+	check := func(xs []float64) {
+		t.Helper()
+		want := SummarizeInPlace(slices.Clone(xs))
+		if got := SummarizeScratch(slices.Clone(xs)); bitsOf(got) != bitsOf(want) {
+			t.Fatalf("%v:\nselection %+v\nsort      %+v", xs, got, want)
+		}
+	}
+	for trial := 0; trial < 20_000; trial++ {
+		n := 1 + rng.Intn(64)
+		// Draw from the first few pool values; a NaN or infinity joins
+		// only one input in ten.
+		width := 2 + rng.Intn(9)
+		if rng.Intn(10) == 0 {
+			width = len(pool)
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = pool[rng.Intn(width)]
+			if rng.Intn(4) == 0 {
+				xs[i] = float64(rng.Intn(5)) + rng.Float64()
+			}
+		}
+		check(xs)
+	}
+	for _, n := range []int{100, 1000, 4096} {
+		check(randomSamples(rng, n, 50, true))
+		ties := make([]float64, n)
+		for i := range ties {
+			ties[i] = float64(rng.Intn(3))
+		}
+		check(ties)
+	}
+	for _, n := range []int{65, 500, 2048} {
+		asc, desc, pipe := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range asc {
+			asc[i], desc[i], pipe[i] = float64(i), float64(n-i), float64(min(i, n-i))
+		}
+		check(asc)
+		check(desc)
+		check(pipe)
 	}
 }

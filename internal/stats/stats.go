@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -90,10 +91,117 @@ type Summary struct {
 }
 
 // Summarize computes a Summary over the samples, leaving xs as it was: it
-// is SummarizeInPlace on a copy (one allocation) — TestSummarizeAllocs
+// is SummarizeScratch on a copy (one allocation) — TestSummarizeAllocs
 // pins the allocation count so the per-Percentile re-sorts this replaced
 // cannot creep back.
-func Summarize(xs []float64) Summary { return SummarizeInPlace(slices.Clone(xs)) }
+func Summarize(xs []float64) Summary { return SummarizeScratch(slices.Clone(xs)) }
+
+// SummarizeScratch computes the Summary SummarizeInPlace does, bit for
+// bit, leaving xs in no particular order: it sums xs in the caller's
+// order, then selects the order statistics the quantiles read instead of
+// sorting. Values that compare equal are then equal to the bit, except
+// zeros of both signs, which a sort may order either way; an input with
+// both, or with a NaN, is summarized by SummarizeInPlace.
+func SummarizeScratch(xs []float64) Summary {
+	n := len(xs)
+	if n == 0 {
+		return SummarizeInPlace(xs)
+	}
+	var sum float64
+	negZero, posZero := false, false
+	for _, x := range xs {
+		sum += x
+		switch math.Float64bits(x) {
+		case 1 << 63:
+			negZero = true
+		case 0:
+			posZero = true
+		}
+		if math.IsNaN(x) {
+			return SummarizeInPlace(xs)
+		}
+	}
+	if negZero && posZero {
+		return SummarizeInPlace(xs)
+	}
+	// The ranks sortedPercentile reads for each quantile, and the ends.
+	var ranks [8]int
+	k := 0
+	ranks[k], k = 0, k+1
+	for _, p := range [3]float64{10, 50, 90} {
+		rank := p / 100 * float64(n-1)
+		ranks[k], ranks[k+1], k = int(math.Floor(rank)), int(math.Ceil(rank)), k+2
+	}
+	ranks[k], k = n-1, k+1
+	slices.Sort(ranks[:k])
+	selectRanks(xs, ranks[:k], 2*bits.Len(uint(n)))
+	return Summary{
+		Min:    xs[0],
+		P10:    sortedPercentile(xs, 10),
+		Median: sortedPercentile(xs, 50),
+		P90:    sortedPercentile(xs, 90),
+		Max:    xs[n-1],
+		Mean:   sum / float64(n),
+		N:      n,
+	}
+}
+
+// selectRanks reorders xs, which holds no NaN, so that xs[r] is the value
+// a sort would put there for every r in ranks, which are ascending (a rank
+// may repeat). It partitions three ways around a median-of-three pivot
+// and goes on only into the sides that hold a rank; a side of a dozen
+// values or fewer, or one left after depth partitions, is sorted.
+func selectRanks(xs []float64, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		n := len(xs)
+		if n <= 12 || depth == 0 {
+			sort.Float64s(xs)
+			return
+		}
+		depth--
+		a, b, c := xs[0], xs[n/2], xs[n-1]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+			if a > b {
+				b = a
+			}
+		}
+		pivot := b
+		// xs[:lt] < pivot, xs[lt:i] == pivot, xs[gt:] > pivot.
+		lt, i, gt := 0, 0, n
+		for i < gt {
+			switch x := xs[i]; {
+			case x < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		// Ranks in [lt, gt) hold the pivot's value already.
+		lo := 0
+		for lo < len(ranks) && ranks[lo] < lt {
+			lo++
+		}
+		hi := lo
+		for hi < len(ranks) && ranks[hi] < gt {
+			hi++
+		}
+		selectRanks(xs[:lt], ranks[:lo], depth)
+		ranks = ranks[hi:]
+		for j := range ranks {
+			ranks[j] -= gt
+		}
+		xs = xs[gt:]
+	}
+}
 
 // SummarizeInPlace computes a Summary over the samples without copying
 // them: it sums xs in the caller's order, then sorts xs itself and reads
