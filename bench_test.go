@@ -615,7 +615,7 @@ func BenchmarkFleetStream(b *testing.B) {
 	b.ReportMetric(float64(res.Cells), "cells")
 	b.ReportMetric(res.Fleet.Score.Median, "qoe-median")
 	b.ReportMetric(res.Fleet.JainVideoKbps, "jain")
-	b.ReportMetric(float64(len(res.Sampled)), "sampled-rows")
+	b.ReportMetric(float64(len(res.Sessions)), "sampled-rows")
 }
 
 // BenchmarkFleetTransport prices the transport layer's connection

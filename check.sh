@@ -57,20 +57,20 @@
 #                    TestUplinkChangeAllocFree, no allocation per warm
 #                    activation and completion, the solver's
 #                    TestSolverWorkCounts, the exact events, advances,
-#                    transfer updates and fills of a vod cell and a solo
-#                    Play, and the
+#                    transfer updates and fills of a vod, a resilient
+#                    and a live cell and a solo Play, and the
 #                    fleet's TestSessionReuseAllocFree, no new Session,
-#                    connection or blacklist in a second cell on a warm
-#                    shard, streaming or exact, and no new chunk log
-#                    streaming, and the player's TestSessionSizeClasses,
+#                    connection, blacklist or chunk log in a second cell
+#                    on a warm shard, streaming or exact, and the
+#                    player's TestSessionSizeClasses,
 #                    a Session, which a Pool always makes with its spare
 #                    parts, within the 1,536-byte malloc size class), with
 #                    the tests of the shard state a Run takes from and puts
 #                    back on the free stack those fleet pins read warm
 #                    (TestRunOnReusedStateMatchesFresh, a sequence of
 #                    differing fleets on reused state byte-equal to fresh
-#                    state; TestExactResultOutlivesLaterRuns, an exact-path
-#                    Result unchanged by later Runs;
+#                    state; TestExactRowsOutliveLaterRuns, an exact-path
+#                    Run's rows unchanged by later Runs;
 #                    TestFailedRunGivesNoStateBack; TestParallelRunsMatchSerial;
 #                    TestFreeShardSimHoldsNoCallerPointer, a free state
 #                    pins nothing of its last Run; the edge's
@@ -195,7 +195,7 @@ go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./int
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick|BenchmarkUplinkChange' -benchtime=1x -benchmem ./internal/netsim
 
 echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, a warm Play across goroutines, allocs per NewModel and per Name, MPC's bound table built once, allocs per reconnect and per edge miss, engine reuse across cells, allocs per uplink change, the solver's work counts, session reuse across cells, the pooled Session's size class, shard and Play state reused across Runs, no race detector)"
-ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestUplinkChangeAllocFree|TestSolverWorkCounts|TestSessionReuseAllocFree|TestSessionSizeClasses|TestRunOnReusedStateMatchesFresh|TestExactResultOutlivesLaterRuns|TestFailedRunGivesNoStateBack|TestParallelRunsMatchSerial|TestFreeShardSimHoldsNoCallerPointer|TestFreePlayStateHoldsNoCallerPointer|TestEdgeResetMatchesNewEdge' \
+ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestUplinkChangeAllocFree|TestSolverWorkCounts|TestSessionReuseAllocFree|TestSessionSizeClasses|TestRunOnReusedStateMatchesFresh|TestExactRowsOutliveLaterRuns|TestFailedRunGivesNoStateBack|TestParallelRunsMatchSerial|TestFreeShardSimHoldsNoCallerPointer|TestFreePlayStateHoldsNoCallerPointer|TestEdgeResetMatchesNewEdge' \
 	./internal/fleet ./internal/qoe ./internal/core ./internal/abr/jointabr ./internal/netsim ./internal/cdnsim ./internal/player
 
 echo "== golden tests with FMA off (GODEBUG=cpu.fma=off, no race detector)"

@@ -31,14 +31,12 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"demuxabr/internal/cdnsim"
 	"demuxabr/internal/core"
 	"demuxabr/internal/faults"
 	"demuxabr/internal/fleet"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/report"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/shaping"
@@ -513,25 +511,19 @@ func runFleet(o options) error {
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "ID\tModel\tArrival\tVideo\tAudio\tStalls\tRebuffer\tCache hit\tQoE")
-	row := func(id int, kind core.PlayerKind, arrival time.Duration, ended bool, m qoe.Metrics, cache cdnsim.Stats) {
+	if res.Streamed {
+		fmt.Fprintf(tw, "(streaming aggregation: showing a %d-session reservoir sample)\n", len(res.Sessions))
+	}
+	for _, s := range res.Sessions {
+		m := s.Metrics
 		qoeCell := fmt.Sprintf("%.2f", m.Score)
-		if !ended {
+		if !s.Ended {
 			qoeCell += " (aborted)"
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%.1fs\t%.0fK\t%.0fK\t%d\t%.1fs\t%.2f\t%s\n",
-			id, kind, arrival.Seconds(),
+			s.ID, s.Kind, s.Arrival.Seconds(),
 			m.AvgVideoBitrate.Kbps(), m.AvgAudioBitrate.Kbps(),
-			m.StallCount, m.RebufferTime.Seconds(), cache.HitRatio(), qoeCell)
-	}
-	if res.Streamed {
-		fmt.Fprintf(tw, "(streaming aggregation: showing a %d-session reservoir sample)\n", len(res.Sampled))
-		for _, s := range res.Sampled {
-			row(s.ID, s.Kind, s.Arrival, s.Ended, s.Metrics, s.Cache)
-		}
-	} else {
-		for _, s := range res.Sessions {
-			row(s.ID, s.Kind, s.Arrival, s.Result.Ended, s.Metrics, s.Cache)
-		}
+			m.StallCount, m.RebufferTime.Seconds(), s.Cache.HitRatio(), qoeCell)
 	}
 	if err := tw.Flush(); err != nil {
 		return err

@@ -214,5 +214,5 @@ func PrintFleetAtScale(w io.Writer, res *fleet.Result) {
 		f.VideoKbps.Median, f.RebufferSeconds.Median, f.StartupSeconds.Median,
 		res.Cache.ByteHitRatio())
 	tw.Flush()
-	fmt.Fprintf(w, "sampled per-session rows retained: %d\n", len(res.Sampled))
+	fmt.Fprintf(w, "sampled per-session rows retained: %d\n", len(res.Sessions))
 }

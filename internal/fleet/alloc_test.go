@@ -18,14 +18,16 @@ import (
 )
 
 // TestFleetAllocsPerSession pins the allocations and the bytes allocated
-// per session of three small streaming fleets shaped like the benchmark's
-// fleet workloads, request lifecycle included: the four joint models
-// behind one uplink and edge, in 16-session cells, aggregated by the
-// streaming path. The vod row is fleet-vod's deployment; the resilient row
-// turns on every optional request stage as fleet-resilient does (H1
-// connections that idle out and lose packets, a fault plan over every
-// kind, the default retry policy, an edge that evicts); the live row runs
-// fleet-live's low-latency trio in live mode. Each measured run takes the
+// per session of four small fleets shaped like the benchmark's fleet
+// workloads, request lifecycle included: the four joint models behind one
+// uplink and edge, in 16-session cells. The vod row is fleet-vod's
+// deployment; the resilient row turns on every optional request stage as
+// fleet-resilient does (H1 connections that idle out and lose packets, a
+// fault plan over every kind, the default retry policy, an edge that
+// evicts); the live row runs fleet-live's low-latency trio in live mode.
+// These three aggregate by the streaming path; the exact row is the vod
+// fleet on the exact path, which keeps every session's row instead of
+// sketches and a reservoir sample. Each measured run takes the
 // shard state the run before it put back (see
 // TestRunOnReusedStateMatchesFresh), so every cell is warm: its sessions
 // start on Session objects, events, transfers, leaves and cache slots
@@ -72,15 +74,18 @@ func TestFleetAllocsPerSession(t *testing.T) {
 	live := vod
 	live.Mix = experiments.LiveModels()
 	live.Live = experiments.LiveConfig()
+	exact := vod
+	exact.MaxRetained = 0
 
 	for _, row := range []struct {
 		name              string
 		cfg               fleet.Config
 		allocPin, bytePin float64
 	}{
-		{"vod", vod, 3.0, 3_500},
-		{"resilient", resilient, 3.0, 3_500},
-		{"live", live, 3.0, 3_500},
+		{"vod", vod, 2.6, 3_350},
+		{"resilient", resilient, 2.6, 3_350},
+		{"live", live, 2.6, 3_350},
+		{"exact", exact, 2.3, 2_200},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := row.cfg

@@ -116,11 +116,11 @@ type Config struct {
 	// Report timeline counters then cover only the sampled sessions.
 	// 0 or 1 records everyone, as before.
 	SampleTimelines int
-	// MaxRetained bounds whole-Result retention: fleets larger than this
-	// stream per-session metrics into mergeable sketches (memory O(shards)
-	// instead of O(sessions)) and keep only a seeded reservoir sample of
-	// session rows. Zero means DefaultMaxRetained; negative forces
-	// streaming at any size.
+	// MaxRetained bounds how many session rows a fleet keeps: fleets
+	// larger than this stream per-session metrics into mergeable sketches
+	// (memory O(shards) instead of O(sessions)) and keep only a seeded
+	// reservoir sample of the rows. Zero means DefaultMaxRetained; negative
+	// forces streaming at any size.
 	MaxRetained int
 }
 
@@ -133,41 +133,31 @@ const DefaultMaxRetained = 4096
 // table.
 const sampledRows = 64
 
-// SessionResult is one session's outcome within a fleet.
-type SessionResult struct {
+// SessionSample is one session's row in a fleet: its outcome as the QoE
+// metrics the report is built from, not its recorded Result.
+type SessionSample struct {
 	// ID is the session's index (also its arrival rank).
 	ID int
 	// Kind is the player model the session ran.
 	Kind core.PlayerKind
 	// Arrival is the engine time the session started.
 	Arrival time.Duration
-	// Result is the session's full recorded timeline (session-relative
-	// times, as a solo run would produce).
-	Result *player.Result
-	// Metrics are the session's QoE numbers.
+	// Ended reports that the session played to the end.
+	Ended bool
+	// Metrics are the session's QoE numbers (session-relative times, as a
+	// solo run would produce).
 	Metrics qoe.Metrics
 	// Cache is the session's slice of the shared-edge accounting.
 	Cache cdnsim.Stats
-}
-
-// SessionSample is the compact per-session row the streaming path retains
-// for its reservoir sample: the metrics, not the full Result.
-type SessionSample struct {
-	ID      int
-	Kind    core.PlayerKind
-	Arrival time.Duration
-	Ended   bool
-	Metrics qoe.Metrics
-	Cache   cdnsim.Stats
 }
 
 // Result is one finished fleet co-simulation.
 type Result struct {
 	// Mode is the packaging the shared edge served.
 	Mode cdnsim.Mode
-	// Sessions holds per-session outcomes, in session-ID order. Nil when
-	// Streamed: see Sampled.
-	Sessions []SessionResult
+	// Sessions holds session rows in ID order: every session on the exact
+	// path, the deterministic reservoir sample when Streamed.
+	Sessions []SessionSample
 	// Completed counts sessions that played to the end.
 	Completed int
 	// Cache is the edge caches' aggregate accounting (summed across cells).
@@ -179,15 +169,12 @@ type Result struct {
 	// that contains a sampled session, in cell order. Nil otherwise.
 	Recorders []*timeline.Recorder
 	// Streamed reports that the run aggregated via sketches instead of
-	// retaining every session (Sessions nil, Sampled/CompletedScore set).
+	// retaining every session's row (Sessions is then a sample).
 	Streamed bool
 	// Cells is how many contention cells the fleet was partitioned into.
 	Cells int
-	// Sampled is the streaming path's deterministic reservoir sample of
-	// session rows, in ID order. Nil on the exact path.
-	Sampled []SessionSample
-	// CompletedScore summarizes completed sessions' scores when Streamed
-	// (the exact path recomputes it from Sessions).
+	// CompletedScore summarizes completed sessions' scores: exactly, in ID
+	// order, on the exact path; from a sketch when Streamed.
 	CompletedScore stats.Summary
 }
 
@@ -408,40 +395,22 @@ func (r *Result) Report(contentName string) *report.Fleet {
 		},
 	}
 	f.ApplyFleetMetrics(r.Fleet)
+	f.ScoreCompleted = report.FromSummary(r.CompletedScore)
 	if r.Streamed {
 		// Streaming path: distributions come from the sketches already in
 		// r.Fleet; the per-session table is the reservoir sample.
 		f.Aggregation = "sketch"
-		f.SampledSessions = len(r.Sampled)
-		f.ScoreCompleted = report.FromSummary(r.CompletedScore)
-		for _, s := range r.Sampled {
-			f.PerSession = append(f.PerSession, report.FleetSession{
-				ID:            s.ID,
-				Model:         string(s.Kind),
-				ArrivalS:      s.Arrival.Seconds(),
-				Ended:         s.Ended,
-				Metrics:       report.MetricsFrom(s.Metrics),
-				CacheHitRatio: s.Cache.HitRatio(),
-			})
-		}
-	} else {
-		var completed []float64
-		for _, s := range r.Sessions {
-			if s.Result.Ended {
-				completed = append(completed, s.Metrics.Score)
-			}
-		}
-		f.ScoreCompleted = report.FromSummary(stats.Summarize(completed))
-		for _, s := range r.Sessions {
-			f.PerSession = append(f.PerSession, report.FleetSession{
-				ID:            s.ID,
-				Model:         string(s.Kind),
-				ArrivalS:      s.Arrival.Seconds(),
-				Ended:         s.Result.Ended,
-				Metrics:       report.MetricsFrom(s.Metrics),
-				CacheHitRatio: s.Cache.HitRatio(),
-			})
-		}
+		f.SampledSessions = len(r.Sessions)
+	}
+	for _, s := range r.Sessions {
+		f.PerSession = append(f.PerSession, report.FleetSession{
+			ID:            s.ID,
+			Model:         string(s.Kind),
+			ArrivalS:      s.Arrival.Seconds(),
+			Ended:         s.Ended,
+			Metrics:       report.MetricsFrom(s.Metrics),
+			CacheHitRatio: s.Cache.HitRatio(),
+		})
 	}
 	if r.Cells > 1 {
 		f.Cells = r.Cells

@@ -60,7 +60,9 @@ func TestFleetDeterministic(t *testing.T) {
 
 // A solo fleet over a non-binding uplink behaves exactly like the same
 // session on a standalone link: the Session API and two-tier topology must
-// not perturb single-player results.
+// not perturb single-player results. The fleet session's flight recorder
+// must hold the solo run's events, one for one, once the edge's cache
+// outcomes (which a solo run has no edge to emit) are left out.
 func TestFleetSoloMatchesStandaloneRun(t *testing.T) {
 	content := media.DramaShow()
 	access := trace.Fixed(media.Kbps(4000))
@@ -71,6 +73,7 @@ func TestFleetSoloMatchesStandaloneRun(t *testing.T) {
 		Mode:          cdnsim.Demuxed,
 		UplinkProfile: trace.Fixed(media.Kbps(1_000_000)),
 		AccessProfile: access,
+		Timeline:      true,
 	})
 	if err != nil {
 		t.Fatalf("fleet: %v", err)
@@ -83,7 +86,8 @@ func TestFleetSoloMatchesStandaloneRun(t *testing.T) {
 	}
 	eng := netsim.NewEngine()
 	link := netsim.NewLink(eng, access)
-	solo, err := player.RunSplit(link, link, player.Config{Content: content, Model: model})
+	rec := timeline.New(0, "solo")
+	solo, err := player.RunSplit(link, link, player.Config{Content: content, Model: model, Recorder: rec})
 	if err != nil {
 		t.Fatalf("solo run: %v", err)
 	}
@@ -92,12 +96,26 @@ func TestFleetSoloMatchesStandaloneRun(t *testing.T) {
 	if fs.Metrics != sm {
 		t.Errorf("fleet metrics differ from solo run:\nfleet: %+v\nsolo:  %+v", fs.Metrics, sm)
 	}
-	if fs.Result.EndedAt != solo.EndedAt || fs.Result.StartupDelay != solo.StartupDelay {
-		t.Errorf("timing differs: fleet ended %v startup %v, solo ended %v startup %v",
-			fs.Result.EndedAt, fs.Result.StartupDelay, solo.EndedAt, solo.StartupDelay)
+	if fs.Ended != solo.Ended {
+		t.Errorf("fleet session ended %v, solo run %v", fs.Ended, solo.Ended)
 	}
-	if len(fs.Result.Chunks) != len(solo.Chunks) {
-		t.Errorf("chunk counts differ: fleet %d, solo %d", len(fs.Result.Chunks), len(solo.Chunks))
+	var got []timeline.Event
+	for _, ev := range res.Recorders[0].Events() {
+		if ev.Kind != timeline.CacheHit && ev.Kind != timeline.CacheMiss {
+			got = append(got, ev)
+		}
+	}
+	want := rec.Events()
+	if len(want) == 0 {
+		t.Fatal("the solo run recorded nothing")
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("event %d differs:\nfleet: %+v\nsolo:  %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("the fleet session recorded %d events besides cache outcomes, the solo run %d", len(got), len(want))
 	}
 }
 
@@ -158,7 +176,7 @@ func TestFleetMixRoundRobin(t *testing.T) {
 }
 
 // Staggered arrivals must be sorted and within the spread window; session
-// results carry session-relative times regardless of arrival.
+// metrics carry session-relative times regardless of arrival.
 func TestFleetArrivalsSortedAndRebased(t *testing.T) {
 	cfg := baseConfig(8)
 	res, err := Run(cfg)
@@ -174,14 +192,14 @@ func TestFleetArrivalsSortedAndRebased(t *testing.T) {
 			t.Fatalf("session %d arrival %v outside [0, %v)", s.ID, s.Arrival, cfg.ArrivalSpread)
 		}
 		prev = s.Arrival
-		// Session-relative chunk logs start near zero even for late
+		// A session-relative startup delay is short even for late
 		// arrivals.
-		if len(s.Result.Chunks) == 0 {
-			t.Fatalf("session %d downloaded no chunk", s.ID)
+		if d := s.Metrics.StartupDelay; d <= 0 || d >= 2*time.Second {
+			t.Errorf("session %d (arrived at %v) started after %v: not rebased", s.ID, s.Arrival, d)
 		}
-		if at := s.Result.Chunks[0].DecidedAt; at > 2*time.Second {
-			t.Errorf("session %d first chunk decided at %v: not rebased", s.ID, at)
-		}
+	}
+	if last := res.Sessions[len(res.Sessions)-1].Arrival; last < 2*time.Second {
+		t.Fatalf("the last session arrived at %v: no arrival late enough to tell", last)
 	}
 }
 

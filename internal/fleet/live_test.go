@@ -91,6 +91,41 @@ func TestFleetLiveAggregates(t *testing.T) {
 	}
 }
 
+// TestFleetLiveSampledRowsMatchExact: a streaming live fleet's reservoir
+// rows are the exact run's rows, live summaries included. Each cell's
+// sessions run on the Session objects the cell before it released, so a
+// row whose summary pointed into its session's spare parts would read a
+// later session's latency.
+func TestFleetLiveSampledRowsMatchExact(t *testing.T) {
+	cfg := liveConfig(24)
+	cfg.Shards = 2
+	exact, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxRetained = -1
+	streamed, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !streamed.Streamed || len(streamed.Sessions) != len(exact.Sessions) {
+		t.Fatalf("the streaming run sampled %d rows (streamed %v), want all %d", len(streamed.Sessions), streamed.Streamed, len(exact.Sessions))
+	}
+	for i, s := range streamed.Sessions {
+		ref := exact.Sessions[i]
+		if s.Metrics.Live == nil || ref.Metrics.Live == nil {
+			t.Fatalf("session %d: a row without its live summary", s.ID)
+		}
+		if *s.Metrics.Live != *ref.Metrics.Live {
+			t.Fatalf("session %d: sampled live summary %+v, exact %+v", s.ID, *s.Metrics.Live, *ref.Metrics.Live)
+		}
+		s.Metrics.Live, ref.Metrics.Live = nil, nil
+		if s != ref {
+			t.Fatalf("session %d: sampled row %+v, exact %+v", s.ID, s, ref)
+		}
+	}
+}
+
 // TestFleetZeroCostLive is the fleet half of the live-off contract: a VOD
 // fleet must serialize without any live key — the document shape cannot
 // change for existing users when the subsystem is off.

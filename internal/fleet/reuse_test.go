@@ -21,10 +21,9 @@ import (
 // TestSessionReuseAllocFree pins the recycling of whole sessions across a
 // shard's cells: once one cell has run and released its sessions, a
 // second cell on the warm shard allocates no Session, no transport
-// connection and no blacklist, on the streaming and on the exact path.
-// Streaming, it allocates no chunk log either; an exact-path session hands
-// its chunk log and timeline over with its Result, so the next session on
-// the object makes new ones. The fleet is the resilient one
+// connection, no blacklist and no chunk log, on the streaming and on the
+// exact path: both keep a session's row, never its Result, so no session
+// hands its logs over. The fleet is the resilient one
 // TestFleetAllocsPerSession measures, whose sessions build all four, and
 // the test counts the second cell's allocations by the function that made
 // them, from a profile of every allocation. The race detector changes
@@ -76,9 +75,7 @@ func TestSessionReuseAllocFree(t *testing.T) {
 				"demuxabr/internal/player.(*Session).start", // bound loops, the decision map
 				"demuxabr/internal/netsim.NewConn",
 				"demuxabr/internal/faults.NewBlacklist",
-			}
-			if cfg.streaming() {
-				reused = append(reused, "demuxabr/internal/player.reuse[") // the chunk log
+				"demuxabr/internal/player.reuse[", // the chunk log
 			}
 			for _, site := range reused {
 				for fn, n := range sites {

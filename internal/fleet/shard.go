@@ -28,13 +28,15 @@ import (
 type shardAgg struct {
 	stream bool
 
-	// Exact path: full per-session rows, sorted by ID at merge time.
-	sessions []SessionResult
+	// Exact path: every session's row, sorted by ID at merge time.
+	rows []SessionSample
 
 	// Streaming path: sketches, per-cell Jain partials, reservoir rows.
 	acc       *qoe.FleetAccumulator
 	jain      []cellJain
 	reservoir *stats.Reservoir[SessionSample]
+	// sampleLive holds the live summaries of the reservoir's rows, by slot.
+	sampleLive *[sampledRows]player.LiveStats
 
 	completed int
 	cache     cdnsim.Stats
@@ -75,27 +77,35 @@ func (a *shardAgg) endCell(cell int, edgeStats cdnsim.Stats) {
 	}
 }
 
-// addSession records one finished session. On the exact path the full row
-// is retained; on the streaming path only the sketches, the cell's Jain
-// partial, and (if the seeded reservoir selects it) a compact sample row.
-func (a *shardAgg) addSession(s SessionResult) {
-	if s.Result.Ended {
+// addSession records one finished session's row. On the exact path every
+// row is retained; on the streaming path only the sketches, the cell's
+// Jain partial, and the row itself if the seeded reservoir selects it. A
+// row's live summary points into the session's spare parts, which the
+// next session on the object overwrites, so each row kept points to a
+// copy: its own on the exact path, its reservoir slot's on the streaming
+// path, which allocates the slots' copies once, with the first live row.
+func (a *shardAgg) addSession(row SessionSample) {
+	if row.Ended {
 		a.completed++
 	}
+	live := row.Metrics.Live
 	if !a.stream {
-		a.sessions = append(a.sessions, s)
+		if live != nil {
+			ls := *live
+			row.Metrics.Live = &ls
+		}
+		a.rows = append(a.rows, row)
 		return
 	}
-	a.acc.Add(s.Metrics, s.Result.Ended)
-	a.jainCur.Observe(s.Metrics.AvgVideoBitrate.Kbps())
-	a.reservoir.Add(s.ID, SessionSample{
-		ID:      s.ID,
-		Kind:    s.Kind,
-		Arrival: s.Arrival,
-		Ended:   s.Result.Ended,
-		Metrics: s.Metrics,
-		Cache:   s.Cache,
-	})
+	a.acc.Add(row.Metrics, row.Ended)
+	a.jainCur.Observe(row.Metrics.AvgVideoBitrate.Kbps())
+	if slot := a.reservoir.Add(row.ID, row); slot >= 0 && live != nil {
+		if a.sampleLive == nil {
+			a.sampleLive = new([sampledRows]player.LiveStats)
+		}
+		a.sampleLive[slot] = *live
+		a.reservoir.Slot(slot).Metrics.Live = &a.sampleLive[slot]
+	}
 }
 
 // shardSim is the simulation state a shard worker keeps from one cell to
@@ -217,23 +227,17 @@ func (sl *cellSlot) request(req player.ChunkRequest) time.Duration {
 }
 
 // done fires once per session, inside the engine loop, after the Result is
-// final: the streaming path aggregates here and retains nothing, so cell
-// memory tracks the in-flight population rather than the cell total.
+// final, and reduces the session to its row: no path keeps the Result, so
+// the cell's end can release the session to the pool.
 func (sl *cellSlot) done(s *player.Session) {
 	sl.finished = true
 	sim := sl.sim
 	r := s.Result()
-	if !sim.agg.stream {
-		// The exact path keeps the Result past the cell, whose end
-		// releases the session.
-		r = new(player.Result)
-		s.HandOver(r)
-	}
-	sim.agg.addSession(SessionResult{
+	sim.agg.addSession(SessionSample{
 		ID:      sl.id,
 		Kind:    sl.kind,
 		Arrival: sim.arrive[sl.id],
-		Result:  r,
+		Ended:   r.Ended,
 		Metrics: sim.qoe.Compute(r, sim.cfg.Content, sl.combos, qoe.DefaultWeights()),
 		Cache:   sim.edge.SessionStats(sl.li),
 	})
@@ -249,8 +253,7 @@ func (sl *cellSlot) done(s *player.Session) {
 // drained, so its sessions take the events, transfers, leaves and cache
 // slots earlier cells released, and they start through the shard's pool.
 // The cell then releases its sessions to the pool for the next cell to
-// reuse: no Result outlives its session's OnDone but the exact path's
-// copies (see cellSlot.done).
+// reuse: no Result outlives its session's OnDone (see cellSlot.done).
 func runCell(sim *shardSim, manifests []*core.ParsedManifest, cellIdx, numCells int, ids []int) error {
 	cfg, agg, eng, up, edge := sim.cfg, sim.agg, sim.eng, sim.up, sim.edge
 	eng.Reset()
@@ -319,10 +322,8 @@ func runCell(sim *shardSim, manifests []*core.ParsedManifest, cellIdx, numCells 
 			Transport:  cfg.sessionTransport(id, &sl.tc),
 			Live:       cfg.Live,
 			Recorder:   recFor(recs, li),
-			// Only the exact path retains the Result that carries the log.
-			KeepTimeline: !agg.stream,
-			OnRequest:    sl.onRequest,
-			OnDone:       sl.onDone,
+			OnRequest:  sl.onRequest,
+			OnDone:     sl.onDone,
 		}
 		eng.Schedule(sim.arrive[id], sl.start)
 	}
@@ -397,19 +398,24 @@ func mergeShards(cfg *Config, stream bool, numCells int, aggs []*shardAgg) (*Res
 		}
 		res.Fleet = acc.FleetMetrics(jain.Index())
 		res.CompletedScore = acc.ScoreCompleted.Summary()
-		res.Sampled = reservoir.Items()
+		res.Sessions = reservoir.Items()
 	} else {
-		var all []SessionResult
+		var rows []SessionSample
 		for _, a := range aggs {
-			all = append(all, a.sessions...)
+			rows = append(rows, a.rows...)
 		}
-		slices.SortFunc(all, func(a, b SessionResult) int { return cmp.Compare(a.ID, b.ID) })
-		res.Sessions = all
-		metrics := make([]qoe.Metrics, len(all))
-		for i, s := range all {
+		slices.SortFunc(rows, func(a, b SessionSample) int { return cmp.Compare(a.ID, b.ID) })
+		res.Sessions = rows
+		metrics := make([]qoe.Metrics, len(rows))
+		var completed []float64
+		for i, s := range rows {
 			metrics[i] = s.Metrics
+			if s.Ended {
+				completed = append(completed, s.Metrics.Score)
+			}
 		}
 		res.Fleet = qoe.ComputeFleet(metrics)
+		res.CompletedScore = stats.Summarize(completed)
 	}
 
 	if cfg.Timeline {

@@ -113,8 +113,8 @@ func TestFleetStreamingMatchesExactWithinError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !streamed.Streamed || streamed.Sessions != nil {
-		t.Fatal("forced streaming run still retained sessions")
+	if !streamed.Streamed || len(streamed.Sessions) > sampledRows {
+		t.Fatalf("forced streaming run retained %d rows (streamed %v), want at most %d", len(streamed.Sessions), streamed.Streamed, sampledRows)
 	}
 	if exact.Completed != streamed.Completed {
 		t.Fatalf("completed %d vs %d", exact.Completed, streamed.Completed)
@@ -148,22 +148,22 @@ func TestFleetStreamingMatchesExactWithinError(t *testing.T) {
 		exact.Fleet.VideoKbps.Max != streamed.Fleet.VideoKbps.Max {
 		t.Error("sketch min/max not exact")
 	}
-	// The reservoir rows must be real sessions: every sampled ID's metrics
-	// must equal the exact run's row for that ID.
-	byID := map[int]SessionResult{}
+	// The reservoir rows must be real sessions: every sampled row must
+	// equal the exact run's row for that ID.
+	byID := map[int]SessionSample{}
 	for _, s := range exact.Sessions {
 		byID[s.ID] = s
 	}
-	if len(streamed.Sampled) != 32 {
-		t.Fatalf("sampled %d rows, want all 32 (fleet smaller than reservoir)", len(streamed.Sampled))
+	if len(streamed.Sessions) != 32 {
+		t.Fatalf("sampled %d rows, want all 32 (fleet smaller than reservoir)", len(streamed.Sessions))
 	}
-	for _, s := range streamed.Sampled {
+	for _, s := range streamed.Sessions {
 		ref, ok := byID[s.ID]
 		if !ok {
 			t.Fatalf("sampled unknown session %d", s.ID)
 		}
-		if s.Metrics != ref.Metrics || s.Kind != ref.Kind || s.Ended != ref.Result.Ended {
-			t.Fatalf("sampled row %d diverges from exact run", s.ID)
+		if s != ref {
+			t.Fatalf("sampled row %d diverges from exact run:\nsample %+v\nexact  %+v", s.ID, s, ref)
 		}
 	}
 }

@@ -159,46 +159,54 @@ func TestRunOnReusedStateMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestExactResultOutlivesLaterRuns: on the exact path each SessionResult's
-// Result is a copy the session handed over before its cell released it,
-// so the later sessions that reuse the Session object write nothing it
-// holds. An exact-path Result is kept through ten later Runs on the state
-// it ran on, streaming and exact in turn, and must still deep-equal, and
-// encode as, a snapshot of it run on state that is then dropped.
-func TestExactResultOutlivesLaterRuns(t *testing.T) {
-	exact := vodFleet()
-	exact.MaxRetained = 0
-	wantJS, snapshot := freshFleet(t, exact)
-	kept, err := fleet.Run(exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept.Streamed || len(kept.Sessions) != exact.Sessions {
-		t.Fatalf("the exact fleet kept %d sessions (streamed %v), want %d", len(kept.Sessions), kept.Streamed, exact.Sessions)
-	}
-	sessionJSON := func(r *fleet.Result) []byte {
-		js, err := json.Marshal(r.Sessions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js
-	}
-	wantSessions := sessionJSON(snapshot)
-	for i := range 10 {
-		later := vodFleet()
-		later.UplinkProfile = trace.Fixed(media.Kbps(float64(12_000 + 2_000*i)))
-		if i%2 == 1 {
-			later.MaxRetained = 0
-		}
-		if _, err := fleet.Run(later); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(kept, snapshot) {
-		t.Fatal("later Runs changed the kept exact-path Result")
-	}
-	if !bytes.Equal(encodeFleet(t, kept), wantJS) || !bytes.Equal(sessionJSON(kept), wantSessions) {
-		t.Fatal("later Runs changed the kept exact-path Result's JSON")
+// TestExactRowsOutliveLaterRuns: an exact-path Run's rows share nothing
+// with the sessions later Runs start on the state it ran on. The rows of
+// a vod and of a live fleet are each kept through ten later Runs on that
+// state, streaming and exact in turn, and must still deep-equal, and
+// encode as, a snapshot run on state that is then dropped. A live row's
+// summary is the row's own copy (see shardAgg.addSession): one pointing
+// into its session's spare parts would read the later sessions' latency.
+func TestExactRowsOutliveLaterRuns(t *testing.T) {
+	live := vodFleet()
+	live.Mix = experiments.LiveModels()
+	live.Live = experiments.LiveConfig()
+	for _, f := range []warmFleet{{"vod", vodFleet()}, {"live", live}} {
+		t.Run(f.name, func(t *testing.T) {
+			exact := f.cfg
+			exact.MaxRetained = 0
+			wantJS, snapshot := freshFleet(t, exact)
+			kept, err := fleet.Run(exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kept.Streamed || len(kept.Sessions) != exact.Sessions {
+				t.Fatalf("the exact fleet kept %d rows (streamed %v), want %d", len(kept.Sessions), kept.Streamed, exact.Sessions)
+			}
+			rowsJSON := func(r *fleet.Result) []byte {
+				js, err := json.Marshal(r.Sessions)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return js
+			}
+			wantRows := rowsJSON(snapshot)
+			for i := range 10 {
+				later := f.cfg
+				later.UplinkProfile = trace.Fixed(media.Kbps(float64(12_000 + 2_000*i)))
+				if i%2 == 1 {
+					later.MaxRetained = 0
+				}
+				if _, err := fleet.Run(later); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(kept, snapshot) {
+				t.Fatal("later Runs changed the kept exact-path rows")
+			}
+			if !bytes.Equal(encodeFleet(t, kept), wantJS) || !bytes.Equal(rowsJSON(kept), wantRows) {
+				t.Fatal("later Runs changed the kept exact-path rows' JSON")
+			}
+		})
 	}
 }
 

@@ -2,12 +2,30 @@ package netsim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"demuxabr/internal/media"
 	"demuxabr/internal/trace"
 )
+
+// mallocs is testing.AllocsPerRun's count without its rounding: it calls
+// f once to warm it, then runs more times at GOMAXPROCS(1), and returns
+// the total number of heap objects those runs allocated. AllocsPerRun
+// returns the mean rounded down to a whole number, so a pin of 0 on it
+// passes with up to runs-1 allocations; a total of 0 passes with none.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
 
 // TestScheduleStepAllocFree pins the event freelist: once warm, a
 // schedule/fire cycle must not allocate at all. Before pooling, every
@@ -19,12 +37,12 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	// Warm the freelist and the heap's backing array.
 	eng.Schedule(eng.Now()+time.Millisecond, fn)
 	eng.Step()
-	allocs := testing.AllocsPerRun(1000, func() {
+	n := mallocs(1000, func() {
 		eng.Schedule(eng.Now()+time.Millisecond, fn)
 		eng.Step()
 	})
-	if allocs != 0 {
-		t.Fatalf("schedule+step steady state allocates %.2f objects per cycle, want 0 (event pooling regressed)", allocs)
+	if n != 0 {
+		t.Fatalf("1,000 schedule+step cycles in steady state allocate %d objects, want 0 (event pooling regressed)", n)
 	}
 }
 
@@ -90,9 +108,8 @@ func TestSampleTickAllocFree(t *testing.T) {
 			link.Start(1<<40, StartOptions{SampleEvery: 125 * time.Millisecond, OnSample: onSample})
 		}
 		eng.RunUntil(time.Second) // activate, bind the ticks, warm the freelist
-		allocs := testing.AllocsPerRun(1000, func() { eng.Step() })
-		if allocs != 0 {
-			t.Errorf("%s: warm sample tick allocates %.2f objects, want 0", tc.name, allocs)
+		if n := mallocs(1000, func() { eng.Step() }); n != 0 {
+			t.Errorf("%s: 1,000 warm sample ticks allocate %d objects, want 0", tc.name, n)
 		}
 	}
 }
@@ -102,8 +119,8 @@ func TestSampleTickAllocFree(t *testing.T) {
 // events without allocating.
 func TestEngineFleetMixAllocFree(t *testing.T) {
 	eng := fleetMixEngine()
-	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
-		t.Fatalf("warm fleet-mix event allocates %.2f objects, want 0", allocs)
+	if n := mallocs(1000, func() { eng.Step() }); n != 0 {
+		t.Fatalf("1,000 warm fleet-mix events allocate %d objects, want 0", n)
 	}
 }
 
@@ -111,8 +128,8 @@ func TestEngineFleetMixAllocFree(t *testing.T) {
 // a warm engine firing from its lanes and its heap allocates nothing.
 func TestEngineLaneMixAllocFree(t *testing.T) {
 	eng := laneMixEngine()
-	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
-		t.Fatalf("warm lane-mix event allocates %.2f objects, want 0", allocs)
+	if n := mallocs(1000, func() { eng.Step() }); n != 0 {
+		t.Fatalf("1,000 warm lane-mix events allocate %d objects, want 0", n)
 	}
 }
 
@@ -120,8 +137,8 @@ func TestEngineLaneMixAllocFree(t *testing.T) {
 // sample tick on a 16-leaf, 32-transfer tree allocates nothing.
 func TestUplinkTickAllocFree(t *testing.T) {
 	eng, _ := uplinkTickTree()
-	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
-		t.Fatalf("warm uplink tick allocates %.2f objects, want 0", allocs)
+	if n := mallocs(1000, func() { eng.Step() }); n != 0 {
+		t.Fatalf("1,000 warm uplink ticks allocate %d objects, want 0", n)
 	}
 }
 
@@ -130,8 +147,8 @@ func TestUplinkTickAllocFree(t *testing.T) {
 // nothing.
 func TestUplinkChangeAllocFree(t *testing.T) {
 	change := uplinkChanger()
-	if allocs := testing.AllocsPerRun(1000, change); allocs != 0 {
-		t.Fatalf("a warm activation and completion allocates %.2f objects, want 0", allocs)
+	if n := mallocs(1000, change); n != 0 {
+		t.Fatalf("1,000 warm activations and completions allocate %d objects, want 0", n)
 	}
 }
 
@@ -167,11 +184,11 @@ func TestScheduleCancelAllocFree(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
 	eng.Cancel(eng.Schedule(time.Millisecond, fn)) // warm the freelist and the heap
-	allocs := testing.AllocsPerRun(1000, func() {
+	n := mallocs(1000, func() {
 		eng.Cancel(eng.Schedule(eng.Now()+time.Millisecond, fn))
 	})
-	if allocs != 0 {
-		t.Fatalf("schedule+cancel allocates %.2f objects per cycle, want 0 (cancelled events are not recycled)", allocs)
+	if n != 0 {
+		t.Fatalf("1,000 schedule+cancel cycles allocate %d objects, want 0 (cancelled events are not recycled)", n)
 	}
 }
 
@@ -291,7 +308,7 @@ func TestConnReconnectStrikeAllocFree(t *testing.T) {
 		request()
 		before := conn.Stats()
 		const runs = 100
-		allocs := testing.AllocsPerRun(runs, request)
+		n := mallocs(runs, request)
 		st := conn.Stats()
 		if got := st.Resumes - before.Resumes; got != runs+1 {
 			t.Fatalf("%v: %d resumes over %d requests: the connection did not idle out each time", tc.proto, got, runs+1)
@@ -299,8 +316,8 @@ func TestConnReconnectStrikeAllocFree(t *testing.T) {
 		if got := st.HoLStalls - before.HoLStalls; got < (runs+1)*tc.streams {
 			t.Fatalf("%v: %d HoL stalls over %d requests of %d streams", tc.proto, got, runs+1, tc.streams)
 		}
-		if allocs != 0 {
-			t.Errorf("%v: a warm reconnect with a loss stall allocates %.2f objects per request, want 0", tc.proto, allocs)
+		if n != 0 {
+			t.Errorf("%v: %d warm reconnects with a loss stall allocate %d objects, want 0", tc.proto, runs, n)
 		}
 	}
 }

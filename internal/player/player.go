@@ -282,7 +282,7 @@ type Session struct {
 // the blacklist; and, held by value, the storage of the policy, the live
 // state and the Result's TransportStats. start hands them out and
 // teardown takes the logs back, so a session that reuses the object
-// allocates none of them; HandOver takes out what its caller keeps.
+// allocates none of them; handOver takes out what its caller keeps.
 type sessionSpare struct {
 	chunks    []ChunkDecision
 	timeline  []Sample
@@ -399,7 +399,7 @@ func (p *Pool) Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, e
 }
 
 // Run starts a session through p, runs the links' engine until it drains,
-// hands the session's Result over to res (see Session.HandOver), and
+// hands the session's Result over to res (see Session.handOver), and
 // releases the session to p for the next Start to reuse. p must have no
 // other session running. A session that cannot finish (e.g. the link is
 // dead forever) gives Ended == false and a nil error; exhausting the event
@@ -413,7 +413,7 @@ func (p *Pool) Run(videoLink, audioLink *netsim.Link, cfg Config, res *Result) e
 	if err := s.eng.Run(s.cfg.MaxEvents); err != nil {
 		return err
 	}
-	s.HandOver(res)
+	s.handOver(res)
 	p.Release()
 	return nil
 }
@@ -422,11 +422,11 @@ func (p *Pool) Run(videoLink, audioLink *netsim.Link, cfg Config, res *Result) e
 // back to p, for later Starts to reuse: the only way a session leaves a
 // Pool. Call it only once the engines that ran them have drained, and only
 // when nothing will read those sessions' Results again: each Result
-// becomes a later session's, so a caller that keeps one takes it out with
-// Session.HandOver first. The drained engine matters because a finished
-// session's logging tick and voided timers stay queued until the engine
-// reaches them; released earlier, they would fire into the object's next
-// session. Release therefore panics if any of those sessions is still
+// becomes a later session's, so a caller that keeps one runs its session
+// with Pool.Run, which copies it out first. The drained engine matters
+// because a finished session's logging tick and voided timers stay queued
+// until the engine reaches them; released earlier, they would fire into
+// the object's next session. Release therefore panics if any of those sessions is still
 // running or its engine still has events pending. A released session drops
 // everything it held of its caller (the config with its model, content and
 // recorder, the links, and the recorder its connections log to), so a
@@ -644,7 +644,8 @@ func (s *Session) conn(i int, l *netsim.Link, tc *netsim.TransportConfig, label 
 
 // Result returns the session's recorded timeline; complete once Done. A
 // session keeps it only until Pool.Release hands the object back to its
-// Pool; a caller that reads it later takes a copy with HandOver.
+// Pool; a caller that reads it later runs the session with Pool.Run, which
+// hands it a copy.
 func (s *Session) Result() *Result { return &s.res }
 
 // Done reports whether the session has finished or aborted.
@@ -848,14 +849,14 @@ func keepLog[T any](log, spare *[]T) {
 	}
 }
 
-// HandOver copies the finished session's Result to res for a caller that
+// handOver copies the finished session's Result to res for a caller that
 // keeps it after Pool.Release, while later sessions reuse s, and takes out
 // of the spare parts whatever res then shares: the chunk log and the
 // timeline leave the spare, the next session making new ones, and the
 // other logs, which few sessions fill, are copied at their length, so the
 // spare keeps their capacity. The transport and live summaries, which
 // live in the spare, are copied.
-func (s *Session) HandOver(res *Result) {
+func (s *Session) handOver(res *Result) {
 	sp := s.spare
 	*res = s.res
 	sp.chunks = nil

@@ -49,7 +49,7 @@ func requestPathContent() *media.Content {
 
 // requestPathRow is one pinned scenario: one player session, or a fleet
 // that returns the recorders to export and the value whose JSON encoding
-// pins the outcome.
+// pins the outcome (the fleet's session rows).
 type requestPathRow struct {
 	name string
 	// want lists event kinds the row exists to exercise; a row whose
@@ -140,11 +140,7 @@ func requestPathRows() []requestPathRow {
 				if err != nil {
 					t.Fatal(err)
 				}
-				results := make([]*player.Result, len(res.Sessions))
-				for i, s := range res.Sessions {
-					results[i] = s.Result
-				}
-				return res.Recorders, results
+				return res.Recorders, res.Sessions
 			},
 		},
 		{
@@ -236,8 +232,9 @@ func requestPathRows() []requestPathRow {
 // golden reaches: muxed objects through the edge hook, per-type loops,
 // bounded skew with audio resets, abandonment, and the fault / retry /
 // blacklist / failover chain. Each row contributes the sha256 of its
-// timeline JSONL export and of its session results' JSON encoding, which
-// must match testdata/request_path.golden. Regenerate with
+// timeline JSONL export and of the JSON encoding of its session's Result
+// or its fleet's session rows, which must match
+// testdata/request_path.golden. Regenerate with
 // `go test ./internal/player -run TestRequestPathGolden -update` only for
 // an intended change of the player's output.
 func TestRequestPathGolden(t *testing.T) {

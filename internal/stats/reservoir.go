@@ -30,7 +30,7 @@ func NewReservoir[T any](k int, seed int64) *Reservoir[T] {
 	if k <= 0 {
 		panic("stats: reservoir size must be positive")
 	}
-	return &Reservoir[T]{k: k, seed: seed}
+	return &Reservoir[T]{k: k, seed: seed, items: make([]reservoirItem[T], 0, k)}
 }
 
 // samplePriority is a splitmix64 finalization of (seed, id) — a cheap,
@@ -44,17 +44,22 @@ func samplePriority(seed int64, id int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Add offers one item. IDs are assumed unique across the stream (they are
-// session IDs); priority ties are broken by ID so even colliding hashes
-// stay deterministic.
-func (r *Reservoir[T]) Add(id int, v T) {
-	r.insert(reservoirItem[T]{pri: samplePriority(r.seed, id), id: id, v: v})
+// Add offers one item and returns the slot in [0, k) that keeps it, or -1
+// when the sample does not keep it. A slot holds its item until a later
+// Add or Merge replaces it, or Items sorts the slots. IDs are assumed
+// unique across the stream (they are session IDs); priority ties are
+// broken by ID so even colliding hashes stay deterministic.
+func (r *Reservoir[T]) Add(id int, v T) int {
+	return r.insert(reservoirItem[T]{pri: samplePriority(r.seed, id), id: id, v: v})
 }
 
-func (r *Reservoir[T]) insert(it reservoirItem[T]) {
+// Slot returns the item slot i holds (see Add).
+func (r *Reservoir[T]) Slot(i int) *T { return &r.items[i].v }
+
+func (r *Reservoir[T]) insert(it reservoirItem[T]) int {
 	if len(r.items) < r.k {
 		r.items = append(r.items, it)
-		return
+		return len(r.items) - 1
 	}
 	// Find the current worst (largest priority, then largest ID) and
 	// replace it if the newcomer ranks lower. k is small; linear scan
@@ -67,7 +72,9 @@ func (r *Reservoir[T]) insert(it reservoirItem[T]) {
 	}
 	if itemAfter(r.items[worst], it) {
 		r.items[worst] = it
+		return worst
 	}
+	return -1
 }
 
 func itemAfter[T any](a, b reservoirItem[T]) bool {
@@ -91,12 +98,12 @@ func (r *Reservoir[T]) Merge(o *Reservoir[T]) {
 // Len returns the number of sampled items currently held.
 func (r *Reservoir[T]) Len() int { return len(r.items) }
 
-// Items returns the sampled values in ascending ID order.
+// Items returns the sampled values in ascending ID order. It sorts the
+// slots in place: which slot holds which item changes, the sample does not.
 func (r *Reservoir[T]) Items() []T {
-	sorted := slices.Clone(r.items)
-	slices.SortFunc(sorted, func(a, b reservoirItem[T]) int { return cmp.Compare(a.id, b.id) })
-	out := make([]T, len(sorted))
-	for i, it := range sorted {
+	slices.SortFunc(r.items, func(a, b reservoirItem[T]) int { return cmp.Compare(a.id, b.id) })
+	out := make([]T, len(r.items))
+	for i, it := range r.items {
 		out[i] = it.v
 	}
 	return out

@@ -246,6 +246,46 @@ func TestReservoirMergeMatchesSingleStream(t *testing.T) {
 	}
 }
 
+// TestReservoirAddReportsSlot: Add returns the slot that keeps the item,
+// which Slot then reads and writes, or -1 for an item the sample passes
+// over; Items returns what was written through the slots, and the sample
+// stays the single stream's after Items sorts its slots.
+func TestReservoirAddReportsSlot(t *testing.T) {
+	const n, k = 300, 16
+	r := NewReservoir[int](k, 7)
+	passed := map[int]bool{}
+	for id := range n {
+		slot := r.Add(id, id)
+		if slot < 0 {
+			passed[id] = true
+			continue
+		}
+		if slot >= k || *r.Slot(slot) != id {
+			t.Fatalf("id %d: Add returned slot %d, which holds %d", id, slot, *r.Slot(slot))
+		}
+		*r.Slot(slot) = n + id
+	}
+	ids := r.IDs()
+	for i, v := range r.Items() {
+		if v != n+ids[i] {
+			t.Fatalf("item %d is %d, want %d written through its slot", ids[i], v, n+ids[i])
+		}
+		if passed[ids[i]] {
+			t.Fatalf("id %d was passed over, and sampled", ids[i])
+		}
+	}
+	single := NewReservoir[int](k, 7)
+	for id := range 2 * n {
+		single.Add(id, id)
+	}
+	for id := n; id < 2*n; id++ {
+		r.Add(id, id)
+	}
+	if !reflect.DeepEqual(r.IDs(), single.IDs()) {
+		t.Fatalf("after Items sorted its slots the sample is %v, want %v", r.IDs(), single.IDs())
+	}
+}
+
 // TestReservoirUniformish sanity-checks that the seeded hash does not
 // systematically favor low or high IDs.
 func TestReservoirUniformish(t *testing.T) {
