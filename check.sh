@@ -16,7 +16,8 @@
 #   5. suppressions  every //lint:ignore in the tree must be rule-scoped
 #                    (a blanket ignore would silence future analyzers too)
 #   6. equivalence   fleet runners must be byte-identical serial vs
-#                    GOMAXPROCS-parallel (see docs/PERFORMANCE.md)
+#                    GOMAXPROCS-parallel (docs/PERFORMANCE.md, "The
+#                    runpool and shard determinism contract")
 #   7. shards        sharded fleet aggregation must be byte-identical for
 #                    any shard count (-shards 1 vs 2/4/32 fleet JSON at
 #                    N=32, exact and streaming paths, under -race)
@@ -41,46 +42,14 @@
 #                    engine fleet-mix, engine lane-mix, uplink-tick and
 #                    uplink-change benchmarks compile and run once, so the
 #                    allocs/op trajectory is always measurable
-#  13. allocs        the allocation ratchets (TestFleetAllocsPerSession's
-#                    allocs and bytes per session, TestComputeAllocs,
-#                    TestPlayAllocs' allocs and bytes per Play of every
-#                    solo-sweep variant, TestPlayStateCrossesGoroutines, a
-#                    warm Play on a goroutine other than the last Play's,
-#                    TestNewModelAllocs, one allocation per NewModel of
-#                    every kind, TestModelNamesAllocFree, no allocation
-#                    per Name, the MPC's TestMPCBoundTableBuiltOnce, a new
-#                    model's first decision allocation-free, the
-#                    transport's TestConnReconnectStrikeAllocFree, the
-#                    edge's TestMissEvictSteadyStateAllocs, the engine's
-#                    TestEngineReuseAllocFree, no new event, transfer or
-#                    leaf in a second cell on a reset engine, the uplink's
-#                    TestUplinkChangeAllocFree, no allocation per warm
-#                    activation and completion, the solver's
-#                    TestSolverWorkCounts, the exact events, advances,
-#                    transfer updates and fills of a vod, a resilient
-#                    and a live cell and a solo Play, and the
-#                    fleet's TestSessionReuseAllocFree, no new Session,
-#                    connection, blacklist or chunk log in a second cell
-#                    on a warm shard, streaming or exact, and the
-#                    player's TestSessionSizeClasses,
-#                    a Session, which a Pool always makes with its spare
-#                    parts, within the 1,536-byte malloc size class), with
-#                    the tests of the shard state a Run takes from and puts
-#                    back on the free stack those fleet pins read warm
-#                    (TestRunOnReusedStateMatchesFresh, a sequence of
-#                    differing fleets on reused state byte-equal to fresh
-#                    state; TestExactRowsOutliveLaterRuns, an exact-path
-#                    Run's rows unchanged by later Runs;
-#                    TestFailedRunGivesNoStateBack; TestParallelRunsMatchSerial;
-#                    TestFreeShardSimHoldsNoCallerPointer, a free state
-#                    pins nothing of its last Run; the edge's
-#                    TestEdgeResetMatchesNewEdge) and core's
-#                    TestFreePlayStateHoldsNoCallerPointer, a free Play
-#                    state pins no recorder or config of its last Plays,
-#                    through ratchets, without the race detector, which
-#                    changes allocation counts:
-#                    step 3 skips the tests built only without it, and runs
-#                    the others under it
+#  13. ratchets      every test the ratchet ledger names (docs/PERFORMANCE.md,
+#                    "Ratchet ledger": the allocation, byte, size-class and
+#                    work-count bounds), as go run ./internal/ledger/list
+#                    prints them, with the warm-state tests those pins rely
+#                    on and TestPlayStateCrossesGoroutines, whose bound is
+#                    computed, without the race detector, which changes
+#                    allocation counts: step 3 skips the tests built only
+#                    without it, and runs the others under it
 #  14. fma off       the golden-bearing packages pass again with
 #                    GODEBUG=cpu.fma=off, without the race detector: on
 #                    amd64 math.Exp (and Pow through it) takes an FMA
@@ -194,9 +163,17 @@ go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCD
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo' -benchtime=1x -benchmem ./internal/abr/jointabr
 go test -run=NONE -bench 'BenchmarkEngineFleetMix|BenchmarkEngineLaneMix|BenchmarkUplinkTick|BenchmarkUplinkChange' -benchtime=1x -benchmem ./internal/netsim
 
-echo "== allocation ratchets (allocs and bytes per fleet session, allocs per Compute, allocs and bytes per Play, a warm Play across goroutines, allocs per NewModel and per Name, MPC's bound table built once, allocs per reconnect and per edge miss, engine reuse across cells, allocs per uplink change, the solver's work counts, session reuse across cells, the pooled Session's size class, shard and Play state reused across Runs, no race detector)"
-ratchets 'TestFleetAllocsPerSession|TestComputeAllocs|TestPlayAllocs|TestPlayStateCrossesGoroutines|TestNewModelAllocs|TestModelNamesAllocFree|TestMPCBoundTableBuiltOnce|TestConnReconnectStrikeAllocFree|TestMissEvictSteadyStateAllocs|TestEngineReuseAllocFree|TestUplinkChangeAllocFree|TestSolverWorkCounts|TestSessionReuseAllocFree|TestSessionSizeClasses|TestRunOnReusedStateMatchesFresh|TestExactRowsOutliveLaterRuns|TestFailedRunGivesNoStateBack|TestParallelRunsMatchSerial|TestFreeShardSimHoldsNoCallerPointer|TestFreePlayStateHoldsNoCallerPointer|TestEdgeResetMatchesNewEdge' \
-	./internal/fleet ./internal/qoe ./internal/core ./internal/abr/jointabr ./internal/netsim ./internal/cdnsim ./internal/player
+echo "== allocation ratchets (every test the ratchet ledger names, and the warm-state tests, no race detector)"
+# The ledger names the pinned tests and their packages. The warm-state
+# tests show that the state those pins run on warm (a fleet shard's,
+# core.Play's, the edge's) gives what fresh state gives and keeps nothing
+# of its caller; TestPlayStateCrossesGoroutines computes its own bound.
+ledger=$(go run ./internal/ledger/list)
+set -- $ledger
+pinned=$1
+shift
+ratchets "$pinned|TestPlayStateCrossesGoroutines|TestRunOnReusedStateMatchesFresh|TestExactRowsOutliveLaterRuns|TestFailedRunGivesNoStateBack|TestParallelRunsMatchSerial|TestFreeShardSimHoldsNoCallerPointer|TestFreePlayStateHoldsNoCallerPointer|TestEdgeResetMatchesNewEdge" \
+	"$@" ./internal/fleet ./internal/core ./internal/cdnsim
 
 echo "== golden tests with FMA off (GODEBUG=cpu.fma=off, no race detector)"
 GODEBUG=cpu.fma=off go test -count=1 ./cmd/paperfigs ./internal/manifest/... ./internal/timeline \

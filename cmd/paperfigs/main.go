@@ -14,9 +14,10 @@
 // worker count for the fleet experiments (sweeps, comparisons, the CDN
 // sweep); the default 0 means GOMAXPROCS, and -parallel 1 runs the exact
 // serial path. Output is byte-identical at any worker count (see
-// docs/PERFORMANCE.md). fleetscale runs one large sharded fleet of
-// -fleet-n sessions (16-session contention cells, streaming sketch
-// aggregation); e.g. `paperfigs -only fleetscale -fleet-n 100000`.
+// docs/PERFORMANCE.md, "The runpool and shard determinism contract").
+// fleetscale runs one large sharded fleet of -fleet-n sessions
+// (16-session contention cells, streaming sketch aggregation); e.g.
+// `paperfigs -only fleetscale -fleet-n 100000`.
 package main
 
 import (

@@ -3,6 +3,7 @@ package cdnsim
 import (
 	"testing"
 
+	"demuxabr/internal/ledger"
 	"demuxabr/internal/media"
 )
 
@@ -37,12 +38,14 @@ func TestPlannedWorkloadMatchesRequestChunk(t *testing.T) {
 // allocate on cache hits. Before the key tables every request Sprintf'd
 // its keys (~3 allocations per request).
 func TestWorkloadSteadyStateAllocs(t *testing.T) {
+	pins := ledger.For(t)
 	content := media.DramaShow()
 	sessions := []Session{
 		{Combo: media.Combo{Video: content.VideoTracks[0], Audio: content.AudioTracks[1]}},
 		{Combo: media.Combo{Video: content.VideoTracks[2], Audio: content.AudioTracks[0]}},
 	}
 	for _, mode := range []Mode{Demuxed, Muxed} {
+		pin := pins.Bound(mode.String(), "allocs")
 		cache := NewCache(1 << 30)
 		plans := planSessions(mode, content, sessions)
 		// Warm: first pass misses and inserts; afterwards every request hits.
@@ -54,8 +57,8 @@ func TestWorkloadSteadyStateAllocs(t *testing.T) {
 				p.request(cache, 0)
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("%s: hit path allocates %.2f objects per position, want 0 (request plan regressed)", mode, allocs)
+		if allocs > pin {
+			t.Errorf("%s: hit path allocates %.2f objects per position, pinned at %.0f (request plan regressed)", mode, allocs, pin)
 		}
 	}
 }
@@ -65,6 +68,7 @@ func TestWorkloadSteadyStateAllocs(t *testing.T) {
 // Before the intrusive list every miss boxed an entry and allocated a list
 // element.
 func TestMissEvictSteadyStateAllocs(t *testing.T) {
+	pin := ledger.For(t).Bound("warm miss", "allocs")
 	content := media.DramaShow()
 	st := trackStream(content, content.VideoTracks[len(content.VideoTracks)-1])
 	// A few chunks' room: every request of the cyclic stream misses and
@@ -85,8 +89,8 @@ func TestMissEvictSteadyStateAllocs(t *testing.T) {
 	if ev := cache.Stats().Evictions - before.Evictions; ev < 1000 {
 		t.Fatalf("%d evictions over 1001 misses: the stream no longer evicts", ev)
 	}
-	if allocs != 0 {
-		t.Errorf("a warm miss that evicts allocates %.2f objects, want 0", allocs)
+	if allocs > pin {
+		t.Errorf("a warm miss that evicts allocates %.2f objects, pinned at %.0f", allocs, pin)
 	}
 }
 

@@ -8,35 +8,33 @@ import (
 	"testing"
 
 	"demuxabr/internal/abr"
+	"demuxabr/internal/ledger"
 	"demuxabr/internal/media"
 	"demuxabr/internal/trace"
 )
 
-// playAllocsPin is the ratchet for TestPlayAllocs, per solo-sweep
-// variant (the 11 VOD kinds demuxed, then best practice muxed): the
-// measured allocations, which AllocsPerRun reads as a whole-number mean
-// over its runs, so an allocation the runtime now and then makes of its
-// own in one run does not show, and the measured bytes plus about 1%.
-// Lower an entry when a change cuts allocations; never raise one to make a
-// regression pass.
-var playAllocsPin = []struct {
-	kind   PlayerKind
-	muxed  bool
-	allocs float64
-	bytes  uint64
+// playVariants are the solo-sweep variants TestPlayAllocs measures, each
+// a row of the ratchet ledger (docs/PERFORMANCE.md): the 11 VOD kinds
+// demuxed, then best practice muxed. Each allocation bound is the
+// measured count, which AllocsPerRun reads as a whole-number mean over its
+// runs, so an allocation the runtime now and then makes of its own in one
+// run does not show; each byte bound is the measured bytes plus about 1%.
+var playVariants = []struct {
+	kind  PlayerKind
+	muxed bool
 }{
-	{ExoPlayerDASH, false, 5, 7_690},
-	{ExoPlayerHLS, false, 4, 7_390},
-	{Shaka, false, 4, 7_110},
-	{DashJS, false, 5, 8_580},
-	{BestPractice, false, 5, 7_890},
-	{BestPracticeIndependent, false, 5, 7_850},
-	{BestPracticeAbandon, false, 7, 8_500},
-	{BolaJoint, false, 5, 7_680},
-	{MPCJoint, false, 4, 7_500},
-	{VBRJoint, false, 4, 7_400},
-	{DynamicJoint, false, 4, 7_480},
-	{BestPractice, true, 4, 7_630},
+	{ExoPlayerDASH, false},
+	{ExoPlayerHLS, false},
+	{Shaka, false},
+	{DashJS, false},
+	{BestPractice, false},
+	{BestPracticeIndependent, false},
+	{BestPracticeAbandon, false},
+	{BolaJoint, false},
+	{MPCJoint, false},
+	{VBRJoint, false},
+	{DynamicJoint, false},
+	{BestPractice, true},
 }
 
 // playBytesRuns is how many Plays TestPlayAllocs reads the bytes over.
@@ -56,20 +54,22 @@ const playBytesRuns = 10
 // of that. The race detector changes allocation counts, so the test is
 // built only without it (check.sh runs it in a step of its own).
 func TestPlayAllocs(t *testing.T) {
-	for _, p := range playAllocsPin {
+	pins := ledger.For(t)
+	for _, p := range playVariants {
 		spec := Spec{Profile: trace.Fig3VaryingAvg600(), Player: p.kind, Muxed: p.muxed}
 		name := string(p.kind)
 		if p.muxed {
 			name += " muxed"
 		}
+		allocPin, bytePin := pins.Bound(name, "allocs"), uint64(pins.Bound(name, "bytes"))
 		var err error
 		allocs := testing.AllocsPerRun(10, func() { _, err = Play(spec) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%s: %.0f allocs per Play", name, allocs)
-		if allocs > p.allocs {
-			t.Errorf("%s: %.0f allocs per Play, pinned at %.0f", name, allocs, p.allocs)
+		if allocs > allocPin {
+			t.Errorf("%s: %.0f allocs per Play, pinned at %.0f", name, allocs, allocPin)
 		}
 
 		var before, after runtime.MemStats
@@ -84,8 +84,8 @@ func TestPlayAllocs(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		bytes := (after.TotalAlloc - before.TotalAlloc) / playBytesRuns
 		t.Logf("%s: %d bytes per Play", name, bytes)
-		if bytes > p.bytes {
-			t.Errorf("%s: %d bytes per Play, pinned at %d", name, bytes, p.bytes)
+		if bytes > bytePin {
+			t.Errorf("%s: %d bytes per Play, pinned at %d", name, bytes, bytePin)
 		}
 	}
 }
@@ -161,13 +161,14 @@ var modelSink abr.Algorithm
 // model itself; whatever a model derives from the manifest was built with
 // the parse.
 func TestNewModelAllocs(t *testing.T) {
+	pin := ledger.For(t).Bound("every kind", "allocs")
 	for _, kind := range PlayerKinds() {
 		m, err := ParseManifest(kind, media.DramaShow(), ManifestOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { modelSink = m.NewModel() }); allocs != 1 {
-			t.Errorf("%s: NewModel makes %.0f allocations, want 1", kind, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { modelSink = m.NewModel() }); allocs != pin {
+			t.Errorf("%s: NewModel makes %.0f allocations, want %.0f", kind, allocs, pin)
 		}
 	}
 	modelSink = nil
@@ -179,13 +180,14 @@ var nameSink string
 // TestModelNamesAllocFree: Name allocates nothing for any kind's model.
 // Each Play reads it twice (player.Result.ModelName and Session.Model).
 func TestModelNamesAllocFree(t *testing.T) {
+	pin := ledger.For(t).Bound("every kind", "allocs")
 	for _, kind := range PlayerKinds() {
 		model, _, err := BuildModel(kind, media.DramaShow(), ManifestOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { nameSink = model.Name() }); allocs != 0 {
-			t.Errorf("%s: Name makes %.0f allocations, want 0", kind, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { nameSink = model.Name() }); allocs > pin {
+			t.Errorf("%s: Name makes %.0f allocations, pinned at %.0f", kind, allocs, pin)
 		}
 	}
 }

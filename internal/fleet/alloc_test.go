@@ -5,16 +5,9 @@ package fleet_test
 import (
 	"runtime"
 	"testing"
-	"time"
 
-	"demuxabr/internal/cdnsim"
-	"demuxabr/internal/core"
-	"demuxabr/internal/experiments"
-	"demuxabr/internal/faults"
 	"demuxabr/internal/fleet"
-	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
-	"demuxabr/internal/trace"
+	"demuxabr/internal/ledger"
 )
 
 // TestFleetAllocsPerSession pins the allocations and the bytes allocated
@@ -37,56 +30,24 @@ import (
 // allocs/op is deterministic, so any regression in the request stages or
 // the aggregation shows here (the manifests are parsed once per process,
 // and the first shard state built, in the warm-up run). Bytes per session
-// are read from runtime.MemStats.TotalAlloc over one warm run. The pins are ratchets:
-// lower them when a change cuts allocations; never raise them to make a
-// regression pass. The race detector changes allocation counts, so the
+// are read from runtime.MemStats.TotalAlloc over one warm run. The pins
+// are rows of the ratchet ledger (docs/PERFORMANCE.md): lower them when a
+// change cuts allocations; never raise them to make a regression pass. The race detector changes allocation counts, so the
 // test is built only without it (check.sh runs it in a step of its own).
 func TestFleetAllocsPerSession(t *testing.T) {
-	vod := fleet.Config{
-		Content:       media.DramaShow(),
-		Sessions:      32,
-		Mix:           []core.PlayerKind{core.BestPractice, core.BolaJoint, core.MPCJoint, core.DynamicJoint},
-		Mode:          cdnsim.Demuxed,
-		CacheBytes:    256 << 20,
-		MissPenalty:   60 * time.Millisecond,
-		UplinkProfile: trace.Fixed(media.Kbps(24_000)),
-		AccessProfile: trace.Fixed(media.Kbps(6_000)),
-		ArrivalSpread: 30 * time.Second,
-		Seed:          17,
-		CellSessions:  16,
-		Shards:        1,
-		MaxRetained:   -1,
-	}
-	resilient := vod
-	resilient.CacheBytes = 8 << 20
-	tc := netsim.DefaultTransport(netsim.H1)
-	tc.IdleTimeout = 700 * time.Millisecond
-	tc.LossRate = 0.02
-	resilient.Transport = &tc
-	resilient.AccessRTT = 200 * time.Millisecond
-	resilient.FaultPlan = &faults.Plan{
-		Seed:  17,
-		Rate:  0.02,
-		Kinds: append(faults.AllKinds(), faults.TransportKinds()...),
-	}
-	pol := faults.DefaultPolicy()
-	resilient.Robustness = &pol
-	live := vod
-	live.Mix = experiments.LiveModels()
-	live.Live = experiments.LiveConfig()
-	exact := vod
+	pins := ledger.For(t)
+	exact := fleet.VodFleet()
 	exact.MaxRetained = 0
-
 	for _, row := range []struct {
-		name              string
-		cfg               fleet.Config
-		allocPin, bytePin float64
+		name string
+		cfg  fleet.Config
 	}{
-		{"vod", vod, 2.6, 3_350},
-		{"resilient", resilient, 2.6, 3_350},
-		{"live", live, 2.6, 3_350},
-		{"exact", exact, 2.3, 2_200},
+		{"vod", fleet.VodFleet()},
+		{"resilient", fleet.ResilientFleet()},
+		{"live", liveFleet()},
+		{"exact", exact},
 	} {
+		allocPin, bytePin := pins.Bound(row.name, "allocs"), pins.Bound(row.name, "bytes")
 		t.Run(row.name, func(t *testing.T) {
 			cfg := row.cfg
 			var err error
@@ -96,8 +57,8 @@ func TestFleetAllocsPerSession(t *testing.T) {
 			}
 			perSession := allocs / float64(cfg.Sessions)
 			t.Logf("%.1f allocs per session", perSession)
-			if perSession > row.allocPin {
-				t.Errorf("%.1f allocs per session, pinned at %.1f", perSession, row.allocPin)
+			if perSession > allocPin {
+				t.Errorf("%.1f allocs per session, pinned at %.1f", perSession, allocPin)
 			}
 
 			// AllocsPerRun has warmed the process (manifests parsed, key
@@ -112,8 +73,8 @@ func TestFleetAllocsPerSession(t *testing.T) {
 			}
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Sessions)
 			t.Logf("%.0f bytes allocated per session", bytes)
-			if bytes > row.bytePin {
-				t.Errorf("%.0f bytes allocated per session, pinned at %.0f", bytes, row.bytePin)
+			if bytes > bytePin {
+				t.Errorf("%.0f bytes allocated per session, pinned at %.0f", bytes, bytePin)
 			}
 		})
 	}

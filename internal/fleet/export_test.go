@@ -23,3 +23,10 @@ func DrainWork() []StateWork {
 	}
 	return out
 }
+
+// The fleets shaped like the benchmark's fleet workloads.
+var (
+	VodFleet       = vodFleet
+	ResilientFleet = resilientFleet
+	LiveFleet      = liveFleet
+)

@@ -7,15 +7,11 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"demuxabr/internal/cdnsim"
-	"demuxabr/internal/core"
 	"demuxabr/internal/experiments"
-	"demuxabr/internal/faults"
 	"demuxabr/internal/fleet"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
 	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
 )
@@ -26,25 +22,10 @@ type warmFleet struct {
 	cfg  fleet.Config
 }
 
-// vodFleet is a small streaming fleet shaped like the benchmark's
-// fleet-vod: the four joint models behind one uplink and edge, in
-// 16-session cells.
-func vodFleet() fleet.Config {
-	return fleet.Config{
-		Content:       media.DramaShow(),
-		Sessions:      32,
-		Mix:           []core.PlayerKind{core.BestPractice, core.BolaJoint, core.MPCJoint, core.DynamicJoint},
-		Mode:          cdnsim.Demuxed,
-		CacheBytes:    256 << 20,
-		MissPenalty:   60 * time.Millisecond,
-		UplinkProfile: trace.Fixed(media.Kbps(24_000)),
-		AccessProfile: trace.Fixed(media.Kbps(6_000)),
-		ArrivalSpread: 30 * time.Second,
-		Seed:          17,
-		CellSessions:  16,
-		Shards:        1,
-		MaxRetained:   -1,
-	}
+// liveFleet is fleet.LiveFleet with the experiments' low-latency trio and
+// live configuration.
+func liveFleet() fleet.Config {
+	return fleet.LiveFleet(experiments.LiveModels(), experiments.LiveConfig())
 }
 
 // warmFleets is a sequence of fleets that each differ from the one before
@@ -53,32 +34,21 @@ func vodFleet() fleet.Config {
 // (the exact path), and in the shape of the state it runs on (a larger
 // cell over two shards, a smaller edge, another uplink capacity).
 func warmFleets() []warmFleet {
-	vod := vodFleet()
-	resilient := vodFleet()
-	resilient.CacheBytes = 8 << 20
-	tc := netsim.DefaultTransport(netsim.H1)
-	tc.IdleTimeout = 700 * time.Millisecond
-	tc.LossRate = 0.02
-	resilient.Transport = &tc
-	resilient.AccessRTT = 200 * time.Millisecond
-	resilient.FaultPlan = &faults.Plan{Seed: 17, Rate: 0.02, Kinds: append(faults.AllKinds(), faults.TransportKinds()...)}
-	pol := faults.DefaultPolicy()
-	resilient.Robustness = &pol
-	live := vodFleet()
-	live.Mix = experiments.LiveModels()
-	live.Live = experiments.LiveConfig()
-	muxed := vodFleet()
+	vod := fleet.VodFleet()
+	resilient := fleet.ResilientFleet()
+	live := liveFleet()
+	muxed := fleet.VodFleet()
 	muxed.Mode = cdnsim.Muxed
-	recorded := vodFleet()
+	recorded := fleet.VodFleet()
 	recorded.Timeline = true
 	recorded.SampleTimelines = 3
-	exact := vodFleet()
+	exact := fleet.VodFleet()
 	exact.MaxRetained = 0
-	cells := vodFleet()
+	cells := fleet.VodFleet()
 	cells.Sessions, cells.CellSessions, cells.Shards = 48, 24, 2
-	smallEdge := vodFleet()
+	smallEdge := fleet.VodFleet()
 	smallEdge.CacheBytes = 4 << 20
-	uplink := vodFleet()
+	uplink := fleet.VodFleet()
 	uplink.UplinkProfile = trace.Fixed(media.Kbps(12_000))
 	return []warmFleet{
 		{"vod", vod}, {"resilient", resilient}, {"live", live}, {"muxed", muxed},
@@ -167,10 +137,7 @@ func TestRunOnReusedStateMatchesFresh(t *testing.T) {
 // summary is the row's own copy (see shardAgg.addSession): one pointing
 // into its session's spare parts would read the later sessions' latency.
 func TestExactRowsOutliveLaterRuns(t *testing.T) {
-	live := vodFleet()
-	live.Mix = experiments.LiveModels()
-	live.Live = experiments.LiveConfig()
-	for _, f := range []warmFleet{{"vod", vodFleet()}, {"live", live}} {
+	for _, f := range []warmFleet{{"vod", fleet.VodFleet()}, {"live", liveFleet()}} {
 		t.Run(f.name, func(t *testing.T) {
 			exact := f.cfg
 			exact.MaxRetained = 0
@@ -214,9 +181,9 @@ func TestExactRowsOutliveLaterRuns(t *testing.T) {
 // returns an error and keeps the state it ran on, which can hold pending
 // events, off the free stack; the next Run matches fresh state.
 func TestFailedRunGivesNoStateBack(t *testing.T) {
-	vod := vodFleet()
+	vod := fleet.VodFleet()
 	want, _ := freshFleet(t, vod)
-	failing := vodFleet()
+	failing := fleet.VodFleet()
 	failing.MaxEvents = 5_000
 	if _, err := fleet.Run(failing); err == nil {
 		t.Fatal("a Run with 5,000 events per cell succeeded")

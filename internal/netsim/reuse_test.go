@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"demuxabr/internal/ledger"
 	"demuxabr/internal/media"
 	"demuxabr/internal/trace"
 )
@@ -247,11 +248,14 @@ func TestResetEngineMatchesFreshEngine(t *testing.T) {
 
 // TestEngineReuseAllocFree pins engine reuse across cells: a second cell
 // of the same shape on a reset engine and uplink allocates no event, no
-// transfer and no leaf. Every Event it schedules is one the first cell
-// left in the engine's table, every transfer it starts is one the first
-// cell released, all of them back on the freelist when it drains, and its
-// leaves are the first cell's.
+// transfer and no leaf (rows of the ratchet ledger, docs/PERFORMANCE.md).
+// Every Event it schedules is one the first cell left in the engine's
+// table, every transfer it starts is one the first cell released, all of
+// them back on the freelist when it drains, and its leaves are the first
+// cell's, in the same order.
 func TestEngineReuseAllocFree(t *testing.T) {
+	pins := ledger.For(t)
+	eventPin, transferPin, leafPin := pins.Bound("new events", "allocs"), pins.Bound("new transfers", "allocs"), pins.Bound("new leaves", "allocs")
 	eng := NewEngine()
 	up := cellUplink(eng)
 	cellScenario(t, up, 4)
@@ -264,19 +268,31 @@ func TestEngineReuseAllocFree(t *testing.T) {
 	eng.Reset()
 	up.Reset(cellProfile())
 	cellScenario(t, up, 4)
-	if !slices.Equal(up.members, leaves) {
-		t.Error("the second cell made new leaves")
-	}
-	if len(eng.events) != events {
-		t.Errorf("the second cell made %d new events", len(eng.events)-events)
-	}
-	for _, tr := range eng.transfers {
-		if !pooled[tr] {
-			t.Fatal("the second cell made a new transfer")
+	newLeaves := 0
+	for _, l := range up.members {
+		if !slices.Contains(leaves, l) {
+			newLeaves++
 		}
 	}
-	if len(eng.transfers) != len(pooled) {
-		t.Fatalf("%d transfers pooled after the second cell, %d after the first", len(eng.transfers), len(pooled))
+	if float64(newLeaves) > leafPin {
+		t.Errorf("the second cell made %d new leaves, pinned at %.0f", newLeaves, leafPin)
+	} else if newLeaves == 0 && !slices.Equal(up.members, leaves) {
+		t.Error("the second cell took the first cell's leaves in another order")
+	}
+	if n := len(eng.events) - events; float64(n) > eventPin {
+		t.Errorf("the second cell made %d new events, pinned at %.0f", n, eventPin)
+	}
+	newTransfers := 0
+	for _, tr := range eng.transfers {
+		if !pooled[tr] {
+			newTransfers++
+		}
+	}
+	if float64(newTransfers) > transferPin {
+		t.Errorf("the second cell made %d new transfers, pinned at %.0f", newTransfers, transferPin)
+	}
+	if len(eng.transfers) != len(pooled)+newTransfers {
+		t.Fatalf("%d transfers pooled after the second cell, %d after the first and %d new", len(eng.transfers), len(pooled), newTransfers)
 	}
 }
 

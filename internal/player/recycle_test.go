@@ -13,6 +13,7 @@ import (
 
 	"demuxabr/internal/abr"
 	"demuxabr/internal/faults"
+	"demuxabr/internal/ledger"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/timeline"
@@ -348,11 +349,13 @@ func TestRecycledRecordsUnreachedByStaleTimers(t *testing.T) {
 // δ-samples, completion, the underrun alarm and logging ticks around it —
 // allocates nothing, for the paired loop and for the per-type loops.
 func TestWarmChunkRequestAllocFree(t *testing.T) {
+	pins := ledger.For(t)
 	c := media.DramaShow()
 	for name, model := range map[string]Config{
 		"paired":   {Model: &fixedJoint{combo: lowestCombo(c)}},
 		"per-type": {Model: &fixedPerType{video: c.VideoTracks[0], audio: c.AudioTracks[0]}},
 	} {
+		pin := pins.Bound(name, "allocs")
 		cfg := model
 		cfg.Content = c
 		s, eng := startOn(t, new(Pool), nil, cfg, media.Kbps(3000), 20*time.Millisecond, false)
@@ -365,8 +368,8 @@ func TestWarmChunkRequestAllocFree(t *testing.T) {
 		if s.ended {
 			t.Fatalf("%s: session ended during the measurement", name)
 		}
-		if allocs != 0 {
-			t.Errorf("%s: a warm chunk request allocates %.2f objects, want 0", name, allocs)
+		if allocs > pin {
+			t.Errorf("%s: a warm chunk request allocates %.2f objects, pinned at %.0f", name, allocs, pin)
 		}
 	}
 }
@@ -377,11 +380,13 @@ func TestWarmChunkRequestAllocFree(t *testing.T) {
 // 1,792. A Pool allocates a pooledSession for every session it has no
 // released one for (each Play, and each cold session of a fleet shard),
 // and one byte past 1,536 would land it in the 1,792-byte class, 256 bytes
-// more per session. Let it cross the class boundary only on purpose.
+// more per session. Let it cross the class boundary only on purpose: the
+// class is a row of the ratchet ledger (docs/PERFORMANCE.md).
 func TestSessionSizeClasses(t *testing.T) {
 	const header = 8
-	if n := unsafe.Sizeof(pooledSession{}) + header; n > 1536 {
-		t.Errorf("pooledSession needs %d bytes with its header, over the 1,536-byte size class", n)
+	class := ledger.For(t).Bound("pooledSession", "size-class")
+	if n := unsafe.Sizeof(pooledSession{}) + header; float64(n) > class {
+		t.Errorf("pooledSession needs %d bytes with its header, over the %.0f-byte size class", n, class)
 	}
 }
 

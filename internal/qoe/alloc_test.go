@@ -7,23 +7,22 @@ import (
 
 	"demuxabr/internal/abr"
 	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/ledger"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
 	"demuxabr/internal/trace"
 )
 
-// computeAllocsPin is the ratchet for TestComputeAllocs. Lower it when a
-// change cuts allocations; never raise it to make a regression pass.
-const computeAllocsPin = 1
-
 // TestComputeAllocs pins the allocations of scoring one finished session:
 // the paper's best-practice joint model over the Fig. 3 trace, scored
 // against H_sub. Compute runs once per session of every fleet, so each
-// allocation here is one per session there. The race detector changes
+// allocation here is one per session there. The pin is a row of the
+// ratchet ledger (docs/PERFORMANCE.md). The race detector changes
 // allocation counts, so the test is built only without it (check.sh runs
 // it in a step of its own).
 func TestComputeAllocs(t *testing.T) {
+	pin := ledger.For(t).Bound("bestpractice", "allocs")
 	c := media.DramaShow()
 	allowed := media.HSub(c)
 	res, err := player.Run(netsim.NewLink(netsim.NewEngine(), trace.Fig3VaryingAvg600()),
@@ -37,7 +36,7 @@ func TestComputeAllocs(t *testing.T) {
 		t.Fatal("session selected no combination")
 	}
 	t.Logf("%.0f allocs per Compute", allocs)
-	if allocs > computeAllocsPin {
-		t.Fatalf("%.0f allocs per Compute, pinned at %d", allocs, computeAllocsPin)
+	if allocs > pin {
+		t.Fatalf("%.0f allocs per Compute, pinned at %.0f", allocs, pin)
 	}
 }

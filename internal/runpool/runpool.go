@@ -2,7 +2,8 @@
 // goroutines while keeping the fleet's output byte-identical to a serial
 // run, and keeps the simulation states workers reuse (Free).
 //
-// The determinism contract (see docs/PERFORMANCE.md):
+// The determinism contract (see docs/PERFORMANCE.md, "The runpool and
+// shard determinism contract"):
 //
 //   - Jobs are independent: each builds its own netsim.Engine, its own
 //     player state, and any randomness from a per-job seed
